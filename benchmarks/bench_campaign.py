@@ -1,6 +1,6 @@
 """B-CAMP — campaign orchestration microbenchmark.
 
-Three measurements of the durable-campaign subsystem:
+Four measurements of the durable-campaign subsystem:
 
 * **shard throughput**: a fixed-count campaign executed through the
   orchestrator (sharding + worker execution + SQLite checkpointing),
@@ -12,7 +12,14 @@ Three measurements of the durable-campaign subsystem:
   half-width, versus the fixed-count plan that must be sized for the
   worst case p = 0.5 to guarantee the same precision.  The acceptance bar
   is that the adaptive campaign reaches the target half-width with fewer
-  injections.
+  injections;
+* **worker scaling**: the injection phase of the reference campaign (cg,
+  ``fixed:512``) at one and at two workers, each campaign in fresh caches,
+  best of two runs.  The 1-worker / 2-worker
+  time ratio is hardware-relative (both halves measured on the same host
+  in the same run), so ``repro bench check`` gates it: a campaign that
+  stops running whole shards per worker falls back to ~1x or below.  The
+  two stores must agree fault for fault.
 
 Stats land in the pytest-benchmark ``extra_info`` JSON so the perf
 trajectory records campaign throughput and resume overhead over time.
@@ -23,6 +30,7 @@ Runnable standalone too::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -53,6 +61,13 @@ SHARD_SIZE = max(4, int(os.environ.get("REPRO_BENCH_SHARD_SIZE", "32")))
 #: Target CI half-width of the adaptive-vs-fixed comparison.
 HALF_WIDTH = float(os.environ.get("REPRO_BENCH_HALF_WIDTH", "0.12"))
 OUTPUT = os.environ.get("REPRO_BENCH_CAMPAIGN_JSON", "BENCH_campaign.json")
+#: The worker-scaling campaign: cg ``fixed:512`` (1024 injections).
+SCALING_WORKLOAD = "cg"
+SCALING_TESTS = 512
+#: Runs per worker count; the fastest counts (host noise only slows runs).
+SCALING_REPEATS = 2
+#: Least 1 -> 2 worker speedup of the injection phase on a multi-core host.
+SCALING_BAR = 1.2
 
 
 def _store(tmpdir: str, name: str) -> CampaignStore:
@@ -95,6 +110,82 @@ def measure_shard_throughput_and_resume(workload_name: str = WORKLOAD):
                 resumed.skipped_shards / resume_s if resume_s else float("inf")
             ),
         }
+
+
+@contextlib.contextmanager
+def _fresh_caches(tmpdir: str):
+    """Point the trace and memo caches at ``tmpdir`` for one campaign, so
+    no run warm-starts from another's artifacts."""
+    keys = ("REPRO_TRACE_CACHE", "REPRO_MEMO_CACHE")
+    saved = {key: os.environ.get(key) for key in keys}
+    os.environ["REPRO_TRACE_CACHE"] = os.path.join(tmpdir, "traces")
+    os.environ["REPRO_MEMO_CACHE"] = os.path.join(tmpdir, "memo")
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def _inject_phase_s(store: CampaignStore, campaign_id: str) -> float:
+    """The run's wall time after its set-up, from the flight recorder:
+    the ``campaign.run`` span minus trace acquisition and site analysis."""
+    spans = store.run_spans(campaign_id)
+    total = sum(s.duration_s for s in spans if s.name == "campaign.run")
+    setup = sum(
+        s.duration_s for s in spans
+        if s.name in ("campaign.trace", "campaign.analysis")
+    )
+    return total - setup
+
+
+def measure_worker_scaling():
+    """Injection phase of cg ``fixed:512`` at one and at two workers."""
+    plan = FixedRandomPlan(tests=SCALING_TESTS, seed=3)
+    best = {}
+    rows = {}
+    injections = 0
+    for workers in (1, 2):
+        for _ in range(SCALING_REPEATS):
+            with tempfile.TemporaryDirectory() as tmpdir, _fresh_caches(tmpdir):
+                store = _store(tmpdir, "scaling.sqlite")
+                orchestrator = CampaignOrchestrator(
+                    store, SCALING_WORKLOAD, plan=plan, workers=workers
+                )
+                result = orchestrator.run()
+                assert result.status == "complete"
+                seconds = _inject_phase_s(store, orchestrator.campaign_id)
+                rows[workers] = [
+                    (o.shard_index, o.seq, o.spec, o.outcome)
+                    for o in store.outcomes(orchestrator.campaign_id)
+                ]
+                injections = result.executed_injections
+                store.close()
+            best[workers] = min(best.get(workers, seconds), seconds)
+    assert rows[1] == rows[2], "2-worker campaign differs from the 1-worker one"
+    return {
+        "workload": SCALING_WORKLOAD,
+        "injections": injections,
+        "repeats": SCALING_REPEATS,
+        "inject_s_1w": best[1],
+        "inject_s_2w": best[2],
+        "inject_per_s_1w": injections / best[1],
+        "inject_per_s_2w": injections / best[2],
+        "speedup": best[1] / best[2],
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def measure_all():
+    """Every measurement (the ``repro bench check`` entry point)."""
+    return {
+        "throughput": measure_shard_throughput_and_resume(),
+        "adaptive": measure_adaptive_vs_fixed(),
+        "scaling": measure_worker_scaling(),
+    }
 
 
 def measure_adaptive_vs_fixed(workload_name: str = WORKLOAD):
@@ -170,14 +261,26 @@ def test_bench_campaign_adaptive_vs_fixed(once, benchmark):
     assert stats["adaptive_injections"] < stats["fixed_equivalent_injections"]
 
 
+def test_bench_campaign_worker_scaling(once, benchmark):
+    from conftest import print_header
+
+    stats = once(measure_worker_scaling)
+    benchmark.extra_info.update(stats)
+    print_header(
+        f"Campaign: injection-phase scaling, {stats['workload']} "
+        f"({stats['injections']} injections), 1 -> 2 workers"
+    )
+    print(json.dumps(stats, indent=2))
+    if (os.cpu_count() or 1) >= 2:
+        assert stats["speedup"] >= SCALING_BAR
+
+
 def main() -> None:
-    throughput = measure_shard_throughput_and_resume()
-    adaptive = measure_adaptive_vs_fixed()
-    results = {
-        "throughput": throughput,
-        "adaptive": adaptive,
-        "provenance": provenance(),
-    }
+    results = measure_all()
+    throughput = results["throughput"]
+    adaptive = results["adaptive"]
+    scaling = results["scaling"]
+    results["provenance"] = provenance()
     print(json.dumps(results, indent=2))
     with open(OUTPUT, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)
@@ -192,6 +295,11 @@ def main() -> None:
     assert adaptive["adaptive_injections"] < adaptive["fixed_equivalent_injections"], (
         "adaptive plan did not beat the equivalent fixed-count plan"
     )
+    if (os.cpu_count() or 1) >= 2:
+        assert scaling["speedup"] >= SCALING_BAR, (
+            f"2 workers ran the injection phase only {scaling['speedup']:.2f}x "
+            f"faster than 1 (bar {SCALING_BAR}x)"
+        )
 
 
 if __name__ == "__main__":

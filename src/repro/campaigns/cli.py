@@ -468,6 +468,11 @@ def _cmd_stats(args) -> int:
         print(f"{'memo store':<11}: {persist_hits} warm-start hits / "
               f"{persist_loads} loads / {persist_merges} merges "
               f"(persisted convergence memo; see REPRO_MEMO_CACHE)")
+        walk_ops = _counter_total(merged, "replay.walk_ops")
+        fused_ops = _counter_total(merged, "replay.walk_fused_ops")
+        fused_share = f"{fused_ops / walk_ops:.2f}" if walk_ops else "-"
+        print(f"{'walk':<11}: {walk_ops} ops / {fused_ops} in fused segments "
+              f"(fused share {fused_share})")
         speculated = _counter_total(merged, "advf.speculated")
         discards = _counter_total(merged, "advf.speculation_discards")
         disc_rate = f"{discards / speculated:.2f}" if speculated else "-"

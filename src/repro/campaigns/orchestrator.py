@@ -1,10 +1,12 @@
 """Durable, resumable campaign orchestration.
 
 The :class:`CampaignOrchestrator` turns a :mod:`~repro.campaigns.plans`
-sampling plan into deterministic *shards* of fault specs, executes them
-over the existing :class:`~repro.parallel.CampaignRunner` workers (or a
-persistent in-process injector when ``workers=1``), and checkpoints every
-completed shard into a :class:`~repro.campaigns.store.CampaignStore`.
+sampling plan into deterministic *shards* of fault specs, runs whole shards
+through a :class:`~repro.parallel.campaign.ShardPipeline` (a window of
+``2 x workers`` shards in flight over the worker pool, or one shard at a
+time in this process when ``workers=1``), and checkpoints every completed
+shard into a :class:`~repro.campaigns.store.CampaignStore` **in shard
+order**, whatever order the workers finish in.
 
 Because shard contents are a pure function of (workload, plan, shard
 size) and shards are persisted atomically, **resume is just run**: a
@@ -13,14 +15,27 @@ shard sequence, skips every shard already in the store, and executes only
 the remainder — producing results bit-identical to an uninterrupted run.
 Adaptive plans replay their stopping decisions from the persisted
 outcomes, so even "keep sampling until the CI converges" campaigns resume
-exactly.
+exactly.  Each data object of an adaptive plan keeps at most one batch in
+flight (its next batch depends on the previous one's outcomes); the
+pipeline overlaps batches of different objects instead.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.campaigns.plans import (
     AdaptivePlan,
@@ -31,7 +46,6 @@ from repro.campaigns.plans import (
 from repro.campaigns.stats import wilson_interval
 from repro.campaigns.store import CampaignStore
 from repro.core.advf import AnalysisConfig, ObjectReport
-from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.spans import (
@@ -42,7 +56,13 @@ from repro.obs.spans import (
     set_span_context,
     span,
 )
-from repro.parallel.campaign import CampaignRunner, _default_workers
+from repro.parallel.campaign import (
+    CampaignChunkError,
+    CampaignRunner,
+    ShardOutput,
+    ShardPipeline,
+    _default_workers,
+)
 from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import MemoCache, TraceCache, trace_digest
 from repro.vm.faults import FaultSpec
@@ -105,6 +125,60 @@ class _RunCounters:
     injected: int = 0
 
 
+#: A stream item: a :class:`ShardTask` to run, or the index of a shard
+#: already in the store (committed as a skip).
+_Item = Union[ShardTask, int]
+
+
+class _ShardStream:
+    """One commit sequence of shards, in commit order.
+
+    A static plan is one stream whose items are all known up front.  An
+    adaptive plan has one stream per data object, fed by a generator that
+    yields each next item and is sent the results of every task it
+    yields: its next batch depends on them, so such a stream never has
+    more than one task in flight.
+    """
+
+    def __init__(
+        self,
+        items: Sequence[_Item] = (),
+        source: Optional[Generator[_Item, object, Tuple[int, int]]] = None,
+        object_name: str = "",
+    ) -> None:
+        self.queue: Deque[_Item] = deque(items)
+        self.object_name = object_name
+        #: The adaptive tally ``(successes, trials)`` once the source ends.
+        self.tally: Optional[Tuple[int, int]] = None
+        self._source = source
+        self._awaiting: Optional[int] = None
+        self._reply: object = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self._source is None
+
+    def fill(self) -> None:
+        """Pull items from the source until it waits on a task's results."""
+        while self._source is not None and self._awaiting is None:
+            try:
+                item = self._source.send(self._reply)
+            except StopIteration as stop:
+                self._source = None
+                self.tally = stop.value
+                return
+            self._reply = None
+            self.queue.append(item)
+            if isinstance(item, ShardTask):
+                self._awaiting = item.index
+
+    def feed(self, index: int, output: object) -> None:
+        """Hand a finished task's results to a source waiting on them."""
+        if index == self._awaiting and isinstance(output, ShardOutput):
+            self._reply = output.results
+            self._awaiting = None
+
+
 class CampaignOrchestrator:
     """Shard a sampling plan, execute it durably, resume it for free.
 
@@ -120,9 +194,10 @@ class CampaignOrchestrator:
         A :class:`~repro.campaigns.plans.SamplingPlan`
         (default: :class:`~repro.campaigns.plans.ExhaustivePlan`).
     workers:
-        Worker processes per shard; ``1`` (the default via
-        ``REPRO_WORKERS`` unset on small machines) keeps one in-process
-        injector alive across shards, which amortises the golden run.
+        Worker processes; each runs whole shards.  ``1`` (the default
+        via ``REPRO_WORKERS`` unset on small machines) spawns nothing and
+        runs the shards in this process on one injector, which amortises
+        the golden run.
     shard_size:
         Specs per shard for static plans — the checkpoint granularity.
         Adaptive plans shard per batch (``plan.batch_size``).
@@ -157,8 +232,6 @@ class CampaignOrchestrator:
         )
         #: Content address of the golden-trace artifact (trace cache key).
         self.trace_digest = trace_digest(self.workload_name, self.workload_kwargs)
-        self._injector: Optional[DeterministicFaultInjector] = None
-        self._runner: Optional[CampaignRunner] = None
         #: Seconds spent enumerating fault sites, per data object (the
         #: analysis-pass timing stamped onto the object's shards).
         self._pass_seconds: Dict[str, float] = {}
@@ -260,24 +333,25 @@ class CampaignOrchestrator:
             with span("campaign.run", campaign=self.campaign_id, run=run_id):
                 workload = self._workload()
                 trace = self._acquire_trace(workload)
+                done = self.store.completed_shards(self.campaign_id)
                 if isinstance(self.plan, AdaptivePlan):
-                    finished = self._run_adaptive(
-                        trace, workload, run_id, max_shards, counters
-                    )
+                    streams = [
+                        _ShardStream(
+                            source=self._adaptive_object(
+                                trace, object_index, object_name, done
+                            ),
+                            object_name=object_name,
+                        )
+                        for object_index, object_name in enumerate(
+                            self.plan.objects_for(workload)
+                        )
+                    ]
                 else:
-                    tasks = self.static_shards(trace)
-                    done = self.store.completed_shards(self.campaign_id)
-                    finished = True
-                    for task in tasks:
-                        if task.index in done:
-                            counters.skipped += 1
-                            continue
-                        if max_shards is not None and counters.executed >= max_shards:
-                            finished = False
-                            break
-                        self._execute_shard(task, run_id)
-                        counters.executed += 1
-                        counters.injected += len(task.specs)
+                    streams = [_ShardStream([
+                        task.index if task.index in done else task
+                        for task in self.static_shards(trace)
+                    ])]
+                finished = self._execute(streams, run_id, max_shards, counters)
             status = "complete" if finished else "interrupted"
         finally:
             # A worker crash mid-campaign must not leave the row claiming
@@ -290,7 +364,6 @@ class CampaignOrchestrator:
             # the campaign.run span (and any other run-scoped spans) closed
             # above, so this final flush captures them as orphan rows
             self._persist_spans(run_id)
-            self._close_runner()
             set_span_context(campaign=None, run=None)
             if not was_recording:
                 disable_recording()
@@ -314,74 +387,147 @@ class CampaignOrchestrator:
         return self.run(max_shards=max_shards)
 
     # ------------------------------------------------------------------ #
-    # adaptive execution
+    # pipelined execution
     # ------------------------------------------------------------------ #
-    def _run_adaptive(
+    def _execute(
         self,
-        trace,
-        workload,
+        streams: List[_ShardStream],
         run_id: int,
         max_shards: Optional[int],
         counters: "_RunCounters",
     ) -> bool:
-        """Adaptive loop: per object, draw batches until the CI converges.
+        """Run the streams' tasks through the pipeline, committing in order.
+
+        Streams commit one after another, each in its own order, so the
+        store sees exactly the shard sequence of a one-at-a-time run.
+        Between commits the pipeline is refilled in that same order, and
+        never with a task that ``max_shards`` already excludes.  Tasks
+        finishing early wait for their turn.  A failed task raises when
+        its turn comes, after every earlier shard committed.  ``counters``
+        is updated as shards commit; returns whether every stream ran to
+        its end.
+        """
+        outputs: Dict[int, object] = {}
+        owner: Dict[int, _ShardStream] = {}
+        head = 0
+        with ShardPipeline(
+            self.workload_name, self.workload_kwargs, self.workers
+        ) as pipeline:
+            while head < len(streams):
+                stream = streams[head]
+                stream.fill()
+                while stream.queue:
+                    item = stream.queue[0]
+                    if not isinstance(item, ShardTask):
+                        stream.queue.popleft()
+                        counters.skipped += 1
+                        continue
+                    if max_shards is not None and counters.executed >= max_shards:
+                        return False
+                    if item.index not in outputs:
+                        break
+                    stream.queue.popleft()
+                    output = outputs.pop(item.index)
+                    if isinstance(output, CampaignChunkError):
+                        raise output
+                    self._commit_shard(item, output, run_id)
+                    counters.executed += 1
+                    counters.injected += len(item.specs)
+                    stream.fill()
+                if not stream.queue:
+                    self._stream_done(stream)
+                    head += 1
+                    continue
+                self._refill(pipeline, streams[head:], owner, counters.executed,
+                             max_shards)
+                for index, output in pipeline.wait(stream.queue[0].index):
+                    outputs[index] = output
+                    owner[index].feed(index, output)
+        return True
+
+    @staticmethod
+    def _refill(
+        pipeline: ShardPipeline,
+        streams: Sequence[_ShardStream],
+        owner: Dict[int, _ShardStream],
+        position: int,
+        max_shards: Optional[int],
+    ) -> None:
+        """Submit unsubmitted tasks in commit order while the window has
+        room; ``position`` counts the tasks that commit before the next one
+        (committed or queued ahead of it), so ``max_shards`` bounds it."""
+        for stream in streams:
+            stream.fill()
+            for item in stream.queue:
+                if not isinstance(item, ShardTask):
+                    continue
+                if item.index not in owner:
+                    if not pipeline.has_room() or (
+                        max_shards is not None and position >= max_shards
+                    ):
+                        return
+                    pipeline.submit(item.index, item.specs)
+                    owner[item.index] = stream
+                position += 1
+
+    def _adaptive_object(
+        self, trace, object_index: int, object_name: str, done
+    ) -> Generator[_Item, object, Tuple[int, int]]:
+        """One object's adaptive batches: draw until the CI converges.
 
         Shard index ``object_index * max_batches + batch`` is globally
         unique and deterministic; persisted batches are folded into the
         cumulative tally without re-execution, so the stop decision replays
-        identically on resume.  ``counters`` is updated incrementally (so
-        accounting survives a mid-loop exception); returns whether the
-        plan ran to completion.
+        identically on resume.  Yields each batch's item and is sent back
+        the results of every task; returns the final ``(successes,
+        trials)``.
         """
         plan = self.plan
         assert isinstance(plan, AdaptivePlan)
-        done = self.store.completed_shards(self.campaign_id)
-        objects = plan.objects_for(workload)
-        for object_index, object_name in enumerate(objects):
-            pass_start = time.perf_counter()
-            with span("campaign.analysis", object=object_name):
-                sites = plan.site_pool(trace, object_name)
-            self._pass_seconds[object_name] = time.perf_counter() - pass_start
-            successes = trials = 0
-            for batch in range(plan.max_batches):
-                if trials > 0 and plan.satisfied(successes, trials):
-                    break
-                shard_index = object_index * plan.max_batches + batch
-                if shard_index in done:
-                    counters.skipped += 1
-                    for outcome in self.store.outcomes(
+        pass_start = time.perf_counter()
+        with span("campaign.analysis", object=object_name):
+            sites = plan.site_pool(trace, object_name)
+        self._pass_seconds[object_name] = time.perf_counter() - pass_start
+        successes = trials = 0
+        for batch in range(plan.max_batches):
+            if trials > 0 and plan.satisfied(successes, trials):
+                break
+            shard_index = object_index * plan.max_batches + batch
+            if shard_index in done:
+                outcomes = [
+                    row.outcome for row in self.store.outcomes(
                         self.campaign_id, shard_index=shard_index
-                    ):
-                        trials += 1
-                        successes += int(outcome.outcome.is_success)
-                    continue
-                if max_shards is not None and counters.executed >= max_shards:
-                    return False
-                specs = plan.batch_specs(sites, object_name, batch)
-                task = ShardTask(
+                    )
+                ]
+                yield shard_index
+            else:
+                results = yield ShardTask(
                     index=shard_index,
                     object_name=object_name,
                     batch=batch,
-                    specs=tuple(specs),
+                    specs=tuple(plan.batch_specs(sites, object_name, batch)),
                 )
-                results = self._execute_shard(task, run_id)
-                counters.executed += 1
-                counters.injected += len(specs)
-                for result in results:
-                    trials += 1
-                    successes += int(result.outcome.is_success)
-            low, high = wilson_interval(successes, trials, plan.z)
-            self._say(
-                f"[{self.campaign_id}] {object_name}: {successes}/{trials} masked, "
-                f"CI [{low:.3f}, {high:.3f}]",
-                event="object.converged",
-                object=object_name,
-                successes=successes,
-                trials=trials,
-                ci_low=low,
-                ci_high=high,
-            )
-        return True
+                outcomes = [result.outcome for result in results]
+            trials += len(outcomes)
+            successes += sum(int(outcome.is_success) for outcome in outcomes)
+        return successes, trials
+
+    def _stream_done(self, stream: _ShardStream) -> None:
+        """Report an adaptive object whose batches all committed."""
+        if stream.tally is None:
+            return
+        successes, trials = stream.tally
+        low, high = wilson_interval(successes, trials, self.plan.z)
+        self._say(
+            f"[{self.campaign_id}] {stream.object_name}: {successes}/{trials} "
+            f"masked, CI [{low:.3f}, {high:.3f}]",
+            event="object.converged",
+            object=stream.object_name,
+            successes=successes,
+            trials=trials,
+            ci_low=low,
+            ci_high=high,
+        )
 
     # ------------------------------------------------------------------ #
     # aDVF reports
@@ -454,106 +600,65 @@ class CampaignOrchestrator:
         if self.progress is not None:
             self.progress(message)
 
-    def _execute_shard(
-        self, task: ShardTask, run_id: int
-    ) -> List[FaultInjectionResult]:
-        start = time.perf_counter()
-        with span(
-            "campaign.shard", shard=task.index, object=task.object_name
-        ):
-            results, batch_stats, memo_delta = self._execute_specs(
-                list(task.specs)
+    def _commit_shard(
+        self, task: ShardTask, output: ShardOutput, run_id: int
+    ) -> None:
+        """Persist one finished shard: memo entries, outcomes, spans.
+
+        ``duration_s`` is the shard's ``worker.inject`` span — its own
+        execution time, not the time it queued in the pipeline window —
+        so per-shard rates compare across worker counts."""
+        duration = output.inject_s
+        stats = output.batch_stats
+        with span("campaign.shard", shard=task.index, object=task.object_name):
+            if output.memo_delta:
+                with span(
+                    "campaign.memo_merge", shard=task.index,
+                    object=task.object_name,
+                ):
+                    self._persist_memo(output.memo_delta)
+            self.store.record_shard(
+                self.campaign_id,
+                task.index,
+                task.object_name,
+                task.batch,
+                run_id,
+                duration,
+                output.results,
+                analysis_s=self._pass_seconds.get(task.object_name, 0.0),
+                batch_stats=stats,
             )
-        duration = time.perf_counter() - start
-        if memo_delta:
-            with span(
-                "campaign.memo_merge", shard=task.index, object=task.object_name
-            ):
-                self._persist_memo(memo_delta)
-        self.store.record_shard(
-            self.campaign_id,
-            task.index,
-            task.object_name,
-            task.batch,
-            run_id,
-            duration,
-            results,
-            analysis_s=self._pass_seconds.get(task.object_name, 0.0),
-            batch_stats=batch_stats,
-        )
-        rate = len(results) / duration if duration > 0 else float("inf")
+        rate = len(output.results) / duration if duration > 0 else float("inf")
         self._say(
             f"[{self.campaign_id}] shard {task.index} ({task.object_name}, "
-            f"batch {task.batch}): {len(results)} injections in {duration:.2f}s "
-            f"({rate:.0f}/s, {batch_stats.get('batches', 0)} replay batches, "
-            f"{batch_stats.get('memo_hits', 0)} memo hits)",
+            f"batch {task.batch}): {len(output.results)} injections in "
+            f"{duration:.2f}s ({rate:.0f}/s, {stats.get('batches', 0)} replay "
+            f"batches, {stats.get('memo_hits', 0)} memo hits)",
             event="shard.done",
             shard=task.index,
             object=task.object_name,
             batch=task.batch,
-            injections=len(results),
+            injections=len(output.results),
             duration_s=duration,
         )
-        self._persist_spans(run_id, shard_index=task.index)
-        return results
+        self._persist_spans(run_id, output.span_records)
 
     def _persist_spans(
-        self, run_id: int, shard_index: Optional[int] = None
+        self, run_id: int, shipped: Sequence[Dict[str, object]] = ()
     ) -> None:
-        """Flush buffered flight-recorder spans to the store.
+        """Flush flight-recorder spans to the store.
 
-        Worker-shipped records (which cannot know their shard) are stamped
-        with ``shard_index`` before persisting; records from this process
-        either carry their own ``shard`` label (``campaign.shard``,
+        ``shipped`` are records a worker process sent back with its shard
+        (``worker.inject``, labelled with the shard).  Records from this
+        process either carry their own ``shard`` label (``worker.inject``
+        of an in-process shard, ``campaign.shard``,
         ``campaign.memo_merge``) or are run-scoped phases — trace
         acquisition, analysis passes — that persist as orphan rows
         (``shard_index = -1``)."""
-        records: List[Dict[str, object]] = []
-        if self._runner is not None and self._runner.last_span_records:
-            for record in self._runner.last_span_records:
-                if shard_index is not None:
-                    labels = record.setdefault("labels", {})
-                    labels.setdefault("shard", str(shard_index))
-                records.append(record)
-            self._runner.last_span_records = []
+        records = list(shipped)
         records.extend(drain_span_records())
         if records:
             self.store.save_run_spans(self.campaign_id, run_id, records)
-
-    def _execute_specs(
-        self, specs: List[FaultSpec]
-    ) -> Tuple[
-        List[FaultInjectionResult], Dict[str, int], Optional[Dict[str, object]]
-    ]:
-        """Run one shard's specs; returns results + replay-batch counters +
-        the shard's convergence-memo delta (``None`` when nothing new)."""
-        if self.workers <= 1:
-            if self._injector is None:
-                self._injector = DeterministicFaultInjector(
-                    self._workload(), memo_key=self.trace_digest
-                )
-            results = self._injector.inject_many(specs)
-            return (
-                results,
-                self._injector.consume_batch_stats(),
-                self._injector.consume_memo_delta(),
-            )
-        if self._runner is None:
-            # One persistent pool for the whole run: worker processes (and
-            # their per-workload injectors) are reused across shards instead
-            # of being respawned per ~shard_size specs.
-            self._runner = CampaignRunner(
-                self.workload_name,
-                self.workload_kwargs,
-                workers=self.workers,
-                keep_pool=True,
-            )
-        results = self._runner.run_injections(specs)
-        return (
-            results,
-            dict(self._runner.last_batch_stats),
-            self._runner.last_memo_delta,
-        )
 
     def _persist_memo(self, delta: Optional[Dict[str, object]]) -> None:
         """Fold one shard's learned memo entries into the shared artifact.
@@ -570,8 +675,3 @@ class CampaignOrchestrator:
         from repro.vm.engine import default_backend
 
         cache.merge_store(self.trace_digest, default_backend(), delta)
-
-    def _close_runner(self) -> None:
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None

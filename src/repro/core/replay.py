@@ -283,6 +283,9 @@ class ReplayBatchStats:
     ``memo_persist_hits`` is the subset of hits answered by an entry that
     arrived through a persisted memo artifact (cross-process warm start);
     ``memo_evictions`` counts entries dropped by the memo's FIFO eviction.
+    ``walk_ops`` counts the ops the lockstep walks executed and
+    ``walk_fused_ops`` the subset that ran as fused MIR segments (added
+    once per walk, never per op).
     """
 
     batches: int = 0
@@ -295,6 +298,8 @@ class ReplayBatchStats:
     memo_misses: int = 0
     memo_persist_hits: int = 0
     memo_evictions: int = 0
+    walk_ops: int = 0
+    walk_fused_ops: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -308,6 +313,8 @@ class ReplayBatchStats:
             "memo_misses": self.memo_misses,
             "memo_persist_hits": self.memo_persist_hits,
             "memo_evictions": self.memo_evictions,
+            "walk_ops": self.walk_ops,
+            "walk_fused_ops": self.walk_fused_ops,
         }
 
 
@@ -739,6 +746,8 @@ class BatchedReplayContext(ReplayContext):
         resolutions = engine.resume_many(
             self.snapshots, ordered, golden_digests=digests, memo=self._memo
         )
+        stats.walk_ops += engine.walk_ops
+        stats.walk_fused_ops += engine.walk_fused_ops
         results: List[Optional[BatchReplayResult]] = [None] * len(specs)
         for position, resolution in zip(order, resolutions):
             results[position] = self._finish(resolution)

@@ -14,7 +14,7 @@ pointee so identity comparison (``is``) works for the scalar types while
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
@@ -46,6 +46,13 @@ class IRType:
     kind: TypeKind
     bits: int
     name: str
+    #: Storage size in bytes (minimum 1 byte for i1, 0 for void); derived
+    #: once at construction because address resolution reads it per access.
+    size_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = 0 if self.kind is TypeKind.VOID else max(1, self.bits // 8)
+        object.__setattr__(self, "size_bytes", size)
 
     # ------------------------------------------------------------------ #
     # classification helpers
@@ -70,13 +77,6 @@ class IRType:
     def is_bool(self) -> bool:
         """True for the 1-bit integer type produced by comparisons."""
         return self.is_integer and self.bits == 1
-
-    @property
-    def size_bytes(self) -> int:
-        """Storage size in bytes (minimum 1 byte for i1)."""
-        if self.is_void:
-            return 0
-        return max(1, self.bits // 8)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -6,6 +6,13 @@ kernels hold compiled IR with unpicklable back-references), runs its share
 of the work, and sends back plain result objects.  Work is split
 deterministically so parallel results equal sequential ones.
 
+Fault injections run as whole *shards* through a :class:`ShardPipeline`:
+each worker injects a complete shard (one snapshot restore and one suffix
+walk per replay batch, never a shard split across workers), a bounded
+window of shards is in flight at once, and the caller reorders finished
+shards by key.  At one worker the pipeline spawns nothing and runs each
+shard in this process.
+
 For aDVF analyses the golden trace is built (or fetched from the trace
 cache) **once per campaign** and shipped to workers as a file-backed
 columnar artifact: each worker process loads the ``.npz`` instead of
@@ -18,12 +25,12 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.acceptance import OutcomeClass
 from repro.core.advf import AnalysisConfig, ObjectReport
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
@@ -61,7 +68,7 @@ def _default_workers() -> int:
 
 
 class CampaignChunkError(RuntimeError):
-    """A worker chunk failed, with enough context to reproduce it.
+    """A worker chunk or shard failed, with enough context to reproduce it.
 
     Wraps the worker's original exception (available as ``__cause__``)
     instead of letting a bare ``future.result()`` traceback escape with no
@@ -74,6 +81,7 @@ class CampaignChunkError(RuntimeError):
         chunk_index: int,
         items: Sequence[object],
         cause: BaseException,
+        unit: str = "chunk",
     ) -> None:
         self.workload_name = workload_name
         self.chunk_index = chunk_index
@@ -81,7 +89,7 @@ class CampaignChunkError(RuntimeError):
         first = self.items[0] if self.items else None
         last = self.items[-1] if self.items else None
         super().__init__(
-            f"campaign chunk {chunk_index} of workload {workload_name!r} failed "
+            f"campaign {unit} {chunk_index} of workload {workload_name!r} failed "
             f"({len(self.items)} items, first={first!r}, last={last!r}): "
             f"{type(cause).__name__}: {cause}"
         )
@@ -91,11 +99,24 @@ class CampaignChunkError(RuntimeError):
 # worker entry points (module-level so they are picklable)
 # --------------------------------------------------------------------- #
 #: Per-worker-process injector cache, keyed by (workload name, kwargs JSON).
-#: A persistent pool (``keep_pool=True``) submits many chunks of the same
-#: workload to the same processes; caching keeps the golden run and the
-#: checkpoint schedule alive across chunks instead of rebuilding them per
-#: submission.
+#: A pipeline submits many shards of the same workload to the same
+#: processes; caching keeps the golden run and the checkpoint schedule
+#: alive across shards instead of rebuilding them per submission.
 _WORKER_INJECTORS: Dict[Tuple[str, str], DeterministicFaultInjector] = {}
+
+
+def _build_injector(
+    workload_name: str, workload_kwargs: Dict[str, object]
+) -> DeterministicFaultInjector:
+    from repro.workloads.registry import get_workload
+
+    workload = get_workload(workload_name, **workload_kwargs)
+    # the trace digest keys the persisted convergence-memo artifact, so
+    # every worker of a campaign (and every resumed campaign) warm-starts
+    # from the entries earlier replays already learned
+    return DeterministicFaultInjector(
+        workload, memo_key=trace_digest(workload_name, workload_kwargs)
+    )
 
 
 def _worker_injector(
@@ -106,22 +127,15 @@ def _worker_injector(
     key = (workload_name, json.dumps(workload_kwargs, sort_keys=True, default=repr))
     injector = _WORKER_INJECTORS.get(key)
     if injector is None:
-        from repro.workloads.registry import get_workload
-
-        workload = get_workload(workload_name, **workload_kwargs)
-        # the trace digest keys the persisted convergence-memo artifact, so
-        # every worker of a campaign (and every resumed campaign) warm-starts
-        # from the entries earlier replays already learned
-        injector = DeterministicFaultInjector(
-            workload, memo_key=trace_digest(workload_name, workload_kwargs)
+        injector = _WORKER_INJECTORS[key] = _build_injector(
+            workload_name, workload_kwargs
         )
-        _WORKER_INJECTORS[key] = injector
     return injector
 
 
-#: True only in pool worker processes (set by the initializer).  The chunk
-#: functions also run in-process for small jobs; there they must *not*
-#: drain the span-record buffer — the parent owns it.
+#: True only in pool worker processes (set by the initializer).  The shard
+#: and chunk functions also run in-process (one worker, small jobs); there
+#: they must *not* drain the span-record buffer — the parent owns it.
 _IS_WORKER = False
 
 
@@ -166,43 +180,180 @@ def _chunk_metrics_delta() -> Optional[Dict[str, object]]:
     return _metrics_registry().snapshot_delta("worker-chunk")
 
 
-def _inject_chunk(
+@dataclass
+class ShardOutput:
+    """What injecting one shard produced, in a worker or in this process."""
+
+    results: List[FaultInjectionResult]
+    #: Duration of the shard's ``worker.inject`` span: its own execution
+    #: time, without the time it queued in the pipeline window.
+    inject_s: float
+    #: The replay scheduler's counter delta for this shard.
+    batch_stats: Dict[str, int]
+    #: Convergence-memo entries the shard learned (``None`` when nothing
+    #: new); callers persist it so later shards and resumes warm-start.
+    memo_delta: Optional[Dict[str, object]]
+    #: The worker's metrics-registry delta (``None`` in this process,
+    #: whose registry already holds the activity).
+    metrics_delta: Optional[Dict[str, object]] = None
+    #: Finished-span records shipped by a worker process (empty in this
+    #: process, whose own buffer holds them).
+    span_records: List[Dict[str, object]] = field(default_factory=list)
+
+
+def _inject_shard(
+    injector: DeterministicFaultInjector,
     workload_name: str,
-    workload_kwargs: Dict[str, object],
+    key: int,
     specs: List[FaultSpec],
-) -> Tuple[
-    List[Tuple[FaultSpec, str, str]],
-    Dict[str, int],
-    Optional[Dict[str, object]],
-    Optional[Dict[str, object]],
-    Optional[List[Dict[str, object]]],
-]:
-    # One injector per (worker process, workload): the golden run and the
-    # checkpoint schedule are computed once, and the whole chunk is
-    # submitted to the batched replay scheduler in one go (grouped by
-    # snapshot interval, shared suffix walk, convergence memo).  The second
-    # element is the scheduler's counter delta for this chunk, the third
-    # the worker's metrics-registry delta, the fourth the delta of
-    # convergence-memo entries this chunk learned (merged + persisted by
-    # the parent so later workers and resumed campaigns warm-start), the
-    # fifth the worker's finished-span records for the flight recorder.
-    injector = _worker_injector(workload_name, workload_kwargs)
-    with span("worker.inject", workload=workload_name, specs=len(specs)):
-        results = [
-            (result.spec, result.outcome.value, result.detail)
-            for result in injector.inject_many(specs)
-        ]
-    return (
-        results,
-        injector.consume_batch_stats(),
-        _chunk_metrics_delta(),
-        injector.consume_memo_delta(),
-        _chunk_span_records(),
+) -> ShardOutput:
+    # The whole shard goes to the batched replay scheduler in one call
+    # (grouped by snapshot interval, shared suffix walk, convergence memo).
+    with span("worker.inject", workload=workload_name, specs=len(specs),
+              shard=key) as timed:
+        results = injector.inject_many(specs)
+    return ShardOutput(
+        results=results,
+        inject_s=timed.duration_s,
+        batch_stats=injector.consume_batch_stats(),
+        memo_delta=injector.consume_memo_delta(),
+        metrics_delta=_chunk_metrics_delta() if _IS_WORKER else None,
+        span_records=_chunk_span_records() or [],
     )
 
 
+def _worker_inject_shard(
+    workload_name: str,
+    workload_kwargs: Dict[str, object],
+    key: int,
+    specs: List[FaultSpec],
+) -> ShardOutput:
+    """Pool entry point: one shard on this worker's cached injector."""
+    return _inject_shard(
+        _worker_injector(workload_name, workload_kwargs), workload_name, key,
+        specs,
+    )
+
+
+class ShardPipeline:
+    """Whole injection shards over a worker pool, a bounded window in flight.
+
+    :meth:`submit` queues one shard under an integer key; :meth:`wait`
+    blocks until at least one queued shard has finished and returns the
+    finished ones as ``(key, ShardOutput or CampaignChunkError)`` pairs.
+    A failure is returned, not raised, so a caller that commits in key
+    order can first commit everything before the failed shard.
+
+    With ``workers == 1`` nothing is spawned: :meth:`wait` runs the shard
+    the caller names (the one it commits next) in this process, on an
+    injector the pipeline keeps for its lifetime, so execution order is
+    commit order.  With more workers the pool is created on the first
+    :meth:`submit` (a run that submits nothing spawns no process) and up
+    to :attr:`window` shards run or queue in it at once, finishing in any
+    order.
+    """
+
+    def __init__(
+        self,
+        workload_name: str,
+        workload_kwargs: Dict[str, object],
+        workers: int,
+        unit: str = "shard",
+    ) -> None:
+        self.workload_name = workload_name
+        self.workload_kwargs = workload_kwargs
+        self.workers = workers
+        #: What a failure message calls one submission ("shard"/"chunk").
+        self.unit = unit
+        #: Most shards in flight (submitted, not yet returned by
+        #: :meth:`wait`) at once; callers check :meth:`has_room`.
+        self.window = 2 * workers
+        self._queued: Dict[int, List[FaultSpec]] = {}
+        self._futures: Dict[Future, int] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._injector: Optional[DeterministicFaultInjector] = None
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._queued)
+
+    def has_room(self) -> bool:
+        return len(self._queued) < self.window
+
+    def submit(self, key: int, specs: Sequence[FaultSpec]) -> None:
+        specs = list(specs)
+        self._queued[key] = specs
+        if self.workers <= 1:
+            return
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_worker_metrics_baseline
+            )
+        future = self._pool.submit(
+            _worker_inject_shard, self.workload_name, self.workload_kwargs,
+            key, specs,
+        )
+        self._futures[future] = key
+
+    def wait(self, key: int) -> List[Tuple[int, object]]:
+        """Finished shards; in this process, runs shard ``key`` first."""
+        if not self._queued:
+            raise RuntimeError("no shard in flight to wait for")
+        if self.workers <= 1:
+            if key not in self._queued:  # the caller's next shard is not queued
+                key = next(iter(self._queued))
+            specs = self._queued.pop(key)
+            try:
+                if self._injector is None:
+                    self._injector = _build_injector(
+                        self.workload_name, self.workload_kwargs
+                    )
+                output = _inject_shard(
+                    self._injector, self.workload_name, key, specs
+                )
+            except Exception as exc:
+                return [(key, self._failure(key, specs, exc))]
+            return [(key, output)]
+        finished, _ = futures_wait(self._futures, return_when=FIRST_COMPLETED)
+        out: List[Tuple[int, object]] = []
+        for future in sorted(finished, key=self._futures.__getitem__):
+            key = self._futures.pop(future)
+            specs = self._queued.pop(key)
+            try:
+                output = future.result()
+            except Exception as exc:
+                out.append((key, self._failure(key, specs, exc)))
+                continue
+            if output.metrics_delta:
+                _metrics_registry().merge(output.metrics_delta)
+            out.append((key, output))
+        return out
+
+    def _failure(self, key: int, specs: List[FaultSpec],
+                 exc: BaseException) -> CampaignChunkError:
+        error = CampaignChunkError(
+            self.workload_name, key, specs, exc, unit=self.unit
+        )
+        error.__cause__ = exc
+        return error
+
+    def close(self) -> None:
+        """Drop queued shards and stop the pool (running shards finish)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+        self._futures.clear()
+        self._queued.clear()
+
+    def __enter__(self) -> "ShardPipeline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 #: Per-worker-process columnar-trace cache, keyed by artifact path.  A
-#: persistent pool analyses many chunks of the same campaign; the golden
+#: worker may analyse several chunks of the same campaign; the golden
 #: trace is deserialised once per process, not once per chunk.
 _WORKER_TRACES: Dict[str, ColumnarTrace] = {}
 
@@ -220,11 +371,7 @@ def _analyze_objects_chunk(
     object_names: List[str],
     config: AnalysisConfig,
     trace_path: Optional[str] = None,
-) -> Tuple[
-    List[Tuple[str, ObjectReport]],
-    Optional[Dict[str, object]],
-    Optional[List[Dict[str, object]]],
-]:
+) -> Tuple[List[Tuple[str, ObjectReport]], Optional[Dict[str, object]]]:
     from repro.core.advf import AdvfEngine
     from repro.workloads.registry import get_workload
 
@@ -240,7 +387,7 @@ def _analyze_objects_chunk(
     with span("worker.analyze", workload=workload_name,
               objects=len(object_names)):
         pairs = [(name, engine.analyze_object(name)) for name in object_names]
-    return pairs, _chunk_metrics_delta(), _chunk_span_records()
+    return pairs, _chunk_metrics_delta()
 
 
 # --------------------------------------------------------------------- #
@@ -258,37 +405,11 @@ class CampaignRunner:
     workload_name: str
     workload_kwargs: Dict[str, object] = field(default_factory=dict)
     workers: int = field(default_factory=_default_workers)
-    #: Keep one ProcessPoolExecutor alive across calls (close() releases it).
-    #: Long campaigns — e.g. orchestrated shards — reuse worker processes
-    #: and their cached injectors instead of respawning a pool per call.
-    keep_pool: bool = False
-    _pool: Optional[ProcessPoolExecutor] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _trace_path: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
     _trace_tmpdir: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
-    )
-    #: Batch-scheduler counters aggregated over the chunks of the most
-    #: recent :meth:`run_injections` call (batches, memo hits/misses, …).
-    last_batch_stats: Dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: Convergence-memo entries the most recent :meth:`run_injections`
-    #: call learned (worker chunk deltas merged; ``None`` when nothing
-    #: new).  Callers persist it via
-    #: :meth:`repro.tracing.cache.MemoCache.merge_store`.
-    last_memo_delta: Optional[Dict[str, object]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Finished-span records shipped back by worker processes during the
-    #: most recent :meth:`run_injections` / :meth:`analyze_objects` call
-    #: (flight recorder; empty when chunks ran in this process — those
-    #: spans sit in this process's own buffer).
-    last_span_records: List[Dict[str, object]] = field(
-        default_factory=list, init=False, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------ #
@@ -330,61 +451,36 @@ class CampaignRunner:
     ) -> List[FaultInjectionResult]:
         """Inject every spec, preserving input order in the result list.
 
+        The specs are split into one contiguous chunk per worker and each
+        chunk runs whole through a :class:`ShardPipeline` (campaigns should
+        submit their own shards to a pipeline instead: a shard split across
+        workers walks the same golden suffix once per worker).
         ``on_progress`` (if given) is called with ``(chunks_done,
-        chunks_total)`` as worker chunks complete, so long campaigns —
-        e.g. orchestrated shards — can surface progress.  Worker failures
-        raise :class:`CampaignChunkError` naming the failing chunk and its
-        spec range, with the original exception chained as ``__cause__``.
+        chunks_total)`` as chunks complete.  Worker failures raise
+        :class:`CampaignChunkError` naming the failing chunk and its spec
+        range, with the original exception chained as ``__cause__``.
         """
         specs = list(specs)
-        self.last_batch_stats = {}
-        self.last_memo_delta = None
-        self.last_span_records = []
         if not specs:
             return []
-        if self.workers <= 1 or len(specs) < 4:
-            try:
-                # in-process: the metrics delta is already in this
-                # process's registry (discarded, not merged), and the span
-                # records sit in this process's own buffer
-                raw, stats, _, memo_delta, _ = _inject_chunk(
-                    self.workload_name, self.workload_kwargs, specs
-                )
-            except Exception as exc:
-                raise CampaignChunkError(self.workload_name, 0, specs, exc) from exc
-            if on_progress is not None:
-                on_progress(1, 1)
-            self._merge_stats(stats)
-            self._merge_memo(memo_delta)
-            return _wrap(raw)
-        chunks = [c for c in chunk_evenly(specs, self.workers) if c]
-        per_chunk = self._collect(
-            _inject_chunk,
-            [(self.workload_name, self.workload_kwargs, chunk) for chunk in chunks],
-            chunks,
-            on_progress,
-        )
-        results: List[FaultInjectionResult] = []
-        for raw, stats, delta, memo_delta, span_records in per_chunk:
-            results.extend(_wrap(raw))
-            self._merge_stats(stats)
-            self._fold_metrics(delta)
-            self._merge_memo(memo_delta)
-            if span_records:
-                self.last_span_records.extend(span_records)
-        return results
-
-    def _merge_stats(self, stats: Dict[str, int]) -> None:
-        for key, value in stats.items():
-            self.last_batch_stats[key] = self.last_batch_stats.get(key, 0) + value
-
-    def _merge_memo(self, delta: Optional[Dict[str, object]]) -> None:
-        from repro.core.replay import ReplayMemo
-
-        if delta:
-            self.last_memo_delta = ReplayMemo.merge_payloads(
-                self.last_memo_delta, delta
-            )
+        pieces = 1 if self.workers <= 1 or len(specs) < 4 else self.workers
+        chunks = [c for c in chunk_evenly(specs, pieces) if c]
+        outputs: List[Optional[ShardOutput]] = [None] * len(chunks)
+        with ShardPipeline(
+            self.workload_name, self.workload_kwargs, self.workers, unit="chunk"
+        ) as pipeline:
+            for index, chunk in enumerate(chunks):
+                pipeline.submit(index, chunk)
+            done = 0
+            while pipeline.in_flight:
+                for index, output in pipeline.wait(outputs.index(None)):
+                    if isinstance(output, CampaignChunkError):
+                        raise output
+                    outputs[index] = output
+                    done += 1
+                    if on_progress is not None:
+                        on_progress(done, len(chunks))
+        return [result for output in outputs for result in output.results]
 
     @staticmethod
     def _fold_metrics(delta: Optional[Dict[str, object]]) -> None:
@@ -407,7 +503,9 @@ class CampaignRunner:
         """
         total = len(argument_tuples)
         slots: List[object] = [None] * total
-        pool = self._acquire_pool()
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_worker_metrics_baseline
+        )
         try:
             future_index = {
                 pool.submit(fn, *args): index
@@ -416,7 +514,9 @@ class CampaignRunner:
             done = 0
             pending = set(future_index)
             while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                finished, pending = futures_wait(
+                    pending, return_when=FIRST_COMPLETED
+                )
                 for future in finished:
                     index = future_index[future]
                     try:
@@ -429,26 +529,11 @@ class CampaignRunner:
                     if on_progress is not None:
                         on_progress(done, total)
         finally:
-            if not self.keep_pool:
-                pool.shutdown()
+            pool.shutdown()
         return slots
 
-    def _acquire_pool(self) -> ProcessPoolExecutor:
-        if not self.keep_pool:
-            return ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_metrics_baseline
-            )
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_metrics_baseline
-            )
-        return self._pool
-
     def close(self) -> None:
-        """Release the persistent pool and any temporary trace artifact."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Release any temporary trace artifact."""
         if self._trace_tmpdir is not None:
             shutil.rmtree(self._trace_tmpdir, ignore_errors=True)
             self._trace_tmpdir = None
@@ -476,7 +561,6 @@ class CampaignRunner:
         """
         config = config or AnalysisConfig()
         names = list(object_names)
-        self.last_span_records = []
         if not names:
             return {}
         try:
@@ -486,9 +570,8 @@ class CampaignRunner:
         if self.workers <= 1 or len(names) == 1:
             try:
                 # in-process: the metrics delta is already in this
-                # process's registry (discarded, not merged), and the span
-                # records sit in this process's own buffer
-                pairs, _, _ = _analyze_objects_chunk(
+                # process's registry (discarded, not merged)
+                pairs, _ = _analyze_objects_chunk(
                     self.workload_name, self.workload_kwargs, names, config,
                     trace_path,
                 )
@@ -510,20 +593,11 @@ class CampaignRunner:
             on_progress,
         )
         out: Dict[str, ObjectReport] = {}
-        for pairs, delta, span_records in per_chunk:
+        for pairs, delta in per_chunk:
             self._fold_metrics(delta)
-            if span_records:
-                self.last_span_records.extend(span_records)
             for name, report in pairs:
                 out[name] = report
         return out
-
-
-def _wrap(raw: List[Tuple[FaultSpec, str, str]]) -> List[FaultInjectionResult]:
-    return [
-        FaultInjectionResult(spec=spec, outcome=OutcomeClass(outcome), detail=detail)
-        for spec, outcome, detail in raw
-    ]
 
 
 def run_injections_parallel(

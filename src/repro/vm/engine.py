@@ -727,6 +727,10 @@ class Engine:
         self._golden_digests: Dict[int, bytes] = {}
         self._memo = None
         self.visited: List[Tuple[int, bytes]] = []
+        #: Ops the most recent :meth:`resume_many` walked, and how many of
+        #: them ran inside fused segments.
+        self.walk_ops = 0
+        self.walk_fused_ops = 0
 
     # ------------------------------------------------------------------ #
     # public entry points
@@ -1068,6 +1072,17 @@ class Engine:
         pc = frame.pc
         dyn = self._dyn
 
+        # Fused-segment fast path (block backend): a segment entered while
+        # no cell divergence is live, the current frame holds no divergent
+        # register and no fault arms inside its dynamic window computes the
+        # same values for every in-flight fault as for golden, so it runs as
+        # one superinstruction.  Counts are flushed once, in ``finally``.
+        mir_fns = self._mir.functions if self._mir is not None else None
+        dispatch = mir_fns[frame.df.name].dispatch if mir_fns is not None else None
+        cell = [0]
+        entry_dyn = dyn
+        fused_ops = 0
+
         # ---- helpers over the divergence bookkeeping ------------------- #
         op = None
         values: List[Number] = []
@@ -1152,6 +1167,26 @@ class Engine:
             while True:
                 if dyn >= max_steps:
                     raise StepLimitExceeded(max_steps)
+                if dispatch is not None:
+                    seg = dispatch[pc]
+                    if (
+                        seg is not None
+                        and not cells
+                        and not frame.div
+                        and dyn + seg.n_ops <= max_steps
+                        and (next_arm < 0 or next_arm >= dyn + seg.n_ops)
+                    ):
+                        try:
+                            pc = seg.plain(frame, regs, memory, cell)
+                        except BaseException:
+                            # the op loop's crash accounting: the completed
+                            # prefix counts, the crashing op does not
+                            dyn += cell[0]
+                            cell[0] = 0
+                            raise
+                        dyn += seg.n_ops
+                        fused_ops += seg.n_ops
+                        continue
                 op = ops[pc]
                 kind = op.kind
                 op_dyn = dyn
@@ -1346,6 +1381,11 @@ class Engine:
                                 if old is None or fid not in old:
                                     div_count[fid] = div_count.get(fid, 0) + 1
                             cells.setdefault(obj.name, {})[element_index] = new
+                        elif cmap is not None and not cmap:
+                            # keep ``cells`` free of empty maps: an empty
+                            # ``cells`` is the fused path's "no live cell
+                            # divergence" test
+                            cells.pop(obj.name, None)
                         if birth_store_old:
                             # the flipped old value is overwritten by this
                             # very store: provably golden from here on
@@ -1446,6 +1486,8 @@ class Engine:
                     ops = frame.df.ops
                     regs = frame.regs
                     pc = frame.pc
+                    if dispatch is not None:
+                        dispatch = mir_fns[frame.df.name].dispatch
                     if drained:
                         for fid in drained:
                             if fid in active and div_count.get(fid, 0) == 0:
@@ -1498,6 +1540,8 @@ class Engine:
                     ops = callee_df.ops
                     regs = frame.regs
                     pc = 0
+                    if dispatch is not None:
+                        dispatch = mir_fns[callee_df.name].dispatch
                     if born:
                         for fid in born:
                             if fid in active and div_count.get(fid, 0) == 0:
@@ -1601,6 +1645,8 @@ class Engine:
             raise
         finally:
             self._dyn = dyn
+            self.walk_ops = dyn - entry_dyn
+            self.walk_fused_ops = fused_ops
 
         return resolutions
 

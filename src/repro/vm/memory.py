@@ -72,6 +72,15 @@ class DataObject:
     base: int
     is_stack: bool = False
     array: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    #: Bytes per element and one past the last byte address; the geometry
+    #: is fixed at allocation, so both are derived once here instead of on
+    #: every resolved access.
+    element_size: int = field(init=False, repr=False, compare=False)
+    end: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.element_size = self.element_type.size_bytes
+        self.end = self.base + self.count * self.element_size
 
     #: Copy-on-write marker (class attribute, not a dataclass field): when a
     #: :meth:`Memory.fork` shares this object's backing array with another
@@ -82,17 +91,8 @@ class DataObject:
     _cow_shared = False
 
     @property
-    def element_size(self) -> int:
-        return self.element_type.size_bytes
-
-    @property
     def size_bytes(self) -> int:
         return self.count * self.element_size
-
-    @property
-    def end(self) -> int:
-        """One past the last byte address."""
-        return self.base + self.size_bytes
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -259,9 +259,13 @@ class Memory:
         if position < 0:
             raise SegmentationFault(address)
         obj = self._by_base[position]
-        if not obj.contains(address):
+        # inlined ``contains`` + ``index_of`` (the walk resolves per access)
+        if address >= obj.end:
             raise SegmentationFault(address)
-        return obj, obj.index_of(address)
+        index, misaligned = divmod(address - obj.base, obj.element_size)
+        if misaligned:
+            raise SegmentationFault(address, f"misaligned access into {obj.name}")
+        return obj, index
 
     # ------------------------------------------------------------------ #
     # typed access

@@ -198,7 +198,7 @@ class TestCheckBenches:
     def test_watched_benches_cover_committed_baselines(self):
         names = {spec.baseline for spec in BENCHES.values()}
         assert names == {
-            "BENCH_mir.json", "BENCH_obs.json",
+            "BENCH_mir.json", "BENCH_obs.json", "BENCH_campaign.json",
             "BENCH_advf_inject.json", "BENCH_replay_batch.json",
         }
 

@@ -169,6 +169,25 @@ class TestStatsCommand:
         assert "replay.faults" in out
         assert "trace cache: 0 hits / 1 misses" in out
 
+    def test_stats_reports_walk_counters(self, store_path, capsys):
+        """The lockstep walks' op counts reach ``stats`` from two workers."""
+        import re
+
+        assert main(
+            ["campaign", "run", "matmul", "--plan", "fixed:16",
+             "--store", store_path, "--workers", "2", "--shard-size", "8"]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["stats", "matmul", "--plan", "fixed:16", "--shard-size", "8",
+             "--store", store_path]
+        ) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"walk\s+: (\d+) ops / (\d+) in fused segments", out)
+        assert match, out
+        walked, fused = int(match.group(1)), int(match.group(2))
+        assert walked > 0 and 0 <= fused <= walked
+
     def test_stats_promfile_export(self, store_path, tmp_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",
               *self._base(store_path)])

@@ -1,11 +1,14 @@
 """Orchestrator: kill-and-resume round-trips, adaptive convergence, dedupe."""
 
+import multiprocessing
+
 import pytest
 
 from repro.campaigns.orchestrator import CampaignOrchestrator
 from repro.campaigns.plans import AdaptivePlan, FixedRandomPlan, StratifiedPlan
 from repro.campaigns.stats import wilson_half_width
 from repro.campaigns.store import CampaignStore
+from repro.core.injector import DeterministicFaultInjector
 
 WORKLOAD = "matmul"
 KWARGS = {"n": 4}
@@ -132,7 +135,7 @@ class TestFailureHandling:
     def test_crash_marks_campaign_failed_but_keeps_accounting(self, monkeypatch):
         store = CampaignStore(":memory:")
         orch = _orchestrator(store, FixedRandomPlan(tests=16, seed=0), shard_size=8)
-        original = CampaignOrchestrator._execute_specs
+        original = DeterministicFaultInjector.inject_many
         calls = []
 
         def second_shard_dies(self, specs):
@@ -141,7 +144,9 @@ class TestFailureHandling:
             calls.append(1)
             return original(self, specs)
 
-        monkeypatch.setattr(CampaignOrchestrator, "_execute_specs", second_shard_dies)
+        monkeypatch.setattr(
+            DeterministicFaultInjector, "inject_many", second_shard_dies
+        )
         with pytest.raises(RuntimeError, match="worker died"):
             orch.run()
         # no permanently-"running" zombie row, and the shard that completed
@@ -169,7 +174,7 @@ class TestParallelWorkers:
         )
         result = parallel.run()
         assert result.status == "complete"
-        assert parallel._runner is None  # persistent pool released after run()
+        assert not multiprocessing.active_children()  # pool released
         assert _outcome_rows(parallel_store, parallel.campaign_id) == _outcome_rows(
             serial_store, parallel.campaign_id
         )
