@@ -58,6 +58,7 @@ from repro.reporting import (
     format_table,
     format_timeline,
 )
+from repro.vm.engine import LANE_STOP_CAUSES
 from repro.workloads.registry import validate_workload, workload_summaries
 
 DEFAULT_STORE = "campaigns.sqlite"
@@ -204,7 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "baselines; exit nonzero on regression past tolerance",
     )
     check.add_argument("--tolerance", type=float, default=None,
-                       help="relative regression tolerance (default 0.2 = 20%%)")
+                       help="relative regression tolerance (default 0.2 = 20%%); "
+                            "metrics with their own tolerance (campaign "
+                            "scaling: 0.3) keep it")
     check.add_argument("--bench", action="append", default=None,
                        metavar="NAME",
                        help="benchmark to check (repeatable; default: all watched)")
@@ -470,9 +473,17 @@ def _cmd_stats(args) -> int:
               f"(persisted convergence memo; see REPRO_MEMO_CACHE)")
         walk_ops = _counter_total(merged, "replay.walk_ops")
         fused_ops = _counter_total(merged, "replay.walk_fused_ops")
+        lane_ops = _counter_total(merged, "replay.walk_lane_ops")
         fused_share = f"{fused_ops / walk_ops:.2f}" if walk_ops else "-"
+        stops = dict.fromkeys(LANE_STOP_CAUSES.values(), 0)
+        for entry in merged.get("counters", ()):  # type: ignore[union-attr]
+            if entry["name"] == "replay.walk_stops":
+                cause = entry["labels"].get("cause", "")
+                stops[cause] = stops.get(cause, 0) + int(entry["value"])
+        stop_text = " / ".join(f"{cause} {count}" for cause, count in stops.items())
         print(f"{'walk':<11}: {walk_ops} ops / {fused_ops} in fused segments "
-              f"(fused share {fused_share})")
+              f"(fused share {fused_share}; {lane_ops} carrying divergence; "
+              f"stops {stop_text})")
         speculated = _counter_total(merged, "advf.speculated")
         discards = _counter_total(merged, "advf.speculation_discards")
         disc_rate = f"{discards / speculated:.2f}" if speculated else "-"

@@ -270,6 +270,10 @@ class ReplayContext:
 # --------------------------------------------------------------------- #
 # batched replay scheduler
 # --------------------------------------------------------------------- #
+#: ``ReplayBatchStats`` fields mirrored as ``replay.walk_stops{cause=...}``.
+_STOPS_PREFIX = "walk_stops_"
+
+
 @dataclass
 class ReplayBatchStats:
     """Counters of the batched replay scheduler (telemetry, per context).
@@ -283,9 +287,15 @@ class ReplayBatchStats:
     ``memo_persist_hits`` is the subset of hits answered by an entry that
     arrived through a persisted memo artifact (cross-process warm start);
     ``memo_evictions`` counts entries dropped by the memo's FIFO eviction.
-    ``walk_ops`` counts the ops the lockstep walks executed and
-    ``walk_fused_ops`` the subset that ran as fused MIR segments (added
-    once per walk, never per op).
+    ``walk_ops`` counts the ops the lockstep walks executed,
+    ``walk_fused_ops`` the subset that ran as fused MIR segments and
+    ``walk_lane_ops`` the subset of those that ran in a segment's
+    divergence-carrying ``lanes`` variant; ``walk_stops_<cause>`` count the
+    ``lanes`` runs that handed an op back to the op loop because a fault
+    armed there (``arm``), an address or branch direction diverged
+    (``evict``) or an evaluation raised (``lane_error``).  All are added
+    once per walk, never per op; the registry mirrors the stops as one
+    ``replay.walk_stops`` counter labelled by ``cause``.
     """
 
     batches: int = 0
@@ -300,6 +310,10 @@ class ReplayBatchStats:
     memo_evictions: int = 0
     walk_ops: int = 0
     walk_fused_ops: int = 0
+    walk_lane_ops: int = 0
+    walk_stops_arm: int = 0
+    walk_stops_evict: int = 0
+    walk_stops_lane_error: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -315,6 +329,10 @@ class ReplayBatchStats:
             "memo_evictions": self.memo_evictions,
             "walk_ops": self.walk_ops,
             "walk_fused_ops": self.walk_fused_ops,
+            "walk_lane_ops": self.walk_lane_ops,
+            "walk_stops_arm": self.walk_stops_arm,
+            "walk_stops_evict": self.walk_stops_evict,
+            "walk_stops_lane_error": self.walk_stops_lane_error,
         }
 
 
@@ -748,6 +766,12 @@ class BatchedReplayContext(ReplayContext):
         )
         stats.walk_ops += engine.walk_ops
         stats.walk_fused_ops += engine.walk_fused_ops
+        stats.walk_lane_ops += engine.walk_lane_ops
+        stops = engine.walk_stops
+        if stops:
+            stats.walk_stops_arm += stops.get("arm", 0)
+            stats.walk_stops_evict += stops.get("evict", 0)
+            stats.walk_stops_lane_error += stops.get("lane_error", 0)
         results: List[Optional[BatchReplayResult]] = [None] * len(specs)
         for position, resolution in zip(order, resolutions):
             results[position] = self._finish(resolution)
@@ -757,7 +781,14 @@ class BatchedReplayContext(ReplayContext):
             # keeping the per-context dataclass as the canonical struct
             for key, value in stats.to_dict().items():
                 delta = value - stats_before[key]
-                if delta:
+                if not delta:
+                    continue
+                if key.startswith(_STOPS_PREFIX):
+                    reg.inc(
+                        "replay.walk_stops", delta, workload=self.workload.name,
+                        cause=key[len(_STOPS_PREFIX):],
+                    )
+                else:
                     reg.inc(
                         "replay." + key, delta, workload=self.workload.name
                     )

@@ -29,9 +29,10 @@ _MIR_CACHE: Dict[bytes, MirProgram] = {}
 def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirProgram]:
     """Rebind a digest-cached program to another (identical) module.
 
-    The expensive parts — segmentation and the *plain* superinstruction
-    callables — are pure functions of the printed IR and are shared
-    verbatim.  The *traced* artifacts are not shared: trace events expose
+    The expensive parts — segmentation and the *plain* and *lanes*
+    superinstruction callables — are pure functions of the printed IR and
+    are shared verbatim (``lanes`` lazily, through the template segment).
+    The *traced* artifacts are not shared: trace events expose
     ``static_uid`` (a process-global value counter, different per module
     instance), so the per-segment ``BlockStatic`` and traced callables are
     left to lazy (re)compilation against the new module's decode, keeping
@@ -48,6 +49,8 @@ def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirPro
         for tseg in tf.segments:
             seg = MirSegment(tseg.index, tseg.pcs, tseg.fused, df)
             seg.plain = tseg.plain
+            seg.lanes = tseg.lanes
+            seg._origin = tseg
             segments.append(seg)
         functions[name] = MirFunction(df, segments)
     return MirProgram(functions)

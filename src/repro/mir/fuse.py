@@ -9,24 +9,49 @@ access checks of :mod:`repro.vm.memory`) so the op loop remains the single
 source of truth only in the sense of an oracle: every inlined rule mirrors
 one rule there bit-exactly, including error types, error messages, and
 evaluation order.  The differential fuzz harness (``tests/test_mir_parity``)
-and the benchmark bit-identity gate hold the two implementations together.
+and the benchmark bit-identity gate hold the two implementations together;
+``tests/test_walk_fused`` holds the *lanes* variant to the op loop's batch
+walk and to sequential replay.
 
-Two variants per segment:
+Three variants per segment:
 
 * **plain** — ``fn(frame, regs, memory, cell) -> next_pc``; used for
   sink-free runs and (with an O(1) ``tick_block`` call layered on top by the
-  engine) for counting sinks.
+  engine) for counting sinks, and by the lockstep batch walk where no
+  divergence can reach the segment.
 * **traced** — ``fn(frame, regs, prods, memory, sink, last_writer,
   dynbase, cell) -> next_pc``; accumulates the segment's trace rows locally
   and bulk-appends them into the columnar sink
   (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).  Compiled
   lazily: most runs never trace.
+* **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, dc, active, rg,
+  dynbase, stop, last) -> pc``; the batch walk's
+  (:meth:`~repro.vm.engine.Engine.resume_many`) variant for segments that
+  divergence reaches.  Golden ops run exactly as in *plain*; every op whose
+  operands (the frame's ``fdiv`` map, values defined earlier in the
+  segment) or loaded cell (``cells``) diverge also computes each affected
+  fault's value inline and keeps it only if it is not bit-equal to golden
+  (type-strict, ``-0.0 != 0.0``, NaN payloads count).  ``frame.div``,
+  ``cells`` and the per-fault divergence counts ``dc`` are updated op by
+  op with the op loop's own rule (``engine._rebase``), and a fault whose
+  last divergence dies resolves golden (``rg``) at that op.  Compiled lazily, on the segment's first
+  batch-walk entry that needs it.
 
-Crash protocol: the generated body maintains ``done`` (ops fully executed so
-far); on any exception it stores ``done`` into the caller's ``cell`` and
-re-raises, so the engine can advance ``dyn`` by the completed prefix — the
-op loop's exact accounting (a crashing op contributes no step and no trace
-event).  Register/producer writeback is deferred to segment success; memory
+Stop protocol (*lanes*): the body stops *before* the first op it cannot
+carry — a fault arming there (offset ``stop``), a load/store address or a
+branch direction diverging (the op loop evicts), or any evaluation raising
+(the op loop re-runs the op and classifies the error).  It writes back the
+registers the completed prefix defined (by their first-write offsets) and
+``prev_block``, stores the prefix length in ``cell[0]`` and the cause in
+``cell[1]`` and returns the stop op's pc; the op loop runs the rest of the
+segment.  When the walk's last in-flight fault resolves and none is left to
+arm (``last``), the body ends after that op with cause ``LANE_END``.
+
+Crash protocol (*plain*, *traced*): the generated body maintains ``done``
+(ops fully executed so far); on any exception it stores ``done`` into the
+caller's ``cell`` and re-raises, so the engine can advance ``dyn`` by the
+completed prefix — the op loop's exact accounting (a crashing op
+contributes no step and no trace event).  Register/producer writeback is deferred to segment success; memory
 effects happen in place, matching the op loop's ordering observable at any
 crash or pause boundary (pauses never land mid-segment, and a crash pops
 the frames anyway).
@@ -41,8 +66,11 @@ across module instances — never in behaviour.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+from math import copysign
+from types import MappingProxyType
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Opcode
 from repro.ir.types import IRType
@@ -56,7 +84,13 @@ from repro.vm.engine import (
     K_GEP,
     K_LOAD,
     K_STORE,
+    LANE_END,
+    LANE_ERROR,
+    LANE_EVICT,
+    LANE_ARM,
     _UNDEF,
+    _rebase,
+    _values_bit_equal,
 )
 from repro.vm.errors import SegmentationFault, VMError
 from repro.vm.memory import Memory
@@ -74,6 +108,132 @@ _ICMP_UNSIGNED = frozenset(("ult", "ule", "ugt", "uge"))
 _FCMP_OPS = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
 
 _INF = float("inf")
+
+#: The ``lanes`` variant's "no divergence" map: read-only, so no code path
+#: can ever store a fault into the shared instance.
+_NO_LANES = MappingProxyType({})
+
+
+class _Halt(Exception):
+    """Raised inside a ``lanes`` body to stop; ``cause`` says why."""
+
+    cause = 0
+
+
+class _Arm(_Halt):
+    cause = LANE_ARM
+
+
+class _Evict(_Halt):
+    cause = LANE_EVICT
+
+
+class _End(_Halt):
+    cause = LANE_END
+
+
+def _zero_signs_differ(a, b) -> bool:
+    """For ``a == b == 0`` of one type: do the IEEE sign bits differ?"""
+    return type(a) is float and copysign(1.0, a) != copysign(1.0, b)
+
+
+_pack_double = struct.Struct("<d").pack
+
+
+def _resolve(drained, rg, at, last, active) -> None:
+    """Resolve golden the faults whose last divergence died at dynamic id
+    ``at``; raise :class:`_End` when none is left in flight and none is left
+    to arm (``last``): the walk ends after this op."""
+    for f in drained:
+        rg(f, at)
+    if last and not active:
+        raise _End
+
+
+def _reslot(fdiv, slot, old, new, dc, rg, at, last, active) -> None:
+    """A value op's update of its destination's divergence map (``old``
+    already popped)."""
+    drained = []
+    _rebase(old, new, dc, drained)
+    if new:
+        fdiv[slot] = new
+    if drained:
+        _resolve(drained, rg, at, last, active)
+
+
+def _recell(cells, cmap, name, index, new, dc, rg, at, last, active) -> None:
+    """A store's update of ``cells[name][index]``.
+
+    Empty per-object maps are dropped, so an empty ``cells`` keeps meaning
+    "no live cell divergence".
+    """
+    old = cmap.pop(index, None) if cmap else None
+    drained = []
+    _rebase(old, new, dc, drained)
+    if new:
+        cells.setdefault(name, {})[index] = new
+    elif not cmap:
+        cells.pop(name, None)
+    if drained:
+        _resolve(drained, rg, at, last, active)
+
+
+def _cell_lanes(cells, name, index, golden):
+    """A load's per-fault values: the loaded cell's divergence map, minus
+    entries bit-equal to ``golden``."""
+    cmap = cells.get(name)
+    lanes = cmap.get(index) if cmap else None
+    if not lanes:
+        return _NO_LANES
+    out = {f: lr for f, lr in lanes.items() if not _values_bit_equal(lr, golden)}
+    return out or _NO_LANES
+
+
+def _write_back(frame, regs, names, done, writes, branches) -> None:
+    """Stop protocol: the completed prefix's registers and ``prev_block``.
+
+    ``writes`` lists ``(slot, local name, first-write offset)`` and
+    ``branches`` ``(offset, block)``, both by offset; ``names`` are the
+    ``lanes`` body's locals.
+    """
+    for slot, name, offset in writes:
+        if offset >= done:
+            break
+        regs[slot] = names[name]
+    for offset, block in branches:
+        if offset >= done:
+            break
+        frame.prev_block = block
+
+
+def _differs(lane: str, golden: str, target: str, kind: str) -> List[str]:
+    """Store ``lane`` into ``target[f]`` unless it is bit-equal to ``golden``.
+
+    Inlines :func:`repro.vm.engine._values_bit_equal`: type-strict,
+    ``-0.0 != 0.0``, and two NaNs are equal only with the same payload.
+    ``kind`` is the type both values are known to have ("i" int, "f"
+    float, "" unknown); a known type drops the checks it cannot fail.
+    """
+    if kind == "i":
+        return [f"if {lane} != {golden}:", f"    {target}[f] = {lane}"]
+    if kind == "f":
+        return [
+            f"if {lane} != {golden}:",
+            f"    if {lane} == {lane} or {golden} == {golden} "
+            f"or _pk({lane}) != _pk({golden}):",
+            f"        {target}[f] = {lane}",
+            f"elif not {lane} and _zs({lane}, {golden}):",
+            f"    {target}[f] = {lane}",
+        ]
+    return [
+        f"if {lane} != {golden}:",
+        f"    if {lane} == {lane} or {golden} == {golden} "
+        f"or _pk({lane}) != _pk({golden}):",
+        f"        {target}[f] = {lane}",
+        f"elif type({lane}) is not type({golden}) or "
+        f"(not {lane} and _zs({lane}, {golden})):",
+        f"    {target}[f] = {lane}",
+    ]
 
 
 class _MemoEntry:
@@ -97,10 +257,11 @@ class _MemoEntry:
 
 
 class _Emitter:
-    def __init__(self, df: DecodedFunction, seg, traced: bool):
+    def __init__(self, df: DecodedFunction, seg, variant: str):
         self.df = df
         self.seg = seg
-        self.traced = traced
+        self.traced = variant == "traced"
+        self.lanes = variant == "lanes"
         self.lines: List[str] = []
         self.pool: List[object] = []
         self._pool_ids: Dict[int, int] = {}
@@ -115,6 +276,12 @@ class _Emitter:
         self.has_brcond = False
         self.last_branch_block: Optional[int] = None
         self.exit_expr: Optional[str] = None
+        # lanes only: slot -> expression of its divergence map (None when
+        # the slot cannot diverge: an alloca, or a value computed from
+        # constants only), and the (offset, block) of every branch for the
+        # stop writeback
+        self.map_name: Dict[int, Optional[str]] = {}
+        self.branches: List[Tuple[int, int]] = []
 
     # -------------------------------------------------------------- #
     # small helpers
@@ -233,6 +400,13 @@ class _Emitter:
         op = self.df.ops[pc]
         kind = op.kind
         traced = self.traced
+        lanes = self.lanes
+
+        if lanes and j:
+            # a fault arms here: the op loop arms it (offset 0 never
+            # reaches this variant)
+            self.emit(f"if stop == {j}:")
+            self.emit("    raise _Arm")
 
         operands = [self.operand(op, i) for i in range(len(op.src))]
         if traced:
@@ -245,17 +419,22 @@ class _Emitter:
                     self.emit(f"pa(dynbase + {self.def_offset[s]})")
                 else:
                     self.emit(f"pa(prods[{s}])")
+        if lanes:
+            self.emit_evict_check(op, operands)
 
         if kind == K_FN:
             self.emit_fn(op, j, operands)
+            if lanes and op.dest >= 0:
+                self.emit_lane_dest(op, j, operands, self.lane_fn(op))
         elif kind == K_GEP:
-            lhs = self.as_int(operands[0])
-            rhs = self.as_int(operands[1])
             name = self.bind_result(op, j, "i")
-            term = rhs if op.gep_size == 1 else f"{rhs} * {op.gep_size}"
-            self.emit(f"{name} = {lhs} + {term}")
+            self.emit(self.gep_code(op, operands, name))
             if traced and op.dest >= 0:
                 self.emit(f"res[{j}] = {name}")
+            if lanes and op.dest >= 0:
+                self.emit_lane_dest(
+                    op, j, operands, lambda ops: [self.gep_code(op, ops, "lr")]
+                )
         elif kind == K_LOAD:
             self.has_loads = True
             vt = op.result_type
@@ -269,6 +448,8 @@ class _Emitter:
                 self.emit(f"onm[{j}] = {entry.ovar}.name")
                 self.emit(f"eli[{j}] = {entry.eivar}")
                 self.emit(f"wid[{j}] = lw_get({entry.avar}, -1)")
+            if lanes and op.dest >= 0:
+                self.emit_lane_load(op, j, entry)
         elif kind == K_STORE:
             vt = op.op_types[0]
             value = operands[0]
@@ -294,6 +475,8 @@ class _Emitter:
                 self.emit(f"onm[{j}] = {entry.ovar}.name")
                 self.emit(f"eli[{j}] = {entry.eivar}")
                 self.emit(f"last_writer[{entry.avar}] = dynbase + {j}")
+            if lanes:
+                self.emit_lane_store(op, j, value, entry)
         elif kind == K_ALLOCA:
             self.uses_alloca = True
             name = self.bind_result(op, j, "i")
@@ -310,21 +493,27 @@ class _Emitter:
             )
             if traced and op.dest >= 0:
                 self.emit(f"res[{j}] = {name}")
+            if lanes and op.dest >= 0:
+                self.emit_dest_update(op, j, None)
         elif kind == K_CALL_INTRINSIC:
-            args = ", ".join(expr for expr, _ in operands)
-            comma = "," if len(operands) == 1 else ""
             rkind = "i" if op.result_type.is_integer else "f"
             name = self.bind_result(op, j, rkind)
-            self.emit(f"{name} = {self.p(op.fn)}(({args}{comma}))")
+            self.emit(self.call_code(op, operands, name))
             if traced and op.dest >= 0:
                 self.emit(f"res[{j}] = {name}")
+            if lanes and op.dest >= 0:
+                self.emit_lane_dest(
+                    op, j, operands, lambda ops: [self.call_code(op, ops, "lr")]
+                )
         elif kind == K_BR:
             self.last_branch_block = op.block_index
+            self.branches.append((j, op.block_index))
             if j == self.seg.n_ops - 1:
                 self.exit_expr = repr(op.pc_true)
         elif kind == K_BR_COND:
             self.has_brcond = True
             self.last_branch_block = op.block_index
+            self.branches.append((j, op.block_index))
             cond = operands[0][0]
             self.emit(f"if {cond}:")
             if traced:
@@ -340,122 +529,274 @@ class _Emitter:
 
         self.emit(f"done = {j + 1}")
 
+    def gep_code(self, op, operands, name: str) -> str:
+        lhs = self.as_int(operands[0])
+        rhs = self.as_int(operands[1])
+        term = rhs if op.gep_size == 1 else f"{rhs} * {op.gep_size}"
+        return f"{name} = {lhs} + {term}"
+
+    def call_code(self, op, operands, name: str) -> str:
+        """``name = fn((args,))`` through the decode-time bound evaluator."""
+        args = ", ".join(expr for expr, _ in operands)
+        comma = "," if len(operands) == 1 else ""
+        return f"{name} = {self.p(op.fn)}(({args}{comma}))"
+
     def emit_fn(self, op, j: int, operands) -> None:
+        lines, kind = self.fn_code(op, operands, f"v{j}", str(j))
+        self.bind_result(op, j, kind)
+        self.lines.extend(lines)
+        if self.traced and op.dest >= 0:
+            self.emit(f"res[{j}] = v{j}")
+
+    def fn_code(self, op, operands, name: str, tag: str) -> Tuple[List[str], str]:
+        """Lines computing a ``K_FN`` op into ``name``, plus the result's
+        known kind; temporaries are suffixed with ``tag``."""
         opc = op.opcode
-        traced = self.traced
+        t = f"t{tag}"
 
         if opc is Opcode.SELECT:
             a, b, c = operands
-            name = self.bind_result(op, j, b[1] if b[1] == c[1] else "")
-            self.emit(f"{name} = {b[0]} if {a[0]} else {c[0]}")
-        elif opc is Opcode.ICMP:
+            return (
+                [f"{name} = {b[0]} if {a[0]} else {c[0]}"],
+                b[1] if b[1] == c[1] else "",
+            )
+        if opc is Opcode.ICMP:
             predicate = op.predicate_str
             lhs = self.as_int(operands[0])
             rhs = self.as_int(operands[1])
             if predicate in _ICMP_UNSIGNED:
                 mask = (1 << op.op_types[0].bits) - 1
                 lhs, rhs = f"({lhs} & {mask})", f"({rhs} & {mask})"
-            name = self.bind_result(op, j, "i")
-            self.emit(f"{name} = 1 if {lhs} {_ICMP_OPS[predicate]} {rhs} else 0")
-        elif opc is Opcode.FCMP:
+            return [f"{name} = 1 if {lhs} {_ICMP_OPS[predicate]} {rhs} else 0"], "i"
+        if opc is Opcode.FCMP:
             predicate = op.predicate_str
-            self.emit(f"x{j} = {self.as_float(operands[0])}")
-            self.emit(f"y{j} = {self.as_float(operands[1])}")
-            name = self.bind_result(op, j, "i")
+            x, y = f"x{tag}", f"y{tag}"
+            lines = [
+                f"{x} = {self.as_float(operands[0])}",
+                f"{y} = {self.as_float(operands[1])}",
+            ]
             if predicate == "one":
-                self.emit(
-                    f"{name} = 1 if x{j} == x{j} and y{j} == y{j} "
-                    f"and x{j} != y{j} else 0"
+                lines.append(
+                    f"{name} = 1 if {x} == {x} and {y} == {y} "
+                    f"and {x} != {y} else 0"
                 )
             else:
-                self.emit(
-                    f"{name} = 1 if x{j} {_FCMP_OPS[predicate]} y{j} else 0"
+                lines.append(
+                    f"{name} = 1 if {x} {_FCMP_OPS[predicate]} {y} else 0"
                 )
-        elif opc is Opcode.FNEG:
-            name = self.bind_result(op, j, "f")
-            self.emit(f"{name} = -{self.as_float(operands[0])}")
-        elif opc in _FLOAT_BIN:
-            name = self.bind_result(op, j, "f")
-            self.emit(
+            return lines, "i"
+        if opc is Opcode.FNEG:
+            return [f"{name} = -{self.as_float(operands[0])}"], "f"
+        if opc in _FLOAT_BIN:
+            return [
                 f"{name} = {self.as_float(operands[0])} "
                 f"{_FLOAT_BIN[opc]} {self.as_float(operands[1])}"
-            )
-        elif opc is Opcode.FDIV:
-            name = self.bind_result(op, j, "f")
-            self.emit(
+            ], "f"
+        if opc is Opcode.FDIV:
+            return [
                 f"{name} = _fdiv({self.as_float(operands[0])}, "
                 f"{self.as_float(operands[1])})"
-            )
-        elif opc is Opcode.FREM:
-            name = self.bind_result(op, j, "f")
-            self.emit(
+            ], "f"
+        if opc is Opcode.FREM:
+            return [
                 f"{name} = _frem({self.as_float(operands[0])}, "
                 f"{self.as_float(operands[1])})"
-            )
-        elif opc in _INT_BIN:
+            ], "f"
+        if opc in _INT_BIN:
             bits = op.result_type.bits
             lhs, rhs = self.as_int(operands[0]), self.as_int(operands[1])
-            name = self.bind_result(op, j, "i")
             if bits == 1:
-                self.emit(f"{name} = ({lhs} {_INT_BIN[opc]} {rhs}) & 1")
-            else:
-                mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-                self.emit(f"t{j} = ({lhs} {_INT_BIN[opc]} {rhs}) & {mask}")
-                self.emit(f"{name} = t{j} - {full} if t{j} >= {sign} else t{j}")
-        elif opc in _BITWISE:
+                return [f"{name} = ({lhs} {_INT_BIN[opc]} {rhs}) & 1"], "i"
+            mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+            return [
+                f"{t} = ({lhs} {_INT_BIN[opc]} {rhs}) & {mask}",
+                f"{name} = {t} - {full} if {t} >= {sign} else {t}",
+            ], "i"
+        if opc in _BITWISE:
             bits = op.result_type.bits
             lhs, rhs = self.as_int(operands[0]), self.as_int(operands[1])
-            name = self.bind_result(op, j, "i")
             if bits == 1:
-                self.emit(f"{name} = ({lhs} & 1) {_BITWISE[opc]} ({rhs} & 1)")
-            else:
-                mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-                self.emit(
-                    f"t{j} = ({lhs} & {mask}) {_BITWISE[opc]} ({rhs} & {mask})"
-                )
-                self.emit(f"{name} = t{j} - {full} if t{j} >= {sign} else t{j}")
-        elif opc is Opcode.TRUNC:
+                return [f"{name} = ({lhs} & 1) {_BITWISE[opc]} ({rhs} & 1)"], "i"
+            mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+            return [
+                f"{t} = ({lhs} & {mask}) {_BITWISE[opc]} ({rhs} & {mask})",
+                f"{name} = {t} - {full} if {t} >= {sign} else {t}",
+            ], "i"
+        if opc is Opcode.TRUNC:
             bits = op.result_type.bits
             value = self.as_int(operands[0])
-            name = self.bind_result(op, j, "i")
             if bits == 1:
-                self.emit(f"{name} = {value} & 1")
-            else:
-                mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-                self.emit(f"t{j} = {value} & {mask}")
-                self.emit(f"{name} = t{j} - {full} if t{j} >= {sign} else t{j}")
-        elif opc is Opcode.ZEXT:
+                return [f"{name} = {value} & 1"], "i"
+            mask, sign, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+            return [
+                f"{t} = {value} & {mask}",
+                f"{name} = {t} - {full} if {t} >= {sign} else {t}",
+            ], "i"
+        if opc is Opcode.ZEXT:
             mask = (1 << op.op_types[0].bits) - 1
-            name = self.bind_result(op, j, "i")
-            self.emit(f"{name} = {self.as_int(operands[0])} & {mask}")
-        elif opc is Opcode.SEXT:
-            name = self.bind_result(op, j, "i")
-            self.emit(f"{name} = {self.as_int(operands[0])}")
-        elif opc is Opcode.SITOFP:
-            name = self.bind_result(op, j, "f")
-            self.emit(f"{name} = float({self.as_int(operands[0])})")
-        elif opc is Opcode.FPEXT:
-            name = self.bind_result(op, j, "f")
-            self.emit(f"{name} = {self.as_float(operands[0])}")
-        else:
-            # rare/irregular ops (sdiv/srem/udiv/urem, shifts, fptosi,
-            # fptrunc, bitcast): call the decode-time bound evaluator.
-            args = ", ".join(expr for expr, _ in operands)
-            comma = "," if len(operands) == 1 else ""
-            rkind = ""
-            if op.has_result:
-                rkind = "f" if op.result_type.is_float else "i"
-            name = self.bind_result(op, j, rkind)
-            self.emit(f"{name} = {self.p(op.fn)}(({args}{comma}))")
+            return [f"{name} = {self.as_int(operands[0])} & {mask}"], "i"
+        if opc is Opcode.SEXT:
+            return [f"{name} = {self.as_int(operands[0])}"], "i"
+        if opc is Opcode.SITOFP:
+            return [f"{name} = float({self.as_int(operands[0])})"], "f"
+        if opc is Opcode.FPEXT:
+            return [f"{name} = {self.as_float(operands[0])}"], "f"
+        # rare/irregular ops (sdiv/srem/udiv/urem, shifts, fptosi,
+        # fptrunc, bitcast): call the decode-time bound evaluator.
+        rkind = ""
+        if op.has_result:
+            rkind = "f" if op.result_type.is_float else "i"
+        return [self.call_code(op, operands, name)], rkind
 
-        if traced and op.dest >= 0:
-            self.emit(f"res[{j}] = v{j}")
+    # -------------------------------------------------------------- #
+    # lanes: per-fault divergent values next to the golden ones
+    # -------------------------------------------------------------- #
+    def lane_map(self, slot: int) -> Optional[str]:
+        """Expression of ``slot``'s ``{fault: value}`` divergence map, or
+        ``None`` if it cannot diverge (constants have no map either)."""
+        return self.map_name[slot] if slot >= 0 else None
+
+    def halt_if_diverged(self, slot: int) -> None:
+        m = self.lane_map(slot)
+        if m is not None:
+            self.emit(f"if {m}:")
+            self.emit("    raise _Evict")
+
+    def emit_evict_check(self, op, operands) -> None:
+        """Stop before an op whose address or branch direction diverges:
+        the op loop evicts those faults into private replays."""
+        kind = op.kind
+        if kind == K_LOAD:
+            self.halt_if_diverged(op.src[0])
+        elif kind == K_STORE:
+            self.halt_if_diverged(op.src[1])
+        elif kind == K_BR_COND:
+            # same-direction divergence carries no value effect: ride on
+            m = self.lane_map(op.src[0])
+            if m is None:
+                return
+            self.emit(f"if {m}:")
+            self.emit(f"    gb = not {operands[0][0]}")
+            self.emit(f"    for q in {m}.values():")
+            self.emit("        if (not q) is not gb:")
+            self.emit("            raise _Evict")
+
+    def emit_lane_dest(
+        self, op, j: int, operands, code: Callable[[list], List[str]]
+    ) -> None:
+        """Per-fault values of a value op whose operands may diverge."""
+        inputs = []
+        maps: List[str] = []
+        golden_of: Dict[str, str] = {}
+        for i, (expr, kind) in enumerate(operands):
+            m = self.lane_map(op.src[i])
+            if m is not None and m not in golden_of:
+                maps.append(m)
+                golden_of[m] = expr
+            inputs.append((expr, kind, m))
+        if not maps:
+            self.emit_dest_update(op, j, None)
+            return
+        dj = f"d{j}"
+        self.emit(f"{dj} = _E")
+        self.emit(f"if {' or '.join(maps)}:")
+        self.emit(f"    {dj} = {{}}")
+        lane_of: Dict[str, str] = {}
+        if len(maps) == 1:
+            self.emit(f"    for f, q0 in {maps[0]}.items():")
+            lane_of[maps[0]] = "q0"
+        else:
+            self.emit(f"    for f in {' | '.join(m + '.keys()' for m in maps)}:")
+            for k, m in enumerate(maps):
+                self.emit(f"        q{k} = {m}.get(f, {golden_of[m]})")
+                lane_of[m] = f"q{k}"
+        lane_operands = [
+            (lane_of[m], kind) if m is not None else (expr, kind)
+            for expr, kind, m in inputs
+        ]
+        kind = "f" if f"v{j}" in self.float_names else (
+            "i" if f"v{j}" in self.int_names else ""
+        )
+        for line in code(lane_operands) + _differs("lr", f"v{j}", dj, kind):
+            self.emit("        " + line)
+        self.emit_dest_update(op, j, dj)
+
+    def lane_fn(self, op) -> Callable[[list], List[str]]:
+        return lambda ops: self.fn_code(op, ops, "lr", "L")[0]
+
+    def emit_lane_load(self, op, j: int, entry: _MemoEntry) -> None:
+        """A load of a diverged cell diverges in its destination."""
+        dj = f"d{j}"
+        self.emit(
+            f"{dj} = _cell_lanes(cells, {entry.ovar}.name, {entry.eivar}, v{j}) "
+            f"if cells else _E"
+        )
+        self.emit_dest_update(op, j, dj)
+
+    def emit_dest_update(self, op, j: int, new: Optional[str]) -> None:
+        """Replace the destination slot's divergence map with ``new``."""
+        dest = op.dest
+        self.emit(f"od = fdiv.pop({dest}, None)")
+        self.emit("if od:" if new is None else f"if od or {new}:")
+        self.map_name[dest] = new
+        self.emit(
+            f"    _reslot(fdiv, {dest}, od, {new or '_E'}, dc, rg, dynbase + {j}, "
+            f"last, active)"
+        )
+
+    def emit_lane_store(self, op, j: int, value, entry: _MemoEntry) -> None:
+        """Per-fault stored values, and the cell's divergence map update.
+
+        Runs after the golden write: a lane that raises here stops before
+        this op and the op loop repeats the (idempotent) golden store.
+        """
+        vt = op.op_types[0]
+        ovar, eivar = entry.ovar, entry.eivar
+        new = "_E"
+        m = self.lane_map(op.src[0])
+        if m is not None:
+            new = f"d{j}"
+            readback = "float" if vt.is_float else "int"
+            self.emit(f"{new} = _E")
+            self.emit(f"if {m}:")
+            self.emit(f"    gs = {readback}({ovar}.array[{eivar}])")
+            self.emit(f"    {new} = {{}}")
+            self.emit(f"    for f, q0 in {m}.items():")
+            lane = ("q0", value[1])
+            if vt.is_float and vt.size_bytes == 8:
+                cast = [f"lr = {self.as_float(lane)}"]
+            elif vt.is_float:
+                cast = [f"lr = {ovar}.cast_value(q0)"]
+            else:
+                mb = max(8, vt.bits)
+                mask, sign, full = (1 << mb) - 1, 1 << (mb - 1), 1 << mb
+                cast = [
+                    f"tL = {self.as_int(lane)} & {mask}",
+                    f"lr = tL - {full} if tL >= {sign} else tL",
+                ]
+            kind = "f" if vt.is_float else "i"
+            for line in cast + _differs("lr", "gs", new, kind):
+                self.emit("        " + line)
+        self.emit(f"cm = cells.get({ovar}.name) if cells else None")
+        had_old = f"(cm is not None and {eivar} in cm)"
+        self.emit(f"if {had_old}:" if new == "_E" else f"if {new} or {had_old}:")
+        self.emit(
+            f"    _recell(cells, cm, {ovar}.name, {eivar}, {new}, dc, rg, "
+            f"dynbase + {j}, last, active)"
+        )
 
     # -------------------------------------------------------------- #
     # assembly
     # -------------------------------------------------------------- #
     def build(self) -> Tuple[str, Dict[str, object]]:
         seg = self.seg
+        if self.lanes:
+            # a live-in's map cannot change inside the segment: no op here
+            # writes the slot, and a drain only resolves a fault left with
+            # no divergence at all
+            for slot in seg.live_in:
+                self.map_name[slot] = f"dm{slot}"
+                self.emit(f"dm{slot} = fdiv.get({slot}, _E)")
         for j, pc in enumerate(seg.pcs):
             self.emit_op(j, pc)
         if self.exit_expr is None:
@@ -504,6 +845,7 @@ class _Emitter:
             )
         body.append(f"return {self.exit_expr}")
 
+        catch = "BaseException"
         if traced:
             header = (
                 "def _seg(frame, regs, prods, memory, sink, last_writer, "
@@ -516,13 +858,32 @@ class _Emitter:
                 "adr, onm, eli, wid, tkn)",
                 "raise",
             ]
+        elif self.lanes:
+            header = (
+                "def _seg(frame, regs, memory, cell, fdiv, cells, dc, active, "
+                "rg, dynbase, stop, last):"
+            )
+            # stop protocol: write back the completed prefix's registers and
+            # ``prev_block``, report how far it got and why, and hand the
+            # op loop the pc of the first op not run
+            catch = "Exception as exc"
+            # (``_End`` is raised inside its op's bookkeeping: count the op)
+            handler = [
+                f"cause = exc.cause if isinstance(exc, _Halt) else {LANE_ERROR}",
+                f"if cause == {LANE_END}:",
+                "    done += 1",
+                "cell[0] = done",
+                "cell[1] = cause",
+                "_write_back(frame, regs, locals(), done, WB, BR)",
+                "return PCS[done]",
+            ]
         else:
             header = "def _seg(frame, regs, memory, cell):"
             handler = ["cell[0] = done", "raise"]
 
         source_lines = [header, "    try:"]
         source_lines.extend("        " + line for line in body)
-        source_lines.append("    except BaseException:")
+        source_lines.append(f"    except {catch}:")
         source_lines.extend("        " + line for line in handler)
         source = "\n".join(source_lines) + "\n"
 
@@ -539,6 +900,29 @@ class _Emitter:
         if traced:
             module_globals["ST"] = seg.block_static()
             module_globals["TK"] = _taken_template(self.df, seg)
+        if self.lanes:
+            module_globals.update(
+                _E=_NO_LANES,
+                _Halt=_Halt,
+                _Arm=_Arm,
+                _Evict=_Evict,
+                _End=_End,
+                _pk=_pack_double,
+                _zs=_zero_signs_differ,
+                _cell_lanes=_cell_lanes,
+                _reslot=_reslot,
+                _recell=_recell,
+                _write_back=_write_back,
+                WB=tuple(
+                    (slot, self.slot_name[slot], offset)
+                    for slot, offset in sorted(
+                        seg.first_write.items(), key=lambda item: item[1]
+                    )
+                ),
+                BR=tuple(self.branches),
+                # the END stop never resumes the op loop: no pc past the end
+                PCS=list(seg.pcs) + [-1],
+            )
         return source, module_globals
 
 
@@ -589,11 +973,12 @@ def build_block_static(df: DecodedFunction, seg):
     )
 
 
-def compile_segment(df: DecodedFunction, seg, traced: bool):
-    """Compile one fused segment variant into its superinstruction callable."""
-    emitter = _Emitter(df, seg, traced)
+def compile_segment(df: DecodedFunction, seg, variant: str):
+    """Compile one fused segment ``variant`` ("plain", "traced" or "lanes")
+    into its superinstruction callable."""
+    emitter = _Emitter(df, seg, variant)
     source, module_globals = emitter.build()
-    suffix = "+traced" if traced else ""
+    suffix = "" if variant == "plain" else "+" + variant
     code = compile(source, f"<mir:{df.name}#{seg.index}{suffix}>", "exec")
     exec(code, module_globals)
     return module_globals["_seg"]

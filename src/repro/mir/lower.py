@@ -56,9 +56,17 @@ class MirSegment:
 
     ``pcs`` lists the op-index of every op in execution order (contiguous
     within a block; EBB merges jump to the start of the merged block).
-    ``plain`` / ``traced`` are the compiled superinstruction variants
-    (``None`` for unfused segments); the traced variant is compiled lazily
-    because most runs never trace.
+    ``plain`` / ``traced`` / ``lanes`` are the compiled superinstruction
+    variants (``None`` for unfused segments); ``traced`` and ``lanes`` are
+    compiled lazily because most runs never trace and only batch walks
+    carry divergence.
+
+    ``live_in`` lists the register slots the segment reads before writing
+    them (in first-read order) and ``first_write`` maps every slot it writes
+    to the offset of its (SSA: only) definition: the ``lanes`` variant reads
+    the divergence maps of the first on entry and writes a stopped prefix's
+    registers back from the second.  ``lanes`` is compiled on the first
+    batch-walk entry that needs it (:meth:`compile_lanes`).
     """
 
     __slots__ = (
@@ -69,10 +77,14 @@ class MirSegment:
         "fused",
         "plain",
         "traced",
+        "lanes",
+        "live_in",
+        "first_write",
         "counts",
         "opcode_values",
         "_df",
         "_static",
+        "_origin",
     )
 
     def __init__(self, index: int, pcs: Tuple[int, ...], fused: bool, df: DecodedFunction):
@@ -83,9 +95,23 @@ class MirSegment:
         self.fused = fused
         self.plain = None
         self.traced = None
+        self.lanes = None
         self._df = df
         self._static = None
+        #: segment whose compiled ``lanes`` this one shares (digest cache)
+        self._origin = None
         ops = df.ops
+        live_in: List[int] = []
+        first_write: Dict[int, int] = {}
+        for offset, pc in enumerate(pcs):
+            op = ops[pc]
+            for slot in op.src:
+                if slot >= 0 and slot not in first_write and slot not in live_in:
+                    live_in.append(slot)
+            if op.dest >= 0 and op.dest not in first_write:
+                first_write[op.dest] = offset
+        self.live_in: Tuple[int, ...] = tuple(live_in)
+        self.first_write = first_write
         self.opcode_values: Tuple[str, ...] = tuple(ops[pc].opcode.value for pc in pcs)
         counts: Dict[str, int] = {}
         for key in self.opcode_values:
@@ -103,9 +129,20 @@ class MirSegment:
         """Compile (and cache) the trace-emitting superinstruction variant."""
         from repro.mir.fuse import compile_segment
 
-        fn = compile_segment(self._df, self, traced=True)
+        fn = compile_segment(self._df, self, "traced")
         self.traced = fn
         return fn
+
+    def compile_lanes(self):
+        """Compile (and cache, also for the digest cache's clones) the
+        divergence-carrying batch-walk variant."""
+        shared = self._origin or self
+        if shared.lanes is None:
+            from repro.mir.fuse import compile_segment
+
+            shared.lanes = compile_segment(shared._df, shared, "lanes")
+        self.lanes = shared.lanes
+        return self.lanes
 
     def block_static(self):
         """Per-segment static trace columns (see ``ColumnarTrace.append_block``)."""
@@ -240,7 +277,7 @@ def lower_function(df: DecodedFunction) -> MirFunction:
         fused = len(pcs) >= 2
         seg = MirSegment(len(segments), tuple(pcs), fused, df)
         if fused:
-            seg.plain = compile_segment(df, seg, traced=False)
+            seg.plain = compile_segment(df, seg, "plain")
         segments.append(seg)
 
     return MirFunction(df, segments)

@@ -86,6 +86,16 @@ K_CALL_USER = 8
 K_ALLOCA = 9
 K_PHI = 10
 
+# Why a fused segment's ``lanes`` variant stopped before its end (``cell[1]``
+# after the call; 0 = ran to the end).  The first three hand the stop op to
+# the op loop; ``LANE_END`` means the walk's last fault resolved.
+LANE_ARM = 1
+LANE_EVICT = 2
+LANE_ERROR = 3
+LANE_END = 4
+#: ``replay.walk_stops`` label of each handing-over stop cause.
+LANE_STOP_CAUSES = {LANE_ARM: "arm", LANE_EVICT: "evict", LANE_ERROR: "lane_error"}
+
 
 class DecodedOp:
     """One pre-decoded instruction of a :class:`DecodedFunction`.
@@ -427,6 +437,30 @@ def _values_bit_equal(a: object, b: object) -> bool:
     return a == b
 
 
+def _rebase(old, new, div_count, drained) -> None:
+    """Swap a register's or cell's divergence map ``old`` for ``new``.
+
+    Either may be ``None`` or empty.  A fault leaving the map loses one
+    divergence and, at zero, is appended to ``drained`` (it is bit-identical
+    to golden from here on); a fault joining it gains one.  The batch walk's
+    op loop and the fused segments' ``lanes`` variant share this rule.
+    """
+    if old:
+        if new and old.keys() == new.keys():
+            return
+        for fid in old:
+            if not new or fid not in new:
+                c = div_count.get(fid)
+                if c is not None:
+                    div_count[fid] = c - 1
+                    if c == 1:
+                        drained.append(fid)
+    if new:
+        for fid in new:
+            if not old or fid not in old:
+                div_count[fid] = div_count.get(fid, 0) + 1
+
+
 # --------------------------------------------------------------------- #
 # state digests (convergence memoization)
 # --------------------------------------------------------------------- #
@@ -727,10 +761,13 @@ class Engine:
         self._golden_digests: Dict[int, bytes] = {}
         self._memo = None
         self.visited: List[Tuple[int, bytes]] = []
-        #: Ops the most recent :meth:`resume_many` walked, and how many of
-        #: them ran inside fused segments.
+        #: Ops the most recent :meth:`resume_many` walked, how many of them
+        #: ran inside fused segments, how many of those carried divergence
+        #: (``lanes``), and the lanes stops by cause label.
         self.walk_ops = 0
         self.walk_fused_ops = 0
+        self.walk_lane_ops = 0
+        self.walk_stops: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # public entry points
@@ -1017,8 +1054,9 @@ class Engine:
         site and ride along as sparse *divergence state* (register slots and
         memory cells whose value differs from golden, per fault):
 
-        * value divergence is evaluated per fault on the side, reusing the
-          walk's decoded ops and operand resolution;
+        * value divergence is evaluated per fault on the side: inside fused
+          segments by each segment's ``lanes`` variant, elsewhere by the op
+          loop reusing the walk's decoded ops and operand resolution;
         * a fault whose divergence set drains to empty is provably
           bit-identical to golden and resolves immediately;
         * a fault that diverges in control flow or addressing is *evicted*
@@ -1072,16 +1110,25 @@ class Engine:
         pc = frame.pc
         dyn = self._dyn
 
-        # Fused-segment fast path (block backend): a segment entered while
-        # no cell divergence is live, the current frame holds no divergent
-        # register and no fault arms inside its dynamic window computes the
-        # same values for every in-flight fault as for golden, so it runs as
-        # one superinstruction.  Counts are flushed once, in ``finally``.
+        # Fused segments (block backend).  At a segment's entry pc, unless
+        # a fault arms at that very op:
+        # * ``seg.plain`` when no cell divergence is live, the current frame
+        #   holds no divergent register and no fault arms inside the window:
+        #   every in-flight fault computes golden values there;
+        # * ``seg.lanes`` otherwise (compiled on first need): golden plus
+        #   each affected fault's value per op, with this loop's
+        #   bookkeeping, stopping before the first op it cannot carry (a
+        #   fault arming, an address or branch direction diverging, a lane
+        #   raising) so the op loop runs that op and the rest of the
+        #   segment.
+        # Counts are flushed once, in ``finally``.
         mir_fns = self._mir.functions if self._mir is not None else None
         dispatch = mir_fns[frame.df.name].dispatch if mir_fns is not None else None
-        cell = [0]
+        cell = [0, 0]
         entry_dyn = dyn
         fused_ops = 0
+        lane_ops = 0
+        stops = [0] * (LANE_END + 1)
 
         # ---- helpers over the divergence bookkeeping ------------------- #
         op = None
@@ -1155,13 +1202,6 @@ class Engine:
         #: tail resolves them golden and clears the list).
         drained: List[int] = []
 
-        def dec_divergence(fid):
-            c = div_count.get(fid)
-            if c is not None:
-                div_count[fid] = c - 1
-                if c == 1:
-                    drained.append(fid)
-
         # ---- the walk -------------------------------------------------- #
         try:
             while True:
@@ -1171,21 +1211,44 @@ class Engine:
                     seg = dispatch[pc]
                     if (
                         seg is not None
-                        and not cells
-                        and not frame.div
+                        and next_arm != dyn
                         and dyn + seg.n_ops <= max_steps
-                        and (next_arm < 0 or next_arm >= dyn + seg.n_ops)
                     ):
-                        try:
-                            pc = seg.plain(frame, regs, memory, cell)
-                        except BaseException:
-                            # the op loop's crash accounting: the completed
-                            # prefix counts, the crashing op does not
-                            dyn += cell[0]
-                            cell[0] = 0
-                            raise
-                        dyn += seg.n_ops
-                        fused_ops += seg.n_ops
+                        n_ops = seg.n_ops
+                        fdiv = frame.div
+                        arm_inside = dyn < next_arm < dyn + n_ops
+                        if not arm_inside and not cells and not fdiv:
+                            try:
+                                pc = seg.plain(frame, regs, memory, cell)
+                            except BaseException:
+                                # the op loop's crash accounting: the
+                                # completed prefix counts, the crashing op
+                                # does not
+                                dyn += cell[0]
+                                cell[0] = 0
+                                raise
+                            dyn += n_ops
+                            fused_ops += n_ops
+                            continue
+                        lanes = seg.lanes or seg.compile_lanes()
+                        if fdiv is None:
+                            fdiv = frame.div = {}
+                        pc = lanes(
+                            frame, regs, memory, cell, fdiv, cells,
+                            div_count, active, resolve_golden, dyn,
+                            next_arm - dyn if arm_inside else -1,
+                            next_spec >= nspecs,
+                        )
+                        cause = cell[1]
+                        if cause:
+                            n_ops = cell[0]
+                            cell[1] = 0
+                            stops[cause] += 1
+                        dyn += n_ops
+                        fused_ops += n_ops
+                        lane_ops += n_ops
+                        if cause == LANE_END:
+                            break
                         continue
                 op = ops[pc]
                 kind = op.kind
@@ -1372,14 +1435,8 @@ class Engine:
                                 resolve_error(fid, exc)
                                 if new:
                                     new.pop(fid, None)
-                        if old:
-                            for fid in old:
-                                if new is None or fid not in new:
-                                    dec_divergence(fid)
+                        _rebase(old, new, div_count, drained)
                         if new:
-                            for fid in new:
-                                if old is None or fid not in old:
-                                    div_count[fid] = div_count.get(fid, 0) + 1
                             cells.setdefault(obj.name, {})[element_index] = new
                         elif cmap is not None and not cmap:
                             # keep ``cells`` free of empty maps: an empty
@@ -1424,16 +1481,14 @@ class Engine:
                     pdiv = popped.div
                     if pdiv:
                         for m in pdiv.values():
-                            for fid in m:
-                                dec_divergence(fid)
+                            _rebase(m, None, div_count, drained)
                         popped.div = None
                     for stack_obj in popped.stack_objects:
                         memory.release(stack_obj)
                         cmap = cells.pop(stack_obj.name, None)
                         if cmap:
                             for m in cmap.values():
-                                for fid in m:
-                                    dec_divergence(fid)
+                                _rebase(m, None, div_count, drained)
                     dyn += 1
                     if not frames:
                         # entry return: survivors resolve to golden patched
@@ -1472,14 +1527,8 @@ class Engine:
                                 if fid in active
                                 and not _values_bit_equal(v, result)
                             }
-                        if old:
-                            for fid in old:
-                                if new is None or fid not in new:
-                                    dec_divergence(fid)
+                        _rebase(old, new, div_count, drained)
                         if new:
-                            for fid in new:
-                                if old is None or fid not in old:
-                                    div_count[fid] = div_count.get(fid, 0) + 1
                             if cdiv is None:
                                 cdiv = frame.div = {}
                             cdiv[ret_slot] = new
@@ -1609,14 +1658,8 @@ class Engine:
                                 resolve_error(fid, exc)
                                 if new:
                                     new.pop(fid, None)
-                        if old:
-                            for fid in old:
-                                if new is None or fid not in new:
-                                    dec_divergence(fid)
+                        _rebase(old, new, div_count, drained)
                         if new:
-                            for fid in new:
-                                if old is None or fid not in old:
-                                    div_count[fid] = div_count.get(fid, 0) + 1
                             if fdiv is None:
                                 fdiv = frame.div = {}
                             fdiv[dest] = new
@@ -1647,6 +1690,12 @@ class Engine:
             self._dyn = dyn
             self.walk_ops = dyn - entry_dyn
             self.walk_fused_ops = fused_ops
+            self.walk_lane_ops = lane_ops
+            self.walk_stops = {
+                label: stops[cause]
+                for cause, label in LANE_STOP_CAUSES.items()
+                if stops[cause]
+            }
 
         return resolutions
 

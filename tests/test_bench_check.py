@@ -98,6 +98,37 @@ class TestCompareRuns:
         assert report.geomean_ratio == pytest.approx(0.85, rel=1e-3)
         assert report.geomean_regressed
 
+    def test_metric_tolerance_overrides_the_check_tolerance(self):
+        metrics = (
+            MetricSpec("workloads.*.speedup", "higher", tolerance=0.05),
+            MetricSpec("geomean_speedup", "higher"),
+        )
+        # cg slips 10%: inside the check's 20%, outside its own 5%
+        fresh = _payload(b=3.6)
+        report = compare_runs("x", _payload(), fresh, metrics, tolerance=0.2)
+        by_metric = {f.metric: f for f in report.findings}
+        assert by_metric["workloads.cg.speedup"].regressed
+        assert by_metric["workloads.cg.speedup"].tolerance == 0.05
+        assert by_metric["geomean_speedup"].tolerance == 0.2
+        # a metric's own tolerance can be looser than the check's, too
+        loose = (MetricSpec("geomean_speedup", "higher", tolerance=0.5),)
+        slipped = compare_runs("x", _payload(), _payload(geo=4.0), loose, 0.3)
+        assert not slipped.findings[0].regressed
+
+    def test_campaign_scaling_gate_is_tight_under_a_loose_check(self):
+        # CI checks at 0.5; the scaling gate must still reject split shards
+        # (~0.85x against the committed ~1.65x) and accept a 1.3x run
+        metrics = BENCHES["campaign"].metrics
+        base = {"scaling": {"speedup": 1.65}}
+        split = compare_runs(
+            "campaign", base, {"scaling": {"speedup": 0.85}}, metrics, 0.5
+        )
+        assert split.findings[0].regressed and split.regressed
+        fine = compare_runs(
+            "campaign", base, {"scaling": {"speedup": 1.3}}, metrics, 0.5
+        )
+        assert not fine.regressed
+
     def test_comparison_uses_intersection(self):
         fresh = _payload()
         del fresh["workloads"]["cg"]

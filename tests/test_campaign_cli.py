@@ -187,6 +187,12 @@ class TestStatsCommand:
         assert match, out
         walked, fused = int(match.group(1)), int(match.group(2))
         assert walked > 0 and 0 <= fused <= walked
+        lanes = re.search(
+            r"(\d+) carrying divergence; "
+            r"stops arm (\d+) / evict (\d+) / lane_error (\d+)\)", out
+        )
+        assert lanes, out
+        assert 0 <= int(lanes.group(1)) <= fused
 
     def test_stats_promfile_export(self, store_path, tmp_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",

@@ -1,16 +1,33 @@
 """Fused-segment dispatch inside the lockstep batch walk.
 
-:meth:`~repro.vm.engine.Engine.resume_many` runs a fused MIR segment as
-one superinstruction only when no cell divergence is live, the current
-frame holds no divergent register, and no fault arms inside the segment's
-dynamic window.  These cases pin the edges of that rule on a small
-two-function program whose every op is visible, checking each batch
-against per-fault sequential replay:
+At a fused MIR segment's entry pc,
+:meth:`~repro.vm.engine.Engine.resume_many` runs ``seg.plain`` when no
+divergence can reach the segment and no fault arms inside its dynamic
+window, and otherwise the segment's ``lanes`` variant, which computes each
+affected fault's value next to golden and stops before the first op it
+cannot carry (a fault arming, an address or branch direction diverging, a
+lane raising); the op loop runs that op and the rest of the segment.  A
+fault arming at the segment's first op sends the whole segment to the op
+loop.  These cases pin the edges of that rule on small programs whose
+every op is visible, checking each batch against per-fault sequential
+replay, and the ``block`` walk against the ``REPRO_ENGINE_BACKEND=op`` walk
+on resolution kind, ``converged_at`` and the op each eviction forks at:
 
-* faults arming at, inside and just past a fused window;
-* a callee running fused while its caller frame holds a divergent
-  register;
-* survivors that keep cell divergence to the end of the program.
+* faults arming at, inside and just past a fused window, with and
+  without live divergence (the first, an interior and the last op);
+* a callee running ``plain`` while its caller frame holds a divergent
+  register, and the caller's post-call segment carrying that register in
+  ``lanes`` (divergence entering through a live-in);
+* survivors that keep cell divergence to the end of the program;
+* divergence entering through a diverged-cell load mid-segment, a
+  divergent store whose cast equals golden, a lane yielding ``-0.0``
+  against golden ``0.0`` and a NaN with another payload;
+* a divergent address mid-segment evicting at exactly that op, a
+  same-direction branch divergence riding on and an opposite one evicting,
+  and a lane raising where golden does not;
+* a select on a divergent condition between two values computed from
+  constants only (neither can diverge, and the lane must still pick the
+  other one).
 """
 
 from __future__ import annotations
@@ -19,9 +36,12 @@ import numpy as np
 import pytest
 
 from repro.core.replay import BatchedReplayContext, ReplayContext
-from repro.ir.types import F64
+from repro.ir import Constant, Function, IRBuilder, Module
+from repro.ir.instructions import ICmpPredicate
+from repro.ir.types import F32, F64, I64, VOID, pointer_to
 from repro.mir import mir_program_for
 from repro.vm.engine import DecodedProgram, Engine
+from repro.vm.errors import ArithmeticFault
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
 from repro.workloads.base import Workload
@@ -196,3 +216,468 @@ def test_walk_counters_reach_the_metrics_registry(workload, events):
         totals[entry["name"]] = totals.get(entry["name"], 0) + entry["value"]
     assert totals["replay.walk_ops"] == context.stats.walk_ops > 0
     assert totals.get("replay.walk_fused_ops", 0) == context.stats.walk_fused_ops
+
+
+# --------------------------------------------------------------------- #
+# lanes: divergence carried through fused segments
+# --------------------------------------------------------------------- #
+def _walk_record(workload, specs, backend):
+    """``(via, converged_at)`` per fault and the dyn each eviction forked at,
+    for one batch on ``backend``."""
+    forks = {}
+    original = Engine._private_replay
+
+    def spy(self, resolution, fork, *args, **kwargs):
+        forks[resolution.spec] = fork.dyn
+        return original(self, resolution, fork, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_ENGINE_BACKEND", backend)
+        mp.setattr(Engine, "_private_replay", spy)
+        context = BatchedReplayContext(workload)
+        results = context.replay_many(specs)
+    return [(r.via, r.converged_at) for r in results], forks, context.stats
+
+
+def _check_batch(workload, specs):
+    """Sequential parity, then block-vs-op parity; the block walk's stats."""
+    results, _ = _batch_matches_sequential(workload, specs)
+    kinds, forks, stats = _walk_record(workload, specs, "block")
+    op_kinds, op_forks, op_stats = _walk_record(workload, specs, "op")
+    assert kinds == op_kinds
+    assert kinds == [(r.via, r.converged_at) for r in results]
+    assert forks == op_forks
+    assert op_stats.walk_fused_ops == op_stats.walk_lane_ops == 0
+    assert stats.walk_ops == op_stats.walk_ops
+    return kinds, forks, stats
+
+
+def _counted_loop(func, b, i_slot, label, emit_body):
+    """``for i in range(n): emit_body(i)`` with ``i`` kept in ``i_slot``."""
+    b.store(0, i_slot)
+    head = func.add_block(f"{label}.head")
+    body = func.add_block(f"{label}.body")
+    done = func.add_block(f"{label}.exit")
+    b.br(head)
+    b.set_block(head)
+    more = b.icmp(ICmpPredicate.SLT, b.load(i_slot), func.arg_by_name("n"), I64)
+    b.cond_br(more, body, done)
+    b.set_block(body)
+    emit_body(b.load(i_slot))
+    b.store(b.add(b.load(i_slot), 1), i_slot)
+    b.br(head)
+    b.set_block(done)
+
+
+def _lanes_module() -> Module:
+    """Two counted loops over ``n`` elements, built by hand.
+
+    ``copy`` re-stores ``a``, ``x``, ``y``, ``dv``, ``idx`` and ``m``
+    element by element (the fault sites).  ``use`` then consumes them in
+    one fused body segment that ends in a branch on the raw ``i64``
+    ``m[i]`` (no compare), so the branch can diverge in value without
+    diverging in direction::
+
+        out[i] = a[i] * 2.0;  z[i] = a[i] * 0.0;  r[i] = 1.0 / z[i]
+        x[i] = y[i] +f32 1e8; y[i] = 0.0      (f32 add: the store rounds)
+        q[i] = 100 / dv[i];   w[idx[i]] = 1.0
+        if m[i]: out2[i] = 1.0 else: out2[i] = 2.0
+    """
+    names = ("a", "x", "y", "z", "r", "dv", "q", "idx", "w", "m", "out", "out2", "n")
+    types = (F64, F32, F32, F64, F64, I64, I64, I64, F64, I64, F64, F64)
+    func = Function(
+        "main", [pointer_to(t) for t in types] + [I64], list(names), VOID
+    )
+    arg = func.arg_by_name
+    b = IRBuilder(func)
+    b.set_block(func.add_block("entry"))
+    i_slot = b.alloca(I64, name="i")
+
+    def copy(i):
+        for name in ("a", "x", "y", "dv", "idx", "m"):
+            ptr = b.gep(arg(name), i)
+            b.store(b.load(ptr), ptr)
+
+    def use(i):
+        a_i = b.load(b.gep(arg("a"), i))
+        b.store(b.fmul(a_i, 2.0), b.gep(arg("out"), i))
+        z_ptr = b.gep(arg("z"), i)
+        b.store(b.fmul(a_i, 0.0), z_ptr)
+        b.store(b.fdiv(1.0, b.load(z_ptr)), b.gep(arg("r"), i))
+        y_ptr = b.gep(arg("y"), i)
+        b.store(b.fadd(b.load(y_ptr), 1.0e8, F32), b.gep(arg("x"), i))
+        b.store(0.0, y_ptr)
+        b.store(b.sdiv(100, b.load(b.gep(arg("dv"), i))), b.gep(arg("q"), i))
+        b.store(1.0, b.gep(arg("w"), b.load(b.gep(arg("idx"), i))))
+        taken = func.add_block("use.then")
+        other = func.add_block("use.else")
+        merge = func.add_block("use.merge")
+        b.cond_br(b.load(b.gep(arg("m"), i)), taken, other)
+        for block, value in ((taken, 1.0), (other, 2.0)):
+            b.set_block(block)
+            b.store(value, b.gep(arg("out2"), i))
+            b.br(merge)
+        b.set_block(merge)
+
+    _counted_loop(func, b, i_slot, "copy", copy)
+    _counted_loop(func, b, i_slot, "use", use)
+    b.ret()
+    module = Module("walk-lanes")
+    module.add_function(func)
+    return module
+
+
+#: A quiet NaN with payload bits, so a mantissa flip keeps it a NaN.
+_NAN = np.frombuffer(np.uint64(0x7FF8000000000010).tobytes(), np.float64)[0]
+
+
+class LanesWorkload(Workload):
+    name = "walk-lanes"
+    target_objects = ("a", "y", "dv", "idx", "m")
+    output_objects = ("out", "z", "r", "x", "q", "w", "m", "out2")
+    entry = "main"
+
+    def kernels(self):  # the module is built by hand
+        return []
+
+    def module(self):
+        if self._module is None:
+            self._module = _lanes_module()
+        return self._module
+
+    def setup(self, memory: Memory):
+        n = 4
+        arrays = {
+            "a": (F64, [1.5, _NAN, 2.5, 3.5]),
+            "x": (F32, [0.0] * n),
+            "y": (F32, [1.0] * n),
+            "z": (F64, [0.0] * n),
+            "r": (F64, [0.0] * n),
+            "dv": (I64, [1] * n),
+            "q": (I64, [0] * n),
+            "idx": (I64, list(range(n))),
+            "w": (F64, [0.0] * n),
+            "m": (I64, [2, 1, 2, 1]),
+            "out": (F64, [0.0] * n),
+            "out2": (F64, [0.0] * n),
+        }
+        args = {
+            name: memory.allocate(name, vt, n, initial=np.array(values)).base
+            for name, (vt, values) in arrays.items()
+        }
+        args["n"] = n
+        return args
+
+
+@pytest.fixture(scope="module")
+def lanes_workload():
+    return LanesWorkload()
+
+
+@pytest.fixture(scope="module")
+def lanes_events(lanes_workload):
+    return list(lanes_workload.traced_run().trace)
+
+
+def _op(events, block, opcode, nth=0, **fields):
+    """The ``nth`` event of ``opcode`` in ``block`` matching ``fields``."""
+    found = [
+        e for e in events
+        if e.block == block and e.opcode.value == opcode
+        and all(getattr(e, key) == value for key, value in fields.items())
+    ]
+    return found[nth]
+
+
+def _copy_flip(events, name, index, bit):
+    """Flip ``bit`` of the value the ``copy`` loop re-stores into name[index]."""
+    store = _op(events, "copy.body", "store", object_name=name, element_index=index)
+    return FaultSpec(dynamic_id=store.dynamic_id, bit=bit, operand_index=0)
+
+
+def _output(result, name):
+    return result.outcome.outputs[name].view(np.uint64)
+
+
+def test_live_in_register_divergence_enters_lanes(workload, events):
+    # the product ``a[i] * 3.0`` is a caller register that stays divergent
+    # across the call; the caller's post-call segment reads it as a live-in
+    fmul = _first(events, "kernel", "fmul")
+    spec = FaultSpec(dynamic_id=fmul.dynamic_id, bit=62, operand_index=0)
+    program = DecodedProgram.of(workload.module())
+    seen = []
+    originals = {}
+    for seg in mir_program_for(program).functions["kernel"].segments:
+        if seg.fused:
+            lanes = seg.lanes or seg.compile_lanes()
+            originals[seg] = lanes
+
+            def spy(frame, regs, memory, cell, fdiv, *rest, _seg=seg):
+                seen.append(any(slot in fdiv for slot in _seg.live_in))
+                return originals[_seg](frame, regs, memory, cell, fdiv, *rest)
+
+            seg.lanes = spy
+    try:
+        kinds, _, stats = _check_batch(workload, [spec])
+    finally:
+        for seg, lanes in originals.items():
+            seg.lanes = lanes
+    assert kinds[0][0] == "completed"
+    assert any(seen), "no segment carried a divergent live-in register"
+    assert stats.walk_lane_ops > 0
+
+
+def test_diverged_cell_load_mid_segment_and_cast_equal_store(
+    lanes_workload, lanes_events
+):
+    # y[0] gains its f32 LSB; the ``use`` body loads it mid-segment, adds
+    # 1e8 (the lane differs in the register) and stores x[0], whose f32
+    # rounding equals golden: x stays clean, and the fault drains once the
+    # register and y[0] (overwritten with 0.0) are golden again
+    spec = _copy_flip(lanes_events, "y", 0, bit=0)
+    # a later fault keeps the walk going past the drain
+    later = FaultSpec(
+        dynamic_id=_op(lanes_events, "use.body", "fadd", nth=3).dynamic_id,
+        bit=1, operand_index=1,
+    )
+    kinds, forks, stats = _check_batch(lanes_workload, [spec, later])
+    assert kinds[0][0] == "lockstep" and kinds[0][1] is not None
+    assert not forks
+    fadd = _op(lanes_events, "use.body", "fadd", nth=1)
+    assert kinds[0][1] == fadd.dynamic_id  # next iteration's add is golden
+    assert stats.walk_lane_ops > 0
+    # with y[0]'s map dropped, nothing is diverged until ``later`` arms:
+    # iteration 2 runs ``plain``
+    assert stats.walk_fused_ops > stats.walk_lane_ops
+
+
+def test_walk_ends_at_the_op_resolving_the_last_fault(
+    lanes_workload, lanes_events
+):
+    # the only fault in flight drains inside ``lanes``: at a value op (y[0]'s
+    # register lane, golden again at the next iteration's add) and at a
+    # store (x[0] overwritten); the walk must end right there, as the op
+    # loop's does (``_check_batch`` compares walk lengths)
+    for spec, resolving in (
+        (_copy_flip(lanes_events, "y", 0, bit=0),
+         _op(lanes_events, "use.body", "fadd", nth=1)),
+        (_copy_flip(lanes_events, "x", 0, bit=5),
+         _op(lanes_events, "use.body", "store", object_name="x", element_index=0)),
+    ):
+        kinds, _, stats = _check_batch(lanes_workload, [spec])
+        assert kinds == [("lockstep", resolving.dynamic_id)]
+        assert stats.walk_lane_ops > 0
+
+
+def test_negative_zero_and_nan_payload_lanes(lanes_workload, lanes_events):
+    # a[0] -> -1.5 gives z[0] = -0.0 against golden 0.0 (reloaded mid-segment:
+    # r[0] = -inf against inf); a[1] is a NaN whose payload gains a bit,
+    # which out[1] and z[1] inherit
+    specs = [
+        _copy_flip(lanes_events, "a", 0, bit=63),
+        _copy_flip(lanes_events, "a", 1, bit=3),
+    ]
+    kinds, _, stats = _check_batch(lanes_workload, specs)
+    assert [via for via, _ in kinds] == ["completed", "completed"]
+    context = BatchedReplayContext(lanes_workload)
+    golden = context.golden_outputs
+    sign, payload = context.replay_many(specs)
+    assert _output(sign, "z")[0] == np.float64(-0.0).view(np.uint64)
+    assert golden["z"].view(np.uint64)[0] == np.float64(0.0).view(np.uint64)
+    assert sign.outcome.outputs["r"][0] == -np.inf and golden["r"][0] == np.inf
+    assert _output(payload, "out")[1] != golden["out"].view(np.uint64)[1]
+    assert np.isnan(payload.outcome.outputs["out"][1])
+    assert stats.walk_lane_ops > 0
+
+
+def test_divergent_address_evicts_at_that_op(lanes_workload, lanes_events):
+    # idx[2] -> 3: the ``w[idx[i]]`` store diverges in its address mid-segment
+    spec = _copy_flip(lanes_events, "idx", 2, bit=0)
+    kinds, forks, stats = _check_batch(lanes_workload, [spec])
+    assert kinds[0][0] == "private"
+    store = _op(lanes_events, "use.body", "store", object_name="w", element_index=2)
+    assert forks[spec] == store.dynamic_id
+    assert stats.walk_stops_evict >= 1
+
+
+def test_branch_divergence_same_direction_rides_opposite_evicts(
+    lanes_workload, lanes_events
+):
+    # m[0] = 2: 2 -> 6 keeps the branch direction, 2 -> 0 flips it
+    same = _copy_flip(lanes_events, "m", 0, bit=2)
+    flipped = _copy_flip(lanes_events, "m", 0, bit=1)
+    kinds, forks, stats = _check_batch(lanes_workload, [same])
+    assert kinds[0][0] == "completed"  # m[0] stays diverged to the end
+    assert not forks and stats.walk_stops_evict == 0
+    kinds, forks, stats = _check_batch(lanes_workload, [same, flipped])
+    assert kinds[0][0] == "completed" and same not in forks
+    assert kinds[1][0] == "private"
+    branch = _op(lanes_events, "use.body", "br")
+    assert forks[flipped] == branch.dynamic_id
+    assert stats.walk_stops_evict == 1
+
+
+def test_lane_raising_where_golden_does_not(lanes_workload, lanes_events):
+    # dv[0] = 1 -> 0: only the fault divides by zero
+    spec = _copy_flip(lanes_events, "dv", 0, bit=0)
+    kinds, _, stats = _check_batch(lanes_workload, [spec])
+    assert kinds[0][0] == "error"
+    result = BatchedReplayContext(lanes_workload).replay_many([spec])[0]
+    assert isinstance(result.error, ArithmeticFault)
+    assert stats.walk_stops_lane_error >= 1
+
+
+def test_faults_arming_at_first_interior_and_last_op_under_lanes(
+    lanes_workload, lanes_events
+):
+    # a[0]'s sign flip keeps cell divergence live through the ``use`` loop,
+    # so its body runs in ``lanes``; more faults arm at the body's first op
+    # (the a[i] load) in iteration 1, an interior op (the f32 add) in
+    # iteration 2 and its last op (the branch) in iteration 3
+    background = _copy_flip(lanes_events, "a", 0, bit=63)
+    body = [e for e in lanes_events if e.block == "use.body"]
+    per_iteration = len(body) // 4
+    first = body[per_iteration]
+    interior = _op(lanes_events, "use.body", "fadd", nth=2)
+    last = body[4 * per_iteration - 1]
+    assert first.opcode.value == "load" and last.opcode.value == "br"
+    specs = [
+        background,
+        FaultSpec(dynamic_id=first.dynamic_id, bit=3, operand_index=0),
+        FaultSpec(dynamic_id=interior.dynamic_id, bit=40, operand_index=0),
+        FaultSpec(dynamic_id=last.dynamic_id, bit=0, operand_index=0),
+    ]
+    kinds, _, stats = _check_batch(lanes_workload, specs)
+    assert stats.walk_stops_arm >= 2  # interior and last op; the first goes per-op
+    assert stats.walk_lane_ops > 0
+
+
+def test_lane_counters_reach_the_metrics_registry(
+    lanes_workload, lanes_events, monkeypatch
+):
+    from repro.obs.metrics import registry
+
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
+
+    reg = registry()
+    if not reg.enabled:
+        pytest.skip("metrics disabled (REPRO_METRICS=0)")
+    cursor = "test-lane-counters"
+    reg.snapshot_delta(cursor)
+    specs = [
+        _copy_flip(lanes_events, "a", 0, bit=63),
+        _copy_flip(lanes_events, "idx", 2, bit=0),
+        FaultSpec(
+            dynamic_id=_op(lanes_events, "use.body", "fadd", nth=3).dynamic_id,
+            bit=40, operand_index=0,
+        ),
+    ]
+    context = BatchedReplayContext(lanes_workload)
+    context.replay_many(specs)
+    stats = context.stats
+    assert stats.walk_lane_ops > 0
+    assert stats.walk_stops_arm >= 1 and stats.walk_stops_evict >= 1
+    totals, stops = {}, {}
+    for entry in reg.snapshot_delta(cursor)["counters"]:
+        totals[entry["name"]] = totals.get(entry["name"], 0) + entry["value"]
+        if entry["name"] == "replay.walk_stops":
+            cause = entry["labels"]["cause"]
+            stops[cause] = stops.get(cause, 0) + entry["value"]
+    assert totals["replay.walk_lane_ops"] == stats.walk_lane_ops
+    assert stops == {
+        cause: count
+        for cause, count in (
+            ("arm", stats.walk_stops_arm),
+            ("evict", stats.walk_stops_evict),
+            ("lane_error", stats.walk_stops_lane_error),
+        )
+        if count
+    }
+    assert not any(name.startswith("replay.walk_stops_") for name in totals)
+
+
+def test_every_registered_workload_block_vs_op():
+    # the all-workload parity sweep of test_replay_batch, plus the block
+    # walk (``lanes`` included) against the op walk
+    from test_replay_batch import ALL_WORKLOADS, _sample_specs, _small
+
+    lane_ops = 0
+    for name in ALL_WORKLOADS:
+        workload = _small(name)
+        specs = _sample_specs(workload, workload.traced_run().trace)
+        _, _, stats = _check_batch(workload, specs)
+        lane_ops += stats.walk_lane_ops
+    assert lane_ops > 0
+
+
+def _select_module() -> Module:
+    """``out[i] = sitofp(1) if c[i] != 0 else sitofp(2)``, after a loop that
+    re-stores ``c`` (the fault sites): two values computed from constants
+    only meet in one select on a divergent condition, in one fused
+    segment."""
+    func = Function(
+        "main", [pointer_to(I64), pointer_to(F64), I64], ["c", "out", "n"], VOID
+    )
+    arg = func.arg_by_name
+    b = IRBuilder(func)
+    b.set_block(func.add_block("entry"))
+    i_slot = b.alloca(I64, name="i")
+
+    def copy(i):
+        ptr = b.gep(arg("c"), i)
+        b.store(b.load(ptr), ptr)
+
+    def use(i):
+        cond = b.icmp(ICmpPredicate.NE, b.load(b.gep(arg("c"), i)), 0, I64)
+        one = b.sitofp(Constant(I64, 1))
+        two = b.sitofp(Constant(I64, 2))
+        b.store(b.select(cond, one, two), b.gep(arg("out"), i))
+
+    _counted_loop(func, b, i_slot, "copy", copy)
+    _counted_loop(func, b, i_slot, "use", use)
+    b.ret()
+    module = Module("walk-select")
+    module.add_function(func)
+    return module
+
+
+class SelectWorkload(Workload):
+    name = "walk-select"
+    target_objects = ("c",)
+    output_objects = ("out",)
+    entry = "main"
+
+    def kernels(self):  # the module is built by hand
+        return []
+
+    def module(self):
+        if self._module is None:
+            self._module = _select_module()
+        return self._module
+
+    def setup(self, memory: Memory):
+        n = 2
+        c = memory.allocate("c", I64, n, initial=np.ones(n, dtype=np.int64))
+        out = memory.allocate("out", F64, n)
+        return {"c": c.base, "out": out.base, "n": n}
+
+
+def test_select_between_constant_only_values_on_a_divergent_condition():
+    # c[0] = 1 -> 0 flips the select to the other constant-only arm: the
+    # lane must read that arm's value, not golden's
+    workload = SelectWorkload()
+    events = list(workload.traced_run().trace)
+    select = _op(events, "use.body", "select")
+    program = DecodedProgram.of(workload.module())
+    mir = mir_program_for(program).functions["main"]
+    pc = next(
+        pc for pc, op in enumerate(program.functions["main"].ops)
+        if op.static_uid == select.static_uid
+    )
+    assert mir.segments[mir.location_of(pc)[0]].fused
+    spec = _copy_flip(events, "c", 0, bit=0)
+    kinds, _, stats = _check_batch(workload, [spec])
+    assert kinds[0][0] == "completed"
+    result = BatchedReplayContext(workload).replay_many([spec])[0]
+    assert list(result.outcome.outputs["out"]) == [2.0, 1.0]
+    assert stats.walk_lane_ops > 0
