@@ -34,6 +34,12 @@ def _collect(workload_name, object_name):
         for p in find_participations(trace, object_name)
         if p.role is ParticipationRole.CONSUMED
     ]
+    analyzers = {
+        k: PropagationAnalyzer(
+            trace, k=k, output_objects=set(workload.output_objects)
+        )
+        for k in K_VALUES
+    }
     rows = []
     for participation in participations:
         for bit in SAMPLE_BITS:
@@ -44,12 +50,10 @@ def _collect(workload_name, object_name):
             if verdict.masked is not None and not verdict.needs_propagation:
                 continue
             outcome = injector.inject(FaultSite(participation, bit).to_spec())
-            per_k = {}
-            for k in K_VALUES:
-                analyzer = PropagationAnalyzer(
-                    trace, k=k, output_objects=set(workload.output_objects)
-                )
-                per_k[k] = analyzer.analyze(participation, pattern, verdict.corrupted_result)
+            per_k = {
+                k: analyzer.analyze(participation, pattern, verdict.corrupted_result)
+                for k, analyzer in analyzers.items()
+            }
             rows.append((outcome.outcome.is_success, per_k))
     return rows
 

@@ -489,6 +489,11 @@ def _cmd_stats(args) -> int:
         disc_rate = f"{discards / speculated:.2f}" if speculated else "-"
         print(f"{'speculation':<11}: {speculated} speculated / "
               f"{discards} discarded (discard rate {disc_rate})")
+        visits = _counter_total(merged, "advf.propagation_visits")
+        steps = _counter_total(merged, "advf.propagation_steps")
+        visit_share = f"{visits / steps:.2f}" if steps else "-"
+        print(f"{'propagation':<11}: {visits} events visited / {steps} "
+              f"window steps (visit share {visit_share})")
         print()
         if any(merged.values()):
             print(format_metrics_table(merged))

@@ -490,6 +490,7 @@ class AdvfEngine:
     ) -> ObjectReport:
         """Settle deferred accounting and assemble the per-object report
         (shared by the sequential and speculative resolution paths)."""
+        self._flush_propagation_counters()
         # The tail fast path defers the equivalence cache's reuse
         # accounting; settle it so coverage statistics stay exact.
         for tail in tails.values():
@@ -515,6 +516,21 @@ class AdvfEngine:
             analyses_performed=site_cache.analyses_performed,
             analyses_reused=site_cache.analyses_reused,
         )
+
+    def _flush_propagation_counters(self) -> None:
+        """Publish the propagation chase's work for one object (candidate
+        events visited and window steps covered), then reset it."""
+        propagation = self._propagation
+        reg = _metrics_registry()
+        if reg.enabled:
+            workload = self.workload.name
+            if propagation.visits:
+                reg.inc("advf.propagation_visits", propagation.visits,
+                        workload=workload)
+            if propagation.steps:
+                reg.inc("advf.propagation_steps", propagation.steps,
+                        workload=workload)
+        propagation.visits = propagation.steps = 0
 
     # ------------------------------------------------------------------ #
     # per-site decision procedure (Fig. 3)

@@ -867,9 +867,13 @@ class _Emitter:
             # ``prev_block``, report how far it got and why, and hand the
             # op loop the pc of the first op not run
             catch = "Exception as exc"
-            # (``_End`` is raised inside its op's bookkeeping: count the op)
+            # (``_End`` is raised inside its op's bookkeeping: count the op).
+            # ``exc`` is dropped before ``locals()``: the snapshot would
+            # otherwise tie it, its traceback and the whole calling stack
+            # into a cycle only the cyclic collector frees.
             handler = [
                 f"cause = exc.cause if isinstance(exc, _Halt) else {LANE_ERROR}",
+                "del exc",
                 f"if cause == {LANE_END}:",
                 "    done += 1",
                 "cell[0] = done",

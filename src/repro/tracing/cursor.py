@@ -37,8 +37,8 @@ class TraceCursor:
 
     The cursor is intentionally tiny: ``seek`` to a dynamic id, ``peek`` the
     event there, ``advance`` through events one at a time, or ``take`` a
-    bounded window — exactly the access patterns of the propagation and
-    re-execution analyses.
+    bounded window — the access patterns of the re-execution analysis and
+    of the window-scan propagation oracle in the tests.
     """
 
     __slots__ = ("source", "position")

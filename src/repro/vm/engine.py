@@ -1023,7 +1023,9 @@ class Engine:
             result = engine.run_checked(positions, golden_digests or {}, memo)
         except Exception as exc:
             resolution.kind = "error"
-            resolution.error = exc
+            # kept without its traceback, whose frames would hold the whole
+            # calling stack (and the analysis above it) in a reference cycle
+            resolution.error = exc.with_traceback(None)
         else:
             if engine.converged:
                 resolution.kind = "golden"
@@ -1195,7 +1197,7 @@ class Engine:
         def resolve_error(fid, exc):
             resolution = resolutions[fid]
             resolution.kind = "error"
-            resolution.error = exc
+            resolution.error = exc.with_traceback(None)
             drop_fault(fid)
 
         #: Faults whose last diverged register/cell died this op (the op's

@@ -194,6 +194,28 @@ class TestStatsCommand:
         assert lanes, out
         assert 0 <= int(lanes.group(1)) <= fused
 
+    def test_stats_reports_propagation_counters(self, store_path, capsys):
+        """The aDVF propagation chase's visits and window steps render from
+        a run's persisted metrics."""
+        from repro.campaigns.store import CampaignStore
+        from repro.obs.metrics import MetricsRegistry
+
+        main(["campaign", "run", "matmul", "--plan", "fixed:8",
+              *self._base(store_path)])
+        capsys.readouterr()
+        analysis = MetricsRegistry()
+        analysis.inc("advf.propagation_visits", 40, workload="matmul")
+        analysis.inc("advf.propagation_steps", 360, workload="matmul")
+        with CampaignStore(store_path) as store:
+            (record,) = store.campaigns()
+            store.save_run_metrics(record.campaign_id, 2, analysis.to_dict())
+        assert main(
+            ["stats", "matmul", "--plan", "fixed:8", "--store", store_path]
+        ) == 0
+        out = capsys.readouterr().out
+        assert ("propagation: 40 events visited / 360 window steps "
+                "(visit share 0.11)") in out
+
     def test_stats_promfile_export(self, store_path, tmp_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",
               *self._base(store_path)])
