@@ -1,22 +1,22 @@
-"""A-INJECT — speculative batched injection resolution vs sequential.
+"""A-INJECT — batched injection resolution vs a per-fault injection loop.
 
 Compares two runs of the full aDVF analysis (injection enabled) per
-workload, differing only in the speculation window:
+workload, on the same engine and config:
 
-* **sequential**: ``speculation_window=0`` — the oracle path; every
-  unresolved pattern takes a budget decision and (when in budget) a
-  single ``inject`` call, one snapshot restore + suffix execution at a
-  time;
-* **speculative**: ``speculation_window=N`` (default 32) — the plan-ahead
-  scheduler predicts the count-based budget decisions, submits whole
-  windows of predicted injections through
-  ``DeterministicFaultInjector.inject_many`` (the batched replay
-  scheduler), and validates every prediction in arrival order.
+* **batched**: the production path — ``AdvfEngine.analyze_object`` plans
+  every count-based budget decision of an object first and submits the
+  object's whole injection set as one
+  ``DeterministicFaultInjector.inject_many`` call (the batched replay
+  scheduler: one snapshot restore + one lockstep suffix walk per
+  interval);
+* **sequential**: the same engine with ``inject_many`` replaced, inside
+  this benchmark, by a loop of single ``inject`` calls — one snapshot
+  restore + suffix execution per fault.
 
 The timed quantity is the **injection-resolution phase only**
 (``AdvfEngine.pass_timings["injection"]``) — trace recording,
-participation discovery and the bulk operation passes are identical in
-both configurations and excluded.
+participation discovery, the bulk operation passes and the planning pass
+are identical in both configurations and excluded.
 
 Acceptance bar: reports **bit-identical** on every registry workload
 (compared via ``ObjectReport.to_dict()`` before any timing is trusted),
@@ -44,15 +44,12 @@ except ModuleNotFoundError:  # standalone script run from a source checkout
         0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     )
 
-from repro.core.advf import DEFAULT_SPECULATION_WINDOW, AdvfEngine, AnalysisConfig
+from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.obs.log import provenance
 from repro.workloads.registry import get_workload, workload_names
 
 #: Scale factor (1 = quick laptop/CI run); scales timing repeats.
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
-#: Speculation window under test.
-WINDOW = max(1, int(os.environ.get("REPRO_BENCH_INJECT_WINDOW",
-                                   str(DEFAULT_SPECULATION_WINDOW))))
 #: Timing repeats per configuration on the timed workloads (min is kept).
 REPEATS = max(1, int(os.environ.get("REPRO_BENCH_INJECT_REPEATS", "2"))) * SCALE
 #: ``injection_samples_per_class`` for the timed legs — deeper than the
@@ -66,70 +63,72 @@ OUTPUT = os.environ.get("REPRO_BENCH_INJECT_JSON", "BENCH_advf_inject.json")
 TIMED_WORKLOADS = os.environ.get("REPRO_BENCH_INJECT_WORKLOADS", "matmul,cg").split(",")
 
 
-def _analyze(workload_name, window, samples=2):
-    """One full aDVF analysis; returns (report, injection_s, spec_stats)."""
+def _analyze(workload_name, batched, samples=2):
+    """One full aDVF analysis; returns (report, injection_s, batch_stats).
+
+    ``batched=False`` swaps the engine's ``inject_many`` for a loop of
+    single ``inject`` calls, so each fault pays its own restore and suffix.
+    """
     workload = get_workload(workload_name)
     engine = AdvfEngine(
         workload,
-        AnalysisConfig(
-            use_injection=True,
-            speculation_window=window,
-            injection_samples_per_class=samples,
-        ),
+        AnalysisConfig(use_injection=True, injection_samples_per_class=samples),
     )
+    engine._prepare()
+    if not batched:
+        injector = engine._injector
+        injector.inject_many = lambda specs: [injector.inject(spec) for spec in specs]
     report = engine.analyze()
     return report, engine.pass_timings.get("injection", 0.0), dict(engine.speculation_stats)
 
 
-def _assert_bit_identical(name, sequential, speculative):
+def _assert_bit_identical(name, sequential, batched):
     for object_name, report in sequential.objects.items():
-        fast = speculative.objects[object_name]
+        fast = batched.objects[object_name]
         assert report.to_dict() == fast.to_dict(), (
-            f"speculation diverged on {name}.{object_name}"
+            f"batched injection diverged on {name}.{object_name}"
         )
 
 
 def check_bit_identity():
-    """Sequential vs speculative reports on every registry workload."""
+    """Per-fault vs batched reports on every registry workload."""
     checked = []
     for name in workload_names():
-        sequential, _, _ = _analyze(name, window=0)
-        speculative, _, stats = _analyze(name, window=WINDOW)
-        _assert_bit_identical(name, sequential, speculative)
+        sequential, _, _ = _analyze(name, batched=False)
+        batched, _, stats = _analyze(name, batched=True)
+        _assert_bit_identical(name, sequential, batched)
         checked.append({
             "workload": name,
             "objects": len(sequential.objects),
             "speculated": stats.get("speculated", 0),
-            "spec_discards": stats.get("spec_discards", 0),
             "spec_windows": stats.get("spec_windows", 0),
         })
     return checked
 
 
 def measure_workload(name):
-    """Min-of-repeats injection-phase wall clock, sequential vs speculative."""
+    """Min-of-repeats injection-phase wall clock, per-fault vs batched."""
     sequential_s = min(
-        _analyze(name, window=0, samples=SAMPLES)[1] for _ in range(REPEATS)
+        _analyze(name, batched=False, samples=SAMPLES)[1] for _ in range(REPEATS)
     )
-    speculative_s = float("inf")
+    batched_s = float("inf")
     stats = {}
     for _ in range(REPEATS):
-        _, elapsed, run_stats = _analyze(name, window=WINDOW, samples=SAMPLES)
-        if elapsed < speculative_s:
-            speculative_s, stats = elapsed, run_stats
+        _, elapsed, run_stats = _analyze(name, batched=True, samples=SAMPLES)
+        if elapsed < batched_s:
+            batched_s, stats = elapsed, run_stats
     return {
         "workload": name,
         "injection_samples_per_class": SAMPLES,
         "sequential_injection_s": sequential_s,
-        "speculative_injection_s": speculative_s,
-        "speedup": sequential_s / speculative_s if speculative_s else float("inf"),
+        "batched_injection_s": batched_s,
+        "speedup": sequential_s / batched_s if batched_s else float("inf"),
         "speculation_stats": stats,
     }
 
 
 def measure_all():
     results = {
-        "window": WINDOW,
         "identity_checked": check_bit_identity(),
         "timings": {name: measure_workload(name) for name in TIMED_WORKLOADS},
         "speedup_bar": SPEEDUP_BAR,
@@ -144,7 +143,7 @@ def measure_all():
 def _check(results):
     geomean = results["geomean_speedup"]
     assert geomean >= SPEEDUP_BAR, (
-        f"speculative injection-resolution geomean speedup {geomean:.2f}x over "
+        f"batched injection-resolution geomean speedup {geomean:.2f}x over "
         f"{', '.join(TIMED_WORKLOADS)} is below the {SPEEDUP_BAR}x acceptance bar"
     )
 
@@ -161,8 +160,8 @@ def test_bench_advf_inject(once, benchmark):
     )
     benchmark.extra_info["geomean_speedup"] = results["geomean_speedup"]
     print_header(
-        f"Speculative injection resolution vs sequential (window={WINDOW}, "
-        f"bar >= {SPEEDUP_BAR}x geomean on {', '.join(TIMED_WORKLOADS)})"
+        f"Batched injection resolution vs per-fault injection "
+        f"(bar >= {SPEEDUP_BAR}x geomean on {', '.join(TIMED_WORKLOADS)})"
     )
     print(json.dumps(results, indent=2))
     _check(results)

@@ -484,11 +484,10 @@ def _cmd_stats(args) -> int:
         print(f"{'walk':<11}: {walk_ops} ops / {fused_ops} in fused segments "
               f"(fused share {fused_share}; {lane_ops} carrying divergence; "
               f"stops {stop_text})")
-        speculated = _counter_total(merged, "advf.speculated")
-        discards = _counter_total(merged, "advf.speculation_discards")
-        disc_rate = f"{discards / speculated:.2f}" if speculated else "-"
-        print(f"{'speculation':<11}: {speculated} speculated / "
-              f"{discards} discarded (discard rate {disc_rate})")
+        planned = _counter_total(merged, "advf.speculated")
+        batches = _counter_total(merged, "advf.speculation_windows")
+        print(f"{'speculation':<11}: {planned} injections planned in "
+              f"{batches} batches")
         visits = _counter_total(merged, "advf.propagation_visits")
         steps = _counter_total(merged, "advf.propagation_steps")
         visit_share = f"{visits / steps:.2f}" if steps else "-"

@@ -21,14 +21,13 @@ on.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.acceptance import OutcomeClass
 from repro.core.equivalence import EquivalenceCache
-from repro.core.injector import DeterministicFaultInjector
+from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.core.masking import (
     MaskingCategory,
     MaskingLevel,
@@ -48,6 +47,7 @@ from repro.core.sites import FaultSite
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.cursor import TraceLike
+from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.workloads.base import Workload
@@ -61,6 +61,14 @@ class AnalysisConfig:
     The defaults match the paper's evaluation (single-bit errors, propagation
     bound *k* = 50, deterministic injection for unresolved cases) with
     laptop-scale budgets for the injection campaign.
+
+    The three budgets (``equivalence_samples``,
+    ``injection_samples_per_class`` and ``max_injections``) are
+    count-based: they depend on how many sites were analysed or injected
+    before, never on what those analyses concluded.  So
+    :meth:`AdvfEngine.analyze_object` fixes every budget decision of an
+    object in a planning pass and runs all of its injections as one batch;
+    no setting here changes how injections are batched.
     """
 
     #: Maximum number of operations tracked after the target operation (§III-D).
@@ -95,37 +103,6 @@ class AnalysisConfig:
     #: ``"legacy"`` keeps the original per-event scans over a full
     #: :class:`~repro.tracing.trace.Trace` (the parity oracle).
     pipeline: str = "columnar"
-    #: Speculation window for injection resolution: how many predicted
-    #: injection sites are collected before they are submitted as one
-    #: replay batch (0 disables speculation; ``None`` defers to the
-    #: ``REPRO_ADVF_SPECULATION`` environment variable, default
-    #: :data:`DEFAULT_SPECULATION_WINDOW`).  Results are bit-identical at
-    #: every setting — the window only changes batching.
-    speculation_window: Optional[int] = None
-
-
-#: Speculation window when neither :attr:`AnalysisConfig.speculation_window`
-#: nor ``REPRO_ADVF_SPECULATION`` says otherwise.
-DEFAULT_SPECULATION_WINDOW = 32
-
-#: ``REPRO_ADVF_SPECULATION`` values that disable speculation.
-_SPECULATION_OFF = frozenset({"0", "off", "none", "disabled"})
-
-
-def resolved_speculation_window(config: AnalysisConfig) -> int:
-    """The effective speculation window: config knob, then environment."""
-    if config.speculation_window is not None:
-        return max(0, int(config.speculation_window))
-    raw = os.environ.get("REPRO_ADVF_SPECULATION")
-    if raw is None:
-        return DEFAULT_SPECULATION_WINDOW
-    raw = raw.strip().lower()
-    if raw in _SPECULATION_OFF:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SPECULATION_WINDOW
 
 
 @dataclass
@@ -279,9 +256,10 @@ class AdvfEngine:
         #: bulk operation passes, injection resolution), accumulated across
         #: analysed objects.
         self.pass_timings: Dict[str, float] = {}
-        #: Speculative-batching telemetry (``speculated`` /
-        #: ``spec_discards`` / ``spec_windows`` / ``spec_mispredictions``),
-        #: accumulated across analysed objects.
+        #: Injection-batch telemetry, accumulated across analysed objects:
+        #: ``speculated`` counts the planned injections submitted and
+        #: ``spec_windows`` the ``inject_many`` batches (one per object that
+        #: injects).  The names match the campaign store's shard columns.
         self.speculation_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -353,17 +331,26 @@ class AdvfEngine:
     def analyze_object(self, object_name: str) -> ObjectReport:
         """Compute aDVF (and its breakdowns) for one data object.
 
-        The columnar pipeline runs the same decision procedure with two
-        accelerations that leave every number bit-identical:
+        Every budget decision of the equivalence sampling is count-based,
+        so the object resolves in three steps:
 
-        * participation discovery and the cheap operation-level categories
-          come from the vectorized passes (:mod:`repro.core.passes`);
-        * once every error pattern of an equivalence class has collected
-          its full sample budget, the class's per-pattern contributions are
-          frozen into a *tail* — subsequent occurrences replay the frozen
-          terms (the same floats the cache's ``estimate`` would return, in
-          the same accumulation order) without re-deriving keys, patterns
-          or cache entries.
+        1. **plan** — a pure pass over the participations, in order, fixes
+           which sites are analysed and which reuse their class estimate,
+           which classes are tail-saturated and which unresolved sites are
+           injected; it runs the masking verdict (and propagation where
+           needed) once per analysed site and collects the object's whole
+           injection set;
+        2. **execute** — one :meth:`DeterministicFaultInjector.inject_many`
+           call runs that set;
+        3. **accumulate** — the plan is replayed against the real
+           equivalence caches in participation order, so every float is
+           added in the same order a site-by-site walk would add it.
+
+        Once every error pattern of a class has its full sample budget, the
+        class's per-pattern contributions are frozen into a *tail* —
+        subsequent occurrences replay the frozen terms (the same floats the
+        cache's ``estimate`` would return, in the same accumulation order)
+        without re-deriving keys, patterns or cache entries.
         """
         self._prepare()
         config = self.config
@@ -381,96 +368,174 @@ class AdvfEngine:
                 "operation_passes", 0.0
             )
 
-        site_cache = EquivalenceCache(samples_per_class=config.equivalence_samples)
-        injection_cache = EquivalenceCache(
-            samples_per_class=config.injection_samples_per_class
+        state = _ObjectState(
+            injection_cache=EquivalenceCache(
+                samples_per_class=config.injection_samples_per_class
+            )
         )
-        state = _ObjectState(injection_cache=injection_cache)
+        steps, specs = self._plan(participations, state)
+        results = self._execute(specs)
+        return self._accumulate(object_name, participations, steps, results, state)
 
-        numerator = 0.0
-        by_level: Dict[MaskingLevel, float] = {}
-        by_category: Dict[MaskingCategory, float] = {}
-        fast = self._passes is not None
-        tails: Dict[Tuple, _ClassTail] = {}
+    # ------------------------------------------------------------------ #
+    # plan → execute → accumulate
+    # ------------------------------------------------------------------ #
+    def _plan(
+        self, participations: Sequence[Participation], state: "_ObjectState"
+    ) -> Tuple[List[Tuple], List[FaultSpec]]:
+        """Fix every count-based decision of one object, in order.
 
-        window = resolved_speculation_window(config)
-        if (
-            window > 0
-            and config.use_injection
-            and config.injection_mode == "replay"
-            and self._injector is not None
-            and self._injector.mode == "replay"
-        ):
-            resolver = _SpeculativeResolver(
-                self, site_cache, state, tails, window,
-                by_level=by_level, by_category=by_category,
-            )
-            for participation in participations:
-                resolver.scan(participation)
-            resolver.finish()
-            numerator = resolver.numerator
-            return self._object_report(
-                object_name, participations, numerator, by_level,
-                by_category, state, site_cache, tails,
-            )
-
+        Returns one step per participation with error patterns,
+        ``(class_key, participation, patterns, sites)``, and the object's
+        injection set.  ``sites`` is ``None`` for a tail-saturated class,
+        else one ``(site_key, decision)`` per pattern, where ``decision``
+        is ``None`` for a reused site and otherwise one of
+        ``("resolved", (masked, level, category))``,
+        ``("inject", spec_index, injection_key, verdict)`` or
+        ``("fallback", injection_key, verdict)``.  The caches stay
+        untouched; only ``state.propagation_checks`` is counted here.
+        """
+        config = self.config
+        if self._passes is not None:
+            verdict_of = self._passes.verdict
+        else:
+            verdict_of = self._masking.analyze
+        can_inject = self._injector is not None  # built iff use_injection
+        site_samples = config.equivalence_samples
+        injection_samples = config.injection_samples_per_class
+        site_counts: Dict[Tuple, int] = {}
+        injection_counts: Dict[Tuple, int] = {}
+        saturated: set = set()
+        steps: List[Tuple] = []
+        specs: List[FaultSpec] = []
         for participation in participations:
             patterns = config.error_model.patterns_for(participation.value_type)
             if not patterns:
                 continue
-            if fast:
-                class_key = (
-                    participation.static_uid,
-                    participation.role.value,
-                    participation.operand_index,
-                    participation.value_type.name,
+            uid = participation.static_uid
+            role = participation.role.value
+            operand = participation.operand_index
+            class_key = (uid, role, operand, participation.value_type.name)
+            if class_key in saturated:
+                steps.append((class_key, participation, patterns, None))
+                continue
+            keys = [(uid, role, operand, pattern.primary_bit) for pattern in patterns]
+            if all(site_counts.get(key, 0) >= site_samples for key in keys):
+                saturated.add(class_key)
+                steps.append((class_key, participation, patterns, None))
+                continue
+            sites = []
+            for pattern, key in zip(patterns, keys):
+                count = site_counts.get(key, 0)
+                if count >= site_samples:
+                    sites.append((key, None))
+                    continue
+                site_counts[key] = count + 1
+                verdict = verdict_of(participation, pattern)
+                resolved = self._resolve_analytically(
+                    participation, pattern, verdict, state
                 )
+                if resolved is not None:
+                    sites.append((key, ("resolved", resolved)))
+                    continue
+                injection_key = (
+                    uid, role, operand,
+                    classify_bit(pattern.primary_bit, participation.value_type),
+                )
+                taken = injection_counts.get(injection_key, 0)
+                if (
+                    can_inject
+                    and pattern.is_single_bit
+                    and len(specs) < config.max_injections
+                    and taken < injection_samples
+                ):
+                    injection_counts[injection_key] = taken + 1
+                    sites.append((key, ("inject", len(specs), injection_key, verdict)))
+                    specs.append(FaultSite(participation, pattern.primary_bit).to_spec())
+                else:
+                    sites.append((key, ("fallback", injection_key, verdict)))
+            steps.append((class_key, participation, patterns, sites))
+        return steps, specs
+
+    def _execute(self, specs: List[FaultSpec]) -> List[FaultInjectionResult]:
+        """Run an object's injection set as one batch (no call when empty)."""
+        if not specs:
+            return []
+        start = time.perf_counter()
+        results = self._injector.inject_many(specs)
+        self.pass_timings["injection"] = (
+            self.pass_timings.get("injection", 0.0)
+            + (time.perf_counter() - start)
+        )
+        counts = {"speculated": len(specs), "spec_windows": 1}
+        for key, value in counts.items():
+            self.speculation_stats[key] = self.speculation_stats.get(key, 0) + value
+        self._injector.record_speculation(counts)
+        reg = _metrics_registry()
+        if reg.enabled:
+            workload = self.workload.name
+            reg.inc("advf.speculated", len(specs), workload=workload)
+            reg.inc("advf.speculation_windows", 1, workload=workload)
+        return results
+
+    def _accumulate(
+        self,
+        object_name: str,
+        participations: Sequence[Participation],
+        steps: List[Tuple],
+        results: List[FaultInjectionResult],
+        state: "_ObjectState",
+    ) -> ObjectReport:
+        """Replay the plan against the real caches, in participation order."""
+        site_cache = EquivalenceCache(samples_per_class=self.config.equivalence_samples)
+        tails: Dict[Tuple, _ClassTail] = {}
+        numerator = 0.0
+        by_level: Dict[MaskingLevel, float] = {}
+        by_category: Dict[MaskingCategory, float] = {}
+        for class_key, participation, patterns, sites in steps:
+            if sites is None:
                 tail = tails.get(class_key)
                 if tail is None:
                     tail = _build_class_tail(site_cache, participation, patterns)
-                    if tail is not None:
-                        tails[class_key] = tail
-                if tail is not None:
-                    # Additions to different dict slots commute, so the
-                    # per-pattern weights are replayed grouped by level /
-                    # category (in pattern order within each group) — the
-                    # running sum of every slot sees the identical addition
-                    # sequence the per-pattern loop would produce.
-                    for level, weights in tail.level_weights:
-                        acc = by_level.get(level, 0.0)
-                        for weight in weights:
-                            acc += weight
-                        by_level[level] = acc
-                    for category, weights in tail.category_weights:
-                        acc = by_category.get(category, 0.0)
-                        for weight in weights:
-                            acc += weight
-                        by_category[category] = acc
-                    numerator += tail.masked_quotient
-                    tail.uses += 1
-                    continue
+                    if tail is None:
+                        raise RuntimeError(
+                            f"class {class_key!r} was planned as saturated "
+                            f"but still owes analyses"
+                        )
+                    tails[class_key] = tail
+                # Additions to different dict slots commute, so the
+                # per-pattern weights are replayed grouped by level /
+                # category (in pattern order within each group) — the
+                # running sum of every slot sees the identical addition
+                # sequence the per-pattern loop would produce.
+                for level, weights in tail.level_weights:
+                    acc = by_level.get(level, 0.0)
+                    for weight in weights:
+                        acc += weight
+                    by_level[level] = acc
+                for category, weights in tail.category_weights:
+                    acc = by_category.get(category, 0.0)
+                    for weight in weights:
+                        acc += weight
+                    by_category[category] = acc
+                numerator += tail.masked_quotient
+                tail.uses += 1
+                continue
+            n = len(patterns)
             masked_total = 0.0
-            for pattern in patterns:
-                key = (
-                    participation.static_uid,
-                    participation.role.value,
-                    participation.operand_index,
-                    pattern.primary_bit,
-                )
-                if site_cache.should_analyze(key):
-                    masked, level, category = self._analyze_site(
-                        participation, pattern, state
-                    )
-                    site_cache.record(key, masked, level, category)
-                else:
+            for key, decision in sites:
+                if decision is None:
                     masked, level, category = site_cache.estimate(key)
+                else:
+                    masked, level, category = self._settle(decision, results, state)
+                    site_cache.record(key, masked, level, category)
                 masked_total += masked
-                weight = masked / len(patterns)
+                weight = masked / n
                 if weight > 0.0 and level is not None:
                     by_level[level] = by_level.get(level, 0.0) + weight
                 if weight > 0.0 and category is not None:
                     by_category[category] = by_category.get(category, 0.0) + weight
-            numerator += masked_total / len(patterns)
+            numerator += masked_total / n
 
         return self._object_report(
             object_name, participations, numerator, by_level, by_category,
@@ -488,8 +553,7 @@ class AdvfEngine:
         site_cache: EquivalenceCache,
         tails: Dict[Tuple, "_ClassTail"],
     ) -> ObjectReport:
-        """Settle deferred accounting and assemble the per-object report
-        (shared by the sequential and speculative resolution paths)."""
+        """Settle deferred accounting and assemble the per-object report."""
         self._flush_propagation_counters()
         # The tail fast path defers the equivalence cache's reuse
         # accounting; settle it so coverage statistics stay exact.
@@ -535,16 +599,16 @@ class AdvfEngine:
     # ------------------------------------------------------------------ #
     # per-site decision procedure (Fig. 3)
     # ------------------------------------------------------------------ #
-    def _analyze_site(
+    def _resolve_analytically(
         self,
         participation: Participation,
         pattern: ErrorPattern,
+        verdict: MaskingVerdict,
         state: "_ObjectState",
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        if self._passes is not None:
-            verdict = self._passes.verdict(participation, pattern)
-        else:
-            verdict = self._masking.analyze(participation, pattern)
+    ) -> Optional[Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]]:
+        """Operation- then propagation-level resolution of an analysed site:
+        ``(masked, level, category)``, or ``None`` when only injection (or
+        its fallback) can settle it."""
         if verdict.masked is True:
             return 1.0, verdict.level, verdict.category
         if verdict.masked is False and not (
@@ -565,55 +629,37 @@ class AdvfEngine:
                 )
                 category = propagation.category or MaskingCategory.OVERWRITE
                 return 1.0, level, category
-            # unresolved / survived: fall through to injection
+        # unresolved / survived: injection decides
+        return None
 
-        return self._resolve_by_injection(participation, pattern, verdict, state)
-
-    def _resolve_by_injection(
+    def _settle(
         self,
-        participation: Participation,
-        pattern: ErrorPattern,
-        verdict: MaskingVerdict,
+        decision: Tuple,
+        results: List[FaultInjectionResult],
         state: "_ObjectState",
     ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        config = self.config
-        can_inject = (
-            config.use_injection
-            and self._injector is not None
-            and pattern.is_single_bit
-        )
-        injection_key = (
-            participation.static_uid,
-            participation.role.value,
-            participation.operand_index,
-            classify_bit(pattern.primary_bit, participation.value_type),
-        )
-
-        if can_inject and state.injections < config.max_injections and (
-            state.injection_cache.should_analyze(injection_key)
-        ):
-            site = FaultSite(participation, pattern.primary_bit)
-            start = time.perf_counter()
-            result = self._injector.inject(site.to_spec())
-            self.pass_timings["injection"] = (
-                self.pass_timings.get("injection", 0.0)
-                + (time.perf_counter() - start)
-            )
+        """The masked fraction, level and category of an analysed site."""
+        tag = decision[0]
+        if tag == "resolved":
+            return decision[1]
+        injection_cache = state.injection_cache
+        if tag == "inject":
+            _, index, injection_key, verdict = decision
+            outcome = results[index].outcome
             state.injections += 1
-            state.injection_outcomes[result.outcome] = (
-                state.injection_outcomes.get(result.outcome, 0) + 1
+            state.injection_outcomes[outcome] = (
+                state.injection_outcomes.get(outcome, 0) + 1
             )
-            masked, level, category = self._classify_injection(result.outcome, verdict)
-            state.injection_cache.record(injection_key, masked, level, category)
+            masked, level, category = self._classify_injection(outcome, verdict)
+            injection_cache.record(injection_key, masked, level, category)
             return masked, level, category
 
-        if injection_key in state.injection_cache.entries and (
-            state.injection_cache.entries[injection_key].sample_count > 0
-        ):
-            return state.injection_cache.estimate(injection_key)
-
+        _, injection_key, verdict = decision
+        entry = injection_cache.entries.get(injection_key)
+        if entry is not None and entry.sample_count > 0:
+            return injection_cache.estimate(injection_key)
         # Out of budget (or injection disabled): analytic fallback.
-        if verdict.overshadow_candidate and config.analytic_overshadow_fallback:
+        if verdict.overshadow_candidate and self.config.analytic_overshadow_fallback:
             return 1.0, MaskingLevel.OPERATION, MaskingCategory.OVERSHADOW
         state.unresolved += 1
         return 0.0, None, None
@@ -644,438 +690,6 @@ class _ObjectState:
     propagation_checks: int = 0
     unresolved: int = 0
     injection_outcomes: Dict[OutcomeClass, int] = field(default_factory=dict)
-
-
-#: Per-pattern plan for a site predicted to be answered by the site cache.
-_CACHED = ("cached",)
-
-
-class _SpeculativeResolver:
-    """Plan-ahead scheduler for injection-resolved sites.
-
-    The equivalence caches' budget decisions — ``should_analyze`` and the
-    per-object ``max_injections`` cap — are *count*-based: they depend on
-    which sites were analysed before this one, never on what the analyses
-    concluded.  So the scan phase can walk participations in order,
-    replaying those decisions against shadow counters, and collect every
-    predicted injection into a pending window.  When the window fills, the
-    whole batch goes through :meth:`DeterministicFaultInjector.inject_many`
-    (one snapshot restore + one lockstep suffix walk per interval) and the
-    buffered per-site plans are *applied* in exact scan order against the
-    real caches: every budget decision is re-made with the actual state,
-    and a speculated result is consumed only when the actual decision
-    agrees with the prediction.  Disagreement (impossible organically —
-    only external cache mutation or a monkeypatched predictor causes it)
-    discards that speculated result and resolves the site sequentially, so
-    the accumulated numbers are bit-identical to the sequential oracle no
-    matter what the predictor said.
-
-    Pure computations (masking verdicts, propagation analysis) run once,
-    during the scan, and ride along in the plan; the apply phase only
-    touches caches and accumulators, in the sequential path's exact float
-    accumulation order.
-    """
-
-    #: Hard bound on buffered participation plans per window, so a long
-    #: injection drought cannot hold an unbounded op log in memory.
-    MAX_OPS = 8192
-
-    def __init__(
-        self,
-        engine: AdvfEngine,
-        site_cache: EquivalenceCache,
-        state: _ObjectState,
-        tails: Dict[Tuple, "_ClassTail"],
-        window: int,
-        by_level: Dict[MaskingLevel, float],
-        by_category: Dict[MaskingCategory, float],
-    ) -> None:
-        self.engine = engine
-        self.site_cache = site_cache
-        self.state = state
-        self.tails = tails
-        self.window = window
-        self.by_level = by_level
-        self.by_category = by_category
-        self.numerator = 0.0
-        # shadow counters the scan predicts budget decisions against
-        self._pred_site: Dict[Tuple, int] = {}
-        self._pred_inj: Dict[Tuple, int] = {}
-        self._pred_injections = 0
-        self._pred_saturated: set = set()
-        # buffered work: per-participation plans + the pending spec window
-        self._ops: List[Tuple] = []
-        self._pending: List = []
-        # telemetry
-        self._speculated = 0
-        self._discards = 0
-        self._windows = 0
-        self._mispredictions = 0
-
-    # ------------------------------------------------------------------ #
-    # scan phase: predict decisions, buffer plans, collect specs
-    # ------------------------------------------------------------------ #
-    def scan(self, participation: Participation) -> None:
-        engine = self.engine
-        patterns = engine.config.error_model.patterns_for(participation.value_type)
-        if not patterns:
-            return
-        class_key = None
-        if engine._passes is not None:
-            class_key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                participation.value_type.name,
-            )
-            if self._predict_tail(class_key, participation, patterns):
-                self._ops.append((participation, patterns, class_key, None))
-                self._maybe_flush()
-                return
-        plans: List[Tuple] = []
-        samples = self.site_cache.samples_per_class
-        pred_site = self._pred_site
-        for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            count = pred_site.get(key, 0)
-            if count >= samples:
-                plans.append(_CACHED)
-                continue
-            pred_site[key] = count + 1
-            plans.append(self._plan_site(participation, pattern))
-        self._ops.append((participation, patterns, class_key, plans))
-        self._maybe_flush()
-
-    def _predict_tail(self, class_key, participation, patterns) -> bool:
-        """Whether the participation's class is predicted tail-saturated."""
-        if class_key in self._pred_saturated:
-            return True
-        samples = self.site_cache.samples_per_class
-        pred_site = self._pred_site
-        for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if pred_site.get(key, 0) < samples:
-                return False
-        self._pred_saturated.add(class_key)
-        return True
-
-    def _plan_site(self, participation: Participation, pattern: ErrorPattern) -> Tuple:
-        """Scan-time mirror of :meth:`AdvfEngine._analyze_site`: run the
-        pure analyses now, predict the injection decision, defer all cache
-        and accumulator effects to the apply phase."""
-        engine = self.engine
-        if engine._passes is not None:
-            verdict = engine._passes.verdict(participation, pattern)
-        else:
-            verdict = engine._masking.analyze(participation, pattern)
-        if verdict.masked is True:
-            return ("resolved", 1.0, verdict.level, verdict.category, 0)
-        if verdict.masked is False and not (
-            verdict.needs_propagation or verdict.needs_injection
-        ):
-            return ("resolved", 0.0, None, None, 0)
-        prop = 0
-        if verdict.needs_propagation:
-            prop = 1
-            propagation = engine._propagation.analyze(
-                participation, pattern, verdict.corrupted_result
-            )
-            if propagation.masked is True:
-                level = (
-                    MaskingLevel.OPERATION
-                    if propagation.steps_analyzed == 0
-                    else MaskingLevel.PROPAGATION
-                )
-                category = propagation.category or MaskingCategory.OVERWRITE
-                return ("resolved", 1.0, level, category, prop)
-        config = engine.config
-        can_inject = (
-            config.use_injection
-            and engine._injector is not None
-            and pattern.is_single_bit
-        )
-        injection_key = (
-            participation.static_uid,
-            participation.role.value,
-            participation.operand_index,
-            classify_bit(pattern.primary_bit, participation.value_type),
-        )
-        if can_inject and self._predict_inject(injection_key):
-            self._pred_injections += 1
-            self._pred_inj[injection_key] = (
-                self._pred_inj.get(injection_key, 0) + 1
-            )
-            index = len(self._pending)
-            self._pending.append(
-                FaultSite(participation, pattern.primary_bit).to_spec()
-            )
-            return ("inject", index, injection_key, verdict, prop)
-        return ("fallback", injection_key, verdict, prop)
-
-    def _predict_inject(self, injection_key) -> bool:
-        """Predicted budget decision for one candidate injection.
-
-        A separate method so tests can force mispredictions by patching it;
-        organically its answers always match the apply-time re-check."""
-        if self._pred_injections >= self.engine.config.max_injections:
-            return False
-        return (
-            self._pred_inj.get(injection_key, 0)
-            < self.state.injection_cache.samples_per_class
-        )
-
-    # ------------------------------------------------------------------ #
-    # apply phase: validate predictions against the real caches, in order
-    # ------------------------------------------------------------------ #
-    def _maybe_flush(self) -> None:
-        if not self._pending:
-            # nothing speculated yet: apply immediately so injection-free
-            # stretches carry no buffering overhead or memory growth
-            self._flush()
-        elif len(self._pending) >= self.window or len(self._ops) >= self.MAX_OPS:
-            self._flush()
-
-    def finish(self) -> Dict[str, int]:
-        """Flush the final window and publish telemetry."""
-        self._flush()
-        engine = self.engine
-        counts = {
-            "speculated": self._speculated,
-            "spec_discards": self._discards,
-            "spec_windows": self._windows,
-            "spec_mispredictions": self._mispredictions,
-        }
-        for key, value in counts.items():
-            if value:
-                engine.speculation_stats[key] = (
-                    engine.speculation_stats.get(key, 0) + value
-                )
-        reg = _metrics_registry()
-        if reg.enabled:
-            workload = engine.workload.name
-            if self._speculated:
-                reg.inc("advf.speculated", self._speculated, workload=workload)
-            if self._discards:
-                reg.inc(
-                    "advf.speculation_discards", self._discards,
-                    workload=workload,
-                )
-            if self._windows:
-                reg.inc(
-                    "advf.speculation_windows", self._windows,
-                    workload=workload,
-                )
-        if engine._injector is not None:
-            engine._injector.record_speculation({
-                "speculated": self._speculated,
-                "spec_discards": self._discards,
-                "spec_windows": self._windows,
-            })
-        return counts
-
-    def _flush(self) -> None:
-        ops, self._ops = self._ops, []
-        pending, self._pending = self._pending, []
-        results: List = []
-        if pending:
-            engine = self.engine
-            self._windows += 1
-            self._speculated += len(pending)
-            start = time.perf_counter()
-            results = engine._injector.inject_many(pending)
-            engine.pass_timings["injection"] = (
-                engine.pass_timings.get("injection", 0.0)
-                + (time.perf_counter() - start)
-            )
-        for op in ops:
-            self._apply(op, results)
-        if pending:
-            self._resync()
-
-    def _resync(self) -> None:
-        """Re-anchor the shadow counters on the actual caches.
-
-        After a clean window this is a no-op by construction; after a
-        forced misprediction it stops the divergence from compounding."""
-        self._pred_injections = self.state.injections
-        self._pred_inj = {
-            key: entry.sample_count
-            for key, entry in self.state.injection_cache.entries.items()
-        }
-        self._pred_site = {
-            key: entry.sample_count
-            for key, entry in self.site_cache.entries.items()
-        }
-        self._pred_saturated.clear()
-
-    def _apply(self, op: Tuple, results: List) -> None:
-        participation, patterns, class_key, plans = op
-        site_cache = self.site_cache
-        if class_key is not None:
-            # real tail check, exactly where the sequential loop does it
-            tails = self.tails
-            tail = tails.get(class_key)
-            if tail is None:
-                tail = _build_class_tail(site_cache, participation, patterns)
-                if tail is not None:
-                    tails[class_key] = tail
-            if tail is not None:
-                by_level = self.by_level
-                for level, weights in tail.level_weights:
-                    acc = by_level.get(level, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_level[level] = acc
-                by_category = self.by_category
-                for category, weights in tail.category_weights:
-                    acc = by_category.get(category, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_category[category] = acc
-                self.numerator += tail.masked_quotient
-                tail.uses += 1
-                if plans:
-                    # the class saturated earlier than predicted: any specs
-                    # this participation speculated are never consumed
-                    for plan in plans:
-                        if plan[0] == "inject":
-                            self._mispredictions += 1
-                            self._discards += 1
-                return
-        if plans is None:
-            # predicted tail-saturated but the real cache still owes
-            # analyses: resolve the whole participation sequentially
-            self._mispredictions += 1
-            self._sequential_participation(participation, patterns)
-            return
-        engine = self.engine
-        state = self.state
-        n = len(patterns)
-        masked_total = 0.0
-        by_level = self.by_level
-        by_category = self.by_category
-        for pattern, plan in zip(patterns, plans):
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if site_cache.should_analyze(key):
-                tag = plan[0]
-                if tag == "resolved":
-                    _, masked, level, category, prop = plan
-                    state.propagation_checks += prop
-                elif tag == "inject":
-                    masked, level, category = self._apply_inject(
-                        participation, pattern, plan, results
-                    )
-                elif tag == "fallback":
-                    _, injection_key, verdict, prop = plan
-                    state.propagation_checks += prop
-                    before = state.injections
-                    masked, level, category = engine._resolve_by_injection(
-                        participation, pattern, verdict, state
-                    )
-                    if state.injections != before:
-                        # predicted out-of-budget, actually injectable:
-                        # resolved by a sequential injection just now
-                        self._mispredictions += 1
-                else:  # predicted cached, but the cache still owes analyses
-                    self._mispredictions += 1
-                    masked, level, category = engine._analyze_site(
-                        participation, pattern, state
-                    )
-                site_cache.record(key, masked, level, category)
-            else:
-                if plan is not _CACHED:
-                    self._mispredictions += 1
-                    if plan[0] == "inject":
-                        self._discards += 1
-                masked, level, category = site_cache.estimate(key)
-            masked_total += masked
-            weight = masked / n
-            if weight > 0.0 and level is not None:
-                by_level[level] = by_level.get(level, 0.0) + weight
-            if weight > 0.0 and category is not None:
-                by_category[category] = by_category.get(category, 0.0) + weight
-        self.numerator += masked_total / n
-
-    def _apply_inject(
-        self, participation: Participation, pattern: ErrorPattern,
-        plan: Tuple, results: List,
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        """Consume one speculated injection if the actual budget decision
-        still agrees; otherwise discard it and resolve sequentially."""
-        _, index, injection_key, verdict, prop = plan
-        engine = self.engine
-        state = self.state
-        config = engine.config
-        state.propagation_checks += prop
-        can_inject = (
-            config.use_injection
-            and engine._injector is not None
-            and pattern.is_single_bit
-        )
-        if can_inject and state.injections < config.max_injections and (
-            state.injection_cache.should_analyze(injection_key)
-        ):
-            result = results[index]
-            state.injections += 1
-            state.injection_outcomes[result.outcome] = (
-                state.injection_outcomes.get(result.outcome, 0) + 1
-            )
-            masked, level, category = engine._classify_injection(
-                result.outcome, verdict
-            )
-            state.injection_cache.record(injection_key, masked, level, category)
-            return masked, level, category
-        self._mispredictions += 1
-        self._discards += 1
-        return engine._resolve_by_injection(participation, pattern, verdict, state)
-
-    def _sequential_participation(
-        self, participation: Participation, patterns: Sequence[ErrorPattern]
-    ) -> None:
-        """The sequential per-pattern loop, for mispredicted participations."""
-        engine = self.engine
-        site_cache = self.site_cache
-        state = self.state
-        n = len(patterns)
-        masked_total = 0.0
-        by_level = self.by_level
-        by_category = self.by_category
-        for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if site_cache.should_analyze(key):
-                masked, level, category = engine._analyze_site(
-                    participation, pattern, state
-                )
-                site_cache.record(key, masked, level, category)
-            else:
-                masked, level, category = site_cache.estimate(key)
-            masked_total += masked
-            weight = masked / n
-            if weight > 0.0 and level is not None:
-                by_level[level] = by_level.get(level, 0.0) + weight
-            if weight > 0.0 and category is not None:
-                by_category[category] = by_category.get(category, 0.0) + weight
-        self.numerator += masked_total / n
 
 
 @dataclass
