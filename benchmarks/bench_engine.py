@@ -1,6 +1,7 @@
 """E-ENG — engine microbenchmark: pre-decode + checkpointed replay speedup.
 
-Two measurements against the seed tree-walking interpreter:
+Two measurements against the seed tree-walking interpreter (kept as a test
+oracle in ``tests/oracles``):
 
 * **decode**: one full traced-free execution of a workload through the
   interpreter vs the pre-decoded engine (pure dispatch speedup);
@@ -25,16 +26,19 @@ import os
 import sys
 import time
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 try:
     import repro  # noqa: F401  (installed package or PYTHONPATH=src)
 except ModuleNotFoundError:  # standalone script run from a source checkout
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    )
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
+# the interpreter and from-scratch injection live with the test oracles
+sys.path.insert(0, os.path.join(_ROOT, "tests"))
 
+from oracles.interpreter import Interpreter
+from oracles.rerun import run_interpreted
 from repro.core.replay import ReplayContext
 from repro.core.sites import enumerate_fault_sites
-from repro.vm import Engine, Interpreter
+from repro.vm import Engine
 from repro.vm.errors import VMError
 from repro.workloads.registry import get_workload
 
@@ -58,7 +62,7 @@ def _campaign_specs(workload, faults):
 def _run_seed_style(workload, spec):
     """The seed path: fresh instance, full interpreted re-execution."""
     try:
-        workload.fresh_instance().run(fault=spec, executor="interpreter")
+        run_interpreted(workload, fault=spec)
     except VMError:
         pass
 

@@ -2,11 +2,11 @@
 
 End-to-end injection-campaign comparison on the same spec lists:
 
-* **sequential**: the per-fault oracle path — one snapshot restore and one
+* **sequential**: the per-fault path — one snapshot restore and one
   private suffix execution per fault (``ReplayContext.replay`` in a loop,
   exactly what campaign workers did before the batched scheduler);
 * **batched**: the same specs submitted through
-  ``BatchedReplayContext.replay_many`` — grouped by snapshot interval, one
+  ``ReplayContext.replay_many`` — grouped by snapshot interval, one
   restore + one shared lockstep suffix walk per batch, copy-on-write forks
   for divergent windows, convergence memoization across repeats.
 
@@ -38,7 +38,7 @@ except ModuleNotFoundError:  # standalone script run from a source checkout
 
 import numpy as np
 
-from repro.core.replay import BatchedReplayContext, ReplayContext
+from repro.core.replay import ReplayContext
 from repro.obs.log import provenance
 from repro.core.sites import enumerate_fault_sites
 from repro.workloads.registry import get_workload
@@ -109,7 +109,7 @@ def measure_workload(name, kwargs, faults=FAULTS):
     sequential = _run_sequential(sequential_context, specs)
     sequential_s = time.perf_counter() - start
 
-    batched_context = BatchedReplayContext(workload)
+    batched_context = ReplayContext(workload)
     start = time.perf_counter()
     batched = batched_context.replay_many(specs)
     batched_s = time.perf_counter() - start

@@ -39,7 +39,6 @@ from repro.core.masking import (
 )
 from repro.core.propagation import PropagationAnalyzer, PropagationResult
 from repro.core.replay import (
-    BatchedReplayContext,
     BatchReplayResult,
     ReplayBatch,
     ReplayBatchStats,
@@ -78,7 +77,6 @@ __all__ = [
     "PropagationAnalyzer",
     "PropagationResult",
     "ReplayContext",
-    "BatchedReplayContext",
     "BatchReplayResult",
     "ReplayBatch",
     "ReplayBatchStats",

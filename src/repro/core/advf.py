@@ -42,7 +42,7 @@ from repro.core.participation import (
 from repro.core.patterns import ErrorModel, ErrorPattern, SingleBitModel, classify_bit
 from repro.core.passes import OperationPasses
 from repro.core.propagation import PropagationAnalyzer
-from repro.core.replay import BatchedReplayContext
+from repro.core.replay import ReplayContext
 from repro.core.sites import FaultSite
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
@@ -93,16 +93,6 @@ class AnalysisConfig:
     #: When injection is disabled or out of budget, credit analytic
     #: overshadowing candidates as masked (otherwise they count as unmasked).
     analytic_overshadow_fallback: bool = True
-    #: Execution strategy for deterministic injection: ``"replay"`` resolves
-    #: each fault by checkpointed replay from the nearest snapshot (fast,
-    #: bit-identical); ``"rerun"`` re-executes from scratch (the seed path).
-    injection_mode: str = "replay"
-    #: Analysis pipeline: ``"columnar"`` records the golden run into a
-    #: :class:`~repro.tracing.columnar.ColumnarTrace` and runs the
-    #: vectorized participation/masking passes (bit-identical results);
-    #: ``"legacy"`` keeps the original per-event scans over a full
-    #: :class:`~repro.tracing.trace.Trace` (the parity oracle).
-    pipeline: str = "columnar"
 
 
 @dataclass
@@ -230,8 +220,12 @@ class AdvfEngine:
 
     ``trace`` may inject a pre-built golden trace (e.g. a
     :class:`~repro.tracing.columnar.ColumnarTrace` loaded from the trace
-    cache by a campaign worker); otherwise the engine records one itself,
-    per :attr:`AnalysisConfig.pipeline`.
+    cache by a campaign worker); otherwise the engine records a columnar one
+    itself.  A :class:`~repro.tracing.columnar.ColumnarTrace` runs the
+    vectorized participation/masking passes
+    (:class:`~repro.core.passes.OperationPasses`); any other ``TraceLike``,
+    such as a full :class:`~repro.tracing.trace.Trace`, takes the per-event
+    path, with bit-identical results.
     """
 
     def __init__(
@@ -242,11 +236,6 @@ class AdvfEngine:
     ) -> None:
         self.workload = workload
         self.config = config or AnalysisConfig()
-        if self.config.pipeline not in ("columnar", "legacy"):
-            raise ValueError(
-                f"unknown analysis pipeline {self.config.pipeline!r}; "
-                f"expected 'columnar' or 'legacy'"
-            )
         self._trace: Optional[TraceLike] = trace
         self._masking: Optional[OperationMaskingAnalyzer] = None
         self._propagation: Optional[PropagationAnalyzer] = None
@@ -269,26 +258,21 @@ class AdvfEngine:
     def trace(self) -> TraceLike:
         """The golden traced execution (computed on first use).
 
-        In the columnar pipeline with replay injection enabled, the golden
-        trace is recorded *during* the injector's snapshot run, so the
-        workload executes once instead of twice.
+        With injection enabled, the golden trace is recorded *during* the
+        injector's snapshot run, so the workload executes once instead of
+        twice.
         """
         if self._trace is None:
-            if self.config.pipeline == "columnar":
-                if self.config.use_injection and (
-                    self.config.injection_mode == "replay"
-                ):
-                    sink = ColumnarTrace()
-                    context = BatchedReplayContext(self.workload, sink=sink)
-                    self._injector = DeterministicFaultInjector(
-                        self.workload, mode="replay", context=context
-                    )
-                    self._trace = sink
-                else:
-                    self._trace = self.workload.traced_run(columnar=True).trace
-                self._trace.columns()  # seal the column views eagerly
+            if self.config.use_injection:
+                sink = ColumnarTrace()
+                context = ReplayContext(self.workload, sink=sink)
+                self._injector = DeterministicFaultInjector(
+                    self.workload, context=context
+                )
+                self._trace = sink
             else:
-                self._trace = self.workload.traced_run().trace
+                self._trace = self.workload.traced_run(columnar=True).trace
+            self._trace.columns()  # seal the column views eagerly
         return self._trace
 
     def _prepare(self) -> None:
@@ -297,11 +281,7 @@ class AdvfEngine:
             self._masking = OperationMaskingAnalyzer(
                 trace, overshadow_threshold=self.config.overshadow_threshold
             )
-        if (
-            self._passes is None
-            and self.config.pipeline == "columnar"
-            and isinstance(trace, ColumnarTrace)
-        ):
+        if self._passes is None and isinstance(trace, ColumnarTrace):
             self._passes = OperationPasses(trace, self._masking)
         if self._propagation is None:
             self._propagation = PropagationAnalyzer(
@@ -310,9 +290,7 @@ class AdvfEngine:
                 output_objects=set(self.workload.output_objects),
             )
         if self._injector is None and self.config.use_injection:
-            self._injector = DeterministicFaultInjector(
-                self.workload, mode=self.config.injection_mode
-            )
+            self._injector = DeterministicFaultInjector(self.workload)
 
     # ------------------------------------------------------------------ #
     # public API

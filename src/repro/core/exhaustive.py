@@ -69,8 +69,7 @@ class ExhaustiveCampaign:
     Injections use checkpointed replay by default: the campaign's injector
     prepares the golden run and the snapshot schedule once, and every fault
     of every object replays only the suffix after its site (pass an explicit
-    ``injector`` to share that preparation across campaigns, or
-    ``injection_mode="rerun"`` for the from-scratch oracle).
+    ``injector`` to share that preparation across campaigns).
     """
 
     def __init__(
@@ -80,15 +79,12 @@ class ExhaustiveCampaign:
         max_participations: Optional[int] = None,
         max_injections: Optional[int] = None,
         injector: Optional[DeterministicFaultInjector] = None,
-        injection_mode: str = "replay",
     ) -> None:
         self.workload = workload
         self.bit_stride = bit_stride
         self.max_participations = max_participations
         self.max_injections = max_injections
-        self.injector = injector or DeterministicFaultInjector(
-            workload, mode=injection_mode
-        )
+        self.injector = injector or DeterministicFaultInjector(workload)
 
     def sites_for(self, trace: Trace, object_name: str) -> List[FaultSite]:
         return enumerate_fault_sites(

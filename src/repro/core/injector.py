@@ -7,20 +7,15 @@ workload's acceptance criterion.  MOARD uses it for the analyses the trace
 analysis tool cannot resolve statically: algorithm-level masking, corrupted
 control flow / addressing, and value-overshadowing confirmation.
 
-Two execution strategies are available:
-
-``mode="replay"`` (default)
-    Checkpointed replay via :class:`~repro.core.replay.ReplayContext`: the
-    golden run and a snapshot schedule are computed once, each injection
-    restores the snapshot nearest the fault site and runs only the suffix,
-    and executions that converge back onto the golden state stop early.
-    Outcomes are bit-identical to full re-runs (asserted by the test suite).
-
-``mode="rerun"``
-    The seed behaviour — a fresh instance executed from scratch per fault
-    by the tree-walking interpreter.  Kept as the ground-truth oracle for
-    equivalence tests and benchmarks; it deliberately avoids the decoded
-    engine so an engine bug cannot hide in a replay-vs-rerun comparison.
+Every injection replays from a :class:`~repro.core.replay.ReplayContext`:
+the golden run and a snapshot schedule are computed once, each fault
+restores the snapshot nearest its site and runs only the suffix, and
+executions that converge back onto the golden state stop early.
+:meth:`DeterministicFaultInjector.inject` replays one fault;
+:meth:`DeterministicFaultInjector.inject_many` submits a whole set to the
+context's batch scheduler in one call.  Outcomes are bit-identical to full
+re-runs (the test suite asserts them against a from-scratch, interpreted
+oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.acceptance import OutcomeClass, ScalarResultCheck, classify_outcome
-from repro.core.replay import BatchedReplayContext, ReplayContext
+from repro.core.replay import ReplayContext
 from repro.vm.errors import StepLimitExceeded, VMError
 from repro.vm.faults import FaultSpec
 
@@ -76,25 +71,19 @@ class DeterministicFaultInjector:
         self,
         workload: Workload,
         check_return_value: Optional[bool] = None,
-        mode: str = "replay",
         checkpoint_interval: Optional[int] = None,
         target_checkpoints: int = 64,
         context: Optional[ReplayContext] = None,
         memo_key: Optional[str] = None,
     ) -> None:
-        if mode not in ("replay", "rerun"):
-            raise ValueError(f"unknown injection mode {mode!r}")
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
-        if context is not None and mode != "replay":
-            raise ValueError("a prebuilt ReplayContext requires mode='replay'")
         self.workload = workload
         if check_return_value is None:
             check_return_value = getattr(workload, "check_return_value", True)
         self.check_return_value = check_return_value
-        self.mode = mode
         self.checkpoint_interval = checkpoint_interval
         self.target_checkpoints = target_checkpoints
         self._golden: Optional[RunOutcome] = None
@@ -116,15 +105,9 @@ class DeterministicFaultInjector:
     # ------------------------------------------------------------------ #
     @property
     def context(self) -> ReplayContext:
-        """The shared golden run + snapshot schedule (built on first use).
-
-        Lazily-built contexts are :class:`BatchedReplayContext`, so
-        :meth:`inject_many` can route through the batch scheduler;
-        caller-supplied plain :class:`ReplayContext` instances stay on the
-        per-fault sequential path.
-        """
+        """The shared golden run + snapshot schedule (built on first use)."""
         if self._context is None:
-            self._context = BatchedReplayContext(
+            self._context = ReplayContext(
                 self.workload,
                 checkpoint_interval=self.checkpoint_interval,
                 target_checkpoints=self.target_checkpoints,
@@ -135,20 +118,14 @@ class DeterministicFaultInjector:
     def _warm_start(self) -> None:
         """Merge the persisted memo artifact into the context's memo, once.
 
-        A no-op without a ``memo_key``, a batch-capable context, or a
-        configured :class:`~repro.tracing.cache.MemoCache`; a missing or
-        mismatched artifact just leaves the memo cold.
+        A no-op without a ``memo_key`` or a configured
+        :class:`~repro.tracing.cache.MemoCache`; a missing or mismatched
+        artifact just leaves the memo cold.
         """
         if self._warmed:
             return
         self._warmed = True
         if self.memo_key is None:
-            return
-        context = self._context
-        if not isinstance(context, BatchedReplayContext):
-            return
-        memo = context.memo
-        if memo is None:
             return
         from repro.tracing.cache import MemoCache
         from repro.vm.engine import default_backend
@@ -157,64 +134,45 @@ class DeterministicFaultInjector:
         if cache is None:
             return
         self._memo_backend = default_backend()
-        memo.merge_payload(cache.load(self.memo_key, self._memo_backend))
+        self._context.memo.merge_payload(
+            cache.load(self.memo_key, self._memo_backend)
+        )
 
     @property
     def golden(self) -> RunOutcome:
-        """The cached fault-free reference run.
-
-        Each mode classifies against a golden produced by its own executor,
-        so ``rerun`` stays a fully interpreter-based oracle — an engine bug
-        cannot leak into its baseline.
-        """
+        """The cached fault-free reference run."""
         if self._golden is None:
-            if self.mode == "replay":
-                self._golden = self.context.golden_outcome()
-            else:
-                self._golden = self.workload.fresh_instance().run(
-                    executor="interpreter"
-                )
+            self._golden = self.context.golden_outcome()
         return self._golden
 
     def inject(self, spec: FaultSpec) -> FaultInjectionResult:
-        """Execute one faulty run and classify the outcome."""
+        """Replay one faulty run and classify the outcome."""
         self.runs += 1
         outcome = None
         error: Optional[BaseException] = None
         try:
-            if self.mode == "replay":
-                outcome = self.context.replay(spec)
-            else:
-                outcome = self.workload.fresh_instance().run(
-                    fault=spec, executor="interpreter"
-                )
+            outcome = self.context.replay(spec)
         except (StepLimitExceeded, VMError) as exc:
             error = exc
         return self._classify(spec, outcome, error)
 
     def inject_many(self, specs: Sequence[FaultSpec]) -> List[FaultInjectionResult]:
-        """Inject every spec, batched through the replay scheduler.
+        """Inject every spec as one batch of the replay scheduler.
 
-        In ``replay`` mode with a batch-capable context the specs are
-        submitted as one batch: grouped by snapshot interval, driven
-        through a shared lockstep suffix walk, and answered by the
-        convergence memo where possible — outcome-identical to a
-        sequential :meth:`inject` loop (the parity suite asserts it) but
-        amortizing snapshot restores and suffix execution across the
-        batch.  Other modes fall back to the sequential loop.  See
-        :mod:`repro.parallel` for the multiprocessing campaign runner.
+        Every non-empty submission, a single spec included, is one
+        :meth:`ReplayContext.replay_many` call: grouped by snapshot
+        interval, driven through a shared lockstep suffix walk, and
+        answered by the convergence memo where possible — outcome-identical
+        to a sequential :meth:`inject` loop (the parity suite asserts it)
+        but amortizing snapshot restores and suffix execution across the
+        batch.  See :mod:`repro.parallel` for the multiprocessing campaign
+        runner.
         """
         specs = list(specs)
-        if self.mode != "replay" or len(specs) < 2:
-            return [self.inject(spec) for spec in specs]
-        context = self.context
-        if not isinstance(context, BatchedReplayContext):
-            # sequential fallback: batch the per-replay counter increments
-            # into local ints, flushed once at the end of the loop
-            with context.deferred_metrics():
-                return [self.inject(spec) for spec in specs]
+        if not specs:
+            return []
         self.runs += len(specs)
-        replayed = context.replay_many(specs)
+        replayed = self.context.replay_many(specs)
         return [
             self._classify(result.spec, result.outcome, result.error)
             for result in replayed
@@ -223,13 +181,12 @@ class DeterministicFaultInjector:
     def consume_batch_stats(self) -> Dict[str, int]:
         """Batch-scheduler counter deltas since the previous call.
 
-        Returns an empty dict when the injector has no batch-capable
-        context (rerun mode, or a caller-supplied plain context).  Used by
+        Returns an empty dict before the context is built.  Used by
         campaign workers to stamp per-shard scheduler telemetry (batches,
         memo hit rate) into the store.
         """
         context = self._context
-        if not isinstance(context, BatchedReplayContext):
+        if context is None:
             return {}
         current = context.stats.to_dict()
         delta = {
@@ -244,9 +201,10 @@ class DeterministicFaultInjector:
         return delta
 
     def record_speculation(self, counts: Dict[str, int]) -> None:
-        """Accumulate aDVF speculation telemetry (``speculated`` /
-        ``spec_discards`` / ``spec_windows``) for the next
-        :meth:`consume_batch_stats`, which stamps it into shard rows."""
+        """Accumulate aDVF injection-batch telemetry (``speculated``, the
+        planned injections submitted, and ``spec_windows``, the
+        ``inject_many`` batches) for the next :meth:`consume_batch_stats`,
+        which stamps it into shard rows."""
         for key, value in counts.items():
             if value:
                 self._speculation[key] = self._speculation.get(key, 0) + value
@@ -254,21 +212,15 @@ class DeterministicFaultInjector:
     def consume_memo_delta(self) -> Optional[Dict[str, object]]:
         """Payload of memo entries learned since the previous call.
 
-        ``None`` when nothing new was recorded, the context has no memo,
-        or the injector has no ``memo_key`` (persistence disabled).
-        Campaign workers return this per chunk; the orchestrator folds
-        the deltas into the persisted artifact via
+        ``None`` when nothing new was recorded, no injection ran yet, or
+        the injector has no ``memo_key`` (persistence disabled).  Campaign
+        workers return this per chunk; the orchestrator folds the deltas
+        into the persisted artifact via
         :meth:`repro.tracing.cache.MemoCache.merge_store`.
         """
-        if self.memo_key is None:
+        if self.memo_key is None or self._context is None:
             return None
-        context = self._context
-        if not isinstance(context, BatchedReplayContext):
-            return None
-        memo = context.memo
-        if memo is None:
-            return None
-        delta = memo.consume_delta()
+        delta = self._context.memo.consume_delta()
         if delta is not None:
             from repro.vm.engine import default_backend
 

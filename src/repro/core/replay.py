@@ -17,17 +17,25 @@ campaign.
    execution has converged back onto the golden run (masked fault), so the
    suffix is skipped too and the golden outcome is returned.
 
+The context serves faults two ways.  :meth:`ReplayContext.replay` runs one
+fault per call (one restore, one suffix, snapshot comparisons).
+:meth:`ReplayContext.replay_many` is the batch scheduler every injection
+driver submits to: the pending specs are grouped by snapshot interval, one
+restore seeds a shared lockstep suffix walk with per-fault divergence state
+(:meth:`repro.vm.engine.Engine.resume_many`), divergent replays fork
+copy-on-write memory images, and a convergence memo (:class:`ReplayMemo`)
+answers repeated divergent states without re-execution.
+
 Replayed executions are bit-identical to full re-runs: the engine restores
 registers, the call stack, the complete memory image and the allocator
 counters, so every address, stack-slot name and dynamic id matches.  The
-test suite asserts outcome identity against the from-scratch path across
-workloads and fault targets.
+test suite asserts outcome identity between the two entry points and
+against from-scratch interpreted runs, across workloads and fault targets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,7 +82,8 @@ def _workload_memo_key(workload: "Workload") -> Optional[tuple]:
 
 class ReplayContext:
     """Golden run + snapshot schedule of one workload, shared by many
-    injections.
+    injections: :meth:`replay` answers one fault, :meth:`replay_many` a
+    batch.
 
     Parameters
     ----------
@@ -95,9 +104,6 @@ class ReplayContext:
         stop under-snapshotting.
     target_checkpoints:
         Number of snapshots to aim for when the interval is derived.
-    detect_convergence:
-        Stop a replay early when its state matches the golden execution
-        again (the outcome is then provably the golden outcome).
     sink:
         Optional trace sink (any ``TraceSink``, e.g. a
         :class:`~repro.tracing.columnar.ColumnarTrace`) that records the
@@ -112,7 +118,6 @@ class ReplayContext:
         workload: "Workload",
         checkpoint_interval: Optional[int] = None,
         target_checkpoints: int = 64,
-        detect_convergence: bool = True,
         sink=None,
     ) -> None:
         if checkpoint_interval is not None and checkpoint_interval < 1:
@@ -120,7 +125,6 @@ class ReplayContext:
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
         self.workload = workload
-        self.detect_convergence = detect_convergence
 
         self.instance = workload.fresh_instance()
         memo_key = None
@@ -167,10 +171,14 @@ class ReplayContext:
         self.converged_replays = 0
         #: Total replays served.
         self.replays = 0
-        #: Local accumulators while a :meth:`deferred_metrics` block is
-        #: active (``None`` outside one): per-replay counter increments land
-        #: here and are flushed to the registry once on exit.
-        self._deferred: Optional[Dict[str, int]] = None
+        #: Scheduler telemetry (cumulative over all ``replay_many`` calls).
+        self.stats = ReplayBatchStats()
+        #: The convergence memo of :meth:`replay_many`.  Exposed for
+        #: persistence: callers warm-start it from an artifact via
+        #: :meth:`ReplayMemo.merge_payload` and ship learned entries onward
+        #: via :meth:`ReplayMemo.consume_delta`.
+        self.memo = ReplayMemo()
+        self._golden_digest_cache: Optional[Dict[int, bytes]] = None
         reg = _metrics_registry()
         if reg.enabled:
             reg.inc("replay.contexts", workload=workload.name)
@@ -180,28 +188,6 @@ class ReplayContext:
             )
 
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def deferred_metrics(self):
-        """Batch per-replay counter increments into local ints for the
-        duration of the block, flushed to the registry once on exit — the
-        engine ``_loop`` flush pattern, for callers issuing many sequential
-        :meth:`replay` calls (e.g. the injector's sequential fallback loop).
-        Nested blocks flush at the outermost exit."""
-        if self._deferred is not None:
-            yield
-            return
-        counts = {"replay.sequential": 0, "replay.converged": 0}
-        self._deferred = counts
-        try:
-            yield
-        finally:
-            self._deferred = None
-            reg = _metrics_registry()
-            if reg.enabled:
-                for name, value in counts.items():
-                    if value:
-                        reg.inc(name, value, workload=self.workload.name)
-
     def golden_outcome(self) -> "RunOutcome":
         """The fault-free outcome (outputs are fresh copies)."""
         from repro.workloads.base import RunOutcome
@@ -225,8 +211,10 @@ class ReplayContext:
     def replay(self, spec: FaultSpec) -> "RunOutcome":
         """Execute the workload with ``spec`` injected, via replay.
 
-        Raises the same VM error types a full faulty run would raise;
-        callers classify crashes/hangs exactly as before.
+        The per-fault path: one restore of the nearest snapshot and one
+        suffix run, compared against the golden snapshots (no digests, no
+        memo).  Raises the same VM error types a full faulty run would
+        raise; callers classify crashes/hangs exactly as before.
         """
         from repro.workloads.base import RunOutcome
 
@@ -238,21 +226,12 @@ class ReplayContext:
             fault=spec,
             max_steps=self.workload.max_steps,
         )
-        result = engine.resume(
-            snapshot,
-            golden_schedule=self.snapshots if self.detect_convergence else None,
-        )
-        deferred = self._deferred
-        if deferred is not None:
-            deferred["replay.sequential"] += 1
+        result = engine.resume(snapshot, golden_schedule=self.snapshots)
+        reg = _metrics_registry()
+        if reg.enabled:
+            reg.inc("replay.sequential", workload=self.workload.name)
             if engine.converged:
-                deferred["replay.converged"] += 1
-        else:
-            reg = _metrics_registry()
-            if reg.enabled:
-                reg.inc("replay.sequential", workload=self.workload.name)
-                if engine.converged:
-                    reg.inc("replay.converged", workload=self.workload.name)
+                reg.inc("replay.converged", workload=self.workload.name)
         if engine.converged:
             self.converged_replays += 1
             return self.golden_outcome()
@@ -265,6 +244,221 @@ class ReplayContext:
             steps=result.steps,
             trace=None,
         )
+
+    # ------------------------------------------------------------------ #
+    def plan_batches(
+        self, specs: Sequence[FaultSpec], presorted: bool = False
+    ) -> List[ReplayBatch]:
+        """Group ``specs`` by the snapshot interval their site falls in.
+
+        This is the scheduler's one grouping implementation:
+        :meth:`replay_many` calls it (with ``presorted=True`` on its
+        already-ordered list) for the per-batch telemetry, and tests use it
+        to introspect the snapshot each fault replays from.
+        """
+        ordered = (
+            list(specs)
+            if presorted
+            else sorted(specs, key=lambda spec: spec.dynamic_id)
+        )
+        batches: List[ReplayBatch] = []
+        current: List[FaultSpec] = []
+        current_index = -1
+        for spec in ordered:
+            index = bisect_right(self._snapshot_positions, spec.dynamic_id) - 1
+            if index < 0:
+                raise ValueError(
+                    f"no snapshot at or before dynamic id {spec.dynamic_id}"
+                )
+            if index != current_index:
+                if current:
+                    batches.append(ReplayBatch(
+                        snapshot_index=current_index,
+                        snapshot_dyn=self.snapshots[current_index].dyn,
+                        specs=tuple(current),
+                    ))
+                current = []
+                current_index = index
+            current.append(spec)
+        if current:
+            batches.append(ReplayBatch(
+                snapshot_index=current_index,
+                snapshot_dyn=self.snapshots[current_index].dyn,
+                specs=tuple(current),
+            ))
+        return batches
+
+    def _golden_digests(self) -> Dict[int, bytes]:
+        if self._golden_digest_cache is None:
+            self._golden_digest_cache = {
+                snap.dyn: snapshot_digest(snap) for snap in self.snapshots
+            }
+        return self._golden_digest_cache
+
+    # ------------------------------------------------------------------ #
+    def replay_many(self, specs: Sequence[FaultSpec]) -> List[BatchReplayResult]:
+        """Execute every spec via the batch scheduler, in input order.
+
+        Faults whose execution raises are returned with ``error`` set
+        instead of raising, so one crashing fault does not abort the batch
+        (callers classify crashes/hangs exactly as with sequential
+        :meth:`replay`).
+        """
+        specs = list(specs)
+        if not specs:
+            return []
+        order = sorted(range(len(specs)), key=lambda i: (specs[i].dynamic_id, i))
+        ordered = [specs[i] for i in order]
+        stats = self.stats
+        stats_before = stats.to_dict()
+        stats.batches += 1
+        stats.groups += len(self.plan_batches(ordered, presorted=True))
+        stats.faults += len(specs)
+        self.replays += len(specs)
+        engine = Engine(
+            self.instance.module,
+            self.instance.memory,
+            max_steps=self.workload.max_steps,
+        )
+        resolutions = engine.resume_many(
+            self.snapshots, ordered, golden_digests=self._golden_digests(),
+            memo=self.memo,
+        )
+        stats.walk_ops += engine.walk_ops
+        stats.walk_fused_ops += engine.walk_fused_ops
+        stats.walk_lane_ops += engine.walk_lane_ops
+        stops = engine.walk_stops
+        if stops:
+            stats.walk_stops_arm += stops.get("arm", 0)
+            stats.walk_stops_evict += stops.get("evict", 0)
+            stats.walk_stops_lane_error += stops.get("lane_error", 0)
+        results: List[Optional[BatchReplayResult]] = [None] * len(specs)
+        for position, resolution in zip(order, resolutions):
+            results[position] = self._finish(resolution)
+        reg = _metrics_registry()
+        if reg.enabled:
+            # mirror this call's ReplayBatchStats delta into the registry,
+            # keeping the per-context dataclass as the canonical struct
+            for key, value in stats.to_dict().items():
+                delta = value - stats_before[key]
+                if not delta:
+                    continue
+                if key.startswith(_STOPS_PREFIX):
+                    reg.inc(
+                        "replay.walk_stops", delta, workload=self.workload.name,
+                        cause=key[len(_STOPS_PREFIX):],
+                    )
+                else:
+                    reg.inc(
+                        "replay." + key, delta, workload=self.workload.name
+                    )
+        return results  # type: ignore[return-value]
+
+    # ------------------------------------------------------------------ #
+    def _finish(self, resolution) -> BatchReplayResult:
+        """Translate an engine resolution into a :class:`BatchReplayResult`,
+        updating counters and the convergence memo."""
+        from repro.workloads.base import RunOutcome
+
+        stats = self.stats
+        spec = resolution.spec
+        kind = resolution.kind
+        memo = self.memo
+        if resolution.private:
+            stats.evicted += 1
+            if kind != "memo":
+                stats.memo_misses += 1
+        else:
+            stats.lockstep += 1
+
+        if kind == "golden":
+            stats.converged += 1
+            self.converged_replays += 1
+            if resolution.visited:
+                stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
+                    "golden", converged_at=resolution.converged_at,
+                ))
+            return BatchReplayResult(
+                spec=spec,
+                outcome=self.golden_outcome(),
+                converged_at=resolution.converged_at,
+                via="lockstep" if not resolution.private else "private",
+            )
+        if kind == "completed":
+            outputs = {
+                name: array.copy()
+                for name, array in self.golden_outputs.items()
+            }
+            for name, index, value in resolution.cell_deltas:
+                array = outputs.get(name)
+                if array is not None:
+                    array[index] = value
+            return BatchReplayResult(
+                spec=spec,
+                outcome=RunOutcome(
+                    outputs=outputs,
+                    return_value=resolution.return_value,
+                    steps=resolution.steps,
+                    trace=None,
+                ),
+                via="completed",
+            )
+        if kind == "private":
+            outputs = {
+                name: resolution.memory.object(name).values()
+                for name in self.workload.output_objects
+            }
+            if resolution.visited:
+                stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
+                    "outcome",
+                    outputs={k: v.copy() for k, v in outputs.items()},
+                    return_value=resolution.return_value,
+                    steps=resolution.steps,
+                ))
+            return BatchReplayResult(
+                spec=spec,
+                outcome=RunOutcome(
+                    outputs=outputs,
+                    return_value=resolution.return_value,
+                    steps=resolution.steps,
+                    trace=None,
+                ),
+                via="private",
+            )
+        if kind == "memo":
+            entry = resolution.memo_entry
+            stats.memo_hits += 1
+            if getattr(entry, "warm", False):
+                stats.memo_persist_hits += 1
+            if resolution.visited:
+                stats.memo_evictions += memo.record(resolution.visited, entry)
+            if entry.kind == "golden":
+                stats.converged += 1
+                self.converged_replays += 1
+                return BatchReplayResult(
+                    spec=spec,
+                    outcome=self.golden_outcome(),
+                    converged_at=entry.converged_at,
+                    via="memo",
+                )
+            if entry.kind == "error":
+                return BatchReplayResult(spec=spec, error=entry.error, via="memo")
+            return BatchReplayResult(
+                spec=spec,
+                outcome=RunOutcome(
+                    outputs={k: v.copy() for k, v in entry.outputs.items()},
+                    return_value=entry.return_value,
+                    steps=entry.steps,
+                    trace=None,
+                ),
+                via="memo",
+            )
+        # kind == "error"
+        if resolution.visited:
+            stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
+                "error", error=resolution.error,
+            ))
+        return BatchReplayResult(spec=spec, error=resolution.error, via="error")
 
 
 # --------------------------------------------------------------------- #
@@ -651,251 +845,3 @@ class BatchReplayResult:
     error: Optional[BaseException] = None
     converged_at: Optional[int] = None
     via: str = "lockstep"
-
-
-class BatchedReplayContext(ReplayContext):
-    """A :class:`ReplayContext` with an interval-grouped batch scheduler.
-
-    :meth:`replay_many` turns per-fault replay into batch execution: the
-    pending specs are grouped by snapshot interval, each batch restores its
-    snapshot once and drives all of its faults through a single shared
-    suffix walk with per-fault divergence state
-    (:meth:`repro.vm.engine.Engine.resume_many`), divergent replays fork
-    copy-on-write memory images for their window, and convergence
-    memoization answers repeated divergent states without re-execution.
-
-    The inherited single-fault :meth:`replay` is untouched — it remains the
-    sequential parity oracle the batched path is asserted against.
-    """
-
-    def __init__(self, *args, memo_entries: int = 16384, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Scheduler telemetry (cumulative over all ``replay_many`` calls).
-        self.stats = ReplayBatchStats()
-        self._memo = ReplayMemo(memo_entries) if self.detect_convergence else None
-        self._golden_digest_cache: Optional[Dict[int, bytes]] = None
-
-    @property
-    def memo(self) -> Optional[ReplayMemo]:
-        """The convergence memo (``None`` when convergence detection is off).
-
-        Exposed for persistence: callers warm-start it from an artifact via
-        :meth:`ReplayMemo.merge_payload` and ship learned entries onward via
-        :meth:`ReplayMemo.consume_delta`.
-        """
-        return self._memo
-
-    # ------------------------------------------------------------------ #
-    def plan_batches(
-        self, specs: Sequence[FaultSpec], presorted: bool = False
-    ) -> List[ReplayBatch]:
-        """Group ``specs`` by the snapshot interval their site falls in.
-
-        This is the scheduler's one grouping implementation:
-        :meth:`replay_many` calls it (with ``presorted=True`` on its
-        already-ordered list) for the per-batch telemetry, and tests use it
-        to introspect the snapshot each fault replays from.
-        """
-        ordered = (
-            list(specs)
-            if presorted
-            else sorted(specs, key=lambda spec: spec.dynamic_id)
-        )
-        batches: List[ReplayBatch] = []
-        current: List[FaultSpec] = []
-        current_index = -1
-        for spec in ordered:
-            index = bisect_right(self._snapshot_positions, spec.dynamic_id) - 1
-            if index < 0:
-                raise ValueError(
-                    f"no snapshot at or before dynamic id {spec.dynamic_id}"
-                )
-            if index != current_index:
-                if current:
-                    batches.append(ReplayBatch(
-                        snapshot_index=current_index,
-                        snapshot_dyn=self.snapshots[current_index].dyn,
-                        specs=tuple(current),
-                    ))
-                current = []
-                current_index = index
-            current.append(spec)
-        if current:
-            batches.append(ReplayBatch(
-                snapshot_index=current_index,
-                snapshot_dyn=self.snapshots[current_index].dyn,
-                specs=tuple(current),
-            ))
-        return batches
-
-    def _golden_digests(self) -> Dict[int, bytes]:
-        if self._golden_digest_cache is None:
-            self._golden_digest_cache = {
-                snap.dyn: snapshot_digest(snap) for snap in self.snapshots
-            }
-        return self._golden_digest_cache
-
-    # ------------------------------------------------------------------ #
-    def replay_many(self, specs: Sequence[FaultSpec]) -> List[BatchReplayResult]:
-        """Execute every spec via the batch scheduler, in input order.
-
-        Faults whose execution raises are returned with ``error`` set
-        instead of raising, so one crashing fault does not abort the batch
-        (callers classify crashes/hangs exactly as with sequential
-        :meth:`replay`).
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        order = sorted(range(len(specs)), key=lambda i: (specs[i].dynamic_id, i))
-        ordered = [specs[i] for i in order]
-        stats = self.stats
-        stats_before = stats.to_dict()
-        stats.batches += 1
-        stats.groups += len(self.plan_batches(ordered, presorted=True))
-        stats.faults += len(specs)
-        self.replays += len(specs)
-        engine = Engine(
-            self.instance.module,
-            self.instance.memory,
-            max_steps=self.workload.max_steps,
-        )
-        digests = self._golden_digests() if self.detect_convergence else None
-        resolutions = engine.resume_many(
-            self.snapshots, ordered, golden_digests=digests, memo=self._memo
-        )
-        stats.walk_ops += engine.walk_ops
-        stats.walk_fused_ops += engine.walk_fused_ops
-        stats.walk_lane_ops += engine.walk_lane_ops
-        stops = engine.walk_stops
-        if stops:
-            stats.walk_stops_arm += stops.get("arm", 0)
-            stats.walk_stops_evict += stops.get("evict", 0)
-            stats.walk_stops_lane_error += stops.get("lane_error", 0)
-        results: List[Optional[BatchReplayResult]] = [None] * len(specs)
-        for position, resolution in zip(order, resolutions):
-            results[position] = self._finish(resolution)
-        reg = _metrics_registry()
-        if reg.enabled:
-            # mirror this call's ReplayBatchStats delta into the registry,
-            # keeping the per-context dataclass as the canonical struct
-            for key, value in stats.to_dict().items():
-                delta = value - stats_before[key]
-                if not delta:
-                    continue
-                if key.startswith(_STOPS_PREFIX):
-                    reg.inc(
-                        "replay.walk_stops", delta, workload=self.workload.name,
-                        cause=key[len(_STOPS_PREFIX):],
-                    )
-                else:
-                    reg.inc(
-                        "replay." + key, delta, workload=self.workload.name
-                    )
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    def _finish(self, resolution) -> BatchReplayResult:
-        """Translate an engine resolution into a :class:`BatchReplayResult`,
-        updating counters and the convergence memo."""
-        from repro.workloads.base import RunOutcome
-
-        stats = self.stats
-        spec = resolution.spec
-        kind = resolution.kind
-        memo = self._memo
-        if resolution.private:
-            stats.evicted += 1
-            if memo is not None and kind != "memo":
-                stats.memo_misses += 1
-        else:
-            stats.lockstep += 1
-
-        if kind == "golden":
-            stats.converged += 1
-            self.converged_replays += 1
-            if memo is not None and resolution.visited:
-                stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
-                    "golden", converged_at=resolution.converged_at,
-                ))
-            return BatchReplayResult(
-                spec=spec,
-                outcome=self.golden_outcome(),
-                converged_at=resolution.converged_at,
-                via="lockstep" if not resolution.private else "private",
-            )
-        if kind == "completed":
-            outputs = {
-                name: array.copy()
-                for name, array in self.golden_outputs.items()
-            }
-            for name, index, value in resolution.cell_deltas:
-                array = outputs.get(name)
-                if array is not None:
-                    array[index] = value
-            return BatchReplayResult(
-                spec=spec,
-                outcome=RunOutcome(
-                    outputs=outputs,
-                    return_value=resolution.return_value,
-                    steps=resolution.steps,
-                    trace=None,
-                ),
-                via="completed",
-            )
-        if kind == "private":
-            outputs = {
-                name: resolution.memory.object(name).values()
-                for name in self.workload.output_objects
-            }
-            if memo is not None and resolution.visited:
-                stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
-                    "outcome",
-                    outputs={k: v.copy() for k, v in outputs.items()},
-                    return_value=resolution.return_value,
-                    steps=resolution.steps,
-                ))
-            return BatchReplayResult(
-                spec=spec,
-                outcome=RunOutcome(
-                    outputs=outputs,
-                    return_value=resolution.return_value,
-                    steps=resolution.steps,
-                    trace=None,
-                ),
-                via="private",
-            )
-        if kind == "memo":
-            entry = resolution.memo_entry
-            stats.memo_hits += 1
-            if getattr(entry, "warm", False):
-                stats.memo_persist_hits += 1
-            if memo is not None and resolution.visited:
-                stats.memo_evictions += memo.record(resolution.visited, entry)
-            if entry.kind == "golden":
-                stats.converged += 1
-                self.converged_replays += 1
-                return BatchReplayResult(
-                    spec=spec,
-                    outcome=self.golden_outcome(),
-                    converged_at=entry.converged_at,
-                    via="memo",
-                )
-            if entry.kind == "error":
-                return BatchReplayResult(spec=spec, error=entry.error, via="memo")
-            return BatchReplayResult(
-                spec=spec,
-                outcome=RunOutcome(
-                    outputs={k: v.copy() for k, v in entry.outputs.items()},
-                    return_value=entry.return_value,
-                    steps=entry.steps,
-                    trace=None,
-                ),
-                via="memo",
-            )
-        # kind == "error"
-        if memo is not None and resolution.visited:
-            stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
-                "error", error=resolution.error,
-            ))
-        return BatchReplayResult(spec=spec, error=resolution.error, via="error")

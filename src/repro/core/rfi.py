@@ -96,16 +96,13 @@ class RandomFaultInjection:
         seed: int = 0,
         max_participations: Optional[int] = None,
         injector: Optional[DeterministicFaultInjector] = None,
-        injection_mode: str = "replay",
     ) -> None:
         self.workload = workload
         self.seed = seed
         self.max_participations = max_participations
         #: All sampled tests replay from the shared checkpoint schedule; the
         #: golden run is executed once per campaign object, not per test.
-        self.injector = injector or DeterministicFaultInjector(
-            workload, mode=injection_mode
-        )
+        self.injector = injector or DeterministicFaultInjector(workload)
 
     def run(
         self,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -39,23 +38,6 @@ class Trace:
         self._events: List[TraceEvent] = []
         #: name -> list of dynamic ids of events touching the object's memory
         self._touch_index: Dict[str, List[int]] = {}
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """Deprecated: the concrete event list.
-
-        Reaching into ``Trace.events`` ties callers to the full in-memory
-        trace; analyses should go through the ``TraceLike`` protocol
-        (``len`` / indexing / iteration, see :mod:`repro.tracing.cursor`)
-        so they also accept the columnar store.
-        """
-        warnings.warn(
-            "direct Trace.events access is deprecated; iterate/index the "
-            "trace itself (TraceLike protocol) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._events
 
     def tick(self, opcode: Opcode) -> None:  # pragma: no cover - protocol
         raise TypeError("Trace stores full events; use append()")

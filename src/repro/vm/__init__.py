@@ -11,8 +11,9 @@ hosts the deterministic bit-flip fault hooks used by the fault injectors in
 Public API
 ----------
 :class:`~repro.vm.memory.Memory`, :class:`~repro.vm.memory.DataObject`,
-:class:`~repro.vm.interpreter.Interpreter`,
-:class:`~repro.vm.interpreter.ExecutionResult`,
+the pre-decoded :class:`~repro.vm.engine.Engine` (the one executor) with
+its :class:`~repro.vm.engine.Snapshot` checkpoints and
+:class:`~repro.vm.engine.ExecutionResult`,
 :class:`~repro.vm.faults.FaultSpec`, the error types in
 :mod:`repro.vm.errors`, and the bit-manipulation helpers in
 :mod:`repro.vm.bits`.
@@ -39,8 +40,13 @@ from repro.vm.errors import (
 )
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.vm.memory import DataObject, Memory, MemoryImage
-from repro.vm.interpreter import ExecutionResult, Interpreter, prepare_arguments
-from repro.vm.engine import DecodedProgram, Engine, Snapshot
+from repro.vm.engine import (
+    DecodedProgram,
+    Engine,
+    ExecutionResult,
+    Snapshot,
+    prepare_arguments,
+)
 from repro.vm.registers import RegisterAllocation, RegisterFile, allocate_registers
 
 __all__ = [
@@ -65,7 +71,6 @@ __all__ = [
     "Memory",
     "MemoryImage",
     "ExecutionResult",
-    "Interpreter",
     "prepare_arguments",
     "DecodedProgram",
     "Engine",

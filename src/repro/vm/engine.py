@@ -1,13 +1,12 @@
 """Pre-decoded execution engine with checkpointed snapshots.
 
-The tree-walking :class:`~repro.vm.interpreter.Interpreter` re-derives the
-same static facts on every dynamic step: operand classes (constant vs SSA
-value vs argument) through ``isinstance`` chains, value environments through
-per-frame dicts keyed by value uids, opcode dispatch through long chains of
-enum comparisons, and trace metadata (block labels, operand types, operand
-kinds) from the instruction objects.  For fault-injection campaigns — tens of
-thousands of full executions of the same module — that per-step overhead
-dominates.
+Walking the IR objects directly re-derives the same static facts on every
+dynamic step: operand classes (constant vs SSA value vs argument) through
+``isinstance`` chains, value environments through per-frame dicts keyed by
+value uids, opcode dispatch through long chains of enum comparisons, and
+trace metadata (block labels, operand types, operand kinds) from the
+instruction objects.  For fault-injection campaigns — tens of thousands of
+full executions of the same module — that per-step overhead dominates.
 
 This module lowers each :class:`~repro.ir.function.Function` *once* into a
 flat array of :class:`DecodedOp` records:
@@ -30,9 +29,10 @@ deterministic fault injectors in :mod:`repro.core` use this to replay only
 the suffix of an execution after a fault site instead of re-running the
 whole workload (see :mod:`repro.core.replay`).
 
-Semantics are bit-identical to the interpreter: same dynamic-id numbering,
-same fault hooks, same error types, and (when a full sink is attached) the
-same :class:`~repro.tracing.events.TraceEvent` stream.
+Semantics are bit-identical to the tree-walking interpreter the parity
+tests keep as their oracle: same dynamic-id numbering, same fault hooks,
+same error types, and (when a full sink is attached) the same
+:class:`~repro.tracing.events.TraceEvent` stream.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import hashlib
 import os
 import struct
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.frontend.intrinsics import INTRINSICS
@@ -53,10 +54,63 @@ from repro.vm import semantics
 from repro.vm.bits import flip_bit
 from repro.vm.errors import StepLimitExceeded, UnknownIntrinsic, VMError
 from repro.vm.faults import FaultSpec, FaultTarget
-from repro.vm.interpreter import ExecutionResult, prepare_arguments
-from repro.vm.memory import Memory, MemoryImage
+from repro.vm.memory import DataObject, Memory, MemoryImage
 
 Number = Union[int, float]
+
+
+def prepare_arguments(
+    func: Function, args: Union[Dict[str, object], Sequence[object]]
+) -> List[Number]:
+    """Marshal entry-point arguments into runtime values.
+
+    ``args`` may be a mapping from parameter names or a positional sequence.
+    Pointer parameters accept :class:`DataObject` instances (their base
+    address is passed) or raw integer addresses; scalar parameters accept
+    Python numbers.
+    """
+    if isinstance(args, dict):
+        missing = [a.name for a in func.args if a.name not in args]
+        if missing:
+            raise VMError(f"missing arguments for {func.name}: {missing}")
+        raw = [args[a.name] for a in func.args]
+    else:
+        raw = list(args)
+        if len(raw) != len(func.args):
+            raise VMError(
+                f"{func.name} expects {len(func.args)} arguments, got {len(raw)}"
+            )
+    values: List[Number] = []
+    for formal, actual in zip(func.args, raw):
+        if isinstance(actual, DataObject):
+            if not formal.type.is_pointer:
+                raise VMError(
+                    f"argument {formal.name} of {func.name} is scalar but got a "
+                    f"data object"
+                )
+            values.append(actual.base)
+        elif isinstance(actual, (int, float)):
+            if formal.type.is_float:
+                values.append(float(actual))
+            elif formal.type.is_integer:
+                values.append(int(actual))
+            else:
+                values.append(int(actual))  # raw address
+        else:
+            raise VMError(
+                f"unsupported argument value {actual!r} for {formal.name}"
+            )
+    return values
+
+
+@dataclass
+class ExecutionResult:
+    """Outcome of one (traced or faulty) execution."""
+
+    return_value: Optional[Number]
+    steps: int
+    #: The sink the run recorded into (``None`` for sink-free runs).
+    trace: object
 
 
 class _Undef:
@@ -681,10 +735,9 @@ class Snapshot:
 class Engine:
     """Execute pre-decoded IR over a :class:`Memory`.
 
-    Drop-in executor with the same contract as
-    :class:`~repro.vm.interpreter.Interpreter` (``run`` →
-    :class:`ExecutionResult`, same error types, same fault hooks, same
-    dynamic-id numbering) plus:
+    ``run`` executes an entry function to an :class:`ExecutionResult`,
+    raising the VM error types on crashes and hangs and applying at most one
+    armed :class:`~repro.vm.faults.FaultSpec`.  On top of that:
 
     * ``sink`` — any :class:`~repro.tracing.sinks.TraceSink`; sinks with
       ``wants_events = False`` skip event construction entirely;
@@ -743,16 +796,12 @@ class Engine:
         self.converged_at: Optional[int] = None
         #: Memo entry that answered this run early (digest-check path).
         self.memo_entry = None
-        #: True when :meth:`run_to` stopped at its target instead of at a
-        #: program exit.
-        self.paused = False
         self._dyn = 0
         self._frames: List[_Frame] = []
         self._last_writer: Dict[int, int] = {}
         self._next_capture = 0 if snapshot_interval else _NEVER
         self._golden_schedule: Optional[Sequence[Snapshot]] = None
         self._check_cursor = 0
-        self._stop_at = _NEVER
         #: Digest-check state (batched replay): sorted positions, golden
         #: digests keyed by position, an optional convergence memo, and the
         #: (position, digest) pairs visited without a hit.
@@ -781,8 +830,8 @@ class Engine:
         function_name: str,
         args: Union[Dict[str, object], Sequence[object]],
     ) -> ExecutionResult:
-        """Execute ``function_name`` with ``args`` (same contract as the
-        interpreter's ``run``)."""
+        """Execute ``function_name`` with ``args`` (marshalled by
+        :func:`prepare_arguments`)."""
         func = self.module.get_function(function_name)
         values = prepare_arguments(func, args)
         df = self.program.functions[function_name]
@@ -811,8 +860,6 @@ class Engine:
         self.converged = False
         self.converged_at = None
         self.memo_entry = None
-        self.paused = False
-        self._stop_at = _NEVER
         self._golden_schedule = None
         self._check_cursor = 0
         self._digest_positions = None
@@ -824,10 +871,11 @@ class Engine:
     def prepare_resume(self, snapshot: Snapshot) -> None:
         """Restore ``snapshot`` as the live state without running.
 
-        Together with :meth:`run_to` and :meth:`capture_fork` this forms a
-        reusable *resume cursor*: restore once, walk the golden suffix
-        pausing at chosen dynamic ids, and fork the paused state cheaply —
-        the amortized-snapshot primitive of the batched replay scheduler.
+        Together with :meth:`run_checked` (which stops where the state
+        converges) and :meth:`capture_fork` this forms a reusable *resume
+        cursor*: restore once, walk forward, and fork the live state
+        cheaply — the amortized-snapshot primitive of the batched replay
+        scheduler.
         """
         self.memory.restore_image(snapshot.memory)
         self._restore_frames(snapshot.frames)
@@ -879,31 +927,6 @@ class Engine:
     # ------------------------------------------------------------------ #
     # resume cursor + forks (batched replay building blocks)
     # ------------------------------------------------------------------ #
-    def run_to(self, target: int) -> None:
-        """Advance the live state to dynamic id ``target`` and pause there.
-
-        ``target`` must be at or ahead of the current position; pausing at
-        the current position is a no-op.  Raises :class:`VMError` when the
-        program returns before reaching ``target``.
-        """
-        if target < self._dyn:
-            raise ValueError(
-                f"cannot run backwards: at {self._dyn}, target {target}"
-            )
-        if target == self._dyn:
-            return
-        self._stop_at = target
-        self.paused = False
-        try:
-            self._loop()
-        finally:
-            self._stop_at = _NEVER
-        if not self.paused:
-            raise VMError(
-                f"execution finished at dynamic id {self._dyn} before "
-                f"reaching {target}"
-            )
-
     def capture_fork(self) -> EngineFork:
         """A copy-on-write fork of the live state (frames + memory)."""
         reg = _metrics_registry()
@@ -1720,8 +1743,6 @@ class Engine:
             check = self._digest_positions[self._digest_cursor]
             if check < nxt:
                 nxt = check
-        if self._stop_at < nxt:
-            nxt = self._stop_at
         return nxt
 
     def _on_pause(self) -> bool:
@@ -1784,9 +1805,6 @@ class Engine:
                     self.memo_entry = entry
                     return True
             self.visited.append((self._dyn, digest))
-        if self._dyn == self._stop_at:
-            self.paused = True
-            return True
         return False
 
     # ------------------------------------------------------------------ #

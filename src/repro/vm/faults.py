@@ -1,4 +1,4 @@
-"""Fault specifications consumed by the interpreter.
+"""Fault specifications consumed by the execution engine.
 
 A :class:`FaultSpec` names one bit of one operand occurrence of one dynamic
 instruction — exactly the "fault injection site" vocabulary of the paper's

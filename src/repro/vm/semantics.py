@@ -1,10 +1,10 @@
-"""Pure evaluation semantics shared by the interpreter and the analyses.
+"""Pure evaluation semantics shared by the execution engine and the analyses.
 
 The operation-level masking analysis and the error-propagation analysis both
 need to *re-evaluate* instructions with perturbed operand values without
 running the program.  To guarantee they reason about exactly the arithmetic
 the VM executes, the numeric semantics live here as pure functions and the
-interpreter delegates to them.
+engine delegates to them.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.tracing.sinks import TraceSink
 from repro.tracing.trace import Trace
 from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
-from repro.vm.interpreter import Interpreter
 from repro.vm.memory import DataObject, Memory
 
 Number = Union[int, float]
@@ -65,44 +64,29 @@ class WorkloadInstance:
         trace: Optional[TraceSink] = None,
         fault: Optional[FaultSpec] = None,
         max_steps: Optional[int] = None,
-        executor: str = "engine",
         backend: Optional[str] = None,
     ) -> RunOutcome:
-        """Execute the workload's entry kernel.
+        """Execute the workload's entry kernel on the pre-decoded
+        :class:`~repro.vm.engine.Engine`.
 
         ``trace`` accepts any :class:`~repro.tracing.sinks.TraceSink` (the
         full :class:`~repro.tracing.trace.Trace`, a columnar sink, a
-        counting sink) or ``None`` for a sink-free run.  ``executor``
-        selects the pre-decoded :class:`~repro.vm.engine.Engine` (default)
-        or the tree-walking ``"interpreter"`` — both produce bit-identical
-        results; the interpreter is kept as the reference oracle.
-        ``backend`` picks the engine's dispatch strategy (``"block"`` /
-        ``"op"``, default ``REPRO_ENGINE_BACKEND``); the interpreter
-        ignores it.
+        counting sink) or ``None`` for a sink-free run.  ``backend`` picks
+        the engine's dispatch strategy (``"block"`` / ``"op"``, default
+        ``REPRO_ENGINE_BACKEND``).
 
         Raises the VM error types on crashes/hangs; callers performing fault
         injection catch them and classify the outcome.
         """
-        if executor == "engine":
-            runner = Engine(
-                self.module,
-                self.memory,
-                sink=trace,
-                fault=fault,
-                max_steps=max_steps or self.workload.max_steps,
-                backend=backend,
-            )
-        elif executor == "interpreter":
-            runner = Interpreter(
-                self.module,
-                self.memory,
-                trace=trace,
-                fault=fault,
-                max_steps=max_steps or self.workload.max_steps,
-            )
-        else:
-            raise ValueError(f"unknown executor {executor!r}")
-        result = runner.run(self.workload.entry, self.args)
+        engine = Engine(
+            self.module,
+            self.memory,
+            sink=trace,
+            fault=fault,
+            max_steps=max_steps or self.workload.max_steps,
+            backend=backend,
+        )
+        result = engine.run(self.workload.entry, self.args)
         outputs = {
             name: self.memory.object(name).values()
             for name in self.workload.output_objects

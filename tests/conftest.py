@@ -13,7 +13,9 @@ from repro.core.patterns import SingleBitModel
 from repro.frontend import compile_kernel
 from repro.ir.types import F64, I64
 from repro.tracing import Trace
-from repro.vm import Interpreter, Memory
+from repro.vm import Memory
+
+from oracles.interpreter import Interpreter
 
 
 @pytest.fixture(autouse=True)

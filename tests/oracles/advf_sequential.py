@@ -6,8 +6,9 @@ This oracle is the direct reading of the decision procedure (Fig. 3) it
 replaced: walk the participations and their error patterns in order, make
 each sampling decision against the live equivalence caches, and resolve an
 in-budget site with one :meth:`DeterministicFaultInjector.inject` call the
-moment it is reached.  Saturated classes take the frozen tail only on the
-columnar pipeline, as the sequential loop always did.
+moment it is reached.  Saturated classes take the frozen tail only when
+the vectorized operation passes run (a columnar trace), as the sequential
+loop always did.
 """
 
 from __future__ import annotations

@@ -1,117 +1,39 @@
-"""Interpreter for the MOARD IR with tracing and fault hooks.
+"""Tree-walking interpreter for the MOARD IR: the executor parity oracle.
 
 The interpreter executes one entry function (plus everything it calls)
 against a :class:`~repro.vm.memory.Memory` populated with the workload's
-data objects.  While executing it can
+data objects, recursing over the IR objects directly: operand classes are
+re-derived per step, values live in per-frame dicts keyed by value uid and
+every call is a Python call.  It is the straightforward reading of the IR
+semantics, so the parity tests run the same kernels through it and through
+the pre-decoded :class:`~repro.vm.engine.Engine` and assert the results
+are bit-identical: outputs, return values, step counts, crash types and
+messages, and (with a :class:`~repro.tracing.trace.Trace` attached) the
+full event stream.  A single-bit :class:`~repro.vm.faults.FaultSpec` can be
+armed exactly as on the engine.
 
-* record a dynamic trace (:class:`~repro.tracing.trace.Trace`) — the input of
-  the MOARD trace analysis, and
-* apply one deterministic single-bit fault (:class:`~repro.vm.faults.FaultSpec`)
-  — the mechanism behind the deterministic / exhaustive / random fault
-  injectors in :mod:`repro.core`.
-
-Numeric semantics follow the usual C/LLVM rules on a 64-bit machine:
-fixed-width two's-complement integers with wrapping, IEEE-754 doubles and
-floats, truncation toward zero for ``sdiv``, shift amounts taken modulo the
-bit width.  Integer division by zero and out-of-bounds memory accesses raise
-(:class:`~repro.vm.errors.ArithmeticFault`,
-:class:`~repro.vm.errors.SegmentationFault`) so fault-injection campaigns can
-classify those runs as crashes, exactly as a native execution would SIGFPE /
-SIGSEGV.
+Numeric semantics follow the usual C/LLVM rules on a 64-bit machine and
+are shared with the engine through :mod:`repro.vm.semantics`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.frontend.intrinsics import INTRINSICS
 from repro.ir.function import Function, Module
-from repro.ir.instructions import (
-    FCmpPredicate,
-    ICmpPredicate,
-    Instruction,
-    Opcode,
-)
-from repro.ir.types import F32, F64, IRType, PointerType
+from repro.ir.instructions import Instruction, Opcode
 from repro.ir.values import Argument, Constant, UndefValue, Value
 from repro.tracing.events import OperandKind, TraceEvent
 from repro.tracing.trace import Trace
-from repro.vm.bits import (
-    bits_to_value,
-    flip_bit,
-    float32_from_bits,
-    float32_to_bits,
-    to_signed,
-    to_unsigned,
-    value_to_bits,
-)
 from repro.vm import semantics
-from repro.vm.errors import (
-    ArithmeticFault,
-    StepLimitExceeded,
-    UnknownIntrinsic,
-    VMError,
-)
+from repro.vm.bits import flip_bit
+from repro.vm.engine import ExecutionResult, prepare_arguments
+from repro.vm.errors import StepLimitExceeded, UnknownIntrinsic, VMError
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.vm.memory import DataObject, Memory
 
 Number = Union[int, float]
-
-
-def prepare_arguments(
-    func: Function, args: Union[Dict[str, object], Sequence[object]]
-) -> List[Number]:
-    """Marshal entry-point arguments into runtime values.
-
-    ``args`` may be a mapping from parameter names or a positional sequence.
-    Pointer parameters accept :class:`DataObject` instances (their base
-    address is passed) or raw integer addresses; scalar parameters accept
-    Python numbers.  Shared by the tree-walking :class:`Interpreter` and the
-    pre-decoded :class:`~repro.vm.engine.Engine`.
-    """
-    if isinstance(args, dict):
-        missing = [a.name for a in func.args if a.name not in args]
-        if missing:
-            raise VMError(f"missing arguments for {func.name}: {missing}")
-        raw = [args[a.name] for a in func.args]
-    else:
-        raw = list(args)
-        if len(raw) != len(func.args):
-            raise VMError(
-                f"{func.name} expects {len(func.args)} arguments, got {len(raw)}"
-            )
-    values: List[Number] = []
-    for formal, actual in zip(func.args, raw):
-        if isinstance(actual, DataObject):
-            if not formal.type.is_pointer:
-                raise VMError(
-                    f"argument {formal.name} of {func.name} is scalar but got a "
-                    f"data object"
-                )
-            values.append(actual.base)
-        elif isinstance(actual, (int, float)):
-            if formal.type.is_float:
-                values.append(float(actual))
-            elif formal.type.is_integer:
-                values.append(int(actual))
-            else:
-                values.append(int(actual))  # raw address
-        else:
-            raise VMError(
-                f"unsupported argument value {actual!r} for {formal.name}"
-            )
-    return values
-
-
-@dataclass
-class ExecutionResult:
-    """Outcome of one (traced or faulty) execution."""
-
-    return_value: Optional[Number]
-    steps: int
-    trace: Optional[Trace]
 
 
 class _Frame:
@@ -166,21 +88,13 @@ class Interpreter:
         parameters accept Python numbers.
         """
         func = self.module.get_function(function_name)
-        arg_values = self._prepare_arguments(func, args)
+        arg_values = prepare_arguments(func, args)
         value = self._exec_function(func, arg_values, [-1] * len(arg_values))
         return ExecutionResult(return_value=value, steps=self._dyn, trace=self.trace)
 
     @property
     def steps_executed(self) -> int:
         return self._dyn
-
-    # ------------------------------------------------------------------ #
-    # argument marshalling
-    # ------------------------------------------------------------------ #
-    def _prepare_arguments(
-        self, func: Function, args: Union[Dict[str, object], Sequence[object]]
-    ) -> List[Number]:
-        return prepare_arguments(func, args)
 
     # ------------------------------------------------------------------ #
     # execution core

@@ -14,10 +14,9 @@ from __future__ import annotations
 import pytest
 
 from oracles.advf_sequential import sequential_object_report
+from oracles.rerun import RerunInjector
 from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.core.injector import DeterministicFaultInjector
-from repro.core.replay import ReplayContext
-from repro.core.sites import enumerate_fault_sites
 from repro.obs.metrics import configure, registry
 from repro.workloads.registry import get_workload, workload_names
 
@@ -43,23 +42,42 @@ SMALL_KWARGS = {
     "pf_abft": {"nparticles": 8, "nframes": 1},
 }
 
-#: Non-default configurations checked on matmul and cg.
+
+def _legacy_engine(workload, config):
+    """The per-event path: a full ``Trace`` skips the operation passes."""
+    return AdvfEngine(workload, config, trace=workload.traced_run().trace)
+
+
+def _rerun_engine(workload, config):
+    """Columnar analysis with every injection re-run from scratch."""
+    engine = AdvfEngine(
+        workload, config, trace=workload.traced_run(columnar=True).trace
+    )
+    engine._injector = RerunInjector(workload)
+    return engine
+
+
+#: Non-default set-ups checked on matmul and cg: an engine builder and the
+#: configuration overrides it analyses with.
 CONFIGS = {
-    "budget_exhausted": {"max_injections": 5},
-    "one_sample": {"equivalence_samples": 1, "injection_samples_per_class": 1},
-    "legacy_pipeline": {"pipeline": "legacy"},
-    "rerun_injection": {"injection_mode": "rerun"},
+    "budget_exhausted": (AdvfEngine, {"max_injections": 5}),
+    "one_sample": (
+        AdvfEngine,
+        {"equivalence_samples": 1, "injection_samples_per_class": 1},
+    ),
+    "legacy_pipeline": (_legacy_engine, {}),
+    "rerun_injection": (_rerun_engine, {}),
 }
 
 
-def _engine(name, **config_kwargs):
+def _engine(name, build=AdvfEngine, **config_kwargs):
     workload = get_workload(name, **SMALL_KWARGS.get(name, {}))
-    return AdvfEngine(workload, AnalysisConfig(**config_kwargs))
+    return build(workload, AnalysisConfig(**config_kwargs))
 
 
-def _assert_matches_oracle(name, **config_kwargs):
-    planned = _engine(name, **config_kwargs).analyze()
-    oracle = _engine(name, **config_kwargs)
+def _assert_matches_oracle(name, build=AdvfEngine, **config_kwargs):
+    planned = _engine(name, build, **config_kwargs).analyze()
+    oracle = _engine(name, build, **config_kwargs)
     assert list(planned.objects) == list(oracle.workload.target_objects)
     for object_name, report in planned.objects.items():
         expected = sequential_object_report(oracle, object_name)
@@ -84,7 +102,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("name", ["matmul", "cg"])
     def test_config_matches_oracle(self, name, config):
-        _assert_matches_oracle(name, **CONFIGS[config])
+        build, overrides = CONFIGS[config]
+        _assert_matches_oracle(name, build, **overrides)
 
     def test_exhausted_budget_falls_back(self):
         """The ``max_injections`` leg really exercises the fallback."""
@@ -96,15 +115,19 @@ class TestBitIdentity:
 class TestBatching:
     @pytest.mark.parametrize("mode", ["replay", "rerun"])
     def test_one_inject_many_call_per_injecting_object(self, monkeypatch, mode):
+        injector, build = {
+            "replay": (DeterministicFaultInjector, AdvfEngine),
+            "rerun": (RerunInjector, _rerun_engine),
+        }[mode]
         batches = []
-        original = DeterministicFaultInjector.inject_many
+        original = injector.inject_many
 
         def counting(self, specs):
             batches.append(len(specs))
             return original(self, specs)
 
-        monkeypatch.setattr(DeterministicFaultInjector, "inject_many", counting)
-        engine = _engine("cg", injection_mode=mode)
+        monkeypatch.setattr(injector, "inject_many", counting)
+        engine = _engine("cg", build)
         report = engine.analyze()
         injected = [r.injections for r in report.objects.values() if r.injections]
         assert injected, "cg resolves some sites by injection"
@@ -141,21 +164,3 @@ class TestTelemetry:
         # consumed: the next delta starts from zero again
         follow_up = engine._injector.consume_batch_stats()
         assert follow_up.get("speculated", 0) == 0
-
-
-class TestSequentialFallbackMetrics:
-    def test_plain_context_batches_counter_increments(self):
-        """A caller-supplied plain ReplayContext keeps the sequential
-        inject loop, but its per-replay counters are batched through
-        ``deferred_metrics`` — totals match one inc per replay."""
-        workload = get_workload("matmul", n=5)
-        context = ReplayContext(workload)
-        injector = DeterministicFaultInjector(workload, context=context)
-        trace = workload.traced_run().trace
-        specs = [
-            site.to_spec()
-            for site in enumerate_fault_sites(trace, "C", bit_stride=16)
-        ][:6]
-        results = injector.inject_many(specs)
-        assert len(results) == len(specs)
-        assert _counter_total("replay.sequential") == len(specs)

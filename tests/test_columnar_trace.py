@@ -8,9 +8,7 @@ Contracts under test:
 * the trace cache is content-addressed, hit/miss accounted, and honours
   ``REPRO_TRACE_CACHE`` (including the ``off`` switch);
 * the pure-python fallback (NumPy masked out) keeps the store fully
-  functional with ``columns()`` degrading to ``None``;
-* direct ``Trace.events`` access warns (deprecated in favour of the
-  ``TraceLike`` protocol).
+  functional with ``columns()`` degrading to ``None``.
 """
 
 from __future__ import annotations
@@ -190,13 +188,3 @@ class TestPurePythonFallback:
         assert cache.find(digest).suffix == ".npz"
         monkeypatch.setattr(columnar_module, "_np", None)
         assert cache.find(digest) is None  # unreadable without numpy
-
-
-# --------------------------------------------------------------------- #
-# Trace.events deprecation shim
-# --------------------------------------------------------------------- #
-def test_trace_events_access_is_deprecated(matmul_traces):
-    full, _ = matmul_traces
-    with pytest.warns(DeprecationWarning, match="TraceLike"):
-        events = full.events
-    assert len(events) == len(full)

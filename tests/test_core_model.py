@@ -349,7 +349,9 @@ class TestPropagation:
         """dst[i] = corrupt; dst[i] = clean  ==> propagation masks the error."""
         from repro.frontend import compile_kernel
         from repro.tracing import Trace
-        from repro.vm import Interpreter, Memory
+        from repro.vm import Memory
+
+        from oracles.interpreter import Interpreter
 
         f = compile_kernel(k_overwrite_chain)
         memory = Memory()

@@ -18,6 +18,8 @@ from repro.vm import Engine, FaultSpec, FaultTarget
 from repro.vm.engine import DecodedProgram
 from repro.workloads.registry import get_workload
 
+from oracles.rerun import RerunInjector
+
 
 def _sampled_specs(workload, max_specs=36, bit_stride=11):
     """A deterministic, diverse sample of the workload's fault space."""
@@ -49,8 +51,8 @@ def test_replay_outcomes_match_full_rerun(name):
     workload = get_workload(name)
     specs = _sampled_specs(workload)
     assert specs, "sample must not be empty"
-    rerun = DeterministicFaultInjector(workload, mode="rerun")
-    replay = DeterministicFaultInjector(workload, mode="replay")
+    rerun = RerunInjector(workload)
+    replay = DeterministicFaultInjector(workload)
     for spec in specs:
         expected = rerun.inject(spec)
         actual = replay.inject(spec)
@@ -85,8 +87,8 @@ def test_replay_outputs_bit_identical_to_rerun():
 def test_replay_handles_hang_and_crash_classification(cg_workload):
     """Crash/hang outcomes classify identically through both paths."""
     specs = _sampled_specs(cg_workload, max_specs=24, bit_stride=3)
-    rerun = DeterministicFaultInjector(cg_workload, mode="rerun")
-    replay = DeterministicFaultInjector(cg_workload, mode="replay")
+    rerun = RerunInjector(cg_workload)
+    replay = DeterministicFaultInjector(cg_workload)
     outcomes = set()
     for spec in specs:
         expected = rerun.inject(spec)

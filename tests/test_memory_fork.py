@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.ir.types import F64, I32
-from repro.vm.engine import Engine
+from repro.vm.engine import Engine, snapshot_digest
 from repro.vm.memory import Memory
 from repro.workloads.registry import get_workload
 
@@ -136,11 +136,13 @@ class TestEngineFork:
             for name in workload.output_objects
         }
 
-        # walk a cursor to mid-run, fork, finish both sides independently
+        # walk a cursor to mid-run (it stops where its state converges onto
+        # the golden snapshot), fork, finish both sides independently
+        mid = engine.snapshots[2]
         cursor = Engine(instance.module, instance.memory)
         cursor.prepare_resume(engine.snapshots[0])
-        cursor.run_to(engine.snapshots[2].dyn)
-        assert cursor.paused
+        cursor.run_checked([mid.dyn], {mid.dyn: snapshot_digest(mid)})
+        assert cursor.converged and cursor.steps_executed == mid.dyn
         fork = cursor.capture_fork()
 
         replica = Engine(instance.module, fork.memory)
@@ -154,8 +156,7 @@ class TestEngineFork:
             ), name
 
         # the cursor finishes on its own memory, unaffected by the replica
-        cursor.run_to(engine.snapshots[3].dyn)
-        cursor_result = cursor._loop()
+        cursor_result = cursor.run_checked([], {})
         assert cursor_result.steps == result.steps
         for name in golden:
             assert np.array_equal(
@@ -163,8 +164,6 @@ class TestEngineFork:
             ), name
 
     def test_state_digest_matches_snapshot_digest(self):
-        from repro.vm.engine import snapshot_digest
-
         workload = get_workload("matmul", n=4)
         instance = workload.fresh_instance()
         engine = Engine(instance.module, instance.memory, snapshot_interval=250)
@@ -172,12 +171,18 @@ class TestEngineFork:
         snapshots = engine.snapshots
         assert len(snapshots) >= 3
 
+        # execute from the first snapshot, digesting the live state at the
+        # next two positions: the first has no golden digest to match, so
+        # its digest is recorded as visited; the second converges and stops
         cursor = Engine(instance.module, instance.memory)
         cursor.prepare_resume(snapshots[0])
-        digests = {snap.dyn: snapshot_digest(snap) for snap in snapshots}
-        for snap in snapshots[1:3]:
-            cursor.run_to(snap.dyn)
-            assert cursor.state_digest() == digests[snap.dyn]
+        first, second = snapshots[1], snapshots[2]
+        cursor.run_checked(
+            [first.dyn, second.dyn], {second.dyn: snapshot_digest(second)}
+        )
+        assert cursor.visited == [(first.dyn, snapshot_digest(first))]
+        assert cursor.converged and cursor.converged_at == second.dyn
+        assert cursor.state_digest() == snapshot_digest(second)
         # a mutated clone digests differently
         fork = cursor.capture_fork()
         clone = Engine(instance.module, fork.memory)

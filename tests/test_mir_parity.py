@@ -36,9 +36,10 @@ from repro.tracing.sinks import CountingSink
 from repro.tracing.trace import Trace
 from repro.vm.engine import DecodedProgram, Engine
 from repro.vm.faults import FaultSpec, FaultTarget
-from repro.vm.interpreter import Interpreter
 from repro.vm.memory import Memory
 from repro.workloads.registry import get_workload, workload_names
+
+from oracles.interpreter import Interpreter
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,9 @@ from repro.core.patterns import ErrorPattern
 from repro.frontend import compile_kernel
 from repro.ir import F64, I64, Opcode
 from repro.tracing import Trace
-from repro.vm import Interpreter, Memory
+from repro.vm import Memory
+
+from oracles.interpreter import Interpreter
 
 
 # --------------------------------------------------------------------- #

@@ -109,8 +109,11 @@ def test_masking_verdicts_match_verdict_for_verdict(traced, name):
 # end-to-end aDVF bit identity
 # --------------------------------------------------------------------- #
 def _advf(workload, pipeline, **overrides):
-    config = AnalysisConfig(pipeline=pipeline, **overrides)
-    return AdvfEngine(workload, config).analyze()
+    """aDVF reports on the vectorized passes (``"columnar"``, the engine's
+    own golden trace) or the per-event path (``"legacy"``, a full
+    ``Trace``, which skips the passes)."""
+    trace = workload.traced_run().trace if pipeline == "legacy" else None
+    return AdvfEngine(workload, AnalysisConfig(**overrides), trace=trace).analyze()
 
 
 def _assert_reports_identical(a, b):
@@ -145,11 +148,6 @@ def test_advf_bit_identical_in_pure_python_fallback(monkeypatch):
     legacy = _advf(_small("matmul"), "legacy", use_injection=False)
     fallback = _advf(_small("matmul"), "columnar", use_injection=False)
     _assert_reports_identical(legacy, fallback)
-
-
-def test_unknown_pipeline_rejected():
-    with pytest.raises(ValueError, match="pipeline"):
-        AdvfEngine(_small("matmul"), AnalysisConfig(pipeline="nope"))
 
 
 # --------------------------------------------------------------------- #

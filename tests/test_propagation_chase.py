@@ -42,9 +42,9 @@ def assert_same_result(chase, scan, context=""):
             )
 
 
-def _recorded_analysis(monkeypatch, workload, config):
-    """Run a full aDVF analysis; return the analyzer and every
-    ``(args, result)`` of its ``analyze()`` calls."""
+def _recorded_analysis(monkeypatch, workload, config, trace=None):
+    """Run a full aDVF analysis (on ``trace`` when given); return the
+    analyzer and every ``(args, result)`` of its ``analyze()`` calls."""
     calls = []
     chase = PropagationAnalyzer.analyze
 
@@ -54,7 +54,7 @@ def _recorded_analysis(monkeypatch, workload, config):
         return result
 
     monkeypatch.setattr(PropagationAnalyzer, "analyze", recording)
-    engine = AdvfEngine(workload, config)
+    engine = AdvfEngine(workload, config, trace=trace)
     engine.analyze()
     return engine._propagation, calls
 
@@ -91,11 +91,12 @@ def test_counters_track_visits_and_steps(monkeypatch):
 
 
 def test_chase_matches_scan_on_classic_trace(monkeypatch):
-    """The legacy pipeline hands the analyzer a classic ``Trace``, which the
-    pure-python index builder covers."""
+    """A classic ``Trace`` (the per-event path) reaches the analyzer as
+    is, and the pure-python index builder covers it."""
+    workload = get_workload("lu", seed=SEED)
     analyzer, calls = _recorded_analysis(
-        monkeypatch, get_workload("lu", seed=SEED),
-        AnalysisConfig(pipeline="legacy"),
+        monkeypatch, workload, AnalysisConfig(),
+        trace=workload.traced_run().trace,
     )
     assert isinstance(analyzer.trace, Trace) and calls
     _assert_matches_scan(analyzer, calls, "lu (legacy)")

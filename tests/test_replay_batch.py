@@ -4,7 +4,7 @@ The acceptance bar of the batched scheduler is *bit identity*: for every
 registered workload and a diverse fault sample (operand flips, store-
 destination flips, result flips; masked, SDC, crashing and addressing
 faults), submitting the specs through
-:meth:`~repro.core.replay.BatchedReplayContext.replay_many` must reproduce
+:meth:`~repro.core.replay.ReplayContext.replay_many` must reproduce
 per-fault sequential :meth:`~repro.core.replay.ReplayContext.replay`
 exactly — same outcome (corrupted output bits, return value, step count),
 same exception type and message for crashes/hangs, and, when both paths
@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 
 from repro.core.injector import DeterministicFaultInjector
-from repro.core.replay import BatchedReplayContext, ReplayContext
+from repro.core.replay import ReplayContext
 from repro.core.sites import enumerate_fault_sites
+from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.workloads.registry import get_workload, workload_names
+
+from oracles.rerun import RerunInjector
 
 #: Reduced problem sizes so the all-workload parity sweep stays fast.
 SMALL_KWARGS = {
@@ -87,7 +90,7 @@ def test_batched_replay_bit_identical_to_sequential(name):
     sequential = ReplayContext(workload)
     expected = _sequential_outcomes(sequential, specs)
 
-    batched = BatchedReplayContext(workload)
+    batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     assert len(results) == len(specs)
     assert batched.replays == len(specs)
@@ -126,7 +129,7 @@ def test_batched_convergence_op_not_later_than_sequential(name):
     specs = _sample_specs(workload, trace, per_object=16)
 
     sequential = ReplayContext(workload)
-    batched = BatchedReplayContext(workload)
+    batched = ReplayContext(workload)
     results = batched.replay_many(specs)
 
     compared = 0
@@ -135,24 +138,19 @@ def test_batched_convergence_op_not_later_than_sequential(name):
             sequential.replay(spec)
         except Exception:
             continue
-        # engine-level convergence telemetry of the sequential path
-        seq_converged_at = None
-        if sequential.detect_convergence:
-            # re-run to read the flag off a fresh engine (replay() hides it)
-            from repro.vm.engine import Engine
-
-            engine = Engine(
-                sequential.instance.module,
-                sequential.instance.memory,
-                fault=spec,
-                max_steps=workload.max_steps,
-            )
-            engine.resume(
-                sequential.snapshot_for(spec.dynamic_id),
-                golden_schedule=sequential.snapshots,
-            )
-            if engine.converged:
-                seq_converged_at = engine.converged_at
+        # engine-level convergence telemetry of the sequential path:
+        # re-run to read the flag off a fresh engine (replay() hides it)
+        engine = Engine(
+            sequential.instance.module,
+            sequential.instance.memory,
+            fault=spec,
+            max_steps=workload.max_steps,
+        )
+        engine.resume(
+            sequential.snapshot_for(spec.dynamic_id),
+            golden_schedule=sequential.snapshots,
+        )
+        seq_converged_at = engine.converged_at if engine.converged else None
         if seq_converged_at is not None and result.converged_at is not None:
             assert result.converged_at <= seq_converged_at, spec
             compared += 1
@@ -165,7 +163,7 @@ def test_batched_outcomes_match_injector_classification():
     trace = workload.traced_run().trace
     specs = _sample_specs(workload, trace, per_object=12, bit_stride=5)
 
-    sequential = DeterministicFaultInjector(workload, mode="rerun")
+    sequential = RerunInjector(workload)
     batched = DeterministicFaultInjector(workload)
     batch_results = batched.inject_many(specs)
     assert len(batch_results) == len(specs)
@@ -183,7 +181,7 @@ def test_batched_outcomes_match_injector_classification():
 # --------------------------------------------------------------------- #
 def test_plan_batches_groups_by_snapshot_interval():
     workload = _small("matmul")
-    context = BatchedReplayContext(workload, checkpoint_interval=500)
+    context = ReplayContext(workload, checkpoint_interval=500)
     trace = workload.traced_run().trace
     specs = [
         site.to_spec()
@@ -202,7 +200,7 @@ def test_memo_answers_repeated_submissions():
     """Divergent replays that record digests are answered by the memo when
     the same states recur — and the answers stay bit-identical."""
     workload = _small("matmul")
-    context = BatchedReplayContext(workload)
+    context = ReplayContext(workload)
     trace = workload.traced_run().trace
     specs = [
         site.to_spec()
@@ -233,7 +231,7 @@ def test_memo_hit_on_divergent_resubmission():
     sites = enumerate_fault_sites(trace, "colidx", bit_stride=7)
     for site in sites[:12]:
         spec = site.to_spec()
-        context = BatchedReplayContext(workload)
+        context = ReplayContext(workload)
         first = context.replay_many([spec])[0]
         if not context.stats.evicted or first.error is not None:
             continue
@@ -260,7 +258,7 @@ def test_duplicate_specs_in_one_batch():
     trace = workload.traced_run().trace
     site = enumerate_fault_sites(trace, "C", bit_stride=11)[3]
     spec = site.to_spec()
-    context = BatchedReplayContext(workload)
+    context = ReplayContext(workload)
     results = context.replay_many([spec, spec, spec])
     reference = ReplayContext(workload).replay(spec)
     for result in results:
@@ -270,29 +268,8 @@ def test_duplicate_specs_in_one_batch():
             assert np.array_equal(result.outcome.outputs[obj], reference.outputs[obj])
 
 
-def test_detect_convergence_off_still_bit_identical():
-    workload = _small("matmul")
-    trace = workload.traced_run().trace
-    specs = [
-        site.to_spec()
-        for site in enumerate_fault_sites(trace, "C", bit_stride=17)
-    ][:20]
-    sequential = ReplayContext(workload, detect_convergence=False)
-    batched = BatchedReplayContext(workload, detect_convergence=False)
-    results = batched.replay_many(specs)
-    assert batched.stats.memo_hits == 0
-    for spec, result in zip(specs, results):
-        reference = sequential.replay(spec)
-        assert result.outcome.steps == reference.steps
-        for obj in reference.outputs:
-            assert np.array_equal(
-                result.outcome.outputs[obj].view(np.uint8),
-                reference.outputs[obj].view(np.uint8),
-            )
-
-
 def test_empty_submission():
     workload = _small("matmul")
-    context = BatchedReplayContext(workload)
+    context = ReplayContext(workload)
     assert context.replay_many([]) == []
     assert context.stats.batches == 0

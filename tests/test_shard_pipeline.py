@@ -150,6 +150,16 @@ def test_shard_durations_are_the_worker_inject_spans(tmp_path):
     )
     # whole shards: one worker ran each, with one replay batch per shard
     assert all(shard.batches == 1 for shard in shards.values())
+    # a one-spec shard is one batch too, not a sequential replay
+    with CampaignStore(str(tmp_path / "single.sqlite")) as store:
+        orchestrator = _orchestrator(
+            store, "cg", FixedRandomPlan(tests=3, seed=3), workers=1,
+            shard_size=1,
+        )
+        assert orchestrator.run().status == "complete"
+        singles = store.completed_shards(orchestrator.campaign_id)
+    assert len(singles) == 6
+    assert all(shard.batches == 1 for shard in singles.values())
 
 
 # --------------------------------------------------------------------- #

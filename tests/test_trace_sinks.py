@@ -11,8 +11,10 @@ import pytest
 
 from repro.tracing import ColumnarTraceSink, CountingSink, Trace, TraceCursor
 from repro.tracing.events import TraceEvent
-from repro.vm import Engine, Interpreter
+from repro.vm import Engine
 from repro.workloads.registry import get_workload
+
+from oracles.interpreter import Interpreter
 
 _EVENT_FIELDS = TraceEvent.__slots__
 

@@ -14,7 +14,6 @@ from repro.tracing import Trace
 from repro.vm import (
     FaultSpec,
     FaultTarget,
-    Interpreter,
     Memory,
     SegmentationFault,
     StepLimitExceeded,
@@ -22,6 +21,8 @@ from repro.vm import (
 from repro.vm import semantics
 from repro.vm.errors import ArithmeticFault, VMError
 from repro.vm.registers import allocate_registers
+
+from oracles.interpreter import Interpreter
 
 
 # --------------------------------------------------------------------- #

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.replay import BatchedReplayContext, ReplayContext
+from repro.core.replay import ReplayContext
 from repro.ir import Constant, Function, IRBuilder, Module
 from repro.ir.instructions import ICmpPredicate
 from repro.ir.types import F32, F64, I64, VOID, pointer_to
@@ -113,7 +113,7 @@ def _batch_matches_sequential(workload, specs):
 
     Returns the batched results and the context's scheduler stats."""
     sequential = ReplayContext(workload)
-    batched = BatchedReplayContext(workload)
+    batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     for spec, result in zip(specs, results):
         try:
@@ -209,7 +209,7 @@ def test_walk_counters_reach_the_metrics_registry(workload, events):
     cursor = "test-walk-counters"
     reg.snapshot_delta(cursor)
     fmul = _first(events, "kernel", "fmul")
-    context = BatchedReplayContext(workload)
+    context = ReplayContext(workload)
     context.replay_many([FaultSpec(dynamic_id=fmul.dynamic_id, bit=3)])
     totals = {}
     for entry in reg.snapshot_delta(cursor)["counters"]:
@@ -234,7 +234,7 @@ def _walk_record(workload, specs, backend):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_ENGINE_BACKEND", backend)
         mp.setattr(Engine, "_private_replay", spy)
-        context = BatchedReplayContext(workload)
+        context = ReplayContext(workload)
         results = context.replay_many(specs)
     return [(r.via, r.converged_at) for r in results], forks, context.stats
 
@@ -479,7 +479,7 @@ def test_negative_zero_and_nan_payload_lanes(lanes_workload, lanes_events):
     ]
     kinds, _, stats = _check_batch(lanes_workload, specs)
     assert [via for via, _ in kinds] == ["completed", "completed"]
-    context = BatchedReplayContext(lanes_workload)
+    context = ReplayContext(lanes_workload)
     golden = context.golden_outputs
     sign, payload = context.replay_many(specs)
     assert _output(sign, "z")[0] == np.float64(-0.0).view(np.uint64)
@@ -522,7 +522,7 @@ def test_lane_raising_where_golden_does_not(lanes_workload, lanes_events):
     spec = _copy_flip(lanes_events, "dv", 0, bit=0)
     kinds, _, stats = _check_batch(lanes_workload, [spec])
     assert kinds[0][0] == "error"
-    result = BatchedReplayContext(lanes_workload).replay_many([spec])[0]
+    result = ReplayContext(lanes_workload).replay_many([spec])[0]
     assert isinstance(result.error, ArithmeticFault)
     assert stats.walk_stops_lane_error >= 1
 
@@ -572,7 +572,7 @@ def test_lane_counters_reach_the_metrics_registry(
             bit=40, operand_index=0,
         ),
     ]
-    context = BatchedReplayContext(lanes_workload)
+    context = ReplayContext(lanes_workload)
     context.replay_many(specs)
     stats = context.stats
     assert stats.walk_lane_ops > 0
@@ -678,6 +678,6 @@ def test_select_between_constant_only_values_on_a_divergent_condition():
     spec = _copy_flip(events, "c", 0, bit=0)
     kinds, _, stats = _check_batch(workload, [spec])
     assert kinds[0][0] == "completed"
-    result = BatchedReplayContext(workload).replay_many([spec])[0]
+    result = ReplayContext(workload).replay_many([spec])[0]
     assert list(result.outcome.outputs["out"]) == [2.0, 1.0]
     assert stats.walk_lane_ops > 0
