@@ -484,6 +484,17 @@ def _cmd_stats(args) -> int:
         print(f"{'walk':<11}: {walk_ops} ops / {fused_ops} in fused segments "
               f"(fused share {fused_share}; {lane_ops} carrying divergence; "
               f"stops {stop_text})")
+        compiles = {variant: 0 for variant in ("plain", "traced", "lanes")}
+        compile_s = 0.0
+        for entry in merged.get("counters", ()):  # type: ignore[union-attr]
+            if entry["name"] == "mir.segment_compiles":
+                variant = entry["labels"].get("variant", "")
+                compiles[variant] = compiles.get(variant, 0) + int(entry["value"])
+            elif entry["name"] == "mir.segment_compile_s":
+                compile_s += entry["value"]
+        compile_text = " / ".join(f"{v} {n}" for v, n in compiles.items())
+        print(f"{'mir compile':<11}: {sum(compiles.values())} segment variants "
+              f"in {compile_s:.3f} s ({compile_text})")
         planned = _counter_total(merged, "advf.speculated")
         batches = _counter_total(merged, "advf.speculation_windows")
         print(f"{'speculation':<11}: {planned} injections planned in "

@@ -3,7 +3,8 @@
 Campaign workers rebuild the same workload module over and over (fresh
 instances, worker processes, protected variants); lowering and
 superinstruction codegen are pure functions of the *printed IR*, so the
-lowered program is cached twice over:
+lowered program (and whatever of it has been compiled) is cached twice
+over:
 
 * on the module object itself (same fast-attribute idiom as
   ``DecodedProgram.of``), invalidated together with the decode cache;
@@ -30,13 +31,18 @@ def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirPro
     """Rebind a digest-cached program to another (identical) module.
 
     The expensive parts — segmentation and the *plain* and *lanes*
-    superinstruction callables — are pure functions of the printed IR and
-    are shared verbatim (``lanes`` lazily, through the template segment).
+    superinstruction callables — are pure functions of the printed IR.
+    Each clone segment points at its template segment (``_origin``): the
+    entry counts that decide when a variant is hot are kept there, so every
+    clone of one program adds to the same counts, and ``plain`` and
+    ``lanes`` are compiled once, on the template, and picked up by a clone
+    at its first entry after that (:meth:`~repro.mir.lower.MirSegment.hot`).
     The *traced* artifacts are not shared: trace events expose
     ``static_uid`` (a process-global value counter, different per module
     instance), so the per-segment ``BlockStatic`` and traced callables are
-    left to lazy (re)compilation against the new module's decode, keeping
-    traced runs bit-identical to the op loop on the same module.
+    compiled against the clone's own decode once the shared count makes
+    ``traced`` hot, keeping traced runs bit-identical to the op loop on the
+    same module.
     """
     if set(template.functions) != set(decoded.functions):
         return None  # digest collision or stale entry: lower from scratch
@@ -48,8 +54,6 @@ def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirPro
         segments = []
         for tseg in tf.segments:
             seg = MirSegment(tseg.index, tseg.pcs, tseg.fused, df)
-            seg.plain = tseg.plain
-            seg.lanes = tseg.lanes
             seg._origin = tseg
             segments.append(seg)
         functions[name] = MirFunction(df, segments)
@@ -57,7 +61,7 @@ def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirPro
 
 
 def mir_program_for(decoded: DecodedProgram) -> MirProgram:
-    """The lowered (and superinstruction-compiled) form of ``decoded``."""
+    """The lowered form of ``decoded`` (its segments compile when hot)."""
     module = decoded.module
     cached = getattr(module, _CACHE_ATTR, None)
     if cached is not None:

@@ -2,7 +2,12 @@
 
 Each fused :class:`~repro.mir.lower.MirSegment` is compiled — once per
 distinct program, via the digest-keyed cache — into an ``exec``-specialized
-callable that executes the whole segment without per-op dispatch.  The
+callable that executes the whole segment without per-op dispatch.  Each
+variant below is compiled only once the segment is hot: at the N-th entry
+that wants it (N per variant in :data:`~repro.mir.lower.HOT_ENTRIES`),
+counted over all of the digest cache's copies of the program
+(:meth:`~repro.mir.lower.MirSegment.hot`); the entries before it run in the
+op loop, as every unfused segment and mid-segment resume does.  The
 generated code *inlines* the engine's semantics (operand resolution, the
 masking arithmetic of :mod:`repro.vm.semantics`, the address resolution and
 access checks of :mod:`repro.vm.memory`) so the op loop remains the single
@@ -22,8 +27,7 @@ Three variants per segment:
 * **traced** — ``fn(frame, regs, prods, memory, sink, last_writer,
   dynbase, cell) -> next_pc``; accumulates the segment's trace rows locally
   and bulk-appends them into the columnar sink
-  (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).  Compiled
-  lazily: most runs never trace.
+  (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).
 * **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, dc, active, rg,
   dynbase, stop, last) -> pc``; the batch walk's
   (:meth:`~repro.vm.engine.Engine.resume_many`) variant for segments that
@@ -34,8 +38,7 @@ Three variants per segment:
   (type-strict, ``-0.0 != 0.0``, NaN payloads count).  ``frame.div``,
   ``cells`` and the per-fault divergence counts ``dc`` are updated op by
   op with the op loop's own rule (``engine._rebase``), and a fault whose
-  last divergence dies resolves golden (``rg``) at that op.  Compiled lazily, on the segment's first
-  batch-walk entry that needs it.
+  last divergence dies resolves golden (``rg``) at that op.
 
 Stop protocol (*lanes*): the body stops *before* the first op it cannot
 carry — a fault arming there (offset ``stop``), a load/store address or a
@@ -69,11 +72,13 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from math import copysign
+from time import perf_counter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Opcode
 from repro.ir.types import IRType
+from repro.obs.metrics import registry as _metrics_registry
 from repro.vm.engine import (
     DecodedFunction,
     K_ALLOCA,
@@ -979,10 +984,18 @@ def build_block_static(df: DecodedFunction, seg):
 
 def compile_segment(df: DecodedFunction, seg, variant: str):
     """Compile one fused segment ``variant`` ("plain", "traced" or "lanes")
-    into its superinstruction callable."""
+    into its superinstruction callable.
+
+    Counts the compile and its seconds in the metrics registry
+    (``mir.segment_compiles`` / ``mir.segment_compile_s``, by variant)."""
+    started = perf_counter()
     emitter = _Emitter(df, seg, variant)
     source, module_globals = emitter.build()
     suffix = "" if variant == "plain" else "+" + variant
     code = compile(source, f"<mir:{df.name}#{seg.index}{suffix}>", "exec")
     exec(code, module_globals)
+    reg = _metrics_registry()
+    if reg.enabled:
+        reg.inc("mir.segment_compiles", variant=variant)
+        reg.inc("mir.segment_compile_s", perf_counter() - started, variant=variant)
     return module_globals["_seg"]

@@ -17,11 +17,14 @@ the two addressings losslessly.  Fault-site addressing, checkpoint
 schedules, and trace dynamic ids all remain in op-index space; the MIR is
 pure execution strategy.
 
-Segments with at least two ops are *fused*: compiled (see
-:mod:`repro.mir.fuse`) into a superinstruction — an ``exec``-specialized
-Python callable that executes the whole segment without touching the op
-loop.  Single-op segments and the non-fusable ops (``ret``, user calls,
-``phi``) stay with the op loop, which doubles as the bit-identity oracle.
+Segments with at least two ops are *fused*: they may run as a
+superinstruction (see :mod:`repro.mir.fuse`), an ``exec``-specialized Python
+callable that executes the whole segment without touching the op loop.
+Each variant is compiled only once the segment is hot: at the N-th entry
+that wants it, N per variant in :data:`HOT_ENTRIES`
+(:meth:`MirSegment.hot`).  Until then, and for single-op segments and the
+non-fusable ops (``ret``, user calls, ``phi``), the op loop runs the
+segment's ops and doubles as the bit-identity oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ FUSABLE_BODY = frozenset((K_FN, K_LOAD, K_STORE, K_GEP, K_ALLOCA, K_CALL_INTRINS
 #: Kinds that end a segment *before* themselves (executed by the op loop).
 SEGMENT_BARRIERS = frozenset((K_RET, K_CALL_USER, K_PHI))
 
+#: A fused segment compiles a superinstruction variant at the entry that
+#: brings that variant's entry count to its value here; the entries before
+#: it run in the op loop.  Short replays enter most segments only a few
+#: times, where compiling costs more than the op loop it would replace.
+#: ``plain`` compiles in about a third of the time of ``traced`` and
+#: ``lanes`` (which carry trace rows or fault lanes per op), and one-shot
+#: golden runs enter many of their segments only once or twice.  Each
+#: campaign worker process counts its own entries, so ``lanes`` stays low
+#: enough that a two-worker cg walk still runs ~96% of its ops fused.
+HOT_ENTRIES = {"plain": 2, "traced": 16, "lanes": 8}
+
 
 class MirSegment:
     """One straight-line segment: a run of pcs executed as a unit.
@@ -57,16 +71,21 @@ class MirSegment:
     ``pcs`` lists the op-index of every op in execution order (contiguous
     within a block; EBB merges jump to the start of the merged block).
     ``plain`` / ``traced`` / ``lanes`` are the compiled superinstruction
-    variants (``None`` for unfused segments); ``traced`` and ``lanes`` are
-    compiled lazily because most runs never trace and only batch walks
-    carry divergence.
+    variants, ``None`` until compiled (always, for unfused segments).  A
+    variant compiles at the N-th dispatch-site entry that wants it, N per
+    variant in :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free
+    and counting runs and for batch-walk entries no divergence reaches,
+    ``traced`` for traced runs, ``lanes`` for batch-walk entries that carry
+    divergence.  The entry counts live on the digest-shared origin segment,
+    so the digest cache's clones of one program pool their heat; ``plain``
+    and ``lanes`` are shared with the clones as well, ``traced`` is not
+    (see :func:`repro.mir.cache._clone_for`).
 
     ``live_in`` lists the register slots the segment reads before writing
     them (in first-read order) and ``first_write`` maps every slot it writes
     to the offset of its (SSA: only) definition: the ``lanes`` variant reads
     the divergence maps of the first on entry and writes a stopped prefix's
-    registers back from the second.  ``lanes`` is compiled on the first
-    batch-walk entry that needs it (:meth:`compile_lanes`).
+    registers back from the second.
     """
 
     __slots__ = (
@@ -85,6 +104,7 @@ class MirSegment:
         "_df",
         "_static",
         "_origin",
+        "_heat",
     )
 
     def __init__(self, index: int, pcs: Tuple[int, ...], fused: bool, df: DecodedFunction):
@@ -98,8 +118,11 @@ class MirSegment:
         self.lanes = None
         self._df = df
         self._static = None
-        #: segment whose compiled ``lanes`` this one shares (digest cache)
+        #: segment whose heat and compiled ``plain``/``lanes`` this one
+        #: shares (digest cache)
         self._origin = None
+        #: variant -> entries that wanted it (read on the origin only)
+        self._heat = {"plain": 0, "traced": 0, "lanes": 0}
         ops = df.ops
         live_in: List[int] = []
         first_write: Dict[int, int] = {}
@@ -125,6 +148,23 @@ class MirSegment:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
+    def hot(self, variant: str):
+        """Count one entry that wants ``variant`` ("plain", "traced" or
+        "lanes"); return its callable, compiling it at the variant's
+        :data:`HOT_ENTRIES`-th entry, or ``None`` while the segment is cold
+        (the caller runs the op loop instead)."""
+        heat = (self._origin or self)._heat
+        entries = heat[variant] + 1
+        heat[variant] = entries
+        if entries < HOT_ENTRIES[variant]:
+            return None
+        return getattr(self, "compile_" + variant)()
+
+    def compile_plain(self):
+        """Compile (and cache, also for the digest cache's clones) the
+        golden-only superinstruction variant."""
+        return self._compile_shared("plain")
+
     def compile_traced(self):
         """Compile (and cache) the trace-emitting superinstruction variant."""
         from repro.mir.fuse import compile_segment
@@ -136,13 +176,18 @@ class MirSegment:
     def compile_lanes(self):
         """Compile (and cache, also for the digest cache's clones) the
         divergence-carrying batch-walk variant."""
+        return self._compile_shared("lanes")
+
+    def _compile_shared(self, variant: str):
         shared = self._origin or self
-        if shared.lanes is None:
+        fn = getattr(shared, variant)
+        if fn is None:
             from repro.mir.fuse import compile_segment
 
-            shared.lanes = compile_segment(shared._df, shared, "lanes")
-        self.lanes = shared.lanes
-        return self.lanes
+            fn = compile_segment(shared._df, shared, variant)
+            setattr(shared, variant, fn)
+        setattr(self, variant, fn)
+        return fn
 
     def block_static(self):
         """Per-segment static trace columns (see ``ColumnarTrace.append_block``)."""
@@ -221,9 +266,7 @@ def _block_meta(df: DecodedFunction) -> Tuple[List[int], List[int]]:
 
 
 def lower_function(df: DecodedFunction) -> MirFunction:
-    """Partition ``df`` into segments and compile the fused ones."""
-    from repro.mir.fuse import compile_segment
-
+    """Partition ``df`` into segments (none compiled yet: see :meth:`MirSegment.hot`)."""
     ops = df.ops
     n = len(ops)
     block_start, preds = _block_meta(df)
@@ -274,11 +317,7 @@ def lower_function(df: DecodedFunction) -> MirFunction:
 
         for covered_pc in pcs:
             covered[covered_pc] = True
-        fused = len(pcs) >= 2
-        seg = MirSegment(len(segments), tuple(pcs), fused, df)
-        if fused:
-            seg.plain = compile_segment(df, seg, "plain")
-        segments.append(seg)
+        segments.append(MirSegment(len(segments), tuple(pcs), len(pcs) >= 2, df))
 
     return MirFunction(df, segments)
 

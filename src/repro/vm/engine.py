@@ -1140,12 +1140,13 @@ class Engine:
         # * ``seg.plain`` when no cell divergence is live, the current frame
         #   holds no divergent register and no fault arms inside the window:
         #   every in-flight fault computes golden values there;
-        # * ``seg.lanes`` otherwise (compiled on first need): golden plus
-        #   each affected fault's value per op, with this loop's
-        #   bookkeeping, stopping before the first op it cannot carry (a
-        #   fault arming, an address or branch direction diverging, a lane
-        #   raising) so the op loop runs that op and the rest of the
-        #   segment.
+        # * ``seg.lanes`` otherwise: golden plus each affected fault's value
+        #   per op, with this loop's bookkeeping, stopping before the first
+        #   op it cannot carry (a fault arming, an address or branch
+        #   direction diverging, a lane raising) so the op loop runs that
+        #   op and the rest of the segment.
+        # Either variant compiles once the segment is hot (``seg.hot``);
+        # while it is cold the op loop runs the segment.
         # Counts are flushed once, in ``finally``.
         mir_fns = self._mir.functions if self._mir is not None else None
         dispatch = mir_fns[frame.df.name].dispatch if mir_fns is not None else None
@@ -1243,38 +1244,42 @@ class Engine:
                         fdiv = frame.div
                         arm_inside = dyn < next_arm < dyn + n_ops
                         if not arm_inside and not cells and not fdiv:
-                            try:
-                                pc = seg.plain(frame, regs, memory, cell)
-                            except BaseException:
-                                # the op loop's crash accounting: the
-                                # completed prefix counts, the crashing op
-                                # does not
-                                dyn += cell[0]
-                                cell[0] = 0
-                                raise
-                            dyn += n_ops
-                            fused_ops += n_ops
-                            continue
-                        lanes = seg.lanes or seg.compile_lanes()
-                        if fdiv is None:
-                            fdiv = frame.div = {}
-                        pc = lanes(
-                            frame, regs, memory, cell, fdiv, cells,
-                            div_count, active, resolve_golden, dyn,
-                            next_arm - dyn if arm_inside else -1,
-                            next_spec >= nspecs,
-                        )
-                        cause = cell[1]
-                        if cause:
-                            n_ops = cell[0]
-                            cell[1] = 0
-                            stops[cause] += 1
-                        dyn += n_ops
-                        fused_ops += n_ops
-                        lane_ops += n_ops
-                        if cause == LANE_END:
-                            break
-                        continue
+                            plain = seg.plain or seg.hot("plain")
+                            if plain is not None:
+                                try:
+                                    pc = plain(frame, regs, memory, cell)
+                                except BaseException:
+                                    # the op loop's crash accounting: the
+                                    # completed prefix counts, the crashing
+                                    # op does not
+                                    dyn += cell[0]
+                                    cell[0] = 0
+                                    raise
+                                dyn += n_ops
+                                fused_ops += n_ops
+                                continue
+                        else:
+                            lanes = seg.lanes or seg.hot("lanes")
+                            if lanes is not None:
+                                if fdiv is None:
+                                    fdiv = frame.div = {}
+                                pc = lanes(
+                                    frame, regs, memory, cell, fdiv, cells,
+                                    div_count, active, resolve_golden, dyn,
+                                    next_arm - dyn if arm_inside else -1,
+                                    next_spec >= nspecs,
+                                )
+                                cause = cell[1]
+                                if cause:
+                                    n_ops = cell[0]
+                                    cell[1] = 0
+                                    stops[cause] += 1
+                                dyn += n_ops
+                                fused_ops += n_ops
+                                lane_ops += n_ops
+                                if cause == LANE_END:
+                                    break
+                                continue
                 op = ops[pc]
                 kind = op.kind
                 op_dyn = dyn
@@ -1842,7 +1847,9 @@ class Engine:
 
         # MIR fast path: dispatch whole fused segments when the sink (if
         # any) supports bulk emission.  fast_mode: 0 off, 1 sink-free,
-        # 2 counting (tick_block), 3 traced (append_block).
+        # 2 counting (tick_block), 3 traced (append_block).  A segment's
+        # variant compiles once the segment is hot (``seg.hot``); while it
+        # is cold the op loop runs the segment.
         mir = self._mir
         fast_mode = 0
         if mir is not None:
@@ -1881,22 +1888,28 @@ class Engine:
                     if seg is not None:
                         end = dyn + seg.n_ops
                         # dispatch only when the whole segment fits before
-                        # the next pause / step limit and no fault is armed
-                        # inside its dynamic window
+                        # the next pause / step limit, no fault is armed
+                        # inside its dynamic window and the variant is hot
                         if (
                             end <= next_pause
                             and end <= max_steps
                             and (fault_dyn < dyn or fault_dyn >= end)
                         ):
+                            if fast_mode == 3:
+                                fn = seg.traced or seg.hot("traced")
+                            else:
+                                fn = seg.plain or seg.hot("plain")
+                        else:
+                            fn = None
+                        if fn is not None:
                             try:
                                 if fast_mode == 3:
-                                    fn = seg.traced or seg.compile_traced()
                                     pc = fn(
                                         frame, regs, prods, memory, sink,
                                         last_writer, dyn, cell,
                                     )
                                 else:
-                                    pc = seg.plain(frame, regs, memory, cell)
+                                    pc = fn(frame, regs, memory, cell)
                                     if fast_mode == 2:
                                         sink_tick_block(seg.counts, seg.n_ops)
                             except BaseException:

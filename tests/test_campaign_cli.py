@@ -216,6 +216,38 @@ class TestStatsCommand:
         assert ("propagation: 40 events visited / 360 window steps "
                 "(visit share 0.11)") in out
 
+    def test_stats_reports_mir_compiles(self, store_path, capsys):
+        """Superinstruction compiles (count by variant and seconds) render
+        from a run's persisted metrics, added to what the run recorded."""
+        import re
+
+        from repro.campaigns.store import CampaignStore
+        from repro.obs.metrics import MetricsRegistry
+
+        main(["campaign", "run", "matmul", "--plan", "fixed:8",
+              *self._base(store_path)])
+        capsys.readouterr()
+        extra = MetricsRegistry()
+        extra.inc("mir.segment_compiles", 3, variant="plain")
+        extra.inc("mir.segment_compiles", 2, variant="lanes")
+        extra.inc("mir.segment_compile_s", 0.5, variant="plain")
+        with CampaignStore(store_path) as store:
+            (record,) = store.campaigns()
+            store.save_run_metrics(record.campaign_id, 2, extra.to_dict())
+        assert main(
+            ["stats", "matmul", "--plan", "fixed:8", "--store", store_path]
+        ) == 0
+        out = capsys.readouterr().out
+        match = re.search(
+            r"mir compile: (\d+) segment variants in ([\d.]+) s "
+            r"\(plain (\d+) / traced (\d+) / lanes (\d+)\)", out
+        )
+        assert match, out
+        total, plain, traced, lanes = (int(match.group(i)) for i in (1, 3, 4, 5))
+        assert total == plain + traced + lanes
+        assert plain >= 3 and lanes >= 2
+        assert float(match.group(2)) >= 0.5
+
     def test_stats_promfile_export(self, store_path, tmp_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",
               *self._base(store_path)])

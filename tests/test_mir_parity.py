@@ -17,6 +17,13 @@ Three layers of evidence:
   offset) maps round-trip, so fault-site addressing stays exact;
 * targeted parity checks for the three sink fast paths (sink-free,
   counting, traced) and for fault injection on both backends.
+
+Segments compile their superinstructions only once hot, so the fuzzer and
+the sink fast-path checks run twice: a *cold* leg starting from an empty
+compile cache (the op loop runs each segment until it is hot, then the
+compiled code takes over mid-run) and a *warmed* leg (``*_warmed``) with
+every variant compiled up front.  Both assert that the block backend
+dispatched at least one fused segment.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import pytest
 
 from repro.frontend import compile_kernel_source
 from repro.ir.types import F64, I64
-from repro.mir import lower_program, mir_program_for
+from repro.mir import HOT_ENTRIES, lower_program, mir_program_for
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.events import TraceEvent
 from repro.tracing.sinks import CountingSink
@@ -39,6 +46,7 @@ from repro.vm.faults import FaultSpec, FaultTarget
 from repro.vm.memory import Memory
 from repro.workloads.registry import get_workload, workload_names
 
+from mir_helpers import cold, compile_all, segment_dispatches
 from oracles.interpreter import Interpreter
 
 
@@ -185,30 +193,60 @@ def _run_one(module, name, n, a0, b0, executor):
     return outputs, return_value, steps, list(sink), error
 
 
+def _prepare(module, warm: bool) -> None:
+    """Start ``module``'s block runs cold, or with every variant compiled."""
+    if warm:
+        compile_all(module)
+    else:
+        cold(module)
+
+
 @pytest.mark.parametrize("crash", ["", "oob", "div0"])
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzzed_kernels_three_way_parity(seed, crash):
+    _three_way_parity(seed, crash, warm=False)
+
+
+@pytest.mark.parametrize("crash", ["", "oob", "div0"])
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzzed_kernels_three_way_parity_warmed(seed, crash):
+    _three_way_parity(seed, crash, warm=True)
+
+
+def _three_way_parity(seed, crash, warm):
     source, name, n, a0, b0 = generate_kernel(seed, crash)
     function = compile_kernel_source(source)
     module = function.metadata["module"]
-    where = f"seed={seed} crash={crash or 'none'}"
+    where = f"seed={seed} crash={crash or 'none'} warm={warm}"
+    _prepare(module, warm)
 
     ref = _run_one(module, name, n, a0, b0, "interpreter")
-    for backend in ("op", "block"):
-        got = _run_one(module, name, n, a0, b0, backend)
-        label = f"{where} backend={backend}"
-        if ref[4] is not None:
-            assert got[4] is not None, f"{label}: expected {type(ref[4]).__name__}"
-            assert type(got[4]) is type(ref[4]), label
-            assert str(got[4]) == str(ref[4]), label
-        else:
-            assert got[4] is None, f"{label}: unexpected {got[4]!r}"
-            assert _values_equal(ref[1], got[1]), f"{label}: return value"
-            assert ref[2] == got[2], f"{label}: steps {ref[2]} vs {got[2]}"
-        assert_outputs_identical(ref[0], got[0], label)
-        assert_event_streams_identical(ref[3], got[3], label)
+    _assert_same_run(ref, _run_one(module, name, n, a0, b0, "op"), f"{where} op")
+    # cold: repeat the (traced) block run until a segment is hot -- one run
+    # may stop before any gets there -- comparing every run, before, across
+    # and after the compiles, with the interpreter
+    for run in range(HOT_ENTRIES["traced"]):
+        with segment_dispatches() as dispatched:
+            got = _run_one(module, name, n, a0, b0, "block")
+        _assert_same_run(ref, got, f"{where} block run {run}")
+        if dispatched[0]:
+            break
+    assert dispatched[0] > 0, f"{where}: no fused segment dispatched"
     if crash:
         assert isinstance(ref[4], Exception), f"{where}: crash kernel did not crash"
+
+
+def _assert_same_run(ref, got, label):
+    if ref[4] is not None:
+        assert got[4] is not None, f"{label}: expected {type(ref[4]).__name__}"
+        assert type(got[4]) is type(ref[4]), label
+        assert str(got[4]) == str(ref[4]), label
+    else:
+        assert got[4] is None, f"{label}: unexpected {got[4]!r}"
+        assert _values_equal(ref[1], got[1]), f"{label}: return value"
+        assert ref[2] == got[2], f"{label}: steps {ref[2]} vs {got[2]}"
+    assert_outputs_identical(ref[0], got[0], label)
+    assert_event_streams_identical(ref[3], got[3], label)
 
 
 def test_fuzzed_kernels_do_fuse():
@@ -305,10 +343,22 @@ def _fresh_run(workload, backend, sink=None, fault=None):
 
 @pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
 def test_workload_counting_sink_parity(name):
+    _workload_counting_sink_parity(name, warm=False)
+
+
+@pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
+def test_workload_counting_sink_parity_warmed(name):
+    _workload_counting_sink_parity(name, warm=True)
+
+
+def _workload_counting_sink_parity(name, warm):
     workload = get_workload(name)
+    _prepare(workload.module(), warm)
     op_sink, block_sink = CountingSink(), CountingSink()
     op = _fresh_run(workload, "op", sink=op_sink)
-    block = _fresh_run(workload, "block", sink=block_sink)
+    with segment_dispatches() as dispatched:
+        block = _fresh_run(workload, "block", sink=block_sink)
+    assert dispatched[0] > 0
     assert op[3] is None and block[3] is None
     assert op[2] == block[2]
     assert op_sink.total == block_sink.total == op[2]
@@ -318,10 +368,22 @@ def test_workload_counting_sink_parity(name):
 
 @pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
 def test_workload_traced_parity(name):
+    _workload_traced_parity(name, warm=False)
+
+
+@pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
+def test_workload_traced_parity_warmed(name):
+    _workload_traced_parity(name, warm=True)
+
+
+def _workload_traced_parity(name, warm):
     workload = get_workload(name)
+    _prepare(workload.module(), warm)
     op_sink, block_sink = ColumnarTrace(), ColumnarTrace()
     op = _fresh_run(workload, "op", sink=op_sink)
-    block = _fresh_run(workload, "block", sink=block_sink)
+    with segment_dispatches() as dispatched:
+        block = _fresh_run(workload, "block", sink=block_sink)
+    assert dispatched[0] > 0
     assert op[3] is None and block[3] is None
     assert op[1] == block[1] and op[2] == block[2]
     assert_outputs_identical(op[0], block[0], name)

@@ -35,6 +35,8 @@ from repro.obs.spans import (
 )
 from repro.reporting import format_metrics_table
 
+from mir_helpers import compile_all
+
 
 @pytest.fixture(autouse=True)
 def _fresh_registry():
@@ -410,6 +412,7 @@ class TestEngineCounters:
         from repro.vm import Engine
 
         module, memory, a, b = saxpy_setup
+        compile_all(module)
         engine = Engine(module, memory, backend="block")
         result = engine.run("saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0})
         reg = registry()

@@ -28,6 +28,11 @@ on resolution kind, ``converged_at`` and the op each eviction forks at:
 * a select on a divergent condition between two values computed from
   constants only (neither can diverge, and the lane must still pick the
   other one).
+
+Segments compile ``plain`` and ``lanes`` only once hot; the cases that
+assert the fused path itself ran compile every variant up front
+(``mir_helpers.compile_all``), and the all-workload sweep runs both cold
+and warmed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from repro.vm.errors import ArithmeticFault
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
 from repro.workloads.base import Workload
+
+from mir_helpers import cold, compile_all
 
 
 def scale(v: "double*", n: "i64") -> "double":
@@ -168,6 +175,7 @@ def test_callee_runs_fused_while_caller_holds_divergent_register(
             walking.pop()
 
     monkeypatch.setattr(Engine, "resume_many", recording_resume_many)
+    compile_all(workload.module())
     program = DecodedProgram.of(workload.module())
     seen = []
     for seg in mir_program_for(program).functions["scale"].segments:
@@ -434,6 +442,7 @@ def test_diverged_cell_load_mid_segment_and_cast_equal_store(
     # 1e8 (the lane differs in the register) and stores x[0], whose f32
     # rounding equals golden: x stays clean, and the fault drains once the
     # register and y[0] (overwritten with 0.0) are golden again
+    compile_all(lanes_workload.module())
     spec = _copy_flip(lanes_events, "y", 0, bit=0)
     # a later fault keeps the walk going past the drain
     later = FaultSpec(
@@ -458,6 +467,7 @@ def test_walk_ends_at_the_op_resolving_the_last_fault(
     # register lane, golden again at the next iteration's add) and at a
     # store (x[0] overwritten); the walk must end right there, as the op
     # loop's does (``_check_batch`` compares walk lengths)
+    compile_all(lanes_workload.module())
     for spec, resolving in (
         (_copy_flip(lanes_events, "y", 0, bit=0),
          _op(lanes_events, "use.body", "fadd", nth=1)),
@@ -473,6 +483,7 @@ def test_negative_zero_and_nan_payload_lanes(lanes_workload, lanes_events):
     # a[0] -> -1.5 gives z[0] = -0.0 against golden 0.0 (reloaded mid-segment:
     # r[0] = -inf against inf); a[1] is a NaN whose payload gains a bit,
     # which out[1] and z[1] inherit
+    compile_all(lanes_workload.module())
     specs = [
         _copy_flip(lanes_events, "a", 0, bit=63),
         _copy_flip(lanes_events, "a", 1, bit=3),
@@ -492,6 +503,7 @@ def test_negative_zero_and_nan_payload_lanes(lanes_workload, lanes_events):
 
 def test_divergent_address_evicts_at_that_op(lanes_workload, lanes_events):
     # idx[2] -> 3: the ``w[idx[i]]`` store diverges in its address mid-segment
+    compile_all(lanes_workload.module())
     spec = _copy_flip(lanes_events, "idx", 2, bit=0)
     kinds, forks, stats = _check_batch(lanes_workload, [spec])
     assert kinds[0][0] == "private"
@@ -503,6 +515,7 @@ def test_divergent_address_evicts_at_that_op(lanes_workload, lanes_events):
 def test_branch_divergence_same_direction_rides_opposite_evicts(
     lanes_workload, lanes_events
 ):
+    compile_all(lanes_workload.module())
     # m[0] = 2: 2 -> 6 keeps the branch direction, 2 -> 0 flips it
     same = _copy_flip(lanes_events, "m", 0, bit=2)
     flipped = _copy_flip(lanes_events, "m", 0, bit=1)
@@ -518,6 +531,7 @@ def test_branch_divergence_same_direction_rides_opposite_evicts(
 
 
 def test_lane_raising_where_golden_does_not(lanes_workload, lanes_events):
+    compile_all(lanes_workload.module())
     # dv[0] = 1 -> 0: only the fault divides by zero
     spec = _copy_flip(lanes_events, "dv", 0, bit=0)
     kinds, _, stats = _check_batch(lanes_workload, [spec])
@@ -534,6 +548,7 @@ def test_faults_arming_at_first_interior_and_last_op_under_lanes(
     # so its body runs in ``lanes``; more faults arm at the body's first op
     # (the a[i] load) in iteration 1, an interior op (the f32 add) in
     # iteration 2 and its last op (the branch) in iteration 3
+    compile_all(lanes_workload.module())
     background = _copy_flip(lanes_events, "a", 0, bit=63)
     body = [e for e in lanes_events if e.block == "use.body"]
     per_iteration = len(body) // 4
@@ -564,6 +579,7 @@ def test_lane_counters_reach_the_metrics_registry(
         pytest.skip("metrics disabled (REPRO_METRICS=0)")
     cursor = "test-lane-counters"
     reg.snapshot_delta(cursor)
+    compile_all(lanes_workload.module())
     specs = [
         _copy_flip(lanes_events, "a", 0, bit=63),
         _copy_flip(lanes_events, "idx", 2, bit=0),
@@ -598,15 +614,30 @@ def test_lane_counters_reach_the_metrics_registry(
 
 def test_every_registered_workload_block_vs_op():
     # the all-workload parity sweep of test_replay_batch, plus the block
-    # walk (``lanes`` included) against the op walk
+    # walk (``lanes`` included) against the op walk; cold, the segments
+    # compile while the runs of ``_check_batch`` go on
+    _all_workloads_block_vs_op(warm=False)
+
+
+def test_every_registered_workload_block_vs_op_warmed():
+    _all_workloads_block_vs_op(warm=True)
+
+
+def _all_workloads_block_vs_op(warm):
     from test_replay_batch import ALL_WORKLOADS, _sample_specs, _small
 
-    lane_ops = 0
+    fused_ops = lane_ops = 0
     for name in ALL_WORKLOADS:
         workload = _small(name)
+        if warm:
+            compile_all(workload.module())
+        else:
+            cold(workload.module())
         specs = _sample_specs(workload, workload.traced_run().trace)
         _, _, stats = _check_batch(workload, specs)
+        fused_ops += stats.walk_fused_ops
         lane_ops += stats.walk_lane_ops
+    assert fused_ops > 0
     assert lane_ops > 0
 
 
@@ -666,6 +697,7 @@ def test_select_between_constant_only_values_on_a_divergent_condition():
     # c[0] = 1 -> 0 flips the select to the other constant-only arm: the
     # lane must read that arm's value, not golden's
     workload = SelectWorkload()
+    compile_all(workload.module())
     events = list(workload.traced_run().trace)
     select = _op(events, "use.body", "select")
     program = DecodedProgram.of(workload.module())
