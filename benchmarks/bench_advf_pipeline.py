@@ -1,14 +1,16 @@
-"""A-PIPE — aDVF pipeline microbenchmark: columnar passes vs legacy scans.
+"""A-PIPE — aDVF pipeline microbenchmark: columnar passes vs per-event scans.
 
 Measures, per workload (default ``matmul`` and ``cg``):
 
 * **analysis**: one full aDVF analysis of the workload's target objects
-  over a pre-built golden trace — the legacy per-event pipeline (an
-  engine handed a full ``Trace``, which skips the operation passes) vs the
-  vectorized columnar one (the default).  Injection is disabled so the
-  measurement isolates the trace-analysis stack (participation discovery,
-  operation-level masking, propagation, aggregation); the deterministic-
-  injection machinery is byte-for-byte shared by both pipelines.
+  over a pre-built golden trace — the legacy per-event pipeline (the
+  ``PerEventEngine`` oracle of ``tests/oracles``: participations from the
+  per-event scan, every verdict from ``OperationMaskingAnalyzer.analyze``)
+  vs the vectorized columnar one (the production engine).  Injection is
+  disabled so the measurement isolates the trace-analysis stack
+  (participation discovery, operation-level masking, propagation,
+  aggregation); propagation, planning and aggregation are the same code
+  on both sides.
 * **trace acquisition**: recording a fresh golden trace vs loading the
   cached ``.npz`` artifact (what campaign workers and resumed campaigns
   pay).
@@ -31,19 +33,21 @@ import tempfile
 import time
 from pathlib import Path
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 try:
     import repro  # noqa: F401  (installed package or PYTHONPATH=src)
 except ModuleNotFoundError:  # standalone script run from a source checkout
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    )
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
+# the per-event pipeline lives with the test oracles
+sys.path.insert(0, os.path.join(_ROOT, "tests"))
 
+from oracles.advf_sequential import PerEventEngine
 from repro.core.advf import AdvfEngine, AnalysisConfig
-from repro.tracing import ColumnarTrace, have_numpy
+from repro.tracing import ColumnarTrace
 from repro.workloads.registry import get_workload
 
 WORKLOADS = os.environ.get("REPRO_BENCH_PIPELINE_WORKLOADS", "matmul,cg").split(",")
-#: The analysis speedup bar on matmul (with NumPy available).
+#: The analysis speedup bar on matmul.
 SPEEDUP_BAR = 3.0
 
 
@@ -63,11 +67,9 @@ def measure_analysis_speedup(workload_name: str):
     results = {}
 
     def build(pipeline):
-        trace = workload.traced_run().trace if pipeline == "legacy" else None
-        engine = AdvfEngine(
-            workload, AnalysisConfig(use_injection=False), trace=trace
-        )
-        engine.trace  # build (and, for columnar, seal) outside the timed region
+        engine_cls = PerEventEngine if pipeline == "legacy" else AdvfEngine
+        engine = engine_cls(workload, AnalysisConfig(use_injection=False))
+        engine.trace  # record and seal outside the timed region
         return engine
 
     def analyze(pipeline):
@@ -89,7 +91,6 @@ def measure_analysis_speedup(workload_name: str):
 
     return {
         "workload": workload_name,
-        "numpy": have_numpy(),
         "trace_events": results["legacy"].trace_events,
         "objects": len(results["legacy"].objects),
         "legacy_analysis_s": legacy_s,
@@ -101,10 +102,10 @@ def measure_analysis_speedup(workload_name: str):
 def measure_trace_acquisition(workload_name: str):
     """Fresh traced run vs loading the cached columnar artifact."""
     workload = get_workload(workload_name)
-    trace = workload.traced_run(columnar=True).trace
-    record_s = _time(lambda: workload.traced_run(columnar=True))
+    trace = workload.traced_run().trace
+    record_s = _time(lambda: workload.traced_run())
     with tempfile.TemporaryDirectory(prefix="repro-bench-trace-") as tmp:
-        path = trace.save(Path(tmp) / f"golden{'.npz' if have_numpy() else '.jsonl'}")
+        path = trace.save(Path(tmp) / "golden.npz")
         artifact_bytes = path.stat().st_size
         load_s = _time(lambda: ColumnarTrace.load(path))
     return {
@@ -126,9 +127,9 @@ def test_bench_advf_pipeline_analysis(once, benchmark):
     for name in WORKLOADS[1:]:
         stats[name] = measure_analysis_speedup(name)
     benchmark.extra_info.update(stats)
-    print_header("aDVF pipeline: columnar passes vs legacy per-event scans")
+    print_header("aDVF pipeline: columnar passes vs per-event scans")
     print(json.dumps(stats, indent=2))
-    if have_numpy() and "matmul" in stats:
+    if "matmul" in stats:
         assert stats["matmul"]["analysis_speedup"] >= SPEEDUP_BAR
 
 
@@ -148,7 +149,7 @@ def main() -> None:
         "trace_acquisition": measure_trace_acquisition(WORKLOADS[0]),
     }
     print(json.dumps(report, indent=2))
-    if have_numpy() and "matmul" in report["analysis"]:
+    if "matmul" in report["analysis"]:
         speedup = report["analysis"]["matmul"]["analysis_speedup"]
         assert speedup >= SPEEDUP_BAR, (
             f"columnar analysis speedup {speedup:.2f}x below the "

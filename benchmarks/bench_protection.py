@@ -61,7 +61,7 @@ def _timed_golden(workload) -> float:
 def measure_schemes(workload_name: str, kwargs, object_name: str):
     """Predicted vs measured overhead of every applicable scheme."""
     workload = get_workload(workload_name, **kwargs)
-    trace = workload.traced_run(columnar=True).trace
+    trace = workload.traced_run().trace
     inputs = WorkloadCostInputs.from_workload(workload, trace)
     base_wall = _timed_golden(workload)
 

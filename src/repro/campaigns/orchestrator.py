@@ -576,11 +576,11 @@ class CampaignOrchestrator:
             if cache is not None:
                 trace, hit = cache.get_or_build(
                     self.trace_digest,
-                    lambda: workload.traced_run(columnar=True).trace,
+                    lambda: workload.traced_run().trace,
                 )
                 source = "cache hit" if hit else "cache miss, built"
             else:
-                trace = workload.traced_run(columnar=True).trace
+                trace = workload.traced_run().trace
                 source = "cache disabled, built"
         self._say(
             f"[{self.campaign_id}] golden trace {self.trace_digest}: {source} "

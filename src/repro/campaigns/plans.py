@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.sites import FaultSite, enumerate_fault_sites
 from repro.campaigns.stats import wilson_half_width, z_for_confidence
-from repro.tracing.cursor import TraceLike
+from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
 
 
@@ -68,7 +68,7 @@ class SamplingPlan(ABC):
             return list(self.objects)
         return list(workload.target_objects)
 
-    def site_pool(self, trace: TraceLike, object_name: str) -> List[FaultSite]:
+    def site_pool(self, trace: ColumnarTrace, object_name: str) -> List[FaultSite]:
         """The valid fault sites the plan selects from, in canonical order."""
         return enumerate_fault_sites(
             trace,
@@ -94,7 +94,7 @@ class StaticPlan(SamplingPlan):
     """A plan whose complete spec list is known before the campaign starts."""
 
     @abstractmethod
-    def specs_for(self, trace: TraceLike, object_name: str) -> List[FaultSpec]:
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         """All fault specs of ``object_name``, in deterministic order."""
 
 
@@ -104,7 +104,7 @@ class ExhaustivePlan(StaticPlan):
 
     kind = "exhaustive"
 
-    def specs_for(self, trace: TraceLike, object_name: str) -> List[FaultSpec]:
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         return [site.to_spec() for site in self.site_pool(trace, object_name)]
 
     def describe(self) -> str:
@@ -120,7 +120,7 @@ class FixedRandomPlan(StaticPlan):
 
     kind = "fixed"
 
-    def specs_for(self, trace: TraceLike, object_name: str) -> List[FaultSpec]:
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         if self.tests <= 0:
             raise ValueError("tests must be positive")
         sites = self.site_pool(trace, object_name)
@@ -151,7 +151,7 @@ class StratifiedPlan(StaticPlan):
 
     kind = "stratified"
 
-    def specs_for(self, trace: TraceLike, object_name: str) -> List[FaultSpec]:
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         if self.per_stratum <= 0 or self.intervals <= 0:
             raise ValueError("per_stratum and intervals must be positive")
         sites = self.site_pool(trace, object_name)
@@ -206,7 +206,7 @@ class ValidationPlan(StaticPlan):
 
     kind = "validation"
 
-    def specs_for(self, trace: TraceLike, object_name: str) -> List[FaultSpec]:
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         sites = self.site_pool(trace, object_name)
         if self.tests is not None and len(sites) > self.tests:
             stride = len(sites) / self.tests

@@ -46,7 +46,6 @@ from repro.core.replay import ReplayContext
 from repro.core.sites import FaultSite
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
-from repro.tracing.cursor import TraceLike
 from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
@@ -218,25 +217,23 @@ class WorkloadReport:
 class AdvfEngine:
     """Compute aDVF for the data objects of one workload.
 
-    ``trace`` may inject a pre-built golden trace (e.g. a
-    :class:`~repro.tracing.columnar.ColumnarTrace` loaded from the trace
-    cache by a campaign worker); otherwise the engine records a columnar one
-    itself.  A :class:`~repro.tracing.columnar.ColumnarTrace` runs the
-    vectorized participation/masking passes
-    (:class:`~repro.core.passes.OperationPasses`); any other ``TraceLike``,
-    such as a full :class:`~repro.tracing.trace.Trace`, takes the per-event
-    path, with bit-identical results.
+    ``trace`` may inject a pre-built golden
+    :class:`~repro.tracing.columnar.ColumnarTrace` (e.g. one loaded from
+    the trace cache by a campaign worker); otherwise the engine records one
+    itself.  Participations and operation-level verdicts come from the
+    vectorized passes over its columns
+    (:class:`~repro.core.passes.OperationPasses`).
     """
 
     def __init__(
         self,
         workload: Workload,
         config: Optional[AnalysisConfig] = None,
-        trace: Optional[TraceLike] = None,
+        trace: Optional[ColumnarTrace] = None,
     ) -> None:
         self.workload = workload
         self.config = config or AnalysisConfig()
-        self._trace: Optional[TraceLike] = trace
+        self._trace: Optional[ColumnarTrace] = trace
         self._masking: Optional[OperationMaskingAnalyzer] = None
         self._propagation: Optional[PropagationAnalyzer] = None
         self._injector: Optional[DeterministicFaultInjector] = None
@@ -255,7 +252,7 @@ class AdvfEngine:
     # preparation
     # ------------------------------------------------------------------ #
     @property
-    def trace(self) -> TraceLike:
+    def trace(self) -> ColumnarTrace:
         """The golden traced execution (computed on first use).
 
         With injection enabled, the golden trace is recorded *during* the
@@ -271,7 +268,7 @@ class AdvfEngine:
                 )
                 self._trace = sink
             else:
-                self._trace = self.workload.traced_run(columnar=True).trace
+                self._trace = self.workload.traced_run().trace
             self._trace.columns()  # seal the column views eagerly
         return self._trace
 
@@ -281,7 +278,7 @@ class AdvfEngine:
             self._masking = OperationMaskingAnalyzer(
                 trace, overshadow_threshold=self.config.overshadow_threshold
             )
-        if self._passes is None and isinstance(trace, ColumnarTrace):
+        if self._passes is None:
             self._passes = OperationPasses(trace, self._masking)
         if self._propagation is None:
             self._propagation = PropagationAnalyzer(
@@ -340,11 +337,10 @@ class AdvfEngine:
             self.pass_timings.get("participation", 0.0)
             + (time.perf_counter() - start)
         )
-        if self._passes is not None:
-            self._passes.prepare(participations)
-            self.pass_timings["operation_passes"] = self._passes.timings.get(
-                "operation_passes", 0.0
-            )
+        self._passes.prepare(participations)
+        self.pass_timings["operation_passes"] = self._passes.timings.get(
+            "operation_passes", 0.0
+        )
 
         state = _ObjectState(
             injection_cache=EquivalenceCache(
@@ -374,10 +370,7 @@ class AdvfEngine:
         untouched; only ``state.propagation_checks`` is counted here.
         """
         config = self.config
-        if self._passes is not None:
-            verdict_of = self._passes.verdict
-        else:
-            verdict_of = self._masking.analyze
+        verdict_of = self._passes.verdict
         can_inject = self._injector is not None  # built iff use_injection
         site_samples = config.equivalence_samples
         injection_samples = config.injection_samples_per_class

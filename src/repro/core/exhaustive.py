@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro.core.acceptance import OutcomeClass
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.core.sites import FaultSite, enumerate_fault_sites
-from repro.tracing.trace import Trace
+from repro.tracing.columnar import ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.workloads.base import Workload
@@ -86,7 +86,7 @@ class ExhaustiveCampaign:
         self.max_injections = max_injections
         self.injector = injector or DeterministicFaultInjector(workload)
 
-    def sites_for(self, trace: Trace, object_name: str) -> List[FaultSite]:
+    def sites_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSite]:
         return enumerate_fault_sites(
             trace,
             object_name,
@@ -94,7 +94,7 @@ class ExhaustiveCampaign:
             max_participations=self.max_participations,
         )
 
-    def run(self, trace: Trace, object_name: str) -> ExhaustiveResult:
+    def run(self, trace: ColumnarTrace, object_name: str) -> ExhaustiveResult:
         """Inject into every (sampled) site of ``object_name``."""
         sites = self.sites_for(trace, object_name)
         total = len(sites)
@@ -114,7 +114,7 @@ class ExhaustiveCampaign:
         )
 
     def run_many(
-        self, trace: Trace, object_names: Sequence[str]
+        self, trace: ColumnarTrace, object_names: Sequence[str]
     ) -> Dict[str, ExhaustiveResult]:
         """Campaigns for several data objects over the same trace."""
         return {name: self.run(trace, name) for name in object_names}

@@ -14,22 +14,20 @@ Loads themselves are not counted as participations — the loaded value's
 ``sum[m] = sum[m] + v*v`` contributes one addition and one assignment (not a
 load) to the denominator.
 
-Two implementations share this definition:
-
-* the original per-event scan, which works over any ``TraceLike`` source
-  and remains the parity oracle;
-* a vectorized pass over the integer columns of a
-  :class:`~repro.tracing.columnar.ColumnarTrace` (object-id masks instead
-  of per-event Python dispatch), used automatically when the trace exposes
-  NumPy columns.  Both produce identical participation lists, in identical
-  order — asserted by the parity test suite.
+Participations are found by a vectorized pass over the integer columns of
+the :class:`~repro.tracing.columnar.ColumnarTrace` (object-id masks instead
+of per-event Python dispatch).  The parity suite checks it against the
+per-event scan kept in ``tests/oracles/participation_scan.py``: identical
+participation lists, in identical order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.ir.types import IRType
 from repro.tracing.columnar import (
@@ -39,7 +37,7 @@ from repro.tracing.columnar import (
     ColumnarTrace,
 )
 from repro.tracing.cursor import TraceLike
-from repro.tracing.events import OperandKind, TraceEvent
+from repro.tracing.events import TraceEvent
 
 
 class ParticipationRole(enum.Enum):
@@ -71,89 +69,26 @@ class Participation:
 
 
 def find_participations(
-    trace: TraceLike,
+    trace: ColumnarTrace,
     object_name: str,
     max_participations: Optional[int] = None,
 ) -> List[Participation]:
     """Enumerate every participation of ``object_name`` in ``trace``.
 
-    Dispatches to the vectorized columnar pass when the trace exposes
-    column views, and to the per-event scan otherwise.
     ``max_participations`` caps the result by taking an evenly-strided
     subsample (deterministic), which keeps analysis of very long traces
     bounded; the aDVF value is a ratio, so even subsampling preserves it in
     expectation.
     """
-    columns = trace.columns() if isinstance(trace, ColumnarTrace) else None
-    if columns is not None:
-        participations = _find_participations_columnar(trace, columns, object_name)
-    else:
-        participations = _find_participations_scan(trace, object_name)
+    participations = _find_participations_columnar(
+        trace, trace.columns(), object_name
+    )
 
     if max_participations is not None and len(participations) > max_participations:
         stride = len(participations) / max_participations
         participations = [
             participations[int(i * stride)] for i in range(max_participations)
         ]
-    return participations
-
-
-def _operand_is_direct_load_of(
-    trace: TraceLike, event: TraceEvent, operand_index: int, object_name: str
-) -> Optional[Tuple[int, int]]:
-    """``(element index, load id)`` when the operand is a direct load hit.
-
-    Protocol-level version of ``Trace.operand_is_direct_load_of``: works
-    against any trace-like source, so the scan path is not tied to the
-    full in-memory trace.
-    """
-    if event.operand_kinds[operand_index] is not OperandKind.INSTRUCTION:
-        return None
-    producer_id = event.operand_producers[operand_index]
-    if producer_id < 0:
-        return None
-    producer = trace[producer_id]
-    if not producer.is_load or producer.object_name != object_name:
-        return None
-    return (producer.element_index, producer.dynamic_id)  # type: ignore[return-value]
-
-
-def _find_participations_scan(
-    trace: TraceLike, object_name: str
-) -> List[Participation]:
-    """The original per-event scan (parity oracle for the columnar pass)."""
-    participations: List[Participation] = []
-    for event in trace:
-        if event.is_store and event.object_name == object_name:
-            participations.append(
-                Participation(
-                    event_id=event.dynamic_id,
-                    role=ParticipationRole.STORE_DEST,
-                    operand_index=-1,
-                    element_index=event.element_index,  # type: ignore[arg-type]
-                    load_event_id=-1,
-                    value_type=event.operand_types[0],
-                    static_uid=event.static_uid,
-                )
-            )
-        if event.is_load:
-            continue
-        for operand_index in range(event.operand_count()):
-            hit = _operand_is_direct_load_of(trace, event, operand_index, object_name)
-            if hit is None:
-                continue
-            element_index, load_id = hit
-            participations.append(
-                Participation(
-                    event_id=event.dynamic_id,
-                    role=ParticipationRole.CONSUMED,
-                    operand_index=operand_index,
-                    element_index=element_index,
-                    load_event_id=load_id,
-                    value_type=event.operand_types[operand_index],
-                    static_uid=event.static_uid,
-                )
-            )
     return participations
 
 
@@ -166,11 +101,9 @@ def _find_participations_columnar(
     consumptions are found by gathering each instruction-kind operand's
     producer and testing *the producers* (one gather) for "load of the
     target object" — no per-event Python dispatch.  The merged result is
-    ordered exactly like the scan: by event id, store destination (operand
-    index ``-1``) before consumed operands in operand order.
+    ordered by event id, store destination (operand index ``-1``) before
+    consumed operands in operand order.
     """
-    import numpy as np
-
     target = cols.object_index.get(object_name)
     if target is None:
         return []

@@ -1,6 +1,6 @@
 """Vectorized analysis passes over a columnar trace (§III-C, accelerated).
 
-The legacy aDVF loop re-derived the same facts per ``(participation,
+A per-site aDVF loop would re-derive the same facts per ``(participation,
 error pattern)`` — 64 times per participation for double-precision data:
 whether a store destination is a read-modify-write (a producer-chain walk),
 which trivial category a consumed operand falls into (address / branch /
@@ -8,7 +8,7 @@ return / stored value), and the materialised trace event itself.  All of
 these are properties of the *participation*, not the pattern.
 
 :class:`OperationPasses` computes them once per data object, array-at-a-time
-where the trace exposes NumPy columns:
+over the trace's NumPy columns:
 
 * **value-overwriting pass** — store-destination participations are
   screened with a vectorized depth-1 read-modify-write predicate (is the
@@ -24,14 +24,17 @@ where the trace exposes NumPy columns:
   :class:`~repro.core.masking.OperationMaskingAnalyzer` rules with a cached
   event materialisation — the "undecided remainder" of Fig. 3.
 
-Verdicts are identical, field for field, to the legacy analyzer's — the
-parity suite asserts it on every registered workload.
+Verdicts are identical, field for field, to
+:meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze` — the parity
+suite asserts it on every registered workload.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.core.masking import MaskingVerdict, OperationMaskingAnalyzer
 from repro.core.participation import Participation, ParticipationRole
@@ -130,30 +133,26 @@ class OperationPasses:
         """Vectorized depth-1 RMW screen; chain walk for the remainder."""
         if not store_ids:
             return
-        undecided = store_ids
         cols = self.trace.columns()
-        if cols is not None:
-            import numpy as np
-
-            sids = np.asarray(store_ids, dtype=np.int64)
-            producer0 = cols.producers[cols.offsets[sids]]
-            valid = producer0 >= 0
-            resolved = (cols.object_id[sids] >= 0) & (cols.element[sids] >= 0)
-            depth1 = np.zeros(len(sids), dtype=bool)
-            pv = producer0[valid]
-            sv = sids[valid]
-            depth1[valid] = (
-                (cols.opcode[pv] == LOAD_CODE)
-                & (cols.object_id[pv] == cols.object_id[sv])
-                & (cols.element[pv] == cols.element[sv])
-            )
-            depth1 &= resolved
-            undecided = []
-            for event_id, is_rmw in zip(store_ids, depth1.tolist()):
-                if is_rmw:
-                    self._rmw[event_id] = True
-                else:
-                    undecided.append(event_id)
+        sids = np.asarray(store_ids, dtype=np.int64)
+        producer0 = cols.producers[cols.offsets[sids]]
+        valid = producer0 >= 0
+        resolved = (cols.object_id[sids] >= 0) & (cols.element[sids] >= 0)
+        depth1 = np.zeros(len(sids), dtype=bool)
+        pv = producer0[valid]
+        sv = sids[valid]
+        depth1[valid] = (
+            (cols.opcode[pv] == LOAD_CODE)
+            & (cols.object_id[pv] == cols.object_id[sv])
+            & (cols.element[pv] == cols.element[sv])
+        )
+        depth1 &= resolved
+        undecided = []
+        for event_id, is_rmw in zip(store_ids, depth1.tolist()):
+            if is_rmw:
+                self._rmw[event_id] = True
+            else:
+                undecided.append(event_id)
         for event_id in undecided:
             self._rmw[event_id] = _rmw_walk(self.trace, event_id)
 
@@ -177,7 +176,7 @@ class OperationPasses:
             self._consumption[(participation.event_id, index)] = klass
 
     # ------------------------------------------------------------------ #
-    # per-site verdicts (pass-backed, legacy-identical)
+    # per-site verdicts (pass-backed, identical to the analyzer's)
     # ------------------------------------------------------------------ #
     def store_rmw(self, event_id: int) -> bool:
         flag = self._rmw.get(event_id)

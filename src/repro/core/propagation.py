@@ -42,12 +42,14 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.ir.instructions import Opcode
 from repro.core.masking import MaskingCategory
 from repro.core.participation import Participation, ParticipationRole
 from repro.core.patterns import ErrorPattern
 from repro.core.reexec import ReexecStatus, reevaluate, results_identical
-from repro.tracing.cursor import TraceLike
+from repro.tracing.columnar import LOAD_CODE, STORE_CODE, ColumnarTrace
 
 #: Death step of corruption that is never dropped.
 _NEVER = float("inf")
@@ -76,12 +78,9 @@ class PropagationResult:
 class PropagationAnalyzer:
     """Forward error propagation over a recorded trace, along def-use edges.
 
-    ``trace`` may be any trace-like event source (the full in-memory
-    :class:`~repro.tracing.trace.Trace` or a
-    :class:`~repro.tracing.columnar.ColumnarTrace`).  The readers and
-    accesses indices, the last load of every address and the
-    address-to-object map are built once, from the integer columns when
-    NumPy is available and by one event pass otherwise.  :meth:`analyze`
+    The readers and accesses indices, the last load of every address and
+    the address-to-object map are built once, from the integer columns of
+    the :class:`~repro.tracing.columnar.ColumnarTrace`.  :meth:`analyze`
     materialises only the events it pops from its candidate heap.
 
     ``visits`` (candidate events processed) and ``steps`` (the sum of
@@ -91,7 +90,7 @@ class PropagationAnalyzer:
 
     def __init__(
         self,
-        trace: TraceLike,
+        trace: ColumnarTrace,
         k: int = 50,
         output_objects: Optional[Set[str]] = None,
     ) -> None:
@@ -112,16 +111,7 @@ class PropagationAnalyzer:
         self._index_trace()
 
     def _index_trace(self) -> None:
-        from repro.tracing.columnar import LOAD_CODE, STORE_CODE, ColumnarTrace
-
-        cols = (
-            self.trace.columns() if isinstance(self.trace, ColumnarTrace) else None
-        )
-        if cols is None:
-            self._index_events()
-            return
-        import numpy as np
-
+        cols = self.trace.columns()
         # Flat operand order is event order, so a stable sort by producer
         # keeps each producer's readers ascending.
         used = np.nonzero(cols.producers >= 0)[0]
@@ -157,30 +147,6 @@ class PropagationAnalyzer:
                 cols.address[touched].tolist(), cols.object_id[touched].tolist()
             )
         }
-
-    def _index_events(self) -> None:
-        """The same indices from one pass over the events (classic
-        :class:`~repro.tracing.trace.Trace`, or no NumPy)."""
-        pairs = []
-        for event in self.trace:
-            dynamic_id = event.dynamic_id
-            for producer in event.operand_producers:
-                if producer >= 0:
-                    pairs.append((producer, dynamic_id))
-            address = event.address
-            if address is None:
-                continue
-            self._address_object[address] = event.object_name
-            if event.is_load:
-                self._last_load_of_address[address] = dynamic_id
-            if event.is_memory_access:
-                self._accesses.setdefault(address, []).append(dynamic_id)
-        pairs.sort()
-        producers = [producer for producer, _ in pairs]
-        self._reader_start = array("q", (
-            bisect_left(producers, v) for v in range(len(self.trace) + 1)
-        ))
-        self._readers = array("q", (reader for _, reader in pairs))
 
     # ------------------------------------------------------------------ #
     def analyze(

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.acceptance import OutcomeClass
 from repro.core.injector import DeterministicFaultInjector
 from repro.core.sites import FaultSite, enumerate_fault_sites
-from repro.tracing.trace import Trace
+from repro.tracing.columnar import ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.workloads.base import Workload
@@ -106,7 +106,7 @@ class RandomFaultInjection:
 
     def run(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         object_name: str,
         tests: int,
         confidence: float = 0.95,
@@ -141,7 +141,7 @@ class RandomFaultInjection:
 
     def sweep(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         object_name: str,
         test_counts: Sequence[int],
         confidence: float = 0.95,

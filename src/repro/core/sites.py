@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.core.participation import Participation, ParticipationRole, find_participations
-from repro.tracing.cursor import TraceLike
+from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec, FaultTarget
 
 
@@ -47,7 +47,7 @@ class FaultSite:
 
 
 def enumerate_fault_sites(
-    trace: TraceLike,
+    trace: ColumnarTrace,
     object_name: str,
     bit_stride: int = 1,
     max_participations: Optional[int] = None,

@@ -95,7 +95,6 @@ from repro.vm.engine import (
     LANE_ARM,
     _UNDEF,
     _rebase,
-    _values_bit_equal,
 )
 from repro.vm.errors import SegmentationFault, VMError
 from repro.vm.memory import Memory
@@ -183,15 +182,16 @@ def _recell(cells, cmap, name, index, new, dc, rg, at, last, active) -> None:
         _resolve(drained, rg, at, last, active)
 
 
-def _cell_lanes(cells, name, index, golden):
-    """A load's per-fault values: the loaded cell's divergence map, minus
-    entries bit-equal to ``golden``."""
-    cmap = cells.get(name)
+def _cell_lanes(cells, obj, index):
+    """A load's per-fault values: a copy of the loaded cell's divergence map.
+
+    A store keeps only the lanes that differ from the golden value it writes
+    and every fault stores where golden does, so no entry equals the loaded
+    golden value.  The copy keeps register and cell maps distinct objects.
+    """
+    cmap = cells.get(obj.name)
     lanes = cmap.get(index) if cmap else None
-    if not lanes:
-        return _NO_LANES
-    out = {f: lr for f, lr in lanes.items() if not _values_bit_equal(lr, golden)}
-    return out or _NO_LANES
+    return dict(lanes) if lanes else _NO_LANES
 
 
 def _write_back(frame, regs, names, done, writes, branches) -> None:
@@ -733,7 +733,7 @@ class _Emitter:
         """A load of a diverged cell diverges in its destination."""
         dj = f"d{j}"
         self.emit(
-            f"{dj} = _cell_lanes(cells, {entry.ovar}.name, {entry.eivar}, v{j}) "
+            f"{dj} = _cell_lanes(cells, {entry.ovar}, {entry.eivar}) "
             f"if cells else _E"
         )
         self.emit_dest_update(op, j, dj)

@@ -37,7 +37,7 @@ from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
 from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import TraceCache, trace_digest
-from repro.tracing.columnar import ColumnarTrace, artifact_suffix
+from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
 
 #: Called after each worker chunk completes with ``(chunks_done, chunks_total)``.
@@ -433,7 +433,7 @@ class CampaignRunner:
             self._trace_path = str(cache.find(digest))
         else:
             self._trace_tmpdir = tempfile.mkdtemp(prefix="repro-trace-")
-            path = Path(self._trace_tmpdir) / f"{digest}{artifact_suffix()}"
+            path = Path(self._trace_tmpdir) / f"{digest}.npz"
             self._build_golden_trace().save(path)
             self._trace_path = str(path)
         return self._trace_path
@@ -442,7 +442,7 @@ class CampaignRunner:
         from repro.workloads.registry import get_workload
 
         workload = get_workload(self.workload_name, **self.workload_kwargs)
-        return workload.traced_run(columnar=True).trace
+        return workload.traced_run().trace
 
     def run_injections(
         self,

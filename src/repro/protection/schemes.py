@@ -334,9 +334,9 @@ def acquire_trace(workload: "Workload", name: str, kwargs: Dict[str, object]):
     """Golden columnar trace of ``workload`` (through the cache if enabled)."""
     cache = TraceCache.from_env()
     if cache is None:
-        return workload.traced_run(columnar=True).trace
+        return workload.traced_run().trace
     trace, _ = cache.get_or_build(
         trace_digest(name, kwargs),
-        lambda: workload.traced_run(columnar=True).trace,
+        lambda: workload.traced_run().trace,
     )
     return trace

@@ -7,45 +7,35 @@ of every memory access back to a named data object.  The trace analysis tool
 (:mod:`repro.core`) consumes these events to count error-masking
 opportunities per data object.
 
+Every trace is recorded, analysed, cached and loaded as one
+:class:`~repro.tracing.columnar.ColumnarTrace`; the
+:class:`~repro.tracing.sinks.CountingSink` stands in when a run needs
+opcode tallies only.
+
 Public API
 ----------
 :class:`~repro.tracing.events.TraceEvent`,
 :class:`~repro.tracing.events.OperandKind`,
-:class:`~repro.tracing.trace.Trace`,
-:func:`~repro.tracing.serialize.trace_to_jsonl`,
-:func:`~repro.tracing.serialize.trace_from_jsonl`.
+:class:`~repro.tracing.columnar.ColumnarTrace`,
+:class:`~repro.tracing.cache.TraceCache`,
+:class:`~repro.tracing.cursor.TraceCursor`.
 """
 
 from repro.tracing.events import OperandKind, TraceEvent
-from repro.tracing.trace import Trace, TraceSummary
 from repro.tracing.cursor import TraceCursor, TraceLike
-from repro.tracing.columnar import ColumnarTrace, TraceColumns, have_numpy
+from repro.tracing.columnar import ColumnarTrace, TraceColumns
 from repro.tracing.cache import TraceCache, trace_digest
-from repro.tracing.sinks import ColumnarTraceSink, CountingSink, TraceSink
-from repro.tracing.serialize import (
-    trace_to_jsonl,
-    trace_from_jsonl,
-    save_trace,
-    load_trace,
-)
+from repro.tracing.sinks import CountingSink, TraceSink
 
 __all__ = [
     "OperandKind",
     "TraceEvent",
-    "Trace",
-    "TraceSummary",
     "TraceCursor",
     "TraceLike",
     "TraceSink",
     "ColumnarTrace",
     "TraceColumns",
-    "ColumnarTraceSink",
     "CountingSink",
     "TraceCache",
     "trace_digest",
-    "have_numpy",
-    "trace_to_jsonl",
-    "trace_from_jsonl",
-    "save_trace",
-    "load_trace",
 ]

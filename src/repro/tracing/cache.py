@@ -24,16 +24,13 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.obs.metrics import registry as _metrics_registry
-from repro.tracing.columnar import ColumnarTrace, artifact_suffix, have_numpy
+from repro.tracing.columnar import ColumnarTrace
 
 #: Default cache directory when ``REPRO_TRACE_CACHE`` is unset.
 DEFAULT_CACHE_DIR = "~/.cache/repro/traces"
 
 #: ``REPRO_TRACE_CACHE`` values that disable persistent caching.
 _DISABLED = frozenset({"0", "off", "none", "disabled"})
-
-#: Suffixes an artifact may carry (NumPy and pure-python writers differ).
-_SUFFIXES = (".npz", ".jsonl")
 
 
 def trace_digest(
@@ -88,18 +85,13 @@ class TraceCache:
 
     # ------------------------------------------------------------------ #
     def path_for(self, digest: str) -> Path:
-        """Where a fresh artifact for ``digest`` would be written."""
-        return self.root / f"{digest}{artifact_suffix()}"
+        """Where the artifact for ``digest`` lives."""
+        return self.root / f"{digest}.npz"
 
     def find(self, digest: str) -> Optional[Path]:
-        """An existing artifact for ``digest``, whatever its format."""
-        for suffix in _SUFFIXES:
-            if suffix == ".npz" and not have_numpy():
-                continue  # written by a NumPy process, unreadable here
-            candidate = self.root / f"{digest}{suffix}"
-            if candidate.is_file():
-                return candidate
-        return None
+        """The existing artifact for ``digest``, if any."""
+        path = self.path_for(digest)
+        return path if path.is_file() else None
 
     def load(self, digest: str) -> Optional[ColumnarTrace]:
         path = self.find(digest)

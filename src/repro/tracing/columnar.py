@@ -1,4 +1,4 @@
-"""First-class columnar trace store (struct-of-arrays).
+"""The columnar trace store (struct-of-arrays): the one golden-trace form.
 
 :class:`ColumnarTrace` is the shared, durable representation of a golden
 execution: events are decomposed into parallel per-field columns (CSR-style
@@ -10,51 +10,30 @@ campaign runs and worker processes (:mod:`repro.tracing.cache`).
 
 Three consumption styles, one object:
 
-* **sink** — the execution engine streams events in (``wants_events = True``,
-  :meth:`append`), exactly like the classic :class:`~repro.tracing.trace.Trace`;
+* **sink** — the execution engine streams events in (``wants_events = True``):
+  one :meth:`append` per event from the per-op loop, one
+  :meth:`append_block` per executed fused segment from the superinstruction
+  backend;
 * **trace-like** — ``len`` / integer indexing / iteration reconstruct
   :class:`~repro.tracing.events.TraceEvent` views (memoised, so analyses
   that revisit the same dynamic window pay the materialisation once);
 * **columns** — :meth:`columns` exposes the integer columns as NumPy arrays
   (opcodes, object ids, element indices, producer links, operand kinds,
   CSR offsets) for array-at-a-time passes.
-
-NumPy is optional: without it (or with ``REPRO_NO_NUMPY=1``) the store keeps
-working in pure Python — :meth:`columns` returns ``None``, analyses fall
-back to their scan implementations, and persistence uses the JSON-lines
-format instead of ``.npz``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.ir.instructions import Opcode
 from repro.ir.types import parse_type
+
 from repro.tracing.events import OperandKind, TraceEvent
-from repro.tracing.trace import Trace
-
-if os.environ.get("REPRO_NO_NUMPY"):  # forced pure-python fallback (CI leg)
-    _np = None
-else:  # pragma: no branch - import guard
-    try:
-        import numpy as _np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - numpy is a baseline dep
-        _np = None
-
-
-def have_numpy() -> bool:
-    """Whether the columnar store is NumPy-backed in this process."""
-    return _np is not None
-
-
-def artifact_suffix() -> str:
-    """File suffix of newly written trace artifacts (backend-dependent)."""
-    return ".npz" if _np is not None else ".jsonl"
-
 
 #: Stable in-process opcode/kind code tables (persisted artifacts carry their
 #: own string vocabularies and are remapped on load, so the numeric codes
@@ -136,10 +115,10 @@ class BlockStatic:
 class ColumnarTrace:
     """Compact columnar event storage with array views and persistence.
 
-    The 1:1 promotion of the PR-1 ``ColumnarTraceSink`` into the analysis
-    stack's first-class trace: same append contract and event
-    reconstruction, plus :meth:`columns`, :meth:`save`/:meth:`load` and
-    event memoisation.
+    The only trace the engine records and the analyses read: an ordered
+    event sink (``dynamic_id`` equals position), trace-like event
+    reconstruction, :meth:`columns`, :meth:`save`/:meth:`load` and event
+    memoisation.
     """
 
     wants_events = True
@@ -381,19 +360,17 @@ class ColumnarTrace:
     # ------------------------------------------------------------------ #
     # column views
     # ------------------------------------------------------------------ #
-    def columns(self) -> Optional[TraceColumns]:
-        """NumPy views over the integer columns (``None`` without NumPy).
+    def columns(self) -> TraceColumns:
+        """NumPy views over the integer columns.
 
         Built lazily, cached until the next :meth:`append`.
         """
-        if _np is None:
-            return None
         if self._cols is not None:
             return self._cols
         n = len(self._opcode)
         flat = len(self._operand_producers)
         object_index: Dict[str, int] = {}
-        object_id = _np.empty(n, dtype=_np.int64)
+        object_id = np.empty(n, dtype=np.int64)
         for i, name in enumerate(self._object_name):
             if name is None:
                 object_id[i] = -1
@@ -402,44 +379,37 @@ class ColumnarTrace:
                 if oid is None:
                     oid = object_index[name] = len(object_index)
                 object_id[i] = oid
-        offsets = _np.fromiter(self._operand_offsets, dtype=_np.int64, count=n + 1)
+        offsets = np.fromiter(self._operand_offsets, dtype=np.int64, count=n + 1)
         self._cols = TraceColumns(
-            opcode=_np.fromiter(
-                (_OPCODE_CODE[op] for op in self._opcode), dtype=_np.int16, count=n
+            opcode=np.fromiter(
+                (_OPCODE_CODE[op] for op in self._opcode), dtype=np.int16, count=n
             ),
-            static_uid=_np.fromiter(self._static_uid, dtype=_np.int64, count=n),
-            address=_np.fromiter(
+            static_uid=np.fromiter(self._static_uid, dtype=np.int64, count=n),
+            address=np.fromiter(
                 (-1 if a is None else a for a in self._address),
-                dtype=_np.int64, count=n,
+                dtype=np.int64, count=n,
             ),
             object_id=object_id,
-            element=_np.fromiter(
+            element=np.fromiter(
                 (-1 if e is None else e for e in self._element_index),
-                dtype=_np.int64, count=n,
+                dtype=np.int64, count=n,
             ),
             offsets=offsets,
-            producers=_np.fromiter(
-                self._operand_producers, dtype=_np.int64, count=flat
+            producers=np.fromiter(
+                self._operand_producers, dtype=np.int64, count=flat
             ),
-            kinds=_np.fromiter(
+            kinds=np.fromiter(
                 (_KIND_CODE[k] for k in self._operand_kinds),
-                dtype=_np.int8, count=flat,
+                dtype=np.int8, count=flat,
             ),
-            owner=_np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets)),
+            owner=np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets)),
             object_index=object_index,
         )
         return self._cols
 
     # ------------------------------------------------------------------ #
-    # conversions and summaries (ColumnarTraceSink API, kept)
+    # summaries
     # ------------------------------------------------------------------ #
-    def to_trace(self) -> Trace:
-        """Materialise a full :class:`Trace` (with its query indices)."""
-        trace = Trace()
-        for event in self:
-            trace.append(event)
-        return trace
-
     def opcode_histogram(self) -> Dict[str, int]:
         histogram: Dict[str, int] = {}
         for opcode in self._opcode:
@@ -458,14 +428,14 @@ class ColumnarTrace:
     # persistence
     # ------------------------------------------------------------------ #
     def save(self, path: Union[str, Path]) -> Path:
-        """Write the trace to ``path`` (``.npz`` with NumPy, JSONL otherwise).
+        """Write the trace to ``path`` as a compressed ``.npz`` artifact.
 
-        The format is chosen by suffix; ``.npz`` requires NumPy.  Writes go
-        through a uniquely named temp file in the target directory plus an
-        atomic rename, so a crashed writer never leaves a truncated
-        artifact behind and concurrent writers of the same path (e.g. two
-        campaign processes missing the same cache digest) cannot interleave
-        — the last complete rename wins, and both artifacts are identical.
+        Writes go through a uniquely named temp file in the target
+        directory plus an atomic rename, so a crashed writer never leaves a
+        truncated artifact behind and concurrent writers of the same path
+        (e.g. two campaign processes missing the same cache digest) cannot
+        interleave — the last complete rename wins, and both artifacts are
+        identical.
         """
         import tempfile
 
@@ -475,24 +445,8 @@ class ColumnarTrace:
         )
         tmp = Path(tmp_name)
         try:
-            if path.suffix == ".npz":
-                if _np is None:
-                    raise RuntimeError(
-                        "saving a .npz trace artifact requires NumPy; use a "
-                        ".jsonl path for the pure-python fallback"
-                    )
-                with os.fdopen(fd, "wb") as fh:
-                    _np.savez_compressed(fh, **self._to_arrays())
-            else:
-                from repro.tracing.serialize import event_to_dict
-
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps({
-                        "format": "columnar-trace",
-                        "version": self.FORMAT_VERSION,
-                    }) + "\n")
-                    for event in self:
-                        fh.write(json.dumps(event_to_dict(event)) + "\n")
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(fh, **self._to_arrays())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -502,34 +456,10 @@ class ColumnarTrace:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ColumnarTrace":
         """Read a trace previously written by :meth:`save`."""
-        path = Path(path)
-        if path.suffix == ".npz":
-            if _np is None:
-                raise RuntimeError(
-                    f"loading {path.name} requires NumPy (pure-python "
-                    f"fallback artifacts use the .jsonl format)"
-                )
-            # our own artifact: object columns hold only numbers/None.
-            with _np.load(path, allow_pickle=True) as data:
-                trace = cls._from_arrays(data)
-            trace.columns()  # seal the views while the artifact is hot
-            return trace
-        from repro.tracing.serialize import event_from_dict
-
-        trace = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != "columnar-trace":
-                raise ValueError(f"{path} is not a columnar trace artifact")
-            if header.get("version") != cls.FORMAT_VERSION:
-                raise ValueError(
-                    f"{path} has trace format version {header.get('version')}, "
-                    f"this build expects {cls.FORMAT_VERSION}"
-                )
-            for line in fh:
-                line = line.strip()
-                if line:
-                    trace.append(event_from_dict(json.loads(line)))
+        # our own artifact: object columns hold only numbers/None.
+        with np.load(Path(path), allow_pickle=True) as data:
+            trace = cls._from_arrays(data)
+        trace.columns()  # seal the views while the artifact is hot
         return trace
 
     # ------------------------------------------------------------------ #
@@ -540,7 +470,7 @@ class ColumnarTrace:
             """String-intern a column: (id array, vocabulary array)."""
             vocab: List[str] = []
             index: Dict[str, int] = {}
-            ids = _np.empty(len(values), dtype=_np.int32)
+            ids = np.empty(len(values), dtype=np.int32)
             for i, value in enumerate(values):
                 if value is None:
                     ids[i] = -1
@@ -550,7 +480,7 @@ class ColumnarTrace:
                     j = index[value] = len(vocab)
                     vocab.append(value)
                 ids[i] = j
-            return ids, _np.array(vocab, dtype=object)
+            return ids, np.array(vocab, dtype=object)
 
         opcode_ids, opcode_vocab = encode([op.value for op in self._opcode])
         kind_ids, kind_vocab = encode([k.value for k in self._operand_kinds])
@@ -567,34 +497,34 @@ class ColumnarTrace:
             [None if t is None else t.name for t in self._result_type]
         )
         return {
-            "version": _np.array([self.FORMAT_VERSION], dtype=_np.int64),
+            "version": np.array([self.FORMAT_VERSION], dtype=np.int64),
             "opcode": opcode_ids, "opcode_vocab": opcode_vocab,
             "function": function_ids, "function_vocab": function_vocab,
             "block": block_ids, "block_vocab": block_vocab,
-            "static_uid": _np.fromiter(self._static_uid, _np.int64, n),
-            "source_line": _np.fromiter(
-                (-1 if v is None else v for v in self._source_line), _np.int64, n
+            "static_uid": np.fromiter(self._static_uid, np.int64, n),
+            "source_line": np.fromiter(
+                (-1 if v is None else v for v in self._source_line), np.int64, n
             ),
-            "operand_values": _np.array(self._operand_data, dtype=object),
+            "operand_values": np.array(self._operand_data, dtype=object),
             "operand_types": operand_type_ids,
             "operand_type_vocab": type_vocab_a,
-            "operand_producers": _np.fromiter(
-                self._operand_producers, _np.int64, len(self._operand_producers)
+            "operand_producers": np.fromiter(
+                self._operand_producers, np.int64, len(self._operand_producers)
             ),
             "operand_kinds": kind_ids, "kind_vocab": kind_vocab,
-            "operand_offsets": _np.fromiter(self._operand_offsets, _np.int64, n + 1),
-            "result_value": _np.array(self._result_value, dtype=object),
+            "operand_offsets": np.fromiter(self._operand_offsets, np.int64, n + 1),
+            "result_value": np.array(self._result_value, dtype=object),
             "result_type": result_type_ids, "result_type_vocab": type_vocab_b,
             "predicate": predicate_ids, "predicate_vocab": predicate_vocab,
             "callee": callee_ids, "callee_vocab": callee_vocab,
-            "address": _np.fromiter(
-                (-1 if v is None else v for v in self._address), _np.int64, n
+            "address": np.fromiter(
+                (-1 if v is None else v for v in self._address), np.int64, n
             ),
             "object_name": object_ids, "object_vocab": object_vocab,
-            "element_index": _np.fromiter(
-                (-1 if v is None else v for v in self._element_index), _np.int64, n
+            "element_index": np.fromiter(
+                (-1 if v is None else v for v in self._element_index), np.int64, n
             ),
-            "writer_id": _np.fromiter(self._writer_id, _np.int64, n),
+            "writer_id": np.fromiter(self._writer_id, np.int64, n),
             "taken_label": taken_ids, "taken_vocab": taken_vocab,
         }
 
@@ -643,5 +573,4 @@ class ColumnarTrace:
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backend = "numpy" if _np is not None else "pure-python"
-        return f"<ColumnarTrace: {len(self)} events, {backend}>"
+        return f"<ColumnarTrace: {len(self)} events>"

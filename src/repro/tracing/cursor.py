@@ -1,14 +1,10 @@
 """Positioned cursor over any event source (the analyses' read API).
 
-The MOARD analyses used to reach directly into ``Trace.events`` — a concrete
-``List[TraceEvent]`` — which tied them to the full in-memory trace.  With
-pluggable sinks (:mod:`repro.tracing.sinks`) events may instead live in
-columnar storage and be materialised lazily, so the analyses go through a
-:class:`TraceCursor`: a seekable reader over anything *trace-like* (supports
-``len``, integer indexing by dynamic id, and iteration).
-
-Both :class:`~repro.tracing.trace.Trace` and
-:class:`~repro.tracing.sinks.ColumnarTraceSink` are trace-like.
+The analyses read events by dynamic id from a trace-like source (supports
+``len``, integer indexing by dynamic id, and iteration):
+:class:`~repro.tracing.columnar.ColumnarTrace` reconstructs each event from
+its columns on demand.  A :class:`TraceCursor` is a seekable reader over such
+a source, for the re-execution analysis and the window-scan oracles.
 """
 
 from __future__ import annotations

@@ -1,24 +1,21 @@
 """Pluggable trace sinks for the execution engine.
 
 The engine (:mod:`repro.vm.engine`) streams its dynamic events into a
-*sink*.  Different consumers need radically different fidelity:
+*sink*.  Two consumers need different fidelity:
 
-* the aDVF analyses need every field of every event — the classic in-memory
-  :class:`~repro.tracing.trace.Trace`;
-* trace post-processing, serialization and the vectorized analysis passes
-  only need the raw columns — :class:`~repro.tracing.columnar.ColumnarTrace`
-  (historically exported here as ``ColumnarTraceSink``) stores them as
-  parallel flat columns, several times smaller than a list of event
-  objects, and reconstructs :class:`~repro.tracing.events.TraceEvent`
-  views on demand;
+* the golden trace the analyses read, the trace cache persists and the
+  campaign workers load — :class:`~repro.tracing.columnar.ColumnarTrace`
+  stores every field of every event as parallel flat columns and
+  reconstructs :class:`~repro.tracing.events.TraceEvent` views on demand;
 * fault-injection replays need **nothing**: the :class:`CountingSink` keeps
   per-opcode tallies without ever materialising an event, so injection runs
   execute trace-free.
 
 The contract is :class:`TraceSink`: sinks advertise via ``wants_events``
 whether the engine should construct :class:`TraceEvent` objects (calling
-``append``) or merely report opcodes (calling ``tick``).  ``Trace`` itself
-satisfies the protocol (``wants_events = True``).
+``append``) or merely report opcodes (calling ``tick``).  The fused
+superinstruction backend additionally emits whole segments through
+``append_block`` / ``tick_block`` when the sink has them.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Protocol, runtime_checkable
 
 from repro.ir.instructions import Opcode
-from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.events import TraceEvent
 
 
@@ -93,11 +89,3 @@ class CountingSink:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CountingSink: {self.total} events>"
 
-
-
-
-#: The compact columnar sink of PR 1, promoted to the first-class
-#: :class:`~repro.tracing.columnar.ColumnarTrace` (struct-of-arrays store
-#: with NumPy column views, ``.npz`` persistence and a trace cache).  The
-#: old name remains the canonical alias for "a compact sink to record into".
-ColumnarTraceSink = ColumnarTrace

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.tracing.trace import Trace
+from repro.tracing.columnar import ColumnarTrace
 
 
 @dataclass
@@ -94,7 +94,7 @@ class RegisterAllocation:
 
 
 def allocate_registers(
-    trace: Trace,
+    trace: ColumnarTrace,
     object_name: Optional[str] = None,
     num_registers: int = 16,
 ) -> RegisterAllocation:

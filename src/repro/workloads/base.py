@@ -20,7 +20,6 @@ from repro.frontend.compiler import compile_kernels
 from repro.ir.function import Module
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.sinks import TraceSink
-from repro.tracing.trace import Trace
 from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import DataObject, Memory
@@ -35,8 +34,8 @@ class RunOutcome:
     outputs: Dict[str, np.ndarray]
     return_value: Optional[Number]
     steps: int
-    #: The sink the run was recorded into (a full :class:`Trace`, a columnar
-    #: or counting sink, or ``None`` for sink-free executions).
+    #: The sink the run was recorded into (a columnar trace, a counting
+    #: sink, or ``None`` for sink-free executions).
     trace: Optional[TraceSink] = None
 
 
@@ -69,9 +68,9 @@ class WorkloadInstance:
         """Execute the workload's entry kernel on the pre-decoded
         :class:`~repro.vm.engine.Engine`.
 
-        ``trace`` accepts any :class:`~repro.tracing.sinks.TraceSink` (the
-        full :class:`~repro.tracing.trace.Trace`, a columnar sink, a
-        counting sink) or ``None`` for a sink-free run.  ``backend`` picks
+        ``trace`` accepts any :class:`~repro.tracing.sinks.TraceSink` (a
+        :class:`~repro.tracing.columnar.ColumnarTrace`, a counting sink) or
+        ``None`` for a sink-free run.  ``backend`` picks
         the engine's dispatch strategy (``"block"`` / ``"op"``, default
         ``REPRO_ENGINE_BACKEND``).
 
@@ -166,23 +165,14 @@ class Workload(ABC):
         return WorkloadInstance(self, self.module(), memory, args)
 
     # convenience wrappers -------------------------------------------------
-    def golden_run(
-        self, with_trace: bool = False, sink: Optional[TraceSink] = None
-    ) -> RunOutcome:
+    def golden_run(self, sink: Optional[TraceSink] = None) -> RunOutcome:
         """Fault-free execution (optionally traced, into any sink)."""
-        instance = self.fresh_instance()
-        trace = sink if sink is not None else (Trace() if with_trace else None)
-        return instance.run(trace=trace)
+        return self.fresh_instance().run(trace=sink)
 
-    def traced_run(self, columnar: bool = False) -> RunOutcome:
-        """Fault-free execution with a dynamic trace attached.
-
-        ``columnar=True`` records into a
-        :class:`~repro.tracing.columnar.ColumnarTrace` — the compact,
-        array-backed store the vectorized aDVF passes consume — instead of
-        the classic in-memory :class:`~repro.tracing.trace.Trace`.
-        """
-        return self.golden_run(sink=ColumnarTrace() if columnar else Trace())
+    def traced_run(self) -> RunOutcome:
+        """Fault-free execution recorded into a
+        :class:`~repro.tracing.columnar.ColumnarTrace`."""
+        return self.golden_run(sink=ColumnarTrace())
 
     def describe(self) -> Dict[str, object]:
         """Metadata row used to regenerate Table I."""

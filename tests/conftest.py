@@ -12,7 +12,7 @@ from repro.core.advf import AnalysisConfig
 from repro.core.patterns import SingleBitModel
 from repro.frontend import compile_kernel
 from repro.ir.types import F64, I64
-from repro.tracing import Trace
+from repro.tracing import ColumnarTrace
 from repro.vm import Memory
 
 from oracles.interpreter import Interpreter
@@ -73,7 +73,7 @@ def accumulate_trace():
     memory = Memory()
     src = memory.allocate("src", F64, 5, initial=[1.0, -2.0, 3.0, 0.5, 4.0])
     dst = memory.allocate("dst", F64, 5)
-    trace = Trace()
+    trace = ColumnarTrace()
     result = Interpreter(module, memory, trace=trace).run(
         "accumulate", {"src": src, "dst": dst, "n": 5}
     )
@@ -94,7 +94,7 @@ def gather_trace():
     idx = memory.allocate("idx", I64, 4, initial=[3, 0, 2, 1])
     src = memory.allocate("src", F64, 4, initial=[10.0, 20.0, 30.0, 40.0])
     dst = memory.allocate("dst", F64, 4)
-    trace = Trace()
+    trace = ColumnarTrace()
     Interpreter(module, memory, trace=trace).run(
         "gather", {"idx": idx, "src": src, "dst": dst, "n": 4}
     )

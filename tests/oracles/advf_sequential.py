@@ -6,9 +6,16 @@ This oracle is the direct reading of the decision procedure (Fig. 3) it
 replaced: walk the participations and their error patterns in order, make
 each sampling decision against the live equivalence caches, and resolve an
 in-budget site with one :meth:`DeterministicFaultInjector.inject` call the
-moment it is reached.  Saturated classes take the frozen tail only when
-the vectorized operation passes run (a columnar trace), as the sequential
-loop always did.
+moment it is reached.  Every verdict comes from
+:meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze` (the per-event
+rules) rather than from the vectorized operation passes, and a saturated
+class is estimated pattern by pattern from the live cache instead of
+replaying a frozen tail.
+
+:class:`PerEventEngine` runs the production plan on the per-event path
+instead: participations from the scan of :mod:`oracles.participation_scan`
+and every verdict from the same analyzer, so the vectorized pipeline can be
+checked (and timed) end to end against it.
 """
 
 from __future__ import annotations
@@ -16,20 +23,51 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.core.advf import (
-    AdvfEngine,
-    ObjectReport,
-    _build_class_tail,
-    _ClassTail,
-    _ObjectState,
-)
+from repro.core.advf import AdvfEngine, ObjectReport, _ObjectState
 from repro.core.equivalence import EquivalenceCache
 from repro.core.masking import MaskingCategory, MaskingLevel, MaskingVerdict
 from repro.core.participation import Participation, find_participations
 from repro.core.patterns import ErrorPattern, classify_bit
 from repro.core.sites import FaultSite
 
+from oracles.participation_scan import scan_participations
+
 Resolution = Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]
+
+
+class _AnalyzerVerdicts:
+    """Stands in for :class:`~repro.core.passes.OperationPasses` in the
+    plan: every verdict from ``OperationMaskingAnalyzer.analyze``."""
+
+    def __init__(self, masking) -> None:
+        self.verdict = masking.analyze
+
+
+class PerEventEngine(AdvfEngine):
+    """:class:`AdvfEngine` on the per-event path: participations from the
+    scan, every verdict from the analyzer, none from the vectorized
+    passes.  Planning, injection and accumulation are the production
+    ones."""
+
+    def _prepare(self) -> None:
+        super()._prepare()
+        if not isinstance(self._passes, _AnalyzerVerdicts):
+            self._passes = _AnalyzerVerdicts(self._masking)
+
+    def analyze_object(self, object_name: str) -> ObjectReport:
+        self._prepare()
+        config = self.config
+        participations = scan_participations(
+            self.trace, object_name, max_participations=config.max_participations
+        )
+        state = _ObjectState(
+            injection_cache=EquivalenceCache(
+                samples_per_class=config.injection_samples_per_class
+            )
+        )
+        steps, specs = self._plan(participations, state)
+        results = self._execute(specs)
+        return self._accumulate(object_name, participations, steps, results, state)
 
 
 def sequential_object_report(engine: AdvfEngine, object_name: str) -> ObjectReport:
@@ -39,8 +77,6 @@ def sequential_object_report(engine: AdvfEngine, object_name: str) -> ObjectRepo
     participations = find_participations(
         engine.trace, object_name, max_participations=config.max_participations
     )
-    if engine._passes is not None:
-        engine._passes.prepare(participations)
 
     site_cache = EquivalenceCache(samples_per_class=config.equivalence_samples)
     state = _ObjectState(
@@ -51,39 +87,11 @@ def sequential_object_report(engine: AdvfEngine, object_name: str) -> ObjectRepo
     numerator = 0.0
     by_level: Dict[MaskingLevel, float] = {}
     by_category: Dict[MaskingCategory, float] = {}
-    fast = engine._passes is not None
-    tails: Dict[Tuple, _ClassTail] = {}
 
     for participation in participations:
         patterns = config.error_model.patterns_for(participation.value_type)
         if not patterns:
             continue
-        if fast:
-            class_key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                participation.value_type.name,
-            )
-            tail = tails.get(class_key)
-            if tail is None:
-                tail = _build_class_tail(site_cache, participation, patterns)
-                if tail is not None:
-                    tails[class_key] = tail
-            if tail is not None:
-                for level, weights in tail.level_weights:
-                    acc = by_level.get(level, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_level[level] = acc
-                for category, weights in tail.category_weights:
-                    acc = by_category.get(category, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_category[category] = acc
-                numerator += tail.masked_quotient
-                tail.uses += 1
-                continue
         masked_total = 0.0
         for pattern in patterns:
             key = (
@@ -109,7 +117,7 @@ def sequential_object_report(engine: AdvfEngine, object_name: str) -> ObjectRepo
 
     return engine._object_report(
         object_name, participations, numerator, by_level, by_category,
-        state, site_cache, tails,
+        state, site_cache, {},
     )
 
 
@@ -119,10 +127,7 @@ def _analyze_site(
     pattern: ErrorPattern,
     state: _ObjectState,
 ) -> Resolution:
-    if engine._passes is not None:
-        verdict = engine._passes.verdict(participation, pattern)
-    else:
-        verdict = engine._masking.analyze(participation, pattern)
+    verdict = engine._masking.analyze(participation, pattern)
     if verdict.masked is True:
         return 1.0, verdict.level, verdict.category
     if verdict.masked is False and not (

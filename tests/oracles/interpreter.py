@@ -8,8 +8,8 @@ every call is a Python call.  It is the straightforward reading of the IR
 semantics, so the parity tests run the same kernels through it and through
 the pre-decoded :class:`~repro.vm.engine.Engine` and assert the results
 are bit-identical: outputs, return values, step counts, crash types and
-messages, and (with a :class:`~repro.tracing.trace.Trace` attached) the
-full event stream.  A single-bit :class:`~repro.vm.faults.FaultSpec` can be
+messages, and (with a :class:`~repro.tracing.columnar.ColumnarTrace`
+attached) the full event stream.  A single-bit :class:`~repro.vm.faults.FaultSpec` can be
 armed exactly as on the engine.
 
 Numeric semantics follow the usual C/LLVM rules on a 64-bit machine and
@@ -24,8 +24,8 @@ from repro.frontend.intrinsics import INTRINSICS
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.values import Argument, Constant, UndefValue, Value
+from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.events import OperandKind, TraceEvent
-from repro.tracing.trace import Trace
 from repro.vm import semantics
 from repro.vm.bits import flip_bit
 from repro.vm.engine import ExecutionResult, prepare_arguments
@@ -56,7 +56,7 @@ class Interpreter:
         self,
         module: Module,
         memory: Memory,
-        trace: Optional[Trace] = None,
+        trace: Optional[ColumnarTrace] = None,
         fault: Optional[FaultSpec] = None,
         max_steps: int = 5_000_000,
         max_call_depth: int = 200,

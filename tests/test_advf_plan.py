@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles.advf_sequential import sequential_object_report
+from oracles.advf_sequential import PerEventEngine, sequential_object_report
 from oracles.rerun import RerunInjector
 from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.core.injector import DeterministicFaultInjector
@@ -44,14 +44,15 @@ SMALL_KWARGS = {
 
 
 def _legacy_engine(workload, config):
-    """The per-event path: a full ``Trace`` skips the operation passes."""
-    return AdvfEngine(workload, config, trace=workload.traced_run().trace)
+    """The per-event path (participation scan, every verdict from the
+    masking analyzer) on a golden trace recorded up front."""
+    return PerEventEngine(workload, config, trace=workload.traced_run().trace)
 
 
 def _rerun_engine(workload, config):
     """Columnar analysis with every injection re-run from scratch."""
     engine = AdvfEngine(
-        workload, config, trace=workload.traced_run(columnar=True).trace
+        workload, config, trace=workload.traced_run().trace
     )
     engine._injector = RerunInjector(workload)
     return engine

@@ -1,30 +1,27 @@
-"""The columnar trace store: event fidelity, persistence, cache, fallback.
+"""The columnar trace store: event fidelity, persistence, cache.
 
 Contracts under test:
 
-* ``ColumnarTrace`` reconstructs an event stream identical to the full
-  ``Trace`` of the same (deterministic) execution;
-* ``.npz`` and ``.jsonl`` artifacts round-trip every event field;
+* ``ColumnarTrace`` reconstructs, event for event, the stream the
+  engine's op loop emitted into it (``append_block`` is checked against
+  the interpreter in ``test_trace_sinks.py`` and ``test_mir_parity.py``);
+* ``.npz`` artifacts round-trip every event field and reject a foreign
+  format version;
 * the trace cache is content-addressed, hit/miss accounted, and honours
-  ``REPRO_TRACE_CACHE`` (including the ``off`` switch);
-* the pure-python fallback (NumPy masked out) keeps the store fully
-  functional with ``columns()`` degrading to ``None``.
+  ``REPRO_TRACE_CACHE`` (including the ``off`` switch).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.tracing.columnar as columnar_module
-from repro.tracing import (
-    ColumnarTrace,
-    ColumnarTraceSink,
-    Trace,
-    TraceCache,
-    trace_digest,
-)
+from repro.tracing import ColumnarTrace, TraceCache, trace_digest
 from repro.tracing.events import TraceEvent
 from repro.workloads.registry import get_workload
+
+from test_trace_sinks import _EventList
 
 _EVENT_FIELDS = TraceEvent.__slots__
 
@@ -38,9 +35,12 @@ def _assert_streams_equal(a, b):
 
 @pytest.fixture()
 def matmul_traces():
+    """(the emitted events, the columnar trace) of matmul's op loop."""
     workload = get_workload("matmul")
-    full = workload.traced_run().trace
-    columnar = workload.traced_run(columnar=True).trace
+    full = workload.fresh_instance().run(trace=_EventList(), backend="op").trace
+    columnar = workload.fresh_instance().run(
+        trace=ColumnarTrace(), backend="op"
+    ).trace
     return full, columnar
 
 
@@ -48,9 +48,6 @@ def matmul_traces():
 # event fidelity and columns
 # --------------------------------------------------------------------- #
 class TestColumnarTrace:
-    def test_promoted_sink_is_the_columnar_trace(self):
-        assert ColumnarTraceSink is ColumnarTrace
-
     def test_event_stream_matches_full_trace(self, matmul_traces):
         full, columnar = matmul_traces
         _assert_streams_equal(full, columnar)
@@ -59,13 +56,9 @@ class TestColumnarTrace:
         _, columnar = matmul_traces
         assert columnar[7] is columnar[7]
 
-    @pytest.mark.skipif(
-        not columnar_module.have_numpy(), reason="columns need NumPy"
-    )
     def test_columns_are_consistent_with_events(self, matmul_traces):
         full, columnar = matmul_traces
         cols = columnar.columns()
-        assert cols is not None
         assert len(cols.opcode) == len(full)
         assert cols.offsets[0] == 0 and cols.offsets[-1] == len(cols.producers)
         # spot-check a store event's columns against the event view
@@ -99,21 +92,25 @@ class TestColumnarTrace:
 # persistence
 # --------------------------------------------------------------------- #
 class TestPersistence:
-    @pytest.mark.parametrize("suffix", [".npz", ".jsonl"])
-    def test_roundtrip(self, matmul_traces, tmp_path, suffix):
-        if suffix == ".npz" and not columnar_module.have_numpy():
-            pytest.skip(".npz artifacts need NumPy")
+    @pytest.mark.parametrize("suffix", [".npz"])
+    def test_roundtrip(self, matmul_traces, accumulate_trace, tmp_path, suffix):
         _, columnar = matmul_traces
-        path = columnar.save(tmp_path / f"trace{suffix}")
-        reloaded = ColumnarTrace.load(path)
-        _assert_streams_equal(columnar, reloaded)
+        # an engine trace and an interpreter-recorded one (branches,
+        # returns, taken labels, writer links)
+        for name, trace in (("matmul", columnar),
+                            ("accumulate", accumulate_trace["trace"])):
+            path = trace.save(tmp_path / f"{name}{suffix}")
+            reloaded = ColumnarTrace.load(path)
+            _assert_streams_equal(trace, reloaded)
+            assert reloaded.opcode_histogram() == trace.opcode_histogram()
 
-    def test_jsonl_version_check(self, matmul_traces, tmp_path):
+    def test_npz_version_check(self, matmul_traces, tmp_path):
         _, columnar = matmul_traces
-        path = columnar.save(tmp_path / "trace.jsonl")
-        text = path.read_text().splitlines()
-        text[0] = text[0].replace('"version": 1', '"version": 999')
-        path.write_text("\n".join(text))
+        path = columnar.save(tmp_path / "trace.npz")
+        with np.load(path, allow_pickle=True) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["version"] = np.array([999], dtype=np.int64)
+        np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError, match="version"):
             ColumnarTrace.load(path)
 
@@ -140,51 +137,19 @@ class TestTraceCache:
         _assert_streams_equal(columnar, served)
         assert (cache.hits, cache.misses) == (1, 1)
 
+    def test_artifact_is_one_npz_per_digest(self, matmul_traces, tmp_path):
+        _, columnar = matmul_traces
+        cache = TraceCache(tmp_path / "cache")
+        digest = trace_digest("matmul", {})
+        assert cache.find(digest) is None and cache.load(digest) is None
+        path = cache.store(digest, columnar)
+        assert path == cache.path_for(digest) == cache.find(digest)
+        assert path.suffix == ".npz"
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
     def test_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "c"))
         cache = TraceCache.from_env()
         assert cache is not None and cache.root == tmp_path / "c"
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         assert TraceCache.from_env() is None
-
-
-# --------------------------------------------------------------------- #
-# pure-python fallback
-# --------------------------------------------------------------------- #
-class TestPurePythonFallback:
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
-
-    def test_columns_degrade_to_none(self, matmul_traces, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        assert trace.columns() is None
-        _assert_streams_equal(full, trace)
-
-    def test_jsonl_fallback_roundtrip(self, matmul_traces, tmp_path, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        assert columnar_module.artifact_suffix() == ".jsonl"
-        reloaded = ColumnarTrace.load(trace.save(tmp_path / "t.jsonl"))
-        _assert_streams_equal(trace, reloaded)
-
-    def test_npz_requires_numpy(self, matmul_traces, tmp_path, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        with pytest.raises(RuntimeError, match="NumPy"):
-            trace.save(tmp_path / "t.npz")
-
-    @pytest.mark.skipif(
-        not columnar_module.have_numpy(), reason="needs NumPy to write the .npz"
-    )
-    def test_cache_skips_foreign_npz_artifacts(
-        self, matmul_traces, tmp_path, monkeypatch
-    ):
-        _, columnar = matmul_traces
-        cache = TraceCache(tmp_path / "cache")
-        digest = trace_digest("matmul", {})
-        cache.store(digest, columnar)
-        assert cache.find(digest).suffix == ".npz"
-        monkeypatch.setattr(columnar_module, "_np", None)
-        assert cache.find(digest) is None  # unreadable without numpy

@@ -348,7 +348,7 @@ class TestPropagation:
     def test_corrupted_store_overwritten_is_masked(self):
         """dst[i] = corrupt; dst[i] = clean  ==> propagation masks the error."""
         from repro.frontend import compile_kernel
-        from repro.tracing import Trace
+        from repro.tracing import ColumnarTrace
         from repro.vm import Memory
 
         from oracles.interpreter import Interpreter
@@ -357,7 +357,7 @@ class TestPropagation:
         memory = Memory()
         src = memory.allocate("src", F64, 3, initial=[1.0, 2.0, 3.0])
         dst = memory.allocate("dst", F64, 3)
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(f.metadata["module"], memory, trace=trace).run(
             "k_overwrite_chain", {"src": src, "dst": dst, "n": 3}
         )

@@ -31,7 +31,8 @@ def _sampled_specs(workload, max_specs=36, bit_stride=11):
         specs.extend(site.to_spec() for site in sites[::step])
     # add a handful of result-target faults (sites only cover operand /
     # store-destination targets)
-    for event in list(trace)[:: max(1, len(trace) // 6)]:
+    for dynamic_id in range(0, len(trace), max(1, len(trace) // 6)):
+        event = trace[dynamic_id]
         if event.result_value is not None:
             specs.append(
                 FaultSpec(
@@ -173,21 +174,31 @@ def test_decoded_program_cached_per_module():
 
 
 def test_engine_equivalence_on_tiny_kernels(accumulate_trace):
-    """The engine agrees with a seed-recorded interpreter trace."""
+    """The engine agrees with a seed-recorded interpreter trace, event for
+    event, from the per-op loop and from compiled superinstructions."""
     from repro.ir.types import F64
-    from repro.tracing import Trace
+    from repro.tracing import ColumnarTrace
+    from repro.tracing.events import TraceEvent
     from repro.vm import Memory
+
+    from mir_helpers import compile_all, segment_dispatches
 
     module = accumulate_trace["module"]
     reference = accumulate_trace["trace"]
-    memory = Memory()
-    src = memory.allocate("src", F64, 5, initial=[1.0, -2.0, 3.0, 0.5, 4.0])
-    dst = memory.allocate("dst", F64, 5)
-    sink = Trace()
-    result = Engine(module, memory, sink=sink).run(
-        "accumulate", {"src": src, "dst": dst, "n": 5}
-    )
-    assert result.return_value == accumulate_trace["return_value"]
-    assert len(sink) == len(reference)
-    for a, b in zip(reference, sink):
-        assert a.opcode is b.opcode and a.operand_values == b.operand_values
+    for backend in ("op", "block"):
+        if backend == "block":
+            assert compile_all(module) > 0
+        memory = Memory()
+        src = memory.allocate("src", F64, 5, initial=[1.0, -2.0, 3.0, 0.5, 4.0])
+        dst = memory.allocate("dst", F64, 5)
+        sink = ColumnarTrace()
+        with segment_dispatches() as dispatched:
+            result = Engine(module, memory, sink=sink, backend=backend).run(
+                "accumulate", {"src": src, "dst": dst, "n": 5}
+            )
+        assert (dispatched[0] > 0) == (backend == "block")
+        assert result.return_value == accumulate_trace["return_value"]
+        assert len(sink) == len(reference)
+        for a, b in zip(reference, sink):
+            for field in TraceEvent.__slots__:
+                assert getattr(a, field) == getattr(b, field), (backend, field)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.frontend import KernelCompileError, compile_kernel, compile_kernels
 from repro.ir import F64, I64, Opcode, print_function, verify_function
-from repro.tracing import Trace
 from repro.vm import Memory
 
 from oracles.interpreter import Interpreter

@@ -1,5 +1,5 @@
 """Tests for fault sites, the injectors (deterministic / exhaustive / RFI)
-and the aDVF engine, plus trace serialisation."""
+and the aDVF engine."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core.patterns import SingleBitModel
 from repro.core.participation import ParticipationRole, find_participations
 from repro.core.rfi import RandomFaultInjection, required_sample_size
 from repro.core.sites import enumerate_fault_sites, iter_site_specs
-from repro.tracing.serialize import load_trace, save_trace, trace_from_jsonl, trace_to_jsonl
 from repro.vm.faults import FaultSpec, FaultTarget
 
 
@@ -218,27 +217,3 @@ class TestAdvfEngine:
         )
         report = AdvfEngine(cg_workload, config).analyze_object("colidx")
         assert report.injections <= 5
-
-
-# --------------------------------------------------------------------- #
-# trace serialisation
-# --------------------------------------------------------------------- #
-class TestTraceSerialization:
-    def test_jsonl_roundtrip(self, accumulate_trace):
-        trace = accumulate_trace["trace"]
-        text = trace_to_jsonl(trace)
-        restored = trace_from_jsonl(text)
-        assert len(restored) == len(trace)
-        for original, copy in zip(trace, restored):
-            assert original.opcode is copy.opcode
-            assert original.operand_values == copy.operand_values
-            assert original.object_name == copy.object_name
-            assert original.operand_producers == copy.operand_producers
-
-    def test_file_roundtrip(self, tmp_path, accumulate_trace):
-        trace = accumulate_trace["trace"]
-        path = tmp_path / "trace.jsonl"
-        save_trace(trace, path)
-        restored = load_trace(path)
-        assert len(restored) == len(trace)
-        assert restored[0].function == trace[0].function

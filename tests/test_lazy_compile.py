@@ -25,7 +25,6 @@ from repro.ir.types import F64
 from repro.mir import HOT_ENTRIES, mir_program_for
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.sinks import CountingSink
-from repro.tracing.trace import Trace
 from repro.vm.engine import DecodedProgram, Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
@@ -76,7 +75,7 @@ def _run(module, n, backend, sink=None):
 def _entries(module, n):
     """Entries of each fused segment in one run over ``n`` elements, counted
     from the op loop's trace (an entry executes the segment's first op)."""
-    events = _run(module, n, "op", sink=Trace())[3]
+    events = _run(module, n, "op", sink=ColumnarTrace())[3]
     ops = DecodedProgram.of(module).functions["lazy_kernel"].ops
     executed = {}
     for event in events:

@@ -6,8 +6,8 @@ pin down the isolation contract that makes that safe: arrays are shared
 until written, the first typed write on either side copies privately, and
 allocator state (bases, counters, stack objects) is carried over exactly.
 
-The suite also runs in the CI pure-python leg (``REPRO_NO_NUMPY=1``) —
-the fork path itself is backend-independent.
+The suite runs in both legs of the CI backend matrix (``block`` and
+``op``); the fork path itself is backend-independent.
 """
 
 from __future__ import annotations

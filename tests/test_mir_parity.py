@@ -40,7 +40,6 @@ from repro.mir import HOT_ENTRIES, lower_program, mir_program_for
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.events import TraceEvent
 from repro.tracing.sinks import CountingSink
-from repro.tracing.trace import Trace
 from repro.vm.engine import DecodedProgram, Engine
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.vm.memory import Memory
@@ -173,11 +172,10 @@ def _run_one(module, name, n, a0, b0, executor):
         "b": memory.allocate("b", I64, n, initial=b0),
         "n": n,
     }
+    sink = ColumnarTrace()
     if executor == "interpreter":
-        sink = Trace()
         runner = Interpreter(module, memory, trace=sink)
     else:
-        sink = ColumnarTrace()
         runner = Engine(module, memory, sink=sink, backend=executor)
     error = None
     return_value = steps = None

@@ -18,7 +18,7 @@ from repro.core.participation import (
 from repro.core.patterns import ErrorPattern
 from repro.frontend import compile_kernel
 from repro.ir import F64, I64, Opcode
-from repro.tracing import Trace
+from repro.tracing import ColumnarTrace
 from repro.vm import Memory
 
 from oracles.interpreter import Interpreter
@@ -40,7 +40,7 @@ def listing1_trace():
     function = compile_kernel(listing1)
     memory = Memory()
     par_a = memory.allocate("par_a", I64, 6, initial=[1, 2, 30, 4, 5, 6])
-    trace = Trace()
+    trace = ColumnarTrace()
     Interpreter(function.metadata["module"], memory, trace=trace).run(
         "listing1", {"par_a": par_a, "n": 6, "bits": 3}
     )
@@ -99,7 +99,7 @@ class TestEquation2Structure:
             "v", F64, n * 5, initial=[0.1 * i for i in range(n * 5)]
         )
         sums = memory.allocate("sum", F64, 5)
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(function.metadata["module"], memory, trace=trace).run(
             "l2norm", {"v": v, "sum": sums, "n": n, "nelem": n}
         )
@@ -121,7 +121,7 @@ class TestEquation2Structure:
         n = 4
         v = memory.allocate("v", F64, n * 5, initial=[1.0] * (n * 5))
         sums = memory.allocate("sum", F64, 5)
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(function.metadata["module"], memory, trace=trace).run(
             "l2norm", {"v": v, "sum": sums, "n": n, "nelem": n}
         )

@@ -1,26 +1,28 @@
-"""Parity oracle: the vectorized columnar pipeline vs the legacy scans.
+"""Parity oracle: the vectorized columnar pipeline vs the per-event one.
 
-The acceptance bar of the columnar refactor is *bit identity*: the
+The acceptance bar of the columnar pipeline is *bit identity*: the
 vectorized participation pass, the bulk operation-level passes and the
-tail-accelerated aDVF aggregation must reproduce the legacy per-event
-pipeline exactly — same participation lists, same ``MaskingVerdict`` per
-(participation, pattern), and byte-identical aDVF numbers (value,
-per-level and per-category breakdowns, the Figs. 4–5 tables) on every
-registered workload.
+tail-accelerated aDVF aggregation must reproduce the per-event reading
+exactly — same participation lists as the scan of
+:mod:`oracles.participation_scan`, same ``MaskingVerdict`` per
+(participation, pattern) as ``OperationMaskingAnalyzer.analyze``, and
+byte-identical aDVF numbers (value, per-level and per-category breakdowns,
+the Figs. 4–5 tables) on every registered workload.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.tracing.columnar as columnar_module
+from oracles.advf_sequential import PerEventEngine
+from oracles.participation_scan import scan_participations
 from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.core.masking import OperationMaskingAnalyzer
 from repro.core.participation import find_participations
 from repro.core.passes import OperationPasses
 from repro.core.patterns import SingleBitModel
 from repro.core.replay import ReplayContext
-from repro.core.sites import enumerate_fault_sites
+from repro.core.sites import FaultSite, enumerate_fault_sites
 from repro.tracing import ColumnarTrace
 from repro.workloads.registry import get_workload, workload_names
 
@@ -46,15 +48,11 @@ def _small(name):
 
 @pytest.fixture(scope="module")
 def traced():
-    """(workload, legacy Trace, ColumnarTrace) per registered workload."""
+    """(workload, golden ColumnarTrace) per registered workload."""
     out = {}
     for name in ALL_WORKLOADS:
         workload = _small(name)
-        out[name] = (
-            workload,
-            workload.traced_run().trace,
-            workload.traced_run(columnar=True).trace,
-        )
+        out[name] = (workload, workload.traced_run().trace)
     return out
 
 
@@ -63,38 +61,41 @@ def traced():
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_participations_match_verbatim(traced, name):
-    workload, legacy, columnar = traced[name]
+    workload, trace = traced[name]
     for object_name in workload.target_objects:
-        scan = find_participations(legacy, object_name)
-        vectorized = find_participations(columnar, object_name)
-        assert scan == vectorized
+        assert find_participations(trace, object_name) == (
+            scan_participations(trace, object_name)
+        )
         # subsampling applies the same stride to both implementations
-        assert find_participations(legacy, object_name, max_participations=23) == (
-            find_participations(columnar, object_name, max_participations=23)
+        assert find_participations(trace, object_name, max_participations=23) == (
+            scan_participations(trace, object_name, max_participations=23)
         )
 
 
 @pytest.mark.parametrize("name", ["matmul", "cg"])
 def test_fault_sites_match(traced, name):
-    workload, legacy, columnar = traced[name]
+    workload, trace = traced[name]
     for object_name in workload.target_objects:
-        assert enumerate_fault_sites(legacy, object_name, bit_stride=7) == (
-            enumerate_fault_sites(columnar, object_name, bit_stride=7)
-        )
+        expected = [
+            FaultSite(participation, bit)
+            for participation in scan_participations(trace, object_name)
+            for bit in range(0, participation.value_type.bits, 7)
+        ]
+        assert enumerate_fault_sites(trace, object_name, bit_stride=7) == expected
 
 
 # --------------------------------------------------------------------- #
-# operation-level verdict parity (bulk passes vs the legacy analyzer)
+# operation-level verdict parity (bulk passes vs the per-event analyzer)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_masking_verdicts_match_verdict_for_verdict(traced, name):
-    workload, legacy, columnar = traced[name]
-    oracle = OperationMaskingAnalyzer(legacy)
-    passes = OperationPasses(columnar, OperationMaskingAnalyzer(columnar))
+    workload, trace = traced[name]
+    oracle = OperationMaskingAnalyzer(trace)
+    passes = OperationPasses(trace, OperationMaskingAnalyzer(trace))
     model = SingleBitModel(bit_stride=5)
     for object_name in workload.target_objects:
-        participations = find_participations(
-            legacy, object_name, max_participations=60
+        participations = scan_participations(
+            trace, object_name, max_participations=60
         )
         passes.prepare(participations)
         for participation in participations:
@@ -109,11 +110,11 @@ def test_masking_verdicts_match_verdict_for_verdict(traced, name):
 # end-to-end aDVF bit identity
 # --------------------------------------------------------------------- #
 def _advf(workload, pipeline, **overrides):
-    """aDVF reports on the vectorized passes (``"columnar"``, the engine's
-    own golden trace) or the per-event path (``"legacy"``, a full
-    ``Trace``, which skips the passes)."""
-    trace = workload.traced_run().trace if pipeline == "legacy" else None
-    return AdvfEngine(workload, AnalysisConfig(**overrides), trace=trace).analyze()
+    """aDVF reports on the vectorized passes (``"columnar"``) or on the
+    participation scan with every verdict from the per-event analyzer
+    (``"per-event"``)."""
+    build = PerEventEngine if pipeline == "per-event" else AdvfEngine
+    return build(workload, AnalysisConfig(**overrides)).analyze()
 
 
 def _assert_reports_identical(a, b):
@@ -125,29 +126,22 @@ def _assert_reports_identical(a, b):
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_advf_bit_identical_across_pipelines(name):
     """Figs. 4–5 numbers (values + breakdowns) match to the last bit."""
-    legacy = _advf(_small(name), "legacy", use_injection=False)
+    per_event = _advf(_small(name), "per-event", use_injection=False)
     columnar = _advf(_small(name), "columnar", use_injection=False)
-    _assert_reports_identical(legacy, columnar)
+    _assert_reports_identical(per_event, columnar)
 
 
 @pytest.mark.parametrize("name", ["matmul", "cg"])
 def test_advf_bit_identical_with_injection(name):
-    legacy = _advf(
-        _small(name), "legacy", max_injections=40,
+    per_event = _advf(
+        _small(name), "per-event", max_injections=40,
         error_model=SingleBitModel(bit_stride=8),
     )
     columnar = _advf(
         _small(name), "columnar", max_injections=40,
         error_model=SingleBitModel(bit_stride=8),
     )
-    _assert_reports_identical(legacy, columnar)
-
-
-def test_advf_bit_identical_in_pure_python_fallback(monkeypatch):
-    monkeypatch.setattr(columnar_module, "_np", None)
-    legacy = _advf(_small("matmul"), "legacy", use_injection=False)
-    fallback = _advf(_small("matmul"), "columnar", use_injection=False)
-    _assert_reports_identical(legacy, fallback)
+    _assert_reports_identical(per_event, columnar)
 
 
 # --------------------------------------------------------------------- #

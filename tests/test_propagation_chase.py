@@ -14,7 +14,6 @@ import dataclasses
 
 import pytest
 
-import repro.tracing.columnar as columnar_module
 from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.core.masking import MaskingCategory
 from repro.core.participation import Participation, ParticipationRole
@@ -22,7 +21,7 @@ from repro.core.patterns import ErrorPattern
 from repro.core.propagation import PropagationAnalyzer
 from repro.ir.instructions import Opcode
 from repro.ir.types import F64, I1, I64
-from repro.tracing import ColumnarTrace, Trace
+from repro.tracing import ColumnarTrace
 from repro.tracing.events import OperandKind, TraceEvent
 from repro.workloads.registry import get_workload, workload_names
 
@@ -42,9 +41,9 @@ def assert_same_result(chase, scan, context=""):
             )
 
 
-def _recorded_analysis(monkeypatch, workload, config, trace=None):
-    """Run a full aDVF analysis (on ``trace`` when given); return the
-    analyzer and every ``(args, result)`` of its ``analyze()`` calls."""
+def _recorded_analysis(monkeypatch, workload, config):
+    """Run a full aDVF analysis; return the analyzer and every
+    ``(args, result)`` of its ``analyze()`` calls."""
     calls = []
     chase = PropagationAnalyzer.analyze
 
@@ -54,7 +53,7 @@ def _recorded_analysis(monkeypatch, workload, config, trace=None):
         return result
 
     monkeypatch.setattr(PropagationAnalyzer, "analyze", recording)
-    engine = AdvfEngine(workload, config, trace=trace)
+    engine = AdvfEngine(workload, config)
     engine.analyze()
     return engine._propagation, calls
 
@@ -88,33 +87,6 @@ def test_counters_track_visits_and_steps(monkeypatch):
     assert calls
     assert analyzer.steps == sum(r.steps_analyzed for _, r in calls)
     assert 0 < analyzer.visits < analyzer.steps
-
-
-def test_chase_matches_scan_on_classic_trace(monkeypatch):
-    """A classic ``Trace`` (the per-event path) reaches the analyzer as
-    is, and the pure-python index builder covers it."""
-    workload = get_workload("lu", seed=SEED)
-    analyzer, calls = _recorded_analysis(
-        monkeypatch, workload, AnalysisConfig(),
-        trace=workload.traced_run().trace,
-    )
-    assert isinstance(analyzer.trace, Trace) and calls
-    _assert_matches_scan(analyzer, calls, "lu (legacy)")
-
-
-@pytest.mark.skipif(
-    not columnar_module.have_numpy(), reason="only one index builder without NumPy"
-)
-def test_index_builders_agree():
-    workload = get_workload("cg", seed=SEED)
-    columnar = workload.traced_run(columnar=True).trace
-    fast = PropagationAnalyzer(columnar)
-    plain = PropagationAnalyzer(workload.traced_run().trace)
-    assert fast._readers == plain._readers
-    assert fast._reader_start == plain._reader_start
-    assert fast._accesses == plain._accesses
-    assert fast._last_load_of_address == plain._last_load_of_address
-    assert fast._address_object == plain._address_object
 
 
 # --------------------------------------------------------------------- #
@@ -152,10 +124,7 @@ def _trace(*ops):
             predicate=memory.pop("predicate", None),
             **memory,
         ))
-    classic = Trace()
-    for event in events:
-        classic.append(event)
-    return classic
+    return ColumnarTrace.from_events(events)
 
 
 def _load(address, value, obj="tmp"):
@@ -177,22 +146,19 @@ def _consumed(event_id, value_type=F64):
 
 
 def _chase(trace, event_id, corrupted, k=50, value_type=F64):
-    """Chase on the classic and the columnar form of ``trace``; both must
-    equal the scan, and the chase's result is returned."""
+    """Chase on ``trace``; the result must equal the scan's, and is
+    returned."""
     output = {"out"}
     participation = _consumed(event_id, value_type)
     pattern = ErrorPattern((1,))
     want = ScanPropagationAnalyzer(trace, k, output).analyze(
         participation, pattern, corrupted
     )
-    results = []
-    for source in (trace, ColumnarTrace.from_events(trace)):
-        got = PropagationAnalyzer(source, k, output).analyze(
-            participation, pattern, corrupted
-        )
-        assert_same_result(got, want, type(source).__name__)
-        results.append(got)
-    return results[0]
+    got = PropagationAnalyzer(trace, k, output).analyze(
+        participation, pattern, corrupted
+    )
+    assert_same_result(got, want, "chase")
+    return got
 
 
 def test_corruption_dies_exactly_at_its_last_use():

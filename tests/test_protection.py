@@ -38,7 +38,7 @@ def matmul():
 
 @pytest.fixture(scope="module")
 def matmul_trace(matmul):
-    return matmul.traced_run(columnar=True).trace
+    return matmul.traced_run().trace
 
 
 def _analyze(workload, objects=None):
@@ -148,8 +148,8 @@ class TestDuplicatedWorkload:
 
         base = get_workload("matmul", **MATMUL_KWARGS)
         protected = DuplicatedWorkload(base, mode="adopt")
-        base_trace = base.traced_run(columnar=True).trace
-        protected_trace = protected.traced_run(columnar=True).trace
+        base_trace = base.traced_run().trace
+        protected_trace = protected.traced_run().trace
         base_sites = find_participations(base_trace, "C")
         protected_sites = find_participations(protected_trace, "C")
         # the compare loop adds consumed C sites but no second replica worth

@@ -55,7 +55,8 @@ def _sample_specs(workload, trace, per_object=24, bit_stride=7):
         step = max(1, len(sites) // per_object)
         specs.extend(site.to_spec() for site in sites[::step][:per_object])
     # result-target faults exercise the evict-at-birth private path
-    for event in list(trace)[:: max(1, len(trace) // 6)]:
+    for dynamic_id in range(0, len(trace), max(1, len(trace) // 6)):
+        event = trace[dynamic_id]
         if event.result_value is not None:
             specs.append(FaultSpec(
                 dynamic_id=event.dynamic_id,

@@ -168,7 +168,7 @@ def test_shard_durations_are_the_worker_inject_spans(tmp_path):
 def _fail_shard(monkeypatch, orchestrator, failing):
     """Make injecting shard ``failing``'s specs raise (in any process)."""
     tasks = orchestrator.static_shards(
-        orchestrator._workload().traced_run(columnar=True).trace
+        orchestrator._workload().traced_run().trace
     )
     marker = tasks[failing].specs[0]
     original = DeterministicFaultInjector.inject_many

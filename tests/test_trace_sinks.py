@@ -1,7 +1,9 @@
 """Trace sinks and the pre-decoded engine's event stream.
 
 The contract under test: the engine produces *bit-identical* executions and
-event streams to the tree-walking interpreter, into any sink implementation.
+event streams to the tree-walking interpreter, into any sink implementation,
+from both of its emitters -- the per-op loop (``append``) and the compiled
+superinstructions (``append_block``).
 """
 
 from __future__ import annotations
@@ -9,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tracing import ColumnarTraceSink, CountingSink, Trace, TraceCursor
+from repro.tracing import ColumnarTrace, CountingSink, TraceCursor
 from repro.tracing.events import TraceEvent
 from repro.vm import Engine
 from repro.workloads.registry import get_workload
 
+from mir_helpers import segment_dispatches
 from oracles.interpreter import Interpreter
 
 _EVENT_FIELDS = TraceEvent.__slots__
@@ -25,16 +28,25 @@ def _events_equal(a: TraceEvent, b: TraceEvent) -> bool:
     return all(getattr(a, f) == getattr(b, f) for f in _EVENT_FIELDS)
 
 
+class _EventList(list):
+    """The events exactly as the executor emitted them."""
+
+    wants_events = True
+
+
 def _run(workload, executor: str, sink):
+    """One run on the interpreter, or on the engine: ``"engine"`` for its
+    default backend, ``"op"`` or ``"block"`` to pin one."""
     instance = workload.fresh_instance()
     if executor == "interpreter":
         result = Interpreter(instance.module, instance.memory, trace=sink).run(
             workload.entry, instance.args
         )
     else:
-        result = Engine(instance.module, instance.memory, sink=sink).run(
-            workload.entry, instance.args
-        )
+        result = Engine(
+            instance.module, instance.memory, sink=sink,
+            backend=None if executor == "engine" else executor,
+        ).run(workload.entry, instance.args)
     outputs = {
         name: instance.memory.object(name).values()
         for name in workload.output_objects
@@ -48,22 +60,27 @@ def _run(workload, executor: str, sink):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_engine_trace_matches_interpreter(name):
     workload = get_workload(name)
-    ri, outs_i = _run(workload, "interpreter", Trace())
-    re, outs_e = _run(workload, "engine", Trace())
-    assert ri.steps == re.steps
-    assert ri.return_value == re.return_value
-    assert len(ri.trace) == len(re.trace)
-    for a, b in zip(ri.trace, re.trace):
-        assert _events_equal(a, b), f"event {a.dynamic_id} differs"
-    for obj in outs_i:
-        assert np.array_equal(
-            outs_i[obj].view(np.uint8), outs_e[obj].view(np.uint8)
-        ), obj
+    ri, outs_i = _run(workload, "interpreter", ColumnarTrace())
+    # the block run's loops get hot mid-run: it emits through both the op
+    # loop (cold entries) and the compiled ``traced`` segments
+    for backend in ("op", "block"):
+        with segment_dispatches() as dispatched:
+            re, outs_e = _run(workload, backend, ColumnarTrace())
+        assert (dispatched[0] > 0) == (backend == "block")
+        assert ri.steps == re.steps
+        assert ri.return_value == re.return_value
+        assert len(ri.trace) == len(re.trace)
+        for a, b in zip(ri.trace, re.trace):
+            assert _events_equal(a, b), f"{backend}: event {a.dynamic_id} differs"
+        for obj in outs_i:
+            assert np.array_equal(
+                outs_i[obj].view(np.uint8), outs_e[obj].view(np.uint8)
+            ), (backend, obj)
 
 
 def test_engine_untraced_run_matches_traced_results():
     workload = get_workload("matmul")
-    traced, outs_traced = _run(workload, "engine", Trace())
+    traced, outs_traced = _run(workload, "engine", ColumnarTrace())
     bare, outs_bare = _run(workload, "engine", None)
     assert bare.steps == traced.steps
     assert bare.return_value == traced.return_value
@@ -77,21 +94,24 @@ def test_engine_untraced_run_matches_traced_results():
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_columnar_sink_reconstructs_full_events(name):
     workload = get_workload(name)
-    full, _ = _run(workload, "engine", Trace())
-    compact, _ = _run(workload, "engine", ColumnarTraceSink())
-    assert len(full.trace) == len(compact.trace)
-    for a, b in zip(full.trace, compact.trace):
+    emitted, _ = _run(workload, "op", _EventList())
+    compact, _ = _run(workload, "op", ColumnarTrace())
+    assert len(emitted.trace) == len(compact.trace)
+    for a, b in zip(emitted.trace, compact.trace):
         assert _events_equal(a, b), f"event {a.dynamic_id} differs"
 
 
 def test_columnar_sink_random_access_and_histogram():
     workload = get_workload("matmul")
-    result, _ = _run(workload, "engine", ColumnarTraceSink())
+    result, _ = _run(workload, "engine", ColumnarTrace())
     sink = result.trace
-    trace, _ = _run(workload, "engine", Trace())
-    assert sink.opcode_histogram() == trace.trace.opcode_histogram()
+    emitted, _ = _run(workload, "op", _EventList())
+    histogram = {}
+    for event in emitted.trace:
+        histogram[event.opcode.value] = histogram.get(event.opcode.value, 0) + 1
+    assert sink.opcode_histogram() == histogram
     middle = len(sink) // 2
-    assert _events_equal(sink[middle], trace.trace[middle])
+    assert _events_equal(sink[middle], emitted.trace[middle])
     assert sink[-1].dynamic_id == len(sink) - 1
     addresses = sink.addresses()
     assert addresses and all(
@@ -99,23 +119,27 @@ def test_columnar_sink_random_access_and_histogram():
     )
 
 
-def test_columnar_sink_to_trace_round_trip():
+def test_columnar_sink_from_events_round_trip():
     workload = get_workload("lulesh")
-    compact, _ = _run(workload, "engine", ColumnarTraceSink())
-    materialised = compact.trace.to_trace()
-    direct, _ = _run(workload, "engine", Trace())
-    assert len(materialised) == len(direct.trace)
-    for a, b in zip(materialised, direct.trace):
+    compact, _ = _run(workload, "engine", ColumnarTrace())
+    rebuilt = ColumnarTrace.from_events(compact.trace)
+    assert len(rebuilt) == len(compact.trace)
+    for a, b in zip(rebuilt, compact.trace):
         assert _events_equal(a, b)
-    # the materialised trace has working query indices
-    loads = materialised.loads_for(workload.output_objects[0])
-    assert loads == direct.trace.loads_for(workload.output_objects[0])
+    assert rebuilt.opcode_histogram() == compact.trace.opcode_histogram()
+    # the rebuilt trace answers the same column queries
+    output = workload.output_objects[0]
+    loads = [e for e in rebuilt if e.is_load and e.object_name == output]
+    assert loads == [
+        e for e in compact.trace if e.is_load and e.object_name == output
+    ]
+    assert rebuilt.columns().object_index == compact.trace.columns().object_index
 
 
 def test_columnar_sink_rejects_out_of_order_appends():
-    sink = ColumnarTraceSink()
+    sink = ColumnarTrace()
     workload = get_workload("matmul")
-    traced, _ = _run(workload, "engine", Trace())
+    traced, _ = _run(workload, "engine", ColumnarTrace())
     with pytest.raises(ValueError):
         sink.append(traced.trace[5])
 
@@ -126,7 +150,7 @@ def test_columnar_sink_rejects_out_of_order_appends():
 def test_counting_sink_counts_without_storing():
     workload = get_workload("cg")
     counted, _ = _run(workload, "engine", CountingSink())
-    traced, _ = _run(workload, "engine", Trace())
+    traced, _ = _run(workload, "engine", ColumnarTrace())
     sink = counted.trace
     assert sink.total == counted.steps == traced.steps
     assert len(sink) == sink.total
@@ -135,7 +159,7 @@ def test_counting_sink_counts_without_storing():
 
 def test_counting_sink_accepts_full_events_too():
     workload = get_workload("matmul")
-    traced, _ = _run(workload, "engine", Trace())
+    traced, _ = _run(workload, "engine", ColumnarTrace())
     sink = CountingSink()
     for event in traced.trace:
         sink.append(event)
@@ -145,14 +169,15 @@ def test_counting_sink_accepts_full_events_too():
 # --------------------------------------------------------------------- #
 # cursor API
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("sink_cls", [Trace, ColumnarTraceSink])
-def test_reevaluate_at_over_any_trace_like_source(sink_cls):
-    """The cursor-based re-evaluation works against full and columnar traces."""
+@pytest.mark.parametrize("source_cls", [list, ColumnarTrace])
+def test_reevaluate_at_over_any_trace_like_source(source_cls):
+    """The cursor-based re-evaluation works against any trace-like source:
+    a columnar trace or a plain list of events."""
     from repro.core.reexec import ReexecStatus, reevaluate_at
 
     workload = get_workload("matmul")
-    result, _ = _run(workload, "engine", sink_cls())
-    source = result.trace
+    result, _ = _run(workload, "engine", ColumnarTrace())
+    source = result.trace if source_cls is ColumnarTrace else list(result.trace)
     # recomputing an event with its own recorded operands reproduces its result
     checked = 0
     for event in source:
@@ -171,11 +196,11 @@ def test_reevaluate_at_over_any_trace_like_source(sink_cls):
         reevaluate_at(source, -1, ())
 
 
-@pytest.mark.parametrize("sink_cls", [Trace, ColumnarTraceSink])
-def test_cursor_over_any_trace_like_source(sink_cls):
+@pytest.mark.parametrize("source_cls", [list, ColumnarTrace])
+def test_cursor_over_any_trace_like_source(source_cls):
     workload = get_workload("matmul")
-    result, _ = _run(workload, "engine", sink_cls())
-    source = result.trace
+    result, _ = _run(workload, "engine", ColumnarTrace())
+    source = result.trace if source_cls is ColumnarTrace else list(result.trace)
     cursor = TraceCursor(source)
     assert cursor.peek().dynamic_id == 0
     assert cursor.advance().dynamic_id == 0

@@ -10,7 +10,7 @@ from repro.frontend import compile_kernel
 from repro.ir import F64, I64, Opcode
 from repro.ir.instructions import FCmpPredicate, ICmpPredicate
 from repro.ir.types import I8, I32
-from repro.tracing import Trace
+from repro.tracing import ColumnarTrace
 from repro.vm import (
     FaultSpec,
     FaultTarget,
@@ -115,10 +115,18 @@ class TestExecutionBasics:
         assert list(b.values()) == [10.5, 11.0, 11.5, 12.0, 12.5, 13.0]
 
 
+def _loads_for(trace, object_name):
+    return [e for e in trace if e.is_load and e.object_name == object_name]
+
+
+def _stores_for(trace, object_name):
+    return [e for e in trace if e.is_store and e.object_name == object_name]
+
+
 class TestTracing:
     def test_trace_events_in_order(self, saxpy_setup):
         module, memory, a, b = saxpy_setup
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(module, memory, trace=trace).run(
             "saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0}
         )
@@ -127,18 +135,18 @@ class TestTracing:
 
     def test_trace_resolves_objects(self, saxpy_setup):
         module, memory, a, b = saxpy_setup
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(module, memory, trace=trace).run(
             "saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0}
         )
-        assert len(trace.loads_for("a")) == 6
-        assert len(trace.stores_for("b")) == 6
-        assert len(trace.loads_for("b")) == 6
+        assert len(_loads_for(trace, "a")) == 6
+        assert len(_stores_for(trace, "b")) == 6
+        assert len(_loads_for(trace, "b")) == 6
 
     def test_load_records_writer(self, accumulate_trace):
         trace = accumulate_trace["trace"]
         # dst[i] is written (0.0) then read back in the accumulation statement
-        loads = trace.loads_for("dst")
+        loads = _loads_for(trace, "dst")
         assert loads and all(e.writer_id >= 0 for e in loads)
 
     def test_branch_events_record_taken_label(self, accumulate_trace):
@@ -153,10 +161,11 @@ class TestTracing:
                 assert producer < event.dynamic_id
 
     def test_summary(self, accumulate_trace):
-        summary = accumulate_trace["trace"].summary()
-        assert summary.total_events == len(accumulate_trace["trace"])
-        assert summary.loads > 0 and summary.stores > 0
-        assert "fmul" in summary.by_opcode
+        trace = accumulate_trace["trace"]
+        histogram = trace.opcode_histogram()
+        assert sum(histogram.values()) == len(trace)
+        assert histogram["load"] > 0 and histogram["store"] > 0
+        assert "fmul" in histogram
 
 
 class TestFaultInjectionHooks:
@@ -173,7 +182,7 @@ class TestFaultInjectionHooks:
         assert self._run(None).return_value == pytest.approx(30.0)
 
     def test_operand_fault_changes_result(self):
-        trace = Trace()
+        trace = ColumnarTrace()
         f = compile_kernel(k_sumsq)
         memory = Memory()
         a = memory.allocate("a", F64, 4, initial=[1.0, 2.0, 3.0, 4.0])
@@ -187,7 +196,7 @@ class TestFaultInjectionHooks:
         assert faulty.return_value != pytest.approx(30.0)
 
     def test_result_fault(self):
-        trace = Trace()
+        trace = ColumnarTrace()
         f = compile_kernel(k_sumsq)
         memory = Memory()
         a = memory.allocate("a", F64, 4, initial=[1.0, 2.0, 3.0, 4.0])
@@ -206,7 +215,7 @@ class TestFaultInjectionHooks:
         module = f.metadata["module"]
         memory = Memory()
         a = memory.allocate("a", F64, 4, initial=[9.0, 9.0, 9.0, 9.0])
-        trace = Trace()
+        trace = ColumnarTrace()
         Interpreter(module, memory, trace=trace).run("k_store_loop", {"a": a, "n": 4})
         store = next(e for e in trace if e.is_store and e.object_name == "a")
         golden = list(memory.object("a").values())

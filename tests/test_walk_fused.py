@@ -27,7 +27,10 @@ on resolution kind, ``converged_at`` and the op each eviction forks at:
   and a lane raising where golden does not;
 * a select on a divergent condition between two values computed from
   constants only (neither can diverge, and the lane must still pick the
-  other one).
+  other one);
+* in the cold all-workload sweep, no cell's divergence map ever holds a
+  value bit-equal to golden when a ``lanes`` segment loads the cell (so
+  the load takes the map as is, like the op loop).
 
 Segments compile ``plain`` and ``lanes`` only once hot; the cases that
 assert the fused path itself ran compile every variant up front
@@ -37,6 +40,8 @@ and warmed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -44,8 +49,8 @@ from repro.core.replay import ReplayContext
 from repro.ir import Constant, Function, IRBuilder, Module
 from repro.ir.instructions import ICmpPredicate
 from repro.ir.types import F32, F64, I64, VOID, pointer_to
-from repro.mir import mir_program_for
-from repro.vm.engine import DecodedProgram, Engine
+from repro.mir import fuse, mir_program_for
+from repro.vm.engine import DecodedProgram, Engine, _values_bit_equal
 from repro.vm.errors import ArithmeticFault
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
@@ -615,8 +620,40 @@ def test_lane_counters_reach_the_metrics_registry(
 def test_every_registered_workload_block_vs_op():
     # the all-workload parity sweep of test_replay_batch, plus the block
     # walk (``lanes`` included) against the op walk; cold, the segments
-    # compile while the runs of ``_check_batch`` go on
-    _all_workloads_block_vs_op(warm=False)
+    # compile while the runs of ``_check_batch`` go on, so every ``lanes``
+    # body binds the load check below
+    with _checking_cell_loads() as checked:
+        _all_workloads_block_vs_op(warm=False)
+    assert checked
+
+
+@contextmanager
+def _checking_cell_loads():
+    """Assert, at every diverged-cell load of the ``lanes`` bodies compiled
+    inside the ``with`` body, that no lane holds golden's value.
+
+    Stores keep only lanes that differ from the golden value they write,
+    and every fault stores where golden does (a diverging address evicts),
+    so a load takes the cell's map as is, like the op loop.  Yields the
+    list of faults checked; the bodies are dropped on exit.
+    """
+    checked = []
+    load_lanes = fuse._cell_lanes
+
+    def checking(cells, obj, index):
+        cmap = cells.get(obj.name)
+        golden = obj.get(index)
+        for fid, value in (cmap.get(index) or {}).items() if cmap else ():
+            assert not _values_bit_equal(value, golden), (obj.name, index, fid)
+            checked.append(fid)
+        return load_lanes(cells, obj, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuse, "_cell_lanes", checking)
+        try:
+            yield checked
+        finally:
+            cold()
 
 
 def test_every_registered_workload_block_vs_op_warmed():
