@@ -13,18 +13,17 @@ Public API
 :func:`~repro.abft.checksums.correct_single_error`.
 """
 
-from repro.abft.checksums import (
-    correct_single_error,
-    encode_column_checksums,
-    encode_row_checksums,
-    locate_single_error,
-    verify_product,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "correct_single_error",
-    "encode_column_checksums",
-    "encode_row_checksums",
-    "locate_single_error",
-    "verify_product",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "checksums": (
+            "correct_single_error",
+            "encode_column_checksums",
+            "encode_row_checksums",
+            "locate_single_error",
+            "verify_product",
+        ),
+    },
+)

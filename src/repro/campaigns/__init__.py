@@ -24,54 +24,38 @@ Public API
 :func:`~repro.campaigns.stats.wilson_interval`.
 """
 
-from repro.campaigns.orchestrator import (
-    DEFAULT_SHARD_SIZE,
-    CampaignOrchestrator,
-    CampaignResult,
-    ShardTask,
-)
-from repro.campaigns.plans import (
-    AdaptivePlan,
-    ExhaustivePlan,
-    FixedRandomPlan,
-    SamplingPlan,
-    StratifiedPlan,
-    ValidationPlan,
-    parse_plan,
-    plan_from_dict,
-)
-from repro.campaigns.stats import (
-    fixed_sample_size_for_half_width,
-    wilson_half_width,
-    wilson_interval,
-    z_for_confidence,
-)
-from repro.campaigns.store import (
-    CampaignRecord,
-    CampaignStore,
-    StoreVersionError,
-    compute_campaign_id,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SHARD_SIZE",
-    "CampaignOrchestrator",
-    "CampaignResult",
-    "ShardTask",
-    "AdaptivePlan",
-    "ExhaustivePlan",
-    "FixedRandomPlan",
-    "SamplingPlan",
-    "StratifiedPlan",
-    "ValidationPlan",
-    "parse_plan",
-    "plan_from_dict",
-    "fixed_sample_size_for_half_width",
-    "wilson_half_width",
-    "wilson_interval",
-    "z_for_confidence",
-    "CampaignRecord",
-    "CampaignStore",
-    "StoreVersionError",
-    "compute_campaign_id",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "orchestrator": (
+            "DEFAULT_SHARD_SIZE",
+            "CampaignOrchestrator",
+            "CampaignResult",
+            "ShardTask",
+        ),
+        "plans": (
+            "AdaptivePlan",
+            "ExhaustivePlan",
+            "FixedRandomPlan",
+            "SamplingPlan",
+            "StratifiedPlan",
+            "ValidationPlan",
+            "parse_plan",
+            "plan_from_dict",
+        ),
+        "stats": (
+            "fixed_sample_size_for_half_width",
+            "wilson_half_width",
+            "wilson_interval",
+            "z_for_confidence",
+        ),
+        "store": (
+            "CampaignRecord",
+            "CampaignStore",
+            "StoreVersionError",
+            "compute_campaign_id",
+        ),
+    },
+)

@@ -44,12 +44,9 @@ from repro.campaigns.orchestrator import (
 )
 from repro.campaigns.plans import parse_plan, plan_from_dict
 from repro.campaigns.store import CampaignStore, compute_campaign_id
-from repro.core.advf import AnalysisConfig
-from repro.core.patterns import SingleBitModel
 from repro.obs.log import get_logger
-from repro.obs.prom import render_promfile
 from repro.protection import cli as protect_cli
-from repro.reporting import (
+from repro.reporting.tables import (
     format_advf_report_table,
     format_campaign_list,
     format_metrics_table,
@@ -511,6 +508,8 @@ def _cmd_stats(args) -> int:
             print("no run metrics recorded (REPRO_METRICS=0, or a pre-v5 "
                   "campaign)")
         if args.promfile:
+            from repro.obs.prom import render_promfile
+
             with open(args.promfile, "w", encoding="utf-8") as fh:
                 fh.write(render_promfile(merged))
             print(f"wrote promfile to {args.promfile}", file=sys.stderr)
@@ -607,6 +606,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.core.patterns import SingleBitModel
+    from repro.core.reports import AnalysisConfig
+
     with _open_store(args) as store:
         campaign_id = _resolve_campaign_id(store, args)
         orchestrator = CampaignOrchestrator.from_store(

@@ -26,6 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -45,7 +46,6 @@ from repro.campaigns.plans import (
 )
 from repro.campaigns.stats import wilson_interval
 from repro.campaigns.store import CampaignStore
-from repro.core.advf import AnalysisConfig, ObjectReport
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.spans import (
@@ -67,6 +67,9 @@ from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import MemoCache, TraceCache, trace_digest
 from repro.vm.faults import FaultSpec
 from repro.workloads.registry import get_workload, validate_workload
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.core.reports import AnalysisConfig, ObjectReport
 
 #: Default number of fault specs per persisted shard (checkpoint granularity).
 DEFAULT_SHARD_SIZE = 32

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.sites import FaultSite, enumerate_fault_sites
+from repro.core.sites import FaultSite, FaultSitePool, enumerate_fault_sites
 from repro.campaigns.stats import wilson_half_width, z_for_confidence
 from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
@@ -68,8 +68,11 @@ class SamplingPlan(ABC):
             return list(self.objects)
         return list(workload.target_objects)
 
-    def site_pool(self, trace: ColumnarTrace, object_name: str) -> List[FaultSite]:
-        """The valid fault sites the plan selects from, in canonical order."""
+    def site_pool(self, trace: ColumnarTrace, object_name: str) -> FaultSitePool:
+        """The valid fault sites the plan selects from, in canonical order.
+
+        Plans that draw by index build only the sites they draw.
+        """
         return enumerate_fault_sites(
             trace,
             object_name,

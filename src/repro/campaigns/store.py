@@ -64,14 +64,16 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.core.acceptance import OutcomeClass
-from repro.core.advf import ObjectReport
 from repro.core.injector import FaultInjectionResult
 from repro.obs.metrics import merge_snapshots
 from repro.version import __version__ as _REPRO_VERSION
 from repro.vm.faults import FaultSpec, FaultTarget
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.core.reports import ObjectReport
 
 SCHEMA_VERSION = 7
 
@@ -979,6 +981,8 @@ class CampaignStore:
             )
 
     def reports(self, campaign_id: str) -> Dict[str, ObjectReport]:
+        from repro.core.reports import ObjectReport
+
         return {
             row[0]: ObjectReport.from_dict(json.loads(row[1]))
             for row in self._conn.execute(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.masking import MaskingCategory, MaskingLevel
+from repro.core.reports import MaskingCategory, MaskingLevel
 from repro.core.patterns import BitClass, classify_bit
 from repro.ir.types import IRType
 

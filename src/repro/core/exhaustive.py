@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.acceptance import OutcomeClass
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
-from repro.core.sites import FaultSite, enumerate_fault_sites
+from repro.core.sites import FaultSitePool, enumerate_fault_sites
 from repro.tracing.columnar import ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
@@ -86,7 +86,7 @@ class ExhaustiveCampaign:
         self.max_injections = max_injections
         self.injector = injector or DeterministicFaultInjector(workload)
 
-    def sites_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSite]:
+    def sites_for(self, trace: ColumnarTrace, object_name: str) -> FaultSitePool:
         return enumerate_fault_sites(
             trace,
             object_name,

@@ -20,9 +20,8 @@ injection, mirroring the decision procedure in Fig. 3 of the paper.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ir.instructions import (
@@ -39,26 +38,9 @@ from repro.core.participation import (
 )
 from repro.core.patterns import ErrorPattern
 from repro.core.reexec import ReexecStatus, reevaluate, results_identical
+from repro.core.reports import MaskingCategory, MaskingLevel
 from repro.tracing.cursor import TraceLike
 from repro.tracing.events import TraceEvent
-
-
-class MaskingLevel(enum.Enum):
-    """The paper's three analysis levels."""
-
-    OPERATION = "operation"
-    PROPAGATION = "propagation"
-    ALGORITHM = "algorithm"
-
-
-class MaskingCategory(enum.Enum):
-    """The paper's operation-level masking categories (Fig. 5)."""
-
-    OVERWRITE = "overwrite"
-    LOGIC_COMPARE = "logic_compare"
-    OVERSHADOW = "overshadow"
-    #: Used for masking that can only be attributed to the algorithm level.
-    ALGORITHMIC = "algorithmic"
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -36,8 +36,10 @@ from repro.tracing.columnar import (
     STORE_CODE,
     ColumnarTrace,
 )
-from repro.tracing.cursor import TraceLike
 from repro.tracing.events import TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.tracing.cursor import TraceLike
 
 
 class ParticipationRole(enum.Enum):

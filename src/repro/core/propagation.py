@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.ir.instructions import Opcode
-from repro.core.masking import MaskingCategory
+from repro.core.reports import MaskingCategory
 from repro.core.participation import Participation, ParticipationRole
 from repro.core.patterns import ErrorPattern
 from repro.core.reexec import ReexecStatus, reevaluate, results_identical

@@ -6,14 +6,20 @@ exactly the participation list of the object (consumed operands plus store
 destinations), crossed with the bit positions of the element type.  Both the
 exhaustive validator and the random fault injector draw their sites from
 here so the two campaigns and the aDVF model share one definition of the
-fault space.  Any trace-like source works; columnar traces get the
-vectorized participation pass automatically.
+fault space.
+
+A campaign usually draws a few hundred sites out of tens of thousands, so
+the enumeration returns a :class:`FaultSitePool`: a read-only sequence that
+holds the participations and builds a :class:`FaultSite` only when one is
+indexed or iterated.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.core.participation import Participation, ParticipationRole, find_participations
 from repro.tracing.columnar import ColumnarTrace
@@ -46,32 +52,82 @@ class FaultSite:
         )
 
 
+class FaultSitePool(Sequence[FaultSite]):
+    """The fault sites of a participation list, in canonical order.
+
+    Site ``i`` is participation ``k`` crossed with bit ``j * bit_stride``,
+    where ``k`` is found by bisecting the cumulative per-participation bit
+    counts.  ``len()`` is O(1), indexing builds one site, iteration yields
+    every site in order, and a pool equals any list or tuple holding the
+    same sites.
+    """
+
+    __slots__ = ("participations", "bit_stride", "_starts")
+
+    def __init__(self, participations: List[Participation], bit_stride: int = 1) -> None:
+        if bit_stride < 1:
+            raise ValueError("bit_stride must be >= 1")
+        self.participations = participations
+        self.bit_stride = bit_stride
+        #: ``_starts[k]`` is the index of participation ``k``'s first site;
+        #: the last entry is the pool size.
+        starts = [0]
+        total = 0
+        for participation in participations:
+            total += -(-participation.value_type.bits // bit_stride)
+            starts.append(total)
+        self._starts = starts
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[FaultSite, List[FaultSite]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("fault site index out of range")
+        k = bisect_right(self._starts, index) - 1
+        return FaultSite(
+            self.participations[k], (index - self._starts[k]) * self.bit_stride
+        )
+
+    def __iter__(self) -> Iterator[FaultSite]:
+        stride = self.bit_stride
+        for participation in self.participations:
+            for bit in range(0, participation.value_type.bits, stride):
+                yield FaultSite(participation, bit)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (FaultSitePool, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def enumerate_fault_sites(
     trace: ColumnarTrace,
     object_name: str,
     bit_stride: int = 1,
     max_participations: Optional[int] = None,
-) -> List[FaultSite]:
+) -> FaultSitePool:
     """All valid fault sites of ``object_name`` in ``trace``.
 
     ``bit_stride`` subsamples bit positions evenly; ``max_participations``
     subsamples dynamic occurrences evenly.  Both keep campaigns tractable
     while sampling the same space the paper defines.
     """
-    if bit_stride < 1:
-        raise ValueError("bit_stride must be >= 1")
     participations = find_participations(
         trace, object_name, max_participations=max_participations
     )
-    sites: List[FaultSite] = []
-    for participation in participations:
-        width = participation.value_type.bits
-        for bit in range(0, width, bit_stride):
-            sites.append(FaultSite(participation, bit))
-    return sites
+    return FaultSitePool(participations, bit_stride)
 
 
-def iter_site_specs(sites: List[FaultSite]) -> Iterator[FaultSpec]:
+def iter_site_specs(sites: Iterable[FaultSite]) -> Iterator[FaultSpec]:
     """Convenience: the :class:`FaultSpec` of every site, in order."""
     for site in sites:
         yield site.to_spec()

@@ -14,19 +14,17 @@ Public API
 :func:`compile_kernel_source`, :class:`KernelCompileError`.
 """
 
-from repro.frontend.errors import KernelCompileError
-from repro.frontend.intrinsics import INTRINSICS, IntrinsicInfo
-from repro.frontend.compiler import (
-    compile_kernel,
-    compile_kernel_source,
-    compile_kernels,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelCompileError",
-    "INTRINSICS",
-    "IntrinsicInfo",
-    "compile_kernel",
-    "compile_kernel_source",
-    "compile_kernels",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "errors": ("KernelCompileError",),
+        "intrinsics": ("INTRINSICS", "IntrinsicInfo"),
+        "compiler": (
+            "compile_kernel",
+            "compile_kernel_source",
+            "compile_kernels",
+        ),
+    },
+)

@@ -24,74 +24,42 @@ Public API
 :func:`~repro.ir.verify.verify_module` and :func:`~repro.ir.printer.print_module`.
 """
 
-from repro.ir.types import (
-    IRType,
-    TypeKind,
-    VOID,
-    I1,
-    I8,
-    I16,
-    I32,
-    I64,
-    F32,
-    F64,
-    PointerType,
-    pointer_to,
-)
-from repro.ir.values import Value, Constant, Argument, UndefValue
-from repro.ir.instructions import (
-    Opcode,
-    ICmpPredicate,
-    FCmpPredicate,
-    Instruction,
-    INT_BINARY_OPCODES,
-    FLOAT_BINARY_OPCODES,
-    SHIFT_OPCODES,
-    BITWISE_OPCODES,
-    CONVERSION_OPCODES,
-    COMPARISON_OPCODES,
-    TERMINATOR_OPCODES,
-)
-from repro.ir.function import BasicBlock, Function, Module
-from repro.ir.builder import IRBuilder
-from repro.ir.verify import VerificationError, verify_function, verify_module
-from repro.ir.printer import print_function, print_module
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IRType",
-    "TypeKind",
-    "VOID",
-    "I1",
-    "I8",
-    "I16",
-    "I32",
-    "I64",
-    "F32",
-    "F64",
-    "PointerType",
-    "pointer_to",
-    "Value",
-    "Constant",
-    "Argument",
-    "UndefValue",
-    "Opcode",
-    "ICmpPredicate",
-    "FCmpPredicate",
-    "Instruction",
-    "INT_BINARY_OPCODES",
-    "FLOAT_BINARY_OPCODES",
-    "SHIFT_OPCODES",
-    "BITWISE_OPCODES",
-    "CONVERSION_OPCODES",
-    "COMPARISON_OPCODES",
-    "TERMINATOR_OPCODES",
-    "BasicBlock",
-    "Function",
-    "Module",
-    "IRBuilder",
-    "VerificationError",
-    "verify_function",
-    "verify_module",
-    "print_function",
-    "print_module",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "types": (
+            "IRType",
+            "TypeKind",
+            "VOID",
+            "I1",
+            "I8",
+            "I16",
+            "I32",
+            "I64",
+            "F32",
+            "F64",
+            "PointerType",
+            "pointer_to",
+        ),
+        "values": ("Value", "Constant", "Argument", "UndefValue"),
+        "instructions": (
+            "Opcode",
+            "ICmpPredicate",
+            "FCmpPredicate",
+            "Instruction",
+            "INT_BINARY_OPCODES",
+            "FLOAT_BINARY_OPCODES",
+            "SHIFT_OPCODES",
+            "BITWISE_OPCODES",
+            "CONVERSION_OPCODES",
+            "COMPARISON_OPCODES",
+            "TERMINATOR_OPCODES",
+        ),
+        "function": ("BasicBlock", "Function", "Module"),
+        "builder": ("IRBuilder",),
+        "verify": ("VerificationError", "verify_function", "verify_module"),
+        "printer": ("print_function", "print_module"),
+    },
+)

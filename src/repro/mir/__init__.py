@@ -11,28 +11,21 @@ the segment, and the sink (if any) supports bulk appends — dropping to the
 per-op loop otherwise, so the op loop remains the bit-identity oracle.
 """
 
-from repro.mir.cache import clear_digest_cache, invalidate, mir_program_for
-from repro.mir.lower import (
-    FUSABLE_BODY,
-    HOT_ENTRIES,
-    MirFunction,
-    MirProgram,
-    MirSegment,
-    SEGMENT_BARRIERS,
-    lower_function,
-    lower_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FUSABLE_BODY",
-    "HOT_ENTRIES",
-    "MirFunction",
-    "MirProgram",
-    "MirSegment",
-    "SEGMENT_BARRIERS",
-    "clear_digest_cache",
-    "invalidate",
-    "lower_function",
-    "lower_program",
-    "mir_program_for",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("clear_digest_cache", "invalidate", "mir_program_for"),
+        "lower": (
+            "FUSABLE_BODY",
+            "HOT_ENTRIES",
+            "MirFunction",
+            "MirProgram",
+            "MirSegment",
+            "SEGMENT_BARRIERS",
+            "lower_function",
+            "lower_program",
+        ),
+    },
+)

@@ -54,71 +54,45 @@ spans travel the same road: buffered per process, drained per chunk, and
 persisted by the orchestrator.
 """
 
-from repro.obs.log import (
-    LEVELS,
-    StructuredLogger,
-    add_event_sink,
-    emit_event,
-    get_logger,
-    log_level,
-    provenance,
-    remove_event_sink,
-)
-from repro.obs.metrics import (
-    TIME_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    configure,
-    diff_snapshots,
-    merge_snapshots,
-    metrics_enabled,
-    registry,
-)
-from repro.obs.prom import render_promfile, write_promfile
-from repro.obs.spans import (
-    Span,
-    clear_span_context,
-    current_span,
-    disable_recording,
-    drain_span_records,
-    enable_recording,
-    get_span_context,
-    recording_enabled,
-    set_span_context,
-    span,
-    span_context,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LEVELS",
-    "StructuredLogger",
-    "add_event_sink",
-    "emit_event",
-    "get_logger",
-    "log_level",
-    "provenance",
-    "remove_event_sink",
-    "TIME_BUCKETS",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "configure",
-    "diff_snapshots",
-    "merge_snapshots",
-    "metrics_enabled",
-    "registry",
-    "render_promfile",
-    "write_promfile",
-    "Span",
-    "clear_span_context",
-    "current_span",
-    "disable_recording",
-    "drain_span_records",
-    "enable_recording",
-    "get_span_context",
-    "recording_enabled",
-    "set_span_context",
-    "span",
-    "span_context",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "log": (
+            "LEVELS",
+            "StructuredLogger",
+            "add_event_sink",
+            "emit_event",
+            "get_logger",
+            "log_level",
+            "provenance",
+            "remove_event_sink",
+        ),
+        "metrics": (
+            "TIME_BUCKETS",
+            "Histogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "configure",
+            "diff_snapshots",
+            "merge_snapshots",
+            "metrics_enabled",
+            "registry",
+        ),
+        "prom": ("render_promfile", "write_promfile"),
+        "spans": (
+            "Span",
+            "clear_span_context",
+            "current_span",
+            "disable_recording",
+            "drain_span_records",
+            "enable_recording",
+            "get_span_context",
+            "recording_enabled",
+            "set_span_context",
+            "span",
+            "span_context",
+        ),
+    },
+)

@@ -15,19 +15,17 @@ Public API
 :func:`~repro.parallel.partition.interleave`.
 """
 
-from repro.parallel.campaign import (
-    CampaignChunkError,
-    CampaignRunner,
-    analyze_objects_parallel,
-    run_injections_parallel,
-)
-from repro.parallel.partition import chunk_evenly, interleave
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignChunkError",
-    "CampaignRunner",
-    "analyze_objects_parallel",
-    "run_injections_parallel",
-    "chunk_evenly",
-    "interleave",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "campaign": (
+            "CampaignChunkError",
+            "CampaignRunner",
+            "analyze_objects_parallel",
+            "run_injections_parallel",
+        ),
+        "partition": ("chunk_evenly", "interleave"),
+    },
+)

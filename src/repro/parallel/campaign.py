@@ -29,9 +29,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.advf import AnalysisConfig, ObjectReport
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
@@ -39,6 +38,9 @@ from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import TraceCache, trace_digest
 from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.core.reports import AnalysisConfig, ObjectReport
 
 #: Called after each worker chunk completes with ``(chunks_done, chunks_total)``.
 ProgressCallback = Callable[[int, int], None]
@@ -559,6 +561,8 @@ class CampaignRunner:
         process loads once; workers build the workload and the injector's
         checkpoint schedule once per chunk instead of once per object.
         """
+        from repro.core.reports import AnalysisConfig
+
         config = config or AnalysisConfig()
         names = list(object_names)
         if not names:

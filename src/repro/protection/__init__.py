@@ -19,46 +19,28 @@ model with — it turns vulnerability *measurements* into protection
 CLI: ``python -m repro protect plan|apply|validate|report``.
 """
 
-from repro.protection.advisor import (
-    Candidate,
-    ProtectionAdvisor,
-    ProtectionPlan,
-    Selection,
-)
-from repro.protection.apply import DuplicatedWorkload, apply_plan, measure_overhead
-from repro.protection.schemes import (
-    BESPOKE_ABFT_VARIANTS,
-    CoverageModel,
-    ProtectionScheme,
-    SCHEMES,
-    SchemeCost,
-    WorkloadCostInputs,
-    applicable_schemes,
-    get_scheme,
-)
-from repro.protection.validate import (
-    ValidationOutcome,
-    ValidationReport,
-    validate_plan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BESPOKE_ABFT_VARIANTS",
-    "Candidate",
-    "CoverageModel",
-    "DuplicatedWorkload",
-    "ProtectionAdvisor",
-    "ProtectionPlan",
-    "ProtectionScheme",
-    "SCHEMES",
-    "SchemeCost",
-    "Selection",
-    "ValidationOutcome",
-    "ValidationReport",
-    "WorkloadCostInputs",
-    "applicable_schemes",
-    "apply_plan",
-    "get_scheme",
-    "measure_overhead",
-    "validate_plan",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "advisor": (
+            "Candidate",
+            "ProtectionAdvisor",
+            "ProtectionPlan",
+            "Selection",
+        ),
+        "apply": ("DuplicatedWorkload", "apply_plan", "measure_overhead"),
+        "schemes": (
+            "BESPOKE_ABFT_VARIANTS",
+            "CoverageModel",
+            "ProtectionScheme",
+            "SCHEMES",
+            "SchemeCost",
+            "WorkloadCostInputs",
+            "applicable_schemes",
+            "get_scheme",
+        ),
+        "validate": ("ValidationOutcome", "ValidationReport", "validate_plan"),
+    },
+)

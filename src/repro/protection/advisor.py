@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.advf import AdvfResult, ObjectReport
+from repro.core.reports import AdvfResult, ObjectReport
 from repro.protection.schemes import (
     ProtectionScheme,
     SchemeCost,

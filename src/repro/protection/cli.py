@@ -22,20 +22,20 @@ previous campaign (``--campaign CAMPAIGN_ID``).
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.advf import AdvfEngine, AnalysisConfig
-from repro.core.patterns import SingleBitModel
-from repro.protection.advisor import ProtectionAdvisor, ProtectionPlan
-from repro.protection.apply import apply_plan, measure_overhead
-from repro.protection.schemes import SCHEMES, acquire_trace, get_scheme
-from repro.protection.validate import validate_plan
-from repro.reporting import (
+from repro.reporting.tables import (
     format_protection_plan_table,
     format_table,
     format_validation_table,
 )
 from repro.workloads.registry import get_workload, validate_workload
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.protection.advisor import ProtectionPlan
+
+# Each verb imports the analysis and protection modules it runs, so that
+# registering the ``protect`` parser costs every other command nothing.
 
 
 def register(sub: argparse._SubParsersAction, common) -> None:
@@ -55,8 +55,8 @@ def register(sub: argparse._SubParsersAction, common) -> None:
     plan.add_argument("--objects", default=None,
                       help="comma-separated data objects (default: workload targets)")
     plan.add_argument("--schemes", default=None,
-                      help=f"comma-separated scheme subset "
-                           f"(default: all of {', '.join(SCHEMES)})")
+                      help="comma-separated scheme subset (default: all "
+                           "registered schemes)")
     plan.add_argument("--method", choices=("auto", "exact", "greedy"),
                       default="auto", help="optimizer (default auto)")
     plan.add_argument("--campaign", default=None, metavar="CAMPAIGN_ID",
@@ -104,6 +104,8 @@ def register(sub: argparse._SubParsersAction, common) -> None:
 # --------------------------------------------------------------------- #
 def _resolve_plan(store, target: str) -> ProtectionPlan:
     """TARGET → plan: a stored plan id verbatim, or a workload's latest."""
+    from repro.protection.advisor import ProtectionPlan
+
     if store.has_protection_plan(target):
         return ProtectionPlan.from_dict(store.protection_plan(target).plan)
     try:
@@ -126,6 +128,12 @@ def _resolve_plan(store, target: str) -> ProtectionPlan:
 # subcommand implementations
 # --------------------------------------------------------------------- #
 def cmd_plan(args, open_store, parse_set, say) -> int:
+    from repro.core.advf import AdvfEngine
+    from repro.core.patterns import SingleBitModel
+    from repro.core.reports import AnalysisConfig
+    from repro.protection.advisor import ProtectionAdvisor
+    from repro.protection.schemes import acquire_trace, get_scheme
+
     try:
         workload_name = validate_workload(args.workload)
     except KeyError as exc:
@@ -217,6 +225,8 @@ def cmd_plan(args, open_store, parse_set, say) -> int:
 
 
 def cmd_apply(args, open_store, say) -> int:
+    from repro.protection.apply import apply_plan, measure_overhead
+
     with open_store(args) as store:
         plan = _resolve_plan(store, args.target)
         say(f"applying plan {plan.plan_id} ({plan.workload}) ...")
@@ -240,6 +250,8 @@ def cmd_apply(args, open_store, say) -> int:
 
 
 def cmd_validate(args, open_store, say) -> int:
+    from repro.protection.validate import validate_plan
+
     with open_store(args) as store:
         plan = _resolve_plan(store, args.target)
         say(f"validating plan {plan.plan_id} "

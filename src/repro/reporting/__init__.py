@@ -17,38 +17,28 @@ Public API
 :func:`~repro.reporting.figures.advf_category_breakdown_rows`.
 """
 
-from repro.reporting.tables import (
-    format_advf_report_table,
-    format_campaign_list,
-    format_metrics_table,
-    format_outcome_table,
-    format_protection_plan_table,
-    format_shard_table,
-    format_table,
-    format_timeline,
-    format_validation_table,
-    table1_rows,
-)
-from repro.reporting.figures import (
-    advf_category_breakdown_rows,
-    advf_level_breakdown_rows,
-    bar_chart,
-    stacked_bar_chart,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "table1_rows",
-    "format_outcome_table",
-    "format_advf_report_table",
-    "format_campaign_list",
-    "format_metrics_table",
-    "format_protection_plan_table",
-    "format_timeline",
-    "format_shard_table",
-    "format_validation_table",
-    "advf_category_breakdown_rows",
-    "advf_level_breakdown_rows",
-    "bar_chart",
-    "stacked_bar_chart",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "tables": (
+            "format_advf_report_table",
+            "format_campaign_list",
+            "format_metrics_table",
+            "format_outcome_table",
+            "format_protection_plan_table",
+            "format_shard_table",
+            "format_table",
+            "format_timeline",
+            "format_validation_table",
+            "table1_rows",
+        ),
+        "figures": (
+            "advf_category_breakdown_rows",
+            "advf_level_breakdown_rows",
+            "bar_chart",
+            "stacked_bar_chart",
+        ),
+    },
+)

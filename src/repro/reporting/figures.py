@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.advf import AdvfResult
-from repro.core.masking import MaskingCategory, MaskingLevel
+from repro.core.reports import AdvfResult, MaskingCategory, MaskingLevel
 
 #: Order of stacking used by Fig. 4.
 LEVEL_ORDER = [MaskingLevel.OPERATION, MaskingLevel.PROPAGATION, MaskingLevel.ALGORITHM]

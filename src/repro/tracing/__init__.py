@@ -21,21 +21,15 @@ Public API
 :class:`~repro.tracing.cursor.TraceCursor`.
 """
 
-from repro.tracing.events import OperandKind, TraceEvent
-from repro.tracing.cursor import TraceCursor, TraceLike
-from repro.tracing.columnar import ColumnarTrace, TraceColumns
-from repro.tracing.cache import TraceCache, trace_digest
-from repro.tracing.sinks import CountingSink, TraceSink
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OperandKind",
-    "TraceEvent",
-    "TraceCursor",
-    "TraceLike",
-    "TraceSink",
-    "ColumnarTrace",
-    "TraceColumns",
-    "CountingSink",
-    "TraceCache",
-    "trace_digest",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "events": ("OperandKind", "TraceEvent"),
+        "cursor": ("TraceCursor", "TraceLike"),
+        "columnar": ("ColumnarTrace", "TraceColumns"),
+        "cache": ("TraceCache", "trace_digest"),
+        "sinks": ("CountingSink", "TraceSink"),
+    },
+)

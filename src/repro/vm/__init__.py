@@ -19,63 +19,43 @@ its :class:`~repro.vm.engine.Snapshot` checkpoints and
 :mod:`repro.vm.bits`.
 """
 
-from repro.vm.bits import (
-    bit_width_of,
-    bits_to_value,
-    flip_bit,
-    float32_from_bits,
-    float32_to_bits,
-    float64_from_bits,
-    float64_to_bits,
-    to_signed,
-    to_unsigned,
-    value_to_bits,
-)
-from repro.vm.errors import (
-    VMError,
-    SegmentationFault,
-    StepLimitExceeded,
-    ArithmeticFault,
-    UnknownIntrinsic,
-)
-from repro.vm.faults import FaultSpec, FaultTarget
-from repro.vm.memory import DataObject, Memory, MemoryImage
-from repro.vm.engine import (
-    DecodedProgram,
-    Engine,
-    ExecutionResult,
-    Snapshot,
-    prepare_arguments,
-)
-from repro.vm.registers import RegisterAllocation, RegisterFile, allocate_registers
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bit_width_of",
-    "bits_to_value",
-    "flip_bit",
-    "float32_from_bits",
-    "float32_to_bits",
-    "float64_from_bits",
-    "float64_to_bits",
-    "to_signed",
-    "to_unsigned",
-    "value_to_bits",
-    "VMError",
-    "SegmentationFault",
-    "StepLimitExceeded",
-    "ArithmeticFault",
-    "UnknownIntrinsic",
-    "FaultSpec",
-    "FaultTarget",
-    "DataObject",
-    "Memory",
-    "MemoryImage",
-    "ExecutionResult",
-    "prepare_arguments",
-    "DecodedProgram",
-    "Engine",
-    "Snapshot",
-    "RegisterAllocation",
-    "RegisterFile",
-    "allocate_registers",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bits": (
+            "bit_width_of",
+            "bits_to_value",
+            "flip_bit",
+            "float32_from_bits",
+            "float32_to_bits",
+            "float64_from_bits",
+            "float64_to_bits",
+            "to_signed",
+            "to_unsigned",
+            "value_to_bits",
+        ),
+        "errors": (
+            "VMError",
+            "SegmentationFault",
+            "StepLimitExceeded",
+            "ArithmeticFault",
+            "UnknownIntrinsic",
+        ),
+        "faults": ("FaultSpec", "FaultTarget"),
+        "memory": ("DataObject", "Memory", "MemoryImage"),
+        "engine": (
+            "DecodedProgram",
+            "Engine",
+            "ExecutionResult",
+            "Snapshot",
+            "prepare_arguments",
+        ),
+        "registers": (
+            "RegisterAllocation",
+            "RegisterFile",
+            "allocate_registers",
+        ),
+    },
+)

@@ -19,14 +19,12 @@ Public API
 :data:`~repro.workloads.registry.WORKLOADS`.
 """
 
-from repro.workloads.base import RunOutcome, Workload, WorkloadInstance
-from repro.workloads.registry import WORKLOADS, get_workload, workload_names
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RunOutcome",
-    "Workload",
-    "WorkloadInstance",
-    "WORKLOADS",
-    "get_workload",
-    "workload_names",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("RunOutcome", "Workload", "WorkloadInstance"),
+        "registry": ("WORKLOADS", "get_workload", "workload_names"),
+    },
+)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,10 +19,12 @@ from repro.core.acceptance import AcceptanceCriterion, RelativeTolerance
 from repro.frontend.compiler import compile_kernels
 from repro.ir.function import Module
 from repro.tracing.columnar import ColumnarTrace
-from repro.tracing.sinks import TraceSink
 from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import DataObject, Memory
+
+if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.tracing.sinks import TraceSink
 
 Number = Union[int, float]
 

@@ -1,42 +1,36 @@
 """Registry of the workloads studied in the paper (Table I plus §VI).
 
-``WORKLOADS`` maps short names to factory callables; :func:`get_workload`
-instantiates one with optional keyword overrides (problem size, seed, ABFT
-variant).  ``TABLE1_ROWS`` lists the benchmark rows in the order of Table I
-so the reporting layer can regenerate it.
+``WORKLOADS`` maps short names to the module and class that build them;
+:func:`get_workload` imports that module and instantiates the workload with
+optional keyword overrides (problem size, seed, ABFT variant).
+``TABLE1_ROWS`` lists the benchmark rows in the order of Table I so the
+reporting layer can regenerate it.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, List
+import importlib
+from typing import Dict, List, Tuple
 
-from repro.workloads.amg import AMGWorkload
 from repro.workloads.base import Workload
-from repro.workloads.bt import BTWorkload
-from repro.workloads.cg import CGWorkload
-from repro.workloads.ft import FTWorkload
-from repro.workloads.lu import LUWorkload
-from repro.workloads.lulesh import LuleshWorkload
-from repro.workloads.matmul import MatmulWorkload
-from repro.workloads.mg import MGWorkload
-from repro.workloads.particle_filter import ParticleFilterWorkload
-from repro.workloads.sp import SPWorkload
 
-#: name -> factory
-WORKLOADS: Dict[str, Callable[..., Workload]] = {
-    "cg": CGWorkload,
-    "mg": MGWorkload,
-    "ft": FTWorkload,
-    "bt": BTWorkload,
-    "sp": SPWorkload,
-    "lu": LUWorkload,
-    "lulesh": LuleshWorkload,
-    "amg": AMGWorkload,
-    "matmul": lambda **kw: MatmulWorkload(abft=False, **kw),
-    "matmul_abft": lambda **kw: MatmulWorkload(abft=True, **kw),
-    "pf": lambda **kw: ParticleFilterWorkload(abft=False, **kw),
-    "pf_abft": lambda **kw: ParticleFilterWorkload(abft=True, **kw),
+#: name -> (module under ``repro.workloads``, workload class, fixed
+#: constructor keywords).  :func:`get_workload` imports a workload's module
+#: only when it builds that workload.
+WORKLOADS: Dict[str, Tuple[str, str, Dict[str, object]]] = {
+    "cg": ("cg", "CGWorkload", {}),
+    "mg": ("mg", "MGWorkload", {}),
+    "ft": ("ft", "FTWorkload", {}),
+    "bt": ("bt", "BTWorkload", {}),
+    "sp": ("sp", "SPWorkload", {}),
+    "lu": ("lu", "LUWorkload", {}),
+    "lulesh": ("lulesh", "LuleshWorkload", {}),
+    "amg": ("amg", "AMGWorkload", {}),
+    "matmul": ("matmul", "MatmulWorkload", {"abft": False}),
+    "matmul_abft": ("matmul", "MatmulWorkload", {"abft": True}),
+    "pf": ("particle_filter", "ParticleFilterWorkload", {"abft": False}),
+    "pf_abft": ("particle_filter", "ParticleFilterWorkload", {"abft": True}),
 }
 
 #: The eight benchmarks of Table I, in row order.
@@ -106,4 +100,6 @@ def get_workload(name: str, **kwargs) -> Workload:
         from repro.protection.apply import apply_plan
 
         return apply_plan(ProtectionPlan.from_dict(dict(payload)))
-    return WORKLOADS[validate_workload(name)](**kwargs)
+    module, class_name, fixed = WORKLOADS[validate_workload(name)]
+    factory = getattr(importlib.import_module(f"repro.workloads.{module}"), class_name)
+    return factory(**fixed, **kwargs)

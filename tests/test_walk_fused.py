@@ -169,6 +169,8 @@ def test_callee_runs_fused_while_caller_holds_divergent_register(
     fmul = _first(events, "kernel", "fmul")
     spec = FaultSpec(dynamic_id=fmul.dynamic_id, bit=62, operand_index=0)
 
+    # the premise is a fused callee; the op backend has no fused segments
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
     walking = []  # the engine inside resume_many, if any
     original = Engine.resume_many
 
