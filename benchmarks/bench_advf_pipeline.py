@@ -155,6 +155,11 @@ def main() -> None:
             f"columnar analysis speedup {speedup:.2f}x below the "
             f"{SPEEDUP_BAR:.0f}x bar"
         )
+    load_speedup = report["trace_acquisition"]["load_speedup"]
+    assert load_speedup > 1.0, (
+        f"loading the golden-trace artifact is slower than re-tracing "
+        f"({load_speedup:.2f}x)"
+    )
 
 
 if __name__ == "__main__":

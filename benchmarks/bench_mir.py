@@ -10,7 +10,8 @@ Golden-run comparison on every registered workload:
 
 Bit-identity is verified **before** any timing is trusted: outputs (as raw
 bytes), return values and step counts must match the op loop on all
-workloads, with a sink-free run, a counting sink and a full columnar trace.
+workloads, with a sink-free run, a counting sink and a full columnar trace
+(a traced run records through the op loop on either backend).
 
 Acceptance bar: **≥ 3× geometric-mean speedup** on sink-free golden runs
 (target from the issue: ≥ 5×).  Results land in pytest-benchmark
@@ -84,7 +85,9 @@ def _assert_identical(name, mode, op, block):
 
 
 def verify_workload(name):
-    """Bit-identity op vs block under all three sink fast paths."""
+    """Bit-identity op vs block under the two sink fast paths (sink-free
+    and counting) and with a full trace, which both backends record through
+    the op loop."""
     workload = get_workload(name)
     _assert_identical(name, "sink-free", _golden(workload, "op"), _golden(workload, "block"))
 

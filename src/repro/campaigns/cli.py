@@ -481,7 +481,9 @@ def _cmd_stats(args) -> int:
         print(f"{'walk':<11}: {walk_ops} ops / {fused_ops} in fused segments "
               f"(fused share {fused_share}; {lane_ops} carrying divergence; "
               f"stops {stop_text})")
-        compiles = {variant: 0 for variant in ("plain", "traced", "lanes")}
+        # the variants this build compiles; another one found in an older
+        # store's run metrics (``traced``) prints after them
+        compiles = {variant: 0 for variant in ("plain", "lanes")}
         compile_s = 0.0
         for entry in merged.get("counters", ()):  # type: ignore[union-attr]
             if entry["name"] == "mir.segment_compiles":

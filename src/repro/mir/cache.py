@@ -9,7 +9,8 @@ over:
 * on the module object itself (same fast-attribute idiom as
   ``DecodedProgram.of``), invalidated together with the decode cache;
 * in a process-wide digest-keyed table, so structurally identical modules
-  (same workload recompiled) share one compiled program.
+  (same workload recompiled) share one compiled program: every variant a
+  clone runs is the template's callable.
 """
 
 from __future__ import annotations
@@ -34,15 +35,12 @@ def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirPro
     superinstruction callables — are pure functions of the printed IR.
     Each clone segment points at its template segment (``_origin``): the
     entry counts that decide when a variant is hot are kept there, so every
-    clone of one program adds to the same counts, and ``plain`` and
-    ``lanes`` are compiled once, on the template, and picked up by a clone
-    at its first entry after that (:meth:`~repro.mir.lower.MirSegment.hot`).
-    The *traced* artifacts are not shared: trace events expose
-    ``static_uid`` (a process-global value counter, different per module
-    instance), so the per-segment ``BlockStatic`` and traced callables are
-    compiled against the clone's own decode once the shared count makes
-    ``traced`` hot, keeping traced runs bit-identical to the op loop on the
-    same module.
+    clone of one program adds to the same counts, and each variant is
+    compiled once, on the template, and picked up by a clone at its first
+    entry after that (:meth:`~repro.mir.lower.MirSegment.hot`).  No
+    compiled code embeds a module's trace identities (``static_uid`` is a
+    process-global counter, different per module instance): traced runs
+    record through the op loop on the clone's own decode.
     """
     if set(template.functions) != set(decoded.functions):
         return None  # digest collision or stale entry: lower from scratch

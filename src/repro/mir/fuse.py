@@ -18,16 +18,13 @@ and the benchmark bit-identity gate hold the two implementations together;
 ``tests/test_walk_fused`` holds the *lanes* variant to the op loop's batch
 walk and to sequential replay.
 
-Three variants per segment:
+Two variants per segment (a run whose sink wants events never enters
+one: traced runs record through the op loop, the only trace emitter):
 
 * **plain** — ``fn(frame, regs, memory, cell) -> next_pc``; used for
   sink-free runs and (with an O(1) ``tick_block`` call layered on top by the
   engine) for counting sinks, and by the lockstep batch walk where no
   divergence can reach the segment.
-* **traced** — ``fn(frame, regs, prods, memory, sink, last_writer,
-  dynbase, cell) -> next_pc``; accumulates the segment's trace rows locally
-  and bulk-appends them into the columnar sink
-  (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).
 * **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, dc, active, rg,
   dynbase, stop, last) -> pc``; the batch walk's
   (:meth:`~repro.vm.engine.Engine.resume_many`) variant for segments that
@@ -50,14 +47,14 @@ registers the completed prefix defined (by their first-write offsets) and
 segment.  When the walk's last in-flight fault resolves and none is left to
 arm (``last``), the body ends after that op with cause ``LANE_END``.
 
-Crash protocol (*plain*, *traced*): the generated body maintains ``done``
-(ops fully executed so far); on any exception it stores ``done`` into the
+Crash protocol (*plain*): the generated body maintains ``done`` (ops
+fully executed so far); on any exception it stores ``done`` into the
 caller's ``cell`` and re-raises, so the engine can advance ``dyn`` by the
 completed prefix — the op loop's exact accounting (a crashing op
-contributes no step and no trace event).  Register/producer writeback is deferred to segment success; memory
-effects happen in place, matching the op loop's ordering observable at any
-crash or pause boundary (pauses never land mid-segment, and a crash pops
-the frames anyway).
+contributes no step).  Register writeback is deferred to segment success;
+memory effects happen in place, matching the op loop's ordering observable
+at any crash or pause boundary (pauses never land mid-segment, and a crash
+pops the frames anyway).
 
 Known (accepted) sharing caveat: compiled segments are shared across
 structurally identical modules via the print-digest cache, and the
@@ -265,20 +262,17 @@ class _Emitter:
     def __init__(self, df: DecodedFunction, seg, variant: str):
         self.df = df
         self.seg = seg
-        self.traced = variant == "traced"
         self.lanes = variant == "lanes"
         self.lines: List[str] = []
         self.pool: List[object] = []
         self._pool_ids: Dict[int, int] = {}
         self.slot_name: Dict[int, str] = {}
-        self.def_offset: Dict[int, int] = {}
+        self.defined: Set[int] = set()  # slots this segment writes
         self.int_names: Set[str] = set()
         self.float_names: Set[str] = set()
         self.memo: Dict[str, _MemoEntry] = {}
         self.uses_mem = False
         self.uses_alloca = False
-        self.has_loads = False
-        self.has_brcond = False
         self.last_branch_block: Optional[int] = None
         self.exit_expr: Optional[str] = None
         # lanes only: slot -> expression of its divergence map (None when
@@ -346,7 +340,7 @@ class _Emitter:
         name = f"v{j}"
         if op.dest >= 0:
             self.slot_name[op.dest] = name
-            self.def_offset[op.dest] = j
+            self.defined.add(op.dest)
         if kind == "i":
             self.int_names.add(name)
         elif kind == "f":
@@ -404,7 +398,6 @@ class _Emitter:
     def emit_op(self, j: int, pc: int) -> None:
         op = self.df.ops[pc]
         kind = op.kind
-        traced = self.traced
         lanes = self.lanes
 
         if lanes and j:
@@ -414,16 +407,6 @@ class _Emitter:
             self.emit("    raise _Arm")
 
         operands = [self.operand(op, i) for i in range(len(op.src))]
-        if traced:
-            for i, (expr, _) in enumerate(operands):
-                self.emit(f"va({expr})")
-                s = op.src[i]
-                if s < 0:
-                    self.emit("pa(-1)")
-                elif s in self.def_offset:
-                    self.emit(f"pa(dynbase + {self.def_offset[s]})")
-                else:
-                    self.emit(f"pa(prods[{s}])")
         if lanes:
             self.emit_evict_check(op, operands)
 
@@ -434,25 +417,16 @@ class _Emitter:
         elif kind == K_GEP:
             name = self.bind_result(op, j, "i")
             self.emit(self.gep_code(op, operands, name))
-            if traced and op.dest >= 0:
-                self.emit(f"res[{j}] = {name}")
             if lanes and op.dest >= 0:
                 self.emit_lane_dest(
                     op, j, operands, lambda ops: [self.gep_code(op, ops, "lr")]
                 )
         elif kind == K_LOAD:
-            self.has_loads = True
             vt = op.result_type
             entry = self.resolve_address(j, operands[0], vt)
             name = self.bind_result(op, j, "f" if vt.is_float else "i")
             cast = "float" if vt.is_float else "int"
             self.emit(f"{name} = {cast}({entry.ovar}.array[{entry.eivar}])")
-            if traced:
-                self.emit(f"res[{j}] = {name}")
-                self.emit(f"adr[{j}] = {entry.avar}")
-                self.emit(f"onm[{j}] = {entry.ovar}.name")
-                self.emit(f"eli[{j}] = {entry.eivar}")
-                self.emit(f"wid[{j}] = lw_get({entry.avar}, -1)")
             if lanes and op.dest >= 0:
                 self.emit_lane_load(op, j, entry)
         elif kind == K_STORE:
@@ -475,11 +449,6 @@ class _Emitter:
                     f"{entry.ovar}.array[{entry.eivar}] = "
                     f"t{j} - {full} if t{j} >= {sign} else t{j}"
                 )
-            if traced:
-                self.emit(f"adr[{j}] = {entry.avar}")
-                self.emit(f"onm[{j}] = {entry.ovar}.name")
-                self.emit(f"eli[{j}] = {entry.eivar}")
-                self.emit(f"last_writer[{entry.avar}] = dynbase + {j}")
             if lanes:
                 self.emit_lane_store(op, j, value, entry)
         elif kind == K_ALLOCA:
@@ -496,16 +465,12 @@ class _Emitter:
             self.memo[name] = _MemoEntry(
                 name, f"o{j}", "0", None, {op.alloca_type}, True
             )
-            if traced and op.dest >= 0:
-                self.emit(f"res[{j}] = {name}")
             if lanes and op.dest >= 0:
                 self.emit_dest_update(op, j, None)
         elif kind == K_CALL_INTRINSIC:
             rkind = "i" if op.result_type.is_integer else "f"
             name = self.bind_result(op, j, rkind)
             self.emit(self.call_code(op, operands, name))
-            if traced and op.dest >= 0:
-                self.emit(f"res[{j}] = {name}")
             if lanes and op.dest >= 0:
                 self.emit_lane_dest(
                     op, j, operands, lambda ops: [self.call_code(op, ops, "lr")]
@@ -516,17 +481,12 @@ class _Emitter:
             if j == self.seg.n_ops - 1:
                 self.exit_expr = repr(op.pc_true)
         elif kind == K_BR_COND:
-            self.has_brcond = True
             self.last_branch_block = op.block_index
             self.branches.append((j, op.block_index))
             cond = operands[0][0]
             self.emit(f"if {cond}:")
-            if traced:
-                self.emit(f"    tkn[{j}] = {op.label_true!r}")
             self.emit(f"    nxt = {op.pc_true}")
             self.emit("else:")
-            if traced:
-                self.emit(f"    tkn[{j}] = {op.label_false!r}")
             self.emit(f"    nxt = {op.pc_false}")
             self.exit_expr = "nxt"
         else:  # pragma: no cover - lowering never fuses other kinds
@@ -550,8 +510,6 @@ class _Emitter:
         lines, kind = self.fn_code(op, operands, f"v{j}", str(j))
         self.bind_result(op, j, kind)
         self.lines.extend(lines)
-        if self.traced and op.dest >= 0:
-            self.emit(f"res[{j}] = v{j}")
 
     def fn_code(self, op, operands, name: str, tag: str) -> Tuple[List[str], str]:
         """Lines computing a ``K_FN`` op into ``name``, plus the result's
@@ -807,23 +765,7 @@ class _Emitter:
         if self.exit_expr is None:
             self.exit_expr = repr(seg.pcs[-1] + 1)
 
-        n = seg.n_ops
-        traced = self.traced
         body: List[str] = ["done = 0"]
-        if traced:
-            body.append("flushed = False")
-            body.append("vals = []")
-            body.append("va = vals.append")
-            body.append("prodl = []")
-            body.append("pa = prodl.append")
-            body.append(f"res = [None] * {n}")
-            body.append(f"adr = [None] * {n}")
-            body.append(f"onm = [None] * {n}")
-            body.append(f"eli = [None] * {n}")
-            body.append(f"wid = [-1] * {n}")
-            body.append("tkn = TK[:]" if self.has_brcond else "tkn = TK")
-            if self.has_loads:
-                body.append("lw_get = last_writer.get")
         if self.uses_mem:
             body.append("bases = memory._bases")
             body.append("bybase = memory._by_base")
@@ -833,37 +775,15 @@ class _Emitter:
             body.append("sapp = frame.stack_objects.append")
         body.extend(self.lines)
 
-        # success epilogue: deferred register/producer writeback, then the
-        # bulk sink append, then the next pc.
-        for slot in sorted(self.def_offset):
+        # success epilogue: deferred register writeback, then the next pc.
+        for slot in sorted(self.defined):
             body.append(f"regs[{slot}] = {self.slot_name[slot]}")
-        if traced:
-            for slot in sorted(self.def_offset):
-                body.append(f"prods[{slot}] = dynbase + {self.def_offset[slot]}")
         if self.last_branch_block is not None:
             body.append(f"frame.prev_block = {self.last_branch_block}")
-        if traced:
-            body.append("flushed = True")
-            body.append(
-                f"sink.append_block(ST, {n}, dynbase, vals, prodl, res, adr, "
-                f"onm, eli, wid, tkn)"
-            )
         body.append(f"return {self.exit_expr}")
 
         catch = "BaseException"
-        if traced:
-            header = (
-                "def _seg(frame, regs, prods, memory, sink, last_writer, "
-                "dynbase, cell):"
-            )
-            handler = [
-                "cell[0] = done",
-                "if done and not flushed:",
-                "    sink.append_block(ST, done, dynbase, vals, prodl, res, "
-                "adr, onm, eli, wid, tkn)",
-                "raise",
-            ]
-        elif self.lanes:
+        if self.lanes:
             header = (
                 "def _seg(frame, regs, memory, cell, fdiv, cells, dc, active, "
                 "rg, dynbase, stop, last):"
@@ -906,9 +826,6 @@ class _Emitter:
             "_fdiv": float_divide,
             "_frem": float_remainder,
         }
-        if traced:
-            module_globals["ST"] = seg.block_static()
-            module_globals["TK"] = _taken_template(self.df, seg)
         if self.lanes:
             module_globals.update(
                 _E=_NO_LANES,
@@ -935,56 +852,9 @@ class _Emitter:
         return source, module_globals
 
 
-def _taken_template(df: DecodedFunction, seg) -> List[Optional[str]]:
-    """Static taken-label column: unconditional branches are known a priori."""
-    template: List[Optional[str]] = []
-    for pc in seg.pcs:
-        op = df.ops[pc]
-        template.append(op.label_true if op.kind == K_BR else None)
-    return template
-
-
-def build_block_static(df: DecodedFunction, seg):
-    """Static (per-program) trace columns for one segment."""
-    from repro.tracing.columnar import BlockStatic
-
-    opcodes, functions, blocks, static_uids, source_lines = [], [], [], [], []
-    result_types, predicates, callees = [], [], []
-    operand_types: List[object] = []
-    operand_kinds: List[object] = []
-    ends: List[int] = []
-    for pc in seg.pcs:
-        op = df.ops[pc]
-        opcodes.append(op.opcode)
-        functions.append(op.function)
-        blocks.append(op.block_label)
-        static_uids.append(op.static_uid)
-        source_lines.append(op.source_line)
-        result_types.append(op.result_type if op.has_result else None)
-        predicates.append(op.predicate_str)
-        callees.append(op.callee)
-        operand_types.extend(op.op_types)
-        operand_kinds.extend(op.op_kinds)
-        ends.append(len(operand_types))
-    return BlockStatic(
-        n=seg.n_ops,
-        opcodes=opcodes,
-        functions=functions,
-        blocks=blocks,
-        static_uids=static_uids,
-        source_lines=source_lines,
-        operand_types=operand_types,
-        operand_kinds=operand_kinds,
-        ends=ends,
-        result_types=result_types,
-        predicates=predicates,
-        callees=callees,
-    )
-
-
 def compile_segment(df: DecodedFunction, seg, variant: str):
-    """Compile one fused segment ``variant`` ("plain", "traced" or "lanes")
-    into its superinstruction callable.
+    """Compile one fused segment ``variant`` ("plain" or "lanes") into its
+    superinstruction callable.
 
     Counts the compile and its seconds in the metrics registry
     (``mir.segment_compiles`` / ``mir.segment_compile_s``, by variant)."""

@@ -22,9 +22,10 @@ superinstruction (see :mod:`repro.mir.fuse`), an ``exec``-specialized Python
 callable that executes the whole segment without touching the op loop.
 Each variant is compiled only once the segment is hot: at the N-th entry
 that wants it, N per variant in :data:`HOT_ENTRIES`
-(:meth:`MirSegment.hot`).  Until then, and for single-op segments and the
-non-fusable ops (``ret``, user calls, ``phi``), the op loop runs the
-segment's ops and doubles as the bit-identity oracle.
+(:meth:`MirSegment.hot`).  Until then, for single-op segments and the
+non-fusable ops (``ret``, user calls, ``phi``), and for every run whose
+sink wants events (traced runs record through the op loop only), the op
+loop runs the segment's ops and doubles as the bit-identity oracle.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ SEGMENT_BARRIERS = frozenset((K_RET, K_CALL_USER, K_PHI))
 #: brings that variant's entry count to its value here; the entries before
 #: it run in the op loop.  Short replays enter most segments only a few
 #: times, where compiling costs more than the op loop it would replace.
-#: ``plain`` compiles in about a third of the time of ``traced`` and
-#: ``lanes`` (which carry trace rows or fault lanes per op), and one-shot
-#: golden runs enter many of their segments only once or twice.  Each
-#: campaign worker process counts its own entries, so ``lanes`` stays low
-#: enough that a two-worker cg walk still runs ~96% of its ops fused.
-HOT_ENTRIES = {"plain": 2, "traced": 16, "lanes": 8}
+#: ``plain`` compiles in about a third of the time of ``lanes`` (which
+#: carries fault lanes per op).  Each campaign worker process counts its
+#: own entries, so ``lanes`` stays low enough that a two-worker cg walk
+#: still runs ~96% of its ops fused.  Traced runs never enter a segment:
+#: they record through the op loop.
+HOT_ENTRIES = {"plain": 2, "lanes": 8}
 
 
 class MirSegment:
@@ -70,16 +71,15 @@ class MirSegment:
 
     ``pcs`` lists the op-index of every op in execution order (contiguous
     within a block; EBB merges jump to the start of the merged block).
-    ``plain`` / ``traced`` / ``lanes`` are the compiled superinstruction
-    variants, ``None`` until compiled (always, for unfused segments).  A
-    variant compiles at the N-th dispatch-site entry that wants it, N per
-    variant in :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free
-    and counting runs and for batch-walk entries no divergence reaches,
-    ``traced`` for traced runs, ``lanes`` for batch-walk entries that carry
-    divergence.  The entry counts live on the digest-shared origin segment,
-    so the digest cache's clones of one program pool their heat; ``plain``
-    and ``lanes`` are shared with the clones as well, ``traced`` is not
-    (see :func:`repro.mir.cache._clone_for`).
+    ``plain`` / ``lanes`` are the compiled superinstruction variants,
+    ``None`` until compiled (always, for unfused segments).  A variant
+    compiles at the N-th dispatch-site entry that wants it, N per variant in
+    :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free and counting
+    runs and for batch-walk entries no divergence reaches, ``lanes`` for
+    batch-walk entries that carry divergence.  The entry counts and the
+    compiled variants live on the digest-shared origin segment, so the
+    digest cache's clones of one program pool their heat and share one
+    compile (see :func:`repro.mir.cache._clone_for`).
 
     ``live_in`` lists the register slots the segment reads before writing
     them (in first-read order) and ``first_write`` maps every slot it writes
@@ -95,14 +95,12 @@ class MirSegment:
         "n_ops",
         "fused",
         "plain",
-        "traced",
         "lanes",
         "live_in",
         "first_write",
         "counts",
         "opcode_values",
         "_df",
-        "_static",
         "_origin",
         "_heat",
     )
@@ -114,15 +112,13 @@ class MirSegment:
         self.n_ops = len(pcs)
         self.fused = fused
         self.plain = None
-        self.traced = None
         self.lanes = None
         self._df = df
-        self._static = None
         #: segment whose heat and compiled ``plain``/``lanes`` this one
         #: shares (digest cache)
         self._origin = None
         #: variant -> entries that wanted it (read on the origin only)
-        self._heat = {"plain": 0, "traced": 0, "lanes": 0}
+        self._heat = {"plain": 0, "lanes": 0}
         ops = df.ops
         live_in: List[int] = []
         first_write: Dict[int, int] = {}
@@ -149,8 +145,8 @@ class MirSegment:
         return counts
 
     def hot(self, variant: str):
-        """Count one entry that wants ``variant`` ("plain", "traced" or
-        "lanes"); return its callable, compiling it at the variant's
+        """Count one entry that wants ``variant`` ("plain" or "lanes");
+        return its callable, compiling it at the variant's
         :data:`HOT_ENTRIES`-th entry, or ``None`` while the segment is cold
         (the caller runs the op loop instead)."""
         heat = (self._origin or self)._heat
@@ -158,27 +154,12 @@ class MirSegment:
         heat[variant] = entries
         if entries < HOT_ENTRIES[variant]:
             return None
-        return getattr(self, "compile_" + variant)()
+        return self.compile(variant)
 
-    def compile_plain(self):
-        """Compile (and cache, also for the digest cache's clones) the
-        golden-only superinstruction variant."""
-        return self._compile_shared("plain")
-
-    def compile_traced(self):
-        """Compile (and cache) the trace-emitting superinstruction variant."""
-        from repro.mir.fuse import compile_segment
-
-        fn = compile_segment(self._df, self, "traced")
-        self.traced = fn
-        return fn
-
-    def compile_lanes(self):
-        """Compile (and cache, also for the digest cache's clones) the
-        divergence-carrying batch-walk variant."""
-        return self._compile_shared("lanes")
-
-    def _compile_shared(self, variant: str):
+    def compile(self, variant: str):
+        """Compile ``variant`` ("plain" or "lanes") now, once per program:
+        the callable is cached on the origin segment, so the digest cache's
+        clones pick it up instead of compiling again."""
         shared = self._origin or self
         fn = getattr(shared, variant)
         if fn is None:
@@ -188,14 +169,6 @@ class MirSegment:
             setattr(shared, variant, fn)
         setattr(self, variant, fn)
         return fn
-
-    def block_static(self):
-        """Per-segment static trace columns (see ``ColumnarTrace.append_block``)."""
-        if self._static is None:
-            from repro.mir.fuse import build_block_static
-
-            self._static = build_block_static(self._df, self)
-        return self._static
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "fused" if self.fused else "plain-loop"

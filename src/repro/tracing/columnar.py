@@ -11,9 +11,8 @@ campaign runs and worker processes (:mod:`repro.tracing.cache`).
 Three consumption styles, one object:
 
 * **sink** — the execution engine streams events in (``wants_events = True``):
-  one :meth:`append` per event from the per-op loop, one
-  :meth:`append_block` per executed fused segment from the superinstruction
-  backend;
+  one :meth:`append` per event from the op loop, which runs every traced
+  run on either backend;
 * **trace-like** — ``len`` / integer indexing / iteration reconstruct
   :class:`~repro.tracing.events.TraceEvent` views (memoised, so analyses
   that revisit the same dynamic window pay the materialisation once);
@@ -109,42 +108,6 @@ class TraceColumns:
         self.object_index = object_index
 
 
-class BlockStatic:
-    """Static (per-program) columns of one fused MIR segment.
-
-    The superinstruction backend (:mod:`repro.mir.fuse`) precomputes, once
-    per segment at codegen time, every trace column that does not depend on
-    dynamic state: opcodes, locations, operand types/kinds with their CSR
-    ``ends``, result types, predicates and callees.  A traced
-    superinstruction then only accumulates the dynamic columns and hands
-    both to :meth:`ColumnarTrace.append_block` for one bulk extend per
-    executed segment.
-    """
-
-    __slots__ = (
-        "n", "opcodes", "functions", "blocks", "static_uids", "source_lines",
-        "operand_types", "operand_kinds", "ends", "result_types",
-        "predicates", "callees",
-    )
-
-    def __init__(
-        self, n, opcodes, functions, blocks, static_uids, source_lines,
-        operand_types, operand_kinds, ends, result_types, predicates, callees,
-    ) -> None:
-        self.n = n
-        self.opcodes = opcodes
-        self.functions = functions
-        self.blocks = blocks
-        self.static_uids = static_uids
-        self.source_lines = source_lines
-        self.operand_types = operand_types
-        self.operand_kinds = operand_kinds
-        self.ends = ends
-        self.result_types = result_types
-        self.predicates = predicates
-        self.callees = callees
-
-
 class ColumnarTrace:
     """Compact columnar event storage with array views and persistence.
 
@@ -221,85 +184,6 @@ class ColumnarTrace:
         self._element_index.append(event.element_index)
         self._writer_id.append(event.writer_id)
         self._taken_label.append(event.taken_label)
-
-    def append_block(
-        self,
-        static: BlockStatic,
-        n: int,
-        base_id: int,
-        values: List[object],
-        producers: List[int],
-        results: List[object],
-        addresses: List[Optional[int]],
-        object_names: List[Optional[str]],
-        element_indexes: List[Optional[int]],
-        writer_ids: List[int],
-        taken_labels: List[Optional[str]],
-    ) -> None:
-        """Bulk-append ``n`` events of one executed MIR segment.
-
-        ``static`` carries the segment's precomputed static columns;
-        ``values``/``producers`` are the flat (CSR) dynamic operand columns
-        and the rest are per-event dynamic columns.  ``n < static.n``
-        appends the completed prefix of a segment whose ``n``-th op crashed
-        (the crashing op itself contributes no event, exactly like the op
-        loop); the flat lists may extend past the prefix and are sliced to
-        the CSR cut.
-        """
-        if base_id != len(self._opcode):
-            raise ValueError(
-                f"trace events must be appended in order: expected id "
-                f"{len(self._opcode)}, got {base_id}"
-            )
-        self._cols = None
-        ends = static.ends
-        if n == static.n:
-            cut = ends[-1] if ends else 0
-            self._opcode.extend(static.opcodes)
-            self._function.extend(static.functions)
-            self._block.extend(static.blocks)
-            self._static_uid.extend(static.static_uids)
-            self._source_line.extend(static.source_lines)
-            self._operand_types.extend(static.operand_types)
-            self._operand_kinds.extend(static.operand_kinds)
-            self._result_type.extend(static.result_types)
-            self._predicate.extend(static.predicates)
-            self._callee.extend(static.callees)
-            self._result_value.extend(results)
-            self._address.extend(addresses)
-            self._object_name.extend(object_names)
-            self._element_index.extend(element_indexes)
-            self._writer_id.extend(writer_ids)
-            self._taken_label.extend(taken_labels)
-        else:
-            cut = ends[n - 1] if n else 0
-            ends = ends[:n]
-            self._opcode.extend(static.opcodes[:n])
-            self._function.extend(static.functions[:n])
-            self._block.extend(static.blocks[:n])
-            self._static_uid.extend(static.static_uids[:n])
-            self._source_line.extend(static.source_lines[:n])
-            self._operand_types.extend(static.operand_types[:cut])
-            self._operand_kinds.extend(static.operand_kinds[:cut])
-            self._result_type.extend(static.result_types[:n])
-            self._predicate.extend(static.predicates[:n])
-            self._callee.extend(static.callees[:n])
-            self._result_value.extend(results[:n])
-            self._address.extend(addresses[:n])
-            self._object_name.extend(object_names[:n])
-            self._element_index.extend(element_indexes[:n])
-            self._writer_id.extend(writer_ids[:n])
-            self._taken_label.extend(taken_labels[:n])
-        if len(values) > cut:
-            values = values[:cut]
-            producers = producers[:cut]
-        self._operand_data.extend(values)
-        self._operand_producers.extend(producers)
-        base = self._operand_offsets[-1]
-        self._operand_offsets.extend(base + end for end in ends)
-
-    def tick(self, opcode: Opcode) -> None:  # pragma: no cover - not used
-        raise TypeError("ColumnarTrace stores full events; use append()")
 
     @classmethod
     def from_events(cls, events) -> "ColumnarTrace":

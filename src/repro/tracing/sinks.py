@@ -13,9 +13,10 @@ The engine (:mod:`repro.vm.engine`) streams its dynamic events into a
 
 The contract is :class:`TraceSink`: sinks advertise via ``wants_events``
 whether the engine should construct :class:`TraceEvent` objects (calling
-``append``) or merely report opcodes (calling ``tick``).  The fused
-superinstruction backend additionally emits whole segments through
-``append_block`` / ``tick_block`` when the sink has them.
+``append``) or merely report opcodes (calling ``tick``).  Event-wanting runs
+always go through the op loop; the fused superinstruction backend serves
+sink-free runs and, through ``tick_block`` when the sink has it, counting
+runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class TraceSink(Protocol):
         When ``True`` the engine builds a full :class:`TraceEvent` per
         dynamic instruction and calls :meth:`append`; when ``False`` it
         calls :meth:`tick` with just the opcode — the per-step cost of the
-        sink drops to one method call and no allocation.
+        sink drops to one method call and no allocation.  A sink needs only
+        the method its ``wants_events`` selects.
     """
 
     wants_events: bool

@@ -740,7 +740,9 @@ class Engine:
     armed :class:`~repro.vm.faults.FaultSpec`.  On top of that:
 
     * ``sink`` — any :class:`~repro.tracing.sinks.TraceSink`; sinks with
-      ``wants_events = False`` skip event construction entirely;
+      ``wants_events = False`` skip event construction entirely, and sinks
+      with ``wants_events = True`` record through the op loop on either
+      backend;
     * ``snapshot_interval`` — capture a :class:`Snapshot` every N dynamic
       instructions (position 0 included) into :attr:`snapshots`;
     * ``snapshot_budget`` — cap the snapshot count without knowing the run
@@ -1845,19 +1847,17 @@ class Engine:
         next_pause = self._next_pause()
         return_value: Optional[Number] = None
 
-        # MIR fast path: dispatch whole fused segments when the sink (if
-        # any) supports bulk emission.  fast_mode: 0 off, 1 sink-free,
-        # 2 counting (tick_block), 3 traced (append_block).  A segment's
-        # variant compiles once the segment is hot (``seg.hot``); while it
-        # is cold the op loop runs the segment.
+        # MIR fast path: dispatch whole fused segments when the run records
+        # no events.  fast_mode: 0 off (op backend, or a sink that wants
+        # events: traced runs record through the op loop), 1 sink-free,
+        # 2 counting (tick_block).  A segment's ``plain`` variant compiles
+        # once the segment is hot (``seg.hot``); while it is cold the op
+        # loop runs the segment.
         mir = self._mir
         fast_mode = 0
-        if mir is not None:
+        if mir is not None and not tracing:
             if sink is None:
                 fast_mode = 1
-            elif tracing:
-                if getattr(sink, "append_block", None) is not None:
-                    fast_mode = 3
             elif getattr(sink, "tick_block", None) is not None:
                 fast_mode = 2
         mir_fns = mir.functions if fast_mode else None
@@ -1895,23 +1895,14 @@ class Engine:
                             and end <= max_steps
                             and (fault_dyn < dyn or fault_dyn >= end)
                         ):
-                            if fast_mode == 3:
-                                fn = seg.traced or seg.hot("traced")
-                            else:
-                                fn = seg.plain or seg.hot("plain")
+                            fn = seg.plain or seg.hot("plain")
                         else:
                             fn = None
                         if fn is not None:
                             try:
-                                if fast_mode == 3:
-                                    pc = fn(
-                                        frame, regs, prods, memory, sink,
-                                        last_writer, dyn, cell,
-                                    )
-                                else:
-                                    pc = fn(frame, regs, memory, cell)
-                                    if fast_mode == 2:
-                                        sink_tick_block(seg.counts, seg.n_ops)
+                                pc = fn(frame, regs, memory, cell)
+                                if fast_mode == 2:
+                                    sink_tick_block(seg.counts, seg.n_ops)
                             except BaseException:
                                 stepped = cell[0]
                                 cell[0] = 0

@@ -19,18 +19,16 @@ from repro.vm.engine import DecodedProgram
 
 
 def compile_all(module) -> int:
-    """Compile the ``plain``, ``traced`` and ``lanes`` variants of every
-    fused segment of ``module``'s lowered program, through the segments'
-    own compile methods; returns the number of fused segments."""
+    """Compile the ``plain`` and ``lanes`` variants of every fused segment
+    of ``module``'s lowered program, through the segments' own compile
+    method; returns the number of fused segments."""
     program = mir_program_for(DecodedProgram.of(module))
     fused = 0
     for function in program.functions.values():
         for seg in function.segments:
             if seg.fused:
-                seg.compile_plain()
-                if seg.traced is None:
-                    seg.compile_traced()
-                seg.compile_lanes()
+                seg.compile("plain")
+                seg.compile("lanes")
                 fused += 1
     return fused
 
@@ -46,22 +44,29 @@ def cold(module=None) -> None:
 @contextmanager
 def segment_dispatches():
     """Count the fused-segment dispatches of the block backend's runs
-    (``Engine.run``/``resume``) inside the ``with`` body.
+    (``Engine.run``/``resume``) inside the ``with`` body, and the segment
+    variants compiled meanwhile.
 
-    Yields a one-element list that holds the count once the body exits.
-    Reads the metrics registry, enabling it for the body if it is off.
+    Yields a two-element list that holds ``[dispatches, compiles]`` once
+    the body exits.  Reads the metrics registry, enabling it for the body if
+    it is off.
     """
     reg = registry()
     disabled = not reg.enabled
     if disabled:
         reg = configure(True)
-    before = reg.counter_value("engine.segment_dispatches", backend="block")
-    count = [0]
+
+    def read():
+        return (
+            reg.counter_value("engine.segment_dispatches", backend="block"),
+            reg.counter_total("mir.segment_compiles"),
+        )
+
+    before = read()
+    count = [0, 0]
     try:
         yield count
     finally:
-        count[0] = (
-            reg.counter_value("engine.segment_dispatches", backend="block") - before
-        )
+        count[:] = [now - then for now, then in zip(read(), before)]
         if disabled:
             configure(False)

@@ -3,8 +3,9 @@
 Contracts under test:
 
 * ``ColumnarTrace`` reconstructs, event for event, the stream the
-  engine's op loop emitted into it (``append_block`` is checked against
-  the interpreter in ``test_trace_sinks.py`` and ``test_mir_parity.py``);
+  engine's op loop emitted into it (the op loop's stream is checked
+  against the interpreter in ``test_trace_sinks.py`` and
+  ``test_mir_parity.py``);
 * ``.npz`` artifacts round-trip every event field and reject a foreign
   format version;
 * the trace cache is content-addressed, hit/miss accounted, and honours

@@ -174,8 +174,10 @@ def test_decoded_program_cached_per_module():
 
 
 def test_engine_equivalence_on_tiny_kernels(accumulate_trace):
-    """The engine agrees with a seed-recorded interpreter trace, event for
-    event, from the per-op loop and from compiled superinstructions."""
+    """The engine agrees with a seed-recorded interpreter run: a traced run
+    event for event on either backend (always through the per-op loop, even
+    with every segment compiled), and a sink-free run of the compiled
+    superinstructions in steps, return value and outputs."""
     from repro.ir.types import F64
     from repro.tracing import ColumnarTrace
     from repro.tracing.events import TraceEvent
@@ -185,19 +187,28 @@ def test_engine_equivalence_on_tiny_kernels(accumulate_trace):
 
     module = accumulate_trace["module"]
     reference = accumulate_trace["trace"]
-    for backend in ("op", "block"):
-        if backend == "block":
-            assert compile_all(module) > 0
+    expected_dst = accumulate_trace["memory"].object("dst").values()
+    assert compile_all(module) > 0
+    for backend, sink in (
+        ("op", ColumnarTrace()), ("block", ColumnarTrace()), ("block", None)
+    ):
         memory = Memory()
         src = memory.allocate("src", F64, 5, initial=[1.0, -2.0, 3.0, 0.5, 4.0])
         dst = memory.allocate("dst", F64, 5)
-        sink = ColumnarTrace()
         with segment_dispatches() as dispatched:
             result = Engine(module, memory, sink=sink, backend=backend).run(
                 "accumulate", {"src": src, "dst": dst, "n": 5}
             )
-        assert (dispatched[0] > 0) == (backend == "block")
-        assert result.return_value == accumulate_trace["return_value"]
+        where = (backend, sink is not None)
+        assert (dispatched[0] > 0) == (sink is None), where
+        assert result.return_value == accumulate_trace["return_value"], where
+        assert result.steps == len(reference), where
+        assert np.array_equal(
+            memory.object("dst").values().view(np.uint8),
+            expected_dst.view(np.uint8),
+        ), where
+        if sink is None:
+            continue
         assert len(sink) == len(reference)
         for a, b in zip(reference, sink):
             for field in TraceEvent.__slots__:

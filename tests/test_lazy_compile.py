@@ -1,15 +1,18 @@
 """Superinstructions compile only once their segment is hot.
 
-A fused segment compiles a variant (``plain``, ``traced`` or ``lanes``) at
-the N-th entry that wants it (N per variant in
-:data:`~repro.mir.HOT_ENTRIES`); the entries before run in the op loop.
-These cases pin the rule on a small loop:
+A fused segment compiles a variant (``plain`` or ``lanes``) at the N-th
+entry that wants it (N per variant in :data:`~repro.mir.HOT_ENTRIES`); the
+entries before run in the op loop.  Traced runs want no variant: they
+record through the op loop however often they enter a segment.  These
+cases pin the rule on a small loop:
 
 * a segment compiles exactly at its N-th entry (entries counted
   independently, from an op-loop trace) and never if it is never entered;
+  a traced run compiles and dispatches nothing;
 * a run whose loop crosses the threshold mid-run is bit-identical to the
   op loop and to a program compiled up front -- sink-free, counting,
-  traced, and in the batch walk with divergence live (``lanes``);
+  traced (which stays in the op loop), and in the batch walk with
+  divergence live (``lanes``);
 * a digest-cache clone pools its heat with its template and shares the
   compiled ``plain`` and ``lanes`` callables.
 """
@@ -47,7 +50,8 @@ def lazy_kernel(a: "double*", b: "double*", n: "i64") -> "double":
 #: Loop trips of the crossing runs: every loop segment gets hot mid-run.
 TRIPS = 3 * max(HOT_ENTRIES.values())
 
-SINKS = {"plain": lambda: None, "traced": ColumnarTrace}
+#: sink kind -> (sink factory, the variant its block runs compile)
+SINKS = {"plain": (lambda: None, "plain"), "traced": (ColumnarTrace, None)}
 
 
 def _module():
@@ -83,9 +87,10 @@ def _entries(module, n):
     return [executed.get(ops[seg.start_pc].static_uid, 0) for seg in _segments(module)]
 
 
-@pytest.mark.parametrize("variant", sorted(SINKS))
-def test_segment_compiles_exactly_at_its_nth_entry(variant):
-    hot = HOT_ENTRIES[variant]
+@pytest.mark.parametrize("sink_kind", sorted(SINKS))
+def test_segment_compiles_exactly_at_its_nth_entry(sink_kind):
+    make_sink, variant = SINKS[sink_kind]
+    hot = HOT_ENTRIES["plain"]
     module = _module()
     first = _entries(module, hot - 1)
     second = _entries(module, 1)
@@ -94,22 +99,25 @@ def test_segment_compiles_exactly_at_its_nth_entry(variant):
     assert hot in first and hot - 1 in first and 0 in first
     seen = [0] * len(first)
     for n, entries in ((hot - 1, first), (1, second)):
-        expected = sum(
-            max(0, before + now - max(before, hot - 1))
-            for before, now in zip(seen, entries)
-        )
+        expected = 0
+        if variant:
+            expected = sum(
+                max(0, before + now - max(before, hot - 1))
+                for before, now in zip(seen, entries)
+            )
         with segment_dispatches() as dispatched:
-            _run(module, n, "block", SINKS[variant]())
+            _run(module, n, "block", make_sink())
         seen = [before + now for before, now in zip(seen, entries)]
         # every entry from the N-th on ran the compiled segment ...
         assert dispatched[0] == expected, (n, seen)
         # ... and exactly the segments entered N times are compiled
         for seg, entered in zip(_segments(module), seen):
             compiled = {
-                name for name in ("plain", "traced", "lanes")
+                name for name in ("plain", "lanes")
                 if getattr(seg, name) is not None
             }
-            assert compiled == ({variant} if entered >= hot else set()), seg
+            hot_enough = variant and entered >= hot
+            assert compiled == ({variant} if hot_enough else set()), seg
     assert 0 in seen  # never entered, never compiled
 
 
@@ -127,8 +135,13 @@ def test_crossing_the_threshold_mid_run_is_bit_identical(sink_kind):
     compile_all(module)
     with segment_dispatches() as warm_dispatched:
         warmed = _run(module, TRIPS, "block", sink())
-    # the cold run ran its first entries op by op, then the compiled code
-    assert 0 < cold_dispatched[0] < warm_dispatched[0]
+    if sink_kind == "traced":
+        # traced runs stay in the op loop, compiled code at hand or not
+        assert cold_dispatched == warm_dispatched == [0, 0]
+    else:
+        # the cold run ran its first entries op by op, then the compiled
+        # code
+        assert 0 < cold_dispatched[0] < warm_dispatched[0]
     for got in (crossing, warmed):
         assert got[:3] == op[:3]
         if sink_kind == "counting":
@@ -221,6 +234,4 @@ def test_digest_cache_clone_shares_heat_and_compiled_code():
     assert dispatched[0] > 0
     assert clone_seg.plain is not None
     assert clone_seg.plain is template_seg.plain
-    assert clone_seg.compile_lanes() is template_seg.lanes is not None
-    # traced code embeds per-module value ids: compiled per module
-    assert clone_seg.compile_traced() is not template_seg.traced
+    assert clone_seg.compile("lanes") is template_seg.lanes is not None

@@ -3,8 +3,10 @@
 The block backend must be *observationally invisible*: for any program the
 engine dispatching fused superinstructions has to produce bit-identical
 results to the plain op loop and to the tree-walking interpreter — outputs,
-return values, step counts, the full trace event stream, and (for crashing
-programs) the exception type and message.
+return values, step counts, per-opcode tallies, and (for crashing programs)
+the exception type and message.  Traced runs never dispatch a fused
+segment: they record through the op loop on either backend, so the full
+trace event stream is held to the interpreter on the op loop.
 
 Three layers of evidence:
 
@@ -15,8 +17,9 @@ Three layers of evidence:
 * **structural invariants** of the lowering on all registry workloads —
   every op lands in exactly one segment and the op-index ↔ (segment,
   offset) maps round-trip, so fault-site addressing stays exact;
-* targeted parity checks for the three sink fast paths (sink-free,
-  counting, traced) and for fault injection on both backends.
+* targeted parity checks for the two sink fast paths (sink-free and
+  counting), for traced runs (no segment dispatched or compiled, the same
+  trace as the op backend) and for fault injection on both backends.
 
 Segments compile their superinstructions only once hot, so the fuzzer and
 the sink fast-path checks run twice: a *cold* leg starting from an empty
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -164,15 +168,15 @@ def generate_kernel(seed: int, crash: str = ""):
     return "\n".join(lines), name, n, a0, b0
 
 
-def _run_one(module, name, n, a0, b0, executor):
-    """One fresh execution; returns (outputs, return, steps, events, error)."""
+def _run_one(module, name, n, a0, b0, executor, sink):
+    """One fresh execution into ``sink`` (``None``: sink-free); returns
+    (outputs, return, steps, sink, error)."""
     memory = Memory()
     args = {
         "a": memory.allocate("a", F64, n, initial=a0),
         "b": memory.allocate("b", I64, n, initial=b0),
         "n": n,
     }
-    sink = ColumnarTrace()
     if executor == "interpreter":
         runner = Interpreter(module, memory, trace=sink)
     else:
@@ -188,7 +192,7 @@ def _run_one(module, name, n, a0, b0, executor):
         "a": memory.object("a").values(),
         "b": memory.object("b").values(),
     }
-    return outputs, return_value, steps, list(sink), error
+    return outputs, return_value, steps, sink, error
 
 
 def _prepare(module, warm: bool) -> None:
@@ -218,15 +222,24 @@ def _three_way_parity(seed, crash, warm):
     where = f"seed={seed} crash={crash or 'none'} warm={warm}"
     _prepare(module, warm)
 
-    ref = _run_one(module, name, n, a0, b0, "interpreter")
-    _assert_same_run(ref, _run_one(module, name, n, a0, b0, "op"), f"{where} op")
-    # cold: repeat the (traced) block run until a segment is hot -- one run
-    # may stop before any gets there -- comparing every run, before, across
-    # and after the compiles, with the interpreter
-    for run in range(HOT_ENTRIES["traced"]):
+    ref = _run_one(module, name, n, a0, b0, "interpreter", ColumnarTrace())
+    op = _run_one(module, name, n, a0, b0, "op", ColumnarTrace())
+    _assert_same_run(ref, op, f"{where} op")
+    assert_event_streams_identical(ref[3], op[3], f"{where} op")
+    tallies = Counter(event.opcode.value for event in ref[3])
+    # block runs record no events: compare a sink-free and a counting run
+    # with the interpreter.  Cold: repeat them until a segment is hot --
+    # one run may stop before any gets there -- comparing every run,
+    # before, across and after the compiles
+    for run in range(4 * HOT_ENTRIES["plain"]):
+        label = f"{where} block run {run}"
         with segment_dispatches() as dispatched:
-            got = _run_one(module, name, n, a0, b0, "block")
-        _assert_same_run(ref, got, f"{where} block run {run}")
+            bare = _run_one(module, name, n, a0, b0, "block", None)
+            counted = _run_one(module, name, n, a0, b0, "block", CountingSink())
+        _assert_same_run(ref, bare, f"{label} sink-free")
+        _assert_same_run(ref, counted, f"{label} counting")
+        assert counted[3].total == len(ref[3]), label
+        assert counted[3].by_opcode == tallies, label
         if dispatched[0]:
             break
     assert dispatched[0] > 0, f"{where}: no fused segment dispatched"
@@ -244,7 +257,6 @@ def _assert_same_run(ref, got, label):
         assert _values_equal(ref[1], got[1]), f"{label}: return value"
         assert ref[2] == got[2], f"{label}: steps {ref[2]} vs {got[2]}"
     assert_outputs_identical(ref[0], got[0], label)
-    assert_event_streams_identical(ref[3], got[3], label)
 
 
 def test_fuzzed_kernels_do_fuse():
@@ -364,13 +376,17 @@ def _workload_counting_sink_parity(name, warm):
     assert_outputs_identical(op[0], block[0], name)
 
 
-@pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
+@pytest.mark.parametrize("name", workload_names())
 def test_workload_traced_parity(name):
+    """A traced block-backend run records through the op loop: it
+    dispatches no fused segment, compiles none, and records the op
+    backend's trace."""
     _workload_traced_parity(name, warm=False)
 
 
 @pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
 def test_workload_traced_parity_warmed(name):
+    """Compiled superinstructions at hand do not change that."""
     _workload_traced_parity(name, warm=True)
 
 
@@ -379,9 +395,9 @@ def _workload_traced_parity(name, warm):
     _prepare(workload.module(), warm)
     op_sink, block_sink = ColumnarTrace(), ColumnarTrace()
     op = _fresh_run(workload, "op", sink=op_sink)
-    with segment_dispatches() as dispatched:
+    with segment_dispatches() as counted:
         block = _fresh_run(workload, "block", sink=block_sink)
-    assert dispatched[0] > 0
+    assert counted == [0, 0], "traced block run dispatched or compiled segments"
     assert op[3] is None and block[3] is None
     assert op[1] == block[1] and op[2] == block[2]
     assert_outputs_identical(op[0], block[0], name)

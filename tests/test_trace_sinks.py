@@ -2,8 +2,8 @@
 
 The contract under test: the engine produces *bit-identical* executions and
 event streams to the tree-walking interpreter, into any sink implementation,
-from both of its emitters -- the per-op loop (``append``) and the compiled
-superinstructions (``append_block``).
+on both backends -- a traced run records through the per-op loop
+(``append``) on either, and never dispatches a compiled superinstruction.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ def _run(workload, executor: str, sink):
 def test_engine_trace_matches_interpreter(name):
     workload = get_workload(name)
     ri, outs_i = _run(workload, "interpreter", ColumnarTrace())
-    # the block run's loops get hot mid-run: it emits through both the op
-    # loop (cold entries) and the compiled ``traced`` segments
+    # both backends record a traced run through the op loop alone
     for backend in ("op", "block"):
         with segment_dispatches() as dispatched:
             re, outs_e = _run(workload, backend, ColumnarTrace())
-        assert (dispatched[0] > 0) == (backend == "block")
+        assert dispatched == [0, 0], backend
         assert ri.steps == re.steps
         assert ri.return_value == re.return_value
         assert len(ri.trace) == len(re.trace)

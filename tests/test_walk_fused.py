@@ -424,7 +424,7 @@ def test_live_in_register_divergence_enters_lanes(workload, events):
     originals = {}
     for seg in mir_program_for(program).functions["kernel"].segments:
         if seg.fused:
-            lanes = seg.lanes or seg.compile_lanes()
+            lanes = seg.lanes or seg.compile("lanes")
             originals[seg] = lanes
 
             def spy(frame, regs, memory, cell, fdiv, *rest, _seg=seg):
