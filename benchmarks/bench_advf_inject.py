@@ -10,8 +10,8 @@ workload, on the same engine and config:
   scheduler: one snapshot restore + one lockstep suffix walk per
   interval);
 * **sequential**: the same engine with ``inject_many`` replaced, inside
-  this benchmark, by a loop of single ``inject`` calls — one snapshot
-  restore + suffix execution per fault.
+  this benchmark, by a loop of one-fault ``inject_many`` calls — one
+  snapshot restore + suffix walk per fault.
 
 The timed quantity is the **injection-resolution phase only**
 (``AdvfEngine.pass_timings["injection"]``) — trace recording,
@@ -67,7 +67,8 @@ def _analyze(workload_name, batched, samples=2):
     """One full aDVF analysis; returns (report, injection_s, batch_stats).
 
     ``batched=False`` swaps the engine's ``inject_many`` for a loop of
-    single ``inject`` calls, so each fault pays its own restore and suffix.
+    one-fault ``inject_many`` calls, so each fault pays its own restore and
+    suffix.
     """
     workload = get_workload(workload_name)
     engine = AdvfEngine(
@@ -77,7 +78,10 @@ def _analyze(workload_name, batched, samples=2):
     engine._prepare()
     if not batched:
         injector = engine._injector
-        injector.inject_many = lambda specs: [injector.inject(spec) for spec in specs]
+        one_batch = injector.inject_many
+        injector.inject_many = lambda specs: [
+            one_batch([spec])[0] for spec in specs
+        ]
     report = engine.analyze()
     return report, engine.pass_timings.get("injection", 0.0), dict(engine.speculation_stats)
 

@@ -7,9 +7,9 @@ oracle in ``tests/oracles``):
   interpreter vs the pre-decoded engine (pure dispatch speedup);
 * **replay**: an injection campaign of ``REPRO_BENCH_FAULTS`` (default 200)
   faults executed the seed way (fresh instance, full interpreted re-run per
-  fault) vs via :class:`~repro.core.replay.ReplayContext` (restore the
-  snapshot nearest the fault site, run the suffix, stop early on
-  convergence).
+  fault) vs one :meth:`~repro.core.replay.ReplayContext.replay_many`
+  batch (restore a snapshot once, walk the suffix in lockstep, stop each
+  fault early on convergence).
 
 The replay acceptance bar for the engine refactor is a ≥ 3× campaign
 throughput improvement; the observed speedups are recorded in the
@@ -112,11 +112,7 @@ def measure_replay_speedup(workload_name: str = WORKLOAD, faults: int = FAULTS):
     context = ReplayContext(workload)
 
     def replay_campaign():
-        for spec in specs:
-            try:
-                context.replay(spec)
-            except VMError:
-                pass
+        context.replay_many(specs)
 
     t_seed = _time(seed_campaign)
     t_replay = _time(replay_campaign)

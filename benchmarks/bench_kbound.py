@@ -40,22 +40,25 @@ def _collect(workload_name, object_name):
         )
         for k in K_VALUES
     }
-    rows = []
+    specs, verdicts = [], []
     for participation in participations:
         for bit in SAMPLE_BITS:
-            if len(rows) >= MAX_SITES:
+            if len(specs) >= MAX_SITES:
                 break
             pattern = ErrorPattern((bit,))
             verdict = masking.analyze(participation, pattern)
             if verdict.masked is not None and not verdict.needs_propagation:
                 continue
-            outcome = injector.inject(FaultSite(participation, bit).to_spec())
-            per_k = {
+            specs.append(FaultSite(participation, bit).to_spec())
+            verdicts.append({
                 k: analyzer.analyze(participation, pattern, verdict.corrupted_result)
                 for k, analyzer in analyzers.items()
-            }
-            rows.append((outcome.outcome.is_success, per_k))
-    return rows
+            })
+    outcomes = injector.inject_many(specs)
+    return [
+        (outcome.outcome.is_success, per_k)
+        for outcome, per_k in zip(outcomes, verdicts)
+    ]
 
 
 def _run():

@@ -10,8 +10,8 @@ Golden-run comparison on every registered workload:
 
 Bit-identity is verified **before** any timing is trusted: outputs (as raw
 bytes), return values and step counts must match the op loop on all
-workloads, with a sink-free run, a counting sink and a full columnar trace
-(a traced run records through the op loop on either backend).
+workloads, with a sink-free run and a full columnar trace (a traced run
+records through the op loop on either backend, one event per step).
 
 Acceptance bar: **≥ 3× geometric-mean speedup** on sink-free golden runs
 (target from the issue: ≥ 5×).  Results land in pytest-benchmark
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.obs.log import provenance
 from repro.tracing.columnar import ColumnarTrace
-from repro.tracing.sinks import CountingSink
 from repro.vm.engine import Engine
 from repro.workloads.registry import get_workload, workload_names
 
@@ -85,24 +84,16 @@ def _assert_identical(name, mode, op, block):
 
 
 def verify_workload(name):
-    """Bit-identity op vs block under the two sink fast paths (sink-free
-    and counting) and with a full trace, which both backends record through
-    the op loop."""
+    """Bit-identity op vs block on the sink-free fast path and with a full
+    trace, which both backends record through the op loop."""
     workload = get_workload(name)
     _assert_identical(name, "sink-free", _golden(workload, "op"), _golden(workload, "block"))
-
-    op_count, block_count = CountingSink(), CountingSink()
-    op = _golden(workload, "op", sink=op_count)
-    block = _golden(workload, "block", sink=block_count)
-    _assert_identical(name, "counting", op, block)
-    assert op_count.total == block_count.total, name
-    assert op_count.by_opcode == block_count.by_opcode, name
 
     op_trace, block_trace = ColumnarTrace(), ColumnarTrace()
     op = _golden(workload, "op", sink=op_trace)
     block = _golden(workload, "block", sink=block_trace)
     _assert_identical(name, "traced", op, block)
-    assert len(op_trace) == len(block_trace), name
+    assert len(op_trace) == len(block_trace) == op[2], name
     for column in ("opcodes", "values", "producers", "addresses"):
         a = getattr(op_trace, column, None)
         b = getattr(block_trace, column, None)

@@ -1,8 +1,8 @@
 """PROT — protection-scheme overhead benchmark: cost model vs measured ops.
 
 For matmul and cg, every applicable protection scheme is applied and its
-golden-run overhead measured (dynamic ops through a
-:class:`~repro.tracing.sinks.CountingSink`) and timed (wall clock), then
+golden-run overhead measured (dynamic ops: the sink-free runs' step
+counts) and timed (wall clock), then
 checked against the scheme's trace-derived cost-model prediction:
 
 * replication schemes (duplication / reexec / detect) must predict the

@@ -1,18 +1,18 @@
-"""B-RBATCH — batched replay scheduler vs sequential replay.
+"""B-RBATCH — batched replay scheduler vs one from-scratch run per fault.
 
 End-to-end injection-campaign comparison on the same spec lists:
 
-* **sequential**: the per-fault path — one snapshot restore and one
-  private suffix execution per fault (``ReplayContext.replay`` in a loop,
-  exactly what campaign workers did before the batched scheduler);
+* **rerun**: one full faulty execution of a fresh workload instance per
+  fault (``WorkloadInstance.run(fault=spec)`` in a loop) — no snapshot,
+  digest or memo;
 * **batched**: the same specs submitted through
-  ``ReplayContext.replay_many`` — grouped by snapshot interval, one
-  restore + one shared lockstep suffix walk per batch, copy-on-write forks
-  for divergent windows, convergence memoization across repeats.
+  ``ReplayContext.replay_many`` — one restore + one shared lockstep suffix
+  walk per batch, copy-on-write forks for divergent windows, convergence
+  memoization across repeats.
 
 Acceptance bar: **≥ 3× end-to-end speedup on matmul** (cg is reported
 alongside; its index objects evict more divergent replays, so it gains
-less), with batched outcomes **bit-identical** to sequential (outputs,
+less), with batched outcomes **bit-identical** to the reruns (outputs,
 return values, step counts, and crash/hang types+messages are compared
 fault by fault before any timing is trusted).
 
@@ -69,18 +69,18 @@ def _specs_for(workload, budget):
     return specs
 
 
-def _run_sequential(context, specs):
+def _run_reruns(workload, specs):
     out = []
     for spec in specs:
         try:
-            out.append(("ok", context.replay(spec)))
+            out.append(("ok", workload.fresh_instance().run(fault=spec)))
         except Exception as exc:  # noqa: BLE001 - crash parity checked below
             out.append(("error", exc))
     return out
 
 
-def _assert_bit_identical(name, specs, sequential, batched):
-    for index, (tag, payload) in enumerate(sequential):
+def _assert_bit_identical(name, specs, reruns, batched):
+    for index, (tag, payload) in enumerate(reruns):
         result = batched[index]
         where = f"{name} spec {index} ({specs[index]})"
         if tag == "error":
@@ -100,32 +100,30 @@ def _assert_bit_identical(name, specs, sequential, batched):
 
 
 def measure_workload(name, kwargs, faults=FAULTS):
-    """Sequential vs batched wall-clock over an identical spec list."""
+    """Rerun vs batched wall-clock over an identical spec list."""
     workload = get_workload(name, **kwargs)
     specs = _specs_for(workload, faults)
 
-    sequential_context = ReplayContext(workload)
     start = time.perf_counter()
-    sequential = _run_sequential(sequential_context, specs)
-    sequential_s = time.perf_counter() - start
+    reruns = _run_reruns(workload, specs)
+    rerun_s = time.perf_counter() - start
 
     batched_context = ReplayContext(workload)
     start = time.perf_counter()
     batched = batched_context.replay_many(specs)
     batched_s = time.perf_counter() - start
 
-    _assert_bit_identical(name, specs, sequential, batched)
+    _assert_bit_identical(name, specs, reruns, batched)
 
     stats = batched_context.stats.to_dict()
     return {
         "workload": name,
         "faults": len(specs),
-        "sequential_s": sequential_s,
+        "rerun_s": rerun_s,
         "batched_s": batched_s,
-        "speedup": sequential_s / batched_s if batched_s else float("inf"),
-        "sequential_faults_per_s": len(specs) / sequential_s if sequential_s else 0.0,
+        "speedup": rerun_s / batched_s if batched_s else float("inf"),
+        "rerun_faults_per_s": len(specs) / rerun_s if rerun_s else 0.0,
         "batched_faults_per_s": len(specs) / batched_s if batched_s else 0.0,
-        "sequential_converged": sequential_context.converged_replays,
         "batch_stats": stats,
         "faults_per_restore": (
             stats["faults"] / stats["batches"] if stats["batches"] else 0.0
@@ -160,7 +158,7 @@ def test_bench_replay_batch(once, benchmark):
             k: v for k, v in stats.items() if k != "workload"
         }
     print_header(
-        f"Batched replay scheduler vs sequential ({FAULTS} faults/workload, "
+        f"Batched replay scheduler vs one rerun per fault ({FAULTS} faults/workload, "
         f"bar >= {SPEEDUP_BAR}x on matmul)"
     )
     print(json.dumps(results, indent=2))

@@ -8,14 +8,13 @@ analysis tool cannot resolve statically: algorithm-level masking, corrupted
 control flow / addressing, and value-overshadowing confirmation.
 
 Every injection replays from a :class:`~repro.core.replay.ReplayContext`:
-the golden run and a snapshot schedule are computed once, each fault
-restores the snapshot nearest its site and runs only the suffix, and
-executions that converge back onto the golden state stop early.
-:meth:`DeterministicFaultInjector.inject` replays one fault;
-:meth:`DeterministicFaultInjector.inject_many` submits a whole set to the
-context's batch scheduler in one call.  Outcomes are bit-identical to full
-re-runs (the test suite asserts them against a from-scratch, interpreted
-oracle).
+the golden run and a snapshot schedule are computed once, and
+:meth:`DeterministicFaultInjector.inject_many` submits a set of faults —
+one or many — to the context's batch scheduler in one call, which runs
+only the suffix after each fault site and stops executions that converge
+back onto the golden state early.  Outcomes are bit-identical to full
+re-runs (the test suite asserts them against from-scratch runs and a
+from-scratch, interpreted oracle).
 """
 
 from __future__ import annotations
@@ -145,28 +144,15 @@ class DeterministicFaultInjector:
             self._golden = self.context.golden_outcome()
         return self._golden
 
-    def inject(self, spec: FaultSpec) -> FaultInjectionResult:
-        """Replay one faulty run and classify the outcome."""
-        self.runs += 1
-        outcome = None
-        error: Optional[BaseException] = None
-        try:
-            outcome = self.context.replay(spec)
-        except (StepLimitExceeded, VMError) as exc:
-            error = exc
-        return self._classify(spec, outcome, error)
-
     def inject_many(self, specs: Sequence[FaultSpec]) -> List[FaultInjectionResult]:
         """Inject every spec as one batch of the replay scheduler.
 
         Every non-empty submission, a single spec included, is one
-        :meth:`ReplayContext.replay_many` call: grouped by snapshot
-        interval, driven through a shared lockstep suffix walk, and
-        answered by the convergence memo where possible — outcome-identical
-        to a sequential :meth:`inject` loop (the parity suite asserts it)
-        but amortizing snapshot restores and suffix execution across the
-        batch.  See :mod:`repro.parallel` for the multiprocessing campaign
-        runner.
+        :meth:`ReplayContext.replay_many` call: driven through a shared
+        lockstep suffix walk from one snapshot restore, and answered by
+        the convergence memo where possible — outcome-identical to one
+        from-scratch faulty run per spec (the parity suite asserts it).
+        See :mod:`repro.parallel` for the multiprocessing campaign runner.
         """
         specs = list(specs)
         if not specs:
@@ -234,7 +220,7 @@ class DeterministicFaultInjector:
         outcome: Optional["RunOutcome"],
         error: Optional[BaseException],
     ) -> FaultInjectionResult:
-        """Classify one faulty run (shared by the per-fault and batch paths)."""
+        """Classify one faulty run."""
         golden = self.golden
         crashed = hung = False
         detail = ""
@@ -249,7 +235,7 @@ class DeterministicFaultInjector:
                 detail = str(error)
             else:
                 # a non-VM failure is a harness bug, not an injection
-                # outcome — surface it exactly like the sequential path
+                # outcome — surface it
                 raise error
         else:
             outputs = outcome.outputs

@@ -10,27 +10,27 @@ campaign.
 
 1. run the workload **once**, capturing a :class:`~repro.vm.engine.Snapshot`
    schedule (complete dynamic state every *interval* instructions);
-2. for each fault, restore the nearest snapshot at or before the fault site
-   and run forward with the fault armed — the prefix is never re-executed;
-3. while running forward, compare the live state against the golden
-   snapshots *after* the fault site: a bit-identical match proves the
+2. restore the snapshot nearest the earliest pending fault and run forward
+   with the faults armed — the prefix is never re-executed;
+3. while running forward, compare state digests against the golden
+   snapshots' digests *after* each fault site: a match proves the
    execution has converged back onto the golden run (masked fault), so the
    suffix is skipped too and the golden outcome is returned.
 
-The context serves faults two ways.  :meth:`ReplayContext.replay` runs one
-fault per call (one restore, one suffix, snapshot comparisons).
-:meth:`ReplayContext.replay_many` is the batch scheduler every injection
-driver submits to: the pending specs are grouped by snapshot interval, one
-restore seeds a shared lockstep suffix walk with per-fault divergence state
+:meth:`ReplayContext.replay_many` is the one way faults are served, a
+single fault included: the specs are sorted by site, one restore seeds a
+shared lockstep suffix walk with per-fault divergence state
 (:meth:`repro.vm.engine.Engine.resume_many`), divergent replays fork
-copy-on-write memory images, and a convergence memo (:class:`ReplayMemo`)
-answers repeated divergent states without re-execution.
+copy-on-write memory images and run privately with digest checks, and a
+convergence memo (:class:`ReplayMemo`) answers repeated divergent states
+without re-execution.
 
 Replayed executions are bit-identical to full re-runs: the engine restores
 registers, the call stack, the complete memory image and the allocator
 counters, so every address, stack-slot name and dynamic id matches.  The
-test suite asserts outcome identity between the two entry points and
-against from-scratch interpreted runs, across workloads and fault targets.
+test suite asserts outcome identity against from-scratch runs
+(``WorkloadInstance.run(fault=...)``) and from-scratch interpreted runs,
+across workloads and fault targets.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ def _workload_memo_key(workload: "Workload") -> Optional[tuple]:
 
 class ReplayContext:
     """Golden run + snapshot schedule of one workload, shared by many
-    injections: :meth:`replay` answers one fault, :meth:`replay_many` a
-    batch.
+    injections, which :meth:`replay_many` answers in batches.
 
     Parameters
     ----------
@@ -105,12 +104,11 @@ class ReplayContext:
     target_checkpoints:
         Number of snapshots to aim for when the interval is derived.
     sink:
-        Optional trace sink (any ``TraceSink``, e.g. a
-        :class:`~repro.tracing.columnar.ColumnarTrace`) that records the
-        golden run while the snapshot schedule is captured, so consumers
-        needing both the golden trace and replay injection — the aDVF
-        engine — pay for a single golden execution.  Exposed afterwards as
-        :attr:`golden_trace` (a ``TraceLike`` when a full sink was given).
+        Optional :class:`~repro.tracing.columnar.ColumnarTrace` that
+        records the golden run while the snapshot schedule is captured, so
+        consumers needing both the golden trace and replay injection — the
+        aDVF engine — pay for a single golden execution.  Exposed
+        afterwards as :attr:`golden_trace`.
     """
 
     def __init__(
@@ -199,52 +197,6 @@ class ReplayContext:
             trace=None,
         )
 
-    def snapshot_for(self, dynamic_id: int) -> Snapshot:
-        """The latest snapshot at or before ``dynamic_id``."""
-        index = bisect_right(self._snapshot_positions, dynamic_id) - 1
-        if index < 0:
-            raise ValueError(
-                f"no snapshot at or before dynamic id {dynamic_id}"
-            )
-        return self.snapshots[index]
-
-    def replay(self, spec: FaultSpec) -> "RunOutcome":
-        """Execute the workload with ``spec`` injected, via replay.
-
-        The per-fault path: one restore of the nearest snapshot and one
-        suffix run, compared against the golden snapshots (no digests, no
-        memo).  Raises the same VM error types a full faulty run would
-        raise; callers classify crashes/hangs exactly as before.
-        """
-        from repro.workloads.base import RunOutcome
-
-        self.replays += 1
-        snapshot = self.snapshot_for(spec.dynamic_id)
-        engine = Engine(
-            self.instance.module,
-            self.instance.memory,
-            fault=spec,
-            max_steps=self.workload.max_steps,
-        )
-        result = engine.resume(snapshot, golden_schedule=self.snapshots)
-        reg = _metrics_registry()
-        if reg.enabled:
-            reg.inc("replay.sequential", workload=self.workload.name)
-            if engine.converged:
-                reg.inc("replay.converged", workload=self.workload.name)
-        if engine.converged:
-            self.converged_replays += 1
-            return self.golden_outcome()
-        return RunOutcome(
-            outputs={
-                name: self.instance.memory.object(name).values()
-                for name in self.workload.output_objects
-            },
-            return_value=result.return_value,
-            steps=result.steps,
-            trace=None,
-        )
-
     # ------------------------------------------------------------------ #
     def plan_batches(
         self, specs: Sequence[FaultSpec], presorted: bool = False
@@ -301,8 +253,8 @@ class ReplayContext:
 
         Faults whose execution raises are returned with ``error`` set
         instead of raising, so one crashing fault does not abort the batch
-        (callers classify crashes/hangs exactly as with sequential
-        :meth:`replay`).
+        (callers classify crashes/hangs exactly as a from-scratch faulty
+        run would raise them).
         """
         specs = list(specs)
         if not specs:
@@ -833,7 +785,7 @@ class BatchReplayResult:
     """Outcome of one fault of a batched submission.
 
     Exactly one of ``outcome`` / ``error`` is set; ``error`` carries the
-    same exception type and message a sequential replay would raise.
+    same exception type and message a from-scratch faulty run raises.
     ``converged_at`` is the dynamic id at which the execution was proven
     bit-identical to golden (``None`` when it never was); ``via`` names the
     resolution path (``lockstep`` / ``completed`` / ``private`` / ``memo``

@@ -7,9 +7,9 @@ segment into an ``exec``-specialized superinstruction
 program digest (:mod:`repro.mir.cache`).  The engine's ``backend="block"``
 fast path dispatches whole segments through these callables whenever the
 segment is hot, no fault is armed in-window, no pause boundary intersects
-the segment, and the sink (if any) only counts opcodes (``tick_block``) —
-dropping to the per-op loop otherwise, traced runs included, so the op
-loop remains the bit-identity oracle and the only trace emitter.
+the segment, and the run has no sink — dropping to the per-op loop
+otherwise, traced runs included, so the op loop remains the bit-identity
+oracle and the only trace emitter.
 """
 
 from repro._lazy import lazy_exports

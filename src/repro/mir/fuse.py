@@ -16,15 +16,14 @@ one rule there bit-exactly, including error types, error messages, and
 evaluation order.  The differential fuzz harness (``tests/test_mir_parity``)
 and the benchmark bit-identity gate hold the two implementations together;
 ``tests/test_walk_fused`` holds the *lanes* variant to the op loop's batch
-walk and to sequential replay.
+walk and to from-scratch faulty runs.
 
-Two variants per segment (a run whose sink wants events never enters
-one: traced runs record through the op loop, the only trace emitter):
+Two variants per segment (a traced run never enters one: traced runs
+record through the op loop, the only trace emitter):
 
 * **plain** — ``fn(frame, regs, memory, cell) -> next_pc``; used for
-  sink-free runs and (with an O(1) ``tick_block`` call layered on top by the
-  engine) for counting sinks, and by the lockstep batch walk where no
-  divergence can reach the segment.
+  sink-free runs and by the lockstep batch walk where no divergence can
+  reach the segment.
 * **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, dc, active, rg,
   dynbase, stop, last) -> pc``; the batch walk's
   (:meth:`~repro.vm.engine.Engine.resume_many`) variant for segments that

@@ -23,9 +23,9 @@ callable that executes the whole segment without touching the op loop.
 Each variant is compiled only once the segment is hot: at the N-th entry
 that wants it, N per variant in :data:`HOT_ENTRIES`
 (:meth:`MirSegment.hot`).  Until then, for single-op segments and the
-non-fusable ops (``ret``, user calls, ``phi``), and for every run whose
-sink wants events (traced runs record through the op loop only), the op
-loop runs the segment's ops and doubles as the bit-identity oracle.
+non-fusable ops (``ret``, user calls, ``phi``), and for every traced run
+(traced runs record through the op loop only), the op loop runs the
+segment's ops and doubles as the bit-identity oracle.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class MirSegment:
     ``plain`` / ``lanes`` are the compiled superinstruction variants,
     ``None`` until compiled (always, for unfused segments).  A variant
     compiles at the N-th dispatch-site entry that wants it, N per variant in
-    :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free and counting
-    runs and for batch-walk entries no divergence reaches, ``lanes`` for
+    :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free runs and
+    for batch-walk entries no divergence reaches, ``lanes`` for
     batch-walk entries that carry divergence.  The entry counts and the
     compiled variants live on the digest-shared origin segment, so the
     digest cache's clones of one program pool their heat and share one
@@ -98,8 +98,6 @@ class MirSegment:
         "lanes",
         "live_in",
         "first_write",
-        "counts",
-        "opcode_values",
         "_df",
         "_origin",
         "_heat",
@@ -131,18 +129,6 @@ class MirSegment:
                 first_write[op.dest] = offset
         self.live_in: Tuple[int, ...] = tuple(live_in)
         self.first_write = first_write
-        self.opcode_values: Tuple[str, ...] = tuple(ops[pc].opcode.value for pc in pcs)
-        counts: Dict[str, int] = {}
-        for key in self.opcode_values:
-            counts[key] = counts.get(key, 0) + 1
-        self.counts = counts
-
-    def counts_prefix(self, k: int) -> Dict[str, int]:
-        """Opcode counts of the first ``k`` ops (partial-crash accounting)."""
-        counts: Dict[str, int] = {}
-        for key in self.opcode_values[:k]:
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def hot(self, variant: str):
         """Count one entry that wants ``variant`` ("plain" or "lanes");

@@ -29,7 +29,6 @@ from repro.frontend.compiler import compile_kernel_source, compile_kernels
 from repro.ir.function import Module
 from repro.ir.types import I64
 from repro.protection.schemes import BESPOKE_ABFT_VARIANTS, get_scheme
-from repro.tracing.sinks import CountingSink
 from repro.vm.memory import DataObject, Memory
 from repro.workloads.base import Workload
 
@@ -313,17 +312,16 @@ def apply_plan(plan: "ProtectionPlan") -> Workload:
 def measure_overhead(base: Workload, protected: Workload) -> Dict[str, object]:
     """Measured golden-run op counts of base vs protected variants.
 
-    Runs both through a :class:`~repro.tracing.sinks.CountingSink` (no
-    event materialisation) and reports the extra-op delta the cost models
-    predict.  Also checks that the protected golden outputs are
-    bit-identical to the baseline's — a protection transform must be a
-    no-op on fault-free executions.
+    Runs both sink-free (no event materialisation) and reports, from
+    the runs' step counts, the extra-op delta the cost models predict.
+    Also checks that the protected golden outputs are bit-identical to
+    the baseline's — a protection transform must be a no-op on
+    fault-free executions.
     """
     import numpy as np
 
-    base_sink, protected_sink = CountingSink(), CountingSink()
-    base_outcome = base.golden_run(sink=base_sink)
-    protected_outcome = protected.golden_run(sink=protected_sink)
+    base_outcome = base.golden_run()
+    protected_outcome = protected.golden_run()
     outputs_identical = all(
         np.array_equal(
             base_outcome.outputs[name], protected_outcome.outputs[name]
@@ -337,14 +335,13 @@ def measure_overhead(base: Workload, protected: Workload) -> Dict[str, object]:
         outputs_identical = outputs_identical and (
             base_outcome.return_value == protected_outcome.return_value
         )
+    base_ops, protected_ops = base_outcome.steps, protected_outcome.steps
     return {
-        "base_ops": base_sink.total,
-        "protected_ops": protected_sink.total,
-        "extra_ops": protected_sink.total - base_sink.total,
+        "base_ops": base_ops,
+        "protected_ops": protected_ops,
+        "extra_ops": protected_ops - base_ops,
         "overhead_ratio": (
-            (protected_sink.total - base_sink.total) / base_sink.total
-            if base_sink.total
-            else 0.0
+            (protected_ops - base_ops) / base_ops if base_ops else 0.0
         ),
         "outputs_identical": outputs_identical,
     }

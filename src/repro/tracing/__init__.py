@@ -8,9 +8,8 @@ of every memory access back to a named data object.  The trace analysis tool
 opportunities per data object.
 
 Every trace is recorded, analysed, cached and loaded as one
-:class:`~repro.tracing.columnar.ColumnarTrace`; the
-:class:`~repro.tracing.sinks.CountingSink` stands in when a run needs
-opcode tallies only.
+:class:`~repro.tracing.columnar.ColumnarTrace`, the only sink the engine
+records into; a run that needs no events takes no sink at all.
 
 Public API
 ----------
@@ -30,6 +29,5 @@ __getattr__, __all__ = lazy_exports(
         "cursor": ("TraceCursor", "TraceLike"),
         "columnar": ("ColumnarTrace", "TraceColumns"),
         "cache": ("TraceCache", "trace_digest"),
-        "sinks": ("CountingSink", "TraceSink"),
     },
 )

@@ -10,9 +10,9 @@ campaign runs and worker processes (:mod:`repro.tracing.cache`).
 
 Three consumption styles, one object:
 
-* **sink** — the execution engine streams events in (``wants_events = True``):
-  one :meth:`append` per event from the op loop, which runs every traced
-  run on either backend;
+* **sink** — the execution engine streams events in: one :meth:`append`
+  per event from the op loop, which runs every traced run on either
+  backend;
 * **trace-like** — ``len`` / integer indexing / iteration reconstruct
   :class:`~repro.tracing.events.TraceEvent` views (memoised, so analyses
   that revisit the same dynamic window pay the materialisation once);
@@ -116,8 +116,6 @@ class ColumnarTrace:
     reconstruction, :meth:`columns`, :meth:`save`/:meth:`load` and event
     memoisation.
     """
-
-    wants_events = True
 
     #: Bumped when the persisted column layout changes (participates in the
     #: trace-cache digest so stale artifacts are never misread).

@@ -24,10 +24,13 @@ flat array of :class:`DecodedOp` records:
 On top of the decoded representation the engine supports **checkpointing**:
 :class:`Snapshot` captures the complete dynamic state — the call stack with
 its register files, the full memory image, and the dynamic-instruction
-counter — and :meth:`Engine.resume` restores one and runs forward.  The
-deterministic fault injectors in :mod:`repro.core` use this to replay only
-the suffix of an execution after a fault site instead of re-running the
-whole workload (see :mod:`repro.core.replay`).
+counter — and :meth:`Engine.prepare_resume` restores one as the live
+state.  The deterministic fault injector in :mod:`repro.core` uses this to
+replay only the suffix of an execution after a fault site instead of
+re-running the whole workload: :meth:`Engine.resume_many` walks a batch of
+faults in lockstep from one restore, and :meth:`Engine.run_checked` runs
+the faults it cannot carry privately, proving convergence onto the golden
+run by state digest (see :mod:`repro.core.replay`).
 
 Semantics are bit-identical to the tree-walking interpreter the parity
 tests keep as their oracle: same dynamic-id numbering, same fault hooks,
@@ -583,8 +586,9 @@ def _hash_memory_object(h, name, element_type, count, base, is_stack, raw) -> No
 def snapshot_digest(snapshot: "Snapshot") -> bytes:
     """Content digest of a snapshot's complete dynamic state.
 
-    Computed from exactly the state :meth:`Snapshot.matches_live` compares
-    (producer links and the load-writer index are excluded), with the same
+    Covers the call stack (register files, program counters, stack-object
+    names) and the full memory image; producer links are excluded, as
+    trace metadata with no influence on future computation.  Uses the same
     canonical encoding :meth:`Engine.state_digest` uses for live state —
     so ``snapshot_digest(s) == engine.state_digest()`` iff the live state
     at ``s.dyn`` is bit-identical to the snapshot.
@@ -681,55 +685,19 @@ class Snapshot:
     Captures the call stack (register files, program counters, stack-object
     names), the full memory image and the dynamic-instruction counter.
     Snapshots are standalone: restoring one fully resets memory, including
-    removing stack objects allocated after the capture point.
+    removing stack objects allocated after the capture point.  They seed
+    sink-free runs only: the load-writer index a traced run keeps is not
+    captured (see :meth:`Engine.prepare_resume`).
     """
 
-    __slots__ = ("dyn", "frames", "memory", "last_writer")
+    __slots__ = ("dyn", "frames", "memory")
 
     def __init__(
-        self,
-        dyn: int,
-        frames: List[_FrameImage],
-        memory: MemoryImage,
-        last_writer: Optional[Dict[int, int]],
+        self, dyn: int, frames: List[_FrameImage], memory: MemoryImage
     ) -> None:
         self.dyn = dyn
         self.frames = frames
         self.memory = memory
-        self.last_writer = last_writer
-
-    def matches_live(self, engine: "Engine") -> bool:
-        """Whether the engine's live state is bit-identical to this snapshot.
-
-        Used by checkpointed replay to detect that a faulty execution has
-        converged back onto the golden execution: from a matching state the
-        remainder of the run is deterministic and therefore identical.
-        Producer links and the load-writer index are excluded — they are
-        trace metadata with no influence on future computation.
-        """
-        if engine._dyn != self.dyn:
-            return False
-        frames = engine._frames
-        if len(frames) != len(self.frames):
-            return False
-        for live, image in zip(frames, self.frames):
-            if (
-                live.df.name != image.func_name
-                or live.pc != image.pc
-                or live.prev_block != image.prev_block
-                or live.ret_slot != image.ret_slot
-                or live.ret_dyn != image.ret_dyn
-            ):
-                return False
-            if [obj.name for obj in live.stack_objects] != image.stack_names:
-                return False
-            regs = live.regs
-            if len(regs) != len(image.regs):
-                return False
-            for a, b in zip(regs, image.regs):
-                if not _values_bit_equal(a, b):
-                    return False
-        return engine.memory.matches_image(self.memory)
 
 
 class Engine:
@@ -739,18 +707,21 @@ class Engine:
     raising the VM error types on crashes and hangs and applying at most one
     armed :class:`~repro.vm.faults.FaultSpec`.  On top of that:
 
-    * ``sink`` — any :class:`~repro.tracing.sinks.TraceSink`; sinks with
-      ``wants_events = False`` skip event construction entirely, and sinks
-      with ``wants_events = True`` record through the op loop on either
-      backend;
+    * ``sink`` — a :class:`~repro.tracing.columnar.ColumnarTrace` (or any
+      object with its ``append``) that records one event per executed op,
+      through the op loop on either backend; without one the run records
+      nothing and dispatches fused segments on the block backend;
     * ``snapshot_interval`` — capture a :class:`Snapshot` every N dynamic
       instructions (position 0 included) into :attr:`snapshots`;
     * ``snapshot_budget`` — cap the snapshot count without knowing the run
       length in advance: when the schedule fills up, every other snapshot
       is dropped and the interval doubles (all retained positions stay
-      multiples of the final interval);
-    * :meth:`resume` — restore a snapshot and run to completion, optionally
-      detecting convergence against a golden snapshot schedule.
+      multiples of the final interval).
+
+    Faulty runs resume from snapshots in two ways only: the lockstep batch
+    walk :meth:`resume_many`, and private replays that restore a state
+    (:meth:`prepare_resume` or :meth:`adopt_fork`) and run it with digest
+    checks (:meth:`run_checked`).
     """
 
     def __init__(
@@ -802,8 +773,6 @@ class Engine:
         self._frames: List[_Frame] = []
         self._last_writer: Dict[int, int] = {}
         self._next_capture = 0 if snapshot_interval else _NEVER
-        self._golden_schedule: Optional[Sequence[Snapshot]] = None
-        self._check_cursor = 0
         #: Digest-check state (batched replay): sorted positions, golden
         #: digests keyed by position, an optional convergence memo, and the
         #: (position, digest) pairs visited without a hit.
@@ -862,13 +831,18 @@ class Engine:
         self.converged = False
         self.converged_at = None
         self.memo_entry = None
-        self._golden_schedule = None
-        self._check_cursor = 0
         self._digest_positions = None
         self._digest_cursor = 0
         self._golden_digests = {}
         self._memo = None
         self.visited = []
+
+    def _refuse_sink(self, action: str) -> None:
+        if self.sink is not None:
+            raise ValueError(
+                f"cannot {action} on a traced engine: the load-writer index "
+                f"is not restored, so recorded writer ids would be wrong"
+            )
 
     def prepare_resume(self, snapshot: Snapshot) -> None:
         """Restore ``snapshot`` as the live state without running.
@@ -878,11 +852,15 @@ class Engine:
         cursor*: restore once, walk forward, and fork the live state
         cheaply — the amortized-snapshot primitive of the batched replay
         scheduler.
+
+        Raises :class:`ValueError` on an engine with a sink: a snapshot
+        does not hold the load-writer index, so a traced run from it would
+        record wrong writer ids.
         """
+        self._refuse_sink("restore a snapshot")
         self.memory.restore_image(snapshot.memory)
         self._restore_frames(snapshot.frames)
         self._dyn = snapshot.dyn
-        self._last_writer = dict(snapshot.last_writer or {})
         self._reset_run_flags()
         reg = _metrics_registry()
         if reg.enabled:
@@ -895,36 +873,6 @@ class Engine:
             self._next_capture = (snapshot.dyn // interval + 1) * interval
         else:
             self._next_capture = _NEVER
-
-    def resume(
-        self,
-        snapshot: Snapshot,
-        golden_schedule: Optional[Sequence[Snapshot]] = None,
-    ) -> ExecutionResult:
-        """Restore ``snapshot`` and run forward to completion.
-
-        When ``golden_schedule`` (the snapshot list of the fault-free run) is
-        given and a fault is armed, the engine compares its state against the
-        next golden snapshot after the fault site at every checkpoint
-        position; on a bit-identical match it stops early with
-        :attr:`converged` set — the remainder of the execution provably
-        equals the golden run.
-        """
-        self.prepare_resume(snapshot)
-        if golden_schedule and self.fault is not None:
-            # first golden position strictly after the fault site (the fault
-            # must have fired before a comparison can prove convergence)
-            positions = [s.dyn for s in golden_schedule]
-            cursor = 0
-            while cursor < len(positions) and (
-                positions[cursor] <= self.fault.dynamic_id
-                or positions[cursor] <= snapshot.dyn
-            ):
-                cursor += 1
-            if cursor < len(positions):
-                self._golden_schedule = golden_schedule
-                self._check_cursor = cursor
-        return self._loop()
 
     # ------------------------------------------------------------------ #
     # resume cursor + forks (batched replay building blocks)
@@ -944,12 +892,13 @@ class Engine:
         """Make a fresh copy-on-write clone of ``fork`` the live state.
 
         Each adoption re-forks the fork's memory, so the fork itself stays
-        pristine and can seed any number of divergent replays.
+        pristine and can seed any number of divergent replays.  Like
+        :meth:`prepare_resume`, refuses an engine with a sink.
         """
+        self._refuse_sink("adopt a fork")
         self.memory = fork.memory.fork()
         self._restore_frames(fork.frames)
         self._dyn = fork.dyn
-        self._last_writer = {}
         self._reset_run_flags()
         self._next_capture = _NEVER
         reg = _metrics_registry()
@@ -1094,8 +1043,9 @@ class Engine:
         * faults still diverged when the program returns resolve to the
           golden outcome patched with their cell deltas.
 
-        Outcomes are bit-identical to per-fault sequential replay (asserted
-        across all registered workloads by ``tests/test_replay_batch.py``).
+        Outcomes are bit-identical to one from-scratch faulty run per fault
+        (asserted across all registered workloads by
+        ``tests/test_replay_batch.py``).
         """
         specs = list(specs)
         if not specs:
@@ -1737,13 +1687,6 @@ class Engine:
     def _next_pause(self) -> int:
         nxt = self._next_capture
         if (
-            self._golden_schedule is not None
-            and self._check_cursor < len(self._golden_schedule)
-        ):
-            check = self._golden_schedule[self._check_cursor].dyn
-            if check < nxt:
-                nxt = check
-        if (
             self._digest_positions is not None
             and self._digest_cursor < len(self._digest_positions)
         ):
@@ -1759,13 +1702,11 @@ class Engine:
         the golden execution.
         """
         if self._dyn == self._next_capture:
-            tracing = self.sink is not None and getattr(self.sink, "wants_events", True)
             self.snapshots.append(
                 Snapshot(
                     dyn=self._dyn,
                     frames=[_FrameImage(f) for f in self._frames],
                     memory=self.memory.capture_image(),
-                    last_writer=dict(self._last_writer) if tracing else None,
                 )
             )
             reg = _metrics_registry()
@@ -1783,17 +1724,6 @@ class Engine:
                 self._next_capture = self.snapshots[-1].dyn + self.snapshot_interval
             else:
                 self._next_capture += self.snapshot_interval
-        if (
-            self._golden_schedule is not None
-            and self._check_cursor < len(self._golden_schedule)
-            and self._dyn == self._golden_schedule[self._check_cursor].dyn
-        ):
-            golden = self._golden_schedule[self._check_cursor]
-            self._check_cursor += 1
-            if golden.matches_live(self):
-                self.converged = True
-                self.converged_at = golden.dyn
-                return True
         if (
             self._digest_positions is not None
             and self._digest_cursor < len(self._digest_positions)
@@ -1821,10 +1751,8 @@ class Engine:
         frames = self._frames
         memory = self.memory
         sink = self.sink
-        tracing = sink is not None and getattr(sink, "wants_events", True)
-        ticking = sink is not None and not tracing
+        tracing = sink is not None
         sink_append = sink.append if tracing else None
-        sink_tick = sink.tick if ticking else None
         resolve = memory.resolve
         check_access = Memory._check_access_type
         last_writer = self._last_writer
@@ -1847,22 +1775,14 @@ class Engine:
         next_pause = self._next_pause()
         return_value: Optional[Number] = None
 
-        # MIR fast path: dispatch whole fused segments when the run records
-        # no events.  fast_mode: 0 off (op backend, or a sink that wants
-        # events: traced runs record through the op loop), 1 sink-free,
-        # 2 counting (tick_block).  A segment's ``plain`` variant compiles
-        # once the segment is hot (``seg.hot``); while it is cold the op
-        # loop runs the segment.
+        # MIR fast path: dispatch whole fused segments on sink-free runs of
+        # the block backend (traced runs record through the op loop).  A
+        # segment's ``plain`` variant compiles once the segment is hot
+        # (``seg.hot``); while it is cold the op loop runs the segment.
         mir = self._mir
-        fast_mode = 0
-        if mir is not None and not tracing:
-            if sink is None:
-                fast_mode = 1
-            elif getattr(sink, "tick_block", None) is not None:
-                fast_mode = 2
+        fast_mode = mir is not None and not tracing
         mir_fns = mir.functions if fast_mode else None
         dispatch = mir_fns[frame.df.name].dispatch if fast_mode else None
-        sink_tick_block = sink.tick_block if fast_mode == 2 else None
         cell = [0]
         # telemetry accumulators: plain local ints in the hot loop, flushed
         # to the metrics registry exactly once per _loop call (see finally)
@@ -1901,16 +1821,9 @@ class Engine:
                         if fn is not None:
                             try:
                                 pc = fn(frame, regs, memory, cell)
-                                if fast_mode == 2:
-                                    sink_tick_block(seg.counts, seg.n_ops)
                             except BaseException:
-                                stepped = cell[0]
+                                dyn += cell[0]
                                 cell[0] = 0
-                                dyn += stepped
-                                if fast_mode == 2 and stepped:
-                                    sink_tick_block(
-                                        seg.counts_prefix(stepped), stepped
-                                    )
                                 raise
                             dyn = end
                             segs += 1
@@ -2032,8 +1945,6 @@ class Engine:
                                 taken_label=None,
                             )
                         )
-                    elif ticking:
-                        sink_tick(Opcode.CALL)
                     frame.pc = next_pc
                     callee_frame = _Frame(callee_df)
                     # mirror the interpreter's zip semantics on arity
@@ -2109,8 +2020,6 @@ class Engine:
                             taken_label=taken_label,
                         )
                     )
-                elif ticking:
-                    sink_tick(op.opcode)
                 dyn += 1
 
                 if kind == K_RET:

@@ -386,27 +386,6 @@ class Memory:
         self._bases = [base for base, _ in pairs]
         self._by_base = [obj for _, obj in pairs]
 
-    def matches_image(self, image: "MemoryImage") -> bool:
-        """Bit-exact comparison of the live state against a captured image."""
-        if (
-            self._next_address != image.next_address
-            or self._stack_counter != image.stack_counter
-            or len(self._objects) != len(image.objects)
-        ):
-            return False
-        for name, element_type, count, base, is_stack, raw in image.objects:
-            obj = self._objects.get(name)
-            if (
-                obj is None
-                or obj.element_type != element_type
-                or obj.count != count
-                or obj.base != base
-                or obj.is_stack != is_stack
-                or obj.array.tobytes() != raw
-            ):
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
     # snapshots (golden-run / faulty-run comparisons)
     # ------------------------------------------------------------------ #

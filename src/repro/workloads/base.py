@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import DataObject, Memory
 
-if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
-    from repro.tracing.sinks import TraceSink
-
 Number = Union[int, float]
 
 
@@ -36,9 +33,9 @@ class RunOutcome:
     outputs: Dict[str, np.ndarray]
     return_value: Optional[Number]
     steps: int
-    #: The sink the run was recorded into (a columnar trace, a counting
-    #: sink, or ``None`` for sink-free executions).
-    trace: Optional[TraceSink] = None
+    #: The trace the run was recorded into (``None`` for sink-free
+    #: executions).
+    trace: Optional[ColumnarTrace] = None
 
 
 class WorkloadInstance:
@@ -62,7 +59,7 @@ class WorkloadInstance:
 
     def run(
         self,
-        trace: Optional[TraceSink] = None,
+        trace: Optional[ColumnarTrace] = None,
         fault: Optional[FaultSpec] = None,
         max_steps: Optional[int] = None,
         backend: Optional[str] = None,
@@ -70,9 +67,8 @@ class WorkloadInstance:
         """Execute the workload's entry kernel on the pre-decoded
         :class:`~repro.vm.engine.Engine`.
 
-        ``trace`` accepts any :class:`~repro.tracing.sinks.TraceSink` (a
-        :class:`~repro.tracing.columnar.ColumnarTrace`, a counting sink) or
-        ``None`` for a sink-free run.  ``backend`` picks
+        ``trace`` takes a :class:`~repro.tracing.columnar.ColumnarTrace` to
+        record the run into, or ``None`` for a sink-free run.  ``backend`` picks
         the engine's dispatch strategy (``"block"`` / ``"op"``, default
         ``REPRO_ENGINE_BACKEND``).
 
@@ -167,8 +163,8 @@ class Workload(ABC):
         return WorkloadInstance(self, self.module(), memory, args)
 
     # convenience wrappers -------------------------------------------------
-    def golden_run(self, sink: Optional[TraceSink] = None) -> RunOutcome:
-        """Fault-free execution (optionally traced, into any sink)."""
+    def golden_run(self, sink: Optional[ColumnarTrace] = None) -> RunOutcome:
+        """Fault-free execution (optionally traced into ``sink``)."""
         return self.fresh_instance().run(trace=sink)
 
     def traced_run(self) -> RunOutcome:

@@ -5,8 +5,9 @@ first, runs the object's injections as one batch, then accumulates the plan.
 This oracle is the direct reading of the decision procedure (Fig. 3) it
 replaced: walk the participations and their error patterns in order, make
 each sampling decision against the live equivalence caches, and resolve an
-in-budget site with one :meth:`DeterministicFaultInjector.inject` call the
-moment it is reached.  Every verdict comes from
+in-budget site with a one-fault
+:meth:`DeterministicFaultInjector.inject_many` call the moment it is
+reached.  Every verdict comes from
 :meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze` (the per-event
 rules) rather than from the vectorized operation passes, and a saturated
 class is estimated pattern by pattern from the live cache instead of
@@ -178,7 +179,7 @@ def _resolve_by_injection(
     ):
         site = FaultSite(participation, pattern.primary_bit)
         start = time.perf_counter()
-        result = engine._injector.inject(site.to_spec())
+        result = engine._injector.inject_many([site.to_spec()])[0]
         engine.pass_timings["injection"] = (
             engine.pass_timings.get("injection", 0.0)
             + (time.perf_counter() - start)

@@ -2,8 +2,9 @@
 
 The property under test (the acceptance criterion of the engine refactor):
 for any workload and any fault spec, injecting via snapshot-restore replay
-produces the *same* :class:`OutcomeClass` — and, for non-crashing runs, the
-same output bits — as re-running the whole workload from scratch.
+(a batch of :meth:`~repro.core.replay.ReplayContext.replay_many`) produces
+the *same* :class:`OutcomeClass` — and, for non-crashing runs, the same
+output bits — as re-running the whole workload from scratch.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ def test_replay_outcomes_match_full_rerun(name):
     specs = _sampled_specs(workload)
     assert specs, "sample must not be empty"
     rerun = RerunInjector(workload)
-    replay = DeterministicFaultInjector(workload)
-    for spec in specs:
+    replayed = DeterministicFaultInjector(workload).inject_many(specs)
+    for spec, actual in zip(specs, replayed):
         expected = rerun.inject(spec)
-        actual = replay.inject(spec)
         assert actual.outcome is expected.outcome, (
             f"{name} {spec}: replay={actual.outcome} rerun={expected.outcome}"
         )
@@ -66,15 +66,14 @@ def test_replay_outputs_bit_identical_to_rerun():
     workload = get_workload("matmul")
     trace = workload.traced_run().trace
     sites = enumerate_fault_sites(trace, workload.target_objects[0], bit_stride=13)
-    context = ReplayContext(workload)
-    for site in sites[:: max(1, len(sites) // 12)]:
-        spec = site.to_spec()
-        try:
-            replayed = context.replay(spec)
-        except Exception as replay_error:  # crash parity checked below
-            with pytest.raises(type(replay_error)):
+    specs = [site.to_spec() for site in sites[:: max(1, len(sites) // 12)]]
+    results = ReplayContext(workload).replay_many(specs)
+    for spec, result in zip(specs, results):
+        if result.error is not None:  # crash parity
+            with pytest.raises(type(result.error)):
                 workload.fresh_instance().run(fault=spec)
             continue
+        replayed = result.outcome
         fresh = workload.fresh_instance().run(fault=spec)
         assert replayed.return_value == fresh.return_value
         assert replayed.steps == fresh.steps
@@ -89,11 +88,10 @@ def test_replay_handles_hang_and_crash_classification(cg_workload):
     """Crash/hang outcomes classify identically through both paths."""
     specs = _sampled_specs(cg_workload, max_specs=24, bit_stride=3)
     rerun = RerunInjector(cg_workload)
-    replay = DeterministicFaultInjector(cg_workload)
+    replayed = DeterministicFaultInjector(cg_workload).inject_many(specs)
     outcomes = set()
-    for spec in specs:
+    for spec, actual in zip(specs, replayed):
         expected = rerun.inject(spec)
-        actual = replay.inject(spec)
         assert actual.outcome is expected.outcome
         outcomes.add(actual.outcome)
     assert len(outcomes) >= 2, "sample should exercise several outcome classes"
@@ -113,7 +111,9 @@ def test_snapshot_resume_reproduces_golden_run():
     }
     assert engine.snapshots and engine.snapshots[0].dyn == 0
     for snapshot in engine.snapshots:
-        resumed = Engine(instance.module, instance.memory).resume(snapshot)
+        cursor = Engine(instance.module, instance.memory)
+        cursor.prepare_resume(snapshot)
+        resumed = cursor.run_checked((), {})
         assert resumed.steps == result.steps
         assert resumed.return_value == result.return_value
         for name in golden:
@@ -132,7 +132,27 @@ def test_snapshot_restore_resets_memory_completely():
     for obj in instance.memory.data_objects():
         obj.array[:] = 0
     instance.memory.restore_image(snapshot.memory)
-    assert instance.memory.matches_image(snapshot.memory)
+    assert instance.memory.capture_image() == snapshot.memory
+
+
+def test_traced_engine_refuses_to_resume():
+    """Snapshots and forks do not carry the load-writer index, so a traced
+    run from one would record wrong writer ids: restoring either on an
+    engine with a sink raises instead."""
+    from repro.tracing import ColumnarTrace
+
+    workload = get_workload("matmul")
+    instance = workload.fresh_instance()
+    engine = Engine(instance.module, instance.memory, snapshot_interval=500)
+    engine.run(workload.entry, instance.args)
+    snapshot = engine.snapshots[1]
+    traced = Engine(instance.module, instance.memory, sink=ColumnarTrace())
+    with pytest.raises(ValueError, match="writer ids"):
+        traced.prepare_resume(snapshot)
+    cursor = Engine(instance.module, instance.memory)
+    cursor.prepare_resume(snapshot)
+    with pytest.raises(ValueError, match="writer ids"):
+        traced.adopt_fork(cursor.capture_fork())
 
 
 def test_replay_context_snapshot_selection():
@@ -140,10 +160,16 @@ def test_replay_context_snapshot_selection():
     context = ReplayContext(workload, checkpoint_interval=1000)
     positions = [snap.dyn for snap in context.snapshots]
     assert positions[0] == 0 and positions == sorted(positions)
-    assert context.snapshot_for(0).dyn == 0
-    assert context.snapshot_for(999).dyn == 0
-    assert context.snapshot_for(1000).dyn == 1000
-    assert context.snapshot_for(10**9).dyn == positions[-1]
+
+    def served_from(dynamic_id):
+        spec = FaultSpec(dynamic_id=dynamic_id, bit=0)
+        (batch,) = context.plan_batches([spec])
+        return batch.snapshot_dyn
+
+    assert served_from(0) == 0
+    assert served_from(999) == 0
+    assert served_from(1000) == 1000
+    assert served_from(10**9) == positions[-1]
 
 
 def test_replay_convergence_detection_short_circuits():
@@ -152,9 +178,8 @@ def test_replay_convergence_detection_short_circuits():
     context = ReplayContext(workload, checkpoint_interval=200)
     trace = workload.traced_run().trace
     sites = enumerate_fault_sites(trace, workload.target_objects[0], bit_stride=9)
-    injector = DeterministicFaultInjector(workload)
-    injector._context = context  # share the prepared schedule
-    results = [injector.inject(site.to_spec()) for site in sites[:40]]
+    injector = DeterministicFaultInjector(workload, context=context)
+    results = injector.inject_many([site.to_spec() for site in sites[:40]])
     assert context.replays == len(results)
     masked = [r for r in results if r.outcome.is_masked]
     if masked:

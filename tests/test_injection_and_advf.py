@@ -14,6 +14,8 @@ from repro.core.rfi import RandomFaultInjection, required_sample_size
 from repro.core.sites import enumerate_fault_sites, iter_site_specs
 from repro.vm.faults import FaultSpec, FaultTarget
 
+from oracles.rerun import RerunInjector
+
 
 # --------------------------------------------------------------------- #
 # fault sites
@@ -81,7 +83,8 @@ class TestDeterministicInjector:
             bit=62,
             operand_index=parts[0].operand_index,
         )
-        result = injector.inject(spec)
+        result = injector.inject_many([spec])[0]
+        assert result.outcome is RerunInjector(lu_workload).inject(spec).outcome
         assert result.outcome in (
             OutcomeClass.UNACCEPTABLE,
             OutcomeClass.CRASH,
@@ -96,7 +99,9 @@ class TestDeterministicInjector:
             dynamic_id=parts[0].event_id, bit=40, operand_index=max(parts[0].operand_index, 0)
         )
         injector = DeterministicFaultInjector(lu_workload)
-        assert injector.inject(spec).outcome is injector.inject(spec).outcome
+        first = injector.inject_many([spec])[0].outcome
+        assert injector.inject_many([spec])[0].outcome is first
+        assert first is RerunInjector(lu_workload).inject(spec).outcome
 
 
 # --------------------------------------------------------------------- #

@@ -10,9 +10,9 @@ cases pin the rule on a small loop:
   independently, from an op-loop trace) and never if it is never entered;
   a traced run compiles and dispatches nothing;
 * a run whose loop crosses the threshold mid-run is bit-identical to the
-  op loop and to a program compiled up front -- sink-free, counting,
-  traced (which stays in the op loop), and in the batch walk with
-  divergence live (``lanes``);
+  op loop and to a program compiled up front -- sink-free, traced (which
+  stays in the op loop), and in the batch walk with divergence live
+  (``lanes``);
 * a digest-cache clone pools its heat with its template and shares the
   compiled ``plain`` and ``lanes`` callables.
 """
@@ -27,7 +27,6 @@ from repro.frontend import compile_kernel
 from repro.ir.types import F64
 from repro.mir import HOT_ENTRIES, mir_program_for
 from repro.tracing.columnar import ColumnarTrace
-from repro.tracing.sinks import CountingSink
 from repro.vm.engine import DecodedProgram, Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
@@ -121,12 +120,10 @@ def test_segment_compiles_exactly_at_its_nth_entry(sink_kind):
     assert 0 in seen  # never entered, never compiled
 
 
-@pytest.mark.parametrize("sink_kind", ["none", "counting", "traced"])
+@pytest.mark.parametrize("sink_kind", ["none", "traced"])
 def test_crossing_the_threshold_mid_run_is_bit_identical(sink_kind):
     def sink():
-        return {"none": None, "counting": CountingSink(), "traced": ColumnarTrace()}[
-            sink_kind
-        ]
+        return ColumnarTrace() if sink_kind == "traced" else None
 
     module = _module()
     op = _run(module, TRIPS, "op", sink())
@@ -144,10 +141,7 @@ def test_crossing_the_threshold_mid_run_is_bit_identical(sink_kind):
         assert 0 < cold_dispatched[0] < warm_dispatched[0]
     for got in (crossing, warmed):
         assert got[:3] == op[:3]
-        if sink_kind == "counting":
-            assert got[3].total == op[3].total
-            assert got[3].by_opcode == op[3].by_opcode
-        elif sink_kind == "traced":
+        if sink_kind == "traced":
             assert_event_streams_identical(op[3], got[3], sink_kind)
 
 

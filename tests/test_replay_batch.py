@@ -1,19 +1,23 @@
-"""Parity oracle: the batched replay scheduler vs sequential replay.
+"""Parity oracle: the batched replay scheduler vs from-scratch faulty runs.
 
 The acceptance bar of the batched scheduler is *bit identity*: for every
 registered workload and a diverse fault sample (operand flips, store-
 destination flips, result flips; masked, SDC, crashing and addressing
 faults), submitting the specs through
-:meth:`~repro.core.replay.ReplayContext.replay_many` must reproduce
-per-fault sequential :meth:`~repro.core.replay.ReplayContext.replay`
+:meth:`~repro.core.replay.ReplayContext.replay_many` must reproduce one
+sequential from-scratch run per fault (``fresh_instance().run(fault=)``)
 exactly — same outcome (corrupted output bits, return value, step count),
-same exception type and message for crashes/hangs, and, when both paths
-prove golden convergence, a batched convergence op at or before the
-sequential one (the lockstep walk detects state re-convergence at the
-divergence-death op; sequential only probes at checkpoint positions).
+same exception type and message for crashes/hangs.  A proven golden
+convergence lies between the fault site and the end of the run, and at
+or before the first checkpoint whose state digest matches golden after
+the fault (the lockstep walk detects state re-convergence at the
+divergence-death op; a per-fault replay only probes at checkpoint
+positions).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from repro.core.injector import DeterministicFaultInjector
 from repro.core.replay import ReplayContext
 from repro.core.sites import enumerate_fault_sites
-from repro.vm.engine import Engine
+from repro.vm.engine import Engine, snapshot_digest
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.workloads.registry import get_workload, workload_names
 
@@ -66,16 +70,23 @@ def _sample_specs(workload, trace, per_object=24, bit_stride=7):
     return specs
 
 
-def _sequential_outcomes(context, specs):
+def _sequential_outcomes(workload, specs):
+    """One from-scratch faulty run per spec."""
     out = []
     for spec in specs:
         try:
-            outcome = context.replay(spec)
+            outcome = workload.fresh_instance().run(fault=spec)
         except Exception as exc:  # noqa: BLE001 - crash parity checked below
-            out.append(("error", exc, None))
+            out.append(("error", exc))
             continue
-        out.append(("ok", outcome, context))
+        out.append(("ok", outcome))
     return out
+
+
+def _snapshot_index(context, dynamic_id):
+    """Index of the latest snapshot at or before ``dynamic_id``."""
+    positions = [snap.dyn for snap in context.snapshots]
+    return bisect_right(positions, dynamic_id) - 1
 
 
 # --------------------------------------------------------------------- #
@@ -88,15 +99,14 @@ def test_batched_replay_bit_identical_to_sequential(name):
     specs = _sample_specs(workload, trace)
     assert specs, "sample must not be empty"
 
-    sequential = ReplayContext(workload)
-    expected = _sequential_outcomes(sequential, specs)
+    expected = _sequential_outcomes(workload, specs)
 
     batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     assert len(results) == len(specs)
     assert batched.replays == len(specs)
 
-    for index, (tag, payload, _) in enumerate(expected):
+    for index, (tag, payload) in enumerate(expected):
         result = results[index]
         assert result.spec == specs[index]
         if tag == "error":
@@ -113,6 +123,11 @@ def test_batched_replay_bit_identical_to_sequential(name):
                 outcome.outputs[obj].view(np.uint8),
                 payload.outputs[obj].view(np.uint8),
             ), (index, specs[index], obj, result.via)
+        if result.converged_at is not None:
+            # proven at or after the fault fired, before the run ended
+            assert (
+                specs[index].dynamic_id <= result.converged_at <= payload.steps
+            ), (index, specs[index], result.converged_at)
 
     stats = batched.stats
     assert stats.faults == len(specs)
@@ -123,34 +138,36 @@ def test_batched_replay_bit_identical_to_sequential(name):
 @pytest.mark.parametrize("name", ["matmul", "cg"])
 def test_batched_convergence_op_not_later_than_sequential(name):
     """When both paths prove golden convergence, the batched proof point is
-    at or before the sequential checkpoint (never later), and both return
-    the golden outcome."""
+    at or before the checkpoint a per-fault replay proves it at (never
+    later).  The per-fault replay restores the fault's snapshot and runs
+    it alone with digest checks at every checkpoint after the site."""
     workload = _small(name)
     trace = workload.traced_run().trace
     specs = _sample_specs(workload, trace, per_object=16)
 
     sequential = ReplayContext(workload)
+    golden_digests = {
+        snap.dyn: snapshot_digest(snap) for snap in sequential.snapshots
+    }
     batched = ReplayContext(workload)
     results = batched.replay_many(specs)
 
     compared = 0
     for spec, result in zip(specs, results):
-        try:
-            sequential.replay(spec)
-        except Exception:
-            continue
-        # engine-level convergence telemetry of the sequential path:
-        # re-run to read the flag off a fresh engine (replay() hides it)
         engine = Engine(
             sequential.instance.module,
             sequential.instance.memory,
             fault=spec,
             max_steps=workload.max_steps,
         )
-        engine.resume(
-            sequential.snapshot_for(spec.dynamic_id),
-            golden_schedule=sequential.snapshots,
+        engine.prepare_resume(
+            sequential.snapshots[_snapshot_index(sequential, spec.dynamic_id)]
         )
+        after = sorted(dyn for dyn in golden_digests if dyn > spec.dynamic_id)
+        try:
+            engine.run_checked(after, golden_digests)
+        except Exception:  # noqa: BLE001 - crashes prove no convergence
+            continue
         seq_converged_at = engine.converged_at if engine.converged else None
         if seq_converged_at is not None and result.converged_at is not None:
             assert result.converged_at <= seq_converged_at, spec
@@ -194,7 +211,9 @@ def test_plan_batches_groups_by_snapshot_interval():
     assert positions == sorted(positions)
     for batch in batches:
         for spec in batch.specs:
-            assert context.snapshot_for(spec.dynamic_id).dyn == batch.snapshot_dyn
+            index = _snapshot_index(context, spec.dynamic_id)
+            assert index == batch.snapshot_index
+            assert context.snapshots[index].dyn == batch.snapshot_dyn
 
 
 def test_memo_answers_repeated_submissions():
@@ -261,7 +280,7 @@ def test_duplicate_specs_in_one_batch():
     spec = site.to_spec()
     context = ReplayContext(workload)
     results = context.replay_many([spec, spec, spec])
-    reference = ReplayContext(workload).replay(spec)
+    reference = workload.fresh_instance().run(fault=spec)
     for result in results:
         assert result.error is None
         assert result.outcome.return_value == reference.return_value

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tracing import ColumnarTrace, CountingSink, TraceCursor
+from repro.tracing import ColumnarTrace, TraceCursor
 from repro.tracing.events import TraceEvent
 from repro.vm import Engine
 from repro.workloads.registry import get_workload
@@ -30,8 +30,6 @@ def _events_equal(a: TraceEvent, b: TraceEvent) -> bool:
 
 class _EventList(list):
     """The events exactly as the executor emitted them."""
-
-    wants_events = True
 
 
 def _run(workload, executor: str, sink):
@@ -81,7 +79,7 @@ def test_engine_untraced_run_matches_traced_results():
     workload = get_workload("matmul")
     traced, outs_traced = _run(workload, "engine", ColumnarTrace())
     bare, outs_bare = _run(workload, "engine", None)
-    assert bare.steps == traced.steps
+    assert bare.steps == traced.steps == len(traced.trace)
     assert bare.return_value == traced.return_value
     for obj in outs_traced:
         assert np.array_equal(outs_traced[obj], outs_bare[obj])
@@ -141,28 +139,6 @@ def test_columnar_sink_rejects_out_of_order_appends():
     traced, _ = _run(workload, "engine", ColumnarTrace())
     with pytest.raises(ValueError):
         sink.append(traced.trace[5])
-
-
-# --------------------------------------------------------------------- #
-# counting sink
-# --------------------------------------------------------------------- #
-def test_counting_sink_counts_without_storing():
-    workload = get_workload("cg")
-    counted, _ = _run(workload, "engine", CountingSink())
-    traced, _ = _run(workload, "engine", ColumnarTrace())
-    sink = counted.trace
-    assert sink.total == counted.steps == traced.steps
-    assert len(sink) == sink.total
-    assert sink.by_opcode == traced.trace.opcode_histogram()
-
-
-def test_counting_sink_accepts_full_events_too():
-    workload = get_workload("matmul")
-    traced, _ = _run(workload, "engine", ColumnarTrace())
-    sink = CountingSink()
-    for event in traced.trace:
-        sink.append(event)
-    assert sink.total == len(traced.trace)
 
 
 # --------------------------------------------------------------------- #

@@ -9,8 +9,8 @@ cannot carry (a fault arming, an address or branch direction diverging, a
 lane raising); the op loop runs that op and the rest of the segment.  A
 fault arming at the segment's first op sends the whole segment to the op
 loop.  These cases pin the edges of that rule on small programs whose
-every op is visible, checking each batch against per-fault sequential
-replay, and the ``block`` walk against the ``REPRO_ENGINE_BACKEND=op`` walk
+every op is visible, checking each batch against one from-scratch faulty
+run per fault, and the ``block`` walk against the ``REPRO_ENGINE_BACKEND=op`` walk
 on resolution kind, ``converged_at`` and the op each eviction forks at:
 
 * faults arming at, inside and just past a fused window, with and
@@ -121,15 +121,20 @@ def _first(events, function, opcode):
 
 
 def _batch_matches_sequential(workload, specs):
-    """Replay ``specs`` as one batch and one by one; assert bit identity.
+    """Replay ``specs`` as one batch and run them one by one from scratch;
+    assert bit identity.
 
     Returns the batched results and the context's scheduler stats."""
-    sequential = ReplayContext(workload)
+    # the first context built for a workload configuration in a process
+    # derives its snapshot schedule differently from later ones (see
+    # ROADMAP, known red spots); build it here so the batched context and
+    # ``_walk_record``'s contexts share one schedule whatever ran before
+    ReplayContext(workload)
     batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     for spec, result in zip(specs, results):
         try:
-            expected = sequential.replay(spec)
+            expected = workload.fresh_instance().run(fault=spec)
         except Exception as exc:  # noqa: BLE001 - crash parity
             assert type(result.error) is type(exc), spec
             assert str(result.error) == str(exc), spec
@@ -141,6 +146,8 @@ def _batch_matches_sequential(workload, specs):
             assert np.array_equal(
                 result.outcome.outputs[name].view(np.uint8), array.view(np.uint8)
             ), (spec, name, result.via)
+        if result.converged_at is not None:
+            assert spec.dynamic_id <= result.converged_at <= expected.steps, spec
     return results, batched.stats
 
 
@@ -255,7 +262,7 @@ def _walk_record(workload, specs, backend):
 
 
 def _check_batch(workload, specs):
-    """Sequential parity, then block-vs-op parity; the block walk's stats."""
+    """From-scratch parity, then block-vs-op parity; the block walk's stats."""
     results, _ = _batch_matches_sequential(workload, specs)
     kinds, forks, stats = _walk_record(workload, specs, "block")
     op_kinds, op_forks, op_stats = _walk_record(workload, specs, "op")
