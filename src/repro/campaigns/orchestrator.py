@@ -59,6 +59,7 @@ from repro.obs.spans import (
 from repro.parallel.campaign import (
     CampaignChunkError,
     CampaignRunner,
+    InjectJob,
     ShardOutput,
     ShardPipeline,
     _default_workers,
@@ -414,7 +415,7 @@ class CampaignOrchestrator:
         owner: Dict[int, _ShardStream] = {}
         head = 0
         with ShardPipeline(
-            self.workload_name, self.workload_kwargs, self.workers
+            InjectJob(self.workload_name, self.workload_kwargs), self.workers
         ) as pipeline:
             while head < len(streams):
                 stream = streams[head]
@@ -546,12 +547,16 @@ class CampaignOrchestrator:
         Reports already in the store are returned as-is unless ``refresh``
         is set; missing ones are computed with the parallel runner and
         saved, so ``campaign report`` renders from durable rows only.
+        With the trace cache on, the runner's chunks load the golden trace
+        from the artifact acquired here instead of tracing the workload.
         """
         workload = self._workload()
         names = list(object_names or self.plan.objects_for(workload))
         stored = {} if refresh else self.store.reports(self.campaign_id)
         missing = [name for name in names if name not in stored]
         if missing:
+            if TraceCache.from_env() is not None:
+                self._acquire_trace(workload)
             runner = CampaignRunner(
                 self.workload_name, self.workload_kwargs, workers=self.workers
             )
@@ -675,6 +680,4 @@ class CampaignOrchestrator:
         cache = MemoCache.from_env()
         if cache is None:
             return
-        from repro.vm.engine import default_backend
-
-        cache.merge_store(self.trace_digest, default_backend(), delta)
+        cache.merge_store(self.trace_digest, delta)

@@ -96,7 +96,6 @@ class DeterministicFaultInjector:
         self.runs = 0
         self._stats_seen: Dict[str, int] = {}
         self._warmed = False
-        self._memo_backend: Optional[str] = None
         #: aDVF speculation telemetry folded into :meth:`consume_batch_stats`
         #: (stamped per shard next to the scheduler counters).
         self._speculation: Dict[str, int] = {}
@@ -127,15 +126,10 @@ class DeterministicFaultInjector:
         if self.memo_key is None:
             return
         from repro.tracing.cache import MemoCache
-        from repro.vm.engine import default_backend
 
         cache = MemoCache.from_env()
-        if cache is None:
-            return
-        self._memo_backend = default_backend()
-        self._context.memo.merge_payload(
-            cache.load(self.memo_key, self._memo_backend)
-        )
+        if cache is not None:
+            self._context.memo.merge_payload(cache.load(self.memo_key))
 
     @property
     def golden(self) -> RunOutcome:
@@ -208,10 +202,7 @@ class DeterministicFaultInjector:
             return None
         delta = self._context.memo.consume_delta()
         if delta is not None:
-            from repro.vm.engine import default_backend
-
             delta["trace"] = self.memo_key
-            delta["backend"] = self._memo_backend or default_backend()
         return delta
 
     def _classify(

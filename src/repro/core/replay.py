@@ -51,33 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
 #: Format version of the serialised convergence-memo artifact.  Bumped on
 #: any change to the payload layout or the entry encoding; persisted memos
 #: of other versions are treated as cold (never migrated in place).
-MEMO_FORMAT_VERSION = 1
-
-#: Golden dynamic-instruction counts observed per workload configuration.
-#: ``fresh_instance`` is deterministic, so one measurement fixes the length
-#: for the whole process and later contexts can size their snapshot
-#: schedule from it instead of the generic fine-interval-plus-thinning
-#: bootstrap.
-_GOLDEN_STEPS_MEMO: Dict[tuple, int] = {}
-
-
-def _workload_memo_key(workload: "Workload") -> Optional[tuple]:
-    """A hashable identity for a workload *configuration*.
-
-    Two workloads of the same class with the same scalar attributes (seed,
-    problem sizes, ...) produce bit-identical golden runs; anything with
-    non-scalar state is conservatively treated as unmemoisable.
-    """
-    cls = type(workload)
-    scalars = []
-    for name, value in sorted(vars(workload).items()):
-        if name.startswith("_"):
-            continue
-        if value is None or isinstance(value, (bool, int, float, str)):
-            scalars.append((name, value))
-        else:
-            return None
-    return (cls.__module__, cls.__qualname__, tuple(scalars))
+MEMO_FORMAT_VERSION = 2
 
 
 class ReplayContext:
@@ -91,16 +65,12 @@ class ReplayContext:
         deterministic (the base-class contract).
     checkpoint_interval:
         Snapshot spacing in dynamic instructions.  Default: derived from
-        the workload's golden program length.  The first context built for
-        a given workload configuration in a process starts at a fine
-        interval and lets the engine's ``snapshot_budget`` thin the
-        schedule by doubling, landing between ``target_checkpoints`` and
-        twice that many snapshots without a separate step-counting probe
-        run; its measured step count is memoised, so every later context
-        for the same configuration starts directly at
-        ``golden_steps // target_checkpoints`` — short kernels stop
-        over-snapshotting (and paying capture/thinning churn), long ones
-        stop under-snapshotting.
+        the golden run alone.  The golden run starts at an interval of 64
+        and lets the engine's ``snapshot_budget`` thin the schedule by
+        doubling, landing between ``target_checkpoints`` and twice that
+        many snapshots without a separate step-counting probe run.  The
+        schedule, and with it every ``converged_at`` and persisted memo
+        key, is the same in every context and every process.
     target_checkpoints:
         Number of snapshots to aim for when the interval is derived.
     sink:
@@ -125,35 +95,16 @@ class ReplayContext:
         self.workload = workload
 
         self.instance = workload.fresh_instance()
-        memo_key = None
-        if checkpoint_interval is not None:
-            engine = Engine(
-                self.instance.module,
-                self.instance.memory,
-                sink=sink,
-                snapshot_interval=checkpoint_interval,
-                max_steps=workload.max_steps,
-            )
-        else:
-            memo_key = _workload_memo_key(workload)
-            known_steps = (
-                _GOLDEN_STEPS_MEMO.get(memo_key) if memo_key is not None else None
-            )
-            if known_steps is not None:
-                interval = max(1, known_steps // max(1, target_checkpoints))
-            else:
-                interval = 64
-            engine = Engine(
-                self.instance.module,
-                self.instance.memory,
-                sink=sink,
-                snapshot_interval=interval,
-                snapshot_budget=2 * max(1, target_checkpoints),
-                max_steps=workload.max_steps,
-            )
+        derived = checkpoint_interval is None
+        engine = Engine(
+            self.instance.module,
+            self.instance.memory,
+            sink=sink,
+            snapshot_interval=64 if derived else checkpoint_interval,
+            snapshot_budget=2 * max(1, target_checkpoints) if derived else None,
+            max_steps=workload.max_steps,
+        )
         result = engine.run(workload.entry, self.instance.args)
-        if memo_key is not None:
-            _GOLDEN_STEPS_MEMO[memo_key] = result.steps
         #: The golden dynamic trace, when a recording sink was supplied.
         self.golden_trace = sink
         self.checkpoint_interval = engine.snapshot_interval

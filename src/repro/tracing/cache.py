@@ -130,14 +130,14 @@ class MemoCache:
     """Filesystem cache of persisted convergence-memo artifacts.
 
     The :class:`~repro.core.replay.ReplayMemo` a batched replay context
-    grows is a pure function of the trace it replays against and the engine
-    dispatch strategy, so its serialised form can live next to the
-    golden-trace artifact and warm-start every later consumer of the same
-    trace: campaign worker processes, resumed campaigns, and ``protect
-    validate`` reruns.  Artifacts are keyed by trace digest + engine
-    backend + memo format version (``{digest}.memo.{backend}.v{N}.json``);
-    any mismatch simply misses — memos are an accelerator, never a
-    correctness input.
+    grows is a pure function of the trace it replays against — outcomes,
+    state digests and convergence points are bit-identical across engine
+    backends — so its serialised form can live next to the golden-trace
+    artifact and warm-start every later consumer of the same trace, on
+    either backend: campaign worker processes, resumed campaigns, and
+    ``protect validate`` reruns.  Artifacts are keyed by trace digest +
+    memo format version (``{digest}.memo.v{N}.json``); any mismatch simply
+    misses — memos are an accelerator, never a correctness input.
 
     The cache directory comes from ``REPRO_MEMO_CACHE`` and *defaults to
     following* ``REPRO_TRACE_CACHE`` (same directory, same ``off``
@@ -164,23 +164,21 @@ class MemoCache:
         return cls(raw.strip() if raw else DEFAULT_CACHE_DIR)
 
     # ------------------------------------------------------------------ #
-    def path_for(self, digest: str, backend: str) -> Path:
+    def path_for(self, digest: str) -> Path:
         from repro.core.replay import MEMO_FORMAT_VERSION
 
-        return self.root / (
-            f"{digest}.memo.{backend}.v{MEMO_FORMAT_VERSION}.json"
-        )
+        return self.root / f"{digest}.memo.v{MEMO_FORMAT_VERSION}.json"
 
-    def load(self, digest: str, backend: str) -> Optional[Dict[str, object]]:
-        """The persisted payload for ``(digest, backend)``, or ``None``.
+    def load(self, digest: str) -> Optional[Dict[str, object]]:
+        """The persisted payload for ``digest``, or ``None``.
 
         Unreadable, corrupt, or format-mismatched artifacts all read as a
-        cold memo — the file name pins backend and version, but a payload
+        cold memo — the file name pins the version, but a payload
         rewritten by a different process is still re-checked here.
         """
         from repro.core.replay import MEMO_FORMAT_VERSION
 
-        path = self.path_for(digest, backend)
+        path = self.path_for(digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -189,7 +187,6 @@ class MemoCache:
         if (
             not isinstance(payload, dict)
             or payload.get("format") != MEMO_FORMAT_VERSION
-            or payload.get("backend", backend) != backend
         ):
             return None
         reg = _metrics_registry()
@@ -197,13 +194,11 @@ class MemoCache:
             reg.inc("replay.memo_persist_loads")
         return payload
 
-    def store(self, digest: str, backend: str,
-              payload: Dict[str, object]) -> Path:
+    def store(self, digest: str, payload: Dict[str, object]) -> Path:
         """Atomically persist ``payload`` (last rename wins)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(digest, backend)
+        path = self.path_for(digest)
         stamped = dict(payload)
-        stamped["backend"] = backend
         stamped["trace"] = digest
         tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -211,7 +206,7 @@ class MemoCache:
         os.replace(tmp, path)
         return path
 
-    def merge_store(self, digest: str, backend: str,
+    def merge_store(self, digest: str,
                     delta: Optional[Dict[str, object]]) -> Optional[Path]:
         """Fold a learned delta into the persisted artifact and rewrite it.
 
@@ -223,11 +218,11 @@ class MemoCache:
 
         if not delta or not delta.get("keys"):
             return None
-        base = self.load(digest, backend)
+        base = self.load(digest)
         merged = ReplayMemo.merge_payloads(base, delta)
         if merged is None or merged is base:
             return None
         reg = _metrics_registry()
         if reg.enabled:
             reg.inc("replay.memo_persist_merges")
-        return self.store(digest, backend, merged)
+        return self.store(digest, merged)

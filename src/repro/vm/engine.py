@@ -609,16 +609,6 @@ def snapshot_digest(snapshot: "Snapshot") -> bytes:
     return h.digest()
 
 
-def default_backend() -> str:
-    """The execution backend engines resolve when none is passed explicitly.
-
-    Persisted artifacts that depend on execution order (the convergence
-    memo) key on this, so a backend switch can never serve entries recorded
-    under the other dispatch strategy.
-    """
-    return os.environ.get("REPRO_ENGINE_BACKEND") or "block"
-
-
 class EngineFork:
     """A cheap, immutable fork of a live engine state.
 
@@ -749,7 +739,7 @@ class Engine:
         # "op" forces the plain per-op loop (the bit-identity oracle).
         # ``REPRO_ENGINE_BACKEND`` overrides the default process-wide.
         if backend is None:
-            backend = default_backend()
+            backend = os.environ.get("REPRO_ENGINE_BACKEND") or "block"
         if backend not in ("block", "op"):
             raise ValueError(
                 f"unknown engine backend {backend!r} (expected 'block' or 'op')"

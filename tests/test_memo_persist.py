@@ -3,7 +3,8 @@
 The :class:`~repro.core.replay.ReplayMemo` a batched replay context grows
 is serialisable (``to_payload`` / ``consume_delta`` / ``merge_payload``)
 and persisted by :class:`~repro.tracing.cache.MemoCache` keyed by trace
-digest + engine backend + format version.  The bar: entries survive the
+digest + format version (not by engine backend: a memo learned on one
+backend serves the other).  The bar: entries survive the
 JSON round trip **bit-exactly** (output arrays compared as raw bytes,
 numpy scalar dtypes preserved, crash entries reconstructing exception
 type + message), merges are order-independent on disjoint deltas, any
@@ -30,7 +31,6 @@ from repro.core.replay import (
 from repro.core.sites import enumerate_fault_sites
 from repro.obs.metrics import configure
 from repro.tracing.cache import MemoCache, trace_digest
-from repro.vm.engine import default_backend
 from repro.vm.errors import SegmentationFault, VMError
 from repro.workloads.registry import get_workload
 
@@ -187,36 +187,27 @@ class TestMemoCache:
 
     def test_store_load_round_trip(self, tmp_path):
         cache = MemoCache(tmp_path)
-        path = cache.store("tdigest", "block", self._payload())
-        assert path.name == (
-            f"tdigest.memo.block.v{MEMO_FORMAT_VERSION}.json"
-        )
-        loaded = cache.load("tdigest", "block")
+        path = cache.store("tdigest", self._payload())
+        assert path.name == f"tdigest.memo.v{MEMO_FORMAT_VERSION}.json"
+        loaded = cache.load("tdigest")
         assert loaded is not None
-        assert loaded["backend"] == "block" and loaded["trace"] == "tdigest"
+        assert loaded["trace"] == "tdigest" and "backend" not in loaded
         memo = ReplayMemo()
         assert memo.merge_payload(loaded) == 1
 
     def test_mismatches_read_cold(self, tmp_path):
         cache = MemoCache(tmp_path)
-        cache.store("tdigest", "block", self._payload())
-        # backend participates in the file name: other backends miss
-        assert cache.load("tdigest", "mir") is None
-        # a payload whose stamped backend disagrees with the name misses
-        stale = self._payload()
-        stale["backend"] = "mir"
-        with open(cache.path_for("t2", "block"), "w") as fh:
-            json.dump(stale, fh)
-        assert cache.load("t2", "block") is None
+        # a missing artifact misses
+        assert cache.load("t2") is None
         # corrupt artifacts miss instead of crashing
-        cache.path_for("t3", "block").write_text("not json{")
-        assert cache.load("t3", "block") is None
+        cache.path_for("t3").write_text("not json{")
+        assert cache.load("t3") is None
         # format version participates in the file name too
         wrong = self._payload()
         wrong["format"] = MEMO_FORMAT_VERSION + 1
-        with open(cache.path_for("t4", "block"), "w") as fh:
+        with open(cache.path_for("t4"), "w") as fh:
             json.dump(wrong, fh)
-        assert cache.load("t4", "block") is None
+        assert cache.load("t4") is None
 
     def test_from_env_follows_trace_cache(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_MEMO_CACHE", raising=False)
@@ -237,13 +228,13 @@ class TestMemoCache:
         delta_a, delta_b = a.consume_delta(), b.consume_delta()
 
         one, two = MemoCache(tmp_path / "ab"), MemoCache(tmp_path / "ba")
-        one.merge_store("t", "block", delta_a)
-        one.merge_store("t", "block", delta_b)
-        two.merge_store("t", "block", delta_b)
-        two.merge_store("t", "block", delta_a)
+        one.merge_store("t", delta_a)
+        one.merge_store("t", delta_b)
+        two.merge_store("t", delta_b)
+        two.merge_store("t", delta_a)
         memo_ab, memo_ba = ReplayMemo(), ReplayMemo()
-        assert memo_ab.merge_payload(one.load("t", "block")) == 2
-        assert memo_ba.merge_payload(two.load("t", "block")) == 2
+        assert memo_ab.merge_payload(one.load("t")) == 2
+        assert memo_ba.merge_payload(two.load("t")) == 2
         for key in (_key(1, 1), _key(2, 2)):
             assert memo_ab.lookup(*key).kind == memo_ba.lookup(*key).kind
 
@@ -273,9 +264,8 @@ class TestInjectorWarmStart:
         first = learner.inject_many(specs)
         delta = learner.consume_memo_delta()
         assert delta is not None and delta["keys"]
-        assert delta["trace"] == digest
-        assert delta["backend"] == default_backend()
-        MemoCache.from_env().merge_store(digest, default_backend(), delta)
+        assert delta["trace"] == digest and "backend" not in delta
+        MemoCache.from_env().merge_store(digest, delta)
 
         fresh = DeterministicFaultInjector(
             get_workload("cg", n=6), memo_key=digest
@@ -286,6 +276,33 @@ class TestInjectorWarmStart:
         assert stats.memo_persist_hits <= stats.memo_hits
         for a, b in zip(first, second):
             assert a.outcome == b.outcome and a.detail == b.detail
+
+    def test_memo_learned_on_block_warm_starts_op(self, tmp_path, monkeypatch):
+        """The artifact is keyed by trace digest alone: entries a ``block``
+        injector learned answer an ``op`` injector's replays, whose results
+        equal a cold ``op`` run fault for fault."""
+        monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
+        digest = trace_digest("cg", {"n": 6})
+        specs = _divergent_specs(get_workload("cg", n=6))
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
+        learner = DeterministicFaultInjector(
+            get_workload("cg", n=6), memo_key=digest
+        )
+        learner.inject_many(specs)
+        MemoCache.from_env().merge_store(digest, learner.consume_memo_delta())
+
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "op")
+        warm = DeterministicFaultInjector(
+            get_workload("cg", n=6), memo_key=digest
+        )
+        warmed = warm.inject_many(specs)
+        assert warm.context.stats.memo_persist_hits >= 1
+        cold = DeterministicFaultInjector(get_workload("cg", n=6))
+        expected = cold.inject_many(specs)
+        assert cold.context.stats.memo_persist_hits == 0
+        assert [(r.spec, r.outcome, r.detail) for r in warmed] == [
+            (r.spec, r.outcome, r.detail) for r in expected
+        ]
 
     def test_no_memo_key_never_touches_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
@@ -338,8 +355,7 @@ class TestCampaignWarmStart:
         assert main([*CAMPAIGN_ARGS, "--workers", "1",
                      "--store", seed_store]) == 0
         artifact = (caches / "memo") / (
-            f"{trace_digest('cg', {'n': 6})}.memo."
-            f"{default_backend()}.v{MEMO_FORMAT_VERSION}.json"
+            f"{trace_digest('cg', {'n': 6})}.memo.v{MEMO_FORMAT_VERSION}.json"
         )
         assert artifact.exists()
         seed = _memo_counters(seed_store)

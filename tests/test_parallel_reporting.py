@@ -1,7 +1,10 @@
 """Tests for the parallel campaign runner and the text reporting layer."""
 
+import multiprocessing
+
 import pytest
 
+import repro.parallel.campaign as parallel_campaign
 from repro.parallel.campaign import CampaignChunkError, _default_workers
 
 from repro.core.advf import AdvfResult, AnalysisConfig
@@ -83,6 +86,98 @@ class TestCampaignRunner:
             [s.to_spec() for s in sites],
             on_progress=lambda done, total: seen.append((done, total)),
         )
+        assert seen == [(1, 1)]
+
+
+#: Small analysis budgets: a chunk of three matmul objects takes ~0.1 s.
+QUICK = AnalysisConfig(
+    max_injections=5,
+    equivalence_samples=1,
+    injection_samples_per_class=1,
+    error_model=SingleBitModel(bit_stride=16),
+)
+MATMUL = ("matmul", {"n": 4})
+OBJECTS = ["A", "B", "C"]
+
+
+def _pool_spy(monkeypatch):
+    """Count the worker pools the pipeline builds."""
+    built = []
+
+    class Spy(parallel_campaign.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_campaign, "ProcessPoolExecutor", Spy)
+    return built
+
+
+class TestAnalysisPool:
+    """``analyze_objects`` over more than one worker: object chunks run in
+    the pipeline's worker pool."""
+
+    def test_two_workers_equal_one_worker(self, monkeypatch):
+        serial = CampaignRunner(*MATMUL, workers=1).analyze_objects(
+            OBJECTS, QUICK
+        )
+        built = _pool_spy(monkeypatch)
+        seen = []
+        paired = CampaignRunner(*MATMUL, workers=2).analyze_objects(
+            OBJECTS, QUICK, on_progress=lambda done, total: seen.append(
+                (done, total)
+            ),
+        )
+        assert built == [2]
+        assert list(paired) == OBJECTS
+        assert {name: report.to_dict() for name, report in paired.items()} == {
+            name: report.to_dict() for name, report in serial.items()
+        }
+        assert seen == [(1, 2), (2, 2)]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="patching the engine reaches pool workers only through fork",
+    )
+    def test_chunk_failing_in_a_worker_names_workload_and_chunk(
+        self, monkeypatch
+    ):
+        from repro.core.advf import AdvfEngine
+
+        original = AdvfEngine.analyze_object
+
+        def analyze_object(self, name):
+            if name == "C":
+                raise RuntimeError("engine blew up")
+            return original(self, name)
+
+        monkeypatch.setattr(AdvfEngine, "analyze_object", analyze_object)
+        built = _pool_spy(monkeypatch)
+        with pytest.raises(CampaignChunkError) as excinfo:
+            CampaignRunner(*MATMUL, workers=2).analyze_objects(OBJECTS, QUICK)
+        assert built == [2]
+        error = excinfo.value
+        # chunks are [A, B] and [C]
+        assert error.chunk_index == 1 and error.items == ["C"]
+        assert "campaign chunk 1 of workload 'matmul'" in str(error)
+        assert "engine blew up" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("workers, names", [(2, ["C"]), (1, OBJECTS)])
+    def test_one_object_or_one_worker_spawns_no_pool(
+        self, monkeypatch, workers, names
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(parallel_campaign, "ProcessPoolExecutor", no_pool)
+        seen = []
+        reports = CampaignRunner(*MATMUL, workers=workers).analyze_objects(
+            names, QUICK, on_progress=lambda done, total: seen.append(
+                (done, total)
+            ),
+        )
+        assert list(reports) == names
         assert seen == [(1, 1)]
 
 

@@ -216,6 +216,29 @@ def test_plan_batches_groups_by_snapshot_interval():
             assert context.snapshots[index].dyn == batch.snapshot_dyn
 
 
+def test_derived_schedule_does_not_depend_on_process_history():
+    """The derived snapshot schedule comes from the golden run alone: it
+    starts at 64 and thins by doubling, so two contexts built back to back
+    snapshot at the same positions and report the same ``(via,
+    converged_at)`` per fault, which keeps persisted memo keys valid
+    across processes."""
+    workload = get_workload("cg")
+    trace = workload.traced_run().trace
+    specs = [
+        site.to_spec()
+        for site in enumerate_fault_sites(trace, "r", bit_stride=13)[::97]
+    ][:24]
+    first, second = ReplayContext(workload), ReplayContext(workload)
+    assert first.checkpoint_interval == second.checkpoint_interval
+    assert first.checkpoint_interval in {64 << shift for shift in range(32)}
+    assert [snap.dyn for snap in first.snapshots] == [
+        snap.dyn for snap in second.snapshots
+    ]
+    kinds = [(r.via, r.converged_at) for r in first.replay_many(specs)]
+    assert any(converged is not None for _, converged in kinds)
+    assert kinds == [(r.via, r.converged_at) for r in second.replay_many(specs)]
+
+
 def test_memo_answers_repeated_submissions():
     """Divergent replays that record digests are answered by the memo when
     the same states recur — and the answers stay bit-identical."""

@@ -125,11 +125,6 @@ def _batch_matches_sequential(workload, specs):
     assert bit identity.
 
     Returns the batched results and the context's scheduler stats."""
-    # the first context built for a workload configuration in a process
-    # derives its snapshot schedule differently from later ones (see
-    # ROADMAP, known red spots); build it here so the batched context and
-    # ``_walk_record``'s contexts share one schedule whatever ran before
-    ReplayContext(workload)
     batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     for spec, result in zip(specs, results):
