@@ -13,7 +13,11 @@ Measures, per workload (default ``matmul`` and ``cg``):
   on both sides.
 * **trace acquisition**: recording a fresh golden trace vs loading the
   cached ``.npz`` artifact (what campaign workers and resumed campaigns
-  pay).
+  pay);
+* **trace recording**: per workload, the traced golden-run time (best of
+  3) and the bytes the recorded trace holds at rest (``tracemalloc``:
+  Python allocations still live once the run has returned, before any
+  column view is built).
 
 Results must be *bit-identical* across pipelines (asserted here, and
 exhaustively in ``tests/test_passes_parity.py``).  The acceptance bar of
@@ -26,11 +30,13 @@ standalone too:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -117,6 +123,29 @@ def measure_trace_acquisition(workload_name: str):
     }
 
 
+def measure_trace_recording(workload_name: str):
+    """Traced golden-run time and the recorded trace's at-rest bytes."""
+    workload = get_workload(workload_name)
+    workload.traced_run()  # decode and compile outside the measurements
+    traced_run_s = _time(lambda: workload.traced_run())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = workload.traced_run().trace
+        gc.collect()
+        trace_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return {
+        "workload": workload_name,
+        "trace_events": len(trace),
+        "traced_run_s": traced_run_s,
+        "trace_bytes": trace_bytes,
+        "bytes_per_event": trace_bytes / len(trace),
+    }
+
+
 # --------------------------------------------------------------------- #
 # pytest-benchmark entry points
 # --------------------------------------------------------------------- #
@@ -137,9 +166,11 @@ def test_bench_advf_pipeline_trace_cache(once, benchmark):
     from conftest import print_header
 
     stats = once(measure_trace_acquisition, WORKLOADS[0])
+    recording = {name: measure_trace_recording(name) for name in WORKLOADS}
     benchmark.extra_info.update(stats)
+    benchmark.extra_info["recording"] = recording
     print_header("aDVF pipeline: golden-trace artifact load vs re-trace")
-    print(json.dumps(stats, indent=2))
+    print(json.dumps({**stats, "recording": recording}, indent=2))
     assert stats["load_speedup"] > 1.0
 
 
@@ -147,6 +178,9 @@ def main() -> None:
     report = {
         "analysis": {name: measure_analysis_speedup(name) for name in WORKLOADS},
         "trace_acquisition": measure_trace_acquisition(WORKLOADS[0]),
+        "trace_recording": {
+            name: measure_trace_recording(name) for name in WORKLOADS
+        },
     }
     print(json.dumps(report, indent=2))
     if "matmul" in report["analysis"]:

@@ -548,15 +548,17 @@ class CampaignOrchestrator:
         is set; missing ones are computed with the parallel runner and
         saved, so ``campaign report`` renders from durable rows only.
         With the trace cache on, the runner's chunks load the golden trace
-        from the artifact acquired here instead of tracing the workload.
+        from the artifact made sure of here (built only on a miss, never
+        loaded here) instead of tracing the workload.
         """
         workload = self._workload()
         names = list(object_names or self.plan.objects_for(workload))
         stored = {} if refresh else self.store.reports(self.campaign_id)
         missing = [name for name in names if name not in stored]
         if missing:
-            if TraceCache.from_env() is not None:
-                self._acquire_trace(workload)
+            cache = TraceCache.from_env()
+            if cache is not None:
+                self._ensure_trace_artifact(cache, workload)
             runner = CampaignRunner(
                 self.workload_name, self.workload_kwargs, workers=self.workers
             )
@@ -599,6 +601,23 @@ class CampaignOrchestrator:
             events=len(trace),
         )
         return trace
+
+    def _ensure_trace_artifact(self, cache: TraceCache, workload) -> None:
+        """The golden-trace artifact exists in ``cache`` when this returns;
+        a hit loads nothing."""
+        start = time.perf_counter()
+        with span("campaign.trace", campaign=self.campaign_id):
+            hit = cache.ensure(
+                self.trace_digest, lambda: workload.traced_run().trace
+            )
+        source = "cache hit" if hit else "cache miss, built"
+        self._say(
+            f"[{self.campaign_id}] golden trace {self.trace_digest}: {source} "
+            f"({time.perf_counter() - start:.2f}s)",
+            event="trace.acquired",
+            trace_digest=self.trace_digest,
+            source=source,
+        )
 
     def _say(self, message: str, event: str = "progress", **fields) -> None:
         """One progress line: stderr via the structured logger (gated by

@@ -1,11 +1,11 @@
 """Dynamic instruction traces.
 
 The trace is MOARD's central data structure: the application trace generator
-(our VM) records one :class:`~repro.tracing.events.TraceEvent` per executed
-IR instruction, carrying operand values, producer links, and the resolution
-of every memory access back to a named data object.  The trace analysis tool
-(:mod:`repro.core`) consumes these events to count error-masking
-opportunities per data object.
+(our VM) records one event per executed IR instruction, carrying operand
+values, producer links, and the resolution of every memory access back to a
+named data object; :class:`~repro.tracing.events.TraceEvent` is the view of
+one event.  The trace analysis tool (:mod:`repro.core`) consumes these
+events to count error-masking opportunities per data object.
 
 Every trace is recorded, analysed, cached and loaded as one
 :class:`~repro.tracing.columnar.ColumnarTrace`, the only sink the engine

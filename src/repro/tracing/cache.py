@@ -65,9 +65,9 @@ def trace_digest(
 class TraceCache:
     """Filesystem cache of :class:`ColumnarTrace` artifacts.
 
-    ``hits``/``misses`` count :meth:`get_or_build` resolutions, so smoke
-    tests (and the campaign CLI's progress lines) can verify the cache is
-    actually being exercised.
+    ``hits``/``misses`` count :meth:`get_or_build` and :meth:`ensure`
+    resolutions, so smoke tests (and the campaign CLI's progress lines)
+    can verify the cache is actually being exercised.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -111,19 +111,32 @@ class TraceCache:
         Returns ``(trace, hit)`` where ``hit`` says whether the artifact
         was served from disk.
         """
-        reg = _metrics_registry()
         cached = self.load(digest)
+        self._count(cached is not None)
         if cached is not None:
-            self.hits += 1
-            if reg.enabled:
-                reg.inc("trace_cache.hits")
             return cached, True
-        self.misses += 1
-        if reg.enabled:
-            reg.inc("trace_cache.misses")
         trace = build()
         self.store(digest, trace)
         return trace, False
+
+    def ensure(self, digest: str, build: Callable[[], ColumnarTrace]) -> bool:
+        """Make sure the artifact for ``digest`` exists, building and
+        storing it on a miss; a hit loads nothing.  Returns whether it hit.
+        """
+        hit = self.find(digest) is not None
+        self._count(hit)
+        if not hit:
+            self.store(digest, build())
+        return hit
+
+    def _count(self, hit: bool) -> None:
+        reg = _metrics_registry()
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        if reg.enabled:
+            reg.inc("trace_cache.hits" if hit else "trace_cache.misses")
 
 
 class MemoCache:

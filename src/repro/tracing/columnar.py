@@ -1,29 +1,49 @@
-"""The columnar trace store (struct-of-arrays): the one golden-trace form.
+"""The columnar trace store: the one golden-trace form.
 
 :class:`ColumnarTrace` is the shared, durable representation of a golden
-execution: events are decomposed into parallel per-field columns (CSR-style
-for the variable-length operand fields), NumPy views over the hot integer
-columns are materialised on demand for the vectorized analysis passes
-(:mod:`repro.core.passes`), and the whole trace round-trips through a
-``.npz`` artifact so golden traces become cacheable assets shared between
-campaign runs and worker processes (:mod:`repro.tracing.cache`).
+execution.  What an event shares with every other execution of the same
+instruction -- opcode, function, block, ``static_uid``, source line,
+operand types and kinds, result type, predicate and callee -- is kept
+once, in a table of static-op records.  Each event stores one ``int32``
+index into that table plus its dynamic fields: operand values, producer
+links and CSR offsets (the operand fields are flattened), result value,
+address, object name, element index, writer id and taken label.  Integer
+dynamic columns live in typed buffers (``array('q')``, ``-1`` for
+``None``), so :meth:`~ColumnarTrace.columns` serves zero-copy NumPy views
+over them and gathers the static columns through the index.  The whole
+trace round-trips through a ``.npz`` artifact, so golden traces become
+cacheable assets shared between campaign runs and worker processes
+(:mod:`repro.tracing.cache`).
 
-Three consumption styles, one object:
+Three ways in, one storage:
 
-* **sink** — the execution engine streams events in: one :meth:`append`
-  per event from the op loop, which runs every traced run on either
-  backend;
-* **trace-like** — ``len`` / integer indexing / iteration reconstruct
-  :class:`~repro.tracing.events.TraceEvent` views (memoised, so analyses
-  that revisit the same dynamic window pay the materialisation once);
-* **columns** — :meth:`columns` exposes the integer columns as NumPy arrays
-  (opcodes, object ids, element indices, producer links, operand kinds,
-  CSR offsets) for array-at-a-time passes.
+* **record** -- the engine's op loop hands each executed op's
+  ``DecodedOp`` and dynamic fields to the bound appends of
+  :meth:`~ColumnarTrace.recorder`; no event object is built;
+* **append** -- :meth:`~ColumnarTrace.append` and
+  :meth:`~ColumnarTrace.from_events` take
+  :class:`~repro.tracing.events.TraceEvent` objects (the interpreter
+  oracle, hand-built traces), keyed by their full static record;
+* **load** -- :meth:`~ColumnarTrace.load` maps an artifact's arrays in,
+  building no per-event object for a static field.
+
+Three ways out:
+
+* **trace-like** -- ``len`` / integer indexing / iteration reconstruct
+  :class:`~repro.tracing.events.TraceEvent` views (memoised on random
+  access, so analyses that revisit the same dynamic window pay the
+  materialisation once);
+* **accessors** -- per-field reads (:meth:`~ColumnarTrace.opcode_of`,
+  :meth:`~ColumnarTrace.operand_value`, ...) that build no event;
+* **columns** -- :meth:`~ColumnarTrace.columns` exposes the integer
+  columns as NumPy arrays (opcodes, object ids, element indices, producer
+  links, operand kinds, CSR offsets) for array-at-a-time passes.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -37,18 +57,36 @@ from repro.tracing.events import OperandKind, TraceEvent
 #: Stable in-process opcode/kind code tables (persisted artifacts carry their
 #: own string vocabularies and are remapped on load, so the numeric codes
 #: never leak out of the process).
-_OPCODES: List[Opcode] = list(Opcode)
-_OPCODE_CODE: Dict[Opcode, int] = {op: i for i, op in enumerate(_OPCODES)}
-_KINDS: List[OperandKind] = list(OperandKind)
-_KIND_CODE: Dict[OperandKind, int] = {k: i for i, k in enumerate(_KINDS)}
-#: The same codes keyed by ``id(member)``: enum members are singletons, and
-#: an int key hashes in C where ``Enum.__hash__`` is a Python call per event.
-_OPCODE_CODE_BY_ID: Dict[int, int] = {id(op): i for op, i in _OPCODE_CODE.items()}
-_KIND_CODE_BY_ID: Dict[int, int] = {id(k): i for k, i in _KIND_CODE.items()}
+_OPCODE_CODE: Dict[Opcode, int] = {op: i for i, op in enumerate(Opcode)}
+_KIND_CODE: Dict[OperandKind, int] = {k: i for i, k in enumerate(OperandKind)}
 
 LOAD_CODE = _OPCODE_CODE[Opcode.LOAD]
 STORE_CODE = _OPCODE_CODE[Opcode.STORE]
 INSTRUCTION_KIND_CODE = _KIND_CODE[OperandKind.INSTRUCTION]
+
+#: Field positions in a static-op record: the ten event fields an
+#: instruction has in every one of its executions, in ``TraceEvent`` order.
+(_OPCODE, _FUNCTION, _BLOCK, _UID, _LINE, _TYPES, _KINDS, _RESULT_TYPE,
+ _PREDICATE, _CALLEE) = range(10)
+
+
+def _static_record(event: TraceEvent) -> tuple:
+    """The static-op record of ``event``."""
+    return (
+        event.opcode, event.function, event.block, event.static_uid,
+        event.source_line, tuple(event.operand_types),
+        tuple(event.operand_kinds), event.result_type, event.predicate,
+        event.callee,
+    )
+
+
+def _int64_buffer(values: np.ndarray) -> array:
+    """An ``array('q')`` holding a copy of ``values``."""
+    buffer = array("q")
+    buffer.frombytes(
+        memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B")
+    )
+    return buffer
 
 
 def _intern(values: List[Optional[str]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,18 +104,32 @@ def _intern(values: List[Optional[str]]) -> Tuple[np.ndarray, np.ndarray]:
     return ids, np.array(vocab, dtype=object)
 
 
-def _intern_codes(codes: np.ndarray, members: list) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_intern` of an enum column given as in-process codes.
+def _gather_intern(
+    positions: np.ndarray, values: list
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_intern` of ``[values[p] for p in positions]``, without
+    building that list.
 
-    ``members[code]`` is the enum member of ``code``; the vocabulary holds
-    the ``.value`` strings of the members used, in first-use order.
+    ``values`` is short -- one entry per static record, or per operand of
+    a static record -- and ``positions`` is one index into it per event
+    (or per flattened operand).  The vocabulary comes out in first-use
+    order over ``positions``, as :func:`_intern` would give it.
     """
+    local, vocab = _intern(values)
+    codes = local[positions]
     used, first = np.unique(codes, return_index=True)
-    used = used[np.argsort(first)]
-    remap = np.zeros(len(members), dtype=np.int32)
-    remap[used] = np.arange(len(used), dtype=np.int32)
-    vocab = [members[code].value for code in used.tolist()]
-    return remap[codes], np.array(vocab, dtype=object)
+    named = used >= 0
+    order = used[named][np.argsort(first[named])]
+    remap = np.full(len(vocab) + 1, -1, dtype=np.int32)  # slot -1: None
+    remap[order] = np.arange(len(order), dtype=np.int32)
+    return remap[codes], vocab[order]
+
+
+def _decode(ids: np.ndarray, vocab: np.ndarray) -> list:
+    """The per-event values of an interned column (``-1``: ``None``)."""
+    table = np.empty(len(vocab) + 1, dtype=object)  # slot -1: None
+    table[:-1] = vocab
+    return table[ids].tolist()
 
 
 class TraceColumns:
@@ -108,13 +160,46 @@ class TraceColumns:
         self.object_index = object_index
 
 
+class _StaticTable(dict):
+    """The static-op records of one trace.
+
+    ``records[i]`` is record *i*.  :meth:`index` finds or adds a record;
+    records are told apart by ``static_uid`` first, then by equality, so
+    two records that share a uid but differ in another field both stay.
+    As a mapping, the table sends a ``DecodedOp`` to the index of its
+    ``trace_record``, adding the record the first time the op is seen.
+    """
+
+    __slots__ = ("records", "by_uid")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: List[tuple] = []
+        self.by_uid: Dict[object, List[int]] = {}
+
+    def index(self, record: tuple) -> int:
+        candidates = self.by_uid.setdefault(record[_UID], [])
+        records = self.records
+        for index in candidates:
+            if records[index] == record:
+                return index
+        index = len(records)
+        records.append(record)
+        candidates.append(index)
+        return index
+
+    def __missing__(self, op) -> int:
+        index = self[op] = self.index(op.trace_record)
+        return index
+
+
 class ColumnarTrace:
     """Compact columnar event storage with array views and persistence.
 
     The only trace the engine records and the analyses read: an ordered
-    event sink (``dynamic_id`` equals position), trace-like event
-    reconstruction, :meth:`columns`, :meth:`save`/:meth:`load` and event
-    memoisation.
+    event store (``dynamic_id`` equals position) with trace-like event
+    reconstruction, per-field accessors, :meth:`columns`,
+    :meth:`save`/:meth:`load` and event memoisation.
     """
 
     #: Bumped when the persisted column layout changes (participates in the
@@ -122,64 +207,84 @@ class ColumnarTrace:
     FORMAT_VERSION = 1
 
     __slots__ = (
-        "_opcode", "_function", "_block", "_static_uid", "_source_line",
-        "_operand_data", "_operand_types", "_operand_producers",
-        "_operand_kinds", "_operand_offsets",
-        "_result_value", "_result_type", "_predicate", "_callee",
-        "_address", "_object_name", "_element_index", "_writer_id",
-        "_taken_label", "_cols", "_event_cache",
+        "_statics", "_static", "_operand_values", "_producers", "_offsets",
+        "_result_value", "_address", "_object_name", "_element_index",
+        "_writer_id", "_taken_label", "_cols", "_event_cache",
     )
 
     def __init__(self) -> None:
-        self._opcode: List[Opcode] = []
-        self._function: List[str] = []
-        self._block: List[str] = []
-        self._static_uid: List[int] = []
-        self._source_line: List[Optional[int]] = []
-        self._operand_data: List[object] = []
-        self._operand_types: List[object] = []
-        self._operand_producers: List[int] = []
-        self._operand_kinds: List[OperandKind] = []
-        self._operand_offsets: List[int] = [0]
+        self._statics = _StaticTable()
+        #: per event: index of its record in ``_statics.records``.
+        self._static = array("i")
+        self._operand_values: List[object] = []
+        self._producers = array("q")
+        self._offsets = array("q", [0])
         self._result_value: List[Optional[object]] = []
-        self._result_type: List[Optional[object]] = []
-        self._predicate: List[Optional[str]] = []
-        self._callee: List[Optional[str]] = []
-        self._address: List[Optional[int]] = []
+        self._address = array("q")
         self._object_name: List[Optional[str]] = []
-        self._element_index: List[Optional[int]] = []
-        self._writer_id: List[int] = []
+        self._element_index = array("q")
+        self._writer_id = array("q")
         self._taken_label: List[Optional[str]] = []
         self._cols: Optional[TraceColumns] = None
         self._event_cache: Dict[int, TraceEvent] = {}
 
     # ------------------------------------------------------------------ #
-    # sink protocol
+    # recording
     # ------------------------------------------------------------------ #
-    def append(self, event: TraceEvent) -> None:
-        if event.dynamic_id != len(self._opcode):
+    def recorder(self, start: int) -> tuple:
+        """The bound appends the engine's op loop records events through.
+
+        Returns ``(statics, static, values, producers, offset, n_values,
+        result, address, object_name, element, writer, taken)``.  For each
+        executed op, in order: ``static(statics[op])`` (``op`` is a
+        ``DecodedOp``), ``values(operand values)``, ``producers(producer
+        ids)``, ``offset(n_values())``, then one call each of ``result``,
+        ``address``, ``object_name``, ``element``, ``writer`` and
+        ``taken`` (``-1`` for a missing address or element index).
+
+        ``start`` is the dynamic id of the first op to record; it must
+        continue the trace.
+        """
+        if start != len(self._static):
             raise ValueError(
-                f"trace events must be appended in order: expected id "
-                f"{len(self._opcode)}, got {event.dynamic_id}"
+                f"trace recording must continue at event {len(self._static)}, "
+                f"not {start}"
             )
         self._cols = None
-        self._opcode.append(event.opcode)
-        self._function.append(event.function)
-        self._block.append(event.block)
-        self._static_uid.append(event.static_uid)
-        self._source_line.append(event.source_line)
-        self._operand_data.extend(event.operand_values)
-        self._operand_types.extend(event.operand_types)
-        self._operand_producers.extend(event.operand_producers)
-        self._operand_kinds.extend(event.operand_kinds)
-        self._operand_offsets.append(len(self._operand_data))
+        return (
+            self._statics, self._static.append, self._operand_values.extend,
+            self._producers.extend, self._offsets.append,
+            self._operand_values.__len__, self._result_value.append,
+            self._address.append, self._object_name.append,
+            self._element_index.append, self._writer_id.append,
+            self._taken_label.append,
+        )
+
+    def append(self, event: TraceEvent) -> None:
+        """Add ``event``, which must be the next one (``dynamic_id``)."""
+        if event.dynamic_id != len(self._static):
+            raise ValueError(
+                f"trace events must be appended in order: expected id "
+                f"{len(self._static)}, got {event.dynamic_id}"
+            )
+        values = event.operand_values
+        if not (len(values) == len(event.operand_types)
+                == len(event.operand_producers) == len(event.operand_kinds)):
+            raise ValueError(
+                f"event {event.dynamic_id}: operand values, types, producers "
+                f"and kinds differ in length"
+            )
+        self._cols = None
+        self._static.append(self._statics.index(_static_record(event)))
+        self._operand_values.extend(values)
+        self._producers.extend(event.operand_producers)
+        self._offsets.append(len(self._operand_values))
         self._result_value.append(event.result_value)
-        self._result_type.append(event.result_type)
-        self._predicate.append(event.predicate)
-        self._callee.append(event.callee)
-        self._address.append(event.address)
+        self._address.append(-1 if event.address is None else event.address)
         self._object_name.append(event.object_name)
-        self._element_index.append(event.element_index)
+        self._element_index.append(
+            -1 if event.element_index is None else event.element_index
+        )
         self._writer_id.append(event.writer_id)
         self._taken_label.append(event.taken_label)
 
@@ -195,11 +300,11 @@ class ColumnarTrace:
     # read access (TraceLike: len / getitem / iter)
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._opcode)
+        return len(self._static)
 
     def __getitem__(self, dynamic_id: int) -> TraceEvent:
         if dynamic_id < 0:
-            dynamic_id += len(self._opcode)
+            dynamic_id += len(self._static)
         cached = self._event_cache.get(dynamic_id)
         if cached is not None:
             return cached
@@ -211,35 +316,41 @@ class ColumnarTrace:
         return event
 
     def _materialize(self, dynamic_id: int) -> TraceEvent:
-        if not 0 <= dynamic_id < len(self._opcode):
+        if not 0 <= dynamic_id < len(self._static):
             raise IndexError(f"trace index {dynamic_id} out of range")
-        lo = self._operand_offsets[dynamic_id]
-        hi = self._operand_offsets[dynamic_id + 1]
+        (opcode, function, block, static_uid, source_line, operand_types,
+         operand_kinds, result_type, predicate, callee) = (
+            self._statics.records[self._static[dynamic_id]]
+        )
+        lo = self._offsets[dynamic_id]
+        hi = self._offsets[dynamic_id + 1]
+        address = self._address[dynamic_id]
+        element_index = self._element_index[dynamic_id]
         return TraceEvent(
             dynamic_id=dynamic_id,
-            opcode=self._opcode[dynamic_id],
-            function=self._function[dynamic_id],
-            block=self._block[dynamic_id],
-            static_uid=self._static_uid[dynamic_id],
-            source_line=self._source_line[dynamic_id],
-            operand_values=tuple(self._operand_data[lo:hi]),
-            operand_types=tuple(self._operand_types[lo:hi]),
-            operand_producers=tuple(self._operand_producers[lo:hi]),
-            operand_kinds=tuple(self._operand_kinds[lo:hi]),
+            opcode=opcode,
+            function=function,
+            block=block,
+            static_uid=static_uid,
+            source_line=source_line,
+            operand_values=tuple(self._operand_values[lo:hi]),
+            operand_types=operand_types,
+            operand_producers=tuple(self._producers[lo:hi]),
+            operand_kinds=operand_kinds,
             result_value=self._result_value[dynamic_id],
-            result_type=self._result_type[dynamic_id],
-            predicate=self._predicate[dynamic_id],
-            callee=self._callee[dynamic_id],
-            address=self._address[dynamic_id],
+            result_type=result_type,
+            predicate=predicate,
+            callee=callee,
+            address=None if address < 0 else address,
             object_name=self._object_name[dynamic_id],
-            element_index=self._element_index[dynamic_id],
+            element_index=None if element_index < 0 else element_index,
             writer_id=self._writer_id[dynamic_id],
             taken_label=self._taken_label[dynamic_id],
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:
         cache_get = self._event_cache.get
-        for dynamic_id in range(len(self._opcode)):
+        for dynamic_id in range(len(self._static)):
             yield cache_get(dynamic_id) or self._materialize(dynamic_id)
 
     # ------------------------------------------------------------------ #
@@ -247,27 +358,28 @@ class ColumnarTrace:
     # materialising whole events)
     # ------------------------------------------------------------------ #
     def opcode_of(self, dynamic_id: int) -> Opcode:
-        return self._opcode[dynamic_id]
+        return self._statics.records[self._static[dynamic_id]][_OPCODE]
 
     def static_uid_of(self, dynamic_id: int) -> int:
-        return self._static_uid[dynamic_id]
+        return self._statics.records[self._static[dynamic_id]][_UID]
 
     def element_index_of(self, dynamic_id: int) -> Optional[int]:
-        return self._element_index[dynamic_id]
+        element_index = self._element_index[dynamic_id]
+        return None if element_index < 0 else element_index
 
     def operand_count(self, dynamic_id: int) -> int:
-        return self._operand_offsets[dynamic_id + 1] - self._operand_offsets[dynamic_id]
+        return self._offsets[dynamic_id + 1] - self._offsets[dynamic_id]
 
     def operand_value(self, dynamic_id: int, index: int):
-        return self._operand_data[self._operand_offsets[dynamic_id] + index]
+        return self._operand_values[self._offsets[dynamic_id] + index]
 
     def operand_type(self, dynamic_id: int, index: int):
-        return self._operand_types[self._operand_offsets[dynamic_id] + index]
+        return self._statics.records[self._static[dynamic_id]][_TYPES][index]
 
     def operand_producers_of(self, dynamic_id: int) -> List[int]:
-        lo = self._operand_offsets[dynamic_id]
-        hi = self._operand_offsets[dynamic_id + 1]
-        return self._operand_producers[lo:hi]
+        lo = self._offsets[dynamic_id]
+        hi = self._offsets[dynamic_id + 1]
+        return self._producers[lo:hi].tolist()
 
     def object_name_of(self, dynamic_id: int) -> Optional[str]:
         return self._object_name[dynamic_id]
@@ -275,41 +387,59 @@ class ColumnarTrace:
     # ------------------------------------------------------------------ #
     # column views
     # ------------------------------------------------------------------ #
+    def _index(self) -> np.ndarray:
+        """The per-event static index as a NumPy view."""
+        return np.frombuffer(self._static, dtype=np.intc)
+
+    def _operand_positions(self, owner: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Each flattened operand's position in the records' operands,
+        flattened in record order (the layout of :meth:`_record_operands`)."""
+        records = self._statics.records
+        starts = np.zeros(len(records), dtype=np.int64)
+        np.cumsum([len(r[_TYPES]) for r in records[:-1]], out=starts[1:])
+        return (
+            starts[self._index()][owner]
+            + np.arange(len(owner), dtype=np.int64) - offsets[owner]
+        )
+
+    def _record_operands(self, field: int) -> list:
+        """Field ``field`` (types or kinds) of every record's operands."""
+        return [value for r in self._statics.records for value in r[field]]
+
     def columns(self) -> TraceColumns:
         """NumPy views over the integer columns.
 
-        Built lazily, cached until the next :meth:`append`.
+        Built lazily, cached until the next append.  The dynamic integer
+        columns are zero-copy views of the trace's buffers; the static
+        ones are gathered through the per-event record index.
         """
         if self._cols is not None:
             return self._cols
-        n = len(self._opcode)
-        flat = len(self._operand_producers)
+        records = self._statics.records
+        index = self._index()
+        offsets = np.frombuffer(self._offsets, dtype=np.int64)
+        owner = np.repeat(
+            np.arange(len(index), dtype=np.int64), np.diff(offsets)
+        )
+        kind_codes = np.array(
+            [_KIND_CODE[k] for k in self._record_operands(_KINDS)],
+            dtype=np.int8,
+        )
         object_ids, object_vocab = _intern(self._object_name)
-        offsets = np.fromiter(self._operand_offsets, dtype=np.int64, count=n + 1)
         self._cols = TraceColumns(
-            opcode=np.fromiter(
-                map(_OPCODE_CODE_BY_ID.__getitem__, map(id, self._opcode)),
-                dtype=np.int16, count=n,
-            ),
-            static_uid=np.fromiter(self._static_uid, dtype=np.int64, count=n),
-            address=np.fromiter(
-                (-1 if a is None else a for a in self._address),
-                dtype=np.int64, count=n,
-            ),
+            opcode=np.array(
+                [_OPCODE_CODE[r[_OPCODE]] for r in records], dtype=np.int16
+            )[index],
+            static_uid=np.array(
+                [r[_UID] for r in records], dtype=np.int64
+            )[index],
+            address=np.frombuffer(self._address, dtype=np.int64),
             object_id=object_ids.astype(np.int64),
-            element=np.fromiter(
-                (-1 if e is None else e for e in self._element_index),
-                dtype=np.int64, count=n,
-            ),
+            element=np.frombuffer(self._element_index, dtype=np.int64),
             offsets=offsets,
-            producers=np.fromiter(
-                self._operand_producers, dtype=np.int64, count=flat
-            ),
-            kinds=np.fromiter(
-                map(_KIND_CODE_BY_ID.__getitem__, map(id, self._operand_kinds)),
-                dtype=np.int8, count=flat,
-            ),
-            owner=np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets)),
+            producers=np.frombuffer(self._producers, dtype=np.int64),
+            kinds=kind_codes[self._operand_positions(owner, offsets)],
+            owner=owner,
             object_index={name: i for i, name in enumerate(object_vocab.tolist())},
         )
         return self._cols
@@ -318,9 +448,12 @@ class ColumnarTrace:
     # summaries
     # ------------------------------------------------------------------ #
     def opcode_histogram(self) -> Dict[str, int]:
+        counts = np.bincount(self._index(), minlength=len(self._statics.records))
         histogram: Dict[str, int] = {}
-        for opcode in self._opcode:
-            histogram[opcode.value] = histogram.get(opcode.value, 0) + 1
+        for record, count in zip(self._statics.records, counts.tolist()):
+            if count:
+                key = record[_OPCODE].value
+                histogram[key] = histogram.get(key, 0) + count
         return histogram
 
     def addresses(self) -> List[Tuple[int, int]]:
@@ -328,7 +461,7 @@ class ColumnarTrace:
         return [
             (i, address)
             for i, address in enumerate(self._address)
-            if address is not None
+            if address >= 0
         ]
 
     # ------------------------------------------------------------------ #
@@ -375,51 +508,58 @@ class ColumnarTrace:
 
     # ------------------------------------------------------------------ #
     def _to_arrays(self) -> Dict[str, object]:
-        n = len(self._opcode)
+        records = self._statics.records
+        index = self._index()
         cols = self.columns()
-        opcode_ids, opcode_vocab = _intern_codes(cols.opcode, _OPCODES)
-        kind_ids, kind_vocab = _intern_codes(cols.kinds, _KINDS)
-        function_ids, function_vocab = _intern(self._function)
-        block_ids, block_vocab = _intern(self._block)
-        predicate_ids, predicate_vocab = _intern(self._predicate)
-        callee_ids, callee_vocab = _intern(self._callee)
+        positions = self._operand_positions(cols.owner, cols.offsets)
+
+        def static(field, encode=None):
+            values = [r[field] for r in records]
+            return _gather_intern(
+                index, values if encode is None else list(map(encode, values))
+            )
+
+        def type_name(t):
+            return None if t is None else t.name
+
+        opcode_ids, opcode_vocab = static(_OPCODE, lambda op: op.value)
+        function_ids, function_vocab = static(_FUNCTION)
+        block_ids, block_vocab = static(_BLOCK)
+        predicate_ids, predicate_vocab = static(_PREDICATE)
+        callee_ids, callee_vocab = static(_CALLEE)
+        result_type_ids, type_vocab_b = static(_RESULT_TYPE, type_name)
+        kind_ids, kind_vocab = _gather_intern(
+            positions, [k.value for k in self._record_operands(_KINDS)]
+        )
+        operand_type_ids, type_vocab_a = _gather_intern(
+            positions, list(map(type_name, self._record_operands(_TYPES)))
+        )
         object_ids, object_vocab = _intern(self._object_name)
         taken_ids, taken_vocab = _intern(self._taken_label)
-        operand_type_ids, type_vocab_a = _intern(
-            [None if t is None else t.name for t in self._operand_types]
-        )
-        result_type_ids, type_vocab_b = _intern(
-            [None if t is None else t.name for t in self._result_type]
-        )
         return {
             "version": np.array([self.FORMAT_VERSION], dtype=np.int64),
             "opcode": opcode_ids, "opcode_vocab": opcode_vocab,
             "function": function_ids, "function_vocab": function_vocab,
             "block": block_ids, "block_vocab": block_vocab,
-            "static_uid": np.fromiter(self._static_uid, np.int64, n),
-            "source_line": np.fromiter(
-                (-1 if v is None else v for v in self._source_line), np.int64, n
-            ),
-            "operand_values": np.array(self._operand_data, dtype=object),
+            "static_uid": cols.static_uid,
+            "source_line": np.array(
+                [-1 if r[_LINE] is None else r[_LINE] for r in records],
+                dtype=np.int64,
+            )[index],
+            "operand_values": np.array(self._operand_values, dtype=object),
             "operand_types": operand_type_ids,
             "operand_type_vocab": type_vocab_a,
-            "operand_producers": np.fromiter(
-                self._operand_producers, np.int64, len(self._operand_producers)
-            ),
+            "operand_producers": cols.producers,
             "operand_kinds": kind_ids, "kind_vocab": kind_vocab,
-            "operand_offsets": np.fromiter(self._operand_offsets, np.int64, n + 1),
+            "operand_offsets": cols.offsets,
             "result_value": np.array(self._result_value, dtype=object),
             "result_type": result_type_ids, "result_type_vocab": type_vocab_b,
             "predicate": predicate_ids, "predicate_vocab": predicate_vocab,
             "callee": callee_ids, "callee_vocab": callee_vocab,
-            "address": np.fromiter(
-                (-1 if v is None else v for v in self._address), np.int64, n
-            ),
+            "address": cols.address,
             "object_name": object_ids, "object_vocab": object_vocab,
-            "element_index": np.fromiter(
-                (-1 if v is None else v for v in self._element_index), np.int64, n
-            ),
-            "writer_id": np.fromiter(self._writer_id, np.int64, n),
+            "element_index": cols.element,
+            "writer_id": np.frombuffer(self._writer_id, dtype=np.int64),
             "taken_label": taken_ids, "taken_vocab": taken_vocab,
         }
 
@@ -431,40 +571,77 @@ class ColumnarTrace:
                 f"trace artifact has format version {version}, this build "
                 f"expects {cls.FORMAT_VERSION}"
             )
-
-        def decode(ids, vocab, mapper=None):
-            table = [v if mapper is None else mapper(v) for v in vocab.tolist()]
-            return [None if i < 0 else table[i] for i in ids.tolist()]
-
-        def optional(array):
-            return [None if v < 0 else v for v in array.tolist()]
-
         trace = cls()
-        trace._opcode = decode(data["opcode"], data["opcode_vocab"], Opcode)
-        trace._function = decode(data["function"], data["function_vocab"])
-        trace._block = decode(data["block"], data["block_vocab"])
-        trace._static_uid = data["static_uid"].tolist()
-        trace._source_line = optional(data["source_line"])
-        trace._operand_data = data["operand_values"].tolist()
-        trace._operand_types = decode(
-            data["operand_types"], data["operand_type_vocab"], parse_type
-        )
-        trace._operand_producers = data["operand_producers"].tolist()
-        trace._operand_kinds = decode(
-            data["operand_kinds"], data["kind_vocab"], OperandKind
-        )
-        trace._operand_offsets = data["operand_offsets"].tolist()
+        offsets = data["operand_offsets"]
+        uid = data["static_uid"]
+        # the per-event static columns besides the uid and the flat
+        # operand types and kinds
+        statics = {
+            key: data[key]
+            for key in ("opcode", "function", "block", "source_line",
+                        "result_type", "predicate", "callee")
+        }
+        types = data["operand_types"]
+        kinds = data["operand_kinds"]
+
+        # One record per static_uid, taken from its first event, for every
+        # event whose static fields all equal that event's; the others (a
+        # hand-built trace may reuse a uid) get records of their own.
+        _, first, inverse = np.unique(uid, return_index=True, return_inverse=True)
+        rep = first[inverse]
+        counts = np.diff(offsets)
+        same = counts == counts[rep]
+        for column in statics.values():
+            same &= column == column[rep]
+        owner = np.repeat(np.arange(len(uid), dtype=np.int64), counts)
+        source = np.arange(len(types), dtype=np.int64)
+        aligned = same[owner]
+        source[aligned] += (offsets[rep] - offsets[:-1])[owner[aligned]]
+        differs = (types != types[source]) | (kinds != kinds[source])
+        same[owner[differs]] = False
+
+        opcodes = [Opcode(v) for v in data["opcode_vocab"].tolist()]
+        kind_table = [OperandKind(v) for v in data["kind_vocab"].tolist()]
+        type_table = [parse_type(v) for v in data["operand_type_vocab"].tolist()]
+        result_types = [parse_type(v) for v in data["result_type_vocab"].tolist()]
+        vocab = {
+            key: data[key + "_vocab"].tolist()
+            for key in ("function", "block", "predicate", "callee")
+        }
+
+        def record_of(event: int) -> tuple:
+            def named(key):
+                i = int(statics[key][event])
+                return None if i < 0 else vocab[key][i]
+
+            lo, hi = int(offsets[event]), int(offsets[event + 1])
+            line = int(statics["source_line"][event])
+            rtype = int(statics["result_type"][event])
+            return (
+                opcodes[statics["opcode"][event]], named("function"),
+                named("block"), int(uid[event]), None if line < 0 else line,
+                tuple(type_table[t] for t in types[lo:hi].tolist()),
+                tuple(kind_table[k] for k in kinds[lo:hi].tolist()),
+                None if rtype < 0 else result_types[rtype],
+                named("predicate"), named("callee"),
+            )
+
+        table = trace._statics
+        groups = [table.index(record_of(event)) for event in first.tolist()]
+        index = np.array(groups, dtype=np.intc)[inverse]
+        for event in np.flatnonzero(~same).tolist():
+            index[event] = table.index(record_of(event))
+
+        trace._static.frombytes(memoryview(index).cast("B"))
+        trace._operand_values = data["operand_values"].tolist()
+        trace._producers = _int64_buffer(data["operand_producers"])
+        trace._offsets = _int64_buffer(offsets)
         trace._result_value = data["result_value"].tolist()
-        trace._result_type = decode(
-            data["result_type"], data["result_type_vocab"], parse_type
-        )
-        trace._predicate = decode(data["predicate"], data["predicate_vocab"])
-        trace._callee = decode(data["callee"], data["callee_vocab"])
-        trace._address = optional(data["address"])
-        trace._object_name = decode(data["object_name"], data["object_vocab"])
-        trace._element_index = optional(data["element_index"])
-        trace._writer_id = data["writer_id"].tolist()
-        trace._taken_label = decode(data["taken_label"], data["taken_vocab"])
+        trace._address = _int64_buffer(data["address"])
+        trace._object_name = _decode(data["object_name"], data["object_vocab"])
+        trace._element_index = _int64_buffer(data["element_index"])
+        trace._writer_id = _int64_buffer(data["writer_id"])
+        trace._taken_label = _decode(data["taken_label"], data["taken_vocab"])
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

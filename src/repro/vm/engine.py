@@ -19,7 +19,8 @@ flat array of :class:`DecodedOp` records:
   integer compare;
 * branch targets become program-counter indices and all trace-static fields
   (function name, block label, operand types/kinds, predicate) are attached
-  to the op, so untraced runs never touch them.
+  to the op -- bundled as its ``trace_record`` -- so untraced runs never
+  touch them and traced runs record them once per static op.
 
 On top of the decoded representation the engine supports **checkpointing**:
 :class:`Snapshot` captures the complete dynamic state — the call stack with
@@ -34,8 +35,9 @@ run by state digest (see :mod:`repro.core.replay`).
 
 Semantics are bit-identical to the tree-walking interpreter the parity
 tests keep as their oracle: same dynamic-id numbering, same fault hooks,
-same error types, and (when a full sink is attached) the same
-:class:`~repro.tracing.events.TraceEvent` stream.
+same error types, and (when a trace is attached) a
+:class:`~repro.tracing.columnar.ColumnarTrace` whose events equal the
+interpreter's :class:`~repro.tracing.events.TraceEvent` stream.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.ir.function import Function, Module
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.values import Argument, Constant, UndefValue
 from repro.obs.metrics import registry as _metrics_registry
-from repro.tracing.events import OperandKind, TraceEvent
+from repro.tracing.events import OperandKind
 from repro.vm import semantics
 from repro.vm.bits import flip_bit
 from repro.vm.errors import StepLimitExceeded, UnknownIntrinsic, VMError
@@ -191,6 +193,7 @@ class DecodedOp:
         "alloca_hint",
         "alloca_type",
         "alloca_count",
+        "trace_record",
     )
 
     def __init__(self) -> None:
@@ -438,6 +441,13 @@ def _decode_instruction(
             return semantics.eval_conversion(_op, _s, _t, values[0])
 
         op.fn = _conversion
+    # the fields every traced execution of the op shares: its static-op
+    # record in a ColumnarTrace
+    op.trace_record = (
+        opcode, op.function, op.block_label, op.static_uid, op.source_line,
+        op.op_types, op.op_kinds, op.result_type if op.has_result else None,
+        op.predicate_str, op.callee,
+    )
     return op
 
 
@@ -458,7 +468,9 @@ class _Frame:
         self.pc = 0
         self.prev_block = -1
         self.regs: List[object] = [_UNDEF] * df.nslots
-        self.prods: List[int] = [-1] * df.nslots
+        # one slot more than the registers: ``prods[-1]`` stays -1, the
+        # producer of a literal operand (``src`` -1)
+        self.prods: List[int] = [-1] * (df.nslots + 1)
         self.stack_objects = []
         self.ret_slot = -1
         self.ret_dyn = -1
@@ -697,10 +709,12 @@ class Engine:
     raising the VM error types on crashes and hangs and applying at most one
     armed :class:`~repro.vm.faults.FaultSpec`.  On top of that:
 
-    * ``sink`` — a :class:`~repro.tracing.columnar.ColumnarTrace` (or any
-      object with its ``append``) that records one event per executed op,
-      through the op loop on either backend; without one the run records
-      nothing and dispatches fused segments on the block backend;
+    * ``sink`` — a :class:`~repro.tracing.columnar.ColumnarTrace` that
+      records one event per executed op, through the op loop on either
+      backend: the loop hands each op's ``DecodedOp`` and dynamic fields to
+      the trace's bound appends (:meth:`ColumnarTrace.recorder`) and builds
+      no event object; without a sink the run records nothing and
+      dispatches fused segments on the block backend;
     * ``snapshot_interval`` — capture a :class:`Snapshot` every N dynamic
       instructions (position 0 included) into :attr:`snapshots`;
     * ``snapshot_budget`` — cap the snapshot count without knowing the run
@@ -1742,7 +1756,10 @@ class Engine:
         memory = self.memory
         sink = self.sink
         tracing = sink is not None
-        sink_append = sink.append if tracing else None
+        if tracing:
+            (t_statics, t_static, t_values, t_producers, t_offset, t_nvalues,
+             t_result, t_address, t_object, t_element, t_writer,
+             t_taken) = sink.recorder(self._dyn)
         resolve = memory.resolve
         check_access = Memory._check_access_type
         last_writer = self._last_writer
@@ -1854,9 +1871,9 @@ class Engine:
                 # execution
                 # ---------------------------------------------------- #
                 result: Optional[Number] = None
-                address: Optional[int] = None
+                address = -1
                 object_name: Optional[str] = None
-                element_index: Optional[int] = None
+                element_index = -1
                 writer_id = -1
                 taken_label: Optional[str] = None
                 next_pc = pc + 1
@@ -1910,31 +1927,18 @@ class Engine:
                             f"call depth limit ({max_depth}) exceeded"
                         )
                     if tracing:
-                        sink_append(
-                            TraceEvent(
-                                dynamic_id=dyn,
-                                opcode=Opcode.CALL,
-                                function=op.function,
-                                block=op.block_label,
-                                static_uid=op.static_uid,
-                                source_line=op.source_line,
-                                operand_values=tuple(values),
-                                operand_types=op.op_types,
-                                operand_producers=tuple(
-                                    prods[s] if s >= 0 else -1 for s in op.src
-                                ),
-                                operand_kinds=op.op_kinds,
-                                result_value=None,
-                                result_type=op.result_type if op.has_result else None,
-                                predicate=None,
-                                callee=op.callee,
-                                address=None,
-                                object_name=None,
-                                element_index=None,
-                                writer_id=-1,
-                                taken_label=None,
-                            )
-                        )
+                        # the call's event precedes the callee's; its
+                        # result arrives with the callee's return
+                        t_static(t_statics[op])
+                        t_values(values)
+                        t_producers(map(prods.__getitem__, op.src))
+                        t_offset(t_nvalues())
+                        t_result(None)
+                        t_address(-1)
+                        t_object(None)
+                        t_element(-1)
+                        t_writer(-1)
+                        t_taken(None)
                     frame.pc = next_pc
                     callee_frame = _Frame(callee_df)
                     # mirror the interpreter's zip semantics on arity
@@ -1943,9 +1947,9 @@ class Engine:
                     nargs = min(callee_df.nargs, len(values))
                     callee_frame.regs[:nargs] = values[:nargs]
                     if tracing:
-                        callee_frame.prods[:nargs] = [
-                            prods[s] if s >= 0 else -1 for s in op.src[:nargs]
-                        ]
+                        callee_frame.prods[:nargs] = map(
+                            prods.__getitem__, op.src[:nargs]
+                        )
                     callee_frame.ret_slot = op.dest
                     callee_frame.ret_dyn = dyn
                     frames.append(callee_frame)
@@ -1985,31 +1989,16 @@ class Engine:
                         prods[dest] = dyn
 
                 if tracing:
-                    sink_append(
-                        TraceEvent(
-                            dynamic_id=dyn,
-                            opcode=op.opcode,
-                            function=op.function,
-                            block=op.block_label,
-                            static_uid=op.static_uid,
-                            source_line=op.source_line,
-                            operand_values=tuple(values),
-                            operand_types=op.op_types,
-                            operand_producers=tuple(
-                                prods[s] if s >= 0 else -1 for s in op.src
-                            ),
-                            operand_kinds=op.op_kinds,
-                            result_value=result if op.has_result else None,
-                            result_type=op.result_type if op.has_result else None,
-                            predicate=op.predicate_str,
-                            callee=op.callee,
-                            address=address,
-                            object_name=object_name,
-                            element_index=element_index,
-                            writer_id=writer_id,
-                            taken_label=taken_label,
-                        )
-                    )
+                    t_static(t_statics[op])
+                    t_values(values)
+                    t_producers(map(prods.__getitem__, op.src))
+                    t_offset(t_nvalues())
+                    t_result(result if op.has_result else None)
+                    t_address(address)
+                    t_object(object_name)
+                    t_element(element_index)
+                    t_writer(writer_id)
+                    t_taken(taken_label)
                 dyn += 1
 
                 if kind == K_RET:

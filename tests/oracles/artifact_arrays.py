@@ -1,12 +1,13 @@
 """Per-event reference for ``ColumnarTrace._to_arrays``.
 
-The production encoder interns the enum columns from the integer codes of
-:meth:`~repro.tracing.columnar.ColumnarTrace.columns` and the string
-columns with C-level dict passes.  This oracle is the loop it replaced:
-walk every value, probe a dict, append first-seen values to the
-vocabulary.  Both must produce the same ``.npz`` arrays key for key,
-dtype for dtype and byte for byte, and :func:`save_compressed` writes an
-artifact the way the cache wrote them before it stopped compressing.
+The production encoder gathers the static columns from the trace's
+static-op records through its per-event index and interns them with
+array passes.  This oracle walks the reconstructed events instead
+(``for event in trace``): every value, one dict probe each, first-seen
+values appended to the vocabulary.  Both must produce the same ``.npz``
+arrays key for key, dtype for dtype and byte for byte, and
+:func:`save_compressed` writes an artifact the way the cache wrote them
+before it stopped compressing.
 """
 
 from __future__ import annotations
@@ -37,51 +38,61 @@ def _encode(values):
 
 
 def to_arrays(trace: ColumnarTrace) -> Dict[str, object]:
-    """The arrays a ``.npz`` trace artifact holds, one value at a time."""
-    n = len(trace._opcode)
-    opcode_ids, opcode_vocab = _encode([op.value for op in trace._opcode])
-    kind_ids, kind_vocab = _encode([k.value for k in trace._operand_kinds])
-    function_ids, function_vocab = _encode(trace._function)
-    block_ids, block_vocab = _encode(trace._block)
-    predicate_ids, predicate_vocab = _encode(trace._predicate)
-    callee_ids, callee_vocab = _encode(trace._callee)
-    object_ids, object_vocab = _encode(trace._object_name)
-    taken_ids, taken_vocab = _encode(trace._taken_label)
-    operand_type_ids, type_vocab_a = _encode(
-        [None if t is None else t.name for t in trace._operand_types]
-    )
-    result_type_ids, type_vocab_b = _encode(
-        [None if t is None else t.name for t in trace._result_type]
-    )
+    """The arrays a ``.npz`` trace artifact holds, one value at a time.
+
+    Reads the trace through public event iteration only, so it shares
+    nothing with the storage ``_to_arrays`` encodes from.
+    """
+    events = list(trace)
+
+    def column(field):
+        return [getattr(event, field) for event in events]
+
+    def flat(field):
+        return [value for event in events for value in getattr(event, field)]
+
+    def optional(field):
+        return np.array(
+            [-1 if v is None else v for v in column(field)], dtype=np.int64
+        )
+
+    def type_names(types):
+        return [None if t is None else t.name for t in types]
+
+    offsets = [0]
+    for event in events:
+        offsets.append(offsets[-1] + len(event.operand_values))
+    opcode_ids, opcode_vocab = _encode([op.value for op in column("opcode")])
+    kind_ids, kind_vocab = _encode([k.value for k in flat("operand_kinds")])
+    function_ids, function_vocab = _encode(column("function"))
+    block_ids, block_vocab = _encode(column("block"))
+    predicate_ids, predicate_vocab = _encode(column("predicate"))
+    callee_ids, callee_vocab = _encode(column("callee"))
+    object_ids, object_vocab = _encode(column("object_name"))
+    taken_ids, taken_vocab = _encode(column("taken_label"))
+    operand_type_ids, type_vocab_a = _encode(type_names(flat("operand_types")))
+    result_type_ids, type_vocab_b = _encode(type_names(column("result_type")))
     return {
         "version": np.array([trace.FORMAT_VERSION], dtype=np.int64),
         "opcode": opcode_ids, "opcode_vocab": opcode_vocab,
         "function": function_ids, "function_vocab": function_vocab,
         "block": block_ids, "block_vocab": block_vocab,
-        "static_uid": np.fromiter(trace._static_uid, np.int64, n),
-        "source_line": np.fromiter(
-            (-1 if v is None else v for v in trace._source_line), np.int64, n
-        ),
-        "operand_values": np.array(trace._operand_data, dtype=object),
+        "static_uid": np.array(column("static_uid"), dtype=np.int64),
+        "source_line": optional("source_line"),
+        "operand_values": np.array(flat("operand_values"), dtype=object),
         "operand_types": operand_type_ids,
         "operand_type_vocab": type_vocab_a,
-        "operand_producers": np.fromiter(
-            trace._operand_producers, np.int64, len(trace._operand_producers)
-        ),
+        "operand_producers": np.array(flat("operand_producers"), dtype=np.int64),
         "operand_kinds": kind_ids, "kind_vocab": kind_vocab,
-        "operand_offsets": np.fromiter(trace._operand_offsets, np.int64, n + 1),
-        "result_value": np.array(trace._result_value, dtype=object),
+        "operand_offsets": np.array(offsets, dtype=np.int64),
+        "result_value": np.array(column("result_value"), dtype=object),
         "result_type": result_type_ids, "result_type_vocab": type_vocab_b,
         "predicate": predicate_ids, "predicate_vocab": predicate_vocab,
         "callee": callee_ids, "callee_vocab": callee_vocab,
-        "address": np.fromiter(
-            (-1 if v is None else v for v in trace._address), np.int64, n
-        ),
+        "address": optional("address"),
         "object_name": object_ids, "object_vocab": object_vocab,
-        "element_index": np.fromiter(
-            (-1 if v is None else v for v in trace._element_index), np.int64, n
-        ),
-        "writer_id": np.fromiter(trace._writer_id, np.int64, n),
+        "element_index": optional("element_index"),
+        "writer_id": np.array(column("writer_id"), dtype=np.int64),
         "taken_label": taken_ids, "taken_vocab": taken_vocab,
     }
 

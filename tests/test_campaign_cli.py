@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.campaigns.cli import main
+from repro.tracing import ColumnarTrace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -104,6 +105,31 @@ class TestInProcessCommands:
         ) == 0
         report = capsys.readouterr().out
         assert "aDVF" in report
+
+    def test_warm_report_loads_the_golden_trace_once(
+        self, store_path, capsys, monkeypatch
+    ):
+        """With a warm trace cache, ``campaign report --refresh`` loads the
+        artifact once, in the analysis job: the orchestrator only makes
+        sure it exists."""
+        args = ["cg", "--plan", "fixed:16@5", *self._base(store_path)]
+        assert main(["campaign", "run", *args]) == 0  # builds the artifact
+        capsys.readouterr()
+        assert main(["campaign", "report", *args]) == 0
+        first = capsys.readouterr().out
+        loads = []
+        load = ColumnarTrace.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(ColumnarTrace, "load", classmethod(counting_load))
+        assert main(["campaign", "report", *args, "--refresh"]) == 0
+        assert len(loads) == 1
+        # the recomputed aDVF rows equal the first ones
+        assert "aDVF" in first
+        assert capsys.readouterr().out == first
 
     def test_status_by_campaign_id(self, store_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",

@@ -3,9 +3,8 @@
 Contracts under test:
 
 * ``ColumnarTrace`` reconstructs, event for event, the stream the
-  engine's op loop emitted into it (the op loop's stream is checked
-  against the interpreter in ``test_trace_sinks.py`` and
-  ``test_mir_parity.py``);
+  interpreter oracle emits for the run the engine's op loop recorded
+  (also checked in ``test_trace_sinks.py`` and ``test_mir_parity.py``);
 * ``.npz`` artifacts round-trip every event field and reject a foreign
   format version;
 * the trace cache is content-addressed, hit/miss accounted, and honours
@@ -22,7 +21,7 @@ from repro.tracing import ColumnarTrace, TraceCache, trace_digest
 from repro.tracing.events import TraceEvent
 from repro.workloads.registry import get_workload
 
-from test_trace_sinks import _EventList
+from test_trace_sinks import _EventList, _run
 
 _EVENT_FIELDS = TraceEvent.__slots__
 
@@ -36,9 +35,10 @@ def _assert_streams_equal(a, b):
 
 @pytest.fixture()
 def matmul_traces():
-    """(the emitted events, the columnar trace) of matmul's op loop."""
+    """(the interpreter's events, the columnar trace of the op loop) of
+    matmul."""
     workload = get_workload("matmul")
-    full = workload.fresh_instance().run(trace=_EventList(), backend="op").trace
+    full = _run(workload, "interpreter", _EventList())[0].trace
     columnar = workload.fresh_instance().run(
         trace=ColumnarTrace(), backend="op"
     ).trace

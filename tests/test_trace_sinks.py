@@ -1,9 +1,9 @@
 """Trace sinks and the pre-decoded engine's event stream.
 
 The contract under test: the engine produces *bit-identical* executions and
-event streams to the tree-walking interpreter, into any sink implementation,
-on both backends -- a traced run records through the per-op loop
-(``append``) on either, and never dispatches a compiled superinstruction.
+event streams to the tree-walking interpreter, on both backends -- a traced
+run records into a ``ColumnarTrace`` through the per-op loop on either, and
+never dispatches a compiled superinstruction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def _events_equal(a: TraceEvent, b: TraceEvent) -> bool:
 
 
 class _EventList(list):
-    """The events exactly as the executor emitted them."""
+    """The events exactly as the interpreter emitted them (the engine
+    records into a ``ColumnarTrace`` only)."""
 
 
 def _run(workload, executor: str, sink):
@@ -91,7 +92,7 @@ def test_engine_untraced_run_matches_traced_results():
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_columnar_sink_reconstructs_full_events(name):
     workload = get_workload(name)
-    emitted, _ = _run(workload, "op", _EventList())
+    emitted, _ = _run(workload, "interpreter", _EventList())
     compact, _ = _run(workload, "op", ColumnarTrace())
     assert len(emitted.trace) == len(compact.trace)
     for a, b in zip(emitted.trace, compact.trace):
@@ -102,7 +103,7 @@ def test_columnar_sink_random_access_and_histogram():
     workload = get_workload("matmul")
     result, _ = _run(workload, "engine", ColumnarTrace())
     sink = result.trace
-    emitted, _ = _run(workload, "op", _EventList())
+    emitted, _ = _run(workload, "interpreter", _EventList())
     histogram = {}
     for event in emitted.trace:
         histogram[event.opcode.value] = histogram.get(event.opcode.value, 0) + 1
