@@ -1,16 +1,16 @@
-"""A-PIPE — aDVF pipeline microbenchmark: columnar passes vs per-event scans.
+"""A-PIPE — aDVF pipeline microbenchmark: participation pass vs per-event scan.
 
 Measures, per workload (default ``matmul`` and ``cg``):
 
 * **analysis**: one full aDVF analysis of the workload's target objects
   over a pre-built golden trace — the legacy per-event pipeline (the
   ``PerEventEngine`` oracle of ``tests/oracles``: participations from the
-  per-event scan, every verdict from ``OperationMaskingAnalyzer.analyze``)
-  vs the vectorized columnar one (the production engine).  Injection is
-  disabled so the measurement isolates the trace-analysis stack
-  (participation discovery, operation-level masking, propagation,
-  aggregation); propagation, planning and aggregation are the same code
-  on both sides.
+  per-event scan) vs the production engine (participations from the
+  vectorized pass over the trace columns).  Injection is disabled so the
+  measurement isolates the trace-analysis stack (participation discovery,
+  operation-level masking, propagation, aggregation); masking verdicts,
+  propagation, planning and aggregation are the same code on both sides,
+  so the speedup is the participation pass's.
 * **trace acquisition**: recording a fresh golden trace vs loading the
   cached ``.npz`` artifact (what campaign workers and resumed campaigns
   pay);
@@ -156,7 +156,7 @@ def test_bench_advf_pipeline_analysis(once, benchmark):
     for name in WORKLOADS[1:]:
         stats[name] = measure_analysis_speedup(name)
     benchmark.extra_info.update(stats)
-    print_header("aDVF pipeline: columnar passes vs per-event scans")
+    print_header("aDVF pipeline: participation pass vs per-event scan")
     print(json.dumps(stats, indent=2))
     if "matmul" in stats:
         assert stats["matmul"]["analysis_speedup"] >= SPEEDUP_BAR

@@ -419,9 +419,6 @@ def _shard_rows(shards) -> List[Dict[str, object]]:
             "rbatches": shard.batches,
             "memo_hits": shard.memo_hits,
             "memo_misses": shard.memo_misses,
-            "speculated": shard.speculated,
-            "spec_discards": shard.spec_discards,
-            "spec_windows": shard.spec_windows,
         }
         for shard in shards
     ]

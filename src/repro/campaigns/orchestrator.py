@@ -242,6 +242,9 @@ class CampaignOrchestrator:
         self._log = get_logger("campaign")
         #: Registry cursor scoping each run's metrics delta for the store.
         self._run_cursor = f"campaign-run:{self.campaign_id}"
+        #: Memo entries the run's committed shards learned, folded in
+        #: commit order and persisted once when the run ends.
+        self._memo_delta: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #
     # construction from persisted state
@@ -365,6 +368,7 @@ class CampaignOrchestrator:
             self.store.finish_run(
                 self.campaign_id, run_id, counters.executed, counters.skipped
             )
+            self._persist_memo()
             # the campaign.run span (and any other run-scoped spans) closed
             # above, so this final flush captures them as orphan rows
             self._persist_spans(run_id)
@@ -630,20 +634,21 @@ class CampaignOrchestrator:
     def _commit_shard(
         self, task: ShardTask, output: ShardOutput, run_id: int
     ) -> None:
-        """Persist one finished shard: memo entries, outcomes, spans.
+        """Persist one finished shard's outcomes and spans, and fold its
+        learned memo entries into the run's pending delta.
 
         ``duration_s`` is the shard's ``worker.inject`` span — its own
         execution time, not the time it queued in the pipeline window —
         so per-shard rates compare across worker counts."""
         duration = output.inject_s
         stats = output.batch_stats
+        if output.memo_delta:
+            from repro.core.replay import ReplayMemo
+
+            self._memo_delta = ReplayMemo.merge_payloads(
+                self._memo_delta, output.memo_delta
+            )
         with span("campaign.shard", shard=task.index, object=task.object_name):
-            if output.memo_delta:
-                with span(
-                    "campaign.memo_merge", shard=task.index,
-                    object=task.object_name,
-                ):
-                    self._persist_memo(output.memo_delta)
             self.store.record_shard(
                 self.campaign_id,
                 task.index,
@@ -678,25 +683,28 @@ class CampaignOrchestrator:
         ``shipped`` are records a worker process sent back with its shard
         (``worker.inject``, labelled with the shard).  Records from this
         process either carry their own ``shard`` label (``worker.inject``
-        of an in-process shard, ``campaign.shard``,
-        ``campaign.memo_merge``) or are run-scoped phases — trace
-        acquisition, analysis passes — that persist as orphan rows
-        (``shard_index = -1``)."""
+        of an in-process shard, ``campaign.shard``) or are run-scoped
+        phases — trace acquisition, analysis passes, the memo merge — that
+        persist as orphan rows (``shard_index = -1``)."""
         records = list(shipped)
         records.extend(drain_span_records())
         if records:
             self.store.save_run_spans(self.campaign_id, run_id, records)
 
-    def _persist_memo(self, delta: Optional[Dict[str, object]]) -> None:
-        """Fold one shard's learned memo entries into the shared artifact.
+    def _persist_memo(self) -> None:
+        """Fold the memo entries this run's committed shards learned into
+        the shared artifact: one read-merge-write per run.
 
-        Persisted after every shard (not at campaign end) so an interrupted
-        campaign's resume — and any concurrently-starting worker — already
-        warm-starts from the entries completed shards learned.
+        Every worker warm-starts once, at its first shard, so an artifact
+        rewritten mid-run would reach only later runs.  ``run`` calls this
+        when it ends, interrupted or failed runs included, so a resume
+        still warm-starts from what the completed shards learned.
         """
+        delta, self._memo_delta = self._memo_delta, None
         if not delta:
             return
         cache = MemoCache.from_env()
         if cache is None:
             return
-        cache.merge_store(self.trace_digest, delta)
+        with span("campaign.memo_merge"):
+            cache.merge_store(self.trace_digest, delta)

@@ -41,11 +41,11 @@ Design points:
   run) and campaigns stamp the ``repro_version`` that created them, so
   ``python -m repro stats`` renders engine/replay/cache telemetry from
   the store alone and exports carry their provenance.
-* **Speculation telemetry (v6).**  Shards carry the aDVF speculative
-  injection scheduler's counters (``speculated``, ``spec_discards``,
-  ``spec_windows``) next to the replay-batch columns, so
-  ``campaign status`` can show how much of a shard's injection work ran
-  speculatively and how much speculation was discarded.
+* **Speculation columns (v6).**  Defaulted ``speculated``,
+  ``spec_discards`` and ``spec_windows`` shard columns.  Nothing writes
+  them (aDVF analyses commit no shard rows; their batch telemetry is
+  ``AdvfEngine.speculation_stats`` and the ``advf.*`` counters), so they
+  read 0; they stay so that every store keeps one schema.
 * **Run spans (v7).**  The campaign flight recorder: every finished span
   an orchestrator run (or its worker processes) records lands in
   ``run_spans`` — name, parent, nesting depth, recording pid, the shard
@@ -259,13 +259,6 @@ class ShardRecord:
     batches: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    #: aDVF speculative-injection telemetry (v6): pattern resolutions the
-    #: speculation scheduler predicted ahead of their budget decisions,
-    #: how many of those predictions were discarded, and how many
-    #: speculation windows were flushed for the shard.
-    speculated: int = 0
-    spec_discards: int = 0
-    spec_windows: int = 0
 
     @property
     def faults_per_restore(self) -> float:
@@ -819,9 +812,7 @@ class CampaignStore:
 
         ``batch_stats`` (if given) carries the replay-batch scheduler's
         counters for this shard — ``batches``, ``memo_hits`` and
-        ``memo_misses`` are stamped onto the shard row, along with the
-        aDVF speculation counters (``speculated``, ``spec_discards``,
-        ``spec_windows``) when the speculative scheduler ran.
+        ``memo_misses`` are stamped onto the shard row.
         """
         stats = batch_stats or {}
         with self._conn:
@@ -849,8 +840,8 @@ class CampaignStore:
             self._conn.execute(
                 "INSERT INTO shards (campaign_id, shard_index, object_name, batch, "
                 "run_id, spec_count, duration_s, analysis_s, batches, memo_hits, "
-                "memo_misses, speculated, spec_discards, spec_windows, recorded_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "memo_misses, recorded_at) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     campaign_id,
                     shard_index,
@@ -863,9 +854,6 @@ class CampaignStore:
                     int(stats.get("batches", 0)),
                     int(stats.get("memo_hits", 0)),
                     int(stats.get("memo_misses", 0)),
-                    int(stats.get("speculated", 0)),
-                    int(stats.get("spec_discards", 0)),
-                    int(stats.get("spec_windows", 0)),
                     time.time(),
                 ),
             )
@@ -875,8 +863,7 @@ class CampaignStore:
         out: Dict[int, ShardRecord] = {}
         for row in self._conn.execute(
             "SELECT shard_index, object_name, batch, run_id, spec_count, "
-            "duration_s, analysis_s, batches, memo_hits, memo_misses, "
-            "speculated, spec_discards, spec_windows "
+            "duration_s, analysis_s, batches, memo_hits, memo_misses "
             "FROM shards WHERE campaign_id = ? ORDER BY shard_index",
             (campaign_id,),
         ):
@@ -891,9 +878,6 @@ class CampaignStore:
                 batches=int(row[7]),
                 memo_hits=int(row[8]),
                 memo_misses=int(row[9]),
-                speculated=int(row[10]),
-                spec_discards=int(row[11]),
-                spec_windows=int(row[12]),
             )
             out[record.shard_index] = record
         return out

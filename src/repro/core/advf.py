@@ -4,8 +4,9 @@ For every participation of a target data object in the dynamic trace, and
 for every error pattern of the configured error model, the engine decides
 whether the error would be masked:
 
-1. **operation level** — semantic rules over the recorded operand values
-   (:mod:`repro.core.masking`);
+1. **operation level** — semantic rules over the recorded operand values,
+   one :class:`~repro.core.masking.OperationMaskingAnalyzer` verdict per
+   analysed (participation, pattern) (:mod:`repro.core.masking`);
 2. **error propagation level** — bounded forward re-execution over the trace
    (:mod:`repro.core.propagation`);
 3. **algorithm level** — deterministic fault injection plus the workload's
@@ -29,13 +30,8 @@ from repro.core.acceptance import OutcomeClass
 from repro.core.equivalence import EquivalenceCache
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.core.masking import MaskingVerdict, OperationMaskingAnalyzer
-from repro.core.participation import (
-    Participation,
-    ParticipationRole,
-    find_participations,
-)
+from repro.core.participation import Participation, find_participations
 from repro.core.patterns import ErrorPattern, classify_bit
-from repro.core.passes import OperationPasses
 from repro.core.propagation import PropagationAnalyzer
 from repro.core.replay import ReplayContext
 from repro.core.reports import (
@@ -61,9 +57,10 @@ class AdvfEngine:
     ``trace`` may inject a pre-built golden
     :class:`~repro.tracing.columnar.ColumnarTrace` (e.g. one loaded from
     the trace cache by a campaign worker); otherwise the engine records one
-    itself.  Participations and operation-level verdicts come from the
-    vectorized passes over its columns
-    (:class:`~repro.core.passes.OperationPasses`).
+    itself.  Participations come from the vectorized pass over its columns
+    (:func:`~repro.core.participation.find_participations`) and every
+    operation-level verdict from
+    :meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze`.
     """
 
     def __init__(
@@ -78,15 +75,13 @@ class AdvfEngine:
         self._masking: Optional[OperationMaskingAnalyzer] = None
         self._propagation: Optional[PropagationAnalyzer] = None
         self._injector: Optional[DeterministicFaultInjector] = None
-        self._passes: Optional[OperationPasses] = None
         #: Wall-clock seconds per analysis pass (participation discovery,
-        #: bulk operation passes, injection resolution), accumulated across
-        #: analysed objects.
+        #: injection resolution), accumulated across analysed objects.
         self.pass_timings: Dict[str, float] = {}
         #: Injection-batch telemetry, accumulated across analysed objects:
         #: ``speculated`` counts the planned injections submitted and
         #: ``spec_windows`` the ``inject_many`` batches (one per object that
-        #: injects).  The names match the campaign store's shard columns.
+        #: injects).
         self.speculation_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -119,8 +114,6 @@ class AdvfEngine:
             self._masking = OperationMaskingAnalyzer(
                 trace, overshadow_threshold=self.config.overshadow_threshold
             )
-        if self._passes is None:
-            self._passes = OperationPasses(trace, self._masking)
         if self._propagation is None:
             self._propagation = PropagationAnalyzer(
                 trace,
@@ -178,10 +171,6 @@ class AdvfEngine:
             self.pass_timings.get("participation", 0.0)
             + (time.perf_counter() - start)
         )
-        self._passes.prepare(participations)
-        self.pass_timings["operation_passes"] = self._passes.timings.get(
-            "operation_passes", 0.0
-        )
 
         state = _ObjectState(
             injection_cache=EquivalenceCache(
@@ -211,7 +200,7 @@ class AdvfEngine:
         untouched; only ``state.propagation_checks`` is counted here.
         """
         config = self.config
-        verdict_of = self._passes.verdict
+        verdict_of = self._masking.analyze
         can_inject = self._injector is not None  # built iff use_injection
         site_samples = config.equivalence_samples
         injection_samples = config.injection_samples_per_class
@@ -282,7 +271,6 @@ class AdvfEngine:
         counts = {"speculated": len(specs), "spec_windows": 1}
         for key, value in counts.items():
             self.speculation_stats[key] = self.speculation_stats.get(key, 0) + value
-        self._injector.record_speculation(counts)
         reg = _metrics_registry()
         if reg.enabled:
             workload = self.workload.name

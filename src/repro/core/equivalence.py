@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reports import MaskingCategory, MaskingLevel
-from repro.core.patterns import BitClass, classify_bit
-from repro.ir.types import IRType
-
-
-def bit_class_of(bit: int, ir_type: IRType) -> BitClass:
-    """Public re-export of the bit classifier (kept here for discoverability)."""
-    return classify_bit(bit, ir_type)
+from repro.core.patterns import BitClass
 
 
 #: Cache key: (static instruction uid, role, operand index, bit class)

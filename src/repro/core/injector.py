@@ -96,9 +96,6 @@ class DeterministicFaultInjector:
         self.runs = 0
         self._stats_seen: Dict[str, int] = {}
         self._warmed = False
-        #: aDVF speculation telemetry folded into :meth:`consume_batch_stats`
-        #: (stamped per shard next to the scheduler counters).
-        self._speculation: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -174,20 +171,7 @@ class DeterministicFaultInjector:
             for key, value in current.items()
         }
         self._stats_seen = current
-        if self._speculation:
-            for key, value in self._speculation.items():
-                delta[key] = delta.get(key, 0) + value
-            self._speculation = {}
         return delta
-
-    def record_speculation(self, counts: Dict[str, int]) -> None:
-        """Accumulate aDVF injection-batch telemetry (``speculated``, the
-        planned injections submitted, and ``spec_windows``, the
-        ``inject_many`` batches) for the next :meth:`consume_batch_stats`,
-        which stamps it into shard rows."""
-        for key, value in counts.items():
-            if value:
-                self._speculation[key] = self._speculation.get(key, 0) + value
 
     def consume_memo_delta(self) -> Optional[Dict[str, object]]:
         """Payload of memo entries learned since the previous call.

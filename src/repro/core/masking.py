@@ -16,13 +16,19 @@ which of the paper's three operation-level categories:
 When the operation-level evidence is insufficient the verdict marks the
 participation for error-propagation analysis and/or deterministic fault
 injection, mirroring the decision procedure in Fig. 3 of the paper.
+
+:meth:`OperationMaskingAnalyzer.analyze` is the one verdict path: the aDVF
+engine calls it once per analysed (participation, error pattern).  The
+read-modify-write walk of the store-destination rule runs over the trace
+columns and is memoised per store event; the parity suite checks it
+against the event-object walk kept in ``tests/oracles/rmw_walk.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.ir.instructions import (
     ADDITIVE_OPCODES,
@@ -31,16 +37,11 @@ from repro.ir.instructions import (
     Opcode,
     SHIFT_OPCODES,
 )
-from repro.core.participation import (
-    Participation,
-    ParticipationRole,
-    is_read_modify_write,
-)
+from repro.core.participation import Participation, ParticipationRole
 from repro.core.patterns import ErrorPattern
 from repro.core.reexec import ReexecStatus, reevaluate, results_identical
 from repro.core.reports import MaskingCategory, MaskingLevel
-from repro.tracing.cursor import TraceLike
-from repro.tracing.events import TraceEvent
+from repro.tracing.columnar import ColumnarTrace
 
 
 @dataclass
@@ -79,45 +80,52 @@ def _relative_deviation(original: float, corrupted: float) -> float:
     return abs(corrupted - original) / max(abs(original), 1e-300)
 
 
+def category_for(opcode: Opcode) -> MaskingCategory:
+    """Masking category of an operation whose result a corrupted operand
+    leaves unchanged (at the consuming operation or further down the
+    propagation window)."""
+    if opcode in (Opcode.TRUNC, Opcode.FPTRUNC) or opcode in SHIFT_OPCODES:
+        return MaskingCategory.OVERWRITE
+    if (
+        opcode in COMPARISON_OPCODES
+        or opcode in BITWISE_OPCODES
+        or opcode is Opcode.SELECT
+    ):
+        return MaskingCategory.LOGIC_COMPARE
+    # additive, multiplicative, conversion and intrinsic absorption are
+    # magnitude effects: value overshadowing.
+    return MaskingCategory.OVERSHADOW
+
+
 class OperationMaskingAnalyzer:
     """Implements the §III-C operation-level rules over a dynamic trace."""
 
-    def __init__(self, trace: TraceLike, overshadow_threshold: float = 1e-10) -> None:
+    def __init__(
+        self, trace: ColumnarTrace, overshadow_threshold: float = 1e-10
+    ) -> None:
         self.trace = trace
         #: Relative deviation below which an additive result is considered a
         #: value-overshadowing candidate (confirmed by injection when enabled).
         self.overshadow_threshold = overshadow_threshold
+        #: store event id -> is the store a read-modify-write?
+        self._rmw: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------ #
     def analyze(
-        self,
-        participation: Participation,
-        pattern: ErrorPattern,
-        event: Optional[TraceEvent] = None,
+        self, participation: Participation, pattern: ErrorPattern
     ) -> MaskingVerdict:
-        """Operation-level verdict for one participation under one pattern.
-
-        ``event`` may carry the pre-materialised trace event of the
-        participation (columnar consumers cache these); when omitted it is
-        fetched from the trace.
-        """
+        """Operation-level verdict for one participation under one pattern."""
         if participation.role is ParticipationRole.STORE_DEST:
-            return self._analyze_store_destination(participation, event=event)
-        return self._analyze_consumption(participation, pattern, event=event)
+            return self._analyze_store_destination(participation.event_id)
+        return self._analyze_consumption(participation, pattern)
 
     # ------------------------------------------------------------------ #
     # store destinations: value overwriting
     # ------------------------------------------------------------------ #
-    def _analyze_store_destination(
-        self,
-        participation: Participation,
-        event: Optional[TraceEvent] = None,
-        rmw: Optional[bool] = None,
-    ) -> MaskingVerdict:
+    def _analyze_store_destination(self, store_id: int) -> MaskingVerdict:
+        rmw = self._rmw.get(store_id)
         if rmw is None:
-            if event is None:
-                event = self.trace[participation.event_id]
-            rmw = is_read_modify_write(self.trace, event)
+            rmw = self._rmw[store_id] = self._rmw_walk(store_id)
         if rmw:
             # The value written back incorporates the (erroneous) old value;
             # the store does not overwrite the error.  The error's effect is
@@ -134,17 +142,49 @@ class OperationMaskingAnalyzer:
             detail="store overwrites the erroneous element",
         )
 
+    def _rmw_walk(self, store_id: int, max_depth: int = 32) -> bool:
+        """Whether the value stored by event ``store_id`` depends on the
+        destination.
+
+        Walks the producer chain of the stored value, over the trace
+        columns, looking for a load of the same ``(object, element)``.  An
+        accumulation such as ``x[i] = x[i] + v`` is a read-modify-write:
+        the store does *not* overwrite an error sitting in ``x[i]`` because
+        the error has already been folded into the value being written
+        back.
+        """
+        trace = self.trace
+        target_object = trace.object_name_of(store_id)
+        target_element = trace.element_index_of(store_id)
+        if target_object is None or target_element is None:
+            return False
+        opcode_of = trace.opcode_of
+        producers_of = trace.operand_producers_of
+        worklist = [producers_of(store_id)[0]]
+        seen = set()
+        depth = 0
+        while worklist and depth < max_depth:
+            depth += 1
+            producer_id = worklist.pop()
+            if producer_id < 0 or producer_id in seen:
+                continue
+            seen.add(producer_id)
+            if (
+                opcode_of(producer_id) is Opcode.LOAD
+                and trace.object_name_of(producer_id) == target_object
+                and trace.element_index_of(producer_id) == target_element
+            ):
+                return True
+            worklist.extend(producers_of(producer_id))
+        return False
+
     # ------------------------------------------------------------------ #
     # consumed values
     # ------------------------------------------------------------------ #
     def _analyze_consumption(
-        self,
-        participation: Participation,
-        pattern: ErrorPattern,
-        event: Optional[TraceEvent] = None,
+        self, participation: Participation, pattern: ErrorPattern
     ) -> MaskingVerdict:
-        if event is None:
-            event = self.trace[participation.event_id]
+        event = self.trace[participation.event_id]
         index = participation.operand_index
         opcode = event.opcode
         original_value = event.operand_values[index]
@@ -200,7 +240,7 @@ class OperationMaskingAnalyzer:
 
         recomputed = reexec.value
         identical = results_identical(event, recomputed)
-        category = self._category_for(opcode, index)
+        category = category_for(opcode)
 
         if identical:
             return MaskingVerdict(
@@ -233,19 +273,3 @@ class OperationMaskingAnalyzer:
                     f"threshold"
                 )
         return verdict
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _category_for(opcode: Opcode, operand_index: int) -> MaskingCategory:
-        """Operation-level category when the recomputed result is unchanged."""
-        if opcode in (Opcode.TRUNC, Opcode.FPTRUNC) or opcode in SHIFT_OPCODES:
-            return MaskingCategory.OVERWRITE
-        if (
-            opcode in COMPARISON_OPCODES
-            or opcode in BITWISE_OPCODES
-            or opcode is Opcode.SELECT
-        ):
-            return MaskingCategory.LOGIC_COMPARE
-        # additive, multiplicative, conversion and intrinsic absorption are
-        # magnitude effects: value overshadowing.
-        return MaskingCategory.OVERSHADOW

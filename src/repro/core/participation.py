@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -36,10 +36,6 @@ from repro.tracing.columnar import (
     STORE_CODE,
     ColumnarTrace,
 )
-from repro.tracing.events import TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
-    from repro.tracing.cursor import TraceLike
 
 
 class ParticipationRole(enum.Enum):
@@ -171,36 +167,6 @@ def _find_participations_columnar(
                 )
             )
     return out
-
-
-def is_read_modify_write(
-    trace: TraceLike, store_event: TraceEvent, max_depth: int = 32
-) -> bool:
-    """Whether the value stored by ``store_event`` depends on the destination.
-
-    Walks the producer chain of the stored value looking for a load of the
-    same ``(object, element)``.  An accumulation such as ``x[i] = x[i] + v``
-    is a read-modify-write: the store does *not* overwrite an error sitting
-    in ``x[i]`` because the error has already been folded into the value
-    being written back.
-    """
-    target = store_event.touches
-    if target is None:
-        return False
-    worklist = [store_event.operand_producers[0]]
-    seen = set()
-    depth = 0
-    while worklist and depth < max_depth:
-        depth += 1
-        producer_id = worklist.pop()
-        if producer_id < 0 or producer_id in seen:
-            continue
-        seen.add(producer_id)
-        producer = trace[producer_id]
-        if producer.is_load and producer.touches == target:
-            return True
-        worklist.extend(producer.operand_producers)
-    return False
 
 
 def participation_counts_by_role(

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.ir.instructions import Opcode
+from repro.core.masking import category_for
 from repro.core.reports import MaskingCategory
 from repro.core.participation import Participation, ParticipationRole
 from repro.core.patterns import ErrorPattern
@@ -306,7 +306,7 @@ class PropagationAnalyzer:
                 continue
 
             if results_identical(event, reexec.value):
-                category = self._absorption_category(event.opcode)
+                category = category_for(event.opcode)
                 category_votes[category] = category_votes.get(category, 0) + 1
             else:
                 corrupted_values[event_id] = reexec.value
@@ -412,20 +412,6 @@ class PropagationAnalyzer:
                     values = list(event.operand_values)
                 values[i] = corrupted_values[producer]
         return values
-
-    @staticmethod
-    def _absorption_category(opcode: Opcode) -> MaskingCategory:
-        from repro.ir.instructions import (
-            BITWISE_OPCODES,
-            COMPARISON_OPCODES,
-            SHIFT_OPCODES,
-        )
-
-        if opcode in (Opcode.TRUNC, Opcode.FPTRUNC) or opcode in SHIFT_OPCODES:
-            return MaskingCategory.OVERWRITE
-        if opcode in COMPARISON_OPCODES or opcode in BITWISE_OPCODES or opcode is Opcode.SELECT:
-            return MaskingCategory.LOGIC_COMPARE
-        return MaskingCategory.OVERSHADOW
 
     def _diverged(
         self,

@@ -3,8 +3,9 @@
 Both the operation-level masking rules and the error-propagation analysis
 answer the question "what would this instruction have produced if operand
 *i* held a corrupted value?" *without running the program*.  This module
-maps a recorded :class:`~repro.tracing.events.TraceEvent` plus substituted
-operand values onto the shared arithmetic in :mod:`repro.vm.semantics`.
+maps a recorded :class:`~repro.tracing.events.TraceEvent` (the event view
+``ColumnarTrace[dynamic_id]`` returns) plus substituted operand values onto
+the shared arithmetic in :mod:`repro.vm.semantics`.
 
 Events that cannot be re-evaluated locally (user-function calls, loads and
 stores whose *address* operand changed, branches) are reported as such so the
@@ -24,7 +25,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import PointerType
 from repro.frontend.intrinsics import INTRINSICS
-from repro.tracing.cursor import TraceCursor, TraceLike
 from repro.tracing.events import TraceEvent
 from repro.vm import semantics
 from repro.vm.errors import ArithmeticFault
@@ -132,23 +132,6 @@ def reevaluate(event: TraceEvent, values: Sequence[Number]) -> ReexecResult:
         return ReexecResult(ReexecStatus.VALUE, result)
     except ArithmeticFault as exc:
         return ReexecResult(ReexecStatus.TRAPPED, detail=str(exc))
-
-
-def reevaluate_at(
-    source: TraceLike, dynamic_id: int, values: Sequence[Number]
-) -> ReexecResult:
-    """Re-evaluate the event at ``dynamic_id`` of any trace-like source.
-
-    Cursor-API companion of :func:`reevaluate`: works against the full
-    in-memory trace or a columnar sink without the caller materialising the
-    event first.
-    """
-    event = TraceCursor(source, dynamic_id).peek()
-    if event is None:
-        raise IndexError(
-            f"dynamic id {dynamic_id} out of range for trace of {len(source)}"
-        )
-    return reevaluate(event, values)
 
 
 def results_identical(event: TraceEvent, recomputed: Optional[Number]) -> bool:

@@ -12,7 +12,7 @@ are not required to be unique (the printer numbers unnamed values).
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Union
+from typing import Union
 
 from repro.ir.types import IRType, F32, F64, I1
 
@@ -102,17 +102,3 @@ class UndefValue(Value):
 
     def short(self) -> str:
         return "undef"
-
-
-def as_operand(value: Union[Value, int, float], type: Optional[IRType] = None) -> Value:
-    """Coerce a Python scalar to a :class:`Constant` operand.
-
-    Instruction-builder helpers accept raw Python numbers for convenience;
-    this converts them using ``type`` as the target (required for raw
-    numbers, ignored for existing :class:`Value` instances).
-    """
-    if isinstance(value, Value):
-        return value
-    if type is None:
-        raise TypeError("a type is required to coerce a Python scalar to a Constant")
-    return Constant(type, value)

@@ -41,9 +41,9 @@ from repro.protection.schemes import (
     WorkloadCostInputs,
     applicable_schemes,
 )
-from repro.tracing.cursor import TraceLike
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.tracing.columnar import ColumnarTrace
     from repro.workloads.base import Workload
 
 #: Default share of a correcting scheme's value credited to detection-only
@@ -181,7 +181,7 @@ class ProtectionAdvisor:
     def __init__(
         self,
         workload: "Workload",
-        trace: TraceLike,
+        trace: "ColumnarTrace",
         workload_kwargs: Optional[Dict[str, object]] = None,
         schemes: Optional[Sequence[str]] = None,
         detection_credit: float = DETECTION_CREDIT,

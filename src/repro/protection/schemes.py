@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.tracing.cache import TraceCache, trace_digest
-from repro.tracing.cursor import TraceLike
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
+    from repro.tracing.columnar import ColumnarTrace
     from repro.workloads.base import Workload
 
 
@@ -108,7 +108,7 @@ class WorkloadCostInputs:
 
     @classmethod
     def from_workload(
-        cls, workload: "Workload", trace: TraceLike
+        cls, workload: "Workload", trace: "ColumnarTrace"
     ) -> "WorkloadCostInputs":
         """Derive the inputs from a golden trace plus the initial memory."""
         memory = workload.fresh_instance().memory

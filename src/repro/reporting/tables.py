@@ -147,13 +147,8 @@ def format_shard_table(
     ``memo_misses`` — schema v4) add the batched-replay scheduler view:
     lockstep walks (= snapshot restores) per shard, the resulting
     faults-per-restore amortization, and the convergence-memo hit rate
-    among divergent replays.  Optional speculation keys (``speculated``,
-    ``spec_discards``, ``spec_windows`` — schema v6) add the aDVF
-    speculative-injection view: pattern resolutions predicted ahead of
-    their budget decisions, the fraction of those predictions that were
-    discarded, and the number of speculation windows flushed.  Shards
-    recorded before batching/speculation (or by workers without them)
-    render ``-`` in those columns.
+    among divergent replays.  Shards recorded before batching render
+    ``-`` in those columns.
     """
     rendered = []
     for row in (rows if limit is None else rows[-limit:]):
@@ -162,9 +157,6 @@ def format_shard_table(
         batches = int(row.get("rbatches", 0))  # type: ignore[arg-type]
         memo_hits = int(row.get("memo_hits", 0))  # type: ignore[arg-type]
         memo_probes = memo_hits + int(row.get("memo_misses", 0))  # type: ignore[arg-type]
-        speculated = int(row.get("speculated", 0))  # type: ignore[arg-type]
-        spec_discards = int(row.get("spec_discards", 0))  # type: ignore[arg-type]
-        spec_windows = int(row.get("spec_windows", 0))  # type: ignore[arg-type]
         rendered.append(
             [
                 row["shard"],
@@ -178,15 +170,11 @@ def format_shard_table(
                 batches if batches else "-",
                 f"{specs / batches:.1f}" if batches else "-",
                 f"{memo_hits / memo_probes:.2f}" if memo_probes else "-",
-                speculated if speculated else "-",
-                f"{spec_discards / speculated:.2f}" if speculated else "-",
-                spec_windows if spec_windows else "-",
             ]
         )
     return format_table(
         ["shard", "object", "batch", "run", "specs", "inject s", "analysis s",
-         "specs/s", "rbatch", "faults/restore", "memo hit", "specul",
-         "discard", "windows"],
+         "specs/s", "rbatch", "faults/restore", "memo hit"],
         rendered,
     )
 

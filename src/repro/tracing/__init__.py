@@ -9,15 +9,16 @@ events to count error-masking opportunities per data object.
 
 Every trace is recorded, analysed, cached and loaded as one
 :class:`~repro.tracing.columnar.ColumnarTrace`, the only sink the engine
-records into; a run that needs no events takes no sink at all.
+records into; a run that needs no events takes no sink at all.  The
+analyses read it by dynamic id (``trace[i]`` builds one event view) or
+through its NumPy columns; there is no other trace reader.
 
 Public API
 ----------
 :class:`~repro.tracing.events.TraceEvent`,
 :class:`~repro.tracing.events.OperandKind`,
 :class:`~repro.tracing.columnar.ColumnarTrace`,
-:class:`~repro.tracing.cache.TraceCache`,
-:class:`~repro.tracing.cursor.TraceCursor`.
+:class:`~repro.tracing.cache.TraceCache`.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +27,6 @@ __getattr__, __all__ = lazy_exports(
     __name__,
     {
         "events": ("OperandKind", "TraceEvent"),
-        "cursor": ("TraceCursor", "TraceLike"),
         "columnar": ("ColumnarTrace", "TraceColumns"),
         "cache": ("TraceCache", "trace_digest"),
     },

@@ -297,7 +297,7 @@ class ColumnarTrace:
         return trace
 
     # ------------------------------------------------------------------ #
-    # read access (TraceLike: len / getitem / iter)
+    # read access: len / getitem by dynamic id / iter
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._static)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 class FaultTarget(enum.Enum):
@@ -88,14 +88,3 @@ class FaultSpec:
             FaultTarget.STORE_DEST_OLD: "store destination (old value)",
         }[self.target]
         return f"flip bit {self.bit} of {where} at dynamic instruction {self.dynamic_id}"
-
-
-@dataclass(frozen=True)
-class FaultOutcomeRecord:
-    """Raw record of what a faulty execution did (filled by the injectors)."""
-
-    spec: FaultSpec
-    crashed: bool
-    crash_reason: Optional[str]
-    numerically_identical: bool
-    acceptable: bool

@@ -7,16 +7,12 @@ replaced: walk the participations and their error patterns in order, make
 each sampling decision against the live equivalence caches, and resolve an
 in-budget site with a one-fault
 :meth:`DeterministicFaultInjector.inject_many` call the moment it is
-reached.  Every verdict comes from
-:meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze` (the per-event
-rules) rather than from the vectorized operation passes, and a saturated
-class is estimated pattern by pattern from the live cache instead of
-replaying a frozen tail.
+reached, and estimate a saturated class pattern by pattern from the live
+cache instead of replaying a frozen tail.
 
-:class:`PerEventEngine` runs the production plan on the per-event path
-instead: participations from the scan of :mod:`oracles.participation_scan`
-and every verdict from the same analyzer, so the vectorized pipeline can be
-checked (and timed) end to end against it.
+:class:`PerEventEngine` runs the production plan on the participations of
+the per-event scan of :mod:`oracles.participation_scan`, so the vectorized
+participation pass can be checked (and timed) end to end against it.
 """
 
 from __future__ import annotations
@@ -36,24 +32,10 @@ from oracles.participation_scan import scan_participations
 Resolution = Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]
 
 
-class _AnalyzerVerdicts:
-    """Stands in for :class:`~repro.core.passes.OperationPasses` in the
-    plan: every verdict from ``OperationMaskingAnalyzer.analyze``."""
-
-    def __init__(self, masking) -> None:
-        self.verdict = masking.analyze
-
-
 class PerEventEngine(AdvfEngine):
-    """:class:`AdvfEngine` on the per-event path: participations from the
-    scan, every verdict from the analyzer, none from the vectorized
-    passes.  Planning, injection and accumulation are the production
+    """:class:`AdvfEngine` with participations from the per-event scan.
+    Verdicts, planning, injection and accumulation are the production
     ones."""
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        if not isinstance(self._passes, _AnalyzerVerdicts):
-            self._passes = _AnalyzerVerdicts(self._masking)
 
     def analyze_object(self, object_name: str) -> ObjectReport:
         self._prepare()

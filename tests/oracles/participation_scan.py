@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.participation import Participation, ParticipationRole
-from repro.tracing.cursor import TraceLike
+from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.events import OperandKind, TraceEvent
 
 
 def operand_is_direct_load_of(
-    trace: TraceLike, event: TraceEvent, operand_index: int, object_name: str
+    trace: ColumnarTrace, event: TraceEvent, operand_index: int, object_name: str
 ) -> Optional[Tuple[int, int]]:
     """``(element index, load id)`` when the operand is a direct load hit."""
     if event.operand_kinds[operand_index] is not OperandKind.INSTRUCTION:
@@ -32,7 +32,7 @@ def operand_is_direct_load_of(
 
 
 def scan_participations(
-    trace: TraceLike,
+    trace: ColumnarTrace,
     object_name: str,
     max_participations: Optional[int] = None,
 ) -> List[Participation]:

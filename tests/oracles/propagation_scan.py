@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.core.masking import MaskingCategory
+from repro.core.masking import MaskingCategory, category_for
 from repro.core.participation import Participation, ParticipationRole
 from repro.core.patterns import ErrorPattern
-from repro.core.propagation import PropagationAnalyzer, PropagationResult
+from repro.core.propagation import PropagationResult
 from repro.core.reexec import ReexecStatus, reevaluate, results_identical
-from repro.tracing.cursor import TraceCursor, TraceLike
+from repro.tracing.columnar import ColumnarTrace
 
 
 class ScanPropagationAnalyzer:
@@ -25,7 +25,7 @@ class ScanPropagationAnalyzer:
 
     def __init__(
         self,
-        trace: TraceLike,
+        trace: ColumnarTrace,
         k: int = 50,
         output_objects: Optional[Set[str]] = None,
     ) -> None:
@@ -119,7 +119,8 @@ class ScanPropagationAnalyzer:
                 contaminated_objects=contaminated,
             )
 
-        for event in TraceCursor(self.trace, position + 1).take(self.k):
+        for event_id in range(position + 1, end):
+            event = self.trace[event_id]
             steps += 1
             self._drop_dead(corrupted_values, corrupted_memory, event.dynamic_id)
             if not corrupted_values and not corrupted_memory:
@@ -176,7 +177,7 @@ class ScanPropagationAnalyzer:
                 continue
 
             if results_identical(event, reexec.value):
-                category = PropagationAnalyzer._absorption_category(event.opcode)
+                category = category_for(event.opcode)
                 category_votes[category] = category_votes.get(category, 0) + 1
             else:
                 corrupted_values[event.dynamic_id] = reexec.value

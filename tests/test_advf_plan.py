@@ -157,11 +157,16 @@ class TestTelemetry:
         assert "spec_discards" not in stats
 
     def test_injector_folds_batches_into_batch_stats(self):
+        """The injector's delta carries the replay scheduler's counters
+        only: every planned injection replayed as one fault, at least one
+        replay batch per ``inject_many`` window, and no aDVF speculation
+        telemetry."""
         engine = _engine("cg")
         engine.analyze()
         delta = engine._injector.consume_batch_stats()
-        assert delta["speculated"] == engine.speculation_stats["speculated"]
-        assert delta["spec_windows"] == engine.speculation_stats["spec_windows"]
+        assert delta["faults"] == engine.speculation_stats["speculated"]
+        assert delta["batches"] >= engine.speculation_stats["spec_windows"]
+        assert not {"speculated", "spec_windows", "spec_discards"} & set(delta)
         # consumed: the next delta starts from zero again
         follow_up = engine._injector.consume_batch_stats()
-        assert follow_up.get("speculated", 0) == 0
+        assert follow_up.get("faults", 0) == 0

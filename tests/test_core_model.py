@@ -26,7 +26,6 @@ from repro.core.masking import (
 from repro.core.participation import (
     ParticipationRole,
     find_participations,
-    is_read_modify_write,
     participation_counts_by_role,
 )
 from repro.core.patterns import (
@@ -42,6 +41,7 @@ from repro.core.reexec import ReexecStatus, reevaluate
 from repro.ir.types import F32, F64, I32, I64
 from repro.ir.instructions import Opcode
 
+from oracles.rmw_walk import is_read_modify_write
 
 # --------------------------------------------------------------------- #
 # acceptance

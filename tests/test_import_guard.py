@@ -30,7 +30,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _NOT_ON_CAMPAIGN_PATH = (
     "repro.core.advf",
     "repro.core.propagation",
-    "repro.core.passes",
+    "repro.core.masking",
     "repro.core.reexec",
     "repro.core.rfi",
     "repro.core.exhaustive",

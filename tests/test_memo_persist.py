@@ -377,6 +377,37 @@ class TestCampaignWarmStart:
         assert "memo store" in out and "warm-start hits" in out
         assert "speculation" in out
 
+    def test_campaign_persists_the_memo_once_per_run(
+        self, caches, capsys, monkeypatch
+    ):
+        """Shards' learned entries are folded in memory and merged into the
+        artifact once per run — an interrupted run included — not once per
+        shard."""
+        merges = []
+        merge_store = MemoCache.merge_store
+
+        def counting(self, digest, delta):
+            merges.append(len(delta["keys"]))
+            return merge_store(self, digest, delta)
+
+        monkeypatch.setattr(MemoCache, "merge_store", counting)
+        store_path = str(caches / "once.sqlite")
+        assert main([*CAMPAIGN_ARGS, "--workers", "1", "--max-shards", "2",
+                     "--store", store_path]) == 0
+        assert len(merges) == 1 and merges[0] > 0
+        assert main([*CAMPAIGN_ARGS, "--workers", "1",
+                     "--store", store_path]) == 0
+        capsys.readouterr()
+        assert len(merges) == 2
+        with CampaignStore(store_path) as store:
+            (record,) = store.campaigns()
+            shards = store.completed_shards(record.campaign_id)
+            runs = sorted(store.run_metrics(record.campaign_id))
+        assert len(shards) > 3
+        for run_id in runs:
+            counters = _memo_counters(store_path, run_id=run_id)
+            assert counters.get("replay.memo_persist_merges", 0) == 1
+
     def test_resumed_campaign_answers_from_memo(self, caches, capsys):
         """An interrupted campaign resumes with a warm memo: the artifact
         persisted by earlier runs answers replays in the resumed run."""

@@ -1,11 +1,11 @@
 """Parity oracle: the vectorized columnar pipeline vs the per-event one.
 
 The acceptance bar of the columnar pipeline is *bit identity*: the
-vectorized participation pass, the bulk operation-level passes and the
-tail-accelerated aDVF aggregation must reproduce the per-event reading
-exactly — same participation lists as the scan of
-:mod:`oracles.participation_scan`, same ``MaskingVerdict`` per
-(participation, pattern) as ``OperationMaskingAnalyzer.analyze``, and
+vectorized participation pass, the column-backed read-modify-write walk of
+``OperationMaskingAnalyzer`` and the tail-accelerated aDVF aggregation must
+reproduce the per-event reading exactly — same participation lists as the
+scan of :mod:`oracles.participation_scan`, same read-modify-write flag per
+store as the event-object walk of :mod:`oracles.rmw_walk`, and
 byte-identical aDVF numbers (value, per-level and per-category breakdowns,
 the Figs. 4–5 tables) on every registered workload.
 """
@@ -16,11 +16,11 @@ import pytest
 
 from oracles.advf_sequential import PerEventEngine
 from oracles.participation_scan import scan_participations
+from oracles.rmw_walk import is_read_modify_write
 from repro.core.advf import AdvfEngine, AnalysisConfig
-from repro.core.masking import OperationMaskingAnalyzer
-from repro.core.participation import find_participations
-from repro.core.passes import OperationPasses
-from repro.core.patterns import SingleBitModel
+from repro.core.masking import MaskingCategory, OperationMaskingAnalyzer
+from repro.core.participation import ParticipationRole, find_participations
+from repro.core.patterns import ErrorPattern, SingleBitModel
 from repro.core.replay import ReplayContext
 from repro.core.sites import FaultSite, enumerate_fault_sites
 from repro.tracing import ColumnarTrace
@@ -85,34 +85,41 @@ def test_fault_sites_match(traced, name):
 
 
 # --------------------------------------------------------------------- #
-# operation-level verdict parity (bulk passes vs the per-event analyzer)
+# store-destination verdict parity (column walk vs event-object walk)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_masking_verdicts_match_verdict_for_verdict(traced, name):
-    workload, trace = traced[name]
-    oracle = OperationMaskingAnalyzer(trace)
-    passes = OperationPasses(trace, OperationMaskingAnalyzer(trace))
-    model = SingleBitModel(bit_stride=5)
-    for object_name in workload.target_objects:
-        participations = scan_participations(
-            trace, object_name, max_participations=60
-        )
-        passes.prepare(participations)
-        for participation in participations:
-            for pattern in model.patterns_for(participation.value_type):
-                expected = oracle.analyze(participation, pattern)
-                assert passes.verdict(participation, pattern) == expected, (
-                    name, object_name, participation, pattern
-                )
+    """Every store destination of every data object: the analyzer's
+    column walk gives the event walk's read-modify-write flag, and its
+    verdict is the one that flag implies."""
+    _, trace = traced[name]
+    analyzer = OperationMaskingAnalyzer(trace)
+    pattern = ErrorPattern((0,))
+    stores = 0
+    for object_name in trace.columns().object_index:
+        for participation in find_participations(trace, object_name):
+            if participation.role is not ParticipationRole.STORE_DEST:
+                continue
+            stores += 1
+            rmw = is_read_modify_write(trace, trace[participation.event_id])
+            assert analyzer._rmw_walk(participation.event_id) is rmw, (
+                name, object_name, participation
+            )
+            verdict = analyzer.analyze(participation, pattern)
+            assert verdict.masked is (not rmw)
+            assert verdict.resolved
+            assert verdict.category is (
+                None if rmw else MaskingCategory.OVERWRITE
+            )
+    assert stores
 
 
 # --------------------------------------------------------------------- #
 # end-to-end aDVF bit identity
 # --------------------------------------------------------------------- #
 def _advf(workload, pipeline, **overrides):
-    """aDVF reports on the vectorized passes (``"columnar"``) or on the
-    participation scan with every verdict from the per-event analyzer
-    (``"per-event"``)."""
+    """aDVF reports on the vectorized participation pass (``"columnar"``)
+    or on the per-event participation scan (``"per-event"``)."""
     build = PerEventEngine if pipeline == "per-event" else AdvfEngine
     return build(workload, AnalysisConfig(**overrides)).analyze()
 

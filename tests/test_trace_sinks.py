@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tracing import ColumnarTrace, TraceCursor
+from repro.tracing import ColumnarTrace
 from repro.tracing.events import TraceEvent
 from repro.vm import Engine
 from repro.workloads.registry import get_workload
@@ -143,49 +143,27 @@ def test_columnar_sink_rejects_out_of_order_appends():
 
 
 # --------------------------------------------------------------------- #
-# cursor API
+# re-evaluating recorded events
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("source_cls", [list, ColumnarTrace])
 def test_reevaluate_at_over_any_trace_like_source(source_cls):
-    """The cursor-based re-evaluation works against any trace-like source:
-    a columnar trace or a plain list of events."""
-    from repro.core.reexec import ReexecStatus, reevaluate_at
+    """Re-evaluating the event at a dynamic id with its own recorded
+    operands reproduces its result, whether the event is read from the
+    columnar trace or from a plain list of its events."""
+    from repro.core.reexec import ReexecStatus, reevaluate
 
     workload = get_workload("matmul")
     result, _ = _run(workload, "engine", ColumnarTrace())
     source = result.trace if source_cls is ColumnarTrace else list(result.trace)
-    # recomputing an event with its own recorded operands reproduces its result
     checked = 0
-    for event in source:
+    for dynamic_id in range(len(source)):
+        event = source[dynamic_id]
         if event.result_value is None or event.is_load or event.is_call:
             continue
-        outcome = reevaluate_at(source, event.dynamic_id, event.operand_values)
+        outcome = reevaluate(event, event.operand_values)
         if outcome.status is ReexecStatus.VALUE:
-            assert outcome.value == event.result_value, event.dynamic_id
+            assert outcome.value == event.result_value, dynamic_id
             checked += 1
         if checked >= 50:
             break
     assert checked >= 10
-    with pytest.raises(IndexError):
-        reevaluate_at(source, len(source), ())
-    with pytest.raises(ValueError):
-        reevaluate_at(source, -1, ())
-
-
-@pytest.mark.parametrize("source_cls", [list, ColumnarTrace])
-def test_cursor_over_any_trace_like_source(source_cls):
-    workload = get_workload("matmul")
-    result, _ = _run(workload, "engine", ColumnarTrace())
-    source = result.trace if source_cls is ColumnarTrace else list(result.trace)
-    cursor = TraceCursor(source)
-    assert cursor.peek().dynamic_id == 0
-    assert cursor.advance().dynamic_id == 0
-    assert cursor.position == 1
-    window = list(cursor.seek(10).take(5))
-    assert [e.dynamic_id for e in window] == [10, 11, 12, 13, 14]
-    assert cursor.position == 15
-    cursor.seek(len(source))
-    assert cursor.exhausted and cursor.peek() is None and cursor.remaining() == 0
-    # a window over the end is truncated, not an error
-    tail = list(cursor.seek(len(source) - 2).take(10))
-    assert len(tail) == 2
