@@ -124,7 +124,7 @@ def measure_replay_speedup(workload_name: str = WORKLOAD, faults: int = FAULTS):
         "seed_rerun_s": t_seed,
         "replay_s": t_replay,
         "replay_speedup": t_seed / t_replay if t_replay else float("inf"),
-        "converged_replays": context.converged_replays,
+        "converged_replays": context.stats.converged,
         "faults_per_s": len(specs) / t_replay if t_replay else float("inf"),
     }
 

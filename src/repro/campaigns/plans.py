@@ -32,7 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.sites import FaultSite, FaultSitePool, enumerate_fault_sites
+from repro.core.sites import (
+    FaultSite,
+    FaultSitePool,
+    enumerate_fault_sites,
+    strided_subsample,
+)
 from repro.campaigns.stats import wilson_half_width, z_for_confidence
 from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
@@ -210,10 +215,7 @@ class ValidationPlan(StaticPlan):
     kind = "validation"
 
     def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
-        sites = self.site_pool(trace, object_name)
-        if self.tests is not None and len(sites) > self.tests:
-            stride = len(sites) / self.tests
-            sites = [sites[int(i * stride)] for i in range(self.tests)]
+        sites = strided_subsample(self.site_pool(trace, object_name), self.tests)
         return [site.to_spec() for site in sites]
 
     def describe(self) -> str:

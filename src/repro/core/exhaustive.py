@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.acceptance import OutcomeClass
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
-from repro.core.sites import FaultSitePool, enumerate_fault_sites
+from repro.core.sites import FaultSitePool, enumerate_fault_sites, strided_subsample
 from repro.tracing.columnar import ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
@@ -98,9 +98,7 @@ class ExhaustiveCampaign:
         """Inject into every (sampled) site of ``object_name``."""
         sites = self.sites_for(trace, object_name)
         total = len(sites)
-        if self.max_injections is not None and total > self.max_injections:
-            stride = total / self.max_injections
-            sites = [sites[int(i * stride)] for i in range(self.max_injections)]
+        sites = strided_subsample(sites, self.max_injections)
         outcomes: Dict[OutcomeClass, int] = {}
         # one batched submission: the replay scheduler groups the sites by
         # snapshot interval and shares the suffix walk across them

@@ -70,21 +70,13 @@ class DeterministicFaultInjector:
         self,
         workload: Workload,
         check_return_value: Optional[bool] = None,
-        checkpoint_interval: Optional[int] = None,
-        target_checkpoints: int = 64,
         context: Optional[ReplayContext] = None,
         memo_key: Optional[str] = None,
     ) -> None:
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
-            )
         self.workload = workload
         if check_return_value is None:
             check_return_value = getattr(workload, "check_return_value", True)
         self.check_return_value = check_return_value
-        self.checkpoint_interval = checkpoint_interval
-        self.target_checkpoints = target_checkpoints
         self._golden: Optional[RunOutcome] = None
         #: A caller-supplied golden run + snapshot schedule may be shared
         #: (e.g. the aDVF engine records its golden trace during the same
@@ -102,11 +94,7 @@ class DeterministicFaultInjector:
     def context(self) -> ReplayContext:
         """The shared golden run + snapshot schedule (built on first use)."""
         if self._context is None:
-            self._context = ReplayContext(
-                self.workload,
-                checkpoint_interval=self.checkpoint_interval,
-                target_checkpoints=self.target_checkpoints,
-            )
+            self._context = ReplayContext(self.workload)
         self._warm_start()
         return self._context
 

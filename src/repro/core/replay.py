@@ -9,7 +9,8 @@ campaign.
 :class:`ReplayContext` removes it:
 
 1. run the workload **once**, capturing a :class:`~repro.vm.engine.Snapshot`
-   schedule (complete dynamic state every *interval* instructions);
+   schedule (complete dynamic state every *interval* instructions, memory
+   as a copy-on-write fork);
 2. restore the snapshot nearest the earliest pending fault and run forward
    with the faults armed — the prefix is never re-executed;
 3. while running forward, compare state digests against the golden
@@ -20,13 +21,15 @@ campaign.
 :meth:`ReplayContext.replay_many` is the one way faults are served, a
 single fault included: the specs are sorted by site, one restore seeds a
 shared lockstep suffix walk with per-fault divergence state
-(:meth:`repro.vm.engine.Engine.resume_many`), divergent replays fork
-copy-on-write memory images and run privately with digest checks, and a
+(:meth:`repro.vm.engine.Engine.resume_many`), divergent replays capture a
+copy-on-write snapshot of the walk and run privately with digest checks
+(every restore, the walk's included, goes through
+:meth:`~repro.vm.engine.Engine.prepare_resume`), and a
 convergence memo (:class:`ReplayMemo`) answers repeated divergent states
 without re-execution.
 
 Replayed executions are bit-identical to full re-runs: the engine restores
-registers, the call stack, the complete memory image and the allocator
+registers, the call stack, the complete address space and the allocator
 counters, so every address, stack-slot name and dynamic id matches.  The
 test suite asserts outcome identity against from-scratch runs
 (``WorkloadInstance.run(fault=...)``) and from-scratch interpreted runs,
@@ -53,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
 #: of other versions are treated as cold (never migrated in place).
 MEMO_FORMAT_VERSION = 2
 
+#: Snapshots a derived checkpoint interval aims for: the golden run lands
+#: between this many and twice as many.
+TARGET_CHECKPOINTS = 64
+
 
 class ReplayContext:
     """Golden run + snapshot schedule of one workload, shared by many
@@ -67,12 +74,10 @@ class ReplayContext:
         Snapshot spacing in dynamic instructions.  Default: derived from
         the golden run alone.  The golden run starts at an interval of 64
         and lets the engine's ``snapshot_budget`` thin the schedule by
-        doubling, landing between ``target_checkpoints`` and twice that
+        doubling, landing between :data:`TARGET_CHECKPOINTS` and twice that
         many snapshots without a separate step-counting probe run.  The
         schedule, and with it every ``converged_at`` and persisted memo
         key, is the same in every context and every process.
-    target_checkpoints:
-        Number of snapshots to aim for when the interval is derived.
     sink:
         Optional :class:`~repro.tracing.columnar.ColumnarTrace` that
         records the golden run while the snapshot schedule is captured, so
@@ -85,7 +90,6 @@ class ReplayContext:
         self,
         workload: "Workload",
         checkpoint_interval: Optional[int] = None,
-        target_checkpoints: int = 64,
         sink=None,
     ) -> None:
         if checkpoint_interval is not None and checkpoint_interval < 1:
@@ -101,7 +105,7 @@ class ReplayContext:
             self.instance.memory,
             sink=sink,
             snapshot_interval=64 if derived else checkpoint_interval,
-            snapshot_budget=2 * max(1, target_checkpoints) if derived else None,
+            snapshot_budget=2 * TARGET_CHECKPOINTS if derived else None,
             max_steps=workload.max_steps,
         )
         result = engine.run(workload.entry, self.instance.args)
@@ -116,10 +120,6 @@ class ReplayContext:
             name: self.instance.memory.object(name).values()
             for name in workload.output_objects
         }
-        #: Replays answered by convergence detection (telemetry for benches).
-        self.converged_replays = 0
-        #: Total replays served.
-        self.replays = 0
         #: Scheduler telemetry (cumulative over all ``replay_many`` calls).
         self.stats = ReplayBatchStats()
         #: The convergence memo of :meth:`replay_many`.  Exposed for
@@ -217,7 +217,6 @@ class ReplayContext:
         stats.batches += 1
         stats.groups += len(self.plan_batches(ordered, presorted=True))
         stats.faults += len(specs)
-        self.replays += len(specs)
         engine = Engine(
             self.instance.module,
             self.instance.memory,
@@ -276,7 +275,6 @@ class ReplayContext:
 
         if kind == "golden":
             stats.converged += 1
-            self.converged_replays += 1
             if resolution.visited:
                 stats.memo_evictions += memo.record(resolution.visited, _MemoEntry(
                     "golden", converged_at=resolution.converged_at,
@@ -337,7 +335,6 @@ class ReplayContext:
                 stats.memo_evictions += memo.record(resolution.visited, entry)
             if entry.kind == "golden":
                 stats.converged += 1
-                self.converged_replays += 1
                 return BatchReplayResult(
                     spec=spec,
                     outcome=self.golden_outcome(),

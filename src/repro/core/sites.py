@@ -127,6 +127,22 @@ def enumerate_fault_sites(
     return FaultSitePool(participations, bit_stride)
 
 
+def strided_subsample(
+    sites: Sequence[FaultSite], limit: Optional[int]
+) -> Sequence[FaultSite]:
+    """``limit`` sites taken at an even stride through ``sites`` (all of
+    them when ``limit`` is ``None`` or not below the pool size).
+
+    The deterministic subsample of exhaustive campaigns and validation
+    plans: site ``i`` of the result is ``sites[int(i * len(sites) / limit)]``.
+    """
+    total = len(sites)
+    if limit is None or total <= limit:
+        return sites
+    stride = total / limit
+    return [sites[int(i * stride)] for i in range(limit)]
+
+
 def iter_site_specs(sites: Iterable[FaultSite]) -> Iterator[FaultSpec]:
     """Convenience: the :class:`FaultSpec` of every site, in order."""
     for site in sites:

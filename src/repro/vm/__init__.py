@@ -12,8 +12,10 @@ Public API
 ----------
 :class:`~repro.vm.memory.Memory`, :class:`~repro.vm.memory.DataObject`,
 the pre-decoded :class:`~repro.vm.engine.Engine` (the one executor) with
-its :class:`~repro.vm.engine.Snapshot` checkpoints and
-:class:`~repro.vm.engine.ExecutionResult`,
+:class:`~repro.vm.engine.ExecutionResult` and its
+:class:`~repro.vm.engine.Snapshot`, the one captured-state type (call-stack
+copies plus a copy-on-write :meth:`~repro.vm.memory.Memory.fork`, restored
+only by :meth:`~repro.vm.engine.Engine.prepare_resume`),
 :class:`~repro.vm.faults.FaultSpec`, the error types in
 :mod:`repro.vm.errors`, and the bit-manipulation helpers in
 :mod:`repro.vm.bits`.
@@ -44,7 +46,7 @@ __getattr__, __all__ = lazy_exports(
             "UnknownIntrinsic",
         ),
         "faults": ("FaultSpec", "FaultTarget"),
-        "memory": ("DataObject", "Memory", "MemoryImage"),
+        "memory": ("DataObject", "Memory"),
         "engine": (
             "DecodedProgram",
             "Engine",

@@ -24,9 +24,9 @@ flat array of :class:`DecodedOp` records:
 
 On top of the decoded representation the engine supports **checkpointing**:
 :class:`Snapshot` captures the complete dynamic state — the call stack with
-its register files, the full memory image, and the dynamic-instruction
-counter — and :meth:`Engine.prepare_resume` restores one as the live
-state.  The deterministic fault injector in :mod:`repro.core` uses this to
+its register files, a copy-on-write fork of memory, and the dynamic-instruction
+counter — and :meth:`Engine.prepare_resume`, the one restore, adopts a fresh
+fork of one as the live state.  The deterministic fault injector in :mod:`repro.core` uses this to
 replay only the suffix of an execution after a fault site instead of
 re-running the whole workload: :meth:`Engine.resume_many` walks a batch of
 faults in lockstep from one restore, and :meth:`Engine.run_checked` runs
@@ -59,7 +59,7 @@ from repro.vm import semantics
 from repro.vm.bits import flip_bit
 from repro.vm.errors import StepLimitExceeded, UnknownIntrinsic, VMError
 from repro.vm.faults import FaultSpec, FaultTarget
-from repro.vm.memory import DataObject, Memory, MemoryImage
+from repro.vm.memory import DataObject, Memory
 
 Number = Union[int, float]
 
@@ -569,75 +569,64 @@ def _hash_values(h, values) -> None:
             update(raw)
 
 
-def _hash_frame(h, func_name, pc, prev_block, ret_slot, ret_dyn,
-                stack_names, regs) -> None:
-    raw = func_name.encode()
-    h.update(b"\x01%d:" % len(raw))
-    h.update(raw)
-    h.update(struct.pack("<qqqq", pc, prev_block, ret_slot, ret_dyn))
-    h.update(struct.pack("<q", len(stack_names)))
-    for name in stack_names:
-        raw = name.encode()
-        h.update(b"%d:" % len(raw))
-        h.update(raw)
-    h.update(struct.pack("<q", len(regs)))
-    _hash_values(h, regs)
+def _digest(frames, memory: Memory) -> bytes:
+    """The one canonical state encoder behind :func:`snapshot_digest` and
+    :meth:`Engine.state_digest`.
 
-
-def _hash_memory_object(h, name, element_type, count, base, is_stack, raw) -> None:
-    encoded = name.encode()
-    h.update(b"\x02%d:" % len(encoded))
-    h.update(encoded)
-    encoded = element_type.name.encode()
-    h.update(b"%d:" % len(encoded))
-    h.update(encoded)
-    h.update(struct.pack("<qq?q", count, base, bool(is_stack), len(raw)))
-    h.update(raw)
+    ``frames`` holds one ``(function name, pc, previous block, return slot,
+    return dyn, stack-object names, registers)`` tuple per call-stack frame,
+    outermost first; ``memory`` contributes its allocator counters and every
+    object (stack slots included) in base-address order.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    update = h.update
+    pack = struct.pack
+    update(pack("<q", len(frames)))
+    for func_name, pc, prev_block, ret_slot, ret_dyn, stack_names, regs in frames:
+        raw = func_name.encode()
+        update(b"\x01%d:" % len(raw))
+        update(raw)
+        update(pack("<qqqq", pc, prev_block, ret_slot, ret_dyn))
+        update(pack("<q", len(stack_names)))
+        for name in stack_names:
+            raw = name.encode()
+            update(b"%d:" % len(raw))
+            update(raw)
+        update(pack("<q", len(regs)))
+        _hash_values(h, regs)
+    objects = memory._by_base
+    update(pack("<qqq", memory._next_address, memory._stack_counter, len(objects)))
+    for obj in objects:
+        raw = obj.name.encode()
+        update(b"\x02%d:" % len(raw))
+        update(raw)
+        raw = obj.element_type.name.encode()
+        update(b"%d:" % len(raw))
+        update(raw)
+        data = obj.array.tobytes()
+        update(pack("<qq?q", obj.count, obj.base, bool(obj.is_stack), len(data)))
+        update(data)
+    return h.digest()
 
 
 def snapshot_digest(snapshot: "Snapshot") -> bytes:
     """Content digest of a snapshot's complete dynamic state.
 
     Covers the call stack (register files, program counters, stack-object
-    names) and the full memory image; producer links are excluded, as
-    trace metadata with no influence on future computation.  Uses the same
-    canonical encoding :meth:`Engine.state_digest` uses for live state —
-    so ``snapshot_digest(s) == engine.state_digest()`` iff the live state
-    at ``s.dyn`` is bit-identical to the snapshot.
+    names) and the full address space; producer links are excluded, as
+    trace metadata with no influence on future computation.  Shares its
+    encoder with :meth:`Engine.state_digest`, so
+    ``snapshot_digest(s) == engine.state_digest()`` iff the live state at
+    ``s.dyn`` is bit-identical to the snapshot.
     """
-    h = hashlib.blake2b(digest_size=16)
-    frames = snapshot.frames
-    h.update(struct.pack("<q", len(frames)))
-    for image in frames:
-        _hash_frame(h, image.func_name, image.pc, image.prev_block,
-                    image.ret_slot, image.ret_dyn, image.stack_names,
-                    image.regs)
-    memory = snapshot.memory
-    objects = sorted(memory.objects, key=lambda entry: entry[3])
-    h.update(struct.pack("<qqq", memory.next_address, memory.stack_counter,
-                         len(objects)))
-    for name, element_type, count, base, is_stack, raw in objects:
-        _hash_memory_object(h, name, element_type, count, base, is_stack, raw)
-    return h.digest()
-
-
-class EngineFork:
-    """A cheap, immutable fork of a live engine state.
-
-    Captures the call stack as :class:`_FrameImage` copies (O(registers))
-    and the address space as a copy-on-write :meth:`~repro.vm.memory.Memory.fork`
-    (O(objects), bytes shared until written).  Forks are the divergence-window
-    isolation primitive of the batched replay scheduler: the shared lockstep
-    walk forks at eviction points and hands each divergent fault its own
-    private, mutation-isolated state without copying memory up front.
-    """
-
-    __slots__ = ("dyn", "frames", "memory")
-
-    def __init__(self, dyn: int, frames: List[_FrameImage], memory: Memory) -> None:
-        self.dyn = dyn
-        self.frames = frames
-        self.memory = memory
+    return _digest(
+        [
+            (image.func_name, image.pc, image.prev_block, image.ret_slot,
+             image.ret_dyn, image.stack_names, image.regs)
+            for image in snapshot.frames
+        ],
+        snapshot.memory,
+    )
 
 
 class BatchFaultResolution:
@@ -684,19 +673,21 @@ class BatchFaultResolution:
 class Snapshot:
     """Complete dynamic state of an :class:`Engine` at one dynamic id.
 
-    Captures the call stack (register files, program counters, stack-object
-    names), the full memory image and the dynamic-instruction counter.
-    Snapshots are standalone: restoring one fully resets memory, including
-    removing stack objects allocated after the capture point.  They seed
-    sink-free runs only: the load-writer index a traced run keeps is not
-    captured (see :meth:`Engine.prepare_resume`).
+    Captures the call stack as :class:`_FrameImage` copies (register files,
+    program counters, stack-object names) and the address space as a
+    copy-on-write :meth:`~repro.vm.memory.Memory.fork` (O(objects), bytes
+    shared until written).  One type serves the golden checkpoint schedule
+    and the batched replay's eviction forks.  A snapshot is never run
+    itself: :meth:`Engine.prepare_resume` adopts a fresh fork of it, so it
+    stays pristine however many replays restore it, and restoring fully
+    resets memory, including removing stack objects allocated after the
+    capture point.  Snapshots seed sink-free runs only: the load-writer
+    index a traced run keeps is not captured.
     """
 
     __slots__ = ("dyn", "frames", "memory")
 
-    def __init__(
-        self, dyn: int, frames: List[_FrameImage], memory: MemoryImage
-    ) -> None:
+    def __init__(self, dyn: int, frames: List[_FrameImage], memory: Memory) -> None:
         self.dyn = dyn
         self.frames = frames
         self.memory = memory
@@ -723,9 +714,9 @@ class Engine:
       multiples of the final interval).
 
     Faulty runs resume from snapshots in two ways only: the lockstep batch
-    walk :meth:`resume_many`, and private replays that restore a state
-    (:meth:`prepare_resume` or :meth:`adopt_fork`) and run it with digest
-    checks (:meth:`run_checked`).
+    walk :meth:`resume_many`, and private replays; both restore through
+    :meth:`prepare_resume`, and private replays run with digest checks
+    (:meth:`run_checked`).
     """
 
     def __init__(
@@ -817,11 +808,30 @@ class Engine:
         self._frames.append(frame)
         return self._loop()
 
-    def _restore_frames(self, images: Sequence[_FrameImage]) -> None:
+    def prepare_resume(self, snapshot: Snapshot) -> None:
+        """Make a fresh copy-on-write fork of ``snapshot`` the live state,
+        without running.
+
+        The only restore: the batch walk and every private replay start
+        here.  Each restore re-forks the snapshot's memory, so the snapshot
+        stays pristine and can seed any number of replays.  Together with
+        :meth:`run_checked` (which stops where the state converges) and
+        :meth:`capture_fork` this forms a reusable *resume cursor*: restore
+        once, walk forward, and fork the live state cheaply.
+
+        Raises :class:`ValueError` on an engine with a sink: a snapshot
+        does not hold the load-writer index, so a traced run from it would
+        record wrong writer ids.
+        """
+        if self.sink is not None:
+            raise ValueError(
+                "cannot restore a snapshot on a traced engine: the load-writer "
+                "index is not restored, so recorded writer ids would be wrong"
+            )
+        self.memory = snapshot.memory.fork()
         self._frames = []
-        for image in images:
-            df = self.program.functions[image.func_name]
-            frame = _Frame(df)
+        for image in snapshot.frames:
+            frame = _Frame(self.program.functions[image.func_name])
             frame.pc = image.pc
             frame.prev_block = image.prev_block
             frame.regs = list(image.regs)
@@ -830,8 +840,7 @@ class Engine:
             frame.ret_slot = image.ret_slot
             frame.ret_dyn = image.ret_dyn
             self._frames.append(frame)
-
-    def _reset_run_flags(self) -> None:
+        self._dyn = snapshot.dyn
         self.converged = False
         self.converged_at = None
         self.memo_entry = None
@@ -840,32 +849,6 @@ class Engine:
         self._golden_digests = {}
         self._memo = None
         self.visited = []
-
-    def _refuse_sink(self, action: str) -> None:
-        if self.sink is not None:
-            raise ValueError(
-                f"cannot {action} on a traced engine: the load-writer index "
-                f"is not restored, so recorded writer ids would be wrong"
-            )
-
-    def prepare_resume(self, snapshot: Snapshot) -> None:
-        """Restore ``snapshot`` as the live state without running.
-
-        Together with :meth:`run_checked` (which stops where the state
-        converges) and :meth:`capture_fork` this forms a reusable *resume
-        cursor*: restore once, walk forward, and fork the live state
-        cheaply — the amortized-snapshot primitive of the batched replay
-        scheduler.
-
-        Raises :class:`ValueError` on an engine with a sink: a snapshot
-        does not hold the load-writer index, so a traced run from it would
-        record wrong writer ids.
-        """
-        self._refuse_sink("restore a snapshot")
-        self.memory.restore_image(snapshot.memory)
-        self._restore_frames(snapshot.frames)
-        self._dyn = snapshot.dyn
-        self._reset_run_flags()
         reg = _metrics_registry()
         if reg.enabled:
             reg.inc("engine.snapshot_restores", backend=self.backend)
@@ -878,36 +861,18 @@ class Engine:
         else:
             self._next_capture = _NEVER
 
-    # ------------------------------------------------------------------ #
-    # resume cursor + forks (batched replay building blocks)
-    # ------------------------------------------------------------------ #
-    def capture_fork(self) -> EngineFork:
-        """A copy-on-write fork of the live state (frames + memory)."""
+    def capture_fork(self) -> Snapshot:
+        """A :class:`Snapshot` of the live state: frame copies plus a
+        copy-on-write fork of memory.  Golden checkpoints and the batch
+        walk's eviction points both capture through here."""
         reg = _metrics_registry()
         if reg.enabled:
             reg.inc("engine.forks", backend=self.backend)
-        return EngineFork(
+        return Snapshot(
             self._dyn,
             [_FrameImage(frame) for frame in self._frames],
             self.memory.fork(),
         )
-
-    def adopt_fork(self, fork: EngineFork) -> None:
-        """Make a fresh copy-on-write clone of ``fork`` the live state.
-
-        Each adoption re-forks the fork's memory, so the fork itself stays
-        pristine and can seed any number of divergent replays.  Like
-        :meth:`prepare_resume`, refuses an engine with a sink.
-        """
-        self._refuse_sink("adopt a fork")
-        self.memory = fork.memory.fork()
-        self._restore_frames(fork.frames)
-        self._dyn = fork.dyn
-        self._reset_run_flags()
-        self._next_capture = _NEVER
-        reg = _metrics_registry()
-        if reg.enabled:
-            reg.inc("engine.fork_adoptions", backend=self.backend)
 
     def run_checked(
         self,
@@ -934,26 +899,15 @@ class Engine:
 
     def state_digest(self) -> bytes:
         """Content digest of the live dynamic state (see :func:`snapshot_digest`)."""
-        h = hashlib.blake2b(digest_size=16)
-        frames = self._frames
-        h.update(struct.pack("<q", len(frames)))
-        for frame in frames:
-            _hash_frame(
-                h, frame.df.name, frame.pc, frame.prev_block, frame.ret_slot,
-                frame.ret_dyn, [obj.name for obj in frame.stack_objects],
-                frame.regs,
-            )
-        memory = self.memory
-        h.update(struct.pack(
-            "<qqq", memory._next_address, memory._stack_counter,
-            len(memory._by_base),
-        ))
-        for obj in memory._by_base:
-            _hash_memory_object(
-                h, obj.name, obj.element_type, obj.count, obj.base,
-                obj.is_stack, obj.array.tobytes(),
-            )
-        return h.digest()
+        return _digest(
+            [
+                (frame.df.name, frame.pc, frame.prev_block, frame.ret_slot,
+                 frame.ret_dyn, [obj.name for obj in frame.stack_objects],
+                 frame.regs)
+                for frame in self._frames
+            ],
+            self.memory,
+        )
 
     # ------------------------------------------------------------------ #
     # batched replay: lockstep walk with per-fault divergence state
@@ -961,7 +915,7 @@ class Engine:
     def _private_replay(
         self,
         resolution: BatchFaultResolution,
-        fork: EngineFork,
+        fork: Snapshot,
         fault: Optional[FaultSpec],
         reg_patches,
         cell_patches,
@@ -986,7 +940,7 @@ class Engine:
             program=self.program,
             backend=self.backend,
         )
-        engine.adopt_fork(fork)
+        engine.prepare_resume(fork)
         for frame_index, slot, value in reg_patches:
             engine._frames[frame_index].regs[slot] = value
         for name, index, value in cell_patches:
@@ -1706,13 +1660,7 @@ class Engine:
         the golden execution.
         """
         if self._dyn == self._next_capture:
-            self.snapshots.append(
-                Snapshot(
-                    dyn=self._dyn,
-                    frames=[_FrameImage(f) for f in self._frames],
-                    memory=self.memory.capture_image(),
-                )
-            )
+            self.snapshots.append(self.capture_fork())
             reg = _metrics_registry()
             if reg.enabled:
                 reg.inc("engine.snapshots", backend=self.backend)

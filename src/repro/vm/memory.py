@@ -16,13 +16,12 @@ native execution exhibits.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, IRType
-from repro.vm.bits import bits_to_value, to_signed, to_unsigned, value_to_bits
+from repro.vm.bits import bits_to_value, to_signed, value_to_bits
 from repro.vm.errors import SegmentationFault, VMError
 
 Number = Union[int, float]
@@ -46,7 +45,6 @@ def dtype_for(element_type: IRType) -> np.dtype:
         raise VMError(f"no storage dtype for element type {element_type}") from None
 
 
-@dataclass
 class DataObject:
     """A named, contiguous allocation.
 
@@ -64,31 +62,51 @@ class DataObject:
     is_stack:
         True for compiler-generated local slots (kernel locals); these are
         *not* target data objects but still participate in propagation.
+    array:
+        The backing NumPy array.
+    element_size, end:
+        Bytes per element and one past the last byte address; the geometry
+        is fixed at allocation, so both are derived once instead of on
+        every resolved access.
+
+    Slotted: every :meth:`Memory.fork` (one per engine checkpoint) builds a
+    twin of each object, so a twin is one small object, not two.
     """
 
-    name: str
-    element_type: IRType
-    count: int
-    base: int
-    is_stack: bool = False
-    array: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    #: Bytes per element and one past the last byte address; the geometry
-    #: is fixed at allocation, so both are derived once here instead of on
-    #: every resolved access.
-    element_size: int = field(init=False, repr=False, compare=False)
-    end: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "element_type", "count", "base", "is_stack", "array",
+                 "element_size", "end", "_cow_shared")
 
-    def __post_init__(self) -> None:
-        self.element_size = self.element_type.size_bytes
-        self.end = self.base + self.count * self.element_size
+    def __init__(
+        self,
+        name: str,
+        element_type: IRType,
+        count: int,
+        base: int,
+        is_stack: bool = False,
+        array: Optional[np.ndarray] = None,
+    ) -> None:
+        self.name = name
+        self.element_type = element_type
+        self.count = count
+        self.base = base
+        self.is_stack = is_stack
+        self.array = array
+        self.element_size = element_type.size_bytes
+        self.end = base + count * self.element_size
+        #: Copy-on-write marker: when a :meth:`Memory.fork` shares this
+        #: object's backing array with another address space, both sides
+        #: are flagged and the first typed write (:meth:`set` /
+        #: :meth:`fill_from`) makes a private copy.  Direct ``.array``
+        #: mutation bypasses the barrier and would leak into every engine
+        #: snapshot sharing the array, so memories must only be written
+        #: through the typed accessors (the VM and fused segments always are).
+        self._cow_shared = False
 
-    #: Copy-on-write marker (class attribute, not a dataclass field): when a
-    #: :meth:`Memory.fork` shares this object's backing array with another
-    #: address space, both sides are flagged and the first typed write
-    #: (:meth:`set` / :meth:`fill_from`) makes a private copy.  Direct
-    #: ``.array`` mutation bypasses the barrier — forked memories must only
-    #: be written through the typed accessors (the VM always is).
-    _cow_shared = False
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"DataObject(name={self.name!r}, element_type={self.element_type}, "
+            f"count={self.count}, base={self.base:#x}, is_stack={self.is_stack})"
+        )
 
     @property
     def size_bytes(self) -> int:
@@ -303,7 +321,7 @@ class Memory:
         return new_value
 
     # ------------------------------------------------------------------ #
-    # copy-on-write forks (batched replay)
+    # copy-on-write forks (checkpoints and batched replay)
     # ------------------------------------------------------------------ #
     def fork(self) -> "Memory":
         """A copy-on-write clone of the complete address space.
@@ -314,110 +332,27 @@ class Memory:
         Backing arrays are *shared* until written: both sides are flagged
         ``_cow_shared`` and the first typed write (``set``/``fill_from``)
         on either side copies that object's array privately.  Forking is
-        therefore O(objects), not O(bytes) — the cheap divergence-window
-        isolation the batched replay scheduler forks per fault.
+        therefore O(objects), not O(bytes): the engine forks for every
+        golden checkpoint, every restore and every eviction of the batched
+        replay scheduler.
         """
         clone = Memory.__new__(Memory)
         clone._next_address = self._next_address
         clone._stack_counter = self._stack_counter
-        clone._objects = {}
+        objects: Dict[str, DataObject] = {}
         for name, obj in self._objects.items():
             obj._cow_shared = True
             twin = DataObject(
-                name=obj.name,
-                element_type=obj.element_type,
-                count=obj.count,
-                base=obj.base,
-                is_stack=obj.is_stack,
-                array=obj.array,
+                obj.name, obj.element_type, obj.count, obj.base, obj.is_stack,
+                obj.array,
             )
             twin._cow_shared = True
-            clone._objects[name] = twin
+            objects[name] = twin
+        clone._objects = objects
         clone._bases = list(self._bases)
-        clone._by_base = [clone._objects[obj.name] for obj in self._by_base]
+        clone._by_base = [objects[obj.name] for obj in self._by_base]
         return clone
-
-    # ------------------------------------------------------------------ #
-    # full-state images (engine checkpointing)
-    # ------------------------------------------------------------------ #
-    def capture_image(self) -> "MemoryImage":
-        """Copy the complete address-space state (all objects, stack
-        included, plus the allocator counters) into a standalone image."""
-        return MemoryImage(
-            next_address=self._next_address,
-            stack_counter=self._stack_counter,
-            objects=tuple(
-                (
-                    obj.name,
-                    obj.element_type,
-                    obj.count,
-                    obj.base,
-                    obj.is_stack,
-                    obj.array.tobytes(),
-                )
-                for obj in self._objects.values()
-            ),
-        )
-
-    def restore_image(self, image: "MemoryImage") -> None:
-        """Reset the address space to ``image`` exactly.
-
-        Objects allocated after the capture disappear; released ones come
-        back; the allocator counters rewind so replayed ``alloca`` sequences
-        reproduce the captured run's addresses and stack-slot names.
-        """
-        self._next_address = image.next_address
-        self._stack_counter = image.stack_counter
-        self._objects = {}
-        pairs: List[Tuple[int, DataObject]] = []
-        for name, element_type, count, base, is_stack, raw in image.objects:
-            array = np.frombuffer(raw, dtype=dtype_for(element_type)).copy()
-            obj = DataObject(
-                name=name,
-                element_type=element_type,
-                count=count,
-                base=base,
-                is_stack=is_stack,
-                array=array,
-            )
-            self._objects[name] = obj
-            pairs.append((base, obj))
-        pairs.sort(key=lambda pair: pair[0])
-        self._bases = [base for base, _ in pairs]
-        self._by_base = [obj for _, obj in pairs]
-
-    # ------------------------------------------------------------------ #
-    # snapshots (golden-run / faulty-run comparisons)
-    # ------------------------------------------------------------------ #
-    def snapshot(self, names: Optional[Iterable[str]] = None) -> Dict[str, np.ndarray]:
-        """Copy the contents of the named (default: all non-stack) objects."""
-        selected = (
-            [self.object(n) for n in names]
-            if names is not None
-            else self.data_objects(include_stack=False)
-        )
-        return {obj.name: obj.values() for obj in selected}
-
-    def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Restore object contents captured by :meth:`snapshot`."""
-        for name, values in snapshot.items():
-            self.object(name).fill_from(values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Memory: {len(self._objects)} objects, next={self._next_address:#x}>"
 
-
-@dataclass(frozen=True)
-class MemoryImage:
-    """Standalone copy of a :class:`Memory`'s complete state.
-
-    Arrays are stored as raw bytes so images are immutable, cheap to compare
-    (``tobytes`` equality is a memcmp) and safe to share between the
-    checkpoint schedule and concurrent replays.
-    """
-
-    next_address: int
-    stack_counter: int
-    #: ``(name, element_type, count, base, is_stack, raw_bytes)`` per object,
-    #: in allocation (insertion) order.
-    objects: Tuple[Tuple[str, IRType, int, int, bool, bytes], ...]

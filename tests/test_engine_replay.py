@@ -15,8 +15,9 @@ import pytest
 from repro.core.injector import DeterministicFaultInjector
 from repro.core.replay import ReplayContext
 from repro.core.sites import enumerate_fault_sites
+from repro.ir.types import F64
 from repro.vm import Engine, FaultSpec, FaultTarget
-from repro.vm.engine import DecodedProgram
+from repro.vm.engine import DecodedProgram, snapshot_digest
 from repro.workloads.registry import get_workload
 
 from oracles.rerun import RerunInjector
@@ -116,9 +117,11 @@ def test_snapshot_resume_reproduces_golden_run():
         resumed = cursor.run_checked((), {})
         assert resumed.steps == result.steps
         assert resumed.return_value == result.return_value
+        # the resumed run works on its own fork, not the instance's memory
+        assert cursor.memory is not instance.memory
         for name in golden:
             assert np.array_equal(
-                golden[name], instance.memory.object(name).values()
+                golden[name], cursor.memory.object(name).values()
             ), (snapshot.dyn, name)
 
 
@@ -128,17 +131,27 @@ def test_snapshot_restore_resets_memory_completely():
     engine = Engine(instance.module, instance.memory, snapshot_interval=500)
     engine.run(workload.entry, instance.args)
     snapshot = engine.snapshots[2]
-    # clobber memory, then restore: state must match the capture bit-for-bit
+    captured = snapshot_digest(snapshot)
+    memory = snapshot.memory
+    counters = (memory._next_address, memory._stack_counter)
+    # clobber the live memory through the copy-on-write barrier and allocate
+    # past the capture point, then restore: the state must match the
+    # capture bit-for-bit, and the snapshot itself must be untouched
     for obj in instance.memory.data_objects():
-        obj.array[:] = 0
-    instance.memory.restore_image(snapshot.memory)
-    assert instance.memory.capture_image() == snapshot.memory
+        obj.fill_from(np.zeros(obj.count))
+    extra = instance.memory.allocate_stack("late", F64, 3)
+    cursor = Engine(instance.module, instance.memory)
+    cursor.prepare_resume(snapshot)
+    assert extra.name not in cursor.memory
+    assert (cursor.memory._next_address, cursor.memory._stack_counter) == counters
+    assert cursor.state_digest() == captured
+    assert snapshot_digest(snapshot) == captured
 
 
 def test_traced_engine_refuses_to_resume():
-    """Snapshots and forks do not carry the load-writer index, so a traced
-    run from one would record wrong writer ids: restoring either on an
-    engine with a sink raises instead."""
+    """Snapshots, golden checkpoints and live-state forks alike, do not
+    carry the load-writer index, so a traced run from one would record wrong
+    writer ids: restoring one on an engine with a sink raises instead."""
     from repro.tracing import ColumnarTrace
 
     workload = get_workload("matmul")
@@ -152,7 +165,7 @@ def test_traced_engine_refuses_to_resume():
     cursor = Engine(instance.module, instance.memory)
     cursor.prepare_resume(snapshot)
     with pytest.raises(ValueError, match="writer ids"):
-        traced.adopt_fork(cursor.capture_fork())
+        traced.prepare_resume(cursor.capture_fork())
 
 
 def test_replay_context_snapshot_selection():
@@ -180,10 +193,10 @@ def test_replay_convergence_detection_short_circuits():
     sites = enumerate_fault_sites(trace, workload.target_objects[0], bit_stride=9)
     injector = DeterministicFaultInjector(workload, context=context)
     results = injector.inject_many([site.to_spec() for site in sites[:40]])
-    assert context.replays == len(results)
+    assert context.stats.faults == len(results)
     masked = [r for r in results if r.outcome.is_masked]
     if masked:
-        assert context.converged_replays > 0
+        assert context.stats.converged > 0
 
 
 # --------------------------------------------------------------------- #
@@ -203,7 +216,6 @@ def test_engine_equivalence_on_tiny_kernels(accumulate_trace):
     event for event on either backend (always through the per-op loop, even
     with every segment compiled), and a sink-free run of the compiled
     superinstructions in steps, return value and outputs."""
-    from repro.ir.types import F64
     from repro.tracing import ColumnarTrace
     from repro.tracing.events import TraceEvent
     from repro.vm import Memory

@@ -1,10 +1,13 @@
-"""Copy-on-write semantics of :meth:`Memory.fork` and engine forks.
+"""Copy-on-write semantics of :meth:`Memory.fork` and engine snapshots.
 
-The batched replay scheduler forks the walk's memory image at every
-eviction point and hands each divergent fault its own clone; these tests
-pin down the isolation contract that makes that safe: arrays are shared
-until written, the first typed write on either side copies privately, and
-allocator state (bases, counters, stack objects) is carried over exactly.
+Every captured engine state is a :class:`~repro.vm.engine.Snapshot` whose
+memory is a fork: the golden checkpoint schedule, and the batch walk's
+eviction points, which hand each divergent fault its own clone.  These
+tests pin down the isolation contract that makes that safe: arrays are
+shared until written, the first typed write on either side copies
+privately, allocator state (bases, counters, stack objects) is carried over
+exactly, and a snapshot stays bit-identical to its capture point however
+the capturing run and its restores go on.
 
 The suite runs in both legs of the CI backend matrix (``block`` and
 ``op``); the fork path itself is backend-independent.
@@ -16,9 +19,13 @@ import numpy as np
 import pytest
 
 from repro.ir.types import F64, I32
-from repro.vm.engine import Engine, snapshot_digest
+from repro.vm.engine import Engine, Snapshot, snapshot_digest
 from repro.vm.memory import Memory
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, workload_names
+
+
+def _memory_digest(memory):
+    return snapshot_digest(Snapshot(0, [], memory))
 
 
 @pytest.fixture
@@ -106,11 +113,11 @@ class TestMemoryFork:
         assert clone.object("a").get(0) == 1.0
         assert memory.object("a").get(0) == 1.0
 
-    def test_capture_image_of_shared_clone_matches_source(self, memory):
+    def test_digest_of_shared_clone_matches_source(self, memory):
         clone = memory.fork()
-        assert clone.capture_image() == memory.capture_image()
+        assert _memory_digest(clone) == _memory_digest(memory)
         clone.object("a").set(3, 0.0)
-        assert clone.capture_image() != memory.capture_image()
+        assert _memory_digest(clone) != _memory_digest(memory)
 
     def test_cast_value_predicts_stored_bits(self, memory):
         a = memory.object("a")
@@ -146,7 +153,7 @@ class TestEngineFork:
         fork = cursor.capture_fork()
 
         replica = Engine(instance.module, fork.memory)
-        replica.adopt_fork(fork)
+        replica.prepare_resume(fork)
         replica_result = replica._loop()
         assert replica_result.steps == result.steps
         assert replica_result.return_value == result.return_value
@@ -160,7 +167,7 @@ class TestEngineFork:
         assert cursor_result.steps == result.steps
         for name in golden:
             assert np.array_equal(
-                golden[name], instance.memory.object(name).values()
+                golden[name], cursor.memory.object(name).values()
             ), name
 
     def test_state_digest_matches_snapshot_digest(self):
@@ -186,7 +193,50 @@ class TestEngineFork:
         # a mutated clone digests differently
         fork = cursor.capture_fork()
         clone = Engine(instance.module, fork.memory)
-        clone.adopt_fork(fork)
+        clone.prepare_resume(fork)
         assert clone.state_digest() == cursor.state_digest()
         clone.memory.object("C").set(0, 123.456)
         assert clone.state_digest() != cursor.state_digest()
+
+    def test_snapshot_survives_repeated_restores(self):
+        """Restoring a snapshot twice, with writes in between, leaves it
+        unchanged: every restore adopts a fresh fork."""
+        workload = get_workload("matmul", n=4)
+        instance = workload.fresh_instance()
+        engine = Engine(instance.module, instance.memory, snapshot_interval=250)
+        result = engine.run(workload.entry, instance.args)
+        snapshot = engine.snapshots[1]
+        captured = snapshot_digest(snapshot)
+        cursor = Engine(instance.module, instance.memory)
+        for _ in range(2):
+            cursor.prepare_resume(snapshot)
+            assert cursor.state_digest() == captured
+            cursor.memory.object("C").set(0, -1.0)
+            assert cursor.run_checked([], {}).steps == result.steps
+            assert snapshot_digest(snapshot) == captured
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_snapshot_digest_is_fixed_at_capture(name):
+    """Each golden snapshot digests, after the capturing run has ended, to
+    the live state digest taken when it was captured: the run's later
+    writes never reach a snapshot's shared arrays.  The schedule is derived
+    as ``ReplayContext`` derives it, thinning included."""
+    workload = get_workload(name)
+    instance = workload.fresh_instance()
+    engine = Engine(
+        instance.module, instance.memory, snapshot_interval=64,
+        snapshot_budget=16, max_steps=workload.max_steps,
+    )
+    at_capture = {}
+    capture_fork = engine.capture_fork
+
+    def capture():
+        at_capture[engine.steps_executed] = engine.state_digest()
+        return capture_fork()
+
+    engine.capture_fork = capture
+    engine.run(workload.entry, instance.args)
+    assert len(engine.snapshots) >= 2
+    for snapshot in engine.snapshots:
+        assert snapshot_digest(snapshot) == at_capture[snapshot.dyn], snapshot.dyn

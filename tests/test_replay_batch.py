@@ -104,7 +104,7 @@ def test_batched_replay_bit_identical_to_sequential(name):
     batched = ReplayContext(workload)
     results = batched.replay_many(specs)
     assert len(results) == len(specs)
-    assert batched.replays == len(specs)
+    assert batched.stats.faults == len(specs)
 
     for index, (tag, payload) in enumerate(expected):
         result = results[index]

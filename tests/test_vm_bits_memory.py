@@ -162,14 +162,6 @@ class TestMemory:
         with pytest.raises(SegmentationFault):
             memory.resolve(tmp.base)
 
-    def test_snapshot_restore(self):
-        memory = Memory()
-        a = memory.allocate("a", F64, 3, initial=[1.0, 2.0, 3.0])
-        snap = memory.snapshot()
-        a.set(0, 99.0)
-        memory.restore(snap)
-        assert list(a.values()) == [1.0, 2.0, 3.0]
-
     def test_integer_wrapping_store(self):
         memory = Memory()
         a = memory.allocate("a", I8, 1)
