@@ -317,8 +317,8 @@ def _stop_server(server) -> None:
 
 
 def _cmd_run(args) -> int:
+    plan = _parse_plan_arg(args)
     with _open_store(args) as store:
-        plan = _parse_plan_arg(args)
         orchestrator = CampaignOrchestrator(
             store,
             args.workload,

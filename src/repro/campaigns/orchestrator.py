@@ -158,10 +158,6 @@ class _ShardStream:
         self._awaiting: Optional[int] = None
         self._reply: object = None
 
-    @property
-    def exhausted(self) -> bool:
-        return self._source is None
-
     def fill(self) -> None:
         """Pull items from the source until it waits on a task's results."""
         while self._source is not None and self._awaiting is None:

@@ -67,6 +67,10 @@ class SamplingPlan(ABC):
     #: True when the number of injections is decided while running.
     adaptive = False
 
+    def __post_init__(self) -> None:
+        if self.bit_stride < 1:
+            raise ValueError("bit_stride must be at least 1")
+
     def objects_for(self, workload) -> List[str]:
         """The data objects this plan targets on ``workload``."""
         if self.objects is not None:
@@ -128,9 +132,12 @@ class FixedRandomPlan(StaticPlan):
 
     kind = "fixed"
 
-    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.tests <= 0:
             raise ValueError("tests must be positive")
+
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         sites = self.site_pool(trace, object_name)
         if not sites:
             raise ValueError(f"{object_name} has no valid fault sites")
@@ -159,9 +166,12 @@ class StratifiedPlan(StaticPlan):
 
     kind = "stratified"
 
-    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.per_stratum <= 0 or self.intervals <= 0:
             raise ValueError("per_stratum and intervals must be positive")
+
+    def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         sites = self.site_pool(trace, object_name)
         if not sites:
             raise ValueError(f"{object_name} has no valid fault sites")
@@ -214,6 +224,11 @@ class ValidationPlan(StaticPlan):
 
     kind = "validation"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.tests is not None and self.tests <= 0:
+            raise ValueError("tests must be positive (or None for all)")
+
     def specs_for(self, trace: ColumnarTrace, object_name: str) -> List[FaultSpec]:
         sites = strided_subsample(self.site_pool(trace, object_name), self.tests)
         return [site.to_spec() for site in sites]
@@ -248,6 +263,7 @@ class AdaptivePlan(SamplingPlan):
     adaptive = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.target_half_width <= 0 or self.target_half_width >= 1:
             raise ValueError("target_half_width must be in (0, 1)")
         if self.batch_size <= 0 or self.max_batches <= 0:

@@ -264,11 +264,6 @@ class ShardRecord:
     def faults_per_restore(self) -> float:
         return self.spec_count / self.batches if self.batches else 0.0
 
-    @property
-    def memo_hit_rate(self) -> float:
-        probes = self.memo_hits + self.memo_misses
-        return self.memo_hits / probes if probes else 0.0
-
 
 @dataclass(frozen=True)
 class StoredOutcome:

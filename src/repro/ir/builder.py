@@ -47,9 +47,6 @@ class IRBuilder:
     def set_block(self, block: BasicBlock) -> None:
         self.block = block
 
-    def new_block(self, label: str) -> BasicBlock:
-        return self.function.add_block(label)
-
     def _insert(self, instruction: Instruction) -> Instruction:
         if self.block is None:
             raise RuntimeError("IRBuilder has no insertion block")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.ir.types import IRType, VOID, I1, PointerType
+from repro.ir.types import IRType
 from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -219,14 +219,6 @@ class Instruction(Value):
         return self.opcode in TERMINATOR_OPCODES
 
     @property
-    def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.STORE, Opcode.ALLOCA, Opcode.GEP)
-
-    @property
-    def is_comparison(self) -> bool:
-        return self.opcode in COMPARISON_OPCODES
-
-    @property
     def is_binary(self) -> bool:
         return self.opcode in INT_BINARY_OPCODES or self.opcode in FLOAT_BINARY_OPCODES
 
@@ -236,11 +228,6 @@ class Instruction(Value):
 
     # convenient accessors --------------------------------------------- #
     @property
-    def stored_value(self) -> Value:
-        assert self.opcode is Opcode.STORE
-        return self.operands[0]
-
-    @property
     def pointer_operand(self) -> Value:
         if self.opcode is Opcode.STORE:
             return self.operands[1]
@@ -248,29 +235,7 @@ class Instruction(Value):
             return self.operands[0]
         raise TypeError(f"{self.opcode} has no pointer operand")
 
-    @property
-    def pointee_type(self) -> IRType:
-        """Element type accessed by a load/store/gep."""
-        ptr = self.pointer_operand.type
-        if isinstance(ptr, PointerType) and ptr.pointee is not None:
-            return ptr.pointee
-        raise TypeError("pointer operand has no pointee type")
-
-    def replace_operand(self, index: int, new: Value) -> None:
-        """Replace operand ``index`` with ``new`` (used by IR transforms)."""
-        self.operands[index] = new
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ops = ", ".join(op.short() for op in self.operands)
         pred = f" {self.predicate.value}" if self.predicate else ""
         return f"<{self.opcode.value}{pred} {ops}>"
-
-
-def make_icmp_result_type() -> IRType:
-    """Result type of comparison instructions (``i1``)."""
-    return I1
-
-
-def make_void() -> IRType:
-    """Result type of instructions that produce no value."""
-    return VOID

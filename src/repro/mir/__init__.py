@@ -4,12 +4,13 @@ Lowers a :class:`~repro.vm.engine.DecodedProgram` into extended basic
 blocks (:mod:`repro.mir.lower`), compiles each loop-free straight-line
 segment into an ``exec``-specialized superinstruction
 (:mod:`repro.mir.fuse`) once the segment is hot, and caches the result per
-program digest (:mod:`repro.mir.cache`).  The engine's ``backend="block"``
-fast path dispatches whole segments through these callables whenever the
-segment is hot, no fault is armed in-window, no pause boundary intersects
-the segment, and the run has no sink — dropping to the per-op loop
-otherwise, traced runs included, so the op loop remains the bit-identity
-oracle and the only trace emitter.
+program digest (:mod:`repro.mir.cache`).  The engine's ``block`` backend,
+its one production configuration, dispatches whole segments through these
+callables whenever the segment is hot, no fault is armed in-window, no
+pause boundary intersects the segment, and the run has no sink — dropping
+to the per-op loop otherwise, traced runs included, so the op loop remains
+the only trace emitter and, pinned as ``backend="op"`` in the parity
+tests, the bit-identity oracle.
 """
 
 from repro._lazy import lazy_exports

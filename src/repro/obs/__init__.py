@@ -9,7 +9,7 @@ Quick tour::
 
     from repro.obs import registry, span, get_logger
 
-    registry().inc("engine.segment_dispatches", 3, backend="block")
+    registry().inc("mir.segment_compiles", 3, variant="plain")
     with span("replay.batch", shard=7):
         ...                                  # timed, nestable, exported
     get_logger("campaign").info("shard.done", "shard 7 finished", shard=7)

@@ -25,7 +25,7 @@ subsystem.  Three design points drive the shape:
   holds the instrumented overhead itself to a few percent).
 
 Metric names are dotted lowercase (``engine.segment_ops``); labels are
-keyword arguments (``workload="matmul"``, ``backend="block"``).  The
+keyword arguments (``workload="matmul"``, ``variant="lanes"``).  The
 serialized form (:meth:`MetricsRegistry.to_dict`) is plain JSON: sorted
 lists of ``{"name", "labels", "value"}`` entries, stable across processes
 and runs with identical activity.

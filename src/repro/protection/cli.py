@@ -250,8 +250,13 @@ def cmd_apply(args, open_store, say) -> int:
 
 
 def cmd_validate(args, open_store, say) -> int:
+    from repro.campaigns.plans import ValidationPlan
     from repro.protection.validate import validate_plan
 
+    try:  # reject bad sampling before anything touches the store
+        ValidationPlan(bit_stride=args.bit_stride, tests=args.tests)
+    except ValueError as exc:
+        raise SystemExit(f"bad validation sampling: {exc}") from None
     with open_store(args) as store:
         plan = _resolve_plan(store, args.target)
         say(f"validating plan {plan.plan_id} "

@@ -119,10 +119,6 @@ class TraceEvent:
         return self.opcode is Opcode.STORE
 
     @property
-    def is_memory_access(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.STORE)
-
-    @property
     def is_branch(self) -> bool:
         return self.opcode is Opcode.BR
 

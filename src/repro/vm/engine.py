@@ -43,7 +43,6 @@ interpreter's :class:`~repro.tracing.events.TraceEvent` stream.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -131,6 +130,9 @@ _UNDEF = _Undef()
 
 #: Sentinel for "no pause scheduled" in the engine loop.
 _NEVER = 1 << 62
+
+#: Deepest call stack a run may build; one more call raises :class:`VMError`.
+MAX_CALL_DEPTH = 200
 
 # Decoded opcode kinds (small ints; if/elif chain ordered by frequency).
 K_FN = 0            # pure evaluator bound at decode time (arith/cmp/conv/...)
@@ -711,7 +713,12 @@ class Engine:
     * ``snapshot_budget`` — cap the snapshot count without knowing the run
       length in advance: when the schedule fills up, every other snapshot
       is dropped and the interval doubles (all retained positions stay
-      multiples of the final interval).
+      multiples of the final interval);
+    * ``backend`` — ``"block"``, the one production configuration, which
+      dispatches fused MIR superinstructions where legal and falls back to
+      the op loop; or ``"op"``, the plain per-op loop that the parity tests
+      pin as its bit-identity oracle (the test suite's ``--engine-backend
+      op`` option makes it the default).
 
     Faulty runs resume from snapshots in two ways only: the lockstep batch
     walk :meth:`resume_many`, and private replays; both restore through
@@ -726,25 +733,16 @@ class Engine:
         sink=None,
         fault: Optional[FaultSpec] = None,
         max_steps: int = 5_000_000,
-        max_call_depth: int = 200,
         snapshot_interval: int = 0,
         snapshot_budget: Optional[int] = None,
-        program: Optional[DecodedProgram] = None,
-        backend: Optional[str] = None,
+        backend: str = "block",
     ) -> None:
         self.module = module
         self.memory = memory
         self.sink = sink
         self.fault = fault
         self.max_steps = max_steps
-        self.max_call_depth = max_call_depth
-        self.program = program if program is not None else DecodedProgram.of(module)
-        # Execution backend: "block" (default) dispatches fused MIR
-        # superinstructions where legal and falls back to the op loop;
-        # "op" forces the plain per-op loop (the bit-identity oracle).
-        # ``REPRO_ENGINE_BACKEND`` overrides the default process-wide.
-        if backend is None:
-            backend = os.environ.get("REPRO_ENGINE_BACKEND") or "block"
+        self.program = DecodedProgram.of(module)
         if backend not in ("block", "op"):
             raise ValueError(
                 f"unknown engine backend {backend!r} (expected 'block' or 'op')"
@@ -801,8 +799,8 @@ class Engine:
         func = self.module.get_function(function_name)
         values = prepare_arguments(func, args)
         df = self.program.functions[function_name]
-        if len(self._frames) >= self.max_call_depth:
-            raise VMError(f"call depth limit ({self.max_call_depth}) exceeded")
+        if len(self._frames) >= MAX_CALL_DEPTH:
+            raise VMError(f"call depth limit ({MAX_CALL_DEPTH}) exceeded")
         frame = _Frame(df)
         frame.regs[: df.nargs] = values
         self._frames.append(frame)
@@ -851,7 +849,7 @@ class Engine:
         self.visited = []
         reg = _metrics_registry()
         if reg.enabled:
-            reg.inc("engine.snapshot_restores", backend=self.backend)
+            reg.inc("engine.snapshot_restores")
         # re-align snapshot capture to the first interval multiple strictly
         # after the restore point (the restore point itself is the snapshot
         # the caller already holds)
@@ -867,7 +865,7 @@ class Engine:
         walk's eviction points both capture through here."""
         reg = _metrics_registry()
         if reg.enabled:
-            reg.inc("engine.forks", backend=self.backend)
+            reg.inc("engine.forks")
         return Snapshot(
             self._dyn,
             [_FrameImage(frame) for frame in self._frames],
@@ -936,8 +934,6 @@ class Engine:
             fork.memory,
             fault=fault,
             max_steps=self.max_steps,
-            max_call_depth=self.max_call_depth,
-            program=self.program,
             backend=self.backend,
         )
         engine.prepare_resume(fork)
@@ -1036,7 +1032,7 @@ class Engine:
         resolve = memory.resolve
         check_access = Memory._check_access_type
         max_steps = self.max_steps
-        max_depth = self.max_call_depth
+        max_depth = MAX_CALL_DEPTH
         functions = self.program.functions
 
         frame = frames[-1]
@@ -1663,7 +1659,7 @@ class Engine:
             self.snapshots.append(self.capture_fork())
             reg = _metrics_registry()
             if reg.enabled:
-                reg.inc("engine.snapshots", backend=self.backend)
+                reg.inc("engine.snapshots")
             if (
                 self.snapshot_budget is not None
                 and len(self.snapshots) >= self.snapshot_budget
@@ -1717,7 +1713,7 @@ class Engine:
         fault_result = fault is not None and fault.target is FaultTarget.RESULT
         fault_store_old = fault is not None and fault.target is FaultTarget.STORE_DEST_OLD
         max_steps = self.max_steps
-        max_depth = self.max_call_depth
+        max_depth = MAX_CALL_DEPTH
         functions = self.program.functions
         module = self.module
 
@@ -1990,11 +1986,9 @@ class Engine:
             if reg.enabled:
                 executed = dyn - entry_dyn
                 if executed:
-                    reg.inc("engine.ops", executed, backend=self.backend)
+                    reg.inc("engine.ops", executed)
                 if segs:
-                    reg.inc(
-                        "engine.segment_dispatches", segs, backend=self.backend
-                    )
-                    reg.inc("engine.segment_ops", seg_ops, backend=self.backend)
+                    reg.inc("engine.segment_dispatches", segs)
+                    reg.inc("engine.segment_ops", seg_ops)
 
         return ExecutionResult(return_value=return_value, steps=dyn, trace=sink)

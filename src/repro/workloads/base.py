@@ -21,7 +21,7 @@ from repro.ir.function import Module
 from repro.tracing.columnar import ColumnarTrace
 from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
-from repro.vm.memory import DataObject, Memory
+from repro.vm.memory import Memory
 
 Number = Union[int, float]
 
@@ -53,24 +53,19 @@ class WorkloadInstance:
         self.memory = memory
         self.args = args
 
-    def data_object(self, name: str) -> DataObject:
-        """The named data object of this instance."""
-        return self.memory.object(name)
-
     def run(
         self,
         trace: Optional[ColumnarTrace] = None,
         fault: Optional[FaultSpec] = None,
         max_steps: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> RunOutcome:
         """Execute the workload's entry kernel on the pre-decoded
         :class:`~repro.vm.engine.Engine`.
 
         ``trace`` takes a :class:`~repro.tracing.columnar.ColumnarTrace` to
-        record the run into, or ``None`` for a sink-free run.  ``backend`` picks
-        the engine's dispatch strategy (``"block"`` / ``"op"``, default
-        ``REPRO_ENGINE_BACKEND``).
+        record the run into, or ``None`` for a sink-free run.  The engine
+        runs its production ``block`` backend; a test that pins the ``op``
+        oracle builds its :class:`~repro.vm.engine.Engine` directly.
 
         Raises the VM error types on crashes/hangs; callers performing fault
         injection catch them and classify the outcome.
@@ -81,7 +76,6 @@ class WorkloadInstance:
             sink=trace,
             fault=fault,
             max_steps=max_steps or self.workload.max_steps,
-            backend=backend,
         )
         result = engine.run(self.workload.entry, self.args)
         outputs = {

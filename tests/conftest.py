@@ -18,6 +18,27 @@ from repro.vm import Memory
 from oracles.interpreter import Interpreter
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--engine-backend",
+        choices=("block", "op"),
+        default="block",
+        help="default backend of every Engine the tests build without naming "
+        "one: 'block' (production) or 'op' (the per-op oracle loop)",
+    )
+
+
+def pytest_configure(config):
+    """Apply ``--engine-backend`` before any fixture exists, so session
+    fixtures run on the chosen backend too."""
+    backend = config.getoption("--engine-backend")
+    if backend != "block":
+        from mir_helpers import default_engine_backend
+        from repro.vm.engine import Engine
+
+        Engine.__init__ = default_engine_backend(backend)
+
+
 @pytest.fixture(autouse=True)
 def _isolated_trace_cache(tmp_path, monkeypatch):
     """Point the golden-trace cache at a per-test directory.

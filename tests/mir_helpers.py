@@ -7,15 +7,39 @@ behaviour of the compiled code either warm the program first
 (:func:`compile_all`) or check that the block backend really dispatched a
 fused segment (:func:`segment_dispatches`), so a parity check can never end
 up comparing the op loop with itself.
+
+The engine's backend is a constructor argument only.  A test that builds
+its engines indirectly (through a workload, a replay context or an
+injector) picks the backend they default to with :func:`engine_backend`;
+the suite-wide ``--engine-backend`` option sets the same default.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partialmethod
+
+import pytest
 
 from repro.mir import clear_digest_cache, invalidate, mir_program_for
 from repro.obs.metrics import configure, registry
-from repro.vm.engine import DecodedProgram
+from repro.vm.engine import DecodedProgram, Engine
+
+
+def default_engine_backend(backend: str) -> partialmethod:
+    """``Engine.__init__`` with ``backend`` as its default backend; an
+    explicit ``backend=`` argument still wins."""
+    return partialmethod(Engine.__init__, backend=backend)
+
+
+@contextmanager
+def engine_backend(backend: str):
+    """Build every :class:`Engine` that names no backend inside the
+    ``with`` body on ``backend`` (worker processes forked meanwhile
+    inherit it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "__init__", default_engine_backend(backend))
+        yield
 
 
 def compile_all(module) -> int:
@@ -58,7 +82,7 @@ def segment_dispatches():
 
     def read():
         return (
-            reg.counter_value("engine.segment_dispatches", backend="block"),
+            reg.counter_value("engine.segment_dispatches"),
             reg.counter_total("mir.segment_compiles"),
         )
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.campaigns.cli import main
+from repro.campaigns.store import CampaignStore
 from repro.tracing import ColumnarTrace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -153,6 +154,32 @@ class TestInProcessCommands:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "matmul", "--plan", "bogus:1",
                   "--store", store_path])
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["campaign", "run", "cg", "--plan", "fixed:0", "--set", "n=6"],
+         "tests must be positive"),
+        (["campaign", "run", "cg", "--plan", "exhaustive:0", "--set", "n=6"],
+         "bit_stride must be at least 1"),
+        (["campaign", "run", "cg", "--plan", "stratified:0x4", "--set", "n=6"],
+         "per_stratum and intervals must be positive"),
+        (["protect", "validate", "cg", "--tests", "0"],
+         "tests must be positive"),
+    ],
+)
+def test_out_of_range_sampling_fails_before_the_store(argv, reason, store_path):
+    """Out-of-range plan values exit with one line, no traceback, and
+    leave no campaign row behind."""
+    proc = _run_module(*argv, "--store", store_path, check=False)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().count("\n") == 0
+    assert reason in proc.stderr
+    if os.path.exists(store_path):
+        with CampaignStore(store_path) as store:
+            assert store.campaigns() == []
 
 
 class TestStatsCommand:
@@ -319,7 +346,7 @@ class TestStatsCommand:
         ) == 0
         text = open(prom_path).read()
         assert "# TYPE repro_engine_ops counter" in text
-        assert "repro_engine_ops{" in text
+        assert "\nrepro_engine_ops " in text
 
     def test_status_metrics_flag(self, store_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",

@@ -7,6 +7,7 @@ from repro.campaigns.plans import (
     ExhaustivePlan,
     FixedRandomPlan,
     StratifiedPlan,
+    ValidationPlan,
     parse_plan,
     plan_from_dict,
 )
@@ -65,6 +66,27 @@ class TestParsing:
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_plan(bad)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("fixed:0", "tests must be positive"),
+            ("fixed:-4@2", "tests must be positive"),
+            ("exhaustive:0", "bit_stride must be at least 1"),
+            ("stratified:0x4", "per_stratum and intervals must be positive"),
+            ("stratified:8x0", "per_stratum and intervals must be positive"),
+        ],
+    )
+    def test_parse_rejects_out_of_range_values(self, bad, reason):
+        with pytest.raises(ValueError, match=f"cannot parse plan spec.*{reason}"):
+            parse_plan(bad)
+
+    def test_validation_plan_ranges(self):
+        with pytest.raises(ValueError, match="tests must be positive"):
+            ValidationPlan(tests=0)
+        with pytest.raises(ValueError, match="bit_stride"):
+            ValidationPlan(bit_stride=0)
+        assert ValidationPlan(tests=None).tests is None
 
 
 class TestStaticPlans:

@@ -19,6 +19,7 @@ import pytest
 import repro.tracing.columnar as columnar_module
 from repro.tracing import ColumnarTrace, TraceCache, trace_digest
 from repro.tracing.events import TraceEvent
+from repro.vm.engine import Engine
 from repro.workloads.registry import get_workload
 
 from test_trace_sinks import _EventList, _run
@@ -39,9 +40,11 @@ def matmul_traces():
     matmul."""
     workload = get_workload("matmul")
     full = _run(workload, "interpreter", _EventList())[0].trace
-    columnar = workload.fresh_instance().run(
-        trace=ColumnarTrace(), backend="op"
-    ).trace
+    instance = workload.fresh_instance()
+    columnar = ColumnarTrace()
+    Engine(
+        instance.module, instance.memory, sink=columnar, backend="op"
+    ).run(workload.entry, instance.args)
     return full, columnar
 
 

@@ -32,7 +32,7 @@ from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
 from repro.workloads.base import Workload
 
-from mir_helpers import cold, compile_all, segment_dispatches
+from mir_helpers import cold, compile_all, engine_backend, segment_dispatches
 from test_mir_parity import assert_event_streams_identical
 
 
@@ -162,8 +162,7 @@ class LazyWorkload(Workload):
 
 def _walk(workload, specs, backend):
     """One batch walk: per-fault summaries and the walk's stats."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_ENGINE_BACKEND", backend)
+    with engine_backend(backend):
         context = ReplayContext(workload)
         results = context.replay_many(specs)
     summaries = []

@@ -34,6 +34,8 @@ from repro.tracing.cache import MemoCache, trace_digest
 from repro.vm.errors import SegmentationFault, VMError
 from repro.workloads.registry import get_workload
 
+from mir_helpers import engine_backend
+
 
 @pytest.fixture(autouse=True)
 def _fresh_registry():
@@ -284,21 +286,21 @@ class TestInjectorWarmStart:
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
         digest = trace_digest("cg", {"n": 6})
         specs = _divergent_specs(get_workload("cg", n=6))
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
-        learner = DeterministicFaultInjector(
-            get_workload("cg", n=6), memo_key=digest
-        )
-        learner.inject_many(specs)
+        with engine_backend("block"):
+            learner = DeterministicFaultInjector(
+                get_workload("cg", n=6), memo_key=digest
+            )
+            learner.inject_many(specs)
         MemoCache.from_env().merge_store(digest, learner.consume_memo_delta())
 
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "op")
-        warm = DeterministicFaultInjector(
-            get_workload("cg", n=6), memo_key=digest
-        )
-        warmed = warm.inject_many(specs)
+        with engine_backend("op"):
+            warm = DeterministicFaultInjector(
+                get_workload("cg", n=6), memo_key=digest
+            )
+            warmed = warm.inject_many(specs)
+            cold = DeterministicFaultInjector(get_workload("cg", n=6))
+            expected = cold.inject_many(specs)
         assert warm.context.stats.memo_persist_hits >= 1
-        cold = DeterministicFaultInjector(get_workload("cg", n=6))
-        expected = cold.inject_many(specs)
         assert cold.context.stats.memo_persist_hits == 0
         assert [(r.spec, r.outcome, r.detail) for r in warmed] == [
             (r.spec, r.outcome, r.detail) for r in expected

@@ -456,12 +456,15 @@ def test_backend_selection_and_validation():
         Engine(instance.module, instance.memory, backend="jit")
 
 
-def test_env_var_selects_backend(monkeypatch):
+def test_environment_does_not_select_backend(monkeypatch, request):
+    """The backend is a constructor argument only: the retired
+    ``REPRO_ENGINE_BACKEND`` variable, set to the other backend, leaves the
+    default (``block``, or the suite's ``--engine-backend``) in place."""
+    default = request.config.getoption("--engine-backend")
+    other = "op" if default == "block" else "block"
     workload = get_workload("matmul")
     instance = workload.fresh_instance()
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "op")
-    assert Engine(instance.module, instance.memory).backend == "op"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
-    assert Engine(instance.module, instance.memory).backend == "block"
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND")
-    assert Engine(instance.module, instance.memory).backend == "block"
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", other)
+    engine = Engine(instance.module, instance.memory)
+    assert engine.backend == default
+    assert (engine._mir is not None) == (default == "block")

@@ -416,12 +416,9 @@ class TestEngineCounters:
         engine = Engine(module, memory, backend="block")
         result = engine.run("saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0})
         reg = registry()
-        assert reg.counter_value("engine.ops", backend="block") == result.steps
-        assert reg.counter_value("engine.segment_dispatches", backend="block") > 0
-        assert (
-            reg.counter_value("engine.segment_ops", backend="block")
-            <= result.steps
-        )
+        assert reg.counter_value("engine.ops") == result.steps
+        assert reg.counter_value("engine.segment_dispatches") > 0
+        assert reg.counter_value("engine.segment_ops") <= result.steps
 
     def test_disabled_registry_records_nothing(self, saxpy_setup):
         from repro.vm import Engine

@@ -42,9 +42,9 @@ def _run(workload, executor: str, sink):
             workload.entry, instance.args
         )
     else:
+        pinned = {} if executor == "engine" else {"backend": executor}
         result = Engine(
-            instance.module, instance.memory, sink=sink,
-            backend=None if executor == "engine" else executor,
+            instance.module, instance.memory, sink=sink, **pinned
         ).run(workload.entry, instance.args)
     outputs = {
         name: instance.memory.object(name).values()

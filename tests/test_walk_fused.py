@@ -10,7 +10,7 @@ lane raising); the op loop runs that op and the rest of the segment.  A
 fault arming at the segment's first op sends the whole segment to the op
 loop.  These cases pin the edges of that rule on small programs whose
 every op is visible, checking each batch against one from-scratch faulty
-run per fault, and the ``block`` walk against the ``REPRO_ENGINE_BACKEND=op`` walk
+run per fault, and the ``block`` walk against the ``op`` walk
 on resolution kind, ``converged_at`` and the op each eviction forks at:
 
 * faults arming at, inside and just past a fused window, with and
@@ -56,7 +56,7 @@ from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
 from repro.workloads.base import Workload
 
-from mir_helpers import cold, compile_all
+from mir_helpers import cold, compile_all, engine_backend
 
 
 def scale(v: "double*", n: "i64") -> "double":
@@ -171,8 +171,6 @@ def test_callee_runs_fused_while_caller_holds_divergent_register(
     fmul = _first(events, "kernel", "fmul")
     spec = FaultSpec(dynamic_id=fmul.dynamic_id, bit=62, operand_index=0)
 
-    # the premise is a fused callee; the op backend has no fused segments
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
     walking = []  # the engine inside resume_many, if any
     original = Engine.resume_many
 
@@ -197,7 +195,9 @@ def test_callee_runs_fused_while_caller_holds_divergent_register(
 
             monkeypatch.setattr(seg, "plain", spy)
 
-    results, stats = _batch_matches_sequential(workload, [spec])
+    # the premise is a fused callee; the op backend has no fused segments
+    with engine_backend("block"):
+        results, stats = _batch_matches_sequential(workload, [spec])
     assert results[0].via == "completed"  # the product reached ``out``
     assert any(seen), "callee never ran fused under a divergent caller"
     assert stats.walk_fused_ops > 0
@@ -248,8 +248,7 @@ def _walk_record(workload, specs, backend):
         forks[resolution.spec] = fork.dyn
         return original(self, resolution, fork, *args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_ENGINE_BACKEND", backend)
+    with engine_backend(backend), pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "_private_replay", spy)
         context = ReplayContext(workload)
         results = context.replay_many(specs)
@@ -576,12 +575,8 @@ def test_faults_arming_at_first_interior_and_last_op_under_lanes(
     assert stats.walk_lane_ops > 0
 
 
-def test_lane_counters_reach_the_metrics_registry(
-    lanes_workload, lanes_events, monkeypatch
-):
+def test_lane_counters_reach_the_metrics_registry(lanes_workload, lanes_events):
     from repro.obs.metrics import registry
-
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
 
     reg = registry()
     if not reg.enabled:
@@ -597,8 +592,9 @@ def test_lane_counters_reach_the_metrics_registry(
             bit=40, operand_index=0,
         ),
     ]
-    context = ReplayContext(lanes_workload)
-    context.replay_many(specs)
+    with engine_backend("block"):
+        context = ReplayContext(lanes_workload)
+        context.replay_many(specs)
     stats = context.stats
     assert stats.walk_lane_ops > 0
     assert stats.walk_stops_arm >= 1 and stats.walk_stops_evict >= 1
