@@ -24,8 +24,13 @@ then a **>= 2x geometric-mean speedup** on the injection-resolution
 phase across ``matmul`` and ``cg``.  The timed legs raise
 ``injection_samples_per_class`` (default 8) so the injection phase has a
 campaign-scale number of replays to amortize; the identity sweep runs
-the paper-default config.  Results land in pytest-benchmark
-``extra_info`` (or ``BENCH_advf_inject.json`` when run standalone)::
+the paper-default config.  Each timed phase is the **median** of
+``REPRO_BENCH_INJECT_REPEATS`` (default 5) runs, the two configurations
+alternating, and the absolute milliseconds of both halves are written next
+to every ratio: matmul's batched phase takes only ~10 ms, so a single
+slow or fast run must not decide the gate.  Results land in
+pytest-benchmark ``extra_info`` (or ``BENCH_advf_inject.json`` when run
+standalone)::
 
     python benchmarks/bench_advf_inject.py
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 import sys
 
 try:
@@ -50,8 +56,9 @@ from repro.workloads.registry import get_workload, workload_names
 
 #: Scale factor (1 = quick laptop/CI run); scales timing repeats.
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
-#: Timing repeats per configuration on the timed workloads (min is kept).
-REPEATS = max(1, int(os.environ.get("REPRO_BENCH_INJECT_REPEATS", "2"))) * SCALE
+#: Timing repeats per configuration on the timed workloads (the median is
+#: kept; at least 5).
+REPEATS = max(5, int(os.environ.get("REPRO_BENCH_INJECT_REPEATS", "5"))) * SCALE
 #: ``injection_samples_per_class`` for the timed legs — deeper than the
 #: paper default (2) so the injection phase replays at campaign scale.
 SAMPLES = max(1, int(os.environ.get("REPRO_BENCH_INJECT_SAMPLES", "8")))
@@ -111,21 +118,24 @@ def check_bit_identity():
 
 
 def measure_workload(name):
-    """Min-of-repeats injection-phase wall clock, per-fault vs batched."""
-    sequential_s = min(
-        _analyze(name, batched=False, samples=SAMPLES)[1] for _ in range(REPEATS)
-    )
-    batched_s = float("inf")
+    """Median-of-repeats injection-phase wall clock, per-fault vs batched
+    (alternating, so a drift in host speed hits both alike)."""
+    sequential, batched = [], []
     stats = {}
     for _ in range(REPEATS):
-        _, elapsed, run_stats = _analyze(name, batched=True, samples=SAMPLES)
-        if elapsed < batched_s:
-            batched_s, stats = elapsed, run_stats
+        sequential.append(_analyze(name, batched=False, samples=SAMPLES)[1])
+        _, elapsed, stats = _analyze(name, batched=True, samples=SAMPLES)
+        batched.append(elapsed)
+    sequential_s = statistics.median(sequential)
+    batched_s = statistics.median(batched)
     return {
         "workload": name,
         "injection_samples_per_class": SAMPLES,
+        "repeats": REPEATS,
         "sequential_injection_s": sequential_s,
         "batched_injection_s": batched_s,
+        "sequential_ms": round(sequential_s * 1e3, 2),
+        "batched_ms": round(batched_s * 1e3, 2),
         "speedup": sequential_s / batched_s if batched_s else float("inf"),
         "speculation_stats": stats,
     }

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
 #: Format version of the serialised convergence-memo artifact.  Bumped on
 #: any change to the payload layout or the entry encoding; persisted memos
 #: of other versions are treated as cold (never migrated in place).
-MEMO_FORMAT_VERSION = 2
+MEMO_FORMAT_VERSION = 3
 
 #: Snapshots a derived checkpoint interval aims for: the golden run lands
 #: between this many and twice as many.
@@ -108,9 +108,25 @@ class ReplayContext:
             snapshot_budget=2 * TARGET_CHECKPOINTS if derived else None,
             max_steps=workload.max_steps,
         )
+        block = engine.backend == "block"
+        if block and sink is None:
+            engine.entry_log = []
         result = engine.run(workload.entry, self.instance.args)
         #: The golden dynamic trace, when a recording sink was supplied.
         self.golden_trace = sink
+        #: Fused segment -> sorted golden entry positions (block backend
+        #: only): the batch walk compiles ``lanes`` only where they let it
+        #: pay (:meth:`repro.mir.lower.MirSegment.hot`).
+        self.segment_entries = None
+        if block:
+            from repro.mir import mir_program_for
+            from repro.mir.lower import entries_from_log, entries_from_trace
+
+            self.segment_entries = (
+                entries_from_log(engine.entry_log)
+                if sink is None
+                else entries_from_trace(mir_program_for(engine.program), sink)
+            )
         self.checkpoint_interval = engine.snapshot_interval
         self.snapshots: List[Snapshot] = engine.snapshots
         self._snapshot_positions = [snap.dyn for snap in self.snapshots]
@@ -224,7 +240,7 @@ class ReplayContext:
         )
         resolutions = engine.resume_many(
             self.snapshots, ordered, golden_digests=self._golden_digests(),
-            memo=self.memo,
+            memo=self.memo, segment_entries=self.segment_entries,
         )
         stats.walk_ops += engine.walk_ops
         stats.walk_fused_ops += engine.walk_fused_ops

@@ -3,10 +3,11 @@
 Lowers a :class:`~repro.vm.engine.DecodedProgram` into extended basic
 blocks (:mod:`repro.mir.lower`), compiles each loop-free straight-line
 segment into an ``exec``-specialized superinstruction
-(:mod:`repro.mir.fuse`) once the segment is hot, and caches the result per
-program digest (:mod:`repro.mir.cache`).  The engine's ``block`` backend,
-its one production configuration, dispatches whole segments through these
-callables whenever the segment is hot, no fault is armed in-window, no
+(:mod:`repro.mir.fuse`) once the segment is hot -- for the batch walk's
+``lanes`` variant, only where the golden run's entries let the compile pay
+-- and caches the result per program digest (:mod:`repro.mir.cache`).  The
+engine's ``block`` backend, its one production configuration, dispatches
+whole segments through these callables whenever the segment is hot, no fault is armed in-window, no
 pause boundary intersects the segment, and the run has no sink — dropping
 to the per-op loop otherwise, traced runs included, so the op loop remains
 the only trace emitter and, pinned as ``backend="op"`` in the parity
@@ -22,6 +23,7 @@ __getattr__, __all__ = lazy_exports(
         "lower": (
             "FUSABLE_BODY",
             "HOT_ENTRIES",
+            "LANES_BREAK_EVEN",
             "MirFunction",
             "MirProgram",
             "MirSegment",

@@ -3,9 +3,7 @@
 Each fused :class:`~repro.mir.lower.MirSegment` is compiled — once per
 distinct program, via the digest-keyed cache — into an ``exec``-specialized
 callable that executes the whole segment without per-op dispatch.  Each
-variant below is compiled only once the segment is hot: at the N-th entry
-that wants it (N per variant in :data:`~repro.mir.lower.HOT_ENTRIES`),
-counted over all of the digest cache's copies of the program
+variant below is compiled only once the segment is hot
 (:meth:`~repro.mir.lower.MirSegment.hot`); the entries before it run in the
 op loop, as every unfused segment and mid-segment resume does.  The
 generated code *inlines* the engine's semantics (operand resolution, the
@@ -24,36 +22,49 @@ record through the op loop, the only trace emitter):
 * **plain** — ``fn(frame, regs, memory, cell) -> next_pc``; used for
   sink-free runs and by the lockstep batch walk where no divergence can
   reach the segment.
-* **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, dc, active, rg,
-  dynbase, stop, last) -> pc``; the batch walk's
+* **lanes** — ``fn(frame, regs, memory, cell, fdiv, cells, walk, stop) ->
+  pc``; the batch walk's
   (:meth:`~repro.vm.engine.Engine.resume_many`) variant for segments that
-  divergence reaches.  Golden ops run exactly as in *plain*; every op whose
+  divergence reaches.  Golden ops run exactly as in *plain*.  An op whose
   operands (the frame's ``fdiv`` map, values defined earlier in the
-  segment) or loaded cell (``cells``) diverge also computes each affected
-  fault's value inline and keeps it only if it is not bit-equal to golden
-  (type-strict, ``-0.0 != 0.0``, NaN payloads count).  ``frame.div``,
-  ``cells`` and the per-fault divergence counts ``dc`` are updated op by
-  op with the op loop's own rule (``engine._rebase``), and a fault whose
-  last divergence dies resolves golden (``rg``) at that op.
+  segment) or loaded cell (``cells``) diverge also gets each affected
+  fault's value through one shared helper, :func:`_lanes`: it calls the
+  op's per-fault expression — a small function compiled once per distinct
+  expression text and shared by every segment of the process (the op's
+  own evaluator for intrinsics and rare ops) — with the fault's operands
+  swapped in, and keeps a value only if it is not bit-equal to golden
+  under the op loop's own rule
+  (:func:`~repro.vm.engine._values_bit_equal`).  ``frame.div``, ``cells``
+  and the per-fault divergence counts (``walk``, a
+  :class:`~repro.vm.engine.LaneWalk`) are updated op by op with the op
+  loop's rule (``engine._rebase``), each by one guarded call, and a fault
+  whose last divergence dies resolves golden at that op.  Memory accesses
+  resolve through the op loop's own ``Memory.resolve``: only *plain*, the
+  golden path, inlines the common case.
+
+Neither variant stores a progress counter per op.  Every generated source
+line belongs to one op offset, and a per-segment line table (``D``) maps
+the line an exception passed through (``exc.__traceback__.tb_lineno``) to
+the offset of the op it interrupted: the number of ops fully executed.
 
 Stop protocol (*lanes*): the body stops *before* the first op it cannot
 carry — a fault arming there (offset ``stop``), a load/store address or a
 branch direction diverging (the op loop evicts), or any evaluation raising
-(the op loop re-runs the op and classifies the error).  It writes back the
-registers the completed prefix defined (by their first-write offsets) and
+(the op loop re-runs the op and classifies the error).  The handler reads
+the stop op's offset from the line table, writes back the registers the
+completed prefix defined (by their first-write offsets) and
 ``prev_block``, stores the prefix length in ``cell[0]`` and the cause in
 ``cell[1]`` and returns the stop op's pc; the op loop runs the rest of the
 segment.  When the walk's last in-flight fault resolves and none is left to
-arm (``last``), the body ends after that op with cause ``LANE_END``.
+arm (``walk.last``), the body ends after that op with cause ``LANE_END``.
 
-Crash protocol (*plain*): the generated body maintains ``done`` (ops
-fully executed so far); on any exception it stores ``done`` into the
-caller's ``cell`` and re-raises, so the engine can advance ``dyn`` by the
-completed prefix — the op loop's exact accounting (a crashing op
-contributes no step).  Register writeback is deferred to segment success;
-memory effects happen in place, matching the op loop's ordering observable
-at any crash or pause boundary (pauses never land mid-segment, and a crash
-pops the frames anyway).
+Crash protocol (*plain*): on any exception the handler stores the
+crashing op's offset (from the line table) into the caller's ``cell`` and
+re-raises, so the engine can advance ``dyn`` by the completed prefix — the
+op loop's exact accounting (a crashing op contributes no step).  Register
+writeback is deferred to segment success; memory effects happen in place,
+matching the op loop's ordering observable at any crash or pause boundary
+(pauses never land mid-segment, and a crash pops the frames anyway).
 
 Known (accepted) sharing caveat: compiled segments are shared across
 structurally identical modules via the print-digest cache, and the
@@ -65,12 +76,12 @@ across module instances — never in behaviour.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
-from math import copysign
 from time import perf_counter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.ir.instructions import Opcode
 from repro.ir.types import IRType
@@ -91,6 +102,7 @@ from repro.vm.engine import (
     LANE_ARM,
     _UNDEF,
     _rebase,
+    _values_bit_equal,
 )
 from repro.vm.errors import SegmentationFault, VMError
 from repro.vm.memory import Memory
@@ -113,6 +125,12 @@ _INF = float("inf")
 #: can ever store a fault into the shared instance.
 _NO_LANES = MappingProxyType({})
 
+#: Globals of the per-fault expression functions (see :func:`_lane_function`).
+_LANE_GLOBALS = {"_fdiv": float_divide, "_frem": float_remainder, "_f32": np.float32}
+
+#: Expression source -> compiled per-fault function, shared process-wide.
+_LANE_FUNCTIONS: Dict[str, Callable] = {}
+
 
 class _Halt(Exception):
     """Raised inside a ``lanes`` body to stop; ``cause`` says why."""
@@ -132,50 +150,107 @@ class _End(_Halt):
     cause = LANE_END
 
 
-def _zero_signs_differ(a, b) -> bool:
-    """For ``a == b == 0`` of one type: do the IEEE sign bits differ?"""
-    return type(a) is float and copysign(1.0, a) != copysign(1.0, b)
+def _lane_function(lines: List[str], nargs: int) -> Callable:
+    """``fn(values) -> r`` running ``lines`` over ``a0 .. a{nargs-1}``.
+
+    Compiled once per distinct source and shared by every segment: the
+    expression text holds only the op's shape (opcode, masks, known operand
+    kinds), never its operands or pool entries.
+    """
+    params = ", ".join(f"a{i}" for i in range(nargs))
+    source = "\n    ".join(
+        ["def _lane(v):", f"{params}, = v", *lines, "return r"]
+    ) + "\n"
+    fn = _LANE_FUNCTIONS.get(source)
+    if fn is None:
+        namespace = dict(_LANE_GLOBALS)
+        exec(compile(source, "<mir:lane>", "exec"), namespace)
+        fn = _LANE_FUNCTIONS[source] = namespace["_lane"]
+    return fn
 
 
-_pack_double = struct.Struct("<d").pack
+def _lanes(fn, golden, values, lanes) -> Dict[int, object]:
+    """Each affected fault's value of one op, kept where it is not bit-equal
+    to ``golden`` (:func:`~repro.vm.engine._values_bit_equal`, the op loop's
+    rule).
+
+    ``values`` are the op's golden operand values (a fresh list, reused as
+    scratch); ``lanes`` pairs operand positions with the divergence map
+    (``{fault: value}``) of each diverging operand.  A fault computes
+    ``fn(values)`` with its own value at every position it diverges in.
+    A value unequal to golden that is not a NaN differs bit-wise too, so
+    only the rest (equal values, NaNs) go through the rule itself.
+    """
+    new = {}
+    if len(lanes) == 1:
+        position, m = lanes[0]
+        for f, q in m.items():
+            values[position] = q
+            r = fn(values)
+            if (r != golden and r == r) or not _values_bit_equal(r, golden):
+                new[f] = r
+        return new
+    base = tuple(values)
+    faults = set()
+    for _, m in lanes:
+        faults.update(m)
+    for f in faults:
+        values[:] = base
+        for position, m in lanes:
+            if f in m:
+                values[position] = m[f]
+        r = fn(values)
+        if (r != golden and r == r) or not _values_bit_equal(r, golden):
+            new[f] = r
+    return new
 
 
-def _resolve(drained, rg, at, last, active) -> None:
+def _turns(lanes, cond) -> bool:
+    """Does any fault's branch condition in ``lanes`` take the other way?"""
+    gb = not cond
+    for q in lanes.values():
+        if (not q) is not gb:
+            return True
+    return False
+
+
+def _resolve(drained, walk, at) -> None:
     """Resolve golden the faults whose last divergence died at dynamic id
     ``at``; raise :class:`_End` when none is left in flight and none is left
-    to arm (``last``): the walk ends after this op."""
+    to arm (``walk.last``): the walk ends after this op."""
     for f in drained:
-        rg(f, at)
-    if last and not active:
+        walk.resolve_golden(f, at)
+    if walk.last and not walk.active:
         raise _End
 
 
-def _reslot(fdiv, slot, old, new, dc, rg, at, last, active) -> None:
-    """A value op's update of its destination's divergence map (``old``
-    already popped)."""
+def _reslot(fdiv, slot, new, walk, j) -> None:
+    """Op ``j``'s replacement of its destination's divergence map."""
+    old = fdiv.pop(slot, None)
     drained = []
-    _rebase(old, new, dc, drained)
+    _rebase(old, new, walk.div_count, drained)
     if new:
         fdiv[slot] = new
     if drained:
-        _resolve(drained, rg, at, last, active)
+        _resolve(drained, walk, walk.dyn + j)
 
 
-def _recell(cells, cmap, name, index, new, dc, rg, at, last, active) -> None:
-    """A store's update of ``cells[name][index]``.
+def _recell(cells, name, index, new, walk, j) -> None:
+    """Store ``j``'s update of ``cells[name][index]``.
 
     Empty per-object maps are dropped, so an empty ``cells`` keeps meaning
     "no live cell divergence".
     """
+    cmap = cells.get(name)
     old = cmap.pop(index, None) if cmap else None
     drained = []
-    _rebase(old, new, dc, drained)
+    _rebase(old, new, walk.div_count, drained)
     if new:
         cells.setdefault(name, {})[index] = new
     elif not cmap:
         cells.pop(name, None)
     if drained:
-        _resolve(drained, rg, at, last, active)
+        _resolve(drained, walk, walk.dyn + j)
 
 
 def _cell_lanes(cells, obj, index):
@@ -207,36 +282,6 @@ def _write_back(frame, regs, names, done, writes, branches) -> None:
         frame.prev_block = block
 
 
-def _differs(lane: str, golden: str, target: str, kind: str) -> List[str]:
-    """Store ``lane`` into ``target[f]`` unless it is bit-equal to ``golden``.
-
-    Inlines :func:`repro.vm.engine._values_bit_equal`: type-strict,
-    ``-0.0 != 0.0``, and two NaNs are equal only with the same payload.
-    ``kind`` is the type both values are known to have ("i" int, "f"
-    float, "" unknown); a known type drops the checks it cannot fail.
-    """
-    if kind == "i":
-        return [f"if {lane} != {golden}:", f"    {target}[f] = {lane}"]
-    if kind == "f":
-        return [
-            f"if {lane} != {golden}:",
-            f"    if {lane} == {lane} or {golden} == {golden} "
-            f"or _pk({lane}) != _pk({golden}):",
-            f"        {target}[f] = {lane}",
-            f"elif not {lane} and _zs({lane}, {golden}):",
-            f"    {target}[f] = {lane}",
-        ]
-    return [
-        f"if {lane} != {golden}:",
-        f"    if {lane} == {lane} or {golden} == {golden} "
-        f"or _pk({lane}) != _pk({golden}):",
-        f"        {target}[f] = {lane}",
-        f"elif type({lane}) is not type({golden}) or "
-        f"(not {lane} and _zs({lane}, {golden})):",
-        f"    {target}[f] = {lane}",
-    ]
-
-
 class _MemoEntry:
     """Codegen-time record of an already-resolved address expression.
 
@@ -252,7 +297,9 @@ class _MemoEntry:
         self.avar = avar
         self.ovar = ovar
         self.eivar = eivar
-        self.etvar = etvar  # None when the element type is known statically
+        # None when no element-type local is bound (statically known type,
+        # or a ``lanes`` resolution)
+        self.etvar = etvar
         self.checked: Set[IRType] = checked
         self.fresh = fresh  # object allocated inside this segment (no CoW)
 
@@ -263,6 +310,9 @@ class _Emitter:
         self.seg = seg
         self.lanes = variant == "lanes"
         self.lines: List[str] = []
+        #: offset of the op each line of ``lines`` belongs to (line table)
+        self.line_offsets: List[int] = []
+        self.offset = 0
         self.pool: List[object] = []
         self._pool_ids: Dict[int, int] = {}
         self.slot_name: Dict[int, str] = {}
@@ -279,6 +329,7 @@ class _Emitter:
         # constants only), and the (offset, block) of every branch for the
         # stop writeback
         self.map_name: Dict[int, Optional[str]] = {}
+        self.evict_checked: Set[str] = set()
         self.branches: List[Tuple[int, int]] = []
 
     # -------------------------------------------------------------- #
@@ -286,6 +337,7 @@ class _Emitter:
     # -------------------------------------------------------------- #
     def emit(self, line: str) -> None:
         self.lines.append(line)
+        self.line_offsets.append(self.offset)
 
     def p(self, obj: object) -> str:
         """Pool a static object; return its access expression."""
@@ -315,9 +367,8 @@ class _Emitter:
         if name is None:
             name = f"e{s}"
             self.emit(f"{name} = regs[{s}]")
-            self.emit(f"if {name} is _UNDEF:")
             message = f"use of value {op.src_names[i]} before definition"
-            self.emit(f"    raise VMError({message!r})")
+            self.emit(f"if {name} is _UNDEF: raise VMError({self.p(message)})")
             self.slot_name[s] = name
         if name in self.int_names:
             return name, "i"
@@ -355,8 +406,8 @@ class _Emitter:
         if entry is not None:
             if vt not in entry.checked:
                 if entry.etvar is None:
-                    # element type statically known and != vt: mirror the op
-                    # loop's check (raises unless size/floatness-compatible).
+                    # no element type at hand: mirror the op loop's check
+                    # (raises unless size/floatness-compatible).
                     self.emit(f"_chk({entry.ovar}, {self.p(vt)}, {entry.avar})")
                 else:
                     self.emit(f"if {entry.etvar} is not {self.p(vt)}:")
@@ -367,6 +418,14 @@ class _Emitter:
         self.uses_mem = True
         avar, ovar, eivar, etvar = f"a{j}", f"o{j}", f"ei{j}", f"et{j}"
         self.emit(f"{avar} = {expr}" if kind == "i" else f"{avar} = int({expr})")
+        if self.lanes:
+            # the op loop's own resolution: ``lanes`` keeps its code small
+            # (the golden path's ``plain`` inlines the common case below)
+            self.emit(f"{ovar}, {eivar} = resolve({avar})")
+            self.emit(f"_chk({ovar}, {self.p(vt)}, {avar})")
+            entry = _MemoEntry(avar, ovar, eivar, None, {vt}, False)
+            self.memo[expr] = entry
+            return entry
         self.emit(f"p{j} = _br(bases, {avar}) - 1")
         self.emit(f"if p{j} < 0:")
         self.emit(f"    raise _SegF({avar})")
@@ -398,12 +457,12 @@ class _Emitter:
         op = self.df.ops[pc]
         kind = op.kind
         lanes = self.lanes
+        self.offset = j
 
         if lanes and j:
             # a fault arms here: the op loop arms it (offset 0 never
             # reaches this variant)
-            self.emit(f"if stop == {j}:")
-            self.emit("    raise _Arm")
+            self.emit(f"if stop == {j}: raise _Arm")
 
         operands = [self.operand(op, i) for i in range(len(op.src))]
         if lanes:
@@ -412,14 +471,12 @@ class _Emitter:
         if kind == K_FN:
             self.emit_fn(op, j, operands)
             if lanes and op.dest >= 0:
-                self.emit_lane_dest(op, j, operands, self.lane_fn(op))
+                self.emit_lane_dest(op, j, operands)
         elif kind == K_GEP:
             name = self.bind_result(op, j, "i")
             self.emit(self.gep_code(op, operands, name))
             if lanes and op.dest >= 0:
-                self.emit_lane_dest(
-                    op, j, operands, lambda ops: [self.gep_code(op, ops, "lr")]
-                )
+                self.emit_lane_dest(op, j, operands)
         elif kind == K_LOAD:
             vt = op.result_type
             entry = self.resolve_address(j, operands[0], vt)
@@ -433,9 +490,10 @@ class _Emitter:
             value = operands[0]
             entry = self.resolve_address(j, operands[1], vt)
             if not entry.fresh:
-                self.emit(f"if {entry.ovar}._cow_shared:")
-                self.emit(f"    {entry.ovar}.array = {entry.ovar}.array.copy()")
-                self.emit(f"    {entry.ovar}._cow_shared = False")
+                self.emit(
+                    f"if {entry.ovar}._cow_shared: {entry.ovar}.array = "
+                    f"{entry.ovar}.array.copy(); {entry.ovar}._cow_shared = False"
+                )
             if vt.is_float:
                 self.emit(
                     f"{entry.ovar}.array[{entry.eivar}] = {self.as_float(value)}"
@@ -471,9 +529,7 @@ class _Emitter:
             name = self.bind_result(op, j, rkind)
             self.emit(self.call_code(op, operands, name))
             if lanes and op.dest >= 0:
-                self.emit_lane_dest(
-                    op, j, operands, lambda ops: [self.call_code(op, ops, "lr")]
-                )
+                self.emit_lane_dest(op, j, operands)
         elif kind == K_BR:
             self.last_branch_block = op.block_index
             self.branches.append((j, op.block_index))
@@ -491,8 +547,6 @@ class _Emitter:
         else:  # pragma: no cover - lowering never fuses other kinds
             raise AssertionError(f"unfusable kind {kind} reached codegen")
 
-        self.emit(f"done = {j + 1}")
-
     def gep_code(self, op, operands, name: str) -> str:
         lhs = self.as_int(operands[0])
         rhs = self.as_int(operands[1])
@@ -506,13 +560,20 @@ class _Emitter:
         return f"{name} = {self.p(op.fn)}(({args}{comma}))"
 
     def emit_fn(self, op, j: int, operands) -> None:
-        lines, kind = self.fn_code(op, operands, f"v{j}", str(j))
+        name = f"v{j}"
+        lines, kind = self.fn_code(op, operands, name, str(j))
+        if lines is None:
+            lines = [self.call_code(op, operands, name)]
         self.bind_result(op, j, kind)
-        self.lines.extend(lines)
+        for line in lines:
+            self.emit(line)
 
-    def fn_code(self, op, operands, name: str, tag: str) -> Tuple[List[str], str]:
+    def fn_code(
+        self, op, operands, name: str, tag: str
+    ) -> Tuple[Optional[List[str]], str]:
         """Lines computing a ``K_FN`` op into ``name``, plus the result's
-        known kind; temporaries are suffixed with ``tag``."""
+        known kind; temporaries are suffixed with ``tag``.  The lines are
+        ``None`` for the ops that run through their decode-time evaluator."""
         opc = op.opcode
         t = f"t{tag}"
 
@@ -604,11 +665,11 @@ class _Emitter:
         if opc is Opcode.FPEXT:
             return [f"{name} = {self.as_float(operands[0])}"], "f"
         # rare/irregular ops (sdiv/srem/udiv/urem, shifts, fptosi,
-        # fptrunc, bitcast): call the decode-time bound evaluator.
+        # fptrunc, bitcast): the decode-time bound evaluator.
         rkind = ""
         if op.has_result:
             rkind = "f" if op.result_type.is_float else "i"
-        return [self.call_code(op, operands, name)], rkind
+        return None, rkind
 
     # -------------------------------------------------------------- #
     # lanes: per-fault divergent values next to the golden ones
@@ -619,10 +680,12 @@ class _Emitter:
         return self.map_name[slot] if slot >= 0 else None
 
     def halt_if_diverged(self, slot: int) -> None:
+        # each map is bound once and never changes inside the segment: an
+        # address checked once needs no second check
         m = self.lane_map(slot)
-        if m is not None:
-            self.emit(f"if {m}:")
-            self.emit("    raise _Evict")
+        if m is not None and m not in self.evict_checked:
+            self.evict_checked.add(m)
+            self.emit(f"if {m}: raise _Evict")
 
     def emit_evict_check(self, op, operands) -> None:
         """Stop before an op whose address or branch direction diverges:
@@ -635,56 +698,46 @@ class _Emitter:
         elif kind == K_BR_COND:
             # same-direction divergence carries no value effect: ride on
             m = self.lane_map(op.src[0])
-            if m is None:
-                return
-            self.emit(f"if {m}:")
-            self.emit(f"    gb = not {operands[0][0]}")
-            self.emit(f"    for q in {m}.values():")
-            self.emit("        if (not q) is not gb:")
-            self.emit("            raise _Evict")
+            if m is not None:
+                self.emit(f"if {m} and _turns({m}, {operands[0][0]}): raise _Evict")
 
-    def emit_lane_dest(
-        self, op, j: int, operands, code: Callable[[list], List[str]]
-    ) -> None:
+    def lane_callable(self, op, operands) -> Callable:
+        """The op's per-fault expression as ``fn(values) -> value``: a
+        shared compiled function, or the op's decode-time evaluator."""
+        if op.kind == K_CALL_INTRINSIC:
+            return op.fn
+        args = [(f"a{i}", kind) for i, (_, kind) in enumerate(operands)]
+        if op.kind == K_GEP:
+            lines = [self.gep_code(op, args, "r")]
+        else:
+            lines = self.fn_code(op, args, "r", "")[0]
+            if lines is None:
+                return op.fn
+        return _lane_function(lines, len(args))
+
+    def emit_lanes(self, target: str, fn: Callable, golden: str, values, lanes) -> None:
+        """``target`` = each affected fault's value (:func:`_lanes`), or the
+        empty map when no operand in ``lanes`` diverges."""
+        maps = list(dict.fromkeys(m for _, m in lanes))
+        spec = ", ".join(f"({i}, {m})" for i, m in lanes)
+        self.emit(
+            f"{target} = _lanes({self.p(fn)}, {golden}, [{', '.join(values)}], "
+            f"({spec},)) if {' or '.join(maps)} else _E"
+        )
+
+    def emit_lane_dest(self, op, j: int, operands) -> None:
         """Per-fault values of a value op whose operands may diverge."""
-        inputs = []
-        maps: List[str] = []
-        golden_of: Dict[str, str] = {}
-        for i, (expr, kind) in enumerate(operands):
-            m = self.lane_map(op.src[i])
-            if m is not None and m not in golden_of:
-                maps.append(m)
-                golden_of[m] = expr
-            inputs.append((expr, kind, m))
-        if not maps:
+        maps = [(i, self.lane_map(slot)) for i, slot in enumerate(op.src)]
+        lanes = [(i, m) for i, m in maps if m is not None]
+        if not lanes:
             self.emit_dest_update(op, j, None)
             return
         dj = f"d{j}"
-        self.emit(f"{dj} = _E")
-        self.emit(f"if {' or '.join(maps)}:")
-        self.emit(f"    {dj} = {{}}")
-        lane_of: Dict[str, str] = {}
-        if len(maps) == 1:
-            self.emit(f"    for f, q0 in {maps[0]}.items():")
-            lane_of[maps[0]] = "q0"
-        else:
-            self.emit(f"    for f in {' | '.join(m + '.keys()' for m in maps)}:")
-            for k, m in enumerate(maps):
-                self.emit(f"        q{k} = {m}.get(f, {golden_of[m]})")
-                lane_of[m] = f"q{k}"
-        lane_operands = [
-            (lane_of[m], kind) if m is not None else (expr, kind)
-            for expr, kind, m in inputs
-        ]
-        kind = "f" if f"v{j}" in self.float_names else (
-            "i" if f"v{j}" in self.int_names else ""
+        self.emit_lanes(
+            dj, self.lane_callable(op, operands), f"v{j}",
+            [expr for expr, _ in operands], lanes,
         )
-        for line in code(lane_operands) + _differs("lr", f"v{j}", dj, kind):
-            self.emit("        " + line)
         self.emit_dest_update(op, j, dj)
-
-    def lane_fn(self, op) -> Callable[[list], List[str]]:
-        return lambda ops: self.fn_code(op, ops, "lr", "L")[0]
 
     def emit_lane_load(self, op, j: int, entry: _MemoEntry) -> None:
         """A load of a diverged cell diverges in its destination."""
@@ -698,13 +751,9 @@ class _Emitter:
     def emit_dest_update(self, op, j: int, new: Optional[str]) -> None:
         """Replace the destination slot's divergence map with ``new``."""
         dest = op.dest
-        self.emit(f"od = fdiv.pop({dest}, None)")
-        self.emit("if od:" if new is None else f"if od or {new}:")
         self.map_name[dest] = new
-        self.emit(
-            f"    _reslot(fdiv, {dest}, od, {new or '_E'}, dc, rg, dynbase + {j}, "
-            f"last, active)"
-        )
+        guard = f"{dest} in fdiv" if new is None else f"{new} or {dest} in fdiv"
+        self.emit(f"if {guard}: _reslot(fdiv, {dest}, {new or '_E'}, walk, {j})")
 
     def emit_lane_store(self, op, j: int, value, entry: _MemoEntry) -> None:
         """Per-fault stored values, and the cell's divergence map update.
@@ -718,34 +767,28 @@ class _Emitter:
         m = self.lane_map(op.src[0])
         if m is not None:
             new = f"d{j}"
-            readback = "float" if vt.is_float else "int"
-            self.emit(f"{new} = _E")
-            self.emit(f"if {m}:")
-            self.emit(f"    gs = {readback}({ovar}.array[{eivar}])")
-            self.emit(f"    {new} = {{}}")
-            self.emit(f"    for f, q0 in {m}.items():")
-            lane = ("q0", value[1])
+            lane = ("a0", value[1])
             if vt.is_float and vt.size_bytes == 8:
-                cast = [f"lr = {self.as_float(lane)}"]
+                cast = [f"r = {self.as_float(lane)}"]
             elif vt.is_float:
-                cast = [f"lr = {ovar}.cast_value(q0)"]
+                # ``DataObject.cast_value`` of the f32 object stored into
+                cast = [f"r = float(_f32(float(a0)))"]
             else:
                 mb = max(8, vt.bits)
                 mask, sign, full = (1 << mb) - 1, 1 << (mb - 1), 1 << mb
                 cast = [
-                    f"tL = {self.as_int(lane)} & {mask}",
-                    f"lr = tL - {full} if tL >= {sign} else tL",
+                    f"t = {self.as_int(lane)} & {mask}",
+                    f"r = t - {full} if t >= {sign} else t",
                 ]
-            kind = "f" if vt.is_float else "i"
-            for line in cast + _differs("lr", "gs", new, kind):
-                self.emit("        " + line)
-        self.emit(f"cm = cells.get({ovar}.name) if cells else None")
-        had_old = f"(cm is not None and {eivar} in cm)"
-        self.emit(f"if {had_old}:" if new == "_E" else f"if {new} or {had_old}:")
-        self.emit(
-            f"    _recell(cells, cm, {ovar}.name, {eivar}, {new}, dc, rg, "
-            f"dynbase + {j}, last, active)"
-        )
+            readback = "float" if vt.is_float else "int"
+            self.emit_lanes(
+                new, _lane_function(cast, 1),
+                f"{readback}({ovar}.array[{eivar}])", [value[0]], [(0, m)],
+            )
+        guard = f"cells and {eivar} in cells.get({ovar}.name, ())"
+        if new != "_E":
+            guard = f"{new} or {guard}"
+        self.emit(f"if {guard}: _recell(cells, {ovar}.name, {eivar}, {new}, walk, {j})")
 
     # -------------------------------------------------------------- #
     # assembly
@@ -764,29 +807,36 @@ class _Emitter:
         if self.exit_expr is None:
             self.exit_expr = repr(seg.pcs[-1] + 1)
 
-        body: List[str] = ["done = 0"]
+        prologue: List[str] = []
         if self.uses_mem:
-            body.append("bases = memory._bases")
-            body.append("bybase = memory._by_base")
-            body.append("resolve = memory.resolve")
+            if not self.lanes:
+                prologue.append("bases = memory._bases")
+                prologue.append("bybase = memory._by_base")
+            prologue.append("resolve = memory.resolve")
         if self.uses_alloca:
-            body.append("alloc = memory.allocate_stack")
-            body.append("sapp = frame.stack_objects.append")
-        body.extend(self.lines)
+            prologue.append("alloc = memory.allocate_stack")
+            prologue.append("sapp = frame.stack_objects.append")
 
         # success epilogue: deferred register writeback, then the next pc.
-        for slot in sorted(self.defined):
-            body.append(f"regs[{slot}] = {self.slot_name[slot]}")
+        epilogue = [
+            f"regs[{slot}] = {self.slot_name[slot]}" for slot in sorted(self.defined)
+        ]
         if self.last_branch_block is not None:
-            body.append(f"frame.prev_block = {self.last_branch_block}")
-        body.append(f"return {self.exit_expr}")
+            epilogue.append(f"frame.prev_block = {self.last_branch_block}")
+        epilogue.append(f"return {self.exit_expr}")
+        body = prologue + self.lines + epilogue
 
-        catch = "BaseException"
+        # line table: source line -> offset of the op it belongs to (the
+        # header and ``try:`` are lines 1 and 2, the body starts at 3)
+        line_table = (
+            (0, 0, 0)
+            + (0,) * len(prologue)
+            + tuple(self.line_offsets)
+            + (seg.n_ops,) * len(epilogue)
+        )
+        done = "done = D[exc.__traceback__.tb_lineno]"
         if self.lanes:
-            header = (
-                "def _seg(frame, regs, memory, cell, fdiv, cells, dc, active, "
-                "rg, dynbase, stop, last):"
-            )
+            header = "def _seg(frame, regs, memory, cell, fdiv, cells, walk, stop):"
             # stop protocol: write back the completed prefix's registers and
             # ``prev_block``, report how far it got and why, and hand the
             # op loop the pc of the first op not run
@@ -796,6 +846,7 @@ class _Emitter:
             # otherwise tie it, its traceback and the whole calling stack
             # into a cycle only the cyclic collector frees.
             handler = [
+                done,
                 f"cause = exc.cause if isinstance(exc, _Halt) else {LANE_ERROR}",
                 "del exc",
                 f"if cause == {LANE_END}:",
@@ -807,7 +858,8 @@ class _Emitter:
             ]
         else:
             header = "def _seg(frame, regs, memory, cell):"
-            handler = ["cell[0] = done", "raise"]
+            catch = "BaseException as exc"
+            handler = [done.replace("done =", "cell[0] ="), "raise"]
 
         source_lines = [header, "    try:"]
         source_lines.extend("        " + line for line in body)
@@ -817,6 +869,7 @@ class _Emitter:
 
         module_globals: Dict[str, object] = {
             "P": self.pool,
+            "D": line_table,
             "_UNDEF": _UNDEF,
             "VMError": VMError,
             "_SegF": SegmentationFault,
@@ -831,9 +884,8 @@ class _Emitter:
                 _Halt=_Halt,
                 _Arm=_Arm,
                 _Evict=_Evict,
-                _End=_End,
-                _pk=_pack_double,
-                _zs=_zero_signs_differ,
+                _lanes=_lanes,
+                _turns=_turns,
                 _cell_lanes=_cell_lanes,
                 _reslot=_reslot,
                 _recell=_recell,

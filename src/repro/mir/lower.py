@@ -22,15 +22,21 @@ superinstruction (see :mod:`repro.mir.fuse`), an ``exec``-specialized Python
 callable that executes the whole segment without touching the op loop.
 Each variant is compiled only once the segment is hot: at the N-th entry
 that wants it, N per variant in :data:`HOT_ENTRIES`
-(:meth:`MirSegment.hot`).  Until then, for single-op segments and the
-non-fusable ops (``ret``, user calls, ``phi``), and for every traced run
-(traced runs record through the op loop only), the op loop runs the
-segment's ops and doubles as the bit-identity oracle.
+(:meth:`MirSegment.hot`).  The batch walk's ``lanes`` variant also needs
+the golden run's consent: the walk follows golden control flow, so the
+golden run's entry positions (:func:`entries_from_trace`,
+:func:`entries_from_log`) bound how often the walk can still enter a
+segment, and ``lanes`` compiles only where its entries so far plus that
+bound reach :data:`LANES_BREAK_EVEN`.  Until a variant compiles, for
+single-op segments and the non-fusable ops (``ret``, user calls, ``phi``),
+and for every traced run (traced runs record through the op loop only),
+the op loop runs the segment's ops and doubles as the bit-identity oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.vm.engine import (
     DecodedFunction,
@@ -55,15 +61,25 @@ FUSABLE_BODY = frozenset((K_FN, K_LOAD, K_STORE, K_GEP, K_ALLOCA, K_CALL_INTRINS
 SEGMENT_BARRIERS = frozenset((K_RET, K_CALL_USER, K_PHI))
 
 #: A fused segment compiles a superinstruction variant at the entry that
-#: brings that variant's entry count to its value here; the entries before
-#: it run in the op loop.  Short replays enter most segments only a few
-#: times, where compiling costs more than the op loop it would replace.
-#: ``plain`` compiles in about a third of the time of ``lanes`` (which
-#: carries fault lanes per op).  Each campaign worker process counts its
-#: own entries, so ``lanes`` stays low enough that a two-worker cg walk
-#: still runs ~96% of its ops fused.  Traced runs never enter a segment:
-#: they record through the op loop.
+#: brings that variant's entry count to its value here, at the earliest;
+#: the entries before it run in the op loop.  Short replays enter most
+#: segments only a few times, where compiling costs more than the op loop
+#: it would replace.  Each campaign worker process counts its own entries,
+#: so ``lanes`` stays low enough that a two-worker cg walk still runs ~95%
+#: of its ops fused.  Traced runs never enter a segment: they record
+#: through the op loop.
 HOT_ENTRIES = {"plain": 2, "lanes": 8}
+
+#: Entries at which a ``lanes`` compile pays for itself: its compile cost
+#: per op over the op loop's extra cost per op against the fused code
+#: (both roughly linear in the segment's length; on the Table I aDVF walks,
+#: a 2-vCPU VM, ~220 us and ~7 us).  From the
+#: :data:`HOT_ENTRIES` threshold on, a batch walk that knows the golden
+#: run's entry positions compiles ``lanes`` only once the segment's
+#: ``lanes`` entries so far plus the golden entries still ahead of the
+#: walk reach this many; the count is per process, so a campaign worker's
+#: later shards still push a recurring segment over it.
+LANES_BREAK_EVEN = 32
 
 
 class MirSegment:
@@ -76,7 +92,9 @@ class MirSegment:
     compiles at the N-th dispatch-site entry that wants it, N per variant in
     :data:`HOT_ENTRIES` (:meth:`hot`): ``plain`` for sink-free runs and
     for batch-walk entries no divergence reaches, ``lanes`` for
-    batch-walk entries that carry divergence.  The entry counts and the
+    batch-walk entries that carry divergence, and only once the golden
+    run's entries ahead of the walk let it pay
+    (:data:`LANES_BREAK_EVEN`).  The entry counts and the
     compiled variants live on the digest-shared origin segment, so the
     digest cache's clones of one program pool their heat and share one
     compile (see :func:`repro.mir.cache._clone_for`).
@@ -130,16 +148,33 @@ class MirSegment:
         self.live_in: Tuple[int, ...] = tuple(live_in)
         self.first_write = first_write
 
-    def hot(self, variant: str):
+    def hot(
+        self,
+        variant: str,
+        at: int = -1,
+        golden: Optional[Mapping["MirSegment", Sequence[int]]] = None,
+    ):
         """Count one entry that wants ``variant`` ("plain" or "lanes");
         return its callable, compiling it at the variant's
         :data:`HOT_ENTRIES`-th entry, or ``None`` while the segment is cold
-        (the caller runs the op loop instead)."""
+        (the caller runs the op loop instead).
+
+        ``golden`` maps segments to the sorted positions at which the
+        golden run enters them, and ``at`` is the caller's position on
+        that run (the batch walk's ``dyn``).  With it, the segment also
+        stays cold while its entries so far plus the golden entries after
+        ``at`` fall short of :data:`LANES_BREAK_EVEN`.
+        """
         heat = (self._origin or self)._heat
         entries = heat[variant] + 1
         heat[variant] = entries
         if entries < HOT_ENTRIES[variant]:
             return None
+        if golden is not None and entries < LANES_BREAK_EVEN:
+            positions = golden.get(self, ())
+            ahead = len(positions) - bisect_right(positions, at)
+            if entries + ahead < LANES_BREAK_EVEN:
+                return None
         return self.compile(variant)
 
     def compile(self, variant: str):
@@ -284,3 +319,32 @@ def lower_function(df: DecodedFunction) -> MirFunction:
 def lower_program(decoded: DecodedProgram) -> MirProgram:
     """Lower every function of a decoded program."""
     return MirProgram({name: lower_function(df) for name, df in decoded.functions.items()})
+
+
+def entries_from_trace(program: MirProgram, trace) -> Dict[MirSegment, List[int]]:
+    """Each fused segment's sorted entry positions in a traced run.
+
+    A segment is entered wherever its first op executes: the op loop
+    reaches the dispatch table at every pc.  ``trace`` is the run's
+    :class:`~repro.tracing.columnar.ColumnarTrace`, read through its
+    static-op column.
+    """
+    first_op = {
+        seg._df.ops[seg.start_pc].static_uid: seg
+        for function in program.functions.values()
+        for seg in function.segments
+        if seg.fused
+    }
+    return {
+        first_op[uid]: positions
+        for uid, positions in trace.positions_of(first_op).items()
+    }
+
+
+def entries_from_log(log: Iterable[Tuple[MirSegment, int]]) -> Dict[MirSegment, List[int]]:
+    """Group an untraced run's ``(segment, position)`` dispatch-site log
+    (:attr:`repro.vm.engine.Engine.entry_log`) by segment."""
+    entries: Dict[MirSegment, List[int]] = {}
+    for seg, position in log:
+        entries.setdefault(seg, []).append(position)
+    return entries

@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 from array import array
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -390,6 +390,29 @@ class ColumnarTrace:
     def _index(self) -> np.ndarray:
         """The per-event static index as a NumPy view."""
         return np.frombuffer(self._static, dtype=np.intc)
+
+    def positions_of(self, static_uids: Iterable[int]) -> Dict[int, List[int]]:
+        """The ascending dynamic ids at which each op of ``static_uids``
+        executed, read from the static-op column (ops that never ran are
+        left out)."""
+        by_uid = self._statics.by_uid
+        wanted = [uid for uid in static_uids if by_uid.get(uid)]
+        if not wanted:
+            return {}
+        label = np.full(len(self._statics.records), -1, dtype=np.int64)
+        for k, uid in enumerate(wanted):
+            label[by_uid[uid]] = k
+        labels = label[self._index()]
+        hits = np.flatnonzero(labels >= 0)
+        hit_labels = labels[hits]
+        grouped = hits[np.argsort(hit_labels, kind="stable")].tolist()
+        counts = np.bincount(hit_labels, minlength=len(wanted)).tolist()
+        positions: Dict[int, List[int]] = {}
+        start = 0
+        for uid, count in zip(wanted, counts):
+            positions[uid] = grouped[start:start + count]
+            start += count
+        return positions
 
     def _operand_positions(self, owner: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Each flattened operand's position in the records' operands,

@@ -43,6 +43,7 @@ interpreter's :class:`~repro.tracing.events.TraceEvent` stream.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -125,6 +126,12 @@ class _Undef:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<undef>"
 
+    def __reduce__(self) -> str:
+        # pickled as a reference to the module global: the state digest
+        # encodes register files with ``pickle``, and the sentinel is a
+        # singleton
+        return "_UNDEF"
+
 
 _UNDEF = _Undef()
 
@@ -156,6 +163,25 @@ LANE_ERROR = 3
 LANE_END = 4
 #: ``replay.walk_stops`` label of each handing-over stop cause.
 LANE_STOP_CAUSES = {LANE_ARM: "arm", LANE_EVICT: "evict", LANE_ERROR: "lane_error"}
+
+
+class LaneWalk:
+    """The batch walk's bookkeeping a ``lanes`` segment updates.
+
+    ``div_count`` (fault -> diverged registers and cells), ``active`` (the
+    faults riding the walk) and ``resolve_golden(fault, at)`` are the
+    walk's own; ``last`` (no fault is left to arm) and ``dyn`` (the
+    segment's entry position) are set before each ``lanes`` call.
+    """
+
+    __slots__ = ("div_count", "active", "resolve_golden", "last", "dyn")
+
+    def __init__(self, div_count, active, resolve_golden) -> None:
+        self.div_count = div_count
+        self.active = active
+        self.resolve_golden = resolve_golden
+        self.last = False
+        self.dyn = 0
 
 
 class DecodedOp:
@@ -496,6 +522,9 @@ class _FrameImage:
         self.ret_dyn = frame.ret_dyn
 
 
+_pack_double = struct.Struct("<d").pack
+
+
 def _values_bit_equal(a: object, b: object) -> bool:
     """Bit-exact register comparison (``-0.0 != 0.0``, NaN payload matters)."""
     if a is b:
@@ -504,7 +533,11 @@ def _values_bit_equal(a: object, b: object) -> bool:
     if ta is not tb:
         return False
     if ta is float:
-        return struct.pack("<d", a) == struct.pack("<d", b)
+        # equal floats share their bits except for the two zeros, and
+        # unequal ones differ except for two NaNs: only those pack
+        if a == b:
+            return a != 0.0 or _pack_double(a) == _pack_double(b)
+        return a != a and b != b and _pack_double(a) == _pack_double(b)
     return a == b
 
 
@@ -535,42 +568,6 @@ def _rebase(old, new, div_count, drained) -> None:
 # --------------------------------------------------------------------- #
 # state digests (convergence memoization)
 # --------------------------------------------------------------------- #
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-
-def _hash_values(h, values) -> None:
-    """Feed a canonical, bit-exact encoding of register values into ``h``.
-
-    Two value sequences produce the same bytes iff they are bit-identical
-    under :func:`_values_bit_equal` (type tags keep ``1`` / ``1.0`` /
-    ``True`` distinct; floats hash their IEEE-754 bytes so ``-0.0`` and NaN
-    payloads are respected).
-    """
-    update = h.update
-    for v in values:
-        t = type(v)
-        if t is float:
-            update(b"f")
-            update(struct.pack("<d", v))
-        elif t is int:
-            if _I64_MIN <= v <= _I64_MAX:
-                update(b"i")
-                update(struct.pack("<q", v))
-            else:
-                raw = repr(v).encode()
-                update(b"I%d:" % len(raw))
-                update(raw)
-        elif t is bool:
-            update(b"T" if v else b"F")
-        elif v is _UNDEF:
-            update(b"u")
-        else:  # pragma: no cover - no other value types reach registers
-            raw = repr(v).encode()
-            update(b"O%d:" % len(raw))
-            update(raw)
-
-
 def _digest(frames, memory: Memory) -> bytes:
     """The one canonical state encoder behind :func:`snapshot_digest` and
     :meth:`Engine.state_digest`.
@@ -579,34 +576,43 @@ def _digest(frames, memory: Memory) -> bytes:
     return dyn, stack-object names, registers)`` tuple per call-stack frame,
     outermost first; ``memory`` contributes its allocator counters and every
     object (stack slots included) in base-address order.
+
+    A register file is encoded in one call, ``pickle.dumps(regs, 5)``: two
+    register files give the same bytes iff they are bit-identical under
+    :func:`_values_bit_equal`.  Pickle tags each value with its type (``1``,
+    ``1.0`` and ``True`` stay distinct), writes a float's IEEE-754 bytes
+    (``-0.0`` and NaN payloads count) and an int's exact two's complement
+    (any width); ints, floats and bools are never memoised, and
+    :data:`_UNDEF` pickles as a reference to its module global.  Object
+    contents are hashed straight from their arrays' buffers.
     """
     h = hashlib.blake2b(digest_size=16)
     update = h.update
     pack = struct.pack
+    dumps = pickle.dumps
     update(pack("<q", len(frames)))
     for func_name, pc, prev_block, ret_slot, ret_dyn, stack_names, regs in frames:
         raw = func_name.encode()
-        update(b"\x01%d:" % len(raw))
-        update(raw)
-        update(pack("<qqqq", pc, prev_block, ret_slot, ret_dyn))
-        update(pack("<q", len(stack_names)))
+        parts = [
+            b"\x01%d:" % len(raw), raw,
+            pack("<qqqqq", pc, prev_block, ret_slot, ret_dyn, len(stack_names)),
+        ]
         for name in stack_names:
             raw = name.encode()
-            update(b"%d:" % len(raw))
-            update(raw)
-        update(pack("<q", len(regs)))
-        _hash_values(h, regs)
+            parts += (b"%d:" % len(raw), raw)
+        raw = dumps(regs, 5)
+        parts += (pack("<q", len(raw)), raw)
+        update(b"".join(parts))
     objects = memory._by_base
     update(pack("<qqq", memory._next_address, memory._stack_counter, len(objects)))
     for obj in objects:
-        raw = obj.name.encode()
-        update(b"\x02%d:" % len(raw))
-        update(raw)
-        raw = obj.element_type.name.encode()
-        update(b"%d:" % len(raw))
-        update(raw)
-        data = obj.array.tobytes()
-        update(pack("<qq?q", obj.count, obj.base, bool(obj.is_stack), len(data)))
+        name = obj.name.encode()
+        type_name = obj.element_type.name.encode()
+        data = obj.array
+        update(
+            b"\x02%d:%b%d:%b" % (len(name), name, len(type_name), type_name)
+            + pack("<qq?q", obj.count, obj.base, bool(obj.is_stack), data.nbytes)
+        )
         update(data)
     return h.digest()
 
@@ -781,6 +787,10 @@ class Engine:
         self.walk_fused_ops = 0
         self.walk_lane_ops = 0
         self.walk_stops: Dict[str, int] = {}
+        #: Set to a list to log ``(segment, dyn)`` at every fused segment
+        #: entry a sink-free block-backend run reaches (the golden run's
+        #: entry positions, :func:`repro.mir.lower.entries_from_log`).
+        self.entry_log: Optional[List[Tuple[object, int]]] = None
 
     # ------------------------------------------------------------------ #
     # public entry points
@@ -799,8 +809,6 @@ class Engine:
         func = self.module.get_function(function_name)
         values = prepare_arguments(func, args)
         df = self.program.functions[function_name]
-        if len(self._frames) >= MAX_CALL_DEPTH:
-            raise VMError(f"call depth limit ({MAX_CALL_DEPTH}) exceeded")
         frame = _Frame(df)
         frame.regs[: df.nargs] = values
         self._frames.append(frame)
@@ -975,6 +983,7 @@ class Engine:
         specs: Sequence[FaultSpec],
         golden_digests: Optional[Dict[int, bytes]] = None,
         memo=None,
+        segment_entries=None,
     ) -> List[BatchFaultResolution]:
         """Resolve a batch of faults through one shared golden suffix walk.
 
@@ -996,6 +1005,11 @@ class Engine:
           ``memo`` (outcome memoization at matching intermediate states);
         * faults still diverged when the program returns resolve to the
           golden outcome patched with their cell deltas.
+
+        ``segment_entries`` maps fused segments to the sorted positions at
+        which the golden run enters them; with it a segment's ``lanes``
+        variant compiles only where the golden entries still ahead of the
+        walk let it pay (:meth:`~repro.mir.lower.MirSegment.hot`).
 
         Outcomes are bit-identical to one from-scratch faulty run per fault
         (asserted across all registered workloads by
@@ -1032,7 +1046,6 @@ class Engine:
         resolve = memory.resolve
         check_access = Memory._check_access_type
         max_steps = self.max_steps
-        max_depth = MAX_CALL_DEPTH
         functions = self.program.functions
 
         frame = frames[-1]
@@ -1051,8 +1064,9 @@ class Engine:
         #   op it cannot carry (a fault arming, an address or branch
         #   direction diverging, a lane raising) so the op loop runs that
         #   op and the rest of the segment.
-        # Either variant compiles once the segment is hot (``seg.hot``);
-        # while it is cold the op loop runs the segment.
+        # Either variant compiles once the segment is hot (``seg.hot``;
+        # ``lanes`` also where ``segment_entries`` says it pays); while it
+        # is cold the op loop runs the segment.
         # Counts are flushed once, in ``finally``.
         mir_fns = self._mir.functions if self._mir is not None else None
         dispatch = mir_fns[frame.df.name].dispatch if mir_fns is not None else None
@@ -1133,6 +1147,7 @@ class Engine:
         #: Faults whose last diverged register/cell died this op (the op's
         #: tail resolves them golden and clears the list).
         drained: List[int] = []
+        lane_walk = LaneWalk(div_count, active, resolve_golden)
 
         # ---- the walk -------------------------------------------------- #
         try:
@@ -1165,15 +1180,18 @@ class Engine:
                                 fused_ops += n_ops
                                 continue
                         else:
-                            lanes = seg.lanes or seg.hot("lanes")
+                            lanes = seg.lanes or seg.hot(
+                                "lanes", dyn, segment_entries
+                            )
                             if lanes is not None:
                                 if fdiv is None:
                                     fdiv = frame.div = {}
+                                lane_walk.last = next_spec >= nspecs
+                                lane_walk.dyn = dyn
                                 pc = lanes(
                                     frame, regs, memory, cell, fdiv, cells,
-                                    div_count, active, resolve_golden, dyn,
+                                    lane_walk,
                                     next_arm - dyn if arm_inside else -1,
-                                    next_spec >= nspecs,
                                 )
                                 cause = cell[1]
                                 if cause:
@@ -1491,10 +1509,10 @@ class Engine:
                         raise UnknownIntrinsic(
                             f"call to unknown function {op.callee!r}"
                         )
-                    if len(frames) >= max_depth:
-                        raise VMError(
-                            f"call depth limit ({max_depth}) exceeded"
-                        )
+                    # no call-depth check: the walk follows golden control
+                    # flow, whose depth stays within the limit; a fault
+                    # deepening the recursion diverges a branch and is
+                    # evicted before the call
                     frame.pc = next_pc
                     callee_frame = _Frame(callee_df)
                     nargs = min(callee_df.nargs, len(values))
@@ -1734,6 +1752,7 @@ class Engine:
         fast_mode = mir is not None and not tracing
         mir_fns = mir.functions if fast_mode else None
         dispatch = mir_fns[frame.df.name].dispatch if fast_mode else None
+        log_entry = self.entry_log.append if self.entry_log is not None else None
         cell = [0]
         # telemetry accumulators: plain local ints in the hot loop, flushed
         # to the metrics registry exactly once per _loop call (see finally)
@@ -1757,6 +1776,8 @@ class Engine:
                 if fast_mode:
                     seg = dispatch[pc]
                     if seg is not None:
+                        if log_entry is not None:
+                            log_entry((seg, dyn))
                         end = dyn + seg.n_ops
                         # dispatch only when the whole segment fits before
                         # the next pause / step limit, no fault is armed

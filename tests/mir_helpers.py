@@ -1,12 +1,15 @@
 """Test helpers for the MIR superinstruction backend.
 
 A fused segment compiles each superinstruction variant only once it is hot
-(:data:`repro.mir.HOT_ENTRIES` entries that want it), so a short run
-may execute a segment in the op loop from start to end.  Tests that pin
-behaviour of the compiled code either warm the program first
-(:func:`compile_all`) or check that the block backend really dispatched a
-fused segment (:func:`segment_dispatches`), so a parity check can never end
-up comparing the op loop with itself.
+(:data:`repro.mir.HOT_ENTRIES` entries that want it), and a batch walk
+that knows its golden run's entry positions compiles ``lanes`` only where
+the segment's entries reach :data:`repro.mir.LANES_BREAK_EVEN`, so a short
+run or walk may execute a segment in the op loop from start to end.  Tests
+that pin behaviour of the compiled code either warm the program first
+(:func:`compile_all`: a compiled variant runs whatever the counts say) or
+check that the block backend really dispatched a fused segment
+(:func:`segment_dispatches`), so a parity check can never end up comparing
+the op loop with itself.
 
 The engine's backend is a constructor argument only.  A test that builds
 its engines indirectly (through a workload, a replay context or an

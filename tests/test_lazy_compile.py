@@ -2,7 +2,10 @@
 
 A fused segment compiles a variant (``plain`` or ``lanes``) at the N-th
 entry that wants it (N per variant in :data:`~repro.mir.HOT_ENTRIES`); the
-entries before run in the op loop.  Traced runs want no variant: they
+entries before run in the op loop.  In the batch walk ``lanes`` also needs
+the golden run's consent: it compiles only once the segment's ``lanes``
+entries so far plus its golden entries still ahead of the walk reach
+:data:`~repro.mir.LANES_BREAK_EVEN`.  Traced runs want no variant: they
 record through the op loop however often they enter a segment.  These
 cases pin the rule on a small loop:
 
@@ -12,7 +15,13 @@ cases pin the rule on a small loop:
 * a run whose loop crosses the threshold mid-run is bit-identical to the
   op loop and to a program compiled up front -- sink-free, traced (which
   stays in the op loop), and in the batch walk with divergence live
-  (``lanes``);
+  (``lanes``, on a loop long enough to pay for it);
+* a walk over a loop entered fewer than ``LANES_BREAK_EVEN`` times never
+  compiles ``lanes`` and equals a walk over code compiled up front; the
+  same walk compiles it once the process has seen the segment often
+  enough;
+* the golden entry positions a replay context derives are the same from
+  a traced and from an untraced golden run;
 * a digest-cache clone pools its heat with its template and shares the
   compiled ``plain`` and ``lanes`` callables.
 """
@@ -25,7 +34,7 @@ import pytest
 from repro.core.replay import ReplayContext
 from repro.frontend import compile_kernel
 from repro.ir.types import F64
-from repro.mir import HOT_ENTRIES, mir_program_for
+from repro.mir import HOT_ENTRIES, LANES_BREAK_EVEN, mir_program_for
 from repro.tracing.columnar import ColumnarTrace
 from repro.vm.engine import DecodedProgram, Engine
 from repro.vm.faults import FaultSpec
@@ -151,13 +160,18 @@ class LazyWorkload(Workload):
     output_objects = ("b",)
     entry = "lazy_kernel"
 
+    def __init__(self, trips: int) -> None:
+        super().__init__()
+        self.trips = trips
+
     def kernels(self):
         return [lazy_kernel]
 
     def setup(self, memory: Memory):
-        a = memory.allocate("a", F64, TRIPS, initial=np.linspace(0.5, 2.0, TRIPS))
-        b = memory.allocate("b", F64, TRIPS, initial=np.linspace(-1.0, 1.0, TRIPS))
-        return {"a": a.base, "b": b.base, "n": TRIPS}
+        n = self.trips
+        a = memory.allocate("a", F64, n, initial=np.linspace(0.5, 2.0, n))
+        b = memory.allocate("b", F64, n, initial=np.linspace(-1.0, 1.0, n))
+        return {"a": a.base, "b": b.base, "n": n}
 
 
 def _walk(workload, specs, backend):
@@ -181,29 +195,95 @@ def _walk(workload, specs, backend):
     return summaries, context.stats
 
 
-def test_crossing_the_threshold_in_the_batch_walk_with_divergence_live():
-    workload = LazyWorkload()
-    module = workload.module()
+def _corrupting_specs(workload):
+    """Faults in the first iterations' products: they corrupt b[i] for good,
+    so cell divergence is live at every later segment entry and the walk
+    wants ``lanes`` there."""
     events = list(workload.traced_run().trace)
     fmuls = [e for e in events if e.opcode.value == "fmul"]
-    # the first iterations' products corrupt b[i] for good: from then on
-    # cell divergence is live at every segment entry, so the walk wants
-    # ``lanes`` and crosses its threshold mid-walk
-    specs = [
+    return [
         FaultSpec(dynamic_id=e.dynamic_id, bit=bit, operand_index=0)
         for e, bit in zip(fmuls[:3], (40, 51, 62))
     ]
+
+
+def _lanes_compiled(module):
+    return [seg for seg in _segments(module) if seg.lanes is not None]
+
+
+def test_crossing_the_threshold_in_the_batch_walk_with_divergence_live():
+    # long enough that the loop's segments pay for ``lanes`` from their
+    # N-th entry on: the walk crosses its threshold mid-walk
+    workload = LazyWorkload(2 * LANES_BREAK_EVEN)
+    module = workload.module()
+    specs = _corrupting_specs(workload)
     # (the op walk first: a process's first context for a workload sizes
     # its snapshot schedule differently from the later ones)
     op, _ = _walk(workload, specs, "op")
     cold(module)
     crossing, cold_stats = _walk(workload, specs, "block")
+    assert _lanes_compiled(module)
     compile_all(module)
     warmed, warm_stats = _walk(workload, specs, "block")
     assert crossing == op == warmed
     assert [via for via, *_ in op] == ["completed"] * len(specs)
     assert cold_stats.walk_ops == warm_stats.walk_ops
     assert 0 < cold_stats.walk_lane_ops < warm_stats.walk_lane_ops
+
+
+def test_lanes_never_compile_where_the_golden_run_says_they_cannot_pay():
+    # the loop body is entered fewer than LANES_BREAK_EVEN times in all:
+    # past its N-th ``lanes`` entry, the entries so far plus those left
+    # never reach the break-even
+    trips = LANES_BREAK_EVEN - 2
+    assert trips > HOT_ENTRIES["lanes"]
+    workload = LazyWorkload(trips)
+    module = workload.module()
+    specs = _corrupting_specs(workload)
+    op, _ = _walk(workload, specs, "op")
+    cold(module)
+    vetoed, cold_stats = _walk(workload, specs, "block")
+    assert not _lanes_compiled(module)
+    assert cold_stats.walk_lane_ops == 0
+    compile_all(module)
+    warmed, warm_stats = _walk(workload, specs, "block")
+    assert vetoed == warmed == op
+    assert warm_stats.walk_lane_ops > 0
+
+
+def test_lanes_compile_once_the_process_has_seen_a_segment_often_enough():
+    # each walk alone is too short to pay, but the entry counts persist
+    # across walks (a campaign worker's later shards): the walks that
+    # follow push the loop over the break-even
+    trips = LANES_BREAK_EVEN - 2
+    workload = LazyWorkload(trips)
+    module = workload.module()
+    specs = _corrupting_specs(workload)
+    op, _ = _walk(workload, specs, "op")
+    cold(module)
+    walks = 0
+    while not _lanes_compiled(module):
+        assert walks < 3, "lanes never compiled"
+        got, stats = _walk(workload, specs, "block")
+        assert got == op
+        walks += 1
+    assert walks >= 2
+    got, stats = _walk(workload, specs, "block")
+    assert got == op and stats.walk_lane_ops > 0
+
+
+def test_golden_entries_agree_between_traced_and_untraced_golden_runs():
+    workload = LazyWorkload(HOT_ENTRIES["lanes"] + 1)
+    with engine_backend("block"):
+        traced = ReplayContext(workload, sink=ColumnarTrace())
+        untraced = ReplayContext(workload)
+    assert traced.segment_entries == untraced.segment_entries
+    entries = traced.segment_entries
+    assert entries and all(
+        positions == sorted(positions) for positions in entries.values()
+    )
+    # the loop head is entered once per trip and once more to leave
+    assert max(len(positions) for positions in entries.values()) == workload.trips + 1
 
 
 def test_digest_cache_clone_shares_heat_and_compiled_code():

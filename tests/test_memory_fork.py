@@ -7,7 +7,8 @@ tests pin down the isolation contract that makes that safe: arrays are
 shared until written, the first typed write on either side copies
 privately, allocator state (bases, counters, stack objects) is carried over
 exactly, and a snapshot stays bit-identical to its capture point however
-the capturing run and its restores go on.
+the capturing run and its restores go on.  The digest that proves two
+states equal tells register values apart exactly as the batch walk does.
 
 The suite runs in both legs of the CI backend matrix (``block`` and
 ``op``); the fork path itself is backend-independent.
@@ -19,7 +20,14 @@ import numpy as np
 import pytest
 
 from repro.ir.types import F64, I32
-from repro.vm.engine import Engine, Snapshot, snapshot_digest
+from repro.vm.engine import (
+    _UNDEF,
+    Engine,
+    Snapshot,
+    _digest,
+    _values_bit_equal,
+    snapshot_digest,
+)
 from repro.vm.memory import Memory
 from repro.workloads.registry import get_workload, workload_names
 
@@ -240,3 +248,63 @@ def test_snapshot_digest_is_fixed_at_capture(name):
     assert len(engine.snapshots) >= 2
     for snapshot in engine.snapshots:
         assert snapshot_digest(snapshot) == at_capture[snapshot.dyn], snapshot.dyn
+
+
+def _nan(payload):
+    return float(np.frombuffer(np.uint64(0x7FF8000000000000 | payload).tobytes(), np.float64)[0])
+
+
+#: Register values the digest must tell apart exactly as
+#: ``_values_bit_equal`` does: signed zeros, NaN payloads, ``1``/``1.0``/
+#: ``True``, ints past 64 bits and the undefined-slot sentinel.
+_CRAFTED = [
+    0.0, -0.0, _nan(0), _nan(1), _nan(1), -_nan(1), float("inf"),
+    1, 1.0, True, 0, False, -1,
+    2**63 - 1, 2**63, 2**64, 2**70, -(2**70), -(2**63) - 1,
+    _UNDEF,
+]
+
+
+def test_values_bit_equal_matches_the_ieee_bytes():
+    import struct
+
+    def reference(a, b):
+        if type(a) is not type(b):
+            return False
+        if type(a) is float:
+            return struct.pack("<d", a) == struct.pack("<d", b)
+        return a == b
+
+    extra = [float("-inf"), 5e-324, -5e-324, 1.5, 1.5000000000000002]
+    for a in _CRAFTED + extra:
+        for b in _CRAFTED + extra:
+            assert _values_bit_equal(a, b) is reference(a, b), (a, b)
+
+
+def _regs_digest(regs, memory=None):
+    return _digest([("f", 3, 1, -1, -1, [], regs)], memory or Memory())
+
+
+def test_register_digest_equal_iff_bit_equal():
+    for a in _CRAFTED:
+        for b in _CRAFTED:
+            same = _values_bit_equal(a, b)
+            assert (_regs_digest([a]) == _regs_digest([b])) is same, (a, b)
+            # in context: a value between others, and after an undefined slot
+            assert (
+                _regs_digest([7, a, _UNDEF, 2.5]) == _regs_digest([7, b, _UNDEF, 2.5])
+            ) is same, (a, b)
+            assert (
+                _regs_digest([_UNDEF, a]) == _regs_digest([_UNDEF, b])
+            ) is same, (a, b)
+
+
+def test_register_digest_separates_files_and_ignores_identity():
+    # the same values in other objects digest alike; the boundary between
+    # two frames' register files is part of the digest
+    big = 2**70
+    assert _regs_digest([big, _nan(3)]) == _regs_digest([int(str(big)), _nan(3)])
+    two_frames = [("f", 0, -1, -1, -1, [], [1, 2]), ("f", 0, -1, -1, -1, [], [3])]
+    shifted = [("f", 0, -1, -1, -1, [], [1]), ("f", 0, -1, -1, -1, [], [2, 3])]
+    assert _digest(two_frames, Memory()) != _digest(shifted, Memory())
+    assert len({_regs_digest(regs) for regs in ([], [_UNDEF], [_UNDEF, _UNDEF])}) == 3

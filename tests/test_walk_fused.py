@@ -30,7 +30,10 @@ on resolution kind, ``converged_at`` and the op each eviction forks at:
   other one);
 * in the cold all-workload sweep, no cell's divergence map ever holds a
   value bit-equal to golden when a ``lanes`` segment loads the cell (so
-  the load takes the map as is, like the op loop).
+  the load takes the map as is, like the op loop);
+* a crash, a fault arming or an eviction at every offset of a hand-built
+  segment reports that offset as the completed prefix (the line table),
+  in ``plain`` and ``lanes``.
 
 Segments compile ``plain`` and ``lanes`` only once hot; the cases that
 assert the fused path itself ran compile every variant up front
@@ -50,8 +53,18 @@ from repro.ir import Constant, Function, IRBuilder, Module
 from repro.ir.instructions import ICmpPredicate
 from repro.ir.types import F32, F64, I64, VOID, pointer_to
 from repro.mir import fuse, mir_program_for
-from repro.vm.engine import DecodedProgram, Engine, _values_bit_equal
-from repro.vm.errors import ArithmeticFault
+from repro.vm.engine import (
+    LANE_ARM,
+    LANE_ERROR,
+    LANE_EVICT,
+    DecodedProgram,
+    Engine,
+    LaneWalk,
+    _Frame,
+    _UNDEF,
+    _values_bit_equal,
+)
+from repro.vm.errors import ArithmeticFault, SegmentationFault
 from repro.vm.faults import FaultSpec
 from repro.vm.memory import Memory
 from repro.workloads.base import Workload
@@ -750,3 +763,83 @@ def test_select_between_constant_only_values_on_a_divergent_condition():
     result = ReplayContext(workload).replay_many([spec])[0]
     assert list(result.outcome.outputs["out"]) == [2.0, 1.0]
     assert stats.walk_lane_ops > 0
+
+
+# --------------------------------------------------------------------- #
+# stop and crash accounting: the line table
+# --------------------------------------------------------------------- #
+#: Loads in the hand-built segment below; one per offset.
+_N_LOADS = 4
+
+
+def _loads_segment():
+    """One fused segment of ``_N_LOADS`` loads, each through its own pointer
+    argument: the segment, its function's decode and the loads' dest slots."""
+    func = Function(
+        "main", [pointer_to(F64)] * _N_LOADS,
+        [f"p{k}" for k in range(_N_LOADS)], VOID,
+    )
+    b = IRBuilder(func)
+    b.set_block(func.add_block("entry"))
+    for k in range(_N_LOADS):
+        b.load(func.arg_by_name(f"p{k}"))
+    b.ret()
+    module = Module("walk-loads")
+    module.add_function(func)
+    program = DecodedProgram.of(module)
+    df = program.functions["main"]
+    seg = mir_program_for(program).functions["main"].segments[0]
+    assert seg.fused and seg.n_ops == _N_LOADS
+    return seg, df, [df.ops[pc].dest for pc in seg.pcs]
+
+
+def _loads_frame(df, memory, bad=-1):
+    """A frame whose pointers all address ``x[0]``, but pointer ``bad``
+    addresses nothing."""
+    x = memory.allocate("x", F64, 1)
+    frame = _Frame(df)
+    frame.regs[:_N_LOADS] = [0 if k == bad else x.base for k in range(_N_LOADS)]
+    return frame
+
+
+@pytest.mark.parametrize("offset", range(_N_LOADS))
+def test_plain_crash_at_every_offset_counts_the_completed_prefix(offset):
+    seg, df, _ = _loads_segment()
+    plain = seg.compile("plain")
+    memory = Memory()
+    frame = _loads_frame(df, memory, bad=offset)
+    cell = [-1]
+    with pytest.raises(SegmentationFault):
+        plain(frame, frame.regs, memory, cell)
+    assert cell[0] == offset
+
+
+@pytest.mark.parametrize(
+    "offset, cause",
+    [
+        (offset, cause)
+        for offset in range(_N_LOADS)
+        for cause in ("crash", "arm", "evict")
+        # a fault arming at the first op sends the segment to the op loop
+        if offset or cause != "arm"
+    ],
+)
+def test_lanes_stop_at_every_offset_counts_the_completed_prefix(offset, cause):
+    seg, df, dests = _loads_segment()
+    lanes = seg.compile("lanes")
+    memory = Memory()
+    frame = _loads_frame(df, memory, bad=offset if cause == "crash" else -1)
+    fdiv = {}
+    if cause == "evict":
+        fdiv[offset] = {0: frame.regs[offset] + 8}  # fault 0's address differs
+    stop = offset if cause == "arm" else -1
+    walk = LaneWalk({0: 1}, {0: None}, lambda fid, at: None)
+    cell = [-1, 0]
+    pc = lanes(frame, frame.regs, memory, cell, fdiv, {}, walk, stop)
+    expected = {"crash": LANE_ERROR, "arm": LANE_ARM, "evict": LANE_EVICT}[cause]
+    assert cell == [offset, expected]
+    assert pc == seg.pcs[offset]
+    # the completed prefix's registers are written back, the rest are not
+    assert [frame.regs[d] is not _UNDEF for d in dests] == [
+        k < offset for k in range(_N_LOADS)
+    ]
