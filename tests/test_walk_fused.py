@@ -115,14 +115,18 @@ def events(workload):
     return list(workload.traced_run().trace)
 
 
+def _segment_at(mir, pc):
+    """The segment of ``mir`` that holds op ``pc``, and the op's offset."""
+    return next((seg, seg.pcs.index(pc)) for seg in mir.segments if pc in seg.pcs)
+
+
 def _window_of(workload, event):
     """``(entry dyn, n_ops)`` of the fused segment executing ``event``."""
     program = DecodedProgram.of(workload.module())
     mir = mir_program_for(program).functions[event.function]
     ops = program.functions[event.function].ops
     pc = next(pc for pc, op in enumerate(ops) if op.static_uid == event.static_uid)
-    seg_index, offset = mir.location_of(pc)
-    seg = mir.segments[seg_index]
+    seg, offset = _segment_at(mir, pc)
     assert seg.fused and offset > 0, "event must sit inside a fused segment"
     return event.dynamic_id - offset, seg.n_ops
 
@@ -648,7 +652,8 @@ def _checking_cell_loads():
     Stores keep only lanes that differ from the golden value they write,
     and every fault stores where golden does (a diverging address evicts),
     so a load takes the cell's map as is, like the op loop.  Yields the
-    list of faults checked; the bodies are dropped on exit.
+    list of faults checked.  The bodies stay compiled on the programs of
+    the modules built inside the ``with`` body, and on no other.
     """
     checked = []
     load_lanes = fuse._cell_lanes
@@ -663,10 +668,7 @@ def _checking_cell_loads():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fuse, "_cell_lanes", checking)
-        try:
-            yield checked
-        finally:
-            cold()
+        yield checked
 
 
 def test_every_registered_workload_block_vs_op_warmed():
@@ -756,7 +758,7 @@ def test_select_between_constant_only_values_on_a_divergent_condition():
         pc for pc, op in enumerate(program.functions["main"].ops)
         if op.static_uid == select.static_uid
     )
-    assert mir.segments[mir.location_of(pc)[0]].fused
+    assert _segment_at(mir, pc)[0].fused
     spec = _copy_flip(events, "c", 0, bit=0)
     kinds, _, stats = _check_batch(workload, [spec])
     assert kinds[0][0] == "completed"
