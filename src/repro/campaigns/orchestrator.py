@@ -65,7 +65,7 @@ from repro.parallel.campaign import (
     _default_workers,
 )
 from repro.parallel.partition import chunk_evenly
-from repro.tracing.cache import MemoCache, TraceCache, trace_digest
+from repro.tracing.cache import MemoCache, golden_trace, trace_digest
 from repro.vm.faults import FaultSpec
 from repro.workloads.registry import get_workload, validate_workload
 
@@ -335,7 +335,7 @@ class CampaignOrchestrator:
         try:
             with span("campaign.run", campaign=self.campaign_id, run=run_id):
                 workload = self._workload()
-                trace = self._acquire_trace(workload)
+                trace = self._golden_trace(workload)
                 done = self.store.completed_shards(self.campaign_id)
                 if isinstance(self.plan, AdaptivePlan):
                     streams = [
@@ -547,18 +547,15 @@ class CampaignOrchestrator:
         Reports already in the store are returned as-is unless ``refresh``
         is set; missing ones are computed with the parallel runner and
         saved, so ``campaign report`` renders from durable rows only.
-        With the trace cache on, the runner's chunks load the golden trace
-        from the artifact made sure of here (built only on a miss, never
-        loaded here) instead of tracing the workload.
+        Each analysis process acquires the golden trace itself
+        (:func:`~repro.tracing.cache.golden_trace`): with the trace cache
+        on it loads the artifact, and rebuilds a missing or unreadable one.
         """
         workload = self._workload()
         names = list(object_names or self.plan.objects_for(workload))
         stored = {} if refresh else self.store.reports(self.campaign_id)
         missing = [name for name in names if name not in stored]
         if missing:
-            cache = TraceCache.from_env()
-            if cache is not None:
-                self._ensure_trace_artifact(cache, workload)
             runner = CampaignRunner(
                 self.workload_name, self.workload_kwargs, workers=self.workers
             )
@@ -574,7 +571,7 @@ class CampaignOrchestrator:
     def _workload(self):
         return get_workload(self.workload_name, **self.workload_kwargs)
 
-    def _acquire_trace(self, workload):
+    def _golden_trace(self, workload):
         """The golden columnar trace: cache artifact when enabled, else fresh.
 
         Resumed campaigns land on the same digest, so the artifact built by
@@ -582,16 +579,9 @@ class CampaignOrchestrator:
         """
         start = time.perf_counter()
         with span("campaign.trace", campaign=self.campaign_id):
-            cache = TraceCache.from_env()
-            if cache is not None:
-                trace, hit = cache.get_or_build(
-                    self.trace_digest,
-                    lambda: workload.traced_run().trace,
-                )
-                source = "cache hit" if hit else "cache miss, built"
-            else:
-                trace = workload.traced_run().trace
-                source = "cache disabled, built"
+            trace, source = golden_trace(
+                workload, self.workload_name, self.workload_kwargs
+            )
         self._say(
             f"[{self.campaign_id}] golden trace {self.trace_digest}: {source} "
             f"({len(trace)} events, {time.perf_counter() - start:.2f}s)",
@@ -601,23 +591,6 @@ class CampaignOrchestrator:
             events=len(trace),
         )
         return trace
-
-    def _ensure_trace_artifact(self, cache: TraceCache, workload) -> None:
-        """The golden-trace artifact exists in ``cache`` when this returns;
-        a hit loads nothing."""
-        start = time.perf_counter()
-        with span("campaign.trace", campaign=self.campaign_id):
-            hit = cache.ensure(
-                self.trace_digest, lambda: workload.traced_run().trace
-            )
-        source = "cache hit" if hit else "cache miss, built"
-        self._say(
-            f"[{self.campaign_id}] golden trace {self.trace_digest}: {source} "
-            f"({time.perf_counter() - start:.2f}s)",
-            event="trace.acquired",
-            trace_digest=self.trace_digest,
-            source=source,
-        )
 
     def _say(self, message: str, event: str = "progress", **fields) -> None:
         """One progress line: stderr via the structured logger (gated by

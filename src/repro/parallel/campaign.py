@@ -16,15 +16,16 @@ and its ``run`` serves one unit on that state.  A bounded window of units
 is in flight at once, and the caller reorders finished units by key.  At
 one worker the pipeline spawns nothing and runs each unit in this process.
 
-Analysis chunks load the golden trace from the trace-cache artifact when
-one exists (the campaign orchestrator writes it before fanning out), so a
-campaign traces its workload once; without a readable artifact each
-process records the trace during its own golden run.
+Analysis chunks acquire the golden trace through
+:func:`~repro.tracing.cache.golden_trace`: they load the trace-cache
+artifact the campaign run wrote, and a process that finds it missing or
+unreadable traces the workload and rewrites it.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
@@ -40,10 +41,11 @@ from typing import (
 )
 
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
+from repro.obs.log import get_logger
 from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
 from repro.parallel.partition import chunk_evenly
-from repro.tracing.cache import TraceCache, trace_digest
+from repro.tracing.cache import golden_trace, trace_digest
 from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
@@ -193,10 +195,18 @@ class AnalyzeJob:
         from repro.workloads.registry import get_workload
 
         workload = get_workload(self.workload_name, **self.workload_kwargs)
-        cache = TraceCache.from_env()
-        trace = (
-            cache.load(trace_digest(self.workload_name, self.workload_kwargs))
-            if cache is not None else None
+        start = time.perf_counter()
+        trace, source = golden_trace(
+            workload, self.workload_name, self.workload_kwargs
+        )
+        digest = trace_digest(self.workload_name, self.workload_kwargs)
+        get_logger("campaign").info(
+            "trace.acquired",
+            f"golden trace {digest}: {source} "
+            f"({len(trace)} events, {time.perf_counter() - start:.2f}s)",
+            trace_digest=digest,
+            source=source,
+            events=len(trace),
         )
         return AdvfEngine(workload, self.config, trace=trace)
 

@@ -132,7 +132,8 @@ def cmd_plan(args, open_store, parse_set, say) -> int:
     from repro.core.patterns import SingleBitModel
     from repro.core.reports import AnalysisConfig
     from repro.protection.advisor import ProtectionAdvisor
-    from repro.protection.schemes import acquire_trace, get_scheme
+    from repro.protection.schemes import get_scheme
+    from repro.tracing.cache import golden_trace
 
     try:
         workload_name = validate_workload(args.workload)
@@ -194,7 +195,7 @@ def cmd_plan(args, open_store, parse_set, say) -> int:
                     f"{', '.join(missing)}; run `repro campaign report` first"
                 )
             reports = {name: reports[name] for name in objects}
-            trace = acquire_trace(workload, workload_name, kwargs)
+            trace, _ = golden_trace(workload, workload_name, kwargs)
         else:
             say(f"computing aDVF reports for {', '.join(objects)} ...")
             engine = AdvfEngine(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.tracing.cache import TraceCache, trace_digest
+from repro.tracing.cache import golden_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.tracing.columnar import ColumnarTrace
@@ -192,7 +192,7 @@ class AbftChecksumScheme(ProtectionScheme):
         variant_name, _ = BESPOKE_ABFT_VARIANTS[_registry_name(workload)]
         kwargs = _constructor_kwargs(workload)
         variant = get_workload(variant_name, **kwargs)
-        trace = acquire_trace(variant, variant_name, kwargs)
+        trace, _ = golden_trace(variant, variant_name, kwargs)
         variant_inputs = WorkloadCostInputs.from_workload(variant, trace)
         return SchemeCost(
             extra_ops=max(0, variant_inputs.base_ops - inputs.base_ops),
@@ -328,15 +328,3 @@ def _constructor_kwargs(workload: "Workload") -> Dict[str, object]:
         if hasattr(workload, name):
             kwargs[name] = getattr(workload, name)
     return kwargs
-
-
-def acquire_trace(workload: "Workload", name: str, kwargs: Dict[str, object]):
-    """Golden columnar trace of ``workload`` (through the cache if enabled)."""
-    cache = TraceCache.from_env()
-    if cache is None:
-        return workload.traced_run().trace
-    trace, _ = cache.get_or_build(
-        trace_digest(name, kwargs),
-        lambda: workload.traced_run().trace,
-    )
-    return trace

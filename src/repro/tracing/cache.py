@@ -9,10 +9,12 @@ the workload.
 
 The cache directory comes from the ``REPRO_TRACE_CACHE`` environment
 variable (default ``~/.cache/repro/traces``); setting it to ``off`` (or
-``0`` / ``none``) disables persistent caching, in which case callers fall
-back to per-process temporary artifacts.  Artifacts are content-addressed
-by :func:`trace_digest` and written atomically, so concurrent writers of
-the same digest are harmless (last rename wins, both files are identical).
+``0`` / ``none``) disables persistent caching, in which case every
+consumer traces the workload itself.  Artifacts are content-addressed by
+:func:`trace_digest` and written atomically, so concurrent writers of the
+same digest are harmless (last rename wins, both files are identical).
+:func:`golden_trace` is the one way to acquire a golden trace: a missing
+or unreadable artifact is rebuilt and overwritten there.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import json
 import os
 from pathlib import Path
 from pickle import UnpicklingError
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 from zipfile import BadZipFile
 
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.base import Workload
 
 #: Default cache directory when ``REPRO_TRACE_CACHE`` is unset.
 DEFAULT_CACHE_DIR = "~/.cache/repro/traces"
@@ -67,9 +72,9 @@ def trace_digest(
 class TraceCache:
     """Filesystem cache of :class:`ColumnarTrace` artifacts.
 
-    ``hits``/``misses`` count :meth:`get_or_build` and :meth:`ensure`
-    resolutions, so smoke tests (and the campaign CLI's progress lines)
-    can verify the cache is actually being exercised.
+    ``hits``/``misses`` count :meth:`get_or_build` resolutions, so smoke
+    tests (and the campaign CLI's progress lines) can verify the cache is
+    actually being exercised.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -90,22 +95,14 @@ class TraceCache:
         """Where the artifact for ``digest`` lives."""
         return self.root / f"{digest}.npz"
 
-    def find(self, digest: str) -> Optional[Path]:
-        """The existing artifact for ``digest``, if any."""
-        path = self.path_for(digest)
-        return path if path.is_file() else None
-
     def load(self, digest: str) -> Optional[ColumnarTrace]:
         """The cached trace for ``digest``, or ``None``.
 
         A missing artifact and one that cannot be read (truncated,
         corrupt, or of another layout) both read as a miss.
         """
-        path = self.find(digest)
-        if path is None:
-            return None
         try:
-            return ColumnarTrace.load(path)
+            return ColumnarTrace.load(self.path_for(digest))
         except (BadZipFile, UnpicklingError, OSError, ValueError, KeyError,
                 EOFError):
             return None
@@ -131,16 +128,6 @@ class TraceCache:
         self.store(digest, trace)
         return trace, False
 
-    def ensure(self, digest: str, build: Callable[[], ColumnarTrace]) -> bool:
-        """Make sure the artifact for ``digest`` exists, building and
-        storing it on a miss; a hit loads nothing.  Returns whether it hit.
-        """
-        hit = self.find(digest) is not None
-        self._count(hit)
-        if not hit:
-            self.store(digest, build())
-        return hit
-
     def _count(self, hit: bool) -> None:
         reg = _metrics_registry()
         if hit:
@@ -149,6 +136,22 @@ class TraceCache:
             self.misses += 1
         if reg.enabled:
             reg.inc("trace_cache.hits" if hit else "trace_cache.misses")
+
+
+def golden_trace(
+    workload: "Workload", name: str, kwargs: Dict[str, object]
+) -> Tuple[ColumnarTrace, str]:
+    """The golden trace of ``workload`` (registered as ``name``, built with
+    constructor ``kwargs``) and where it came from: ``"cache hit"``,
+    ``"cache miss, built"`` or ``"cache disabled, built"``.
+    """
+    cache = TraceCache.from_env()
+    if cache is None:
+        return workload.traced_run().trace, "cache disabled, built"
+    trace, hit = cache.get_or_build(
+        trace_digest(name, kwargs), lambda: workload.traced_run().trace
+    )
+    return trace, "cache hit" if hit else "cache miss, built"
 
 
 class MemoCache:

@@ -43,6 +43,7 @@ Three ways out:
 from __future__ import annotations
 
 import os
+import pickle
 from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -123,6 +124,43 @@ def _gather_intern(
     remap = np.full(len(vocab) + 1, -1, dtype=np.int32)  # slot -1: None
     remap[order] = np.arange(len(order), dtype=np.int32)
     return remap[codes], vocab[order]
+
+
+#: The globals an object column's pickle may name: an object array pickles
+#: as ``_reconstruct(ndarray, shape, dtype)`` plus plain numbers, strings
+#: and ``None``.
+_ARRAY_GLOBALS = frozenset({
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy", "ndarray"),
+    ("numpy", "dtype"),
+})
+
+
+class _ArrayUnpickler(pickle.Unpickler):
+    """Refuses every global an object column does not need, so a file
+    planted in the trace cache cannot run code."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _ARRAY_GLOBALS:
+            raise pickle.UnpicklingError(f"forbidden global {module}.{name}")
+        return super().find_class(module, name)
+
+
+def _column(npz, key: str) -> np.ndarray:
+    """Column ``key`` of an ``.npz`` opened with ``allow_pickle=False``; an
+    object column unpickles through :class:`_ArrayUnpickler`."""
+    fmt = np.lib.format
+    with npz.zip.open(key + ".npy") as fh:
+        if fmt.read_magic(fh) != (1, 0):
+            raise ValueError(f"column {key}: unsupported .npy version")
+        if not fmt.read_array_header_1_0(fh)[2].hasobject:
+            fh.seek(0)
+            return fmt.read_array(fh, allow_pickle=False)
+        column = _ArrayUnpickler(fh).load()
+    if not isinstance(column, np.ndarray):
+        raise ValueError(f"column {key} is not an array")
+    return column
 
 
 def _decode(ids: np.ndarray, vocab: np.ndarray) -> list:
@@ -522,10 +560,15 @@ class ColumnarTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ColumnarTrace":
-        """Read a trace previously written by :meth:`save`."""
-        # our own artifact: object columns hold only numbers/None.
-        with np.load(Path(path), allow_pickle=True) as data:
-            trace = cls._from_arrays(data)
+        """Read a trace previously written by :meth:`save`.
+
+        The file is opened with ``allow_pickle=False``, and its object
+        columns unpickle NumPy's array globals only (:func:`_column`): a
+        file that is no ``.npz`` raises :class:`ValueError`, a pickle
+        naming another global :class:`pickle.UnpicklingError`.
+        """
+        with np.load(Path(path), allow_pickle=False) as data:
+            trace = cls._from_arrays({key: _column(data, key) for key in data.files})
         trace.columns()  # seal the views while the artifact is hot
         return trace
 
@@ -669,3 +712,4 @@ class ColumnarTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ColumnarTrace: {len(self)} events>"
+

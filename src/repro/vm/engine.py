@@ -654,13 +654,13 @@ class BatchFaultResolution:
         memory cells that differ from golden, ``return_value``/``steps``
         are the faulty run's.
     ``"private"``
-        Diverged in control flow or addressing and ran standalone from a
+        Evicted from the lockstep walk and ran standalone from a
         copy-on-write fork; ``memory`` holds its final address space.
     ``"memo"``
         Answered by a convergence-memo entry (``memo_entry``).
     ``"error"``
-        The faulty execution raised (``error``), either in lockstep value
-        evaluation or in its private run.
+        The faulty execution raised (``error``), always in its private
+        run: a fault whose value raises in the walk is evicted first.
     """
 
     __slots__ = ("spec", "kind", "return_value", "steps", "cell_deltas",
@@ -934,11 +934,10 @@ class Engine:
     ) -> BatchFaultResolution:
         """Run one fault privately from a copy-on-write fork.
 
-        Used by :meth:`resume_many` for faults the lockstep walk cannot
-        carry: either the fault is armed on the fork (``fault`` set, birth
-        eviction) or its accumulated divergence is patched onto the fork's
-        clone (``reg_patches``/``cell_patches``, mid-walk eviction after a
-        control-flow or addressing divergence).
+        Called only by :meth:`resume_many`'s eviction helper: either the
+        fault is armed on the fork (``fault`` set) or its accumulated
+        divergence is patched onto the fork's clone (``reg_patches``/
+        ``cell_patches``).  The only place a fault resolves ``"error"``.
         """
         engine = Engine(
             self.module,
@@ -1001,11 +1000,14 @@ class Engine:
           loop reusing the walk's decoded ops and operand resolution;
         * a fault whose divergence set drains to empty is provably
           bit-identical to golden and resolves immediately;
-        * a fault that diverges in control flow or addressing is *evicted*
-          into a private replay seeded from a copy-on-write fork of the
-          walk's state patched with the fault's divergence — private runs
-          use digest checks against ``golden_digests`` (convergence) and
-          ``memo`` (outcome memoization at matching intermediate states);
+        * a fault that diverges in control flow, addressing or a user
+          call's arguments, whose own value raises, or that arms at an
+          exotic site is *evicted* through one helper into a private replay
+          seeded from a copy-on-write fork of the pre-op state patched with
+          the fault's divergence — private runs use digest checks against
+          ``golden_digests`` (convergence) and ``memo`` (outcome
+          memoization at matching intermediate states);
+        * a ``ret`` hands divergent returned values to the caller;
         * faults still diverged when the program returns resolve to the
           golden outcome patched with their cell deltas.
 
@@ -1141,11 +1143,23 @@ class Engine:
             active.pop(fid, None)
             div_count.pop(fid, None)
 
-        def resolve_error(fid, exc):
-            resolution = resolutions[fid]
-            resolution.kind = "error"
-            resolution.error = exc.with_traceback(None)
-            drop_fault(fid)
+        def evict(fork, fids, armed, pc, dyn):
+            """Private replays of ``fids`` from the pre-op ``fork`` (captured
+            on first use, returned); ``armed`` maps faults arming here to
+            their specs.  ``pc``/``dyn`` are passed to keep them locals."""
+            if fork is None:
+                frame.pc = pc
+                self._dyn = dyn
+                fork = self.capture_fork()
+            for fid in sorted(fids):
+                reg_patches, cell_patches = collect_patches(fid)
+                drop_fault(fid)
+                self._private_replay(
+                    resolutions[fid], fork, armed.get(fid) if armed else None,
+                    reg_patches, cell_patches, sched_positions, golden_digests,
+                    memo,
+                )
+            return fork
 
         #: Faults whose last diverged register/cell died this op (the op's
         #: tail resolves them golden and clears the list).
@@ -1253,8 +1267,6 @@ class Engine:
                                 or kind == K_CALL_INTRINSIC
                                 or kind == K_GEP
                                 or kind == K_PHI
-                                or kind == K_RET
-                                or kind == K_CALL_USER
                                 or (kind == K_STORE and spec.operand_index == 0)
                             )
                         ):
@@ -1268,17 +1280,10 @@ class Engine:
                             born.append(fid)
                         else:
                             # exotic site (result target, address operand,
-                            # branch condition, out-of-range operand index):
-                            # reproduce exactly via a private replay with the
-                            # fault armed on a fork of the pre-op state
-                            if fork is None:
-                                frame.pc = pc
-                                self._dyn = dyn
-                                fork = self.capture_fork()
-                            self._private_replay(
-                                resolutions[fid], fork, spec, (), (),
-                                sched_positions, golden_digests, memo,
-                            )
+                            # branch condition, call or return, out-of-range
+                            # operand index): reproduce exactly via a private
+                            # replay with the fault armed on the pre-op fork
+                            fork = evict(fork, (fid,), {fid: spec}, pc, dyn)
                     next_arm = (
                         specs[next_spec].dynamic_id
                         if next_spec < nspecs
@@ -1297,7 +1302,7 @@ class Engine:
                                 else:
                                     aff.update(m)
 
-                # ------- control-flow / addressing divergence: evict ---- #
+                # ------- control-flow / addressing / frame divergence: evict #
                 if aff:
                     evictees = None
                     if kind == K_LOAD:
@@ -1320,19 +1325,13 @@ class Engine:
                                 if bool(v) != bool(values[0])
                             } or None
                         aff = None  # same-direction divergence has no value effect
+                    elif kind == K_CALL_USER:
+                        # no divergence enters a callee through its
+                        # arguments: a divergent argument leaves the walk
+                        evictees = aff
+                        aff = None
                     if evictees:
-                        if fork is None:
-                            frame.pc = pc
-                            self._dyn = dyn
-                            fork = self.capture_fork()
-                        for fid in sorted(evictees):
-                            reg_patches, cell_patches = collect_patches(fid)
-                            drop_fault(fid)
-                            self._private_replay(
-                                resolutions[fid], fork, None, reg_patches,
-                                cell_patches, sched_positions, golden_digests,
-                                memo,
-                            )
+                        fork = evict(fork, evictees, None, pc, dyn)
                 if aff:
                     if workers is None:
                         workers = dict.fromkeys(aff)
@@ -1366,32 +1365,30 @@ class Engine:
                     address = int(values[1])
                     obj, element_index = resolve(address)
                     check_access(obj, op.op_types[0], address)
+                    new = None
+                    if workers:
+                        # per-fault casts before the golden store, so a fault
+                        # whose cast raises evicts from the pre-op state;
+                        # ``cast_value`` of the golden value is what the set
+                        # stores
+                        golden_stored = obj.cast_value(values[0])
+                        new = {}
+                        raised = []
+                        for fid, armed in workers.items():
+                            try:
+                                cast = obj.cast_value(fault_operands(fid, armed)[0])
+                            except Exception:
+                                raised.append(fid)
+                                continue
+                            if not _values_bit_equal(cast, golden_stored):
+                                new[fid] = cast
+                        if raised:
+                            fork = evict(fork, raised, workers, pc, dyn)
                     obj.set(element_index, values[0])
                     cmap = cells.get(obj.name)
                     had_old = cmap is not None and element_index in cmap
                     if workers or had_old or birth_store_old:
-                        golden_stored = obj.get(element_index)
-                        new = None
-                        errored = None
-                        if workers:
-                            new = {}
-                            for fid, armed in workers.items():
-                                try:
-                                    vals = fault_operands(fid, armed)
-                                    cast = obj.cast_value(vals[0])
-                                except Exception as exc:
-                                    if errored is None:
-                                        errored = []
-                                    errored.append((fid, exc))
-                                    continue
-                                if not _values_bit_equal(cast, golden_stored):
-                                    new[fid] = cast
                         old = cmap.pop(element_index, None) if cmap else None
-                        if errored:
-                            for fid, exc in errored:
-                                resolve_error(fid, exc)
-                                if new:
-                                    new.pop(fid, None)
                         _rebase(old, new, div_count, drained)
                         if new:
                             cells.setdefault(obj.name, {})[element_index] = new
@@ -1418,22 +1415,13 @@ class Engine:
                     frame.prev_block = op.block_index
                 elif kind == K_RET:
                     result = values[0] if values else None
+                    # the faults whose returned value diverges (no fault
+                    # arms at a return, so none can raise here)
                     ret_divs = None
                     if workers:
-                        errored = None
-                        ret_divs = {}
-                        for fid, armed in workers.items():
-                            try:
-                                vals = fault_operands(fid, armed)
-                            except Exception as exc:
-                                if errored is None:
-                                    errored = []
-                                errored.append((fid, exc))
-                                continue
-                            ret_divs[fid] = vals[0] if vals else None
-                        if errored:
-                            for fid, exc in errored:
-                                resolve_error(fid, exc)
+                        ret_divs = {
+                            fid: fault_operands(fid, None)[0] for fid in workers
+                        }
                     popped = frames.pop()
                     pdiv = popped.div
                     if pdiv:
@@ -1474,21 +1462,16 @@ class Engine:
                                 f"call to {op.function} returned no value"
                             )
                         frame.regs[ret_slot] = result
+                        # the divergent returned values land in the
+                        # caller's register (a duplicated workload's
+                        # wrapper compares its replicas' results there)
                         cdiv = frame.div
                         old = cdiv.pop(ret_slot, None) if cdiv else None
-                        new = None
+                        _rebase(old, ret_divs, div_count, drained)
                         if ret_divs:
-                            new = {
-                                fid: v
-                                for fid, v in ret_divs.items()
-                                if fid in active
-                                and not _values_bit_equal(v, result)
-                            }
-                        _rebase(old, new, div_count, drained)
-                        if new:
                             if cdiv is None:
                                 cdiv = frame.div = {}
-                            cdiv[ret_slot] = new
+                            cdiv[ret_slot] = ret_divs
                     ops = frame.df.ops
                     regs = frame.regs
                     pc = frame.pc
@@ -1499,10 +1482,6 @@ class Engine:
                             if fid in active and div_count.get(fid, 0) == 0:
                                 resolve_golden(fid, op_dyn)
                         drained.clear()
-                    if born:
-                        for fid in born:
-                            if fid in active and div_count.get(fid, 0) == 0:
-                                resolve_golden(fid, op_dyn)
                     if not active and next_spec >= nspecs:
                         break
                     continue
@@ -1522,24 +1501,6 @@ class Engine:
                     callee_frame.regs[:nargs] = values[:nargs]
                     callee_frame.ret_slot = op.dest
                     callee_frame.ret_dyn = dyn
-                    if workers:
-                        cdiv = None
-                        for fid, armed in workers.items():
-                            try:
-                                vals = fault_operands(fid, armed)
-                            except Exception as exc:
-                                resolve_error(fid, exc)
-                                continue
-                            for position in range(nargs):
-                                if not _values_bit_equal(
-                                    vals[position], values[position]
-                                ):
-                                    if cdiv is None:
-                                        cdiv = {}
-                                    cdiv.setdefault(position, {})[fid] = vals[position]
-                                    div_count[fid] = div_count.get(fid, 0) + 1
-                        if cdiv:
-                            callee_frame.div = cdiv
                     frames.append(callee_frame)
                     dyn += 1
                     frame = callee_frame
@@ -1548,10 +1509,6 @@ class Engine:
                     pc = 0
                     if dispatch is not None:
                         dispatch = mir_fns[callee_df.name].dispatch
-                    if born:
-                        for fid in born:
-                            if fid in active and div_count.get(fid, 0) == 0:
-                                resolve_golden(fid, op_dyn)
                     if not active and next_spec >= nspecs:
                         break
                     continue
@@ -1577,9 +1534,9 @@ class Engine:
                 dest = op.dest
                 if dest >= 0:
                     new = None
-                    errored = None
                     if workers:
                         new = {}
+                        raised = []
                         for fid, armed in workers.items():
                             try:
                                 if kind == K_LOAD:
@@ -1600,29 +1557,24 @@ class Engine:
                                 else:  # K_FN / K_CALL_INTRINSIC
                                     vals = fault_operands(fid, armed)
                                     r_f = op.fn(vals)
-                            except Exception as exc:
-                                if errored is None:
-                                    errored = []
-                                errored.append((fid, exc))
+                            except Exception:
+                                raised.append(fid)
                                 continue
                             if not _values_bit_equal(r_f, result):
                                 new[fid] = r_f
+                        if raised:
+                            # evicted outside the handler, so the replay's
+                            # error does not chain to this one; it raises
+                            # the same error
+                            fork = evict(fork, raised, workers, pc, dyn)
                     regs[dest] = result
                     if fdiv is not None or new:
                         old = fdiv.pop(dest, None) if fdiv else None
-                        if errored:
-                            for fid, exc in errored:
-                                resolve_error(fid, exc)
-                                if new:
-                                    new.pop(fid, None)
                         _rebase(old, new, div_count, drained)
                         if new:
                             if fdiv is None:
                                 fdiv = frame.div = {}
                             fdiv[dest] = new
-                    elif errored:
-                        for fid, exc in errored:
-                            resolve_error(fid, exc)
 
                 dyn += 1
                 if drained:

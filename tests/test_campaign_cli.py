@@ -111,8 +111,8 @@ class TestInProcessCommands:
         self, store_path, capsys, monkeypatch
     ):
         """With a warm trace cache, ``campaign report --refresh`` loads the
-        artifact once, in the analysis job: the orchestrator only makes
-        sure it exists."""
+        artifact once, in the analysis job; the orchestrator does not
+        touch it."""
         args = ["cg", "--plan", "fixed:16@5", *self._base(store_path)]
         assert main(["campaign", "run", *args]) == 0  # builds the artifact
         capsys.readouterr()

@@ -163,9 +163,10 @@ class TestTraceCache:
         _, columnar = matmul_traces
         cache = TraceCache(tmp_path / "cache")
         digest = trace_digest("matmul", {})
-        assert cache.find(digest) is None and cache.load(digest) is None
+        assert not cache.path_for(digest).exists()
+        assert cache.load(digest) is None
         path = cache.store(digest, columnar)
-        assert path == cache.path_for(digest) == cache.find(digest)
+        assert path == cache.path_for(digest) and path.is_file()
         assert path.suffix == ".npz"
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 

@@ -33,7 +33,13 @@ on resolution kind, ``converged_at`` and the op each eviction forks at:
   the load takes the map as is, like the op loop);
 * a crash, a fault arming or an eviction at every offset of a hand-built
   segment reports that offset as the completed prefix (the line table),
-  in ``plain`` and ``lanes``.
+  in ``plain`` and ``lanes``;
+* frame boundaries: a divergent user-call argument evicts at the call, a
+  divergent non-entry return value rides on in the caller's register,
+  and an operand fault arming at a call or a return evicts there;
+* a fault whose own value raises where golden's does not, at a store and
+  at an op with a destination, evicts from the pre-op state and resolves
+  ``error`` in its private replay.
 
 Segments compile ``plain`` and ``lanes`` only once hot; the cases that
 assert the fused path itself ran compile every variant up front
@@ -632,6 +638,107 @@ def test_lane_counters_reach_the_metrics_registry(lanes_workload, lanes_events):
         if count
     }
     assert not any(name.startswith("replay.walk_stops_") for name in totals)
+
+
+# --------------------------------------------------------------------- #
+# frame boundaries and per-fault errors evict
+# --------------------------------------------------------------------- #
+def bump(x: "double") -> "double":
+    return x * 2.0 + 1.0
+
+
+def frame_kernel(a: "double*", out: "double*", n: "i64") -> "void":
+    for i in range(n):
+        out[i] = bump(a[i] + 0.5) + a[i]
+
+
+class FrameWorkload(Workload):
+    """``out[i] = bump(a[i] + 0.5) + a[i]``: a value crosses into a user
+    call as its argument and back out through a non-entry ``ret``.
+
+    A divergent argument evicts at the call; a divergent returned value
+    rides on in the caller's register.  A fault arming at a call or a
+    return, and one whose own evaluation raises, evicts from the pre-op
+    state."""
+
+    name = "walk-frames"
+    target_objects = ("a",)
+    output_objects = ("out",)
+    entry = "frame_kernel"
+
+    def kernels(self):
+        return [bump, frame_kernel]
+
+    def setup(self, memory: Memory):
+        n = 3
+        a = memory.allocate("a", F64, n, initial=np.arange(1.0, n + 1))
+        out = memory.allocate("out", F64, n)
+        return {"a": a.base, "out": out.base, "n": n}
+
+
+@pytest.fixture(scope="module")
+def frame_workload():
+    return FrameWorkload()
+
+
+@pytest.fixture(scope="module")
+def frame_events(frame_workload):
+    return list(frame_workload.traced_run().trace)
+
+
+def _evicts_at(workload, spec, event, via):
+    """``spec`` resolves ``via`` from a fork at ``event``, equal to its
+    from-scratch run and on both backends (``_check_batch``)."""
+    kinds, forks, stats = _check_batch(workload, [spec])
+    assert kinds[0][0] == via
+    assert forks == {spec: event.dynamic_id}
+    assert stats.evicted == 1 and stats.lockstep == 0
+
+
+def test_divergent_call_argument_evicts_at_the_call(frame_workload, frame_events):
+    # a[0] + 0.5 diverges, and bump() takes it as its argument
+    fadd = _first(frame_events, "frame_kernel", "fadd")
+    call = _first(frame_events, "frame_kernel", "call")
+    assert fadd.dynamic_id < call.dynamic_id
+    spec = FaultSpec(dynamic_id=fadd.dynamic_id, bit=3, operand_index=0)
+    _evicts_at(frame_workload, spec, call, "private")
+
+
+def test_divergent_non_entry_return_rides_into_the_caller(
+    frame_workload, frame_events
+):
+    # x * 2.0 diverges inside bump(), and its ``ret`` hands the sum back to
+    # the caller's register, from where it reaches out[0]
+    fmul = _first(frame_events, "bump", "fmul")
+    spec = FaultSpec(dynamic_id=fmul.dynamic_id, bit=3, operand_index=0)
+    kinds, forks, stats = _check_batch(frame_workload, [spec])
+    assert kinds == [("completed", None)]
+    assert not forks and stats.evicted == 0
+
+
+@pytest.mark.parametrize(
+    "function, opcode", [("frame_kernel", "call"), ("bump", "ret")]
+)
+def test_operand_fault_arming_at_a_call_or_return_evicts_there(
+    frame_workload, frame_events, function, opcode
+):
+    # the call's argument, or the non-entry return's value
+    site = _first(frame_events, function, opcode)
+    spec = FaultSpec(dynamic_id=site.dynamic_id, bit=3, operand_index=0)
+    _evicts_at(frame_workload, spec, site, "private")
+
+
+@pytest.mark.parametrize("opcode", ["store", "fadd"])
+def test_per_fault_error_evicts_from_the_pre_op_state(
+    frame_workload, frame_events, opcode
+):
+    # bit 70 is outside a double: only the faulty run raises, at a store
+    # (its stored value) or at an op with a destination (an operand)
+    site = _first(frame_events, "frame_kernel", opcode)
+    spec = FaultSpec(dynamic_id=site.dynamic_id, bit=70, operand_index=0)
+    _evicts_at(frame_workload, spec, site, "error")
+    result = ReplayContext(frame_workload).replay_many([spec])[0]
+    assert isinstance(result.error, ValueError)
 
 
 def test_every_registered_workload_block_vs_op():
