@@ -1,12 +1,14 @@
 """Durable, resumable campaign orchestration.
 
 The :class:`CampaignOrchestrator` turns a :mod:`~repro.campaigns.plans`
-sampling plan into deterministic *shards* of fault specs, runs whole shards
-through a :class:`~repro.parallel.campaign.ShardPipeline` (a window of
-``2 x workers`` shards in flight over the worker pool, or one shard at a
-time in this process when ``workers=1``), and checkpoints every completed
-shard into a :class:`~repro.campaigns.store.CampaignStore` **in shard
-order**, whatever order the workers finish in.
+sampling plan into deterministic *shards* of fault specs, runs them through
+a :class:`~repro.parallel.campaign.ShardPipeline` in *units* — a run of
+consecutive shards of one data object, injected as one replay batch (one
+lockstep walk) by one process — with a window of ``2 x workers`` units in
+flight over the worker pool (one unit at a time in this process when
+``workers=1``), and checkpoints every completed shard into a
+:class:`~repro.campaigns.store.CampaignStore` **in shard order**, whatever
+order the workers finish in, one store transaction per unit.
 
 Because shard contents are a pure function of (workload, plan, shard
 size) and shards are persisted atomically, **resume is just run**: a
@@ -16,8 +18,10 @@ the remainder — producing results bit-identical to an uninterrupted run.
 Adaptive plans replay their stopping decisions from the persisted
 outcomes, so even "keep sampling until the CI converges" campaigns resume
 exactly.  Each data object of an adaptive plan keeps at most one batch in
-flight (its next batch depends on the previous one's outcomes); the
-pipeline overlaps batches of different objects instead.
+flight (its next batch depends on the previous one's outcomes), so its
+units hold one shard; the pipeline overlaps batches of different objects
+instead.  Shards stay the durable unit: units change how shards run and
+commit, never the shard list, its indices or its outcome rows.
 """
 
 from __future__ import annotations
@@ -74,6 +78,18 @@ if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
 
 #: Default number of fault specs per persisted shard (checkpoint granularity).
 DEFAULT_SHARD_SIZE = 32
+
+#: Most fault specs in one pipeline unit (a unit holds at least one shard).
+#: A unit is one ``inject_many`` call, so one lockstep walk of the golden
+#: suffix serves all its specs.  Injecting the 1024 specs of cg
+#: ``fixed:512@5`` (``seed=5``, two objects) in one process, min of 5
+#: interleaved repeats on a 2-vCPU VM (Python 3.11): 32-spec batches
+#: 0.491 s, 128-spec 0.319 s, 256-spec halves of each object 0.298 s, one
+#: batch per object 0.288 s, and 256-spec batches mixing both objects
+#: 0.349 s.  So units stay within one object, and 256 keeps nearly all of
+#: the gain while a two-worker pool still gets a unit of each object per
+#: worker.
+UNIT_SPECS = 256
 
 
 @dataclass(frozen=True)
@@ -149,9 +165,12 @@ class _ShardStream:
         items: Sequence[_Item] = (),
         source: Optional[Generator[_Item, object, Tuple[int, int]]] = None,
         object_name: str = "",
+        unit_caps: Optional[Dict[str, int]] = None,
     ) -> None:
         self.queue: Deque[_Item] = deque(items)
         self.object_name = object_name
+        #: Most shards of each data object in one unit (``None``: one).
+        self.unit_caps = unit_caps
         #: The adaptive tally ``(successes, trials)`` once the source ends.
         self.tally: Optional[Tuple[int, int]] = None
         self._source = source
@@ -194,7 +213,7 @@ class CampaignOrchestrator:
         A :class:`~repro.campaigns.plans.SamplingPlan`
         (default: :class:`~repro.campaigns.plans.ExhaustivePlan`).
     workers:
-        Worker processes; each runs whole shards.  ``1`` (the default
+        Worker processes; each runs whole units of shards.  ``1`` (the default
         via ``REPRO_WORKERS`` unset on small machines) spawns nothing and
         runs the shards in this process on one injector, which amortises
         the golden run.
@@ -350,10 +369,12 @@ class CampaignOrchestrator:
                         )
                     ]
                 else:
-                    streams = [_ShardStream([
-                        task.index if task.index in done else task
-                        for task in self.static_shards(trace)
-                    ])]
+                    tasks = self.static_shards(trace)
+                    streams = [_ShardStream(
+                        [task.index if task.index in done else task
+                         for task in tasks],
+                        unit_caps=self._unit_caps(tasks),
+                    )]
                 finished = self._execute(streams, run_id, max_shards, counters)
             status = "complete" if finished else "interrupted"
         finally:
@@ -404,15 +425,18 @@ class CampaignOrchestrator:
 
         Streams commit one after another, each in its own order, so the
         store sees exactly the shard sequence of a one-at-a-time run.
-        Between commits the pipeline is refilled in that same order, and
-        never with a task that ``max_shards`` already excludes.  Tasks
-        finishing early wait for their turn.  A failed task raises when
-        its turn comes, after every earlier shard committed.  ``counters``
-        is updated as shards commit; returns whether every stream ran to
-        its end.
+        Between commits the pipeline is refilled in that same order, in
+        units (:meth:`_refill`), and never with a task that ``max_shards``
+        already excludes.  Units finishing early wait for their turn; a
+        unit's shards commit in one store transaction.  A failed unit
+        raises when its first shard's turn comes, after every earlier
+        shard committed.  ``counters`` is updated as units commit; returns
+        whether every stream ran to its end.
         """
         outputs: Dict[int, object] = {}
         owner: Dict[int, _ShardStream] = {}
+        #: submitted units by their first shard's index
+        units: Dict[int, List[ShardTask]] = {}
         head = 0
         with ShardPipeline(
             InjectJob(self.workload_name, self.workload_kwargs), self.workers
@@ -430,20 +454,25 @@ class CampaignOrchestrator:
                         return False
                     if item.index not in outputs:
                         break
-                    stream.queue.popleft()
-                    output = outputs.pop(item.index)
-                    if isinstance(output, CampaignChunkError):
-                        raise output
-                    self._commit_shard(item, output, run_id)
-                    counters.executed += 1
-                    counters.injected += len(item.specs)
+                    if isinstance(outputs[item.index], CampaignChunkError):
+                        raise outputs[item.index]
+                    # the queue head starts a unit, whose shards all
+                    # finished together and follow it in the queue
+                    unit = units.pop(item.index)
+                    with self.store.transaction():
+                        for task in unit:
+                            stream.queue.popleft()
+                            self._commit_shard(task, outputs.pop(task.index),
+                                               run_id)
+                    counters.executed += len(unit)
+                    counters.injected += sum(len(task.specs) for task in unit)
                     stream.fill()
                 if not stream.queue:
                     self._stream_done(stream)
                     head += 1
                     continue
-                self._refill(pipeline, streams[head:], owner, counters.executed,
-                             max_shards)
+                self._refill(pipeline, streams[head:], owner, units,
+                             counters.executed, max_shards)
                 for index, output in pipeline.wait(stream.queue[0].index):
                     outputs[index] = output
                     owner[index].feed(index, output)
@@ -454,25 +483,66 @@ class CampaignOrchestrator:
         pipeline: ShardPipeline,
         streams: Sequence[_ShardStream],
         owner: Dict[int, _ShardStream],
+        units: Dict[int, List[ShardTask]],
         position: int,
         max_shards: Optional[int],
     ) -> None:
-        """Submit unsubmitted tasks in commit order while the window has
-        room; ``position`` counts the tasks that commit before the next one
-        (committed or queued ahead of it), so ``max_shards`` bounds it."""
+        """Submit units of unsubmitted tasks in commit order while the
+        window has room; ``position`` counts the tasks that commit before
+        the next one (committed or queued ahead of it), so ``max_shards``
+        bounds it.
+
+        A unit takes consecutive tasks of one stream and one data object:
+        at most the stream's ``unit_caps`` for that object (one shard when
+        it has none), at most :data:`UNIT_SPECS` specs unless its first
+        task alone holds more, and never a task ``max_shards`` excludes."""
         for stream in streams:
             stream.fill()
-            for item in stream.queue:
+            queue = stream.queue
+            caps = stream.unit_caps
+            i = 0
+            while i < len(queue):
+                item = queue[i]
+                i += 1
                 if not isinstance(item, ShardTask):
                     continue
-                if item.index not in owner:
-                    if not pipeline.has_room() or (
-                        max_shards is not None and position >= max_shards
+                if item.index in owner:
+                    position += 1
+                    continue
+                if not pipeline.has_room() or (
+                    max_shards is not None and position >= max_shards
+                ):
+                    return
+                unit = [item]
+                specs = len(item.specs)
+                cap = caps.get(item.object_name, 1) if caps else 1
+                if max_shards is not None:
+                    cap = min(cap, max_shards - position)
+                while i < len(queue) and len(unit) < cap:
+                    task = queue[i]
+                    if (
+                        not isinstance(task, ShardTask)
+                        or task.object_name != item.object_name
+                        or specs + len(task.specs) > UNIT_SPECS
                     ):
-                        return
-                    pipeline.submit(item.index, item.specs)
-                    owner[item.index] = stream
-                position += 1
+                        break
+                    unit.append(task)
+                    specs += len(task.specs)
+                    i += 1
+                pipeline.submit([(task.index, task.specs) for task in unit])
+                units[item.index] = unit
+                for task in unit:
+                    owner[task.index] = stream
+                position += len(unit)
+
+    def _unit_caps(self, tasks: Sequence[ShardTask]) -> Dict[str, int]:
+        """Most shards per unit, per data object: its shards in the static
+        shard list split over the workers, so every worker gets work."""
+        counts: Dict[str, int] = {}
+        for task in tasks:
+            counts[task.object_name] = counts.get(task.object_name, 0) + 1
+        workers = max(1, self.workers)
+        return {name: -(-count // workers) for name, count in counts.items()}
 
     def _adaptive_object(
         self, trace, object_index: int, object_name: str, done
@@ -606,9 +676,13 @@ class CampaignOrchestrator:
         """Persist one finished shard's outcomes and spans, and fold its
         learned memo entries into the run's pending delta.
 
-        ``duration_s`` is the shard's ``worker.inject`` span — its own
-        execution time, not the time it queued in the pipeline window —
-        so per-shard rates compare across worker counts."""
+        ``duration_s`` is the shard's share of its unit's ``worker.inject``
+        span (the span times the shard's share of the unit's specs) —
+        execution time, not the time the unit queued in the pipeline
+        window — so per-shard rates compare across worker counts, and a
+        unit's shard durations sum to its span.  A unit's batch stats,
+        memo delta and spans arrive on its first shard.  :meth:`_execute`
+        calls this inside the unit's store transaction."""
         duration = output.inject_s
         stats = output.batch_stats
         if output.memo_delta:
@@ -649,10 +723,11 @@ class CampaignOrchestrator:
     ) -> None:
         """Flush flight-recorder spans to the store.
 
-        ``shipped`` are records a worker process sent back with its shard
-        (``worker.inject``, labelled with the shard).  Records from this
-        process either carry their own ``shard`` label (``worker.inject``
-        of an in-process shard, ``campaign.shard``) or are run-scoped
+        ``shipped`` are records a worker process sent back with a unit's
+        first shard (``worker.inject``, labelled with that shard).  Records
+        from this process either carry their own ``shard`` label
+        (``worker.inject`` of an in-process unit, ``campaign.shard``) or are
+        run-scoped
         phases — trace acquisition, analysis passes, the memo merge — that
         persist as orphan rows (``shard_index = -1``)."""
         records = list(shipped)

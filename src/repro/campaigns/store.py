@@ -15,6 +15,8 @@ Design points:
   committed in a single transaction, and existing rows are never updated
   (campaign ``status`` is the one mutable column).  A crash mid-shard
   leaves no partial shard behind — resume re-executes it from scratch.
+  :meth:`CampaignStore.transaction` groups several shards (a pipeline
+  unit) and their spans into one commit.
 * **Run accounting.**  Every orchestrator invocation registers a run;
   shards record which run executed them, so tests (and operators) can
   verify a resume re-executed only the unfinished shards.
@@ -62,9 +64,12 @@ import hashlib
 import json
 import sqlite3
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.acceptance import OutcomeClass
 from repro.core.injector import FaultInjectionResult
@@ -372,6 +377,8 @@ class CampaignStore:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
         self._conn.execute("PRAGMA foreign_keys = ON")
+        #: Set inside :meth:`transaction`: writes defer their commit to it.
+        self._batched = False
         self._init_schema()
 
     # ------------------------------------------------------------------ #
@@ -529,6 +536,28 @@ class CampaignStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run the block's writes as one transaction.
+
+        Inside the block every write (:meth:`record_shard`,
+        :meth:`save_run_spans`, …) defers its commit to the block's end,
+        and an exception rolls the whole block back.  The orchestrator
+        commits each pipeline unit's shards this way: one commit per unit
+        instead of two per shard.
+        """
+        self._batched = True
+        try:
+            with self._conn:
+                yield
+        finally:
+            self._batched = False
+
+    def _write(self):
+        """The context of one write: its own transaction, or none inside
+        :meth:`transaction`."""
+        return nullcontext() if self._batched else self._conn
+
     # ------------------------------------------------------------------ #
     # campaigns
     # ------------------------------------------------------------------ #
@@ -541,7 +570,7 @@ class CampaignStore:
     ) -> str:
         """Create the campaign row if absent; return its (stable) id."""
         campaign_id = compute_campaign_id(workload, workload_kwargs, plan, shard_size)
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "INSERT OR IGNORE INTO campaigns "
                 "(campaign_id, workload, workload_kwargs, plan, shard_size, "
@@ -596,7 +625,7 @@ class CampaignStore:
         return [self.campaign(campaign_id) for campaign_id in ids]
 
     def set_status(self, campaign_id: str, status: str) -> None:
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "UPDATE campaigns SET status = ? WHERE campaign_id = ?",
                 (status, campaign_id),
@@ -608,7 +637,7 @@ class CampaignStore:
         Resumed campaigns verify/reuse the cached artifact through this
         digest, so the plan re-derivation provably reads the same trace.
         """
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "UPDATE campaigns SET trace_digest = ? WHERE campaign_id = ?",
                 (trace_digest, campaign_id),
@@ -619,7 +648,7 @@ class CampaignStore:
     # ------------------------------------------------------------------ #
     def begin_run(self, campaign_id: str) -> int:
         """Register a new orchestrator run; returns its 1-based id."""
-        with self._conn:
+        with self._write():
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(run_id), 0) FROM runs WHERE campaign_id = ?",
                 (campaign_id,),
@@ -634,7 +663,7 @@ class CampaignStore:
     def finish_run(
         self, campaign_id: str, run_id: int, executed: int, skipped: int
     ) -> None:
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "UPDATE runs SET executed = ?, skipped = ? "
                 "WHERE campaign_id = ? AND run_id = ?",
@@ -665,7 +694,7 @@ class CampaignStore:
         worker-process delta already folded in.  Latest write wins, so a
         re-recorded run replaces (never double-counts) its snapshot.
         """
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "INSERT OR REPLACE INTO run_metrics "
                 "(campaign_id, run_id, metrics, repro_version, recorded_at) "
@@ -720,7 +749,7 @@ class CampaignStore:
         """
         if not records:
             return 0
-        with self._conn:
+        with self._write():
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(seq), -1) FROM run_spans "
                 "WHERE campaign_id = ? AND run_id = ?",
@@ -810,7 +839,7 @@ class CampaignStore:
         ``memo_misses`` are stamped onto the shard row.
         """
         stats = batch_stats or {}
-        with self._conn:
+        with self._write():
             self._conn.executemany(
                 "INSERT INTO outcomes (campaign_id, shard_index, seq, object_name, "
                 "dynamic_id, bit, target, operand_index, note, outcome, detail) "
@@ -947,7 +976,7 @@ class CampaignStore:
     def save_report(
         self, campaign_id: str, object_name: str, report: ObjectReport
     ) -> None:
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "INSERT OR REPLACE INTO reports "
                 "(campaign_id, object_name, report, recorded_at) VALUES (?, ?, ?, ?)",
@@ -983,7 +1012,7 @@ class CampaignStore:
         plan: Dict[str, object],
     ) -> None:
         """Persist an advisor plan (idempotent: plans are content-addressed)."""
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "INSERT OR IGNORE INTO protection_plans "
                 "(plan_id, workload, workload_kwargs, budget, plan, created_at) "
@@ -1038,7 +1067,7 @@ class CampaignStore:
         ]
 
     def set_plan_status(self, plan_id: str, status: str) -> None:
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "UPDATE protection_plans SET status = ? WHERE plan_id = ?",
                 (status, plan_id),
@@ -1061,7 +1090,7 @@ class CampaignStore:
         shards measured it, so shard timings and replay-batch telemetry
         stay reachable from the validation view.
         """
-        with self._conn:
+        with self._write():
             self._conn.execute(
                 "INSERT OR REPLACE INTO validation_runs "
                 "(plan_id, object_name, variant, scheme, tests, successes, "

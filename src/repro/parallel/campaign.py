@@ -7,14 +7,16 @@ of the work, and sends back plain result objects.  Work is split
 deterministically so parallel results equal sequential ones.
 
 All fan-out goes through one :class:`ShardPipeline`.  A pipeline serves one
-*job*: :class:`InjectJob` injects whole shards of fault specs (one
-snapshot restore and one suffix walk per replay batch, never a shard split
-across workers), :class:`AnalyzeJob` computes aDVF reports for chunks of
-data objects.  A job's ``setup`` builds its per-process state once — the
-injector with its golden run and snapshot schedule, or the aDVF engine —
-and its ``run`` serves one unit on that state.  A bounded window of units
-is in flight at once, and the caller reorders finished units by key.  At
-one worker the pipeline spawns nothing and runs each unit in this process.
+*job* in *units*: a unit is a run of keyed parts that one process serves
+in one call.  :class:`InjectJob` injects a unit of whole shards of fault
+specs in one replay batch (one snapshot restore and one lockstep suffix
+walk, never a shard split across workers), :class:`AnalyzeJob` computes
+aDVF reports for chunks of data objects.  A job's ``setup`` builds its
+per-process state once — the injector with its golden run and snapshot
+schedule, or the aDVF engine — and its ``run`` serves one unit on that
+state, returning one output per part.  A bounded window of units is in
+flight at once, and the caller reorders finished parts by key.  At one
+worker the pipeline spawns nothing and runs each unit in this process.
 
 Analysis chunks acquire the golden trace through
 :func:`~repro.tracing.cache.golden_trace`: they load the trace-cache
@@ -112,15 +114,21 @@ class CampaignChunkError(RuntimeError):
 # --------------------------------------------------------------------- #
 @dataclass
 class ShardOutput:
-    """What injecting one shard produced, in a worker or in this process."""
+    """What injecting one shard produced, in a worker or in this process.
+
+    A unit's shards share one replay batch, so what belongs to the whole
+    unit — ``batch_stats``, ``memo_delta``, ``metrics_delta`` and
+    ``span_records`` — ships once, on its first shard (empty on the
+    others), and every sum over shards stays the unit's."""
 
     results: List[FaultInjectionResult]
-    #: Duration of the shard's ``worker.inject`` span: its own execution
-    #: time, without the time it queued in the pipeline window.
+    #: The shard's share of its unit's ``worker.inject`` span (the span
+    #: times the shard's share of the unit's specs): execution time,
+    #: without the time the unit queued in the pipeline window.
     inject_s: float
-    #: The replay scheduler's counter delta for this shard.
+    #: The replay scheduler's counter delta for the unit.
     batch_stats: Dict[str, int]
-    #: Convergence-memo entries the shard learned (``None`` when nothing
+    #: Convergence-memo entries the unit learned (``None`` when nothing
     #: new); callers persist it so later shards and resumes warm-start.
     memo_delta: Optional[Dict[str, object]]
     #: The worker's metrics-registry delta (``None`` in this process,
@@ -141,11 +149,20 @@ class ChunkReports:
     span_records: List[Dict[str, object]] = field(default_factory=list)
 
 
+#: One keyed part of a pipeline unit: ``(key, items)``.
+Part = Tuple[int, Sequence[object]]
+
+
 @dataclass(frozen=True)
 class InjectJob:
-    """Inject whole shards of fault specs on one injector per process, so
-    the golden run, the snapshot schedule and the convergence memo serve
-    every shard the process runs."""
+    """Inject units of whole shards on one injector per process, so the
+    golden run, the snapshot schedule and the convergence memo serve every
+    unit the process runs.
+
+    A unit's shards (consecutive shards of one data object) go to
+    ``inject_many`` as one concatenated spec list, so the unit costs one
+    snapshot restore and one lockstep walk; the results are split back
+    into one :class:`ShardOutput` per shard, in order."""
 
     workload_name: str
     workload_kwargs: Dict[str, object]
@@ -163,20 +180,28 @@ class InjectJob:
         )
 
     def run(
-        self, injector: DeterministicFaultInjector, key: int,
-        specs: List[FaultSpec],
-    ) -> ShardOutput:
-        # The whole shard goes to the batched replay scheduler in one call
-        # (grouped by snapshot interval, shared suffix walk, convergence memo).
+        self, injector: DeterministicFaultInjector, parts: Sequence[Part],
+    ) -> List[ShardOutput]:
+        specs: List[FaultSpec] = [spec for _, shard in parts for spec in shard]
         with span("worker.inject", workload=self.workload_name,
-                  specs=len(specs), shard=key) as timed:
+                  specs=len(specs), shard=parts[0][0],
+                  shards=len(parts)) as timed:
             results = injector.inject_many(specs)
-        return ShardOutput(
-            results=results,
-            inject_s=timed.duration_s,
-            batch_stats=injector.consume_batch_stats(),
-            memo_delta=injector.consume_memo_delta(),
-        )
+        per_spec = timed.duration_s / max(1, len(specs))
+        outputs = []
+        start = 0
+        for _, shard in parts:
+            stop = start + len(shard)
+            outputs.append(ShardOutput(
+                results=results[start:stop],
+                inject_s=per_spec * len(shard),
+                batch_stats={},
+                memo_delta=None,
+            ))
+            start = stop
+        outputs[0].batch_stats = injector.consume_batch_stats()
+        outputs[0].memo_delta = injector.consume_memo_delta()
+        return outputs
 
 
 @dataclass(frozen=True)
@@ -211,13 +236,16 @@ class AnalyzeJob:
         return AdvfEngine(workload, self.config, trace=trace)
 
     def run(
-        self, engine: AdvfEngine, key: int, object_names: List[str]
-    ) -> ChunkReports:
-        with span("worker.analyze", workload=self.workload_name,
-                  objects=len(object_names)):
-            return ChunkReports(
-                [(name, engine.analyze_object(name)) for name in object_names]
-            )
+        self, engine: AdvfEngine, parts: Sequence[Part]
+    ) -> List[ChunkReports]:
+        outputs = []
+        for _, object_names in parts:
+            with span("worker.analyze", workload=self.workload_name,
+                      objects=len(object_names)):
+                outputs.append(ChunkReports(
+                    [(name, engine.analyze_object(name)) for name in object_names]
+                ))
+        return outputs
 
 
 Job = Union[InjectJob, AnalyzeJob]
@@ -247,41 +275,45 @@ def _worker_init(job: Job) -> None:
     drain_span_records()
 
 
-def _worker_run(key: int, items: list) -> Union[ShardOutput, ChunkReports]:
-    """Pool entry point: one unit of this worker's job.
+def _worker_run(parts: List[Part]) -> List[Union[ShardOutput, ChunkReports]]:
+    """Pool entry point: one unit of this worker's job, one output per part.
 
-    The output carries what the parent cannot see: this process's registry
-    activity since the previous unit (the parent folds the deltas with
-    ``registry().merge`` — associative, so the fold is independent of
+    The first output carries what the parent cannot see: this process's
+    registry activity since the previous unit (the parent folds the deltas
+    with ``registry().merge`` — associative, so the fold is independent of
     completion order) and its finished spans.
     """
     global _WORKER_STATE
     if _WORKER_STATE is None:
         _WORKER_STATE = _WORKER_JOB.setup()
-    output = _WORKER_JOB.run(_WORKER_STATE, key, items)
+    outputs = _WORKER_JOB.run(_WORKER_STATE, parts)
     if metrics_enabled():
-        output.metrics_delta = _metrics_registry().snapshot_delta("worker-chunk")
-    output.span_records = drain_span_records()
-    return output
+        outputs[0].metrics_delta = _metrics_registry().snapshot_delta(
+            "worker-chunk"
+        )
+    outputs[0].span_records = drain_span_records()
+    return outputs
 
 
 class ShardPipeline:
     """Units of one job over a worker pool, a bounded window in flight.
 
-    :meth:`submit` queues one unit (a shard of specs, a chunk of object
-    names) under an integer key; :meth:`wait` blocks until at least one
-    queued unit has finished and returns the finished ones as ``(key,
-    output or CampaignChunkError)`` pairs.  A failure is returned, not
-    raised, so a caller that commits in key order can first commit
-    everything before the failed unit.
+    :meth:`submit` queues one unit: a run of ``(key, items)`` parts (the
+    consecutive shards of one data object, a chunk of object names) that
+    one process serves in one call.  :meth:`wait` blocks until at least
+    one queued unit has finished and returns its parts as ``(key, output)``
+    pairs, in key order; a failed unit returns one ``(first key,
+    CampaignChunkError)`` pair.  A failure is returned, not raised, so a
+    caller that commits in key order can first commit everything before
+    the failed unit.
 
     With ``workers == 1`` nothing is spawned: :meth:`wait` runs the unit
-    the caller names (the one it commits next) in this process, on state
-    the pipeline keeps for its lifetime, so execution order is commit
-    order.  With more workers the pool is created on the first
-    :meth:`submit` (a run that submits nothing spawns no process) and up
-    to :attr:`window` units run or queue in it at once, finishing in any
-    order.
+    whose first part is the key the caller names (the one it commits
+    next) in this process, on state the pipeline keeps for its lifetime,
+    so execution order is commit order.  With more workers the pool is
+    created on the first :meth:`submit` (a run that submits nothing
+    spawns no process) and up to :attr:`window` units run or queue in it
+    at once, finishing in any order.
     """
 
     def __init__(self, job: Job, workers: int, unit: str = "shard") -> None:
@@ -292,7 +324,8 @@ class ShardPipeline:
         #: Most units in flight (submitted, not yet returned by
         #: :meth:`wait`) at once; callers check :meth:`has_room`.
         self.window = 2 * workers
-        self._queued: Dict[int, list] = {}
+        #: Queued units by their first part's key.
+        self._queued: Dict[int, List[Part]] = {}
         self._futures: Dict[Future, int] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._state: object = None
@@ -304,9 +337,11 @@ class ShardPipeline:
     def has_room(self) -> bool:
         return len(self._queued) < self.window
 
-    def submit(self, key: int, items: Sequence[object]) -> None:
-        items = list(items)
-        self._queued[key] = items
+    def submit(self, parts: Sequence[Part]) -> None:
+        """Queue one unit: ``(key, items)`` parts, keyed by the first."""
+        parts = [(key, list(items)) for key, items in parts]
+        key = parts[0][0]
+        self._queued[key] = parts
         if self.workers <= 1:
             return
         if self._pool is None:
@@ -314,42 +349,44 @@ class ShardPipeline:
                 max_workers=self.workers, initializer=_worker_init,
                 initargs=(self.job,),
             )
-        self._futures[self._pool.submit(_worker_run, key, items)] = key
+        self._futures[self._pool.submit(_worker_run, parts)] = key
 
     def wait(self, key: int) -> List[Tuple[int, object]]:
-        """Finished units; in this process, runs unit ``key`` first."""
+        """Finished parts; in this process, runs the unit ``key`` starts."""
         if not self._queued:
             raise RuntimeError("no unit in flight to wait for")
         if self.workers <= 1:
             if key not in self._queued:  # the caller's next unit is not queued
                 key = next(iter(self._queued))
-            items = self._queued.pop(key)
+            parts = self._queued.pop(key)
             try:
                 if self._state is None:
                     self._state = self.job.setup()
-                output = self.job.run(self._state, key, items)
+                outputs = self.job.run(self._state, parts)
             except Exception as exc:
-                return [(key, self._failure(key, items, exc))]
-            return [(key, output)]
+                return [(key, self._failure(parts, exc))]
+            return [(k, output) for (k, _), output in zip(parts, outputs)]
         finished, _ = futures_wait(self._futures, return_when=FIRST_COMPLETED)
         out: List[Tuple[int, object]] = []
         for future in sorted(finished, key=self._futures.__getitem__):
             key = self._futures.pop(future)
-            items = self._queued.pop(key)
+            parts = self._queued.pop(key)
             try:
-                output = future.result()
+                outputs = future.result()
             except Exception as exc:
-                out.append((key, self._failure(key, items, exc)))
+                out.append((key, self._failure(parts, exc)))
                 continue
-            if output.metrics_delta:
-                _metrics_registry().merge(output.metrics_delta)
-            out.append((key, output))
+            if outputs[0].metrics_delta:
+                _metrics_registry().merge(outputs[0].metrics_delta)
+            out.extend((k, output) for (k, _), output in zip(parts, outputs))
         return out
 
-    def _failure(self, key: int, items: list,
+    def _failure(self, parts: List[Part],
                  exc: BaseException) -> CampaignChunkError:
+        """The unit's failure, named by its first part's key."""
+        items = [item for _, part in parts for item in part]
         error = CampaignChunkError(
-            self.job.workload_name, key, items, exc, unit=self.unit
+            self.job.workload_name, parts[0][0], items, exc, unit=self.unit
         )
         error.__cause__ = exc
         return error
@@ -398,9 +435,10 @@ class CampaignRunner:
     ) -> List[FaultInjectionResult]:
         """Inject every spec, preserving input order in the result list.
 
-        Campaigns should submit their own shards to a pipeline instead: a
-        shard split across workers walks the same golden suffix once per
-        worker.
+        Campaigns submit runs of one data object's shards to a pipeline
+        instead (:class:`~repro.campaigns.orchestrator.CampaignOrchestrator`):
+        specs split across workers walk the same golden suffix once per
+        worker, and specs of different objects share little of a walk.
         """
         specs = list(specs)
         pieces = 1 if self.workers <= 1 or len(specs) < 4 else self.workers
@@ -445,7 +483,7 @@ class CampaignRunner:
             job, min(self.workers, len(chunks)), unit="chunk"
         ) as pipeline:
             for index, chunk in enumerate(chunks):
-                pipeline.submit(index, chunk)
+                pipeline.submit([(index, chunk)])
             done = 0
             while pipeline.in_flight:
                 for index, output in pipeline.wait(outputs.index(None)):

@@ -640,6 +640,7 @@ class ColumnarTrace:
         trace = cls()
         offsets = data["operand_offsets"]
         uid = data["static_uid"]
+        _check_lengths(data, len(uid), offsets)
         # the per-event static columns besides the uid and the flat
         # operand types and kinds
         statics = {
@@ -712,4 +713,43 @@ class ColumnarTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ColumnarTrace: {len(self)} events>"
+
+
+#: Artifact columns with one entry per event, and with one per operand.
+_EVENT_COLUMNS = (
+    "opcode", "function", "block", "static_uid", "source_line",
+    "result_value", "result_type", "predicate", "callee", "address",
+    "object_name", "element_index", "writer_id", "taken_label",
+)
+_OPERAND_COLUMNS = (
+    "operand_values", "operand_types", "operand_producers", "operand_kinds",
+)
+
+
+def _check_lengths(data, events: int, offsets) -> None:
+    """Raise :class:`ValueError` unless the artifact's columns agree:
+    every per-event column holds ``events`` entries, ``operand_offsets``
+    holds ``events + 1`` non-decreasing offsets from 0 to the flat operand
+    count, and every flat operand column holds that many."""
+    short = [key for key in _EVENT_COLUMNS if len(data[key]) != events]
+    if short:
+        raise ValueError(
+            f"trace artifact columns {short} disagree with its {events} events"
+        )
+    if (
+        len(offsets) != events + 1
+        or offsets[0] != 0
+        or (events and bool((np.diff(offsets) < 0).any()))
+    ):
+        raise ValueError(
+            f"trace artifact has {len(offsets)} operand offsets for {events} "
+            f"events"
+        )
+    operands = int(offsets[-1])
+    short = [key for key in _OPERAND_COLUMNS if len(data[key]) != operands]
+    if short:
+        raise ValueError(
+            f"trace artifact columns {short} disagree with its {operands} "
+            f"operands"
+        )
 

@@ -659,8 +659,10 @@ class BatchFaultResolution:
     ``"memo"``
         Answered by a convergence-memo entry (``memo_entry``).
     ``"error"``
-        The faulty execution raised (``error``), always in its private
-        run: a fault whose value raises in the walk is evicted first.
+        The faulty execution raised (``error``).  A fault whose divergent
+        load or store address raises resolves in the walk, at that op,
+        with no private run; a fault whose value raises is evicted first
+        and raises in its private run.
     """
 
     __slots__ = ("spec", "kind", "return_value", "steps", "cell_deltas",
@@ -937,7 +939,8 @@ class Engine:
         Called only by :meth:`resume_many`'s eviction helper: either the
         fault is armed on the fork (``fault`` set) or its accumulated
         divergence is patched onto the fork's clone (``reg_patches``/
-        ``cell_patches``).  The only place a fault resolves ``"error"``.
+        ``cell_patches``).  The one place a fault whose value raises
+        resolves ``"error"`` (an address that raises resolves in the walk).
         """
         engine = Engine(
             self.module,
@@ -1000,11 +1003,16 @@ class Engine:
           loop reusing the walk's decoded ops and operand resolution;
         * a fault whose divergence set drains to empty is provably
           bit-identical to golden and resolves immediately;
-        * a fault that diverges in control flow, addressing or a user
-          call's arguments, whose own value raises, or that arms at an
-          exotic site is *evicted* through one helper into a private replay
-          seeded from a copy-on-write fork of the pre-op state patched with
-          the fault's divergence — private runs use digest checks against
+        * a divergent load address rides on: the fault loads its own cell
+          (its divergence there, else the live cell), and a load or store
+          address that raises resolves the fault ``"error"`` at that op
+          with the exception its own run raises;
+        * a fault that diverges in control flow, in a store address that
+          resolves or in a user call's arguments, whose own value raises,
+          or that arms at an exotic site is *evicted* through one helper
+          into a private replay seeded from a copy-on-write fork of the
+          pre-op state patched with the fault's divergence — private runs
+          use digest checks against
           ``golden_digests`` (convergence) and ``memo`` (outcome
           memoization at matching intermediate states);
         * a ``ret`` hands divergent returned values to the caller;
@@ -1161,6 +1169,25 @@ class Engine:
                 )
             return fork
 
+        def access(fid, address, value_type):
+            """Fault ``fid``'s own ``(object, index)`` at its divergent
+            ``address``, resolved and checked in the op loop's order; when
+            that raises, the fault resolves ``error`` here with the
+            exception its own run raises (no fork), and this returns
+            ``None``."""
+            try:
+                address = int(address)
+                obj, index = resolve(address)
+                check_access(obj, value_type, address)
+            except Exception as exc:
+                resolution = resolutions[fid]
+                resolution.kind = "error"
+                # kept without its traceback (see ``_private_replay``)
+                resolution.error = exc.with_traceback(None)
+                drop_fault(fid)
+                return None
+            return obj, index
+
         #: Faults whose last diverged register/cell died this op (the op's
         #: tail resolves them golden and clears the list).
         drained: List[int] = []
@@ -1303,19 +1330,22 @@ class Engine:
                                     aff.update(m)
 
                 # ------- control-flow / addressing / frame divergence: evict #
-                if aff:
+                # (a divergent load address rides on: its faults are the
+                # load's ``aff`` and load their own cells below)
+                if aff and kind != K_LOAD:
                     evictees = None
-                    if kind == K_LOAD:
-                        evictees = aff  # the only operand is the address
-                        aff = None
-                    elif kind == K_STORE:
+                    if kind == K_STORE:
                         s = op.src[1]
                         m = fdiv.get(s) if s >= 0 else None
                         if m:
-                            evictees = set(m)
-                            aff = aff - evictees
-                            if not aff:
-                                aff = None
+                            # a divergent address that raises resolves
+                            # ``error`` here; one that resolves evicts
+                            movers = list(m.items())
+                            aff = aff.difference(m) or None
+                            evictees = [
+                                fid for fid, address in movers
+                                if access(fid, address, op.op_types[0])
+                            ]
                     elif kind == K_BR_COND:
                         cond_map = fdiv.get(op.src[0]) if op.src[0] >= 0 else None
                         if cond_map:
@@ -1355,12 +1385,30 @@ class Engine:
                     cmap = cells.get(obj.name)
                     if cmap is not None:
                         load_fmap = cmap.get(element_index)
-                        if load_fmap:
-                            # readers of diverged cells diverge in the dest
-                            if workers is None:
-                                workers = {}
-                            for fid in load_fmap:
-                                workers.setdefault(fid)
+                    if aff:
+                        # faults whose address diverges load their own
+                        # cell: their divergence there, else the live cell
+                        load_fmap = dict(load_fmap) if load_fmap else {}
+                        amap = fdiv[op.src[0]]
+                        for fid, address in [(f, amap[f]) for f in aff]:
+                            hit = access(fid, address, op.result_type)
+                            if hit is None:
+                                del workers[fid]
+                                load_fmap.pop(fid, None)
+                                continue
+                            f_obj, f_index = hit
+                            f_cells = cells.get(f_obj.name)
+                            f_map = f_cells.get(f_index) if f_cells else None
+                            load_fmap[fid] = (
+                                f_map[fid] if f_map is not None and fid in f_map
+                                else f_obj.get(f_index)
+                            )
+                    if load_fmap:
+                        # readers of diverged cells diverge in the dest
+                        if workers is None:
+                            workers = {}
+                        for fid in load_fmap:
+                            workers.setdefault(fid)
                 elif kind == K_STORE:
                     address = int(values[1])
                     obj, element_index = resolve(address)

@@ -6,6 +6,8 @@ ignores them, and its results do not change.
 * a pickle planted at an artifact path runs nothing: ``ColumnarTrace.load``
   opens artifacts with ``allow_pickle=False`` and unpickles object columns
   through a loader that admits only NumPy's array globals;
+* a well-formed artifact whose columns disagree in length reads as a miss,
+  and ``campaign run`` rebuilds it;
 * a truncated convergence-memo artifact reads as a cold memo, so a
   campaign's outcomes equal those of a cold run.
 """
@@ -115,12 +117,47 @@ def test_campaign_run_over_a_planted_pickle(trace_cache, tmp_path, capsys):
     ColumnarTrace.load(path)  # rebuilt in place
 
 
-CG = ["cg", "--plan", "exhaustive:7", "--objects", "colidx", "--set", "n=6"]
+#: A campaign whose private replays record memo entries (some small-lulesh
+#: faults evict from the lockstep walk and complete).
+def _save_arrays(path, arrays):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("column, keep", [
+    ("operand_offsets", 10),  # fewer offsets than events + 1
+    ("writer_id", -1),        # a per-event column one short
+    ("operand_kinds", -1),    # a flat operand column one short
+])
+def test_columns_of_unequal_length_read_as_a_miss(
+    trace_cache, tmp_path, capsys, column, keep
+):
+    golden = get_workload("matmul").traced_run().trace
+    arrays = golden._to_arrays()
+    arrays[column] = arrays[column][:keep]
+    digest = trace_digest("matmul", {})
+    path = trace_cache.path_for(digest)
+    _save_arrays(path, arrays)
+
+    with pytest.raises(ValueError):
+        ColumnarTrace.load(path)
+    assert trace_cache.load(digest) is None
+    assert main(["campaign", "run", "matmul", "--plan", "fixed:8",
+                 "--store", str(tmp_path / "campaigns.sqlite"),
+                 "--workers", "1"]) == 0
+    assert "complete" in capsys.readouterr().out
+    rebuilt = ColumnarTrace.load(path)  # rebuilt in place
+    assert len(rebuilt) == len(golden)
+    assert rebuilt._to_arrays()[column].shape == golden._to_arrays()[column].shape
+
+
+CAMPAIGN = ["lulesh", "--plan", "fixed:64@1", "--set", "num_elem=12"]
 
 
 def _outcomes(store, tmp_path, capsys):
     out = tmp_path / "export.jsonl"
-    assert main(["campaign", "export", *CG, "--store", store,
+    assert main(["campaign", "export", *CAMPAIGN, "--store", store,
                  "--out", str(out)]) == 0
     capsys.readouterr()
     return [line for line in out.read_text().splitlines()
@@ -133,20 +170,20 @@ def test_truncated_memo_artifact_leaves_outcomes_unchanged(
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path / "memo"))
     seed = str(tmp_path / "seed.sqlite")
-    assert main(["campaign", "run", *CG, "--store", seed, "--workers", "1"]) == 0
+    assert main(["campaign", "run", *CAMPAIGN, "--store", seed, "--workers", "1"]) == 0
     memos = MemoCache(tmp_path / "memo")
-    digest = trace_digest("cg", {"n": 6})
+    digest = trace_digest("lulesh", {"num_elem": 12})
     memo = memos.path_for(digest)
     text = memo.read_text()
     memo.write_text(text[: len(text) // 2])
     assert memos.load(digest) is None
 
     rerun = str(tmp_path / "rerun.sqlite")
-    assert main(["campaign", "run", *CG, "--store", rerun, "--workers", "1"]) == 0
+    assert main(["campaign", "run", *CAMPAIGN, "--store", rerun, "--workers", "1"]) == 0
     assert memos.load(digest) is not None  # rewritten from the rerun's delta
     monkeypatch.setenv("REPRO_MEMO_CACHE", "off")
     cold = str(tmp_path / "cold.sqlite")
-    assert main(["campaign", "run", *CG, "--store", cold, "--workers", "1"]) == 0
+    assert main(["campaign", "run", *CAMPAIGN, "--store", cold, "--workers", "1"]) == 0
     capsys.readouterr()
     expected = _outcomes(cold, tmp_path, capsys)
     assert expected

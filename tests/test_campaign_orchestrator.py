@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+import repro.campaigns.orchestrator as orchestrator_module
 from repro.campaigns.orchestrator import CampaignOrchestrator
 from repro.campaigns.plans import AdaptivePlan, FixedRandomPlan, StratifiedPlan
 from repro.campaigns.stats import wilson_half_width
@@ -133,6 +134,8 @@ class TestAdaptiveCampaigns:
 
 class TestFailureHandling:
     def test_crash_marks_campaign_failed_but_keeps_accounting(self, monkeypatch):
+        # units of one 8-spec shard, so each shard is one inject_many call
+        monkeypatch.setattr(orchestrator_module, "UNIT_SPECS", 8)
         store = CampaignStore(":memory:")
         orch = _orchestrator(store, FixedRandomPlan(tests=16, seed=0), shard_size=8)
         original = DeterministicFaultInjector.inject_many

@@ -157,6 +157,32 @@ class TestShardsAndOutcomes:
         with pytest.raises(sqlite3.IntegrityError):
             store.record_shard(cid, 0, "C", 0, run, 0.1, _results())
 
+    def test_transaction_commits_a_unit_together(self, tmp_path):
+        # a pipeline unit's shards and spans commit in one transaction: a
+        # reader sees none of them until it ends, and a failure inside it
+        # (here a duplicate shard) rolls every write of the block back
+        path = str(tmp_path / "store.sqlite")
+        span = {"name": "campaign.shard", "start_ts": 1.0, "duration_s": 0.1,
+                "labels": {"shard": 1}}
+        with CampaignStore(path) as store, CampaignStore(path) as reader:
+            cid = store.ensure_campaign("matmul", {}, PLAN, 32)
+            run = store.begin_run(cid)
+            with store.transaction():
+                store.record_shard(cid, 0, "C", 0, run, 0.1, _results())
+                store.record_shard(cid, 1, "C", 1, run, 0.1, _results())
+                store.save_run_spans(cid, run, [span])
+                assert reader.completed_shards(cid) == {}
+            assert sorted(reader.completed_shards(cid)) == [0, 1]
+            assert len(reader.run_spans(cid)) == 1
+            with pytest.raises(sqlite3.IntegrityError):
+                with store.transaction():
+                    store.record_shard(cid, 2, "C", 2, run, 0.1, _results())
+                    store.save_run_spans(cid, run, [span])
+                    store.record_shard(cid, 0, "C", 0, run, 0.1, _results())
+            assert sorted(store.completed_shards(cid)) == [0, 1]
+            assert len(store.run_spans(cid)) == 1
+            assert len(store.outcomes(cid)) == 8
+
     def test_missing_campaign_raises(self, store):
         with pytest.raises(KeyError):
             store.campaign("nope")

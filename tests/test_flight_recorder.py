@@ -108,9 +108,12 @@ class TestSpanPersistence:
             spans = store.run_spans(orch.campaign_id)
             injects = [s for s in spans if s.name == "worker.inject"]
             assert injects, "workers shipped no spans"
-            # worker spans are stamped with the shard that ran them and
-            # keep the worker's own pid + the campaign correlation labels
-            assert {s.shard_index for s in injects} == {0, 1, 2, 3}
+            # worker spans are stamped with the first shard of the unit
+            # that ran them (4 shards over 2 workers: units of 2), count
+            # the unit's shards, and keep the worker's own pid + the
+            # campaign correlation labels
+            assert {s.shard_index for s in injects} == {0, 2}
+            assert sum(int(s.labels["shards"]) for s in injects) == 4
             for record in injects:
                 assert record.labels["campaign"] == orch.campaign_id
                 assert record.labels["workload"] == WORKLOAD

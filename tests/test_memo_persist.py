@@ -241,12 +241,27 @@ class TestMemoCache:
             assert memo_ab.lookup(*key).kind == memo_ba.lookup(*key).kind
 
 
+#: Small lulesh: some low-bit flips of its target objects evict from the
+#: lockstep walk (a divergent branch or store address) and run to
+#: completion — the evict-then-complete shape the memo records.  (cg's
+#: ``colidx`` flips no longer evict: the walk carries a divergent load
+#: address and resolves one that raises in place.)
+LULESH = {"num_elem": 12}
+
+
+def _lulesh():
+    return get_workload("lulesh", **LULESH)
+
+
 def _divergent_specs(workload, limit=40):
-    """Low-bit colidx flips on small cg: divergent control flow that runs
-    to completion — the evict-then-complete shape the memo records."""
+    """The first ``limit`` low-bit flips of each target object of small
+    lulesh, among them faults that evict and complete."""
     trace = workload.traced_run().trace
-    sites = enumerate_fault_sites(trace, "colidx", bit_stride=7)
-    return [site.to_spec() for site in sites[:limit]]
+    specs = []
+    for name in workload.target_objects:
+        sites = enumerate_fault_sites(trace, name, bit_stride=7)
+        specs.extend(site.to_spec() for site in sites[:limit])
+    return specs
 
 
 class TestInjectorWarmStart:
@@ -258,8 +273,8 @@ class TestInjectorWarmStart:
         injector B (new context, same trace digest) warm-starts and
         answers divergent replays from the artifact, bit-identically."""
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
-        digest = trace_digest("cg", {"n": 6})
-        workload = get_workload("cg", n=6)
+        digest = trace_digest("lulesh", LULESH)
+        workload = _lulesh()
         specs = _divergent_specs(workload)
 
         learner = DeterministicFaultInjector(workload, memo_key=digest)
@@ -270,7 +285,7 @@ class TestInjectorWarmStart:
         MemoCache.from_env().merge_store(digest, delta)
 
         fresh = DeterministicFaultInjector(
-            get_workload("cg", n=6), memo_key=digest
+            _lulesh(), memo_key=digest
         )
         second = fresh.inject_many(specs)
         stats = fresh.context.stats
@@ -284,21 +299,21 @@ class TestInjectorWarmStart:
         injector learned answer an ``op`` injector's replays, whose results
         equal a cold ``op`` run fault for fault."""
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
-        digest = trace_digest("cg", {"n": 6})
-        specs = _divergent_specs(get_workload("cg", n=6))
+        digest = trace_digest("lulesh", LULESH)
+        specs = _divergent_specs(_lulesh())
         with engine_backend("block"):
             learner = DeterministicFaultInjector(
-                get_workload("cg", n=6), memo_key=digest
+                _lulesh(), memo_key=digest
             )
             learner.inject_many(specs)
         MemoCache.from_env().merge_store(digest, learner.consume_memo_delta())
 
         with engine_backend("op"):
             warm = DeterministicFaultInjector(
-                get_workload("cg", n=6), memo_key=digest
+                _lulesh(), memo_key=digest
             )
             warmed = warm.inject_many(specs)
-            cold = DeterministicFaultInjector(get_workload("cg", n=6))
+            cold = DeterministicFaultInjector(_lulesh())
             expected = cold.inject_many(specs)
         assert warm.context.stats.memo_persist_hits >= 1
         assert cold.context.stats.memo_persist_hits == 0
@@ -308,17 +323,15 @@ class TestInjectorWarmStart:
 
     def test_no_memo_key_never_touches_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
-        workload = get_workload("cg", n=6)
+        workload = _lulesh()
         injector = DeterministicFaultInjector(workload)
         injector.inject_many(_divergent_specs(workload, limit=8))
         assert injector.consume_memo_delta() is None
         assert list(tmp_path.iterdir()) == []
 
 
-CAMPAIGN_ARGS = [
-    "campaign", "run", "cg", "--plan", "exhaustive:7",
-    "--objects", "colidx", "--set", "n=6",
-]
+CAMPAIGN = ["lulesh", "--plan", "fixed:64@1", "--set", "num_elem=12"]
+CAMPAIGN_ARGS = ["campaign", "run", *CAMPAIGN]
 
 
 def _memo_counters(store_path, run_id=None):
@@ -357,7 +370,7 @@ class TestCampaignWarmStart:
         assert main([*CAMPAIGN_ARGS, "--workers", "1",
                      "--store", seed_store]) == 0
         artifact = (caches / "memo") / (
-            f"{trace_digest('cg', {'n': 6})}.memo.v{MEMO_FORMAT_VERSION}.json"
+            f"{trace_digest('lulesh', LULESH)}.memo.v{MEMO_FORMAT_VERSION}.json"
         )
         assert artifact.exists()
         seed = _memo_counters(seed_store)
@@ -372,9 +385,7 @@ class TestCampaignWarmStart:
         assert _histogram(rerun_store) == _histogram(seed_store)
 
         # the stats command surfaces the persisted-memo warm-start line
-        assert main(["stats", "cg", "--plan", "exhaustive:7",
-                     "--objects", "colidx", "--set", "n=6",
-                     "--store", rerun_store]) == 0
+        assert main(["stats", *CAMPAIGN, "--store", rerun_store]) == 0
         out = capsys.readouterr().out
         assert "memo store" in out and "warm-start hits" in out
         assert "speculation" in out
@@ -420,8 +431,7 @@ class TestCampaignWarmStart:
         store_path = str(caches / "resumable.sqlite")
         assert main([*CAMPAIGN_ARGS, "--workers", "1", "--max-shards", "2",
                      "--store", store_path]) == 0
-        assert main(["campaign", "resume", "cg", "--plan", "exhaustive:7",
-                     "--objects", "colidx", "--set", "n=6", "--workers", "1",
+        assert main(["campaign", "resume", *CAMPAIGN, "--workers", "1",
                      "--store", store_path]) == 0
         capsys.readouterr()
         with CampaignStore(store_path) as store:

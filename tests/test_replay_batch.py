@@ -265,14 +265,15 @@ def test_memo_answers_repeated_submissions():
 def test_memo_hit_on_divergent_resubmission():
     """A fault that evicts into a private replay and completes records its
     digest tail in the convergence memo; resubmitting the same spec is
-    answered from the memo, bit-identically.  Low-bit ``colidx`` flips on
-    small cg diverge control flow (the gather walks a different column)
-    without leaving the address space, which is exactly the
-    evict-then-complete shape the memo exists for."""
-    workload = _small("cg")
+    answered from the memo, bit-identically.  Some low-bit flips of small
+    lulesh's ``m_elemBC`` diverge a branch and run to completion, which is
+    exactly the evict-then-complete shape the memo exists for.  (cg's
+    ``colidx`` flips no longer evict: the walk carries their divergent
+    load addresses.)"""
+    workload = _small("lulesh")
     trace = workload.traced_run().trace
-    sites = enumerate_fault_sites(trace, "colidx", bit_stride=7)
-    for site in sites[:12]:
+    sites = enumerate_fault_sites(trace, "m_elemBC", bit_stride=7)
+    for site in sites[:40]:
         spec = site.to_spec()
         context = ReplayContext(workload)
         first = context.replay_many([spec])[0]
@@ -290,7 +291,7 @@ def test_memo_hit_on_divergent_resubmission():
         break
     else:
         pytest.fail(
-            "no divergent, completing colidx fault in the probe window"
+            "no divergent, completing m_elemBC fault in the probe window"
         )
 
 

@@ -1,9 +1,11 @@
 """Pipelined shard execution: parity across worker counts, timing, failures.
 
-The orchestrator runs whole shards through a
-:class:`~repro.parallel.campaign.ShardPipeline` — a window of shards in
-flight, results committed in shard order.  The store it leaves must not
-depend on the worker count, on the order workers finish in, or on where a
+The orchestrator runs units — consecutive shards of one data object,
+injected in one replay batch — through a
+:class:`~repro.parallel.campaign.ShardPipeline`: a window of units in
+flight, results committed in shard order, one store transaction per
+unit.  The store it leaves must not depend on the worker count, on how
+shards group into units, on the order workers finish in, or on where a
 run was interrupted.
 """
 
@@ -15,7 +17,7 @@ import pytest
 
 import repro.parallel.campaign as parallel_campaign
 from repro.campaigns.orchestrator import CampaignOrchestrator
-from repro.campaigns.plans import AdaptivePlan, FixedRandomPlan
+from repro.campaigns.plans import AdaptivePlan, FixedRandomPlan, parse_plan
 from repro.campaigns.store import CampaignStore
 from repro.core.injector import DeterministicFaultInjector
 from repro.obs.spans import clear_span_context, disable_recording
@@ -127,9 +129,27 @@ def test_adaptive_max_shards_commits_the_one_worker_prefix(max_shards):
 
 
 # --------------------------------------------------------------------- #
-# shard timing comes from the worker, not from the window
+# units: shard timing comes from the worker, not from the window
 # --------------------------------------------------------------------- #
+def _units(store, campaign_id):
+    """``{first shard: (worker.inject span, [shard indices])}`` per unit."""
+    injects = sorted(
+        (span for span in store.run_spans(campaign_id)
+         if span.name == "worker.inject"),
+        key=lambda span: span.shard_index,
+    )
+    shards = sorted(store.completed_shards(campaign_id))
+    units = {}
+    for span in injects:
+        members = shards[shards.index(span.shard_index):][:int(span.labels["shards"])]
+        units[span.shard_index] = (span, members)
+    assert sum(len(members) for _, members in units.values()) == len(shards)
+    return units
+
+
 def test_shard_durations_are_the_worker_inject_spans(tmp_path):
+    # a unit's shards share its worker.inject span, each by its share of
+    # the unit's specs, so the unit's shard durations sum to the span
     with CampaignStore(str(tmp_path / "store.sqlite")) as store:
         orchestrator = _orchestrator(
             store, "cg", FixedRandomPlan(tests=40, seed=7), workers=2
@@ -137,20 +157,24 @@ def test_shard_durations_are_the_worker_inject_spans(tmp_path):
         assert orchestrator.run().status == "complete"
         campaign_id = orchestrator.campaign_id
         shards = store.completed_shards(campaign_id)
-        injects = [
-            span for span in store.run_spans(campaign_id)
-            if span.name == "worker.inject"
-        ]
-    assert sorted(span.shard_index for span in injects) == sorted(shards)
-    by_shard = {span.shard_index: span.duration_s for span in injects}
-    for index, shard in shards.items():
-        assert shard.duration_s == pytest.approx(by_shard[index])
-    assert sum(s.duration_s for s in shards.values()) == pytest.approx(
-        sum(by_shard.values())
-    )
-    # whole shards: one worker ran each, with one replay batch per shard
-    assert all(shard.batches == 1 for shard in shards.values())
-    # a one-spec shard is one batch too, not a sequential replay
+        units = _units(store, campaign_id)
+    # 5 shards per object over 2 workers: units of at most 3 shards
+    assert [members for _, members in units.values()] == [
+        [0, 1, 2], [3, 4], [5, 6, 7], [8, 9]
+    ]
+    for first, (span, members) in units.items():
+        assert sum(shards[i].duration_s for i in members) == pytest.approx(
+            span.duration_s
+        )
+        for i in members:
+            assert shards[i].duration_s == pytest.approx(
+                span.duration_s * shards[i].spec_count / int(span.labels["specs"])
+            )
+        # one replay batch per unit, stamped on its first shard
+        assert [shards[i].batches for i in members] == [1] + [0] * (
+            len(members) - 1
+        )
+    # a unit of one-spec shards is one batch too, not a sequential replay
     with CampaignStore(str(tmp_path / "single.sqlite")) as store:
         orchestrator = _orchestrator(
             store, "cg", FixedRandomPlan(tests=3, seed=3), workers=1,
@@ -158,15 +182,56 @@ def test_shard_durations_are_the_worker_inject_spans(tmp_path):
         )
         assert orchestrator.run().status == "complete"
         singles = store.completed_shards(orchestrator.campaign_id)
+        units = _units(store, orchestrator.campaign_id)
     assert len(singles) == 6
-    assert all(shard.batches == 1 for shard in singles.values())
+    assert [members for _, members in units.values()] == [[0, 1, 2], [3, 4, 5]]
+    assert sum(shard.batches for shard in singles.values()) == 2
+
+
+def test_adaptive_units_hold_one_shard(tmp_path):
+    # each batch of an adaptive object depends on the previous results
+    plan = AdaptivePlan(target_half_width=0.15, batch_size=8, max_batches=8,
+                        seed=5)
+    with CampaignStore(str(tmp_path / "store.sqlite")) as store:
+        orchestrator = _orchestrator(store, "cg", plan, workers=2)
+        assert orchestrator.run().status == "complete"
+        shards = store.completed_shards(orchestrator.campaign_id)
+        units = _units(store, orchestrator.campaign_id)
+    assert len(shards) > 2
+    assert all(len(members) == 1 for _, members in units.values())
+    assert all(shard.batches == 1 for shard in shards.values())
+
+
+def test_reference_campaign_equal_at_one_and_two_workers():
+    # the benchmark's reference campaign: cg fixed:512@5 on seed 5
+    plan = parse_plan("fixed:512@5")
+    rows = {}
+    batches = {}
+    for workers in (1, 2):
+        store = CampaignStore(":memory:")
+        orchestrator = CampaignOrchestrator(
+            store, "cg", workload_kwargs={"seed": 5}, plan=plan,
+            workers=workers,
+        )
+        result = orchestrator.run()
+        assert result.status == "complete" and result.executed_shards == 32
+        rows[workers] = _rows(store, orchestrator.campaign_id)
+        batches[workers] = sum(
+            shard.batches
+            for shard in store.completed_shards(orchestrator.campaign_id).values()
+        )
+    assert rows[2] == rows[1]
+    assert len(rows[1]) == 1024
+    # 256-spec units: 4 lockstep walks instead of one per shard
+    assert batches == {1: 4, 2: 4}
 
 
 # --------------------------------------------------------------------- #
 # failure semantics under the window
 # --------------------------------------------------------------------- #
 def _fail_shard(monkeypatch, orchestrator, failing):
-    """Make injecting shard ``failing``'s specs raise (in any process)."""
+    """Make injecting shard ``failing``'s specs raise (in any process), and
+    with them the unit that holds the shard."""
     tasks = orchestrator.static_shards(
         orchestrator._workload().traced_run().trace
     )
@@ -175,7 +240,7 @@ def _fail_shard(monkeypatch, orchestrator, failing):
 
     def inject_many(self, specs):
         specs = list(specs)
-        if specs and specs[0] == marker:
+        if marker in specs:
             raise RuntimeError("injector blew up")
         return original(self, specs)
 
@@ -185,10 +250,21 @@ def _fail_shard(monkeypatch, orchestrator, failing):
 
 @needs_fork
 def test_failed_shard_commits_exactly_the_earlier_shards(monkeypatch):
+    _check_failed_unit(monkeypatch, failing=3)
+
+
+@needs_fork
+def test_unit_failing_mid_unit_is_named_by_its_first_shard(monkeypatch):
+    # shards 3 and 4 form one unit: shard 4 failing fails the unit, which
+    # is named by its first shard and commits nothing
+    _check_failed_unit(monkeypatch, failing=4)
+
+
+def _check_failed_unit(monkeypatch, failing):
     plan = FixedRandomPlan(tests=40, seed=7)
     store = CampaignStore(":memory:")
     orchestrator = _orchestrator(store, "cg", plan, workers=2)
-    total = _fail_shard(monkeypatch, orchestrator, failing=3)
+    total = _fail_shard(monkeypatch, orchestrator, failing=failing)
     assert total > 5  # later shards were in the window when shard 3 failed
 
     with pytest.raises(CampaignChunkError) as excinfo:
@@ -212,14 +288,33 @@ def test_failed_shard_commits_exactly_the_earlier_shards(monkeypatch):
 
 
 def test_no_shard_beyond_max_shards_is_committed():
+    _check_interrupt_and_resume(max_shards=3)
+
+
+def test_max_shards_truncates_a_unit():
+    # the unit of shards 3 and 4 runs shard 3 alone
+    _check_interrupt_and_resume(max_shards=4)
+
+
+def _check_interrupt_and_resume(max_shards):
+    """Interrupted at ``max_shards``, the campaign commits exactly that
+    prefix, and resuming completes the uninterrupted campaign."""
+    plan = FixedRandomPlan(tests=40, seed=7)
     store = CampaignStore(":memory:")
-    orchestrator = _orchestrator(
-        store, "cg", FixedRandomPlan(tests=40, seed=7), workers=2
-    )
-    result = orchestrator.run(max_shards=3)
+    orchestrator = _orchestrator(store, "cg", plan, workers=2)
+    result = orchestrator.run(max_shards=max_shards)
     assert result.status == "interrupted"
-    assert result.executed_shards == 3
-    assert sorted(store.completed_shards(orchestrator.campaign_id)) == [0, 1, 2]
+    assert result.executed_shards == max_shards
+    assert sorted(store.completed_shards(orchestrator.campaign_id)) == list(
+        range(max_shards)
+    )
+    resumed = orchestrator.run()
+    assert resumed.status == "complete"
+    assert resumed.skipped_shards == max_shards
+    fresh, fresh_orch, _ = _run("cg", plan, workers=2)
+    assert _rows(store, orchestrator.campaign_id) == _rows(
+        fresh, fresh_orch.campaign_id
+    )
 
 
 def test_max_shards_zero_spawns_no_worker(monkeypatch):

@@ -39,7 +39,12 @@ on resolution kind, ``converged_at`` and the op each eviction forks at:
   and an operand fault arming at a call or a return evicts there;
 * a fault whose own value raises where golden's does not, at a store and
   at an op with a destination, evicts from the pre-op state and resolves
-  ``error`` in its private replay.
+  ``error`` in its private replay;
+* carried addresses: a divergent load address rides on and loads its own
+  cell, and a load or store address that raises (out of bounds,
+  misaligned, an element of the wrong type) resolves ``error`` at that op
+  with no private replay; a divergent store address that resolves still
+  evicts.
 
 Segments compile ``plain`` and ``lanes`` only once hot; the cases that
 assert the fused path itself ran compile every variant up front
@@ -739,6 +744,127 @@ def test_per_fault_error_evicts_from_the_pre_op_state(
     _evicts_at(frame_workload, spec, site, "error")
     result = ReplayContext(frame_workload).replay_many([spec])[0]
     assert isinstance(result.error, ValueError)
+
+
+# --------------------------------------------------------------------- #
+# carried addresses: divergent load addresses ride on, raising ones resolve
+# --------------------------------------------------------------------- #
+def gather(x: "double*", idx: "i64*", out: "double*", w: "double*",
+           n: "i64") -> "void":
+    for i in range(n):
+        out[i] = x[idx[i]]
+        w[idx[i]] = out[i] + 1.0
+
+
+class GatherWorkload(Workload):
+    """``out[i] = x[idx[i]]; w[idx[i]] = out[i] + 1``: a gather and a
+    scatter whose addresses a flipped index diverges.
+
+    ``k`` (``i64``) sits one guard gap past ``x`` (``double``): index
+    ``idx ^ 64`` lands in it, a load of the wrong element type."""
+
+    name = "walk-gather"
+    target_objects = ("idx",)
+    output_objects = ("out", "w")
+    entry = "gather"
+
+    def kernels(self):
+        return [gather]
+
+    def setup(self, memory: Memory):
+        n = 4
+        x = memory.allocate("x", F64, n, initial=np.arange(1.0, n + 1))
+        memory.allocate("k", I64, 32)
+        idx = memory.allocate("idx", I64, n, initial=np.array([2, 0, 3, 1]))
+        out = memory.allocate("out", F64, n)
+        w = memory.allocate("w", F64, n)
+        return {"x": x.base, "idx": idx.base, "out": out.base, "w": w.base,
+                "n": n}
+
+
+@pytest.fixture(scope="module")
+def gather_workload():
+    workload = GatherWorkload()
+    compile_all(workload.module())
+    return workload
+
+
+@pytest.fixture(scope="module")
+def gather_events(gather_workload):
+    return list(gather_workload.traced_run().trace)
+
+
+def _address_flip(events, name, operand_index, bit):
+    """Flip ``bit`` of operand ``operand_index`` (0: the base pointer, 1:
+    the index) of the first ``getelementptr`` addressing ``name``'s load
+    (``x``) or store (``w``); returns the spec and the access event."""
+    access = next(e for e in events if e.object_name == name)
+    gep = events[access.dynamic_id - 1]
+    assert gep.opcode.value == "getelementptr"
+    spec = FaultSpec(dynamic_id=gep.dynamic_id, bit=bit,
+                     operand_index=operand_index)
+    return spec, access
+
+
+def _carried(workload, specs):
+    """``_check_batch`` for faults that must not leave the walk."""
+    kinds, forks, stats = _check_batch(workload, specs)
+    assert not forks and stats.evicted == 0
+    assert stats.lockstep == len(specs)
+    return kinds, ReplayContext(workload).replay_many(specs)
+
+
+def test_divergent_in_bounds_load_rides_on(gather_workload, gather_events):
+    # idx 2 -> 3: the fault gathers x[3] instead of x[2]
+    spec, _ = _address_flip(gather_events, "x", 1, bit=0)
+    kinds, (result,) = _carried(gather_workload, [spec])
+    assert kinds == [("completed", None)]
+    assert result.outcome.outputs["out"][0] == 4.0
+
+
+@pytest.mark.parametrize("operand_index, bit, message", [
+    (1, 40, "segmentation fault"),  # far out of bounds
+    (0, 0, "misaligned access into x"),  # base pointer + 1
+    (1, 6, "access of type double into k (element type i64)"),
+])
+def test_divergent_load_address_that_raises_resolves_in_the_walk(
+    gather_workload, gather_events, operand_index, bit, message
+):
+    spec, _ = _address_flip(gather_events, "x", operand_index, bit)
+    kinds, (result,) = _carried(gather_workload, [spec])
+    assert kinds == [("error", None)]
+    assert isinstance(result.error, SegmentationFault)
+    assert message in str(result.error).lower()
+    assert result.error.__traceback__ is None
+
+
+def test_divergent_store_address_that_raises_resolves_in_the_walk(
+    gather_workload, gather_events
+):
+    spec, _ = _address_flip(gather_events, "w", 1, bit=40)
+    kinds, (result,) = _carried(gather_workload, [spec])
+    assert kinds == [("error", None)]
+    assert isinstance(result.error, SegmentationFault)
+
+
+def test_divergent_store_address_that_resolves_still_evicts(
+    gather_workload, gather_events
+):
+    # idx 2 -> 3: the scatter writes w[3]; carrying it is out of scope
+    spec, store = _address_flip(gather_events, "w", 1, bit=0)
+    _evicts_at(gather_workload, spec, store, "private")
+
+
+def test_carried_addresses_share_one_walk(gather_workload, gather_events):
+    # every shape in one batch: each resolves as it does alone
+    flips = [("x", 1, 0), ("x", 1, 40), ("x", 0, 0), ("x", 1, 6),
+             ("w", 1, 40), ("w", 1, 0)]
+    specs = [_address_flip(gather_events, *flip)[0] for flip in flips]
+    kinds, forks, stats = _check_batch(gather_workload, specs)
+    assert [via for via, _ in kinds] == ["completed"] + ["error"] * 4 + [
+        "private"
+    ]
+    assert list(forks) == [specs[-1]] and stats.evicted == 1
 
 
 def test_every_registered_workload_block_vs_op():
