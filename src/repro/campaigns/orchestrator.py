@@ -428,7 +428,9 @@ class CampaignOrchestrator:
         Between commits the pipeline is refilled in that same order, in
         units (:meth:`_refill`), and never with a task that ``max_shards``
         already excludes.  Units finishing early wait for their turn; a
-        unit's shards commit in one store transaction.  A failed unit
+        unit's shards commit in one store transaction, timed whole (the
+        SQLite commit included) by a ``campaign.commit`` span labelled
+        with the unit's first shard.  A failed unit
         raises when its first shard's turn comes, after every earlier
         shard committed.  ``counters`` is updated as units commit; returns
         whether every stream ran to its end.
@@ -459,7 +461,8 @@ class CampaignOrchestrator:
                     # the queue head starts a unit, whose shards all
                     # finished together and follow it in the queue
                     unit = units.pop(item.index)
-                    with self.store.transaction():
+                    with span("campaign.commit", shard=item.index,
+                              shards=len(unit)), self.store.transaction():
                         for task in unit:
                             stream.queue.popleft()
                             self._commit_shard(task, outputs.pop(task.index),

@@ -144,14 +144,32 @@ def format_shard_table(
     ``inject_s`` is the shard's injection wall-clock.
 
     Optional replay-batch keys (``rbatches``, ``memo_hits``,
-    ``memo_misses`` — schema v4) add the batched-replay scheduler view:
-    lockstep walks (= snapshot restores) per shard, the resulting
-    faults-per-restore amortization, and the convergence-memo hit rate
-    among divergent replays.  Shards recorded before batching render
-    ``-`` in those columns.
+    ``memo_misses`` — schema v4) add the batched-replay scheduler view
+    *per pipeline unit*: a unit's shards run as one replay batch, and its
+    stats land on its first shard.  That row shows the unit's lockstep
+    walks (= snapshot restores), its faults per restore over the specs of
+    the whole unit (the first shard and the rows after it of the same run
+    and object that carry no batches), and its convergence-memo hit rate
+    among divergent replays; the unit's other shards, and shards recorded
+    before batching, render ``-`` in those columns.  Rows come in shard
+    order, so a unit's shards are adjacent.
     """
+    unit_specs: Dict[int, int] = {}
+    first = None
+    for position, row in enumerate(rows):
+        if int(row.get("rbatches", 0)):  # type: ignore[arg-type]
+            first = position
+        elif first is None or (row["run"], row["object"]) != (
+            rows[first]["run"], rows[first]["object"]
+        ):
+            first = None
+            continue
+        unit_specs[first] = unit_specs.get(first, 0) + int(row["specs"])  # type: ignore[arg-type]
+
     rendered = []
-    for row in (rows if limit is None else rows[-limit:]):
+    start = 0 if limit is None else max(0, len(rows) - limit)
+    for position in range(start, len(rows)):
+        row = rows[position]
         specs = int(row["specs"])  # type: ignore[arg-type]
         inject_s = float(row["inject_s"])  # type: ignore[arg-type]
         batches = int(row.get("rbatches", 0))  # type: ignore[arg-type]
@@ -168,7 +186,7 @@ def format_shard_table(
                 f"{float(row['analysis_s']):.3f}",  # type: ignore[arg-type]
                 f"{specs / inject_s:.0f}" if inject_s > 0 else "-",
                 batches if batches else "-",
-                f"{specs / batches:.1f}" if batches else "-",
+                f"{unit_specs[position] / batches:.1f}" if batches else "-",
                 f"{memo_hits / memo_probes:.2f}" if memo_probes else "-",
             ]
         )

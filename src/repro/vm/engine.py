@@ -660,9 +660,9 @@ class BatchFaultResolution:
         Answered by a convergence-memo entry (``memo_entry``).
     ``"error"``
         The faulty execution raised (``error``).  A fault whose divergent
-        load or store address raises resolves in the walk, at that op,
-        with no private run; a fault whose value raises is evicted first
-        and raises in its private run.
+        load address raises resolves in the walk, at that op, with no
+        private run; any other raising fault is evicted first and raises
+        in its private run.
     """
 
     __slots__ = ("spec", "kind", "return_value", "steps", "cell_deltas",
@@ -939,8 +939,8 @@ class Engine:
         Called only by :meth:`resume_many`'s eviction helper: either the
         fault is armed on the fork (``fault`` set) or its accumulated
         divergence is patched onto the fork's clone (``reg_patches``/
-        ``cell_patches``).  The one place a fault whose value raises
-        resolves ``"error"`` (an address that raises resolves in the walk).
+        ``cell_patches``).  The one place a fault resolves ``"error"``
+        other than a divergent load address that raises in the walk.
         """
         engine = Engine(
             self.module,
@@ -1004,12 +1004,12 @@ class Engine:
         * a fault whose divergence set drains to empty is provably
           bit-identical to golden and resolves immediately;
         * a divergent load address rides on: the fault loads its own cell
-          (its divergence there, else the live cell), and a load or store
-          address that raises resolves the fault ``"error"`` at that op
-          with the exception its own run raises;
-        * a fault that diverges in control flow, in a store address that
-          resolves or in a user call's arguments, whose own value raises,
-          or that arms at an exotic site is *evicted* through one helper
+          (its divergence there, else the live cell), and an address that
+          raises resolves the fault ``"error"`` at that op with the
+          exception its own run raises;
+        * a fault that diverges in control flow, in a store address or in
+          a user call's arguments, whose own value raises, or that arms at
+          an exotic site is *evicted* through one helper
           into a private replay seeded from a copy-on-write fork of the
           pre-op state patched with the fault's divergence — private runs
           use digest checks against
@@ -1171,7 +1171,7 @@ class Engine:
 
         def access(fid, address, value_type):
             """Fault ``fid``'s own ``(object, index)`` at its divergent
-            ``address``, resolved and checked in the op loop's order; when
+            load ``address``, resolved and checked in the op loop's order; when
             that raises, the fault resolves ``error`` here with the
             exception its own run raises (no fork), and this returns
             ``None``."""
@@ -1338,14 +1338,8 @@ class Engine:
                         s = op.src[1]
                         m = fdiv.get(s) if s >= 0 else None
                         if m:
-                            # a divergent address that raises resolves
-                            # ``error`` here; one that resolves evicts
-                            movers = list(m.items())
-                            aff = aff.difference(m) or None
-                            evictees = [
-                                fid for fid, address in movers
-                                if access(fid, address, op.op_types[0])
-                            ]
+                            evictees = set(m)
+                            aff = aff - evictees or None
                     elif kind == K_BR_COND:
                         cond_map = fdiv.get(op.src[0]) if op.src[0] >= 0 else None
                         if cond_map:

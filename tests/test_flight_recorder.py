@@ -74,6 +74,15 @@ class TestSpanPersistence:
             for shard in shard_spans:
                 assert run_span.start_ts <= shard.start_ts
                 assert shard.end_ts <= run_span.end_ts + 1e-6
+            # each unit's store transaction, commit included, is one
+            # campaign.commit span covering its shards' writes
+            commits = [s for s in spans if s.name == "campaign.commit"]
+            assert sum(int(c.labels["shards"]) for c in commits) == 3
+            for shard in shard_spans:
+                (unit,) = [c for c in commits
+                           if c.start_ts <= shard.start_ts + 1e-6
+                           and shard.end_ts <= c.end_ts + 1e-6]
+                assert unit.shard_index <= shard.shard_index
 
             # and the waterfall renders purely from those rows
             rendered = format_timeline([

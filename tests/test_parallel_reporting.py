@@ -20,7 +20,7 @@ from repro.reporting import (
     format_table,
     table1_rows,
 )
-from repro.reporting.tables import format_table1
+from repro.reporting.tables import format_shard_table, format_table1
 
 
 class TestPartitioning:
@@ -253,6 +253,29 @@ class TestReporting:
         lines = text.splitlines()
         assert len(lines) == 4
         assert "a" in lines[0] and "bb" in lines[0]
+
+    def test_shard_table_replay_columns_are_per_unit(self):
+        # two units of one run: shards 0-2 (r) and 3 (r); then shard 4 of
+        # another object and a pre-batching shard 5, which are no unit's
+        def row(shard, obj, run, specs, batches=0, hits=0, misses=0):
+            return {"shard": shard, "object": obj, "batch": 0, "run": run,
+                    "specs": specs, "inject_s": 0.5, "analysis_s": 0.0,
+                    "rbatches": batches, "memo_hits": hits,
+                    "memo_misses": misses}
+
+        rows = [row(0, "r", 1, 32, batches=2, hits=1, misses=3),
+                row(1, "r", 1, 32), row(2, "r", 1, 32),
+                row(3, "r", 1, 32, batches=1), row(4, "x", 1, 32),
+                row(5, "x", 2, 32)]
+        lines = format_shard_table(rows).splitlines()[2:]
+        cells = [[c.strip() for c in line.split("|")] for line in lines]
+        # rbatch, faults/restore, memo hit
+        assert [c[-3:] for c in cells] == [
+            ["2", "48.0", "0.25"], ["-", "-", "-"], ["-", "-", "-"],
+            ["1", "32.0", "-"], ["-", "-", "-"], ["-", "-", "-"],
+        ]
+        # ``limit`` keeps the last rows, rendered as in the whole table
+        assert format_shard_table(rows, limit=5).splitlines()[2:] == lines[1:]
 
     def test_format_table_shape_check(self):
         with pytest.raises(ValueError):
