@@ -49,7 +49,8 @@ the offset of the op it interrupted: the number of ops fully executed.
 
 Stop protocol (*lanes*): the body stops *before* the first op it cannot
 carry — a fault arming there (offset ``stop``), a load/store address or a
-branch direction diverging (the op loop evicts), or any evaluation raising
+branch direction diverging (the op loop carries a load address and evicts
+the others), or any evaluation raising
 (the op loop re-runs the op and classifies the error).  The handler reads
 the stop op's offset from the line table, writes back the registers the
 completed prefix defined (by their first-write offsets) and
