@@ -3,12 +3,13 @@
 End-to-end injection-campaign comparison on the same spec lists:
 
 * **rerun**: one full faulty execution of a fresh workload instance per
-  fault (``WorkloadInstance.run(fault=spec)`` in a loop) — no snapshot,
-  digest or memo;
+  fault (``WorkloadInstance.run(fault=spec)`` in a loop) — no snapshot
+  or digest;
 * **batched**: the same specs submitted through
   ``ReplayContext.replay_many`` — one restore + one shared lockstep suffix
-  walk per batch, copy-on-write forks for divergent windows, convergence
-  memoization across repeats.
+  walk per batch, copy-on-write forks for divergent windows, digest
+  checks for golden convergence (the memo of fault results lives one
+  layer up, in the injector, and plays no part here).
 
 Acceptance bar: **≥ 3× end-to-end speedup on matmul** (cg is reported
 alongside; its index objects evict more divergent replays, so it gains

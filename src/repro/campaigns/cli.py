@@ -463,7 +463,7 @@ def _cmd_stats(args) -> int:
         persist_merges = _counter_total(merged, "replay.memo_persist_merges")
         print(f"{'memo store':<11}: {persist_hits} warm-start hits / "
               f"{persist_loads} loads / {persist_merges} merges "
-              f"(persisted convergence memo; see REPRO_MEMO_CACHE)")
+              f"(persisted fault-result memo; see REPRO_MEMO_CACHE)")
         walk_ops = _counter_total(merged, "replay.walk_ops")
         fused_ops = _counter_total(merged, "replay.walk_fused_ops")
         lane_ops = _counter_total(merged, "replay.walk_lane_ops")

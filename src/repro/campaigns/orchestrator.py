@@ -69,7 +69,12 @@ from repro.parallel.campaign import (
     _default_workers,
 )
 from repro.parallel.partition import chunk_evenly
-from repro.tracing.cache import MemoCache, golden_trace, trace_digest
+from repro.tracing.cache import (
+    MemoCache,
+    golden_trace,
+    merge_memo_payloads,
+    trace_digest,
+)
 from repro.vm.faults import FaultSpec
 from repro.workloads.registry import get_workload, validate_workload
 
@@ -689,9 +694,7 @@ class CampaignOrchestrator:
         duration = output.inject_s
         stats = output.batch_stats
         if output.memo_delta:
-            from repro.core.replay import ReplayMemo
-
-            self._memo_delta = ReplayMemo.merge_payloads(
+            self._memo_delta = merge_memo_payloads(
                 self._memo_delta, output.memo_delta
             )
         with span("campaign.shard", shard=task.index, object=task.object_name):
@@ -753,5 +756,14 @@ class CampaignOrchestrator:
         cache = MemoCache.from_env()
         if cache is None:
             return
-        with span("campaign.memo_merge"):
-            cache.merge_store(self.trace_digest, delta)
+        try:
+            with span("campaign.memo_merge"):
+                cache.merge_store(self.trace_digest, delta)
+        except OSError as exc:
+            # the memo only saves replays: a finished run's outcomes, spans
+            # and metrics must not be lost to a cache that cannot be written
+            self._log.warning(
+                "memo.persist_failed",
+                f"[{self.campaign_id}] memo not persisted to {cache.root}: {exc}",
+                campaign_id=self.campaign_id, error=str(exc),
+            )

@@ -33,8 +33,9 @@ Design points:
   against the protected variants (``validation_runs``), so
   ``python -m repro protect report`` renders entirely from the store.
 * **Replay-batch telemetry (v4).**  Shards carry the batched replay
-  scheduler's counters (``batches``, ``memo_hits``, ``memo_misses``) so
-  ``campaign status`` can show per-shard amortization and memo hit rates;
+  scheduler's and the injector memo's counters (``batches``,
+  ``memo_hits``, ``memo_misses``) so ``campaign status`` can show
+  per-shard amortization and memo hit rates;
   ``validation_runs`` carry the ``campaign_id`` of the orchestrated
   campaign that measured them, linking closed-loop validations to their
   shard timings.
@@ -258,9 +259,10 @@ class ShardRecord:
     #: enumeration) attributable to the shard's data object.
     analysis_s: float = 0.0
     #: Replay-batch scheduler telemetry (v4): lockstep walks (= snapshot
-    #: restores) executed for the shard, and convergence-memo hits/misses
-    #: among its divergent replays.  ``spec_count / batches`` is the
-    #: faults-per-restore amortization.
+    #: restores) executed for the shard; memo hits (specs the injector
+    #: answered from its table of fault results) and misses (replayed
+    #: specs the table then records: those resolved private or error).
+    #: ``spec_count / batches`` is the faults-per-restore amortization.
     batches: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
@@ -835,8 +837,8 @@ class CampaignStore:
         """Persist one completed shard and all its outcomes atomically.
 
         ``batch_stats`` (if given) carries the replay-batch scheduler's
-        counters for this shard — ``batches``, ``memo_hits`` and
-        ``memo_misses`` are stamped onto the shard row.
+        and the injector memo's counters for this shard — ``batches``,
+        ``memo_hits`` and ``memo_misses`` are stamped onto the shard row.
         """
         stats = batch_stats or {}
         with self._write():

@@ -12,20 +12,24 @@ the golden run and a snapshot schedule are computed once, and
 :meth:`DeterministicFaultInjector.inject_many` submits a set of faults —
 one or many — to the context's batch scheduler in one call, which runs
 only the suffix after each fault site and stops executions that converge
-back onto the golden state early.  Outcomes are bit-identical to full
-re-runs (the test suite asserts them against from-scratch runs and a
-from-scratch, interpreted oracle).
+back onto the golden state early.  Faults that were evicted from the
+lockstep walk, or raised, are memoised by spec, in process and across
+processes through a persisted artifact, so a repeated spec is answered
+without a replay.  Outcomes are
+bit-identical to full re-runs (the test suite asserts them against
+from-scratch runs and a from-scratch, interpreted oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.core.acceptance import OutcomeClass, ScalarResultCheck, classify_outcome
 from repro.core.replay import ReplayContext
+from repro.obs.metrics import registry as _metrics_registry
 from repro.vm.errors import StepLimitExceeded, VMError
 from repro.vm.faults import FaultSpec
 
@@ -64,7 +68,19 @@ class FaultInjectionResult:
 
 
 class DeterministicFaultInjector:
-    """Run a workload with single, precisely-placed bit flips."""
+    """Run a workload with single, precisely-placed bit flips.
+
+    Results are memoised by fault spec: a fault's outcome is a pure
+    function of its spec and the golden execution, so a spec the injector
+    has classified before is answered from its table instead of replayed.
+    The table records the faults that resolved ``private`` (evicted from
+    the lockstep walk into a replay of their own) or ``error``; a fault
+    the walk carries to its end costs only a share of the next walk, so it
+    is not recorded.  With a ``memo_key`` (the trace digest), the table
+    warm-starts from the persisted artifact of
+    :class:`~repro.tracing.cache.MemoCache` and ships what it learns
+    onward through :meth:`consume_memo_delta`.
+    """
 
     def __init__(
         self,
@@ -82,11 +98,19 @@ class DeterministicFaultInjector:
         #: (e.g. the aDVF engine records its golden trace during the same
         #: execution that captures the checkpoints).
         self._context: Optional[ReplayContext] = context
-        #: Trace digest keying the persisted convergence-memo artifact
-        #: (``None`` disables memo persistence for this injector).
+        #: Trace digest keying the persisted memo artifact (``None``
+        #: disables memo persistence for this injector).
         self.memo_key = memo_key
-        self.runs = 0
         self._stats_seen: Dict[str, int] = {}
+        #: Classified ``private``/``error`` results by spec; ``_warm``
+        #: holds the specs that came from the artifact, and ``_learned``
+        #: the results recorded since the last delta.
+        self._memo: Dict[FaultSpec, FaultInjectionResult] = {}
+        self._warm: Set[FaultSpec] = set()
+        self._learned: List[FaultInjectionResult] = []
+        self._memo_stats = dict.fromkeys(
+            ("memo_hits", "memo_misses", "memo_persist_hits"), 0
+        )
         self._warmed = False
 
     # ------------------------------------------------------------------ #
@@ -95,15 +119,14 @@ class DeterministicFaultInjector:
         """The shared golden run + snapshot schedule (built on first use)."""
         if self._context is None:
             self._context = ReplayContext(self.workload)
-        self._warm_start()
         return self._context
 
     def _warm_start(self) -> None:
-        """Merge the persisted memo artifact into the context's memo, once.
+        """Fill the table from the persisted memo artifact, once.
 
         A no-op without a ``memo_key`` or a configured
         :class:`~repro.tracing.cache.MemoCache`; a missing or mismatched
-        artifact just leaves the memo cold.
+        artifact just leaves the table cold.
         """
         if self._warmed:
             return
@@ -113,8 +136,11 @@ class DeterministicFaultInjector:
         from repro.tracing.cache import MemoCache
 
         cache = MemoCache.from_env()
-        if cache is not None:
-            self._context.memo.merge_payload(cache.load(self.memo_key))
+        payload = cache.load(self.memo_key) if cache is not None else None
+        for row in payload["rows"] if payload else ():
+            result = FaultInjectionResult.from_row(row)
+            self._memo[result.spec] = result
+        self._warm = set(self._memo)
 
     @property
     def golden(self) -> RunOutcome:
@@ -124,36 +150,62 @@ class DeterministicFaultInjector:
         return self._golden
 
     def inject_many(self, specs: Sequence[FaultSpec]) -> List[FaultInjectionResult]:
-        """Inject every spec as one batch of the replay scheduler.
+        """Inject every spec, one result per spec, in order.
 
-        Every non-empty submission, a single spec included, is one
-        :meth:`ReplayContext.replay_many` call: driven through a shared
-        lockstep suffix walk from one snapshot restore, and answered by
-        the convergence memo where possible — outcome-identical to one
-        from-scratch faulty run per spec (the parity suite asserts it).
-        See :mod:`repro.parallel` for the multiprocessing campaign runner.
+        Specs the table holds are answered from it; every other distinct
+        spec is replayed once, all of them in one
+        :meth:`ReplayContext.replay_many` call (a shared lockstep suffix
+        walk from one snapshot restore).  Each result carries the spec
+        submitted at its position, so a duplicate keeps its own ``note``.
+        Outcome-identical to one from-scratch faulty run per spec (the
+        parity suite asserts it).  See :mod:`repro.parallel` for the
+        multiprocessing campaign runner.
         """
         specs = list(specs)
         if not specs:
             return []
-        self.runs += len(specs)
-        replayed = self.context.replay_many(specs)
+        self._warm_start()
+        memo = self._memo
+        results = {spec: memo[spec] for spec in specs if spec in memo}
+        hits = sum(spec in results for spec in specs)
+        persist_hits = sum(spec in self._warm for spec in specs)
+        fresh = [spec for spec in dict.fromkeys(specs) if spec not in results]
+        misses = 0
+        for replayed in self.context.replay_many(fresh) if fresh else ():
+            result = self._classify(replayed.spec, replayed.outcome, replayed.error)
+            results[replayed.spec] = result
+            if replayed.via in ("private", "error"):
+                memo[replayed.spec] = result
+                misses += 1
+                if self.memo_key is not None:
+                    self._learned.append(result)
+        self._count(hits, misses, persist_hits)
         return [
-            self._classify(result.spec, result.outcome, result.error)
-            for result in replayed
+            FaultInjectionResult(spec, results[spec].outcome, results[spec].detail)
+            for spec in specs
         ]
 
-    def consume_batch_stats(self) -> Dict[str, int]:
-        """Batch-scheduler counter deltas since the previous call.
+    def _count(self, hits: int, misses: int, persist_hits: int) -> None:
+        """Add to the memo counters, here and in the metrics registry."""
+        reg = _metrics_registry()
+        for key, value in (("memo_hits", hits), ("memo_misses", misses),
+                           ("memo_persist_hits", persist_hits)):
+            if value:
+                self._memo_stats[key] += value
+                if reg.enabled:
+                    reg.inc("replay." + key, value, workload=self.workload.name)
 
-        Returns an empty dict before the context is built.  Used by
-        campaign workers to stamp per-shard scheduler telemetry (batches,
-        memo hit rate) into the store.
+    def consume_batch_stats(self) -> Dict[str, int]:
+        """Memo and batch-scheduler counter deltas since the previous call.
+
+        The scheduler's counters appear once the context is built (a call
+        answered wholly from the table builds none).  Used by campaign
+        workers to stamp per-shard telemetry (batches, memo hits and
+        misses) into the store.
         """
-        context = self._context
-        if context is None:
-            return {}
-        current = context.stats.to_dict()
+        current = dict(self._memo_stats)
+        if self._context is not None:
+            current.update(self._context.stats.to_dict())
         delta = {
             key: value - self._stats_seen.get(key, 0)
             for key, value in current.items()
@@ -162,20 +214,21 @@ class DeterministicFaultInjector:
         return delta
 
     def consume_memo_delta(self) -> Optional[Dict[str, object]]:
-        """Payload of memo entries learned since the previous call.
+        """Artifact payload of the results recorded since the previous call.
 
-        ``None`` when nothing new was recorded, no injection ran yet, or
-        the injector has no ``memo_key`` (persistence disabled).  Campaign
-        workers return this per chunk; the orchestrator folds the deltas
-        into the persisted artifact via
-        :meth:`repro.tracing.cache.MemoCache.merge_store`.
+        ``None`` when nothing new was recorded or the injector has no
+        ``memo_key`` (persistence disabled).  Campaign workers return this
+        per unit; the orchestrator folds the deltas into the persisted
+        artifact via :meth:`repro.tracing.cache.MemoCache.merge_store`.
         """
-        if self.memo_key is None or self._context is None:
+        if not self._learned:
             return None
-        delta = self._context.memo.consume_delta()
-        if delta is not None:
-            delta["trace"] = self.memo_key
-        return delta
+        from repro.tracing.cache import MEMO_FORMAT_VERSION
+
+        rows = [result.to_row() for result in self._learned]
+        self._learned = []
+        return {"format": MEMO_FORMAT_VERSION, "rows": rows,
+                "trace": self.memo_key}
 
     def _classify(
         self,

@@ -276,7 +276,7 @@ def _write_back(frame, regs, names, done, writes, branches) -> None:
         frame.prev_block = block
 
 
-class _MemoEntry:
+class _Resolved:
     """Codegen-time record of an already-resolved address expression.
 
     Within one segment no allocation is released and fresh allocations only
@@ -313,7 +313,7 @@ class _Emitter:
         self.defined: Set[int] = set()  # slots this segment writes
         self.int_names: Set[str] = set()
         self.float_names: Set[str] = set()
-        self.memo: Dict[str, _MemoEntry] = {}
+        self.memo: Dict[str, _Resolved] = {}
         self.uses_mem = False
         self.uses_alloca = False
         self.last_branch_block: Optional[int] = None
@@ -394,7 +394,7 @@ class _Emitter:
     # -------------------------------------------------------------- #
     # address resolution with the per-segment memo
     # -------------------------------------------------------------- #
-    def resolve_address(self, j: int, addr: Tuple[str, str], vt: IRType) -> _MemoEntry:
+    def resolve_address(self, j: int, addr: Tuple[str, str], vt: IRType) -> _Resolved:
         expr, kind = addr
         entry = self.memo.get(expr)
         if entry is not None:
@@ -417,7 +417,7 @@ class _Emitter:
             # (the golden path's ``plain`` inlines the common case below)
             self.emit(f"{ovar}, {eivar} = resolve({avar})")
             self.emit(f"_chk({ovar}, {self.p(vt)}, {avar})")
-            entry = _MemoEntry(avar, ovar, eivar, None, {vt}, False)
+            entry = _Resolved(avar, ovar, eivar, None, {vt}, False)
             self.memo[expr] = entry
             return entry
         self.emit(f"p{j} = _br(bases, {avar}) - 1")
@@ -440,7 +440,7 @@ class _Emitter:
         self.emit("else:")
         self.emit(f"    {ovar}, {eivar} = resolve({avar})")
         self.emit(f"    _chk({ovar}, {self.p(vt)}, {avar})")
-        entry = _MemoEntry(avar, ovar, eivar, etvar, {vt}, False)
+        entry = _Resolved(avar, ovar, eivar, etvar, {vt}, False)
         self.memo[expr] = entry
         return entry
 
@@ -513,7 +513,7 @@ class _Emitter:
             self.emit(f"{name} = o{j}.base")
             # Seed the memo: loads/stores through this result hit element 0
             # of a statically-typed, definitely-private, in-bounds object.
-            self.memo[name] = _MemoEntry(
+            self.memo[name] = _Resolved(
                 name, f"o{j}", "0", None, {op.alloca_type}, True
             )
             if lanes and op.dest >= 0:
@@ -733,7 +733,7 @@ class _Emitter:
         )
         self.emit_dest_update(op, j, dj)
 
-    def emit_lane_load(self, op, j: int, entry: _MemoEntry) -> None:
+    def emit_lane_load(self, op, j: int, entry: _Resolved) -> None:
         """A load of a diverged cell diverges in its destination."""
         dj = f"d{j}"
         self.emit(
@@ -749,7 +749,7 @@ class _Emitter:
         guard = f"{dest} in fdiv" if new is None else f"{new} or {dest} in fdiv"
         self.emit(f"if {guard}: _reslot(fdiv, {dest}, {new or '_E'}, walk, {j})")
 
-    def emit_lane_store(self, op, j: int, value, entry: _MemoEntry) -> None:
+    def emit_lane_store(self, op, j: int, value, entry: _Resolved) -> None:
         """Per-fault stored values, and the cell's divergence map update.
 
         Runs after the golden write: a lane that raises here stops before

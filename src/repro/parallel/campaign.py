@@ -128,8 +128,9 @@ class ShardOutput:
     inject_s: float
     #: The replay scheduler's counter delta for the unit.
     batch_stats: Dict[str, int]
-    #: Convergence-memo entries the unit learned (``None`` when nothing
-    #: new); callers persist it so later shards and resumes warm-start.
+    #: Memo rows the unit learned — the classified results of its faults
+    #: that left the lockstep walk (``None`` when nothing new); callers
+    #: persist them so later runs and resumes warm-start.
     memo_delta: Optional[Dict[str, object]]
     #: The worker's metrics-registry delta (``None`` in this process,
     #: whose registry already holds the activity).
@@ -156,8 +157,8 @@ Part = Tuple[int, Sequence[object]]
 @dataclass(frozen=True)
 class InjectJob:
     """Inject units of whole shards on one injector per process, so the
-    golden run, the snapshot schedule and the convergence memo serve every
-    unit the process runs.
+    golden run, the snapshot schedule and the injector's table of
+    memoised fault results serve every unit the process runs.
 
     A unit's shards (consecutive shards of one data object) go to
     ``inject_many`` as one concatenated spec list, so the unit costs one
@@ -171,9 +172,9 @@ class InjectJob:
         from repro.workloads.registry import get_workload
 
         workload = get_workload(self.workload_name, **self.workload_kwargs)
-        # the trace digest keys the persisted convergence-memo artifact, so
-        # every worker of a campaign (and every resumed campaign) warm-starts
-        # from the entries earlier replays already learned
+        # the trace digest keys the persisted memo artifact, so every worker
+        # of a campaign (and every resumed campaign) warm-starts from the
+        # fault results earlier runs already recorded
         return DeterministicFaultInjector(
             workload,
             memo_key=trace_digest(self.workload_name, self.workload_kwargs),

@@ -149,8 +149,9 @@ def format_shard_table(
     stats land on its first shard.  That row shows the unit's lockstep
     walks (= snapshot restores), its faults per restore over the specs of
     the whole unit (the first shard and the rows after it of the same run
-    and object that carry no batches), and its convergence-memo hit rate
-    among divergent replays; the unit's other shards, and shards recorded
+    and object that carry no batches), and its memo hit rate (specs the
+    injector answered from its table, over those plus the replayed specs
+    the table records); the unit's other shards, and shards recorded
     before batching, render ``-`` in those columns.  Rows come in shard
     order, so a unit's shards are adjacent.
     """

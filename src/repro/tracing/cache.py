@@ -14,7 +14,8 @@ consumer traces the workload itself.  Artifacts are content-addressed by
 :func:`trace_digest` and written atomically, so concurrent writers of the
 same digest are harmless (last rename wins, both files are identical).
 :func:`golden_trace` is the one way to acquire a golden trace: a missing
-or unreadable artifact is rebuilt and overwritten there.
+or unreadable artifact is rebuilt and overwritten there, and a cache
+directory that cannot be written leaves the rebuilt trace in memory only.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import json
 import os
 from pathlib import Path
 from pickle import UnpicklingError
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 from zipfile import BadZipFile
 
 from repro.obs.metrics import registry as _metrics_registry
 from repro.tracing.columnar import ColumnarTrace
+from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
@@ -38,6 +40,11 @@ DEFAULT_CACHE_DIR = "~/.cache/repro/traces"
 
 #: ``REPRO_TRACE_CACHE`` values that disable persistent caching.
 _DISABLED = frozenset({"0", "off", "none", "disabled"})
+
+#: Format version of the persisted memo artifact, ``{"format": N, "rows":
+#: [...]}`` with one :meth:`~repro.core.injector.FaultInjectionResult.to_row`
+#: per fault.  Artifacts of other versions read cold (never migrated).
+MEMO_FORMAT_VERSION = 4
 
 
 def trace_digest(
@@ -143,29 +150,72 @@ def golden_trace(
 ) -> Tuple[ColumnarTrace, str]:
     """The golden trace of ``workload`` (registered as ``name``, built with
     constructor ``kwargs``) and where it came from: ``"cache hit"``,
-    ``"cache miss, built"`` or ``"cache disabled, built"``.
+    ``"cache miss, built"``, ``"cache miss, built, not stored (<error>)"``
+    (the artifact could not be written) or ``"cache disabled, built"``.
     """
     cache = TraceCache.from_env()
     if cache is None:
         return workload.traced_run().trace, "cache disabled, built"
-    trace, hit = cache.get_or_build(
-        trace_digest(name, kwargs), lambda: workload.traced_run().trace
-    )
+    built: List[ColumnarTrace] = []
+
+    def build() -> ColumnarTrace:
+        built.append(workload.traced_run().trace)
+        return built[0]
+
+    try:
+        trace, hit = cache.get_or_build(trace_digest(name, kwargs), build)
+    except OSError as exc:
+        # a cache directory that cannot be written costs the artifact,
+        # not the trace already built in memory
+        if not built:
+            raise
+        return built[0], f"cache miss, built, not stored ({exc})"
     return trace, "cache hit" if hit else "cache miss, built"
 
 
-class MemoCache:
-    """Filesystem cache of persisted convergence-memo artifacts.
+def merge_memo_payloads(
+    base: Optional[Dict[str, object]], delta: Optional[Dict[str, object]]
+) -> Optional[Dict[str, object]]:
+    """Union of two memo payloads keyed by fault spec; ``base`` rows win.
 
-    The :class:`~repro.core.replay.ReplayMemo` a batched replay context
-    grows is a pure function of the trace it replays against — outcomes,
-    state digests and convergence points are bit-identical across engine
-    backends — so its serialised form can live next to the golden-trace
-    artifact and warm-start every later consumer of the same trace, on
-    either backend: campaign worker processes, resumed campaigns, and
-    ``protect validate`` reruns.  Artifacts are keyed by trace digest +
-    memo format version (``{digest}.memo.v{N}.json``); any mismatch simply
-    misses — memos are an accelerator, never a correctness input.
+    A ``None`` (or empty) side yields the other, and ``base`` itself comes
+    back when ``delta`` adds no spec, so a fold over disjoint worker deltas
+    holds the same rows in any order.
+    """
+    if not base or not base.get("rows"):
+        return delta
+    if not delta or not delta.get("rows"):
+        return base
+    seen = {FaultSpec.from_dict(row) for row in base["rows"]}
+    added = []
+    for row in delta["rows"]:
+        spec = FaultSpec.from_dict(row)
+        if spec not in seen:
+            seen.add(spec)
+            added.append(row)
+    if not added:
+        return base
+    merged = dict(base)
+    merged["rows"] = list(base["rows"]) + added
+    return merged
+
+
+class MemoCache:
+    """Filesystem cache of persisted fault-result memo artifacts.
+
+    The table of classified results a
+    :class:`~repro.core.injector.DeterministicFaultInjector` keeps is a pure
+    function of the trace it replays against (a fault's outcome depends on
+    its spec and the golden execution alone, on either engine backend), so
+    its rows can live next to the golden-trace artifact and warm-start
+    every later consumer of the same trace: campaign worker processes,
+    resumed campaigns, and ``protect validate`` reruns.  Artifacts are
+    keyed by trace digest + memo format version
+    (``{digest}.memo.v{N}.json``); any mismatch simply misses — memos are
+    an accelerator, never a correctness input.  The payload is
+    ``{"format": N, "rows": [...]}``, one
+    :meth:`~repro.core.injector.FaultInjectionResult.to_row` per fault
+    that left the lockstep walk.
 
     The cache directory comes from ``REPRO_MEMO_CACHE`` and *defaults to
     following* ``REPRO_TRACE_CACHE`` (same directory, same ``off``
@@ -193,19 +243,16 @@ class MemoCache:
 
     # ------------------------------------------------------------------ #
     def path_for(self, digest: str) -> Path:
-        from repro.core.replay import MEMO_FORMAT_VERSION
-
         return self.root / f"{digest}.memo.v{MEMO_FORMAT_VERSION}.json"
 
     def load(self, digest: str) -> Optional[Dict[str, object]]:
         """The persisted payload for ``digest``, or ``None``.
 
-        Unreadable, corrupt, or format-mismatched artifacts all read as a
-        cold memo — the file name pins the version, but a payload
-        rewritten by a different process is still re-checked here.
+        Unreadable, corrupt, or format-mismatched artifacts, and payloads
+        without a ``rows`` list, all read as a cold memo — the file name
+        pins the version, but a payload rewritten by a different process is
+        still re-checked here.
         """
-        from repro.core.replay import MEMO_FORMAT_VERSION
-
         path = self.path_for(digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -215,6 +262,7 @@ class MemoCache:
         if (
             not isinstance(payload, dict)
             or payload.get("format") != MEMO_FORMAT_VERSION
+            or not isinstance(payload.get("rows"), list)
         ):
             return None
         reg = _metrics_registry()
@@ -238,17 +286,16 @@ class MemoCache:
                     delta: Optional[Dict[str, object]]) -> Optional[Path]:
         """Fold a learned delta into the persisted artifact and rewrite it.
 
-        Reads the current artifact, merges (existing entries win, so
-        concurrent merges of disjoint worker deltas commute), and writes
-        back atomically.  A ``None``/empty delta is a no-op.
+        Reads the current artifact, merges with :func:`merge_memo_payloads`
+        (existing rows win, so concurrent merges of disjoint worker deltas
+        commute), and writes back atomically.  A ``None``/empty delta, or
+        one whose every spec the artifact already holds, is a no-op.
         """
-        from repro.core.replay import ReplayMemo
-
-        if not delta or not delta.get("keys"):
+        if not delta or not delta.get("rows"):
             return None
         base = self.load(digest)
-        merged = ReplayMemo.merge_payloads(base, delta)
-        if merged is None or merged is base:
+        merged = merge_memo_payloads(base, delta)
+        if merged is base:
             return None
         reg = _metrics_registry()
         if reg.enabled:

@@ -569,7 +569,7 @@ def _rebase(old, new, div_count, drained) -> None:
 
 
 # --------------------------------------------------------------------- #
-# state digests (convergence memoization)
+# state digests (golden convergence)
 # --------------------------------------------------------------------- #
 def _digest(frames, memory: Memory) -> bytes:
     """The one canonical state encoder behind :func:`snapshot_digest` and
@@ -656,8 +656,6 @@ class BatchFaultResolution:
     ``"private"``
         Evicted from the lockstep walk and ran standalone from a
         copy-on-write fork; ``memory`` holds its final address space.
-    ``"memo"``
-        Answered by a convergence-memo entry (``memo_entry``).
     ``"error"``
         The faulty execution raised (``error``).  A fault whose divergent
         load address raises resolves in the walk, at that op, with no
@@ -666,8 +664,7 @@ class BatchFaultResolution:
     """
 
     __slots__ = ("spec", "kind", "return_value", "steps", "cell_deltas",
-                 "memory", "error", "converged_at", "visited", "memo_entry",
-                 "private")
+                 "memory", "error", "converged_at", "private")
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
@@ -678,8 +675,6 @@ class BatchFaultResolution:
         self.memory: Optional[Memory] = None
         self.error: Optional[BaseException] = None
         self.converged_at: Optional[int] = None
-        self.visited: List[Tuple[int, bytes]] = []
-        self.memo_entry = None
         self.private = False
 
 
@@ -771,20 +766,15 @@ class Engine:
         self.converged = False
         #: Dynamic id at which convergence onto golden was proven (or None).
         self.converged_at: Optional[int] = None
-        #: Memo entry that answered this run early (digest-check path).
-        self.memo_entry = None
         self._dyn = 0
         self._frames: List[_Frame] = []
         self._last_writer: Dict[int, int] = {}
         self._next_capture = 0 if snapshot_interval else _NEVER
-        #: Digest-check state (batched replay): sorted positions, golden
-        #: digests keyed by position, an optional convergence memo, and the
-        #: (position, digest) pairs visited without a hit.
+        #: Digest-check state (private replays): sorted positions and the
+        #: golden digests keyed by position.
         self._digest_positions: Optional[List[int]] = None
         self._digest_cursor = 0
         self._golden_digests: Dict[int, bytes] = {}
-        self._memo = None
-        self.visited: List[Tuple[int, bytes]] = []
         #: Ops the most recent :meth:`resume_many` walked, how many of them
         #: ran inside fused segments, how many of those carried divergence
         #: (``lanes``), and the lanes stops by cause label.
@@ -854,12 +844,9 @@ class Engine:
         self._dyn = snapshot.dyn
         self.converged = False
         self.converged_at = None
-        self.memo_entry = None
         self._digest_positions = None
         self._digest_cursor = 0
         self._golden_digests = {}
-        self._memo = None
-        self.visited = []
         reg = _metrics_registry()
         if reg.enabled:
             reg.inc("engine.snapshot_restores")
@@ -886,26 +873,17 @@ class Engine:
         )
 
     def run_checked(
-        self,
-        positions: Sequence[int],
-        golden_digests: Dict[int, bytes],
-        memo=None,
+        self, positions: Sequence[int], golden_digests: Dict[int, bytes]
     ) -> ExecutionResult:
         """Run to completion with digest checks at ``positions``.
 
         At each position the live :meth:`state_digest` is compared against
-        the golden digest (bit-identical match ⇒ :attr:`converged`) and, on
-        a mismatch, looked up in ``memo`` (an object with
-        ``lookup(position, digest)``); a memo hit stops the run with
-        :attr:`memo_entry` set.  Misses are accumulated in :attr:`visited`
-        so the caller can memoize this run's outcome under every state it
-        passed through.
+        the golden digest there; a bit-identical match stops the run with
+        :attr:`converged` set.
         """
         self._digest_positions = list(positions)
         self._digest_cursor = 0
         self._golden_digests = golden_digests
-        self._memo = memo
-        self.visited = []
         return self._loop()
 
     def state_digest(self) -> bytes:
@@ -932,7 +910,6 @@ class Engine:
         cell_patches,
         sched_positions: List[int],
         golden_digests: Optional[Dict[int, bytes]],
-        memo,
     ) -> BatchFaultResolution:
         """Run one fault privately from a copy-on-write fork.
 
@@ -961,7 +938,7 @@ class Engine:
             positions = ()
         resolution.private = True
         try:
-            result = engine.run_checked(positions, golden_digests or {}, memo)
+            result = engine.run_checked(positions, golden_digests or {})
         except Exception as exc:
             resolution.kind = "error"
             # kept without its traceback, whose frames would hold the whole
@@ -971,15 +948,11 @@ class Engine:
             if engine.converged:
                 resolution.kind = "golden"
                 resolution.converged_at = engine.converged_at
-            elif engine.memo_entry is not None:
-                resolution.kind = "memo"
-                resolution.memo_entry = engine.memo_entry
             else:
                 resolution.kind = "private"
                 resolution.memory = engine.memory
                 resolution.return_value = result.return_value
                 resolution.steps = result.steps
-        resolution.visited = engine.visited
         return resolution
 
     def resume_many(  # noqa: C901 - one deliberately flat dispatch loop
@@ -987,7 +960,6 @@ class Engine:
         schedule: Sequence[Snapshot],
         specs: Sequence[FaultSpec],
         golden_digests: Optional[Dict[int, bytes]] = None,
-        memo=None,
         segment_entries=None,
     ) -> List[BatchFaultResolution]:
         """Resolve a batch of faults through one shared golden suffix walk.
@@ -1012,9 +984,8 @@ class Engine:
           an exotic site is *evicted* through one helper
           into a private replay seeded from a copy-on-write fork of the
           pre-op state patched with the fault's divergence — private runs
-          use digest checks against
-          ``golden_digests`` (convergence) and ``memo`` (outcome
-          memoization at matching intermediate states);
+          stop early where their state digest matches ``golden_digests``
+          (convergence);
         * a ``ret`` hands divergent returned values to the caller;
         * faults still diverged when the program returns resolve to the
           golden outcome patched with their cell deltas.
@@ -1165,7 +1136,6 @@ class Engine:
                 self._private_replay(
                     resolutions[fid], fork, armed.get(fid) if armed else None,
                     reg_patches, cell_patches, sched_positions, golden_digests,
-                    memo,
                 )
             return fork
 
@@ -1693,18 +1663,11 @@ class Engine:
             and self._dyn == self._digest_positions[self._digest_cursor]
         ):
             self._digest_cursor += 1
-            digest = self.state_digest()
             golden = self._golden_digests.get(self._dyn)
-            if golden is not None and digest == golden:
+            if golden is not None and self.state_digest() == golden:
                 self.converged = True
                 self.converged_at = self._dyn
                 return True
-            if self._memo is not None:
-                entry = self._memo.lookup(self._dyn, digest)
-                if entry is not None:
-                    self.memo_entry = entry
-                    return True
-            self.visited.append((self._dyn, digest))
         return False
 
     # ------------------------------------------------------------------ #

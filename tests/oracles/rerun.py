@@ -54,7 +54,6 @@ class RerunInjector(DeterministicFaultInjector):
         return self._golden
 
     def inject(self, spec: FaultSpec) -> FaultInjectionResult:
-        self.runs += 1
         outcome = None
         error: Optional[BaseException] = None
         try:

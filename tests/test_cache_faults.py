@@ -8,8 +8,11 @@ ignores them, and its results do not change.
   through a loader that admits only NumPy's array globals;
 * a well-formed artifact whose columns disagree in length reads as a miss,
   and ``campaign run`` rebuilds it;
-* a truncated convergence-memo artifact reads as a cold memo, so a
-  campaign's outcomes equal those of a cold run.
+* a truncated memo artifact reads as a cold memo, so a campaign's
+  outcomes equal those of a cold run;
+* a memo or trace cache directory that cannot be written (a path below a
+  regular file) costs the artifact, not the campaign: the run completes
+  with its metrics, spans and rows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.campaigns.cli import main
+from repro.campaigns.store import CampaignStore
 from repro.tracing import ColumnarTrace
 from repro.tracing.cache import MemoCache, TraceCache, trace_digest
 from repro.workloads.registry import get_workload
@@ -117,8 +121,6 @@ def test_campaign_run_over_a_planted_pickle(trace_cache, tmp_path, capsys):
     ColumnarTrace.load(path)  # rebuilt in place
 
 
-#: A campaign whose private replays record memo entries (some small-lulesh
-#: faults evict from the lockstep walk and complete).
 def _save_arrays(path, arrays):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -152,6 +154,8 @@ def test_columns_of_unequal_length_read_as_a_miss(
     assert rebuilt._to_arrays()[column].shape == golden._to_arrays()[column].shape
 
 
+#: A campaign that records memo rows (some small-lulesh faults evict from
+#: the lockstep walk and complete).
 CAMPAIGN = ["lulesh", "--plan", "fixed:64@1", "--set", "num_elem=12"]
 
 
@@ -189,3 +193,56 @@ def test_truncated_memo_artifact_leaves_outcomes_unchanged(
     assert expected
     assert _outcomes(rerun, tmp_path, capsys) == expected
     assert _outcomes(seed, tmp_path, capsys) == expected
+
+
+SMALL = ["lulesh", "--plan", "fixed:16@1", "--set", "num_elem=12"]
+
+
+def _run_small(store, capsys):
+    code = main(["campaign", "run", *SMALL, "--store", store, "--workers", "1"])
+    captured = capsys.readouterr()
+    with CampaignStore(store) as opened:
+        (record,) = opened.campaigns()
+        metrics = opened.run_metrics(record.campaign_id)
+        spans = opened.run_spans(record.campaign_id)
+    return code, captured.out + captured.err, metrics, spans
+
+
+@pytest.mark.parametrize("variable", ["REPRO_MEMO_CACHE", "REPRO_TRACE_CACHE"])
+def test_unwritable_cache_directory_does_not_fail_the_campaign(
+    tmp_path, monkeypatch, capsys, variable
+):
+    """A cache directory below a regular file cannot be created: the memo
+    merge after the last shard, or the golden-trace store before the
+    first, fails with ``NotADirectoryError``.  The campaign still ends
+    complete, with its run metrics and spans saved, and its rows equal a
+    run with both caches off."""
+    monkeypatch.setenv("REPRO_METRICS", "1")
+    for name in ("REPRO_MEMO_CACHE", "REPRO_TRACE_CACHE"):
+        monkeypatch.setenv(name, str(tmp_path / name.lower()))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv(variable, str(blocker / "cache"))
+    store = str(tmp_path / "unwritable.sqlite")
+    code, out, metrics, spans = _run_small(store, capsys)
+    assert code == 0 and "complete" in out
+    if variable == "REPRO_TRACE_CACHE":
+        assert "not stored" in out
+    assert list(metrics) == [1]
+    assert any(record.name == "campaign.run" for record in spans)
+
+    monkeypatch.setenv("REPRO_MEMO_CACHE", "off")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    cold = str(tmp_path / "cold.sqlite")
+    assert _run_small(cold, capsys)[0] == 0
+    expected = _export(cold, tmp_path, capsys)
+    assert expected and _export(store, tmp_path, capsys) == expected
+
+
+def _export(store, tmp_path, capsys):
+    out = tmp_path / "small.jsonl"
+    assert main(["campaign", "export", *SMALL, "--store", store,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [line for line in out.read_text().splitlines()
+            if '"type":"outcome"' in line]

@@ -1,40 +1,44 @@
-"""Persisted convergence memo: artifact round-trips + cross-process warm starts.
+"""Memoised fault results: the injector's table and its persisted artifact.
 
-The :class:`~repro.core.replay.ReplayMemo` a batched replay context grows
-is serialisable (``to_payload`` / ``consume_delta`` / ``merge_payload``)
-and persisted by :class:`~repro.tracing.cache.MemoCache` keyed by trace
-digest + format version (not by engine backend: a memo learned on one
-backend serves the other).  The bar: entries survive the
-JSON round trip **bit-exactly** (output arrays compared as raw bytes,
-numpy scalar dtypes preserved, crash entries reconstructing exception
-type + message), merges are order-independent on disjoint deltas, any
-key mismatch reads as a *cold* memo (never a crash), and a fresh
-process — campaign worker, resumed campaign, fresh-store rerun — answers
-replays from the persisted artifact (``memo_persist_hits``).
+:class:`~repro.core.injector.DeterministicFaultInjector` keeps a
+``{FaultSpec: FaultInjectionResult}`` table of the faults that left the
+lockstep walk and answers a spec it holds without replaying it;
+:class:`~repro.tracing.cache.MemoCache` persists the table's rows keyed
+by trace digest + format version (not by engine backend: rows learned on
+one backend serve the other).  The bar: a spec submitted twice in one
+call replays once and each result keeps its own ``note``; a hit — from
+this process or from the artifact — returns the submitted spec with the
+outcome and detail of a from-scratch run; rows survive the JSON round
+trip; merges are order-independent on disjoint deltas; any mismatch reads
+as a *cold* memo (never a crash); and a fresh process — campaign worker,
+resumed campaign, fresh-store rerun — answers from the persisted artifact
+(``memo_persist_hits``).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.campaigns.cli import main
 from repro.campaigns.store import CampaignStore
-from repro.core.injector import DeterministicFaultInjector
-from repro.core.replay import (
-    MEMO_FORMAT_VERSION,
-    ReplayMemo,
-    _MemoEntry,
-)
+from repro.core.acceptance import OutcomeClass
+from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.core.sites import enumerate_fault_sites
 from repro.obs.metrics import configure
-from repro.tracing.cache import MemoCache, trace_digest
-from repro.vm.errors import SegmentationFault, VMError
+from repro.tracing.cache import (
+    MEMO_FORMAT_VERSION,
+    MemoCache,
+    merge_memo_payloads,
+    trace_digest,
+)
+from repro.vm.faults import FaultSpec
 from repro.workloads.registry import get_workload
 
 from mir_helpers import engine_backend
+from oracles.rerun import RerunInjector
 
 
 @pytest.fixture(autouse=True)
@@ -45,207 +49,21 @@ def _fresh_registry():
     configure(None)
 
 
-def _key(position, seed):
-    return (position, bytes([seed] * 8))
+def _row(dynamic_id, outcome=OutcomeClass.UNACCEPTABLE, detail=""):
+    return FaultInjectionResult(
+        FaultSpec(dynamic_id, 3, note=f"n{dynamic_id}"), outcome, detail
+    ).to_row()
 
 
-def _outcome_entry():
-    return _MemoEntry(
-        "outcome",
-        outputs={
-            "C": np.arange(6, dtype=np.float32).reshape(2, 3) * 1.25,
-            "v": np.array([1, -7, 42], dtype=np.int64),
-        },
-        return_value=np.float64(3.141592653589793),
-        steps=128,
-    )
-
-
-def _round_trip(payload):
-    """Through JSON text, as the artifact file stores it."""
-    return json.loads(json.dumps(payload))
-
-
-class TestMemoRoundTrip:
-    def test_outcome_entry_round_trips_bit_exact(self):
-        memo = ReplayMemo()
-        memo.record([_key(10, 1), _key(20, 2)], _outcome_entry())
-        payload = _round_trip(memo.to_payload())
-
-        fresh = ReplayMemo()
-        assert fresh.merge_payload(payload) == 2
-        for key in (_key(10, 1), _key(20, 2)):
-            entry = fresh.lookup(*key)
-            original = memo.lookup(*key)
-            assert entry.kind == "outcome"
-            assert entry.steps == original.steps
-            assert type(entry.return_value) is np.float64
-            assert entry.return_value == original.return_value
-            for name, array in original.outputs.items():
-                restored = entry.outputs[name]
-                assert restored.dtype == array.dtype
-                assert restored.shape == array.shape
-                assert np.array_equal(
-                    restored.view(np.uint8), array.view(np.uint8)
-                )
-        # both keys point at ONE shared entry, exactly like the original
-        assert fresh.lookup(*_key(10, 1)) is fresh.lookup(*_key(20, 2))
-
-    def test_error_entry_reconstructs_exception(self):
-        memo = ReplayMemo()
-        error = SegmentationFault(0xDEADBEEF, note="gather out of bounds")
-        memo.record([_key(5, 3)], _MemoEntry("error", error=error))
-        fresh = ReplayMemo()
-        fresh.merge_payload(_round_trip(memo.to_payload()))
-        restored = fresh.lookup(*_key(5, 3)).error
-        assert type(restored) is SegmentationFault
-        assert str(restored) == str(error)
-
-    def test_unknown_error_type_falls_back_to_vmerror(self):
-        payload = {
-            "format": MEMO_FORMAT_VERSION,
-            "entries": [
-                {"kind": "error", "error_type": "NotARealError",
-                 "error_message": "boom"}
-            ],
-            "keys": [[7, bytes([9] * 8).hex(), 0]],
-        }
-        memo = ReplayMemo()
-        assert memo.merge_payload(payload) == 1
-        restored = memo.lookup(*_key(7, 9)).error
-        assert type(restored) is VMError
-        assert str(restored) == "boom"
-
-    def test_golden_entry_round_trips(self):
-        memo = ReplayMemo()
-        memo.record([_key(1, 4)], _MemoEntry("golden", converged_at=321))
-        fresh = ReplayMemo()
-        fresh.merge_payload(_round_trip(memo.to_payload()))
-        entry = fresh.lookup(*_key(1, 4))
-        assert entry.kind == "golden" and entry.converged_at == 321
-
-    def test_fifo_eviction_and_counter(self):
-        memo = ReplayMemo(max_entries=3)
-        for seed in range(4):
-            evicted = memo.record([_key(seed, seed)], _outcome_entry())
-        assert evicted == 1
-        assert memo.evictions == 1
-        assert len(memo) == 3
-        assert memo.lookup(*_key(0, 0)) is None  # oldest went first
-        assert memo.lookup(*_key(3, 3)) is not None
-
-    def test_version_mismatch_reads_cold(self):
-        memo = ReplayMemo()
-        memo.record([_key(2, 2)], _outcome_entry())
-        payload = memo.to_payload()
-        payload["format"] = MEMO_FORMAT_VERSION + 1
-        fresh = ReplayMemo()
-        assert fresh.merge_payload(payload) == 0
-        assert len(fresh) == 0
-
-    def test_delta_ships_only_locally_learned_entries(self):
-        source = ReplayMemo()
-        source.record([_key(1, 1)], _outcome_entry())
-        delta = source.consume_delta()
-        assert delta is not None and len(delta["keys"]) == 1
-        assert source.consume_delta() is None  # consumed
-
-        warm = ReplayMemo()
-        warm.merge_payload(delta)
-        assert warm.consume_delta() is None  # warm merges are not dirty
-        warm.record([_key(9, 9)], _MemoEntry("golden", converged_at=7))
-        fresh_delta = warm.consume_delta()
-        assert [tuple(row[:2]) for row in fresh_delta["keys"]] == [
-            (9, bytes([9] * 8).hex())
-        ]
-
-    def test_merge_payloads_order_independent_on_disjoint_deltas(self):
-        a = ReplayMemo()
-        a.record([_key(1, 1)], _outcome_entry())
-        b = ReplayMemo()
-        b.record([_key(2, 2)], _MemoEntry("golden", converged_at=11))
-        delta_a, delta_b = a.consume_delta(), b.consume_delta()
-
-        ab = ReplayMemo.merge_payloads(
-            ReplayMemo.merge_payloads(None, delta_a), delta_b
-        )
-        ba = ReplayMemo.merge_payloads(
-            ReplayMemo.merge_payloads(None, delta_b), delta_a
-        )
-        memo_ab, memo_ba = ReplayMemo(), ReplayMemo()
-        assert memo_ab.merge_payload(_round_trip(ab)) == 2
-        assert memo_ba.merge_payload(_round_trip(ba)) == 2
-        for key in (_key(1, 1), _key(2, 2)):
-            one, two = memo_ab.lookup(*key), memo_ba.lookup(*key)
-            assert one.kind == two.kind
-            assert one.steps == two.steps and one.converged_at == two.converged_at
-
-
-class TestMemoCache:
-    def _payload(self):
-        memo = ReplayMemo()
-        memo.record([_key(3, 3)], _outcome_entry())
-        return memo.to_payload()
-
-    def test_store_load_round_trip(self, tmp_path):
-        cache = MemoCache(tmp_path)
-        path = cache.store("tdigest", self._payload())
-        assert path.name == f"tdigest.memo.v{MEMO_FORMAT_VERSION}.json"
-        loaded = cache.load("tdigest")
-        assert loaded is not None
-        assert loaded["trace"] == "tdigest" and "backend" not in loaded
-        memo = ReplayMemo()
-        assert memo.merge_payload(loaded) == 1
-
-    def test_mismatches_read_cold(self, tmp_path):
-        cache = MemoCache(tmp_path)
-        # a missing artifact misses
-        assert cache.load("t2") is None
-        # corrupt artifacts miss instead of crashing
-        cache.path_for("t3").write_text("not json{")
-        assert cache.load("t3") is None
-        # format version participates in the file name too
-        wrong = self._payload()
-        wrong["format"] = MEMO_FORMAT_VERSION + 1
-        with open(cache.path_for("t4"), "w") as fh:
-            json.dump(wrong, fh)
-        assert cache.load("t4") is None
-
-    def test_from_env_follows_trace_cache(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-        cache = MemoCache.from_env()
-        assert cache is not None and cache.root == tmp_path / "traces"
-        monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path / "memos"))
-        assert MemoCache.from_env().root == tmp_path / "memos"
-        for off in ("0", "off", "none", "DISABLED"):
-            monkeypatch.setenv("REPRO_MEMO_CACHE", off)
-            assert MemoCache.from_env() is None
-
-    def test_merge_store_commutes_on_disjoint_deltas(self, tmp_path):
-        a = ReplayMemo()
-        a.record([_key(1, 1)], _outcome_entry())
-        b = ReplayMemo()
-        b.record([_key(2, 2)], _MemoEntry("golden", converged_at=5))
-        delta_a, delta_b = a.consume_delta(), b.consume_delta()
-
-        one, two = MemoCache(tmp_path / "ab"), MemoCache(tmp_path / "ba")
-        one.merge_store("t", delta_a)
-        one.merge_store("t", delta_b)
-        two.merge_store("t", delta_b)
-        two.merge_store("t", delta_a)
-        memo_ab, memo_ba = ReplayMemo(), ReplayMemo()
-        assert memo_ab.merge_payload(one.load("t")) == 2
-        assert memo_ba.merge_payload(two.load("t")) == 2
-        for key in (_key(1, 1), _key(2, 2)):
-            assert memo_ab.lookup(*key).kind == memo_ba.lookup(*key).kind
+def _payload(*rows):
+    return {"format": MEMO_FORMAT_VERSION, "rows": list(rows)}
 
 
 #: Small lulesh: some low-bit flips of its target objects evict from the
 #: lockstep walk (a divergent branch or store address) and run to
-#: completion — the evict-then-complete shape the memo records.  (cg's
-#: ``colidx`` flips no longer evict: the walk carries a divergent load
-#: address and resolves one that raises in place.)
+#: completion — the faults the table records.  (cg's ``colidx`` flips no
+#: longer evict: the walk carries a divergent load address and resolves
+#: one that raises in place.)
 LULESH = {"num_elem": 12}
 
 
@@ -264,62 +82,241 @@ def _divergent_specs(workload, limit=40):
     return specs
 
 
+def _triples(results):
+    return [(r.spec, r.outcome, r.detail) for r in results]
+
+
+def _learn(tmp_path, monkeypatch, specs):
+    """Inject ``specs`` on a learner with a memo key, persist its delta,
+    and return the learner's results and its trace digest."""
+    monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
+    digest = trace_digest("lulesh", LULESH)
+    learner = DeterministicFaultInjector(_lulesh(), memo_key=digest)
+    results = learner.inject_many(specs)
+    MemoCache.from_env().merge_store(digest, learner.consume_memo_delta())
+    return results, digest
+
+
+class TestMemoRoundTrip:
+    def test_outcome_entry_round_trips_bit_exact(self, tmp_path, monkeypatch):
+        """Every learned row comes back through the JSON artifact as the
+        result the learner returned: spec (with its note), outcome and
+        detail."""
+        specs = _divergent_specs(_lulesh())
+        results, digest = _learn(tmp_path, monkeypatch, specs)
+        rows = MemoCache.from_env().load(digest)["rows"]
+        assert rows
+        by_spec = {r.spec: r for r in results}
+        for row in rows:
+            restored = FaultInjectionResult.from_row(row)
+            original = by_spec[restored.spec]
+            assert restored.spec.note == original.spec.note
+            assert (restored.outcome, restored.detail) == (
+                original.outcome, original.detail
+            )
+
+    def test_version_mismatch_reads_cold(self, tmp_path):
+        """A payload of another version under the current file name reads
+        cold, and the next merge replaces it with current rows only."""
+        cache = MemoCache(tmp_path)
+        wrong = _payload(_row(1))
+        wrong["format"] = MEMO_FORMAT_VERSION + 1
+        with open(cache.path_for("t"), "w") as fh:
+            json.dump(wrong, fh)
+        assert cache.load("t") is None
+        assert cache.merge_store("t", _payload(_row(2))) is not None
+        assert cache.load("t")["rows"] == [_row(2)]
+
+    def test_delta_ships_only_locally_learned_entries(
+        self, tmp_path, monkeypatch
+    ):
+        specs = _divergent_specs(_lulesh())
+        half = len(specs) // 2
+        _, digest = _learn(tmp_path, monkeypatch, specs[:half])
+
+        warm = DeterministicFaultInjector(_lulesh(), memo_key=digest)
+        warm.inject_many(specs[:half])
+        assert warm.consume_memo_delta() is None  # warm rows are not learned
+        warm.inject_many(specs)
+        delta = warm.consume_memo_delta()
+        learned = {FaultSpec.from_dict(row) for row in delta["rows"]}
+        assert learned and learned.isdisjoint(specs[:half])
+        assert warm.consume_memo_delta() is None  # consumed
+
+    def test_merge_payloads_order_independent_on_disjoint_deltas(self):
+        a, b = _payload(_row(1), _row(2)), _payload(_row(3, detail="crash"))
+        ab = merge_memo_payloads(merge_memo_payloads(None, a), b)
+        ba = merge_memo_payloads(merge_memo_payloads(None, b), a)
+        key = lambda row: row["dynamic_id"]  # noqa: E731
+        assert sorted(ab["rows"], key=key) == sorted(ba["rows"], key=key)
+        assert len(ab["rows"]) == 3
+        # on a shared spec the base's row wins, and a delta adding nothing
+        # returns the base itself
+        clash = _payload(_row(1, OutcomeClass.CRASH))
+        assert merge_memo_payloads(a, clash) is a
+        merged = merge_memo_payloads(clash, a)
+        assert [r["outcome"] for r in merged["rows"]] == [
+            OutcomeClass.CRASH.value, OutcomeClass.UNACCEPTABLE.value
+        ]
+
+
+class TestMemoCache:
+    def test_store_load_round_trip(self, tmp_path):
+        cache = MemoCache(tmp_path)
+        path = cache.store("tdigest", _payload(_row(3)))
+        assert path.name == f"tdigest.memo.v{MEMO_FORMAT_VERSION}.json"
+        loaded = cache.load("tdigest")
+        assert loaded is not None
+        assert loaded["trace"] == "tdigest" and "backend" not in loaded
+        assert loaded["rows"] == [_row(3)]
+
+    def test_mismatches_read_cold(self, tmp_path):
+        cache = MemoCache(tmp_path)
+        # a missing artifact misses
+        assert cache.load("t2") is None
+        # corrupt artifacts miss instead of crashing
+        cache.path_for("t3").write_text("not json{")
+        assert cache.load("t3") is None
+        # format version participates in the file name too
+        wrong = _payload(_row(3))
+        wrong["format"] = MEMO_FORMAT_VERSION + 1
+        with open(cache.path_for("t4"), "w") as fh:
+            json.dump(wrong, fh)
+        assert cache.load("t4") is None
+
+    def test_from_env_follows_trace_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_MEMO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        cache = MemoCache.from_env()
+        assert cache is not None and cache.root == tmp_path / "traces"
+        monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path / "memos"))
+        assert MemoCache.from_env().root == tmp_path / "memos"
+        for off in ("0", "off", "none", "DISABLED"):
+            monkeypatch.setenv("REPRO_MEMO_CACHE", off)
+            assert MemoCache.from_env() is None
+
+    def test_merge_store_commutes_on_disjoint_deltas(self, tmp_path):
+        delta_a = _payload(_row(1))
+        delta_b = _payload(_row(2, OutcomeClass.CRASH, "segfault"))
+        one, two = MemoCache(tmp_path / "ab"), MemoCache(tmp_path / "ba")
+        one.merge_store("t", delta_a)
+        one.merge_store("t", delta_b)
+        two.merge_store("t", delta_b)
+        two.merge_store("t", delta_a)
+        key = lambda row: row["dynamic_id"]  # noqa: E731
+        assert sorted(one.load("t")["rows"], key=key) == sorted(
+            two.load("t")["rows"], key=key
+        ) == [_row(1), _row(2, OutcomeClass.CRASH, "segfault")]
+        # a delta the artifact already holds writes nothing
+        assert one.merge_store("t", delta_a) is None
+
+
+class TestInjectorMemo:
+    def test_duplicate_spec_replays_once_and_keeps_its_note(self):
+        """A spec submitted twice in one call replays once; each result
+        carries the spec submitted at its position, note included."""
+        workload = _lulesh()
+        specs = _divergent_specs(workload, limit=4)
+        twins = [replace(spec, note="twin") for spec in specs]
+        injector = DeterministicFaultInjector(workload)
+        results = injector.inject_many(specs + twins)
+        assert injector.context.stats.faults == len(specs)
+        assert [r.spec.note for r in results] == (
+            [s.note for s in specs] + ["twin"] * len(twins)
+        )
+        assert [(r.outcome, r.detail) for r in results[:len(specs)]] == [
+            (r.outcome, r.detail) for r in results[len(specs):]
+        ]
+
+    def test_hit_returns_submitted_spec_with_rerun_outcome(
+        self, tmp_path, monkeypatch
+    ):
+        """A hit from this process's table and a hit from the artifact both
+        return the submitted spec with the outcome and detail of a
+        from-scratch interpreted run."""
+        workload = _lulesh()
+        specs = _divergent_specs(workload, limit=12)
+        resubmitted = [replace(spec, note="again") for spec in specs]
+        expected = _triples(RerunInjector(workload).inject_many(resubmitted))
+
+        _, digest = _learn(tmp_path, monkeypatch, specs)
+        local = DeterministicFaultInjector(_lulesh())
+        local.inject_many(specs)
+        local_hits = local.inject_many(resubmitted)
+        warm = DeterministicFaultInjector(_lulesh(), memo_key=digest)
+        warm_hits = warm.inject_many(resubmitted)
+
+        local_stats = local.consume_batch_stats()
+        warm_stats = warm.consume_batch_stats()
+        assert local_stats["memo_hits"] == local_stats["memo_misses"] >= 1
+        assert local_stats["memo_persist_hits"] == 0
+        assert warm_stats["memo_persist_hits"] == warm_stats["memo_hits"]
+        assert warm_stats["memo_hits"] == local_stats["memo_hits"]
+        assert _triples(local_hits) == expected
+        assert _triples(warm_hits) == expected
+
+    @pytest.mark.parametrize("payload", [
+        {"format": 3, "entries": [], "keys": [[5, "00", 0]]},
+        {"format": MEMO_FORMAT_VERSION},
+    ], ids=["v3", "no-rows"])
+    def test_v3_artifact_and_rowless_payload_read_cold(
+        self, tmp_path, monkeypatch, payload
+    ):
+        monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
+        digest = trace_digest("lulesh", LULESH)
+        cache = MemoCache.from_env()
+        with open(cache.path_for(digest), "w") as fh:
+            json.dump(payload, fh)
+        # the v3 artifact's own file name is never read either
+        (tmp_path / f"{digest}.memo.v3.json").write_text(json.dumps(payload))
+        assert cache.load(digest) is None
+        injector = DeterministicFaultInjector(_lulesh(), memo_key=digest)
+        injector.inject_many(_divergent_specs(injector.workload, limit=8))
+        assert injector.consume_batch_stats()["memo_hits"] == 0
+
+
 class TestInjectorWarmStart:
     def test_fresh_injector_answers_from_persisted_memo(
         self, tmp_path, monkeypatch
     ):
-        """The pinned cross-process path: injector A learns entries and
-        ships a delta; the orchestrator-side merge persists it; a fresh
-        injector B (new context, same trace digest) warm-starts and
-        answers divergent replays from the artifact, bit-identically."""
+        """The pinned cross-process path: injector A learns rows and ships a
+        delta; the orchestrator-side merge persists it; a fresh injector B
+        (new context, same trace digest) warm-starts and answers the
+        evicted faults from the artifact, bit-identically."""
+        specs = _divergent_specs(_lulesh())
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
         digest = trace_digest("lulesh", LULESH)
-        workload = _lulesh()
-        specs = _divergent_specs(workload)
-
-        learner = DeterministicFaultInjector(workload, memo_key=digest)
+        learner = DeterministicFaultInjector(_lulesh(), memo_key=digest)
         first = learner.inject_many(specs)
         delta = learner.consume_memo_delta()
-        assert delta is not None and delta["keys"]
+        assert delta is not None and delta["rows"]
         assert delta["trace"] == digest and "backend" not in delta
         MemoCache.from_env().merge_store(digest, delta)
 
-        fresh = DeterministicFaultInjector(
-            _lulesh(), memo_key=digest
-        )
+        fresh = DeterministicFaultInjector(_lulesh(), memo_key=digest)
         second = fresh.inject_many(specs)
-        stats = fresh.context.stats
-        assert stats.memo_persist_hits >= 1
-        assert stats.memo_persist_hits <= stats.memo_hits
-        for a, b in zip(first, second):
-            assert a.outcome == b.outcome and a.detail == b.detail
+        stats = fresh.consume_batch_stats()
+        assert stats["memo_persist_hits"] >= 1
+        assert stats["memo_persist_hits"] <= stats["memo_hits"]
+        assert stats["memo_misses"] == 0
+        assert _triples(first) == _triples(second)
 
     def test_memo_learned_on_block_warm_starts_op(self, tmp_path, monkeypatch):
-        """The artifact is keyed by trace digest alone: entries a ``block``
-        injector learned answer an ``op`` injector's replays, whose results
+        """The artifact is keyed by trace digest alone: rows a ``block``
+        injector learned answer an ``op`` injector's faults, whose results
         equal a cold ``op`` run fault for fault."""
-        monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
-        digest = trace_digest("lulesh", LULESH)
         specs = _divergent_specs(_lulesh())
         with engine_backend("block"):
-            learner = DeterministicFaultInjector(
-                _lulesh(), memo_key=digest
-            )
-            learner.inject_many(specs)
-        MemoCache.from_env().merge_store(digest, learner.consume_memo_delta())
+            _, digest = _learn(tmp_path, monkeypatch, specs)
 
         with engine_backend("op"):
-            warm = DeterministicFaultInjector(
-                _lulesh(), memo_key=digest
-            )
+            warm = DeterministicFaultInjector(_lulesh(), memo_key=digest)
             warmed = warm.inject_many(specs)
             cold = DeterministicFaultInjector(_lulesh())
             expected = cold.inject_many(specs)
-        assert warm.context.stats.memo_persist_hits >= 1
-        assert cold.context.stats.memo_persist_hits == 0
-        assert [(r.spec, r.outcome, r.detail) for r in warmed] == [
-            (r.spec, r.outcome, r.detail) for r in expected
-        ]
+        assert warm.consume_batch_stats()["memo_persist_hits"] >= 1
+        assert cold.consume_batch_stats()["memo_persist_hits"] == 0
+        assert _triples(warmed) == _triples(expected)
 
     def test_no_memo_key_never_touches_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MEMO_CACHE", str(tmp_path))
@@ -365,7 +362,8 @@ class TestCampaignWarmStart:
     ):
         """A completed campaign persists the memo artifact; rerunning the
         identical campaign into a *fresh* store (fresh injectors, pooled
-        workers) answers replays from it — identical outcome histogram."""
+        workers) answers every recorded fault from it — identical outcome
+        histogram, no fault left the walk again."""
         seed_store = str(caches / "seed.sqlite")
         assert main([*CAMPAIGN_ARGS, "--workers", "1",
                      "--store", seed_store]) == 0
@@ -375,6 +373,7 @@ class TestCampaignWarmStart:
         assert artifact.exists()
         seed = _memo_counters(seed_store)
         assert seed.get("replay.memo_persist_merges", 0) >= 1
+        assert seed.get("replay.memo_misses", 0) >= 1
 
         rerun_store = str(caches / "rerun.sqlite")
         assert main([*CAMPAIGN_ARGS, "--workers", "2",
@@ -382,6 +381,7 @@ class TestCampaignWarmStart:
         capsys.readouterr()
         rerun = _memo_counters(rerun_store)
         assert rerun.get("replay.memo_persist_hits", 0) >= 1
+        assert rerun.get("replay.memo_misses", 0) == 0
         assert _histogram(rerun_store) == _histogram(seed_store)
 
         # the stats command surfaces the persisted-memo warm-start line
@@ -393,14 +393,14 @@ class TestCampaignWarmStart:
     def test_campaign_persists_the_memo_once_per_run(
         self, caches, capsys, monkeypatch
     ):
-        """Shards' learned entries are folded in memory and merged into the
+        """Shards' learned rows are folded in memory and merged into the
         artifact once per run — an interrupted run included — not once per
         shard."""
         merges = []
         merge_store = MemoCache.merge_store
 
         def counting(self, digest, delta):
-            merges.append(len(delta["keys"]))
+            merges.append(len(delta["rows"]))
             return merge_store(self, digest, delta)
 
         monkeypatch.setattr(MemoCache, "merge_store", counting)
@@ -423,7 +423,7 @@ class TestCampaignWarmStart:
 
     def test_resumed_campaign_answers_from_memo(self, caches, capsys):
         """An interrupted campaign resumes with a warm memo: the artifact
-        persisted by earlier runs answers replays in the resumed run."""
+        persisted by earlier runs answers faults in the resumed run."""
         seed_store = str(caches / "seed.sqlite")
         assert main([*CAMPAIGN_ARGS, "--workers", "1",
                      "--store", seed_store]) == 0

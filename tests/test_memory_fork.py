@@ -188,15 +188,20 @@ class TestEngineFork:
 
         # execute from the first snapshot, digesting the live state at the
         # next two positions: the first has no golden digest to match, so
-        # its digest is recorded as visited; the second converges and stops
+        # the run passes it; the second converges and stops
         cursor = Engine(instance.module, instance.memory)
         cursor.prepare_resume(snapshots[0])
         first, second = snapshots[1], snapshots[2]
         cursor.run_checked(
             [first.dyn, second.dyn], {second.dyn: snapshot_digest(second)}
         )
-        assert cursor.visited == [(first.dyn, snapshot_digest(first))]
         assert cursor.converged and cursor.converged_at == second.dyn
+        # the live digest at the first position equals its snapshot's
+        probe = Engine(instance.module, instance.memory)
+        probe.prepare_resume(snapshots[0])
+        probe.run_checked([first.dyn], {first.dyn: snapshot_digest(first)})
+        assert probe.converged and probe.converged_at == first.dyn
+        assert probe.state_digest() == snapshot_digest(first)
         assert cursor.state_digest() == snapshot_digest(second)
         # a mutated clone digests differently
         fork = cursor.capture_fork()

@@ -220,8 +220,7 @@ def test_derived_schedule_does_not_depend_on_process_history():
     """The derived snapshot schedule comes from the golden run alone: it
     starts at 64 and thins by doubling, so two contexts built back to back
     snapshot at the same positions and report the same ``(via,
-    converged_at)`` per fault, which keeps persisted memo keys valid
-    across processes."""
+    converged_at)`` per fault, in any process."""
     workload = get_workload("cg")
     trace = workload.traced_run().trace
     specs = [
@@ -237,62 +236,6 @@ def test_derived_schedule_does_not_depend_on_process_history():
     kinds = [(r.via, r.converged_at) for r in first.replay_many(specs)]
     assert any(converged is not None for _, converged in kinds)
     assert kinds == [(r.via, r.converged_at) for r in second.replay_many(specs)]
-
-
-def test_memo_answers_repeated_submissions():
-    """Divergent replays that record digests are answered by the memo when
-    the same states recur — and the answers stay bit-identical."""
-    workload = _small("matmul")
-    context = ReplayContext(workload)
-    trace = workload.traced_run().trace
-    specs = [
-        site.to_spec()
-        for site in enumerate_fault_sites(trace, "C", bit_stride=13)
-    ][:40]
-    first = context.replay_many(specs)
-    second = context.replay_many(specs)
-    for a, b in zip(first, second):
-        assert (a.error is None) == (b.error is None)
-        if a.outcome is not None:
-            assert a.outcome.return_value == b.outcome.return_value
-            assert a.outcome.steps == b.outcome.steps
-            for obj in a.outcome.outputs:
-                assert np.array_equal(a.outcome.outputs[obj], b.outcome.outputs[obj])
-    assert context.stats.batches == 2
-    assert context.stats.faults == 2 * len(specs)
-
-
-def test_memo_hit_on_divergent_resubmission():
-    """A fault that evicts into a private replay and completes records its
-    digest tail in the convergence memo; resubmitting the same spec is
-    answered from the memo, bit-identically.  Some low-bit flips of small
-    lulesh's ``m_elemBC`` diverge a branch and run to completion, which is
-    exactly the evict-then-complete shape the memo exists for.  (cg's
-    ``colidx`` flips no longer evict: the walk carries their divergent
-    load addresses.)"""
-    workload = _small("lulesh")
-    trace = workload.traced_run().trace
-    sites = enumerate_fault_sites(trace, "m_elemBC", bit_stride=7)
-    for site in sites[:40]:
-        spec = site.to_spec()
-        context = ReplayContext(workload)
-        first = context.replay_many([spec])[0]
-        if not context.stats.evicted or first.error is not None:
-            continue
-        second = context.replay_many([spec])[0]
-        assert context.stats.memo_hits >= 1
-        assert second.outcome.return_value == first.outcome.return_value
-        assert second.outcome.steps == first.outcome.steps
-        for obj in first.outcome.outputs:
-            assert np.array_equal(
-                second.outcome.outputs[obj].view(np.uint8),
-                first.outcome.outputs[obj].view(np.uint8),
-            )
-        break
-    else:
-        pytest.fail(
-            "no divergent, completing m_elemBC fault in the probe window"
-        )
 
 
 def test_duplicate_specs_in_one_batch():
