@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -218,10 +219,11 @@ class CampaignOrchestrator:
         A :class:`~repro.campaigns.plans.SamplingPlan`
         (default: :class:`~repro.campaigns.plans.ExhaustivePlan`).
     workers:
-        Worker processes; each runs whole units of shards.  ``1`` (the default
-        via ``REPRO_WORKERS`` unset on small machines) spawns nothing and
-        runs the shards in this process on one injector, which amortises
-        the golden run.
+        Worker processes; each runs whole units of shards on the injector
+        this process built and the workers inherit through ``fork`` (one
+        golden run per campaign).  ``1`` (the default via ``REPRO_WORKERS``
+        unset on small machines) spawns nothing and runs the shards in
+        this process.
     shard_size:
         Specs per shard for static plans — the checkpoint granularity.
         Adaptive plans shard per batch (``plan.batch_size``).
@@ -359,7 +361,7 @@ class CampaignOrchestrator:
         try:
             with span("campaign.run", campaign=self.campaign_id, run=run_id):
                 workload = self._workload()
-                trace = self._golden_trace(workload)
+                trace, context = self._golden_trace(workload)
                 done = self.store.completed_shards(self.campaign_id)
                 if isinstance(self.plan, AdaptivePlan):
                     streams = [
@@ -375,12 +377,23 @@ class CampaignOrchestrator:
                     ]
                 else:
                     tasks = self.static_shards(trace)
+                    # the shard list is all a static plan needs of the
+                    # trace: drop it, so forked workers do not carry it
+                    trace = None
+                    if context is not None:
+                        context.golden_trace = None
                     streams = [_ShardStream(
                         [task.index if task.index in done else task
                          for task in tasks],
                         unit_caps=self._unit_caps(tasks),
                     )]
-                finished = self._execute(streams, run_id, max_shards, counters)
+                job = InjectJob(self.workload_name, self.workload_kwargs)
+                finished = self._execute(
+                    streams, run_id, max_shards, counters, ShardPipeline(
+                        job, self.workers,
+                        setup=partial(job.setup, workload, context),
+                    ),
+                )
             status = "complete" if finished else "interrupted"
         finally:
             # A worker crash mid-campaign must not leave the row claiming
@@ -425,8 +438,10 @@ class CampaignOrchestrator:
         run_id: int,
         max_shards: Optional[int],
         counters: "_RunCounters",
+        pipeline: ShardPipeline,
     ) -> bool:
-        """Run the streams' tasks through the pipeline, committing in order.
+        """Run the streams' tasks through ``pipeline`` (closed on return),
+        committing in order.
 
         Streams commit one after another, each in its own order, so the
         store sees exactly the shard sequence of a one-at-a-time run.
@@ -445,9 +460,7 @@ class CampaignOrchestrator:
         #: submitted units by their first shard's index
         units: Dict[int, List[ShardTask]] = {}
         head = 0
-        with ShardPipeline(
-            InjectJob(self.workload_name, self.workload_kwargs), self.workers
-        ) as pipeline:
+        with pipeline:
             while head < len(streams):
                 stream = streams[head]
                 stream.fill()
@@ -625,9 +638,11 @@ class CampaignOrchestrator:
         Reports already in the store are returned as-is unless ``refresh``
         is set; missing ones are computed with the parallel runner and
         saved, so ``campaign report`` renders from durable rows only.
-        Each analysis process acquires the golden trace itself
-        (:func:`~repro.tracing.cache.golden_trace`): with the trace cache
-        on it loads the artifact, and rebuilds a missing or unreadable one.
+        The runner builds one aDVF engine in this process
+        (:meth:`~repro.parallel.campaign.AnalyzeJob.setup`), and its
+        workers inherit it: the golden trace comes from the trace cache
+        (a missing or unreadable artifact is rebuilt), and one golden run
+        serves every object.
         """
         workload = self._workload()
         names = list(object_names or self.plan.objects_for(workload))
@@ -650,14 +665,16 @@ class CampaignOrchestrator:
         return get_workload(self.workload_name, **self.workload_kwargs)
 
     def _golden_trace(self, workload):
-        """The golden columnar trace: cache artifact when enabled, else fresh.
+        """The golden columnar trace — cache artifact when enabled, else
+        fresh — and the replay context whose golden run recorded a fresh
+        one (``None`` on a cache hit).
 
         Resumed campaigns land on the same digest, so the artifact built by
         the first run is reused instead of re-tracing the workload.
         """
         start = time.perf_counter()
         with span("campaign.trace", campaign=self.campaign_id):
-            trace, source = golden_trace(
+            trace, source, context = golden_trace(
                 workload, self.workload_name, self.workload_kwargs
             )
         self._say(
@@ -668,7 +685,7 @@ class CampaignOrchestrator:
             source=source,
             events=len(trace),
         )
-        return trace
+        return trace, context
 
     def _say(self, message: str, event: str = "progress", **fields) -> None:
         """One progress line: stderr via the structured logger (gated by

@@ -260,8 +260,9 @@ class ShardRecord:
     analysis_s: float = 0.0
     #: Replay-batch scheduler telemetry (v4): lockstep walks (= snapshot
     #: restores) executed for the shard; memo hits (specs the injector
-    #: answered from its table of fault results) and misses (replayed
-    #: specs the table then records: those resolved private or error).
+    #: answered from its table of fault results) and misses (specs that
+    #: ran a private replay, which the table then records; a fault the
+    #: walk resolves counts as neither).
     #: ``spec_count / batches`` is the faults-per-restore amortization.
     batches: int = 0
     memo_hits: int = 0

@@ -56,8 +56,10 @@ class AdvfEngine:
 
     ``trace`` may inject a pre-built golden
     :class:`~repro.tracing.columnar.ColumnarTrace` (e.g. one loaded from
-    the trace cache by a campaign worker); otherwise the engine records one
-    itself.  Participations come from the vectorized pass over its columns
+    the trace cache), and ``context`` a pre-built
+    :class:`~repro.core.replay.ReplayContext` for the injector; otherwise
+    the engine records them itself.  Participations come from the
+    vectorized pass over its columns
     (:func:`~repro.core.participation.find_participations`) and every
     operation-level verdict from
     :meth:`~repro.core.masking.OperationMaskingAnalyzer.analyze`.
@@ -68,6 +70,7 @@ class AdvfEngine:
         workload: Workload,
         config: Optional[AnalysisConfig] = None,
         trace: Optional[ColumnarTrace] = None,
+        context: Optional[ReplayContext] = None,
     ) -> None:
         self.workload = workload
         self.config = config or AnalysisConfig()
@@ -75,6 +78,10 @@ class AdvfEngine:
         self._masking: Optional[OperationMaskingAnalyzer] = None
         self._propagation: Optional[PropagationAnalyzer] = None
         self._injector: Optional[DeterministicFaultInjector] = None
+        if context is not None and self.config.use_injection:
+            self._injector = DeterministicFaultInjector(
+                workload, context=context
+            )
         #: Wall-clock seconds per analysis pass (participation discovery,
         #: injection resolution), accumulated across analysed objects.
         self.pass_timings: Dict[str, float] = {}
@@ -122,6 +129,14 @@ class AdvfEngine:
             )
         if self._injector is None and self.config.use_injection:
             self._injector = DeterministicFaultInjector(self.workload)
+
+    def prepare(self) -> None:
+        """Build the analyzers and the injector's golden run now, not at the
+        first analysed object — e.g. before worker processes fork, so they
+        inherit them instead of each building its own."""
+        self._prepare()
+        if self._injector is not None:
+            self._injector.context  # built on first access
 
     # ------------------------------------------------------------------ #
     # public API

@@ -12,8 +12,8 @@ the golden run and a snapshot schedule are computed once, and
 :meth:`DeterministicFaultInjector.inject_many` submits a set of faults —
 one or many — to the context's batch scheduler in one call, which runs
 only the suffix after each fault site and stops executions that converge
-back onto the golden state early.  Faults that were evicted from the
-lockstep walk, or raised, are memoised by spec, in process and across
+back onto the golden state early.  Faults that left the lockstep walk
+for a replay of their own are memoised by spec, in process and across
 processes through a persisted artifact, so a repeated spec is answered
 without a replay.  Outcomes are
 bit-identical to full re-runs (the test suite asserts them against
@@ -73,10 +73,12 @@ class DeterministicFaultInjector:
     Results are memoised by fault spec: a fault's outcome is a pure
     function of its spec and the golden execution, so a spec the injector
     has classified before is answered from its table instead of replayed.
-    The table records the faults that resolved ``private`` (evicted from
-    the lockstep walk into a replay of their own) or ``error``; a fault
-    the walk carries to its end costs only a share of the next walk, so it
-    is not recorded.  With a ``memo_key`` (the trace digest), the table
+    The table records the faults that left the lockstep walk for a replay
+    of their own (:attr:`~repro.core.replay.BatchReplayResult.private`),
+    whatever that replay's outcome, crashes and hangs included; a fault
+    the walk resolves itself — carried to its end, or raising at one of
+    its ops — costs only a share of the next walk, so it is not
+    recorded.  With a ``memo_key`` (the trace digest), the table
     warm-starts from the persisted artifact of
     :class:`~repro.tracing.cache.MemoCache` and ships what it learns
     onward through :meth:`consume_memo_delta`.
@@ -102,7 +104,7 @@ class DeterministicFaultInjector:
         #: disables memo persistence for this injector).
         self.memo_key = memo_key
         self._stats_seen: Dict[str, int] = {}
-        #: Classified ``private``/``error`` results by spec; ``_warm``
+        #: Classified results of privately replayed faults by spec; ``_warm``
         #: holds the specs that came from the artifact, and ``_learned``
         #: the results recorded since the last delta.
         self._memo: Dict[FaultSpec, FaultInjectionResult] = {}
@@ -174,7 +176,7 @@ class DeterministicFaultInjector:
         for replayed in self.context.replay_many(fresh) if fresh else ():
             result = self._classify(replayed.spec, replayed.outcome, replayed.error)
             results[replayed.spec] = result
-            if replayed.via in ("private", "error"):
+            if replayed.private:
                 memo[replayed.spec] = result
                 misses += 1
                 if self.memo_key is not None:

@@ -76,9 +76,12 @@ class ReplayContext:
     sink:
         Optional :class:`~repro.tracing.columnar.ColumnarTrace` that
         records the golden run while the snapshot schedule is captured, so
-        consumers needing both the golden trace and replay injection — the
-        aDVF engine — pay for a single golden execution.  Exposed
-        afterwards as :attr:`golden_trace`.
+        one golden execution yields both the trace and the replay state:
+        :func:`~repro.tracing.cache.golden_trace` builds every trace this
+        way, and the aDVF engine records its own.  Exposed afterwards as
+        :attr:`golden_trace`; the context needs the trace only while it is
+        constructed, so a holder done with the trace may set that to
+        ``None`` (a campaign does, before forking its workers).
     """
 
     def __init__(
@@ -271,7 +274,8 @@ class ReplayContext:
         stats = self.stats
         spec = resolution.spec
         kind = resolution.kind
-        if resolution.private:
+        private = resolution.private
+        if private:
             stats.evicted += 1
         else:
             stats.lockstep += 1
@@ -282,7 +286,8 @@ class ReplayContext:
                 spec=spec,
                 outcome=self.golden_outcome(),
                 converged_at=resolution.converged_at,
-                via="lockstep" if not resolution.private else "private",
+                via="private" if private else "lockstep",
+                private=private,
             )
         if kind == "completed":
             outputs = {
@@ -316,9 +321,12 @@ class ReplayContext:
                     trace=None,
                 ),
                 via="private",
+                private=True,
             )
         # kind == "error"
-        return BatchReplayResult(spec=spec, error=resolution.error, via="error")
+        return BatchReplayResult(
+            spec=spec, error=resolution.error, via="error", private=private
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -401,7 +409,10 @@ class BatchReplayResult:
     ``converged_at`` is the dynamic id at which the execution was proven
     bit-identical to golden (``None`` when it never was); ``via`` names the
     resolution path (``lockstep`` / ``completed`` / ``private`` /
-    ``error``) for telemetry and tests.
+    ``error``) for telemetry and tests.  ``private`` says whether the fault
+    left the lockstep walk and ran a replay of its own: every ``private``
+    resolution, and an ``error`` raised in such a replay (an error raised
+    in the walk itself costs none).
     """
 
     spec: FaultSpec
@@ -409,3 +420,4 @@ class BatchReplayResult:
     error: Optional[BaseException] = None
     converged_at: Optional[int] = None
     via: str = "lockstep"
+    private: bool = False

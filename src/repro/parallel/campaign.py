@@ -1,31 +1,33 @@
 """Multiprocessing campaign runner for fault injections and aDVF analyses.
 
-Each worker process rebuilds the workload from its registry name and
-constructor arguments (workload objects themselves are not pickled — the
-kernels hold compiled IR with unpicklable back-references), runs its share
-of the work, and sends back plain result objects.  Work is split
-deterministically so parallel results equal sequential ones.
-
 All fan-out goes through one :class:`ShardPipeline`.  A pipeline serves one
 *job* in *units*: a unit is a run of keyed parts that one process serves
 in one call.  :class:`InjectJob` injects a unit of whole shards of fault
 specs in one replay batch (one snapshot restore and one lockstep suffix
 walk, never a shard split across workers), :class:`AnalyzeJob` computes
-aDVF reports for chunks of data objects.  A job's ``setup`` builds its
-per-process state once — the injector with its golden run and snapshot
-schedule, or the aDVF engine — and its ``run`` serves one unit on that
-state, returning one output per part.  A bounded window of units is in
-flight at once, and the caller reorders finished parts by key.  At one
-worker the pipeline spawns nothing and runs each unit in this process.
+aDVF reports for chunks of data objects.  A job's *state* — the injector
+with its golden run and snapshot schedule, or the aDVF engine with its
+golden trace, analyzers and replay context — is built once, in the calling
+process, at the first submit: by a ``setup`` the caller hands the pipeline
+(e.g. one wrapping a replay context it already holds), else by the job's
+own ``setup``.  The job's ``run`` serves one unit on that state, returning
+one output per part.  A bounded window of
+units is in flight at once, and the caller reorders finished parts by key.
 
-Analysis chunks acquire the golden trace through
-:func:`~repro.tracing.cache.golden_trace`: they load the trace-cache
-artifact the campaign run wrote, and a process that finds it missing or
-unreadable traces the workload and rewrites it.
+At one worker the pipeline spawns nothing and runs each unit in this
+process.  With more, workers are ``fork``-started after the state exists
+and inherit it (workloads hold compiled IR with unpicklable
+back-references, so state never crosses a pipe): no worker compiles the
+workload or runs its golden execution.  Each worker freezes the collector
+over the inherited heap (:func:`gc.freeze`), so its collections neither
+scan nor copy the parent's pages.  Work is split deterministically, so
+parallel results equal sequential ones.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
@@ -43,6 +45,7 @@ from typing import (
 )
 
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
+from repro.core.replay import ReplayContext
 from repro.obs.log import get_logger
 from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
@@ -53,6 +56,7 @@ from repro.vm.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.core.advf import AdvfEngine
     from repro.core.reports import AnalysisConfig, ObjectReport
+    from repro.workloads.base import Workload
 
 #: Called after each worker chunk completes with ``(chunks_done, chunks_total)``.
 ProgressCallback = Callable[[int, int], None]
@@ -156,9 +160,9 @@ Part = Tuple[int, Sequence[object]]
 
 @dataclass(frozen=True)
 class InjectJob:
-    """Inject units of whole shards on one injector per process, so the
-    golden run, the snapshot schedule and the injector's table of
-    memoised fault results serve every unit the process runs.
+    """Inject units of whole shards on one injector, so the golden run,
+    the snapshot schedule and the injector's table of memoised fault
+    results serve every unit of the job (forked workers inherit it).
 
     A unit's shards (consecutive shards of one data object) go to
     ``inject_many`` as one concatenated spec list, so the unit costs one
@@ -168,15 +172,28 @@ class InjectJob:
     workload_name: str
     workload_kwargs: Dict[str, object]
 
-    def setup(self) -> DeterministicFaultInjector:
-        from repro.workloads.registry import get_workload
+    def setup(
+        self,
+        workload: Optional[Workload] = None,
+        context: Optional[ReplayContext] = None,
+    ) -> DeterministicFaultInjector:
+        """The job's injector, its replay context already built: ``context``
+        when given (e.g. the golden run that recorded the trace), else one
+        untraced golden run of ``workload`` (default: built from the
+        registry name and kwargs)."""
+        if context is None:
+            if workload is None:
+                from repro.workloads.registry import get_workload
 
-        workload = get_workload(self.workload_name, **self.workload_kwargs)
-        # the trace digest keys the persisted memo artifact, so every worker
-        # of a campaign (and every resumed campaign) warm-starts from the
-        # fault results earlier runs already recorded
+                workload = get_workload(
+                    self.workload_name, **self.workload_kwargs
+                )
+            context = ReplayContext(workload)
+        # the trace digest keys the persisted memo artifact, so every
+        # campaign over the same trace (resumes included) warm-starts from
+        # the fault results earlier runs recorded
         return DeterministicFaultInjector(
-            workload,
+            context.workload, context=context,
             memo_key=trace_digest(self.workload_name, self.workload_kwargs),
         )
 
@@ -207,22 +224,26 @@ class InjectJob:
 
 @dataclass(frozen=True)
 class AnalyzeJob:
-    """aDVF reports for chunks of data objects on one :class:`AdvfEngine`
-    per process: the compiled module, the golden trace, the propagation
-    indices and the injector's replay context serve every object the
-    process analyses."""
+    """aDVF reports for chunks of data objects on one :class:`AdvfEngine`:
+    the compiled module, the golden trace, the analyzers and the
+    injector's replay context serve every object of the job (forked
+    workers inherit them)."""
 
     workload_name: str
     workload_kwargs: Dict[str, object]
     config: AnalysisConfig
 
     def setup(self) -> AdvfEngine:
+        """The job's engine, prepared: the golden trace acquired through
+        :func:`~repro.tracing.cache.golden_trace` (the artifact a campaign
+        run wrote, or one golden run that records it and captures the
+        replay context), the analyzers and the injector built."""
         from repro.core.advf import AdvfEngine
         from repro.workloads.registry import get_workload
 
         workload = get_workload(self.workload_name, **self.workload_kwargs)
         start = time.perf_counter()
-        trace, source = golden_trace(
+        trace, source, context = golden_trace(
             workload, self.workload_name, self.workload_kwargs
         )
         digest = trace_digest(self.workload_name, self.workload_kwargs)
@@ -234,7 +255,11 @@ class AnalyzeJob:
             source=source,
             events=len(trace),
         )
-        return AdvfEngine(workload, self.config, trace=trace)
+        engine = AdvfEngine(
+            workload, self.config, trace=trace, context=context
+        )
+        engine.prepare()
+        return engine
 
     def run(
         self, engine: AdvfEngine, parts: Sequence[Part]
@@ -251,25 +276,40 @@ class AnalyzeJob:
 
 Job = Union[InjectJob, AnalyzeJob]
 
-#: The job a pool worker serves (set by the pool initializer) and the state
-#: its ``setup`` built on the worker's first unit.
+#: The job a pool worker serves and the state it inherited (set by the pool
+#: initializer).
 _WORKER_JOB: Optional[Job] = None
 _WORKER_STATE: object = None
 
 
-def _worker_init(job: Job) -> None:
-    """Pool initializer: take the job; discard state inherited across ``fork``.
+def _fork_context():
+    """The ``fork`` start method, which hands workers the caller's state."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise RuntimeError(
+            "more than one worker needs the 'fork' process start method, "
+            "which this platform lacks; run with one worker"
+        ) from None
 
-    On fork-start platforms a fresh worker process carries a copy of the
-    parent's registry (golden-trace build, analysis passes, …).  Setting
-    the unit cursor here makes the first unit's delta cover only work the
-    worker itself performed, so the parent's pre-fork activity is never
-    shipped back and double-counted.  Span recording follows the same
-    pattern: enabled, then drained once to discard records inherited
-    across fork (the parent persists its own).
+
+def _worker_init(job: Job, state: object) -> None:
+    """Pool initializer: adopt the job and the state inherited across
+    ``fork``; discard the parent's telemetry.
+
+    The collector is frozen first: the inherited heap — the state, the
+    parent's modules — moves to the permanent generation, so this
+    worker's collections never traverse it (or copy its pages).  A fresh
+    worker also carries a copy of the parent's registry (golden run,
+    analysis passes, …).  Setting the unit cursor here makes the first
+    unit's delta cover only work the worker itself performed, so the
+    parent's pre-fork activity is never shipped back and double-counted.
+    Span recording follows the same pattern: enabled, then drained once to
+    discard records inherited across fork (the parent persists its own).
     """
     global _WORKER_JOB, _WORKER_STATE
-    _WORKER_JOB, _WORKER_STATE = job, None
+    gc.freeze()
+    _WORKER_JOB, _WORKER_STATE = job, state
     if metrics_enabled():
         _metrics_registry().snapshot_delta("worker-chunk")
     enable_recording()
@@ -284,9 +324,6 @@ def _worker_run(parts: List[Part]) -> List[Union[ShardOutput, ChunkReports]]:
     with ``registry().merge`` — associative, so the fold is independent of
     completion order) and its finished spans.
     """
-    global _WORKER_STATE
-    if _WORKER_STATE is None:
-        _WORKER_STATE = _WORKER_JOB.setup()
     outputs = _WORKER_JOB.run(_WORKER_STATE, parts)
     if metrics_enabled():
         outputs[0].metrics_delta = _metrics_registry().snapshot_delta(
@@ -308,16 +345,28 @@ class ShardPipeline:
     caller that commits in key order can first commit everything before
     the failed unit.
 
-    With ``workers == 1`` nothing is spawned: :meth:`wait` runs the unit
-    whose first part is the key the caller names (the one it commits
-    next) in this process, on state the pipeline keeps for its lifetime,
-    so execution order is commit order.  With more workers the pool is
-    created on the first :meth:`submit` (a run that submits nothing
-    spawns no process) and up to :attr:`window` units run or queue in it
-    at once, finishing in any order.
+    Every unit runs on one job state, built once in this process: by
+    ``setup`` when the caller passes one (a zero-argument callable, e.g.
+    one that wraps a replay context it already holds), else by the job's
+    own ``setup``, at the first :meth:`submit` — a run that submits
+    nothing builds nothing, and a state that cannot be built fails every
+    unit.  With ``workers == 1`` nothing is spawned:
+    :meth:`wait` runs the unit whose first part is the key the caller
+    names (the one it commits next) in this process, so execution order
+    is commit order.  With more workers a ``fork``-started pool is created
+    right after the state, at the first :meth:`submit`; its workers
+    inherit the state, and up to :attr:`window` units run or queue in it
+    at once, finishing in any order.  A platform without ``fork`` cannot
+    run more than one worker (:class:`RuntimeError` at construction).
     """
 
-    def __init__(self, job: Job, workers: int, unit: str = "shard") -> None:
+    def __init__(
+        self,
+        job: Job,
+        workers: int,
+        unit: str = "shard",
+        setup: Optional[Callable[[], object]] = None,
+    ) -> None:
         self.job = job
         self.workers = workers
         #: What a failure message calls one submission ("shard"/"chunk").
@@ -329,7 +378,10 @@ class ShardPipeline:
         self._queued: Dict[int, List[Part]] = {}
         self._futures: Dict[Future, int] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._mp_context = _fork_context() if workers > 1 else None
+        self._setup = setup or job.setup
         self._state: object = None
+        self._state_error: Optional[Exception] = None
 
     @property
     def in_flight(self) -> int:
@@ -343,12 +395,19 @@ class ShardPipeline:
         parts = [(key, list(items)) for key, items in parts]
         key = parts[0][0]
         self._queued[key] = parts
-        if self.workers <= 1:
+        if self._state is None and self._state_error is None:
+            try:
+                self._state = self._setup()
+            except Exception as exc:  # fails every unit, each at its wait
+                self._state_error = exc
+        if self.workers <= 1 or self._state_error is not None:
             return
         if self._pool is None:
+            # forked workers receive the initializer's arguments without
+            # pickling: the state reaches them as inherited memory
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_init,
-                initargs=(self.job,),
+                max_workers=self.workers, mp_context=self._mp_context,
+                initializer=_worker_init, initargs=(self.job, self._state),
             )
         self._futures[self._pool.submit(_worker_run, parts)] = key
 
@@ -356,13 +415,13 @@ class ShardPipeline:
         """Finished parts; in this process, runs the unit ``key`` starts."""
         if not self._queued:
             raise RuntimeError("no unit in flight to wait for")
-        if self.workers <= 1:
+        if self.workers <= 1 or self._state_error is not None:
             if key not in self._queued:  # the caller's next unit is not queued
                 key = next(iter(self._queued))
             parts = self._queued.pop(key)
+            if self._state_error is not None:
+                return [(key, self._failure(parts, self._state_error))]
             try:
-                if self._state is None:
-                    self._state = self.job.setup()
                 outputs = self.job.run(self._state, parts)
             except Exception as exc:
                 return [(key, self._failure(parts, exc))]
@@ -399,6 +458,7 @@ class ShardPipeline:
             self._pool = None
         self._futures.clear()
         self._queued.clear()
+        self._state = None
 
     def __enter__(self) -> "ShardPipeline":
         return self
@@ -415,14 +475,15 @@ class CampaignRunner:
     """Fan out fault injections / aDVF analyses over local processes.
 
     ``workload_name`` must be a key of :data:`repro.workloads.registry.WORKLOADS`
-    so worker processes can rebuild the workload; ``workload_kwargs`` are the
-    constructor overrides (sizes, seed, ABFT flag, …).  Both calls split
-    their input into at most one contiguous chunk per worker and run the
-    chunks through a :class:`ShardPipeline`; a single chunk runs in this
-    process.  ``on_progress`` (if given) is called with ``(chunks_done,
-    chunks_total)`` as chunks complete.  A failed chunk raises
-    :class:`CampaignChunkError` naming the chunk and its items, with the
-    original exception chained as ``__cause__``.
+    (the job's ``setup`` builds the workload from it, once, in this
+    process); ``workload_kwargs`` are the constructor overrides (sizes,
+    seed, ABFT flag, …).  Both calls split their input into at most one
+    contiguous chunk per worker and run the chunks through a
+    :class:`ShardPipeline`, whose forked workers inherit the job's state;
+    a single chunk runs in this process.  ``on_progress`` (if given) is
+    called with ``(chunks_done, chunks_total)`` as chunks complete.  A
+    failed chunk raises :class:`CampaignChunkError` naming the chunk and
+    its items, with the original exception chained as ``__cause__``.
     """
 
     workload_name: str

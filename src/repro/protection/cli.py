@@ -195,7 +195,7 @@ def cmd_plan(args, open_store, parse_set, say) -> int:
                     f"{', '.join(missing)}; run `repro campaign report` first"
                 )
             reports = {name: reports[name] for name in objects}
-            trace, _ = golden_trace(workload, workload_name, kwargs)
+            trace, _, _ = golden_trace(workload, workload_name, kwargs)
         else:
             say(f"computing aDVF reports for {', '.join(objects)} ...")
             engine = AdvfEngine(

@@ -192,7 +192,7 @@ class AbftChecksumScheme(ProtectionScheme):
         variant_name, _ = BESPOKE_ABFT_VARIANTS[_registry_name(workload)]
         kwargs = _constructor_kwargs(workload)
         variant = get_workload(variant_name, **kwargs)
-        trace, _ = golden_trace(variant, variant_name, kwargs)
+        trace, _, _ = golden_trace(variant, variant_name, kwargs)
         variant_inputs = WorkloadCostInputs.from_workload(variant, trace)
         return SchemeCost(
             extra_ops=max(0, variant_inputs.base_ops - inputs.base_ops),

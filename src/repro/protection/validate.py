@@ -88,7 +88,7 @@ def variant_descriptor(
     """The ``(workload_name, workload_kwargs)`` identity of a plan variant.
 
     ``baseline`` is the plan's own workload; ``protected`` is the reserved
-    registry name whose ``plan=`` kwarg lets worker processes rebuild the
+    registry name whose ``plan=`` kwarg lets a campaign rebuild the
     applied variant from the persisted plan payload.
     """
     if variant == "baseline":

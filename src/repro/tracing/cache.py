@@ -3,9 +3,8 @@
 Golden traces are pure functions of ``(workload name, constructor kwargs)``
 — workloads are deterministic by contract — so the columnar artifact of a
 traced run can be computed once and shared by everything downstream:
-repeated campaign runs, resumed campaigns, and the worker processes of a
-parallel analysis all load the same ``.npz`` file instead of re-executing
-the workload.
+repeated campaign runs, resumed campaigns and ``campaign report`` all
+load the same ``.npz`` file instead of re-executing the workload.
 
 The cache directory comes from the ``REPRO_TRACE_CACHE`` environment
 variable (default ``~/.cache/repro/traces``); setting it to ``off`` (or
@@ -16,6 +15,8 @@ same digest are harmless (last rename wins, both files are identical).
 :func:`golden_trace` is the one way to acquire a golden trace: a missing
 or unreadable artifact is rebuilt and overwritten there, and a cache
 directory that cannot be written leaves the rebuilt trace in memory only.
+A trace is rebuilt by a :class:`~repro.core.replay.ReplayContext` whose
+golden run records it, so the caller also gets the snapshot schedule.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.tracing.columnar import ColumnarTrace
 from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.replay import ReplayContext
     from repro.workloads.base import Workload
 
 #: Default cache directory when ``REPRO_TRACE_CACHE`` is unset.
@@ -147,21 +149,29 @@ class TraceCache:
 
 def golden_trace(
     workload: "Workload", name: str, kwargs: Dict[str, object]
-) -> Tuple[ColumnarTrace, str]:
+) -> Tuple[ColumnarTrace, str, Optional["ReplayContext"]]:
     """The golden trace of ``workload`` (registered as ``name``, built with
-    constructor ``kwargs``) and where it came from: ``"cache hit"``,
+    constructor ``kwargs``), where it came from: ``"cache hit"``,
     ``"cache miss, built"``, ``"cache miss, built, not stored (<error>)"``
-    (the artifact could not be written) or ``"cache disabled, built"``.
+    (the artifact could not be written) or ``"cache disabled, built"``,
+    and the :class:`~repro.core.replay.ReplayContext` whose golden run
+    recorded it (``None`` on a cache hit).
+
+    A trace is built by one golden execution that also captures the
+    snapshot schedule, so an injector built on the returned context runs
+    no second one.
     """
-    cache = TraceCache.from_env()
-    if cache is None:
-        return workload.traced_run().trace, "cache disabled, built"
-    built: List[ColumnarTrace] = []
+    from repro.core.replay import ReplayContext
+
+    built: List[ReplayContext] = []
 
     def build() -> ColumnarTrace:
-        built.append(workload.traced_run().trace)
-        return built[0]
+        built.append(ReplayContext(workload, sink=ColumnarTrace()))
+        return built[0].golden_trace
 
+    cache = TraceCache.from_env()
+    if cache is None:
+        return build(), "cache disabled, built", built[0]
     try:
         trace, hit = cache.get_or_build(trace_digest(name, kwargs), build)
     except OSError as exc:
@@ -169,8 +179,11 @@ def golden_trace(
         # not the trace already built in memory
         if not built:
             raise
-        return built[0], f"cache miss, built, not stored ({exc})"
-    return trace, "cache hit" if hit else "cache miss, built"
+        return (built[0].golden_trace,
+                f"cache miss, built, not stored ({exc})", built[0])
+    if hit:
+        return trace, "cache hit", None
+    return trace, "cache miss, built", built[0]
 
 
 def merge_memo_payloads(

@@ -40,8 +40,8 @@ TABLE1_ROWS: List[str] = ["cg", "mg", "ft", "bt", "sp", "lu", "lulesh", "amg"]
 #: plan=<ProtectionPlan.to_dict() payload>)`` applies the plan and returns
 #: the protected workload.  This makes protected variants addressable by
 #: ``(name, kwargs)`` exactly like registry workloads, so the parallel
-#: campaign runner and the orchestrator can rebuild them in worker
-#: processes and content-address their campaigns.
+#: campaign runner and the orchestrator can rebuild them from the store
+#: and content-address their campaigns.
 PROTECTED_WORKLOAD = "protected"
 
 

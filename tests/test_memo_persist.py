@@ -255,6 +255,31 @@ class TestInjectorMemo:
         assert _triples(local_hits) == expected
         assert _triples(warm_hits) == expected
 
+    def test_only_faults_that_ran_a_private_replay_are_recorded(self):
+        """Of amg's two raising faults below, the first raises in the
+        lockstep walk (a divergent load address: no replay of its own), the
+        second in the private replay a divergent store address evicted it
+        to.  Only the second is recorded, shipped and answered again."""
+        in_walk = FaultSpec(17922, 50, note="load address")
+        private = FaultSpec(17337, 48, note="store address")
+        injector = DeterministicFaultInjector(
+            get_workload("amg"), memo_key="t-private"
+        )
+        paths = injector.context.replay_many([in_walk, private])
+        assert [(r.via, r.private) for r in paths] == [
+            ("error", False), ("error", True)
+        ]
+        results = injector.inject_many([in_walk, private])
+        assert [r.outcome for r in results] == [OutcomeClass.CRASH] * 2
+        assert injector.consume_batch_stats()["memo_misses"] == 1
+        delta = injector.consume_memo_delta()
+        assert [FaultSpec.from_dict(row) for row in delta["rows"]] == [private]
+        again = injector.inject_many([in_walk, private])
+        stats = injector.consume_batch_stats()
+        assert (stats["memo_hits"], stats["memo_misses"]) == (1, 0)
+        assert stats["faults"] == 1  # only the in-walk fault walked again
+        assert _triples(again) == _triples(results)
+
     @pytest.mark.parametrize("payload", [
         {"format": 3, "entries": [], "keys": [[5, "00", 0]]},
         {"format": MEMO_FORMAT_VERSION},
