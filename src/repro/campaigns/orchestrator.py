@@ -33,6 +33,7 @@ from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Container,
     Deque,
     Dict,
     Generator,
@@ -62,12 +63,13 @@ from repro.obs.spans import (
     span,
 )
 from repro.parallel.campaign import (
+    AnalyzeJob,
     CampaignChunkError,
-    CampaignRunner,
     InjectJob,
-    ShardOutput,
     ShardPipeline,
+    UnitOutput,
     _default_workers,
+    run_chunks,
 )
 from repro.parallel.partition import chunk_evenly
 from repro.tracing.cache import (
@@ -151,19 +153,62 @@ class _RunCounters:
     injected: int = 0
 
 
-#: A stream item: a :class:`ShardTask` to run, or the index of a shard
-#: already in the store (committed as a skip).
-_Item = Union[ShardTask, int]
+#: A stream item: a unit of shards to run in one replay batch, or the
+#: index of a shard already in the store (committed as a skip).
+_Item = Union[Tuple[ShardTask, ...], int]
+
+
+def _static_units(
+    tasks: Sequence[ShardTask],
+    done: Container[int],
+    workers: int,
+    max_shards: Optional[int],
+) -> List[_Item]:
+    """A static plan's stream: each shard already in ``done`` as its
+    index, the others grouped into units.
+
+    A unit takes consecutive shards of one data object, none committed: at
+    most ``ceil(object's shards / workers)`` (so every worker gets work),
+    at most :data:`UNIT_SPECS` specs unless its first shard alone holds
+    more, and never across the ``max_shards``-th uncommitted shard, the
+    last one a run bounded by ``max_shards`` executes."""
+    counts: Dict[str, int] = {}
+    for task in tasks:
+        counts[task.object_name] = counts.get(task.object_name, 0) + 1
+    caps = {name: -(-count // max(1, workers)) for name, count in counts.items()}
+    items: List[_Item] = []
+    unit: List[ShardTask] = []
+    specs = position = 0
+    for task in tasks:
+        if unit and (
+            task.index in done
+            or task.object_name != unit[0].object_name
+            or len(unit) == caps[task.object_name]
+            or specs + len(task.specs) > UNIT_SPECS
+            or position == max_shards
+        ):
+            items.append(tuple(unit))
+            unit, specs = [], 0
+        if task.index in done:
+            items.append(task.index)
+            continue
+        unit.append(task)
+        specs += len(task.specs)
+        position += 1
+    if unit:
+        items.append(tuple(unit))
+    return items
 
 
 class _ShardStream:
-    """One commit sequence of shards, in commit order.
+    """One commit sequence of shards, in units, in commit order.
 
-    A static plan is one stream whose items are all known up front.  An
-    adaptive plan has one stream per data object, fed by a generator that
-    yields each next item and is sent the results of every task it
+    A static plan is one stream whose units are all formed up front
+    (:func:`_static_units`).  An adaptive plan has one stream per data
+    object, fed by a generator that yields each next item — a one-shard
+    unit or a committed index — and is sent the results of every unit it
     yields: its next batch depends on them, so such a stream never has
-    more than one task in flight.
+    more than one unit in flight.
     """
 
     def __init__(
@@ -171,12 +216,9 @@ class _ShardStream:
         items: Sequence[_Item] = (),
         source: Optional[Generator[_Item, object, Tuple[int, int]]] = None,
         object_name: str = "",
-        unit_caps: Optional[Dict[str, int]] = None,
     ) -> None:
         self.queue: Deque[_Item] = deque(items)
         self.object_name = object_name
-        #: Most shards of each data object in one unit (``None``: one).
-        self.unit_caps = unit_caps
         #: The adaptive tally ``(successes, trials)`` once the source ends.
         self.tally: Optional[Tuple[int, int]] = None
         self._source = source
@@ -194,12 +236,12 @@ class _ShardStream:
                 return
             self._reply = None
             self.queue.append(item)
-            if isinstance(item, ShardTask):
-                self._awaiting = item.index
+            if not isinstance(item, int):
+                self._awaiting = item[0].index
 
     def feed(self, index: int, output: object) -> None:
-        """Hand a finished task's results to a source waiting on them."""
-        if index == self._awaiting and isinstance(output, ShardOutput):
+        """Hand a finished unit's results to a source waiting on them."""
+        if index == self._awaiting and isinstance(output, UnitOutput):
             self._reply = output.results
             self._awaiting = None
 
@@ -382,11 +424,9 @@ class CampaignOrchestrator:
                     trace = None
                     if context is not None:
                         context.golden_trace = None
-                    streams = [_ShardStream(
-                        [task.index if task.index in done else task
-                         for task in tasks],
-                        unit_caps=self._unit_caps(tasks),
-                    )]
+                    streams = [_ShardStream(_static_units(
+                        tasks, done, self.workers, max_shards
+                    ))]
                 job = InjectJob(self.workload_name, self.workload_kwargs)
                 finished = self._execute(
                     streams, run_id, max_shards, counters, ShardPipeline(
@@ -440,61 +480,51 @@ class CampaignOrchestrator:
         counters: "_RunCounters",
         pipeline: ShardPipeline,
     ) -> bool:
-        """Run the streams' tasks through ``pipeline`` (closed on return),
+        """Run the streams' units through ``pipeline`` (closed on return),
         committing in order.
 
         Streams commit one after another, each in its own order, so the
         store sees exactly the shard sequence of a one-at-a-time run.
-        Between commits the pipeline is refilled in that same order, in
-        units (:meth:`_refill`), and never with a task that ``max_shards``
-        already excludes.  Units finishing early wait for their turn; a
-        unit's shards commit in one store transaction, timed whole (the
-        SQLite commit included) by a ``campaign.commit`` span labelled
-        with the unit's first shard.  A failed unit
-        raises when its first shard's turn comes, after every earlier
-        shard committed.  ``counters`` is updated as units commit; returns
-        whether every stream ran to its end.
+        Between commits the pipeline is refilled in that same order
+        (:meth:`_refill`), never with a unit that ``max_shards`` already
+        excludes.  Units finishing early wait for their turn
+        (:meth:`_commit_unit`).  A failed unit raises when its turn
+        comes, after every earlier shard committed.  ``counters`` is
+        updated as units commit; returns whether every stream ran to its
+        end.
         """
         outputs: Dict[int, object] = {}
         owner: Dict[int, _ShardStream] = {}
-        #: submitted units by their first shard's index
-        units: Dict[int, List[ShardTask]] = {}
         head = 0
         with pipeline:
             while head < len(streams):
                 stream = streams[head]
                 stream.fill()
                 while stream.queue:
-                    item = stream.queue[0]
-                    if not isinstance(item, ShardTask):
+                    unit = stream.queue[0]
+                    if isinstance(unit, int):
                         stream.queue.popleft()
                         counters.skipped += 1
                         continue
                     if max_shards is not None and counters.executed >= max_shards:
                         return False
-                    if item.index not in outputs:
+                    if unit[0].index not in outputs:
                         break
-                    if isinstance(outputs[item.index], CampaignChunkError):
-                        raise outputs[item.index]
-                    # the queue head starts a unit, whose shards all
-                    # finished together and follow it in the queue
-                    unit = units.pop(item.index)
-                    with span("campaign.commit", shard=item.index,
-                              shards=len(unit)), self.store.transaction():
-                        for task in unit:
-                            stream.queue.popleft()
-                            self._commit_shard(task, outputs.pop(task.index),
-                                               run_id)
+                    output = outputs.pop(unit[0].index)
+                    if isinstance(output, CampaignChunkError):
+                        raise output
+                    stream.queue.popleft()
+                    self._commit_unit(unit, output, run_id)
                     counters.executed += len(unit)
-                    counters.injected += sum(len(task.specs) for task in unit)
+                    counters.injected += len(output.results)
                     stream.fill()
                 if not stream.queue:
                     self._stream_done(stream)
                     head += 1
                     continue
-                self._refill(pipeline, streams[head:], owner, units,
+                self._refill(pipeline, streams[head:], owner,
                              counters.executed, max_shards)
-                for index, output in pipeline.wait(stream.queue[0].index):
+                for index, output in pipeline.wait(stream.queue[0][0].index):
                     outputs[index] = output
                     owner[index].feed(index, output)
         return True
@@ -504,66 +534,29 @@ class CampaignOrchestrator:
         pipeline: ShardPipeline,
         streams: Sequence[_ShardStream],
         owner: Dict[int, _ShardStream],
-        units: Dict[int, List[ShardTask]],
         position: int,
         max_shards: Optional[int],
     ) -> None:
-        """Submit units of unsubmitted tasks in commit order while the
-        window has room; ``position`` counts the tasks that commit before
-        the next one (committed or queued ahead of it), so ``max_shards``
-        bounds it.
-
-        A unit takes consecutive tasks of one stream and one data object:
-        at most the stream's ``unit_caps`` for that object (one shard when
-        it has none), at most :data:`UNIT_SPECS` specs unless its first
-        task alone holds more, and never a task ``max_shards`` excludes."""
+        """Submit unsubmitted units in commit order while the window has
+        room; ``position`` counts the shards that commit before the next
+        unit (committed or queued ahead of it), so ``max_shards`` bounds
+        it.  A unit is keyed by its first shard."""
         for stream in streams:
             stream.fill()
-            queue = stream.queue
-            caps = stream.unit_caps
-            i = 0
-            while i < len(queue):
-                item = queue[i]
-                i += 1
-                if not isinstance(item, ShardTask):
+            for unit in stream.queue:
+                if isinstance(unit, int):
                     continue
-                if item.index in owner:
-                    position += 1
-                    continue
-                if not pipeline.has_room() or (
-                    max_shards is not None and position >= max_shards
-                ):
-                    return
-                unit = [item]
-                specs = len(item.specs)
-                cap = caps.get(item.object_name, 1) if caps else 1
-                if max_shards is not None:
-                    cap = min(cap, max_shards - position)
-                while i < len(queue) and len(unit) < cap:
-                    task = queue[i]
-                    if (
-                        not isinstance(task, ShardTask)
-                        or task.object_name != item.object_name
-                        or specs + len(task.specs) > UNIT_SPECS
+                if unit[0].index not in owner:
+                    if not pipeline.has_room() or (
+                        max_shards is not None and position >= max_shards
                     ):
-                        break
-                    unit.append(task)
-                    specs += len(task.specs)
-                    i += 1
-                pipeline.submit([(task.index, task.specs) for task in unit])
-                units[item.index] = unit
-                for task in unit:
-                    owner[task.index] = stream
+                        return
+                    pipeline.submit(
+                        unit[0].index,
+                        [spec for task in unit for spec in task.specs],
+                    )
+                    owner[unit[0].index] = stream
                 position += len(unit)
-
-    def _unit_caps(self, tasks: Sequence[ShardTask]) -> Dict[str, int]:
-        """Most shards per unit, per data object: its shards in the static
-        shard list split over the workers, so every worker gets work."""
-        counts: Dict[str, int] = {}
-        for task in tasks:
-            counts[task.object_name] = counts.get(task.object_name, 0) + 1
-        workers = max(1, self.workers)
-        return {name: -(-count // workers) for name, count in counts.items()}
 
     def _adaptive_object(
         self, trace, object_index: int, object_name: str, done
@@ -573,9 +566,9 @@ class CampaignOrchestrator:
         Shard index ``object_index * max_batches + batch`` is globally
         unique and deterministic; persisted batches are folded into the
         cumulative tally without re-execution, so the stop decision replays
-        identically on resume.  Yields each batch's item and is sent back
-        the results of every task; returns the final ``(successes,
-        trials)``.
+        identically on resume.  Yields each batch's item (a one-shard unit
+        or a committed index) and is sent back the results of every unit;
+        returns the final ``(successes, trials)``.
         """
         plan = self.plan
         assert isinstance(plan, AdaptivePlan)
@@ -596,12 +589,12 @@ class CampaignOrchestrator:
                 ]
                 yield shard_index
             else:
-                results = yield ShardTask(
+                results = yield (ShardTask(
                     index=shard_index,
                     object_name=object_name,
                     batch=batch,
                     specs=tuple(plan.batch_specs(sites, object_name, batch)),
-                )
+                ),)
                 outcomes = [result.outcome for result in results]
             trials += len(outcomes)
             successes += sum(int(outcome.is_success) for outcome in outcomes)
@@ -636,26 +629,30 @@ class CampaignOrchestrator:
         """aDVF reports for the campaign's objects, persisted in the store.
 
         Reports already in the store are returned as-is unless ``refresh``
-        is set; missing ones are computed with the parallel runner and
-        saved, so ``campaign report`` renders from durable rows only.
-        The runner builds one aDVF engine in this process
-        (:meth:`~repro.parallel.campaign.AnalyzeJob.setup`), and its
-        workers inherit it: the golden trace comes from the trace cache
-        (a missing or unreadable artifact is rebuilt), and one golden run
-        serves every object.
+        is set; missing ones are computed in one
+        :class:`~repro.parallel.campaign.AnalyzeJob` chunk per worker and
+        saved, so ``campaign report`` renders from durable rows only.  The
+        pipeline builds one aDVF engine in this process, on the golden
+        trace of :meth:`_golden_trace` (a missing or unreadable artifact
+        is rebuilt), and its workers inherit it: one golden run serves
+        every object.
         """
+        from repro.core.reports import AnalysisConfig
+
         workload = self._workload()
         names = list(object_names or self.plan.objects_for(workload))
         stored = {} if refresh else self.store.reports(self.campaign_id)
         missing = [name for name in names if name not in stored]
         if missing:
-            runner = CampaignRunner(
-                self.workload_name, self.workload_kwargs, workers=self.workers
-            )
-            fresh = runner.analyze_objects(missing, config)
-            for name, report in fresh.items():
-                self.store.save_report(self.campaign_id, name, report)
-            stored.update(fresh)
+            job = AnalyzeJob(self.workload_name, self.workload_kwargs,
+                             config or AnalysisConfig())
+            for output in run_chunks(
+                job, chunk_evenly(missing, max(1, self.workers)), self.workers,
+                setup=lambda: job.setup(workload, *self._golden_trace(workload)),
+            ):
+                for name, report in output.reports:
+                    self.store.save_report(self.campaign_id, name, report)
+                    stored[name] = report
         return {name: stored[name] for name in names if name in stored}
 
     # ------------------------------------------------------------------ #
@@ -695,59 +692,64 @@ class CampaignOrchestrator:
         if self.progress is not None:
             self.progress(message)
 
-    def _commit_shard(
-        self, task: ShardTask, output: ShardOutput, run_id: int
+    def _commit_unit(
+        self, unit: Sequence[ShardTask], output: UnitOutput, run_id: int
     ) -> None:
-        """Persist one finished shard's outcomes and spans, and fold its
-        learned memo entries into the run's pending delta.
+        """Persist a finished unit in one store transaction, timed whole
+        (the SQLite commit included) by a ``campaign.commit`` span: each
+        shard's outcomes, the unit's spans, and its learned memo entries
+        folded into the run's pending delta.
 
-        ``duration_s`` is the shard's share of its unit's ``worker.inject``
-        span (the span times the shard's share of the unit's specs) —
-        execution time, not the time the unit queued in the pipeline
-        window — so per-shard rates compare across worker counts, and a
-        unit's shard durations sum to its span.  A unit's batch stats,
-        memo delta and spans arrive on its first shard.  :meth:`_execute`
-        calls this inside the unit's store transaction."""
-        duration = output.inject_s
-        stats = output.batch_stats
+        A shard's ``duration_s`` is its share of the unit's
+        ``worker.inject`` span (the span times the shard's share of the
+        unit's specs) — execution time, not the time the unit queued in
+        the pipeline window — so per-shard rates compare across worker
+        counts, and a unit's shard durations sum to its span.  The unit's
+        batch stats are stamped on its first shard."""
         if output.memo_delta:
             self._memo_delta = merge_memo_payloads(
                 self._memo_delta, output.memo_delta
             )
-        with span("campaign.shard", shard=task.index, object=task.object_name):
-            self.store.record_shard(
-                self.campaign_id,
-                task.index,
-                task.object_name,
-                task.batch,
-                run_id,
-                duration,
-                output.results,
-                analysis_s=self._pass_seconds.get(task.object_name, 0.0),
-                batch_stats=stats,
-            )
-        rate = len(output.results) / duration if duration > 0 else float("inf")
-        self._say(
-            f"[{self.campaign_id}] shard {task.index} ({task.object_name}, "
-            f"batch {task.batch}): {len(output.results)} injections in "
-            f"{duration:.2f}s ({rate:.0f}/s, {stats.get('batches', 0)} replay "
-            f"batches, {stats.get('memo_hits', 0)} memo hits)",
-            event="shard.done",
-            shard=task.index,
-            object=task.object_name,
-            batch=task.batch,
-            injections=len(output.results),
-            duration_s=duration,
-        )
-        self._persist_spans(run_id, output.span_records)
+        per_spec = output.inject_s / max(1, len(output.results))
+        start = 0
+        with span("campaign.commit", shard=unit[0].index,
+                  shards=len(unit)), self.store.transaction():
+            for task in unit:
+                results = output.results[start:start + len(task.specs)]
+                start += len(task.specs)
+                duration = per_spec * len(results)
+                stats = output.batch_stats if task is unit[0] else {}
+                with span("campaign.shard", shard=task.index,
+                          object=task.object_name):
+                    self.store.record_shard(
+                        self.campaign_id, task.index, task.object_name,
+                        task.batch, run_id, duration, results,
+                        analysis_s=self._pass_seconds.get(task.object_name, 0.0),
+                        batch_stats=stats,
+                    )
+                rate = len(results) / duration if duration > 0 else float("inf")
+                self._say(
+                    f"[{self.campaign_id}] shard {task.index} "
+                    f"({task.object_name}, batch {task.batch}): "
+                    f"{len(results)} injections in {duration:.2f}s "
+                    f"({rate:.0f}/s, {stats.get('batches', 0)} replay "
+                    f"batches, {stats.get('memo_hits', 0)} memo hits)",
+                    event="shard.done",
+                    shard=task.index,
+                    object=task.object_name,
+                    batch=task.batch,
+                    injections=len(results),
+                    duration_s=duration,
+                )
+            self._persist_spans(run_id, output.span_records)
 
     def _persist_spans(
         self, run_id: int, shipped: Sequence[Dict[str, object]] = ()
     ) -> None:
         """Flush flight-recorder spans to the store.
 
-        ``shipped`` are records a worker process sent back with a unit's
-        first shard (``worker.inject``, labelled with that shard).  Records
+        ``shipped`` are records a worker process sent back with a unit
+        (``worker.inject``, labelled with the unit's first shard).  Records
         from this process either carry their own ``shard`` label
         (``worker.inject`` of an in-process unit, ``campaign.shard``) or are
         run-scoped
@@ -762,8 +764,9 @@ class CampaignOrchestrator:
         """Fold the memo entries this run's committed shards learned into
         the shared artifact: one read-merge-write per run.
 
-        Every worker warm-starts once, at its first shard, so an artifact
-        rewritten mid-run would reach only later runs.  ``run`` calls this
+        The injector warm-starts once, when it is built, before any worker
+        forks, so an artifact rewritten mid-run would reach only later
+        runs.  ``run`` calls this
         when it ends, interrupted or failed runs included, so a resume
         still warm-starts from what the completed shards learned.
         """

@@ -87,14 +87,10 @@ class DeterministicFaultInjector:
     def __init__(
         self,
         workload: Workload,
-        check_return_value: Optional[bool] = None,
         context: Optional[ReplayContext] = None,
         memo_key: Optional[str] = None,
     ) -> None:
         self.workload = workload
-        if check_return_value is None:
-            check_return_value = getattr(workload, "check_return_value", True)
-        self.check_return_value = check_return_value
         self._golden: Optional[RunOutcome] = None
         #: A caller-supplied golden run + snapshot schedule may be shared
         #: (e.g. the aDVF engine records its golden trace during the same
@@ -108,12 +104,22 @@ class DeterministicFaultInjector:
         #: holds the specs that came from the artifact, and ``_learned``
         #: the results recorded since the last delta.
         self._memo: Dict[FaultSpec, FaultInjectionResult] = {}
-        self._warm: Set[FaultSpec] = set()
+        if memo_key is not None:
+            # warm-start once, here: a campaign builds its injector before
+            # its workers fork, so they inherit the table; a missing or
+            # mismatched artifact leaves it cold
+            from repro.tracing.cache import MemoCache
+
+            cache = MemoCache.from_env()
+            payload = cache.load(memo_key) if cache is not None else None
+            for row in payload["rows"] if payload else ():
+                result = FaultInjectionResult.from_row(row)
+                self._memo[result.spec] = result
+        self._warm: Set[FaultSpec] = set(self._memo)
         self._learned: List[FaultInjectionResult] = []
         self._memo_stats = dict.fromkeys(
             ("memo_hits", "memo_misses", "memo_persist_hits"), 0
         )
-        self._warmed = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -122,27 +128,6 @@ class DeterministicFaultInjector:
         if self._context is None:
             self._context = ReplayContext(self.workload)
         return self._context
-
-    def _warm_start(self) -> None:
-        """Fill the table from the persisted memo artifact, once.
-
-        A no-op without a ``memo_key`` or a configured
-        :class:`~repro.tracing.cache.MemoCache`; a missing or mismatched
-        artifact just leaves the table cold.
-        """
-        if self._warmed:
-            return
-        self._warmed = True
-        if self.memo_key is None:
-            return
-        from repro.tracing.cache import MemoCache
-
-        cache = MemoCache.from_env()
-        payload = cache.load(self.memo_key) if cache is not None else None
-        for row in payload["rows"] if payload else ():
-            result = FaultInjectionResult.from_row(row)
-            self._memo[result.spec] = result
-        self._warm = set(self._memo)
 
     @property
     def golden(self) -> RunOutcome:
@@ -166,7 +151,6 @@ class DeterministicFaultInjector:
         specs = list(specs)
         if not specs:
             return []
-        self._warm_start()
         memo = self._memo
         results = {spec: memo[spec] for spec in specs if spec in memo}
         hits = sum(spec in results for spec in specs)
@@ -267,7 +251,8 @@ class DeterministicFaultInjector:
             hung=hung,
             golden_return=golden.return_value,
             faulty_return=return_value,
-            return_check=ScalarResultCheck() if self.check_return_value else None,
+            return_check=(ScalarResultCheck()
+                          if self.workload.check_return_value else None),
         )
         return FaultInjectionResult(spec=spec, outcome=classification, detail=detail)
 

@@ -11,8 +11,7 @@ Public API
 ----------
 :class:`~repro.parallel.campaign.CampaignRunner`,
 :class:`~repro.parallel.campaign.CampaignChunkError`,
-:func:`~repro.parallel.partition.chunk_evenly`,
-:func:`~repro.parallel.partition.interleave`.
+:func:`~repro.parallel.partition.chunk_evenly`.
 """
 
 from repro._lazy import lazy_exports
@@ -21,6 +20,6 @@ __getattr__, __all__ = lazy_exports(
     __name__,
     {
         "campaign": ("CampaignChunkError", "CampaignRunner"),
-        "partition": ("chunk_evenly", "interleave"),
+        "partition": ("chunk_evenly",),
     },
 )

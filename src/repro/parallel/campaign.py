@@ -1,18 +1,17 @@
 """Multiprocessing campaign runner for fault injections and aDVF analyses.
 
 All fan-out goes through one :class:`ShardPipeline`.  A pipeline serves one
-*job* in *units*: a unit is a run of keyed parts that one process serves
-in one call.  :class:`InjectJob` injects a unit of whole shards of fault
+*job* in keyed *units*: a unit is a list of items that one process serves
+in one call, with one output.  :class:`InjectJob` injects a unit of fault
 specs in one replay batch (one snapshot restore and one lockstep suffix
-walk, never a shard split across workers), :class:`AnalyzeJob` computes
-aDVF reports for chunks of data objects.  A job's *state* — the injector
-with its golden run and snapshot schedule, or the aDVF engine with its
-golden trace, analyzers and replay context — is built once, in the calling
-process, at the first submit: by a ``setup`` the caller hands the pipeline
-(e.g. one wrapping a replay context it already holds), else by the job's
-own ``setup``.  The job's ``run`` serves one unit on that state, returning
-one output per part.  A bounded window of
-units is in flight at once, and the caller reorders finished parts by key.
+walk), :class:`AnalyzeJob` computes aDVF reports for a chunk of data
+objects.  A job's *state* — the injector with its golden run and snapshot
+schedule, or the aDVF engine with its golden trace, analyzers and replay
+context — is built once, in the calling process, at the first submit: by
+a ``setup`` the caller hands the pipeline (e.g. one wrapping a replay
+context it already holds), else by the job's own ``setup``.  The job's
+``run`` serves one unit on that state.  A bounded window of units is in
+flight at once, and the caller reorders finished units by key.
 
 At one worker the pipeline spawns nothing and runs each unit in this
 process.  With more, workers are ``fork``-started after the state exists
@@ -29,7 +28,6 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
@@ -46,16 +44,16 @@ from typing import (
 
 from repro.core.injector import DeterministicFaultInjector, FaultInjectionResult
 from repro.core.replay import ReplayContext
-from repro.obs.log import get_logger
 from repro.obs.metrics import metrics_enabled, registry as _metrics_registry
 from repro.obs.spans import drain_span_records, enable_recording, span
 from repro.parallel.partition import chunk_evenly
-from repro.tracing.cache import golden_trace, trace_digest
+from repro.tracing.cache import trace_digest
 from repro.vm.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for typing
     from repro.core.advf import AdvfEngine
     from repro.core.reports import AnalysisConfig, ObjectReport
+    from repro.tracing.columnar import ColumnarTrace
     from repro.workloads.base import Workload
 
 #: Called after each worker chunk completes with ``(chunks_done, chunks_total)``.
@@ -117,18 +115,13 @@ class CampaignChunkError(RuntimeError):
 # jobs: what one pipeline unit does, in a worker or in this process
 # --------------------------------------------------------------------- #
 @dataclass
-class ShardOutput:
-    """What injecting one shard produced, in a worker or in this process.
-
-    A unit's shards share one replay batch, so what belongs to the whole
-    unit — ``batch_stats``, ``memo_delta``, ``metrics_delta`` and
-    ``span_records`` — ships once, on its first shard (empty on the
-    others), and every sum over shards stays the unit's."""
+class UnitOutput:
+    """What injecting one unit of fault specs produced, in a worker or in
+    this process."""
 
     results: List[FaultInjectionResult]
-    #: The shard's share of its unit's ``worker.inject`` span (the span
-    #: times the shard's share of the unit's specs): execution time,
-    #: without the time the unit queued in the pipeline window.
+    #: The unit's ``worker.inject`` span: execution time, without the
+    #: time the unit queued in the pipeline window.
     inject_s: float
     #: The replay scheduler's counter delta for the unit.
     batch_stats: Dict[str, int]
@@ -149,25 +142,19 @@ class ChunkReports:
     """What analysing one chunk of data objects produced."""
 
     reports: List[Tuple[str, ObjectReport]]
-    #: As for :class:`ShardOutput`: set only by a worker process.
+    #: As for :class:`UnitOutput`: set only by a worker process.
     metrics_delta: Optional[Dict[str, object]] = None
     span_records: List[Dict[str, object]] = field(default_factory=list)
 
 
-#: One keyed part of a pipeline unit: ``(key, items)``.
-Part = Tuple[int, Sequence[object]]
-
-
 @dataclass(frozen=True)
 class InjectJob:
-    """Inject units of whole shards on one injector, so the golden run,
+    """Inject units of fault specs on one injector, so the golden run,
     the snapshot schedule and the injector's table of memoised fault
     results serve every unit of the job (forked workers inherit it).
 
-    A unit's shards (consecutive shards of one data object) go to
-    ``inject_many`` as one concatenated spec list, so the unit costs one
-    snapshot restore and one lockstep walk; the results are split back
-    into one :class:`ShardOutput` per shard, in order."""
+    A unit goes to ``inject_many`` as one spec list, so it costs one
+    snapshot restore and one lockstep walk."""
 
     workload_name: str
     workload_kwargs: Dict[str, object]
@@ -198,28 +185,16 @@ class InjectJob:
         )
 
     def run(
-        self, injector: DeterministicFaultInjector, parts: Sequence[Part],
-    ) -> List[ShardOutput]:
-        specs: List[FaultSpec] = [spec for _, shard in parts for spec in shard]
+        self, injector: DeterministicFaultInjector, key: int,
+        specs: Sequence[FaultSpec],
+    ) -> UnitOutput:
         with span("worker.inject", workload=self.workload_name,
-                  specs=len(specs), shard=parts[0][0],
-                  shards=len(parts)) as timed:
+                  specs=len(specs), shard=key) as timed:
             results = injector.inject_many(specs)
-        per_spec = timed.duration_s / max(1, len(specs))
-        outputs = []
-        start = 0
-        for _, shard in parts:
-            stop = start + len(shard)
-            outputs.append(ShardOutput(
-                results=results[start:stop],
-                inject_s=per_spec * len(shard),
-                batch_stats={},
-                memo_delta=None,
-            ))
-            start = stop
-        outputs[0].batch_stats = injector.consume_batch_stats()
-        outputs[0].memo_delta = injector.consume_memo_delta()
-        return outputs
+        return UnitOutput(
+            results, timed.duration_s, injector.consume_batch_stats(),
+            injector.consume_memo_delta(),
+        )
 
 
 @dataclass(frozen=True)
@@ -233,28 +208,15 @@ class AnalyzeJob:
     workload_kwargs: Dict[str, object]
     config: AnalysisConfig
 
-    def setup(self) -> AdvfEngine:
-        """The job's engine, prepared: the golden trace acquired through
-        :func:`~repro.tracing.cache.golden_trace` (the artifact a campaign
-        run wrote, or one golden run that records it and captures the
-        replay context), the analyzers and the injector built."""
+    def setup(
+        self, workload: Workload, trace: ColumnarTrace,
+        context: Optional[ReplayContext],
+    ) -> AdvfEngine:
+        """The job's engine on ``workload``'s golden ``trace`` (and the
+        replay context whose golden run recorded it, if any), prepared:
+        the analyzers and the injector built."""
         from repro.core.advf import AdvfEngine
-        from repro.workloads.registry import get_workload
 
-        workload = get_workload(self.workload_name, **self.workload_kwargs)
-        start = time.perf_counter()
-        trace, source, context = golden_trace(
-            workload, self.workload_name, self.workload_kwargs
-        )
-        digest = trace_digest(self.workload_name, self.workload_kwargs)
-        get_logger("campaign").info(
-            "trace.acquired",
-            f"golden trace {digest}: {source} "
-            f"({len(trace)} events, {time.perf_counter() - start:.2f}s)",
-            trace_digest=digest,
-            source=source,
-            events=len(trace),
-        )
         engine = AdvfEngine(
             workload, self.config, trace=trace, context=context
         )
@@ -262,16 +224,13 @@ class AnalyzeJob:
         return engine
 
     def run(
-        self, engine: AdvfEngine, parts: Sequence[Part]
-    ) -> List[ChunkReports]:
-        outputs = []
-        for _, object_names in parts:
-            with span("worker.analyze", workload=self.workload_name,
-                      objects=len(object_names)):
-                outputs.append(ChunkReports(
-                    [(name, engine.analyze_object(name)) for name in object_names]
-                ))
-        return outputs
+        self, engine: AdvfEngine, key: int, object_names: Sequence[str]
+    ) -> ChunkReports:
+        with span("worker.analyze", workload=self.workload_name,
+                  objects=len(object_names)):
+            return ChunkReports(
+                [(name, engine.analyze_object(name)) for name in object_names]
+            )
 
 
 Job = Union[InjectJob, AnalyzeJob]
@@ -316,34 +275,33 @@ def _worker_init(job: Job, state: object) -> None:
     drain_span_records()
 
 
-def _worker_run(parts: List[Part]) -> List[Union[ShardOutput, ChunkReports]]:
-    """Pool entry point: one unit of this worker's job, one output per part.
+def _worker_run(key: int, items: List[object]) -> Union[UnitOutput, ChunkReports]:
+    """Pool entry point: one unit of this worker's job.
 
-    The first output carries what the parent cannot see: this process's
+    The output carries what the parent cannot see: this process's
     registry activity since the previous unit (the parent folds the deltas
     with ``registry().merge`` — associative, so the fold is independent of
     completion order) and its finished spans.
     """
-    outputs = _WORKER_JOB.run(_WORKER_STATE, parts)
+    output = _WORKER_JOB.run(_WORKER_STATE, key, items)
     if metrics_enabled():
-        outputs[0].metrics_delta = _metrics_registry().snapshot_delta(
+        output.metrics_delta = _metrics_registry().snapshot_delta(
             "worker-chunk"
         )
-    outputs[0].span_records = drain_span_records()
-    return outputs
+    output.span_records = drain_span_records()
+    return output
 
 
 class ShardPipeline:
     """Units of one job over a worker pool, a bounded window in flight.
 
-    :meth:`submit` queues one unit: a run of ``(key, items)`` parts (the
+    :meth:`submit` queues one keyed unit: a list of items (the specs of
     consecutive shards of one data object, a chunk of object names) that
     one process serves in one call.  :meth:`wait` blocks until at least
-    one queued unit has finished and returns its parts as ``(key, output)``
-    pairs, in key order; a failed unit returns one ``(first key,
-    CampaignChunkError)`` pair.  A failure is returned, not raised, so a
-    caller that commits in key order can first commit everything before
-    the failed unit.
+    one queued unit has finished and returns ``(key, output)`` pairs, in
+    key order; a failed unit's output is a :class:`CampaignChunkError`.
+    A failure is returned, not raised, so a caller that commits in key
+    order can first commit everything before the failed unit.
 
     Every unit runs on one job state, built once in this process: by
     ``setup`` when the caller passes one (a zero-argument callable, e.g.
@@ -351,13 +309,13 @@ class ShardPipeline:
     own ``setup``, at the first :meth:`submit` — a run that submits
     nothing builds nothing, and a state that cannot be built fails every
     unit.  With ``workers == 1`` nothing is spawned:
-    :meth:`wait` runs the unit whose first part is the key the caller
-    names (the one it commits next) in this process, so execution order
-    is commit order.  With more workers a ``fork``-started pool is created
-    right after the state, at the first :meth:`submit`; its workers
-    inherit the state, and up to :attr:`window` units run or queue in it
-    at once, finishing in any order.  A platform without ``fork`` cannot
-    run more than one worker (:class:`RuntimeError` at construction).
+    :meth:`wait` runs the unit the caller names (the one it commits
+    next) in this process, so execution order is commit order.  With
+    more workers a ``fork``-started pool is created right after the
+    state, at the first :meth:`submit`; its workers inherit the state,
+    and up to :attr:`window` units run or queue in it at once, finishing
+    in any order.  A platform without ``fork`` cannot run more than one
+    worker (:class:`RuntimeError` at construction).
     """
 
     def __init__(
@@ -374,8 +332,8 @@ class ShardPipeline:
         #: Most units in flight (submitted, not yet returned by
         #: :meth:`wait`) at once; callers check :meth:`has_room`.
         self.window = 2 * workers
-        #: Queued units by their first part's key.
-        self._queued: Dict[int, List[Part]] = {}
+        #: Queued units' items by key.
+        self._queued: Dict[int, List[object]] = {}
         self._futures: Dict[Future, int] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._mp_context = _fork_context() if workers > 1 else None
@@ -390,11 +348,10 @@ class ShardPipeline:
     def has_room(self) -> bool:
         return len(self._queued) < self.window
 
-    def submit(self, parts: Sequence[Part]) -> None:
-        """Queue one unit: ``(key, items)`` parts, keyed by the first."""
-        parts = [(key, list(items)) for key, items in parts]
-        key = parts[0][0]
-        self._queued[key] = parts
+    def submit(self, key: int, items: Sequence[object]) -> None:
+        """Queue one unit of ``items`` under ``key``."""
+        items = list(items)
+        self._queued[key] = items
         if self._state is None and self._state_error is None:
             try:
                 self._state = self._setup()
@@ -409,44 +366,41 @@ class ShardPipeline:
                 max_workers=self.workers, mp_context=self._mp_context,
                 initializer=_worker_init, initargs=(self.job, self._state),
             )
-        self._futures[self._pool.submit(_worker_run, parts)] = key
+        self._futures[self._pool.submit(_worker_run, key, items)] = key
 
     def wait(self, key: int) -> List[Tuple[int, object]]:
-        """Finished parts; in this process, runs the unit ``key`` starts."""
+        """Finished units; in this process, runs the unit ``key``."""
         if not self._queued:
             raise RuntimeError("no unit in flight to wait for")
         if self.workers <= 1 or self._state_error is not None:
             if key not in self._queued:  # the caller's next unit is not queued
                 key = next(iter(self._queued))
-            parts = self._queued.pop(key)
+            items = self._queued.pop(key)
             if self._state_error is not None:
-                return [(key, self._failure(parts, self._state_error))]
+                return [(key, self._failure(key, items, self._state_error))]
             try:
-                outputs = self.job.run(self._state, parts)
+                return [(key, self.job.run(self._state, key, items))]
             except Exception as exc:
-                return [(key, self._failure(parts, exc))]
-            return [(k, output) for (k, _), output in zip(parts, outputs)]
+                return [(key, self._failure(key, items, exc))]
         finished, _ = futures_wait(self._futures, return_when=FIRST_COMPLETED)
         out: List[Tuple[int, object]] = []
         for future in sorted(finished, key=self._futures.__getitem__):
             key = self._futures.pop(future)
-            parts = self._queued.pop(key)
+            items = self._queued.pop(key)
             try:
-                outputs = future.result()
+                output = future.result()
             except Exception as exc:
-                out.append((key, self._failure(parts, exc)))
+                out.append((key, self._failure(key, items, exc)))
                 continue
-            if outputs[0].metrics_delta:
-                _metrics_registry().merge(outputs[0].metrics_delta)
-            out.extend((k, output) for (k, _), output in zip(parts, outputs))
+            if output.metrics_delta:
+                _metrics_registry().merge(output.metrics_delta)
+            out.append((key, output))
         return out
 
-    def _failure(self, parts: List[Part],
+    def _failure(self, key: int, items: List[object],
                  exc: BaseException) -> CampaignChunkError:
-        """The unit's failure, named by its first part's key."""
-        items = [item for _, part in parts for item in part]
         error = CampaignChunkError(
-            self.job.workload_name, parts[0][0], items, exc, unit=self.unit
+            self.job.workload_name, key, items, exc, unit=self.unit
         )
         error.__cause__ = exc
         return error
@@ -467,23 +421,53 @@ class ShardPipeline:
         self.close()
 
 
+def run_chunks(
+    job: Job,
+    chunks: Sequence[list],
+    workers: int,
+    setup: Optional[Callable[[], object]] = None,
+    on_progress: Optional[ProgressCallback] = None,
+) -> list:
+    """Every non-empty chunk as one unit of a pipeline of at most one
+    worker per chunk; outputs in chunk order.  ``on_progress`` (if given)
+    is called with ``(chunks_done, chunks_total)`` as chunks complete.  A
+    failed chunk raises its :class:`CampaignChunkError`."""
+    chunks = [chunk for chunk in chunks if chunk]
+    outputs: list = [None] * len(chunks)
+    if not chunks:
+        return outputs
+    with ShardPipeline(
+        job, min(workers, len(chunks)), unit="chunk", setup=setup
+    ) as pipeline:
+        for index, chunk in enumerate(chunks):
+            pipeline.submit(index, chunk)
+        done = 0
+        while pipeline.in_flight:
+            for index, output in pipeline.wait(outputs.index(None)):
+                if isinstance(output, CampaignChunkError):
+                    raise output
+                outputs[index] = output
+                done += 1
+                if on_progress is not None:
+                    on_progress(done, len(chunks))
+    return outputs
+
+
 # --------------------------------------------------------------------- #
 # public API
 # --------------------------------------------------------------------- #
 @dataclass
 class CampaignRunner:
-    """Fan out fault injections / aDVF analyses over local processes.
+    """Fan out fault injections over local processes.
 
     ``workload_name`` must be a key of :data:`repro.workloads.registry.WORKLOADS`
     (the job's ``setup`` builds the workload from it, once, in this
     process); ``workload_kwargs`` are the constructor overrides (sizes,
-    seed, ABFT flag, …).  Both calls split their input into at most one
-    contiguous chunk per worker and run the chunks through a
-    :class:`ShardPipeline`, whose forked workers inherit the job's state;
-    a single chunk runs in this process.  ``on_progress`` (if given) is
-    called with ``(chunks_done, chunks_total)`` as chunks complete.  A
-    failed chunk raises :class:`CampaignChunkError` naming the chunk and
-    its items, with the original exception chained as ``__cause__``.
+    seed, ABFT flag, …).  :meth:`run_injections` splits its specs into at
+    most one contiguous chunk per worker and runs them through
+    :func:`run_chunks`.  A failed chunk raises :class:`CampaignChunkError`
+    naming the chunk and its items, with the original exception chained
+    as ``__cause__``.
     """
 
     workload_name: str
@@ -504,55 +488,9 @@ class CampaignRunner:
         """
         specs = list(specs)
         pieces = 1 if self.workers <= 1 or len(specs) < 4 else self.workers
-        outputs = self._run_chunks(
+        outputs = run_chunks(
             InjectJob(self.workload_name, self.workload_kwargs),
-            chunk_evenly(specs, pieces), on_progress,
+            chunk_evenly(specs, pieces), self.workers,
+            on_progress=on_progress,
         )
         return [result for output in outputs for result in output.results]
-
-    def analyze_objects(
-        self,
-        object_names: Sequence[str],
-        config: Optional[AnalysisConfig] = None,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> Dict[str, ObjectReport]:
-        """aDVF reports, one object chunk per worker (see :class:`AnalyzeJob`)."""
-        from repro.core.reports import AnalysisConfig
-
-        outputs = self._run_chunks(
-            AnalyzeJob(
-                self.workload_name, self.workload_kwargs,
-                config or AnalysisConfig(),
-            ),
-            chunk_evenly(list(object_names), max(1, self.workers)),
-            on_progress,
-        )
-        return {name: report for output in outputs
-                for name, report in output.reports}
-
-    def _run_chunks(
-        self,
-        job: Job,
-        chunks: Sequence[list],
-        on_progress: Optional[ProgressCallback],
-    ) -> list:
-        """Every non-empty chunk through one pipeline; outputs in chunk order."""
-        chunks = [chunk for chunk in chunks if chunk]
-        outputs: list = [None] * len(chunks)
-        if not chunks:
-            return outputs
-        with ShardPipeline(
-            job, min(self.workers, len(chunks)), unit="chunk"
-        ) as pipeline:
-            for index, chunk in enumerate(chunks):
-                pipeline.submit([(index, chunk)])
-            done = 0
-            while pipeline.in_flight:
-                for index, output in pipeline.wait(outputs.index(None)):
-                    if isinstance(output, CampaignChunkError):
-                        raise output
-                    outputs[index] = output
-                    done += 1
-                    if on_progress is not None:
-                        on_progress(done, len(chunks))
-        return outputs

@@ -27,17 +27,3 @@ def chunk_evenly(items: Sequence[T], chunks: int) -> List[List[T]]:
         start += size
     return out
 
-
-def interleave(items: Sequence[T], chunks: int) -> List[List[T]]:
-    """Round-robin (cyclic) distribution of ``items`` into ``chunks`` pieces.
-
-    Useful when the cost of consecutive items is correlated (e.g. injections
-    at neighbouring dynamic instructions) and a block distribution would load
-    the workers unevenly.
-    """
-    if chunks <= 0:
-        raise ValueError("chunks must be positive")
-    out: List[List[T]] = [[] for _ in range(chunks)]
-    for index, item in enumerate(items):
-        out[index % chunks].append(item)
-    return out

@@ -118,12 +118,15 @@ class TestSpanPersistence:
             injects = [s for s in spans if s.name == "worker.inject"]
             assert injects, "workers shipped no spans"
             # worker spans are stamped with the first shard of the unit
-            # that ran them (4 shards over 2 workers: units of 2), count
-            # the unit's shards, and keep the worker's own pid + the
-            # campaign correlation labels
+            # that ran them (4 shards over 2 workers: units of 2; the
+            # unit's commit counts its shards), and keep the worker's own
+            # pid + the campaign correlation labels
             assert {s.shard_index for s in injects} == {0, 2}
-            assert sum(int(s.labels["shards"]) for s in injects) == 4
+            commits = [s for s in spans if s.name == "campaign.commit"]
+            assert {c.shard_index: int(c.labels["shards"])
+                    for c in commits} == {0: 2, 2: 2}
             for record in injects:
+                assert "shards" not in record.labels
                 assert record.labels["campaign"] == orch.campaign_id
                 assert record.labels["workload"] == WORKLOAD
 

@@ -5,13 +5,16 @@ import multiprocessing
 import pytest
 
 import repro.parallel.campaign as parallel_campaign
+from repro.campaigns.orchestrator import CampaignOrchestrator
+from repro.campaigns.plans import FixedRandomPlan
+from repro.campaigns.store import CampaignStore
 from repro.parallel.campaign import CampaignChunkError, _default_workers
 
 from repro.core.advf import AdvfResult, AnalysisConfig
 from repro.core.masking import MaskingCategory, MaskingLevel
 from repro.core.patterns import SingleBitModel
 from repro.core.sites import enumerate_fault_sites
-from repro.parallel import CampaignRunner, chunk_evenly, interleave
+from repro.parallel import CampaignRunner, chunk_evenly
 from repro.reporting import (
     advf_category_breakdown_rows,
     advf_level_breakdown_rows,
@@ -33,11 +36,7 @@ class TestPartitioning:
         chunks = chunk_evenly([1, 2], 4)
         assert [len(c) for c in chunks] == [1, 1, 0, 0]
 
-    def test_interleave(self):
-        chunks = interleave(list(range(7)), 3)
-        assert chunks == [[0, 3, 6], [1, 4], [2, 5]]
-
-    @pytest.mark.parametrize("fn", [chunk_evenly, interleave])
+    @pytest.mark.parametrize("fn", [chunk_evenly])
     def test_invalid_chunks(self, fn):
         with pytest.raises(ValueError):
             fn([1], 0)
@@ -60,22 +59,9 @@ class TestCampaignRunner:
         parallel = CampaignRunner("lulesh", {"num_elem": 10}, workers=2).run_injections(specs)
         assert [r.outcome for r in sequential] == [r.outcome for r in parallel]
 
-    def test_analyze_objects(self):
-        config = AnalysisConfig(
-            max_injections=5,
-            equivalence_samples=1,
-            injection_samples_per_class=1,
-            error_model=SingleBitModel(bit_stride=16),
-        )
-        runner = CampaignRunner("lulesh", {"num_elem": 8}, workers=1)
-        reports = runner.analyze_objects(["m_elemBC"], config)
-        assert set(reports) == {"m_elemBC"}
-        assert 0.0 <= reports["m_elemBC"].result.value <= 1.0
-
     def test_empty_inputs(self):
         runner = CampaignRunner("lulesh", {}, workers=1)
         assert runner.run_injections([]) == []
-        assert runner.analyze_objects([]) == {}
 
     def test_progress_callback(self, lulesh_workload):
         trace = lulesh_workload.traced_run().trace
@@ -96,8 +82,16 @@ QUICK = AnalysisConfig(
     injection_samples_per_class=1,
     error_model=SingleBitModel(bit_stride=16),
 )
-MATMUL = ("matmul", {"n": 4})
 OBJECTS = ["A", "B", "C"]
+
+
+def _reports(workers, names=OBJECTS):
+    """``campaign report``'s aDVF reports for matmul objects ``names``."""
+    orchestrator = CampaignOrchestrator(
+        CampaignStore(":memory:"), "matmul", workload_kwargs={"n": 4},
+        plan=FixedRandomPlan(tests=8, seed=1), workers=workers,
+    )
+    return orchestrator.compute_reports(QUICK, object_names=names)
 
 
 def _pool_spy(monkeypatch):
@@ -114,26 +108,18 @@ def _pool_spy(monkeypatch):
 
 
 class TestAnalysisPool:
-    """``analyze_objects`` over more than one worker: object chunks run in
+    """``compute_reports`` over more than one worker: object chunks run in
     the pipeline's worker pool."""
 
     def test_two_workers_equal_one_worker(self, monkeypatch):
-        serial = CampaignRunner(*MATMUL, workers=1).analyze_objects(
-            OBJECTS, QUICK
-        )
+        serial = _reports(workers=1)
         built = _pool_spy(monkeypatch)
-        seen = []
-        paired = CampaignRunner(*MATMUL, workers=2).analyze_objects(
-            OBJECTS, QUICK, on_progress=lambda done, total: seen.append(
-                (done, total)
-            ),
-        )
+        paired = _reports(workers=2)
         assert built == [2]
         assert list(paired) == OBJECTS
         assert {name: report.to_dict() for name, report in paired.items()} == {
             name: report.to_dict() for name, report in serial.items()
         }
-        assert seen == [(1, 2), (2, 2)]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -154,7 +140,7 @@ class TestAnalysisPool:
         monkeypatch.setattr(AdvfEngine, "analyze_object", analyze_object)
         built = _pool_spy(monkeypatch)
         with pytest.raises(CampaignChunkError) as excinfo:
-            CampaignRunner(*MATMUL, workers=2).analyze_objects(OBJECTS, QUICK)
+            _reports(workers=2)
         assert built == [2]
         error = excinfo.value
         # chunks are [A, B] and [C]
@@ -171,14 +157,7 @@ class TestAnalysisPool:
             raise AssertionError("a worker pool was created")
 
         monkeypatch.setattr(parallel_campaign, "ProcessPoolExecutor", no_pool)
-        seen = []
-        reports = CampaignRunner(*MATMUL, workers=workers).analyze_objects(
-            names, QUICK, on_progress=lambda done, total: seen.append(
-                (done, total)
-            ),
-        )
-        assert list(reports) == names
-        assert seen == [(1, 1)]
+        assert list(_reports(workers, names)) == names
 
 
 class TestWorkerConfig:
@@ -218,10 +197,16 @@ class TestChunkErrorContext:
         assert "chunk 0" in message and "3 items" in message
         assert excinfo.value.__cause__ is not None
 
-    def test_analyze_failure_wrapped_too(self):
-        runner = CampaignRunner("not-a-workload", {}, workers=1)
-        with pytest.raises(CampaignChunkError, match="not-a-workload"):
-            runner.analyze_objects(["u"])
+    def test_analyze_failure_wrapped_too(self, monkeypatch):
+        # an aDVF engine that cannot be built fails the report's chunk
+        from repro.core.advf import AdvfEngine
+
+        def prepare(self):
+            raise RuntimeError("no engine")
+
+        monkeypatch.setattr(AdvfEngine, "prepare", prepare)
+        with pytest.raises(CampaignChunkError, match="'matmul'.*no engine"):
+            _reports(workers=1)
 
 
 class TestReporting:

@@ -16,7 +16,12 @@ import multiprocessing
 import pytest
 
 import repro.parallel.campaign as parallel_campaign
-from repro.campaigns.orchestrator import CampaignOrchestrator
+from repro.campaigns.orchestrator import (
+    UNIT_SPECS,
+    CampaignOrchestrator,
+    ShardTask,
+    _static_units,
+)
 from repro.campaigns.plans import AdaptivePlan, FixedRandomPlan, parse_plan
 from repro.campaigns.store import CampaignStore
 from repro.core.injector import DeterministicFaultInjector
@@ -129,20 +134,74 @@ def test_adaptive_max_shards_commits_the_one_worker_prefix(max_shards):
 
 
 # --------------------------------------------------------------------- #
+# static units: formed once, when the stream is built
+# --------------------------------------------------------------------- #
+def _tasks(*shards):
+    """Shard tasks from ``(object, spec count)`` pairs, indexed in order."""
+    return [ShardTask(index, name, index, tuple(range(specs)))
+            for index, (name, specs) in enumerate(shards)]
+
+
+def _layout(items):
+    """A stream's items: each unit as its shard indices, each committed
+    shard as its index."""
+    return [item if isinstance(item, int) else [task.index for task in item]
+            for item in items]
+
+
+@pytest.mark.parametrize("workers, layout", [
+    (1, [[0, 1, 2, 3, 4], [5, 6, 7]]),
+    (2, [[0, 1, 2], [3, 4], [5, 6], [7]]),
+    (3, [[0, 1], [2, 3], [4], [5], [6], [7]]),
+])
+def test_static_units_split_each_object_over_the_workers(workers, layout):
+    # at most ceil(object's shards / workers) shards per unit
+    tasks = _tasks(*[("r", 8)] * 5, *[("colidx", 8)] * 3)
+    assert _layout(_static_units(tasks, set(), workers, None)) == layout
+
+
+def test_static_units_are_broken_by_committed_shards():
+    tasks = _tasks(*[("r", 8)] * 6)
+    assert _layout(_static_units(tasks, {2, 3}, 1, None)) == [
+        [0, 1], 2, 3, [4, 5]
+    ]
+
+
+def test_static_units_hold_at_most_unit_specs():
+    # a first shard over the bound still forms a unit, alone
+    tasks = _tasks(("r", 100), ("r", 100), ("r", 100), ("r", UNIT_SPECS + 1),
+                   ("r", 8), ("r", 8))
+    assert _layout(_static_units(tasks, set(), 1, None)) == [
+        [0, 1], [2], [3], [4, 5]
+    ]
+
+
+@pytest.mark.parametrize("max_shards, layout", [
+    (3, [0, [1, 2, 3], [4, 5]]),
+    (2, [0, [1, 2], [3, 4, 5]]),
+])
+def test_static_units_never_cross_the_max_shards_boundary(max_shards, layout):
+    # the bound counts executed shards: committed shard 0 is not one
+    tasks = _tasks(*[("r", 8)] * 6)
+    assert _layout(_static_units(tasks, {0}, 1, max_shards)) == layout
+
+
+# --------------------------------------------------------------------- #
 # units: shard timing comes from the worker, not from the window
 # --------------------------------------------------------------------- #
 def _units(store, campaign_id):
-    """``{first shard: (worker.inject span, [shard indices])}`` per unit."""
-    injects = sorted(
-        (span for span in store.run_spans(campaign_id)
-         if span.name == "worker.inject"),
-        key=lambda span: span.shard_index,
-    )
+    """``{first shard: (worker.inject span, [shard indices])}`` per unit,
+    as each unit's ``campaign.commit`` span counts them."""
+    spans = store.run_spans(campaign_id)
+    injects = {span.shard_index: span for span in spans
+               if span.name == "worker.inject"}
     shards = sorted(store.completed_shards(campaign_id))
     units = {}
-    for span in injects:
+    for span in sorted((span for span in spans if span.name == "campaign.commit"),
+                       key=lambda span: span.shard_index):
         members = shards[shards.index(span.shard_index):][:int(span.labels["shards"])]
-        units[span.shard_index] = (span, members)
+        units[span.shard_index] = (injects[span.shard_index], members)
+    assert sorted(units) == sorted(injects)
     assert sum(len(members) for _, members in units.values()) == len(shards)
     return units
 
